@@ -162,15 +162,6 @@ class CantorModel:
                     best = d
         return best
 
-    def min_gap(self, part_a, part_b):
-        best = None
-        for a in part_a:
-            for b in part_b:
-                d = self.distance(a, b)
-                if best is None or d < best:
-                    best = d
-        return best
-
     def validate_metric(self, *, triple_cap=1000, samples=10 ** 4, seed=0):
         """Symmetry, identity of indiscernibles, and the triangle inequality.
 
@@ -643,9 +634,15 @@ class CylinderMeasure:
         return self._lookup.get(address, Fraction(0))
 
 
-def pushforward_invariant(action, measure):
-    """Exact check that g_* mu = mu for every generator and inverse."""
-    for name, sign in action.signed_tokens():
+def pushforward_invariant(action, measure, tokens=None):
+    """Exact check that g_* mu = mu for every signed generator token.
+
+    `tokens` is a list of (name, sign) pairs; it defaults to every generator
+    and its inverse.
+    """
+    if tokens is None:
+        tokens = action.signed_tokens()
+    for name, sign in tokens:
         inv = _invert_perm(action.token_perm(name, sign))
         for a in action.model.addresses:
             # (g_* mu)(a) = mu(g^{-1} a)

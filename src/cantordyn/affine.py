@@ -222,10 +222,6 @@ def lattice_from_columns(cols):
     return IntegerLattice(basis)
 
 
-def lattice_sum(l1, l2):
-    return lattice_from_columns(l1.columns() + l2.columns())
-
-
 def lattice_intersect(l1, l2):
     """Intersection of two full-rank integer lattices, via duals."""
     if l1.dimension != l2.dimension:
@@ -666,19 +662,22 @@ def is_normal(g, h):
     return NormalityVerdict(True)
 
 
-def normal_core(g, h, *, cap=None):
-    """Largest subgroup of H normal in G: intersect conjugates over coset reps."""
-    cosets = coset_space(g, h, cap=cap)
+def normal_core(g, h):
+    """Largest subgroup of H normal in G, by witness-driven intersection.
+
+    Start from K = H; while some generator x has x^-1 K x != K, replace K by
+    K & x^-1 K x.  The core of H stays inside K, each step shrinks K strictly
+    and the core has finite index, so the loop ends; a normal K inside H lies
+    inside the core, so the final K is the core.  No coset space is built.
+    """
     core = h
-    for rep in cosets.reps:
-        conj = conjugate(rep, h)
-        if conj != core and not subgroup_le(core, conj):
-            core = subgroup_intersect(core, conj)
+    while True:
+        verdict = is_normal(g, core)
+        if verdict.normal:
+            break
+        core = subgroup_intersect(core, conjugate(verdict.witness, core))
     if not subgroup_le(core, h):
         raise StructureError("core computation produced a set outside H")
-    verdict = is_normal(g, core)
-    if not verdict.normal:
-        raise StructureError("core computation produced a non-normal subgroup")
     return core
 
 
@@ -691,14 +690,18 @@ class CosetSpace:
     reps: tuple  # canonical AffineElement per coset, sorted
     gen_perms: dict  # generator name -> tuple permutation (left multiplication)
     index: int
-
-    def identity_index(self):
-        return self._key_index[_coset_key_of(self.group, self.subgroup, self.group.identity())]
+    # canonical-key data computed once by coset_space: point-class ids,
+    # per-point reduction lattices, and canonical key -> coset index
+    class_ids: dict = field(compare=False, repr=False)
+    red_data: dict = field(compare=False, repr=False)
+    key_index: dict = field(compare=False, repr=False)
 
     def index_of_element(self, g):
-        key = _coset_key_of(self.group, self.subgroup, g)
+        key = _coset_key_scaled(
+            self.subgroup, self.class_ids, self.red_data, g.point, g.scaled_trans()
+        )
         try:
-            return self._key_index[key]
+            return self.key_index[key]
         except KeyError:
             raise StructureError("element does not lie in the enumerated coset space")
 
@@ -721,7 +724,7 @@ def _coset_reduction_data(group, subgroup):
     return data
 
 
-def _coset_key_scaled(group, subgroup, class_ids, red_data, point, scaled_tr):
+def _coset_key_scaled(subgroup, class_ids, red_data, point, scaled_tr):
     """Canonical (class_id, reduced scaled translation, point) key for a coset."""
     best = None
     for b in subgroup.reps:
@@ -733,14 +736,6 @@ def _coset_key_scaled(group, subgroup, class_ids, red_data, point, scaled_tr):
         if best is None or cand < best:
             best = cand
     return best
-
-
-def _coset_key_of(group, subgroup, element):
-    class_ids = group.point_class_order()
-    red_data = _coset_reduction_data(group, subgroup)
-    return _coset_key_scaled(
-        group, subgroup, class_ids, red_data, element.point, element.scaled_trans()
-    )
 
 
 def coset_space(group, subgroup, *, cap=None):
@@ -763,7 +758,7 @@ def coset_space(group, subgroup, *, cap=None):
 
     ident = im.identity(group.dimension)
     start = _coset_key_scaled(
-        group, subgroup, class_ids, red_data, ident, (0,) * group.dimension
+        subgroup, class_ids, red_data, ident, (0,) * group.dimension
     )
     seen = {start}
     frontier = [start]
@@ -776,9 +771,7 @@ def coset_space(group, subgroup, *, cap=None):
             for gp, gt in signed:
                 np_ = im.mat_mul(gp, point)
                 nt = im.vec_add(gt, im.mat_vec(gp, red))
-                nkey = _coset_key_scaled(
-                    group, subgroup, class_ids, red_data, np_, nt
-                )
+                nkey = _coset_key_scaled(subgroup, class_ids, red_data, np_, nt)
                 if nkey not in seen:
                     if len(seen) >= cap:
                         raise ResourceLimitError(
@@ -810,12 +803,13 @@ def coset_space(group, subgroup, *, cap=None):
             point = tuple(tuple(pkey[i * n + j] for j in range(n)) for i in range(n))
             np_ = im.mat_mul(gp, point)
             nt = im.vec_add(gt, im.mat_vec(gp, red))
-            nkey = _coset_key_scaled(group, subgroup, class_ids, red_data, np_, nt)
+            nkey = _coset_key_scaled(subgroup, class_ids, red_data, np_, nt)
             perm.append(key_index[nkey])
         if sorted(perm) != list(range(len(ordered))):
             raise StructureError(f"generator {name} does not act bijectively")
         gen_perms[name] = tuple(perm)
 
-    space = CosetSpace(group, subgroup, tuple(reps), gen_perms, len(ordered))
-    object.__setattr__(space, "_key_index", key_index)
-    return space
+    return CosetSpace(
+        group, subgroup, tuple(reps), gen_perms, len(ordered),
+        class_ids, red_data, key_index,
+    )

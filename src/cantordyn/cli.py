@@ -261,8 +261,8 @@ def cmd_compare(cfg_a, cfg_b, report):
 def cmd_code(cfg, report):
     if cfg.kind == "chain":
         chain, depth = _chain_for(cfg)
-        action = boundary_action(chain, depth, lam=cfg.lam)
         tower = build_tower(chain, depth)
+        action = tower.boundary_action(cfg.lam)
     else:
         action = cfg.build_action()
         tower = None
@@ -353,29 +353,13 @@ def cmd_measure(cfg, report):
     if len(weights) == 1:
         report.add("weight", next(iter(weights)), 1)
     for name in action.generators:
-        single = CantorActionView(action, name)
         report.add(
             f"invariant_under {name}",
-            pushforward_invariant(single, mu),
+            pushforward_invariant(action, mu, [(name, 1), (name, -1)]),
             1,
         )
     report.add("pushforward_invariant_all", pushforward_invariant(action, mu), 1)
     return report
-
-
-class CantorActionView:
-    """A one-generator view of an action, for per-generator verification."""
-
-    def __init__(self, action, name):
-        self._action = action
-        self._name = name
-        self.model = action.model
-
-    def signed_tokens(self):
-        return [(self._name, 1), (self._name, -1)]
-
-    def token_perm(self, name, sign):
-        return self._action.token_perm(name, sign)
 
 
 def build_parser():

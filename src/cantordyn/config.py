@@ -39,6 +39,15 @@ def parse_int(text, line=None):
         raise ParseError(f"expected an integer, got {text!r}", line) from exc
 
 
+def parse_bool(text, line=None):
+    value = str(text).strip().lower()
+    if value in ("true", "yes", "1"):
+        return True
+    if value in ("false", "no", "0"):
+        return False
+    raise ParseError(f"expected a boolean, got {text!r}", line)
+
+
 def parse_matrix(text, line=None):
     """Rows separated by ' / ' (spaced); entries are integers."""
     rows = [r for r in text.split(" / ")]
@@ -134,16 +143,17 @@ class Config:
         except StructureError as exc:
             raise StructureError(f"[level ...]: {exc}") from exc
 
-    def build_action(self, *, depth=None):
+    def build_action(self):
         from . import gallery
 
         if self.kind == "chain":
             from .tower import boundary_action
 
-            chain = self.build_chain()
-            k = depth if depth is not None else self.depth
-            return boundary_action(chain, k, lam=self.lam)
-        return gallery.build_action(self.gallery, dict(self.gallery_params))
+            return boundary_action(self.build_chain(), self.depth, lam=self.lam)
+        params = dict(self.gallery_params)
+        if self.depth is not None:
+            params["depth"] = self.depth
+        return gallery.build_action(self.gallery, params)
 
 
 def parse_config(text):
@@ -177,6 +187,7 @@ def parse_config(text):
     gallery_params = []
     group = None
     level_specs = {}
+    sized = []  # (line, matrix) whose size must match the group dimension
     depth = None
     words = 8
     lam = Fraction(1, 2)
@@ -192,8 +203,11 @@ def parse_config(text):
             for line_no, key, value in entries:
                 if key == "gallery":
                     gallery_name = value
+                elif key == "free_factor":
+                    flag = parse_bool(value, line_no)
+                    gallery_params.append((key, "true" if flag else "false"))
                 elif key in GALLERY_PARAM_KEYS:
-                    gallery_params.append((key, value))
+                    gallery_params.append((key, str(parse_int(value, line_no))))
                 else:
                     raise ParseError(f"[{name}]: unknown key {key!r}", line_no)
         elif name == "group":
@@ -209,6 +223,7 @@ def parse_config(text):
                     if not gname:
                         raise ParseError("[group]: generator needs a name", line_no)
                     mat, vec = parse_affine(value, line_no)
+                    sized.append((line_no, mat))
                     gens.append((gname, mat, vec))
                 else:
                     raise ParseError(f"[group]: unknown key {key!r}", line_no)
@@ -231,8 +246,10 @@ def parse_config(text):
             for line_no, key, value in entries:
                 if key == "lattice":
                     lattice = parse_matrix(value, line_no)
+                    sized.append((line_no, lattice))
                 elif key == "rep":
                     reps.append(parse_affine(value, line_no))
+                    sized.append((line_no, reps[-1][0]))
                 else:
                     raise ParseError(f"[{name}]: unknown key {key!r}", line_no)
             if lattice is None:
@@ -254,6 +271,15 @@ def parse_config(text):
                     raise ParseError(f"[params]: unknown key {key!r}", line_no)
         else:
             raise ParseError(f"unknown section [{name}]", None)
+
+    if group is not None:
+        for line_no, mat in sized:
+            if len(mat) != group.dimension or len(mat[0]) != group.dimension:
+                raise ParseError(
+                    f"matrix is {len(mat)}x{len(mat[0])}, but [group] has "
+                    f"dimension {group.dimension}",
+                    line_no,
+                )
 
     if kind is None and group is not None:
         kind = "chain"

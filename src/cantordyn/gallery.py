@@ -22,13 +22,11 @@ from .affine import (
     subgroup_from_parts,
     translation,
 )
+from .config import parse_bool
 from .errors import StructureError
 from .tower import SubgroupChain
 
 REFLECTION = ((1, 0), (0, -1))
-
-GALLERY_CHAINS = ("vietoris", "fokkink_oversteegen", "rogers_tollefson", "small_fo_variant")
-GALLERY_ACTIONS = ("warp_example",)
 
 
 def _is_prime(p):
@@ -198,17 +196,7 @@ def build_action(name, params):
         return warp_example(
             int(params.get("depth", 6)),
             int(params.get("k1", 2)),
-            include_free_factor=_parse_bool(params.get("free_factor", "true")),
+            include_free_factor=parse_bool(params.get("free_factor", "true")),
         )
     raise StructureError(f"unknown gallery action {name!r}")
 
-
-def _parse_bool(value):
-    if isinstance(value, bool):
-        return value
-    v = str(value).strip().lower()
-    if v in ("true", "yes", "1"):
-        return True
-    if v in ("false", "no", "0"):
-        return False
-    raise StructureError(f"expected a boolean, got {value!r}")

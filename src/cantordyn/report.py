@@ -43,10 +43,6 @@ class Report:
     def section(self, key, indent=0):
         self.add(key, _SECTION, indent)
 
-    def add_items(self, pairs, indent=0):
-        for key, value in pairs:
-            self.add(key, value, indent)
-
     def render(self, timing_ms=None):
         out = []
         for indent, key, value in self.lines:

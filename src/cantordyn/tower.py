@@ -88,12 +88,29 @@ class QuotientTower:
         k = self.depth
         return tuple(self.project(k, coset_index, l) for l in range(1, k + 1))
 
+    def boundary_action(self, lam=Fraction(1, 2)):
+        """Left translation on the deepest coset space as a finite Cantor model.
 
-def build_tower(chain, depth=None, *, cap=None):
+        Addresses are the compatible coset-id sequences of the tower;
+        generators act by the deepest level's permutations; the metric is the
+        tree metric with base lam; the basepoint is the identity coset.
+        """
+        from .action import CantorAction, CantorModel, TreeMetric
+
+        group = self.chain.group
+        deepest = self.levels[-1]
+        addresses = tuple(self.coordinates(i) for i in range(deepest.index))
+        model = CantorModel(addresses, self.depth, TreeMetric(Fraction(lam)))
+        generators = {name: deepest.gen_perms[name] for name, _ in group.generators}
+        basepoint = addresses[deepest.index_of_element(group.identity())]
+        return CantorAction(model, generators, basepoint, label=self.chain.label)
+
+
+def build_tower(chain, depth=None):
     """Coset spaces per level plus bonding maps computed by rep reduction."""
     depth = chain.depth if depth is None else depth
     chain = chain.truncate(depth)
-    spaces = [coset_space(chain.group, h, cap=cap) for h in chain.levels]
+    spaces = [coset_space(chain.group, h) for h in chain.levels]
     bonding = []
     for l in range(len(spaces) - 1):
         fine, coarse = spaces[l + 1], spaces[l]
@@ -168,11 +185,15 @@ class McCordVerdict:
         return self.chain.depth
 
 
-def mccord_verdict(chain, *, cap=None):
-    """Per level, the least l' with H_l' inside core(H_l), or a verified witness."""
+def mccord_verdict(chain):
+    """Per level, the least l' with H_l' inside core(H_l), or a verified witness.
+
+    Cores come from `normal_core`, which enumerates no cosets, so the verdict
+    is not bounded by the coset index cap.
+    """
     records = []
     for l, h in enumerate(chain.levels, start=1):
-        core = normal_core(chain.group, h, cap=cap)
+        core = normal_core(chain.group, h)
         cofinal_at = None
         for lp, hp in enumerate(chain.levels, start=1):
             if subgroup_le(hp, core):
@@ -268,22 +289,10 @@ def subgroup_cylinder(tower, subgroup):
 
 # -------------------------------------------------------- boundary action
 
-def boundary_action(chain, depth=None, *, lam=Fraction(1, 2), cap=None):
-    """Left translation on the depth-K coset space as a finite Cantor model.
+def boundary_action(chain, depth=None, *, lam=Fraction(1, 2)):
+    """The boundary action of the depth-K tower of a chain.
 
-    Addresses are the compatible coset-id sequences of the tower; generators
-    act by the deepest level's permutations; the metric is the tree metric
-    with base lam; the basepoint is the identity coset.
+    Builds the tower and returns `QuotientTower.boundary_action`; a caller
+    that also needs the tower builds it once and calls the method.
     """
-    from .action import CantorAction, CantorModel, TreeMetric
-
-    tower = build_tower(chain, depth, cap=cap)
-    deepest = tower.levels[-1]
-    addresses = tuple(tower.coordinates(i) for i in range(deepest.index))
-    model = CantorModel(addresses, tower.depth, TreeMetric(Fraction(lam)))
-    generators = {}
-    for name, _ in chain.group.generators:
-        perm = deepest.gen_perms[name]
-        generators[name] = tuple(perm)
-    basepoint = addresses[deepest.index_of_element(chain.group.identity())]
-    return CantorAction(model, generators, basepoint, label=chain.label)
+    return build_tower(chain, depth).boundary_action(lam)

@@ -1,11 +1,23 @@
-"""Shared builders and law checks for the coding tests."""
+"""Shared builders, law checks and brute-force oracles for the tests."""
 
 import itertools
 import random
 from fractions import Fraction as F
 
 from cantordyn.action import CantorAction, CantorModel, TreeMetric
+from cantordyn.affine import conjugate, subgroup_intersect, subgroup_le
 from cantordyn.coding import return_words
+
+
+def brute_force_core(cosets):
+    """Core of H in G: intersect the conjugates of H by every rep of G/H."""
+    h = cosets.subgroup
+    core = h
+    for rep in cosets.reps:
+        conj = conjugate(rep, h)
+        if conj != core and not subgroup_le(core, conj):
+            core = subgroup_intersect(core, conj)
+    return core
 
 
 def random_tree_action(seed, max_addresses=512):

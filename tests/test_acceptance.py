@@ -34,7 +34,7 @@ from cantordyn.report import strip_timing
 from cantordyn.tower import boundary_action, build_tower, interleave, mccord_verdict, subgroup_cylinder
 
 from conftest import record_criterion
-from helpers import check_coding_laws, random_tree_action
+from helpers import brute_force_core, check_coding_laws, random_tree_action
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -100,10 +100,11 @@ def test_criterion_2_negative_control_fokkink_oversteegen():
             verdict = is_normal(chain.group, level)
             assert not verdict.normal
             assert verdict.witness == witness_expected
-            # brute-force core: every coset representative is conjugated
             cosets = coset_space(chain.group, level)
             assert cosets.index == expected_index
             core = normal_core(chain.group, level)
+            # oracle: the core found by conjugating every coset representative
+            assert core == brute_force_core(cosets)
             assert core.lattice == level.lattice  # A^l Z^2
             assert len(core.reps) == 1  # no glide class survives
             assert is_normal(chain.group, core).normal

@@ -32,6 +32,8 @@ from cantordyn.affine import (
 )
 from cantordyn.errors import ResourceLimitError, StructureError
 
+from helpers import brute_force_core
+
 D = ((1, 0), (0, -1))
 
 
@@ -392,6 +394,28 @@ def test_core_properties_on_gallery_and_random_subgroups():
         assert subgroup_le(core, h)
         assert is_normal(G, core).normal
         assert (core == h) == is_normal(G, h).normal
+
+
+def test_core_matches_brute_force_oracle_on_random_subgroups():
+    G = klein_group()
+    rng = random.Random(2010)
+    checked = 0
+    while checked < 8:
+        gens = [
+            translation((rng.randint(1, 6), rng.randint(0, 6)), 2),
+            translation((rng.randint(0, 6), rng.randint(1, 6)), 2),
+            AffineElement(
+                D, (F(2 * rng.randint(0, 3) + 1, 2), rng.randint(-3, 3)), 2
+            ),
+        ]
+        try:
+            h = subgroup_from_generators(2, 2, gens)
+        except StructureError:
+            continue
+        if G.index_of(h) > 400:
+            continue
+        assert normal_core(G, h) == brute_force_core(coset_space(G, h)), h
+        checked += 1
 
 
 # ---------------------------------------------------------------- cosets

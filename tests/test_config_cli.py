@@ -132,6 +132,31 @@ def test_semantic_error_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("[chain]\ngallery = vietoris\np = x\ndepth = 2\n", 3),
+        ("[action]\ngallery = warp_example\nfree_factor = maybe\n", 3),
+        (
+            "[group]\ndimension = 1\ndenominator = 1\ngenerator t = 1 ; 1\n"
+            "[level 1]\nlattice = 2 0 / 0 2\n",
+            6,
+        ),
+        (
+            "[group]\ndimension = 2\ndenominator = 1\ngenerator t = 1 ; 1\n"
+            "[level 1]\nlattice = 2 0 / 0 2\n",
+            4,
+        ),
+    ],
+)
+def test_malformed_values_exit_two_naming_the_line(tmp_path, capsys, text, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    rc, _, err = run_cli(capsys, "classify", str(bad))
+    assert rc == 2
+    assert f"line {line}:" in err
+
+
 def test_resource_cap_exits_three(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CANTORDYN_INDEX_CAP", "10")
     rc, _, err = run_cli(capsys, "classify", str(CONFIG_DIR / "fo.cfg"))
@@ -202,6 +227,45 @@ def test_code_report_includes_core_oracle(capsys):
     assert rc == 0
     assert "core_oracle" in out
     assert "match true" in out
+
+
+@pytest.mark.parametrize("command", ["classify", "code"])
+@pytest.mark.parametrize(
+    "args, depth",
+    [(("vietoris5.cfg",), 4), (("small_fo.cfg", "--depth", "2"), 2)],
+)
+def test_chain_commands_enumerate_each_coset_space_once(
+    capsys, monkeypatch, command, args, depth
+):
+    from cantordyn import affine, cli, tower
+
+    calls = {"coset_space": 0, "build_tower": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+
+        return wrapper
+
+    enumerate_cosets = counted("coset_space", affine.coset_space)
+    build = counted("build_tower", tower.build_tower)
+    for module in (affine, tower):
+        monkeypatch.setattr(module, "coset_space", enumerate_cosets)
+    for module in (tower, cli):
+        monkeypatch.setattr(module, "build_tower", build)
+    rc, _, _ = run_cli(capsys, command, str(CONFIG_DIR / args[0]), *args[1:])
+    assert rc == 0
+    assert calls == {"coset_space": depth, "build_tower": 1}
+
+
+def test_depth_override_reaches_action_configs(capsys):
+    rc, out, _ = run_cli(
+        capsys, "classify", str(CONFIG_DIR / "warp.cfg"), "--depth", "4"
+    )
+    assert rc == 0
+    assert "depth: 4" in out
+    assert "addresses: 241" in out
 
 
 def test_holonomy_verdicts(capsys):

@@ -3,7 +3,14 @@
 import pytest
 
 from cantordyn.action import COLLAPSED, is_minimal, modulus_table
-from cantordyn.affine import contains, is_normal, normal_core, translation
+from cantordyn.affine import (
+    contains,
+    coset_space,
+    index_cap,
+    is_normal,
+    normal_core,
+    translation,
+)
 from cantordyn.errors import StructureError
 from cantordyn.gallery import (
     REFLECTION,
@@ -16,6 +23,8 @@ from cantordyn.gallery import (
     warp_example,
 )
 from cantordyn.tower import boundary_action, build_tower, mccord_verdict
+
+from helpers import brute_force_core
 
 
 def test_vietoris_chain_levels():
@@ -68,6 +77,31 @@ def test_fo_core_is_the_pure_bonding_lattice():
     core = normal_core(chain.group, chain.levels[0])
     assert core.lattice.basis == ((3, 0), (0, 35))
     assert len(core.reps) == 1
+
+
+def test_normal_core_matches_brute_force_oracle_on_gallery_chains():
+    # fokkink_oversteegen(2) is checked against the same oracle in criterion 2
+    for chain in (
+        small_fo_variant(3),
+        rogers_tollefson(3),
+        vietoris(2, 4),
+        vietoris(3, 3),
+    ):
+        for level, h in enumerate(chain.levels, start=1):
+            oracle = brute_force_core(coset_space(chain.group, h))
+            assert normal_core(chain.group, h) == oracle, (chain.label, level)
+
+
+def test_fo_mccord_verdict_beyond_the_coset_cap():
+    chain = fokkink_oversteegen(3)
+    assert chain.indices()[-1] > index_cap()
+    verdict = mccord_verdict(chain)
+    assert not any(rec.cofinal for rec in verdict.records)
+    assert [chain.group.index_of(rec.core) for rec in verdict.records] == [
+        210,
+        22050,
+        2315250,
+    ]
 
 
 def test_rogers_tollefson_indices_and_tower():
