@@ -2,9 +2,14 @@
 
 Addresses are hashable tuples spelled over per-level alphabets (or a reserved
 collapsed token); generators are total bijections stored as index
-permutations.  Metrics are exact rational functions; the pairwise engines
-(modulus table, distality) use integer level arithmetic on tree metrics and
-exact Fractions otherwise.  Nothing here touches floating point.
+permutations.  Metrics are exact rational functions.  Each model computes
+every pairwise distance once, into a cached pair-rank matrix: each pair's
+index into the ascending tuple of exact realized distances.  Each metric
+fills it with integer keys order-isomorphic to its distances (disagreement
+levels on trees, numerators over one common denominator on the warp
+product), so the pairwise engines (modulus table, distality, diameters,
+partition gaps) compare integers and read exact Fractions back only for the
+values they report.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -44,6 +49,13 @@ class TreeMetric:
                 break
             j += 1
         return self.lam ** j
+
+    def pair_keys(self, addresses):
+        """Keys depth - (agreement level); key 0 only on the diagonal."""
+        digits = np.array(addresses, dtype=np.int64)
+        depth = digits.shape[1]
+        keys = depth - _agreement_levels(digits)
+        return keys, lambda key: self.lam ** (depth - int(key)) if key else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,37 @@ class WarpMetric:
             return abs(xa - xb)
         return abs(xa - xb) + min(xa, xb) * self.d1(a[1], b[1])
 
+    def pair_keys(self, addresses):
+        """Numerators over 3^K q^K, where lam1 = p/q and K is the depth.
+
+        With X = sum(d_i 3^(K-1-i)) and j the y agreement length, a pair's
+        numerator is |X_a - X_b| q^K + min(X_a, X_b) p^j q^(K-j); the second
+        term is dropped when the y parts agree fully and vanishes against the
+        collapsed point, whose X is 0.  Python ints take over from int64 when
+        a numerator could overflow it, so every lam1 stays exact.
+        """
+        lam1 = Fraction(self.lam1)
+        p, q, k = lam1.numerator, lam1.denominator, self.depth
+        denominator = 3 ** k * q ** k
+        largest = 3 ** k * (q ** k + max(abs(p), q) ** k)
+        dtype = np.int64 if largest < 2 ** 63 else object
+        n = len(addresses)
+        x = np.zeros(n, dtype=dtype)
+        y = np.zeros((n, k), dtype=np.int64)
+        for i, a in enumerate(addresses):
+            if a != COLLAPSED:
+                x[i] = sum(d * 3 ** (k - 1 - t) for t, d in enumerate(a[0]))
+                y[i, :] = a[1]
+        weight = np.array(
+            [p ** j * q ** (k - j) for j in range(k)] + [0], dtype=dtype
+        )
+        keys = np.abs(x[:, None] - x[None, :])
+        keys *= q ** k
+        low = np.minimum(x[:, None], x[None, :])
+        low *= weight[_agreement_levels(y)]
+        keys += low
+        return keys, lambda key: Fraction(int(key), denominator)
+
 
 @dataclass(frozen=True)
 class ExplicitMetric:
@@ -105,6 +148,33 @@ class ExplicitMetric:
             return self._lookup[key]
         except KeyError:
             raise StructureError(f"distance table has no entry for {a!r}, {b!r}")
+
+    def pair_keys(self, addresses):
+        """Ranks of the table's distances, each pair looked up once."""
+        n = len(addresses)
+        dist = {
+            (i, j): self.distance(addresses[i], addresses[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+        }
+        values = sorted(set(dist.values()) | {Fraction(0)})
+        key_of = {d: key for key, d in enumerate(values)}
+        keys = np.zeros((n, n), dtype=np.int64)
+        for (i, j), d in dist.items():
+            keys[i, j] = keys[j, i] = key_of[d]
+        return keys, values.__getitem__
+
+
+def _agreement_levels(digits):
+    """lev[a, b] = number of leading columns on which rows a and b agree."""
+    n, k = digits.shape
+    agree = np.ones((n, n), dtype=bool)
+    lev = np.zeros((n, n), dtype=np.min_scalar_type(k))
+    for j in range(k):
+        col = digits[:, j]
+        agree &= col[:, None] == col[None, :]
+        lev += agree
+    return lev
 
 
 def warp_cylinder_key(address, j):
@@ -136,12 +206,24 @@ class CantorModel:
         self.metric = metric
         self._cylinder_key = cylinder_key
         self.index = {a: i for i, a in enumerate(self.addresses)}
+        self._pair_ranks = None
 
     def __len__(self):
         return len(self.addresses)
 
     def distance(self, a, b):
         return self.metric.distance(a, b)
+
+    def pair_ranks(self):
+        """(realized, rank): the ascending exact distances, 0 first, and the
+        n x n matrix of each pair's index into them.
+
+        Built on first use from the metric's integer pair keys and cached;
+        above DEFAULT_PAIR_CAP addresses it refuses before computing a pair.
+        """
+        if self._pair_ranks is None:
+            self._pair_ranks = _pair_rank_matrix(self)
+        return self._pair_ranks
 
     def cylinder_key(self, address, j):
         if self._cylinder_key is not None:
@@ -153,14 +235,11 @@ class CantorModel:
         return [a for a in self.addresses if self.cylinder_key(a, j) == key]
 
     def diameter(self, subset):
-        subset = list(subset)
-        best = Fraction(0)
-        for i in range(len(subset)):
-            for k in range(i + 1, len(subset)):
-                d = self.distance(subset[i], subset[k])
-                if d > best:
-                    best = d
-        return best
+        """Largest distance within the subset: the realized distance at the
+        subset's largest pair rank (0 for fewer than two addresses)."""
+        realized, rank = self.pair_ranks()
+        idx = [self.index[a] for a in subset]
+        return realized[int(rank[np.ix_(idx, idx)].max(initial=0))]
 
     def validate_metric(self, *, triple_cap=1000, samples=10 ** 4, seed=0):
         """Symmetry, identity of indiscernibles, and the triangle inequality.
@@ -210,6 +289,21 @@ class CantorModel:
                 if len({a, b, c}) == 3:
                     check(a, b, c)
         return True
+
+
+def _pair_rank_matrix(model):
+    n = len(model)
+    if n > DEFAULT_PAIR_CAP:
+        raise ResourceLimitError(
+            f"pairwise distances need {n} addresses but the pairwise cap is "
+            f"{DEFAULT_PAIR_CAP}"
+        )
+    keys, value = model.metric.pair_keys(model.addresses)
+    distinct = np.unique(keys)
+    rank = np.empty((n, n), dtype=np.min_scalar_type(len(distinct) - 1))
+    for i, row in enumerate(keys):  # row by row keeps the index temporaries small
+        rank[i] = np.searchsorted(distinct, row)
+    return tuple(value(key) for key in distinct), rank
 
 
 # ------------------------------------------------------------------ action
@@ -362,14 +456,14 @@ def enumerate_word_perms(action, max_length, *, perm_cap=200000, on_cap="raise")
         overflow = False
         for word, perm in frontier:
             for name, sign, p in token_arrays:
-                comp = p[perm]  # token applied after the word
-                key = comp.tobytes()
+                key = p[perm].tobytes()  # token applied after the word
                 if key in seen or key in layer_keys:
                     continue
                 if len(seen) + len(layer_keys) >= perm_cap:
                     overflow = True
                     break
                 layer_keys.add(key)
+                comp = np.frombuffer(key, dtype=np.int32)  # shares the key's bytes
                 new.append((((name, sign),) + word, comp))
             if overflow:
                 break
@@ -435,21 +529,10 @@ class ModulusTable:
         return all(r == k for r, k in self.rows)
 
 
-def _tree_level_matrix(action):
-    """lev[a, b] = number of leading levels on which addresses a, b agree."""
-    addrs = action.model.addresses
-    n = len(addrs)
-    k = action.model.depth
-    arr = np.empty((n, k), dtype=np.int64)
-    for i, a in enumerate(addrs):
-        arr[i, :] = a
-    agree = np.ones((n, n), dtype=bool)
-    lev = np.zeros((n, n), dtype=np.int16)
-    for j in range(k):
-        col = arr[:, j]
-        agree &= col[:, None] == col[None, :]
-        lev += agree
-    return lev
+def _image_ranks(rank, perm):
+    """rank[perm[a], perm[b]] for every pair (a, b)."""
+    p = np.asarray(perm, dtype=np.intp)
+    return rank.take(p, axis=0).take(p, axis=1)
 
 
 def modulus_table(action, *, pair_cap=DEFAULT_PAIR_CAP):
@@ -459,57 +542,20 @@ def modulus_table(action, *, pair_cap=DEFAULT_PAIR_CAP):
         raise ResourceLimitError(
             f"modulus table needs {n} addresses but the pairwise cap is {pair_cap}"
         )
-    tokens = action.signed_tokens()
-    names = tuple(sorted(action.generators))
-    if isinstance(action.model.metric, TreeMetric) and n > 1:
-        lam = action.model.metric.lam
-        k = action.model.depth
-        lev = _tree_level_matrix(action)
-        iu = np.triu_indices(n, k=1)
-        pair_lev = lev[iu]
-        min_img = np.full(k + 1, k + 1, dtype=np.int64)
-        for name, sign in tokens:
-            p = np.array(action.token_perm(name, sign), dtype=np.int64)
-            img = lev[p[:, None], p[None, :]][iu]
-            np.minimum.at(min_img, pair_lev, img)
-        realized = sorted(set(int(j) for j in np.unique(pair_lev)))
-        # kappa at level j: min image level over pairs at level >= j
-        rows = []
-        running = k + 1
-        for j in sorted(set(range(k + 1)), reverse=True):
-            if min_img[j] < running:
-                running = int(min_img[j])
-            if j in realized:
-                rows.append((lam ** j, lam ** running))
-        rows.sort(key=lambda rk: rk[0], reverse=True)
-        return ModulusTable(tuple(rows), names)
-
-    addrs = action.model.addresses
-    dist = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = action.model.distance(addrs[i], addrs[j])
-    perms = [action.token_perm(nm, s) for nm, s in tokens]
-    worst = {}
-    for (i, j), d in dist.items():
-        img = Fraction(0)
-        for p in perms:
-            a, b = p[i], p[j]
-            key = (a, b) if a < b else (b, a)
-            di = dist[key]
-            if di > img:
-                img = di
-        if d not in worst or img > worst[d]:
-            worst[d] = img
+    realized, rank = action.model.pair_ranks()
+    img = np.zeros_like(rank)
+    for name, sign in action.signed_tokens():
+        np.maximum(img, _image_ranks(rank, action.token_perm(name, sign)), out=img)
     # kappa(r) = max image distance over pairs at distance <= r
-    rows = []
-    running = Fraction(0)
-    for r in sorted(worst):
-        if worst[r] > running:
-            running = worst[r]
-        rows.append((r, running))
-    rows.sort(key=lambda rk: rk[0], reverse=True)
-    return ModulusTable(tuple(rows), names)
+    iu = np.triu_indices(n, k=1)
+    pair_rank = rank[iu]
+    worst = np.zeros(len(realized), dtype=rank.dtype)
+    np.maximum.at(worst, pair_rank, img[iu])
+    kappa = np.maximum.accumulate(worst)
+    rows = tuple(
+        (realized[r], realized[kappa[r]]) for r in np.unique(pair_rank)[::-1]
+    )
+    return ModulusTable(rows, tuple(sorted(action.generators)))
 
 
 # --------------------------------------------------------------- distality
@@ -543,10 +589,9 @@ def is_distal(
     exact delta values.  The word ball is budgeted layer-atomically; the
     verdict reports the exhaustively enumerated length.
 
-    On tree metrics the engine works on integer disagreement levels; on
-    other metrics it works on the ranks of the sorted realized distances.
-    Both are order-isomorphic to the exact distances, so the minima are
-    exact; reported deltas are the exact rationals.
+    The engine takes minima over the model's pair-rank matrix, which is
+    order-isomorphic to the exact distances, so the minima are exact;
+    reported deltas are the exact rationals.
     """
     n = len(action.model)
     if n > pair_cap:
@@ -558,50 +603,13 @@ def is_distal(
     )
     if n == 1:
         return DistalityVerdict(True, word_length, Fraction(0), len(words))
-    if isinstance(action.model.metric, TreeMetric):
-        lam = action.model.metric.lam
-        lev = _tree_level_matrix(action)
-        iu = np.triu_indices(n, k=1)
-        max_lev = np.zeros(iu[0].shape, dtype=np.int16)
-        for _, perm in words:
-            p = np.asarray(perm, dtype=np.int64)
-            img = lev[p[:, None], p[None, :]][iu]
-            max_lev = np.maximum(max_lev, img)
-        worst = int(max_lev.max())
-        full = np.zeros((n, n), dtype=np.int16)
-        full[iu] = max_lev
-        full += full.T
-
-        def deltas(a, b):
-            i, j = action.model.index[a], action.model.index[b]
-            return lam ** int(full[i, j])
-
-        return DistalityVerdict(
-            True, word_length, lam ** worst, len(words), deltas if keep_pairs else None
-        )
-
-    addrs = action.model.addresses
-    dist = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = action.model.distance(addrs[i], addrs[j])
-    realized = sorted(set(dist.values()))
-    rank_of = {d: r for r, d in enumerate(realized)}
-    rank = np.zeros((n, n), dtype=np.int32)
-    for (i, j), d in dist.items():
-        rank[i, j] = rank[j, i] = rank_of[d]
-    iu = np.triu_indices(n, k=1)
-    min_rank = np.full(iu[0].shape, len(realized), dtype=np.int32)
+    realized, rank = action.model.pair_ranks()
+    full = rank.copy()
     for _, perm in words:
-        p = np.asarray(perm, dtype=np.int64)
-        img = rank[p[:, None], p[None, :]][iu]
-        min_rank = np.minimum(min_rank, img)
-    min_delta = realized[int(min_rank.min())]
+        np.minimum(full, _image_ranks(rank, perm), out=full)
+    min_delta = realized[int(full[np.triu_indices(n, k=1)].min())]
     if min_delta <= 0:
         raise StructureError("bijective generators produced a zero delta")
-    full = np.zeros((n, n), dtype=np.int32)
-    full[iu] = min_rank
-    full += full.T
 
     def deltas(a, b):
         i, j = action.model.index[a], action.model.index[b]

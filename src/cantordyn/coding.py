@@ -356,24 +356,19 @@ def _least_cylinder_depth(model, subset, bound):
 
 
 def _eta_of_partition(model, partition, *, include_complement):
-    """Least distance between distinct blocks (and to the complement)."""
-    best = None
-    addrs = list(partition.window)
-    bid = {a: partition.block_index(a) for a in addrs}
-    for i in range(len(addrs)):
-        for j in range(i + 1, len(addrs)):
-            if bid[addrs[i]] != bid[addrs[j]]:
-                d = model.distance(addrs[i], addrs[j])
-                if best is None or d < best:
-                    best = d
+    """Least distance between distinct blocks (and to the complement), or
+    None when no such pair exists."""
+    realized, rank = model.pair_ranks()
+    block_id = np.zeros(len(model), dtype=np.intp)
+    for i, b in enumerate(partition.blocks, start=1):
+        block_id[[model.index[a] for a in b]] = i
+    inside = np.nonzero(block_id)[0]
+    ids = block_id[inside]
+    gaps = [rank[np.ix_(inside, inside)][ids[:, None] != ids[None, :]]]
     if include_complement:
-        outside = [a for a in model.addresses if a not in partition.window]
-        for a in partition.window:
-            for b in outside:
-                d = model.distance(a, b)
-                if best is None or d < best:
-                    best = d
-    return best
+        gaps.append(rank[np.ix_(inside, np.nonzero(block_id == 0)[0])].ravel())
+    gaps = np.concatenate(gaps)
+    return realized[int(gaps.min())] if gaps.size else None
 
 
 def _witness_or_subresolution(table, eps):
@@ -394,8 +389,6 @@ def coding_chain(
     window=None,
     max_levels=None,
     word_bound=DEFAULT_WORD_BOUND,
-    *,
-    pair_cap=None,
 ):
     """Run the inductive refinement: level sets, translates, and constants.
 
@@ -410,8 +403,7 @@ def coding_chain(
     if window is None:
         window = default_window(action)
     window = _check_clopen_window(action, window)
-    kwargs = {} if pair_cap is None else {"pair_cap": pair_cap}
-    table = modulus_table(action, **kwargs)
+    table = modulus_table(action)
     minimal = is_minimal(action).minimal
     diam_graph = schreier_diameter(action, size_cap=1024)
     ceiling = max(word_bound, diam_graph if diam_graph is not None else len(model))

@@ -1,12 +1,115 @@
 """Shared builders, law checks and brute-force oracles for the tests."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction as F
 
-from cantordyn.action import CantorAction, CantorModel, TreeMetric
+from cantordyn.action import (
+    CantorAction,
+    CantorModel,
+    ExplicitMetric,
+    TreeMetric,
+    enumerate_word_perms,
+)
 from cantordyn.affine import conjugate, subgroup_intersect, subgroup_le
 from cantordyn.coding import return_words
+
+
+def three_point_action():
+    """An explicit three-point metric whose generator expands a 1/4 pair to 1."""
+    addrs = (("a",), ("b",), ("c",))
+    table = (
+        ((("a",), ("b",)), F(1, 4)),
+        ((("a",), ("c",)), F(1, 1)),
+        ((("b",), ("c",)), F(1, 1)),
+    )
+    model = CantorModel(addrs, 1, ExplicitMetric(table))
+    return CantorAction(model, {"s": (0, 2, 1)}, ("a",))
+
+
+# -------------------------------------------- pairwise brute-force oracles
+
+@functools.lru_cache(maxsize=16)
+def _distance_table(metric, addrs):
+    n = len(addrs)
+    return {
+        (i, j): metric.distance(addrs[i], addrs[j])
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
+
+
+def pair_distances(model):
+    """{(i, j): metric.distance} over index pairs i < j, one call per pair;
+    shared between models with the same metric and addresses."""
+    return _distance_table(model.metric, model.addresses)
+
+
+def _distances_between(model, pairs):
+    dist = pair_distances(model)
+    for a, b in pairs:
+        i, j = sorted((model.index[a], model.index[b]))
+        yield dist[i, j] if i != j else F(0)
+
+
+def brute_force_modulus_rows(action):
+    """Modulus rows (r, kappa(r)), r decreasing, from Fraction distances."""
+    dist = pair_distances(action.model)
+    perms = [action.token_perm(nm, s) for nm, s in action.signed_tokens()]
+    worst = {}
+    for (i, j), d in dist.items():
+        img = F(0)
+        for p in perms:
+            a, b = p[i], p[j]
+            img = max(img, dist[(a, b) if a < b else (b, a)])
+        if d not in worst or img > worst[d]:
+            worst[d] = img
+    # kappa(r) = max image distance over pairs at distance <= r
+    rows = []
+    running = F(0)
+    for r in sorted(worst):
+        running = max(running, worst[r])
+        rows.append((r, running))
+    return tuple(reversed(rows))
+
+
+def brute_force_distality(action, word_length, *, perm_cap=20000):
+    """(min_delta, {(a, b): delta}) with each delta the least Fraction image
+    distance of the pair over the same word ball as `is_distal`."""
+    model = action.model
+    words, _ = enumerate_word_perms(
+        action, word_length, perm_cap=perm_cap, on_cap="stop"
+    )
+    addrs = model.addresses
+    dist = pair_distances(model)
+    deltas = {}
+    for (i, j), d in dist.items():
+        for _, perm in words:
+            a, b = int(perm[i]), int(perm[j])
+            d = min(d, dist[(a, b) if a < b else (b, a)])
+        deltas[addrs[i], addrs[j]] = d
+    return min(deltas.values()), deltas
+
+
+def brute_force_diameter(model, subset):
+    subset = list(subset)
+    pairs = itertools.product(subset, subset)
+    return max(_distances_between(model, pairs), default=F(0))
+
+
+def brute_force_eta(model, partition, *, include_complement):
+    """Least distance between distinct blocks (and to the complement)."""
+    block = {a: partition.block_index(a) for a in partition.window}
+    pairs = [
+        (a, b)
+        for a, b in itertools.product(partition.window, partition.window)
+        if block[a] != block[b]
+    ]
+    if include_complement:
+        outside = [a for a in model.addresses if a not in partition.window]
+        pairs += itertools.product(partition.window, outside)
+    return min(_distances_between(model, pairs), default=None)
 
 
 def brute_force_core(cosets):

@@ -9,7 +9,6 @@ from cantordyn.action import (
     COLLAPSED,
     CantorAction,
     CantorModel,
-    ExplicitMetric,
     TreeMetric,
     enumerate_word_perms,
     format_word,
@@ -25,21 +24,11 @@ from cantordyn.action import (
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import vietoris, warp_example, warp_model
 from cantordyn.tower import boundary_action
+from helpers import three_point_action
 
 
 def dyadic_action(depth=3):
     return boundary_action(vietoris(2, depth))
-
-
-def three_point_action():
-    addrs = (("a",), ("b",), ("c",))
-    table = (
-        ((("a",), ("b",)), F(1, 4)),
-        ((("a",), ("c",)), F(1, 1)),
-        ((("b",), ("c",)), F(1, 1)),
-    )
-    model = CantorModel(addrs, 1, ExplicitMetric(table))
-    return CantorAction(model, {"s": (0, 2, 1)}, ("a",))
 
 
 # --------------------------------------------------------------------- act

@@ -1,0 +1,183 @@
+"""The cached pair-rank matrix and the pairwise engines that read it,
+differentially against per-pair Fraction oracles."""
+
+import pathlib
+import random
+import time
+from fractions import Fraction as F
+
+import pytest
+
+from cantordyn import action as action_module
+from cantordyn.action import (
+    DEFAULT_PAIR_CAP,
+    CantorModel,
+    TreeMetric,
+    WarpMetric,
+    is_distal,
+    modulus_table,
+)
+from cantordyn.cli import main
+from cantordyn.coding import (
+    ClopenPartition,
+    _eta_of_partition,
+    cylinder_partition,
+    default_window,
+)
+from cantordyn.errors import ResourceLimitError
+from cantordyn.gallery import warp_example, warp_model
+from helpers import (
+    brute_force_diameter,
+    brute_force_distality,
+    brute_force_eta,
+    brute_force_modulus_rows,
+    pair_distances,
+    random_tree_action,
+    three_point_action,
+)
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+TREE_SEEDS = range(6)
+
+
+def assert_ranks_match_distances(model):
+    realized, rank = model.pair_ranks()
+    assert realized[0] == 0
+    assert all(a < b for a, b in zip(realized, realized[1:]))
+    n = len(model)
+    assert rank.shape == (n, n)
+    assert all(rank[i, i] == 0 for i in range(n))
+    dist = pair_distances(model)
+    for (i, j), d in dist.items():
+        assert realized[rank[i, j]] == d
+        assert rank[j, i] == rank[i, j]
+    assert set(realized) == set(dist.values()) | {F(0)}
+
+
+# -------------------------------------------------------------- pair ranks
+
+@pytest.mark.parametrize("lam1", [F(1, 2), F(2, 3)])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_pair_ranks_match_warp_distances(depth, lam1):
+    assert_ranks_match_distances(warp_model(depth, lam1=lam1))
+
+
+def test_pair_ranks_stay_exact_when_the_warp_denominator_exceeds_int64():
+    lam1 = F(1, 10 ** 7)  # 3^3 * (10^7)^3 > 2^63
+    assert_ranks_match_distances(warp_model(3, lam1=lam1))
+
+
+def test_pair_ranks_match_an_explicit_table():
+    assert_ranks_match_distances(three_point_action().model)
+
+
+@pytest.mark.parametrize("seed", TREE_SEEDS)
+def test_pair_ranks_match_tree_distances(seed):
+    assert_ranks_match_distances(random_tree_action(seed, max_addresses=128).model)
+
+
+def test_pair_ranks_refuse_above_the_cap_before_any_pair(monkeypatch):
+    def no_pairs(self, addresses):
+        raise AssertionError("pair keys computed above the cap")
+
+    monkeypatch.setattr(TreeMetric, "pair_keys", no_pairs)
+    model = CantorModel(
+        [(i,) for i in range(DEFAULT_PAIR_CAP + 1)], 1, TreeMetric(F(1, 2))
+    )
+    with pytest.raises(ResourceLimitError):
+        model.pair_ranks()
+
+
+# ----------------------------------------------------------------- engines
+
+def assert_engines_match_oracles(action, word_length):
+    model = action.model
+    assert modulus_table(action).rows == brute_force_modulus_rows(action)
+
+    verdict = is_distal(action, word_length, keep_pairs=True)
+    min_delta, deltas = brute_force_distality(action, word_length)
+    assert verdict.min_delta == min_delta
+    for (a, b), d in deltas.items():
+        assert verdict.delta(a, b) == d
+        assert verdict.delta(b, a) == d
+
+    rng = random.Random(len(model))
+    window = default_window(action)
+    subsets = [window, model.addresses, rng.sample(model.addresses, min(7, len(model)))]
+    subsets += [model.cylinder_members(action.basepoint, j) for j in range(model.depth + 1)]
+    for subset in subsets:
+        assert model.diameter(subset) == brute_force_diameter(model, subset)
+
+    for j in range(1, model.depth + 1):
+        partition = ClopenPartition.from_blocks(
+            model, window, cylinder_partition(model, window, j)
+        )
+        for include_complement in (False, True):
+            assert _eta_of_partition(
+                model, partition, include_complement=include_complement
+            ) == brute_force_eta(model, partition, include_complement=include_complement)
+
+
+@pytest.mark.parametrize("free_factor", [True, False])
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_engines_match_oracles_on_warp_examples(depth, free_factor):
+    action = warp_example(depth, include_free_factor=free_factor)
+    assert_engines_match_oracles(action, 3 if depth < 4 else 1)
+
+
+@pytest.mark.parametrize("seed", TREE_SEEDS)
+def test_engines_match_oracles_on_random_tree_actions(seed):
+    assert_engines_match_oracles(random_tree_action(seed, max_addresses=128), 3)
+
+
+def test_engines_match_oracles_on_an_explicit_metric():
+    assert_engines_match_oracles(three_point_action(), 3)
+
+
+# ---------------------------------------------------------- command counts
+
+@pytest.mark.parametrize("command", ["classify", "code"])
+def test_warp_commands_compute_each_distance_once(capsys, monkeypatch, command):
+    calls = {"distance": 0}
+    built = []
+    ranked = set()
+
+    def distance(self, a, b):
+        calls["distance"] += 1
+        return original_distance(self, a, b)
+
+    def build(model):
+        built.append(model)
+        return original_build(model)
+
+    def pair_ranks(self):
+        ranked.add(id(self))
+        return original_pair_ranks(self)
+
+    original_distance = WarpMetric.distance
+    original_build = action_module._pair_rank_matrix
+    original_pair_ranks = action_module.CantorModel.pair_ranks
+    monkeypatch.setattr(WarpMetric, "distance", distance)
+    monkeypatch.setattr(action_module, "_pair_rank_matrix", build)
+    monkeypatch.setattr(action_module.CantorModel, "pair_ranks", pair_ranks)
+    assert main([command, str(CONFIG_DIR / "warp.cfg")]) == 0
+    capsys.readouterr()
+    assert calls["distance"] == 0
+    assert len(built) == 1
+    assert ranked == {id(built[0])}
+
+
+@pytest.mark.parametrize("command", ["classify", "code"])
+def test_oversized_warp_model_exits_three_before_any_pair(capsys, monkeypatch, command):
+    def no_pairs(*args):
+        raise AssertionError("a pair was computed above the cap")
+
+    monkeypatch.setattr(WarpMetric, "distance", no_pairs)
+    monkeypatch.setattr(WarpMetric, "pair_keys", no_pairs)
+    start = time.perf_counter()
+    rc = main([command, str(CONFIG_DIR / "warp.cfg"), "--depth", "6"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "4033 addresses" in err
+    assert elapsed < 2.0
