@@ -7,9 +7,10 @@ every pairwise distance once, into a cached pair-rank matrix: each pair's
 index into the ascending tuple of exact realized distances.  Each metric
 fills it with integer keys order-isomorphic to its distances (disagreement
 levels on trees, numerators over one common denominator on the warp
-product), so the pairwise engines (modulus table, distality, diameters,
-partition gaps) compare integers and read exact Fractions back only for the
-values they report.  Nothing here touches floating point.
+product), so the pairwise engines (modulus table, diameters, partition gaps)
+compare integers and read exact Fractions back only for the values they
+report; distality needs only the least positive realized distance.  Nothing
+here touches floating point.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ class WarpMetric:
     depth: int
     lam1: Fraction = Fraction(1, 2)
 
+    def __post_init__(self):
+        lam1 = Fraction(self.lam1)
+        object.__setattr__(self, "lam1", lam1)
+        if not 0 < lam1 < 1:
+            raise StructureError("warp fiber base lam1 must be a rational in (0,1)")
+
     def x_value(self, a):
         if a == COLLAPSED:
             return Fraction(0)
@@ -89,7 +96,7 @@ class WarpMetric:
             if x != y:
                 break
             j += 1
-        return Fraction(self.lam1) ** j
+        return self.lam1 ** j
 
     def distance(self, a, b):
         if a == b:
@@ -108,8 +115,7 @@ class WarpMetric:
         collapsed point, whose X is 0.  Python ints take over from int64 when
         a numerator could overflow it, so every lam1 stays exact.
         """
-        lam1 = Fraction(self.lam1)
-        p, q, k = lam1.numerator, lam1.denominator, self.depth
+        p, q, k = self.lam1.numerator, self.lam1.denominator, self.depth
         denominator = 3 ** k * q ** k
         largest = 3 ** k * (q ** k + max(abs(p), q) ** k)
         dtype = np.int64 if largest < 2 ** 63 else object
@@ -219,7 +225,8 @@ class CantorModel:
         n x n matrix of each pair's index into them.
 
         Built on first use from the metric's integer pair keys and cached;
-        above DEFAULT_PAIR_CAP addresses it refuses before computing a pair.
+        above DEFAULT_PAIR_CAP addresses it refuses before computing a pair,
+        and it refuses a metric that puts distinct addresses at distance 0.
         """
         if self._pair_ranks is None:
             self._pair_ranks = _pair_rank_matrix(self)
@@ -303,6 +310,9 @@ def _pair_rank_matrix(model):
     rank = np.empty((n, n), dtype=np.min_scalar_type(len(distinct) - 1))
     for i, row in enumerate(keys):  # row by row keeps the index temporaries small
         rank[i] = np.searchsorted(distinct, row)
+        # rank 0 (distance 0) belongs to the diagonal alone
+        if rank[i, i] != 0 or np.count_nonzero(rank[i] == 0) != 1:
+            raise StructureError("distinct addresses at distance 0")
     return tuple(value(key) for key in distinct), rank
 
 
@@ -535,13 +545,9 @@ def _image_ranks(rank, perm):
     return rank.take(p, axis=0).take(p, axis=1)
 
 
-def modulus_table(action, *, pair_cap=DEFAULT_PAIR_CAP):
+def modulus_table(action):
     """Exact kappa over all pairs and all generators (with inverses)."""
     n = len(action.model)
-    if n > pair_cap:
-        raise ResourceLimitError(
-            f"modulus table needs {n} addresses but the pairwise cap is {pair_cap}"
-        )
     realized, rank = action.model.pair_ranks()
     img = np.zeros_like(rank)
     for name, sign in action.signed_tokens():
@@ -566,58 +572,28 @@ class DistalityVerdict:
     word_length: int
     min_delta: Fraction
     word_count: int
-    _deltas: object = field(default=None, compare=False, repr=False)
-
-    def delta(self, a, b):
-        if self._deltas is None:
-            raise StructureError("per-pair deltas were not retained")
-        return self._deltas(a, b)
 
 
-def is_distal(
-    action,
-    word_length=8,
-    *,
-    pair_cap=DEFAULT_PAIR_CAP,
-    perm_cap=20000,
-    keep_pairs=True,
-):
-    """Per pair, the min image distance over all words up to the bound.
+def is_distal(action, word_length=8, *, perm_cap=20000):
+    """Distality over the word ball, with min_delta the least positive
+    realized distance.
 
-    Generators are bijections, so distinct points never collide and the
-    verdict is distal with positive per-pair deltas; the content is in the
-    exact delta values.  The word ball is budgeted layer-atomically; the
-    verdict reports the exhaustively enumerated length.
-
-    The engine takes minima over the model's pair-rank matrix, which is
-    order-isomorphic to the exact distances, so the minima are exact;
-    reported deltas are the exact rationals.
+    min_delta is the least image distance of a distinct pair over the words
+    up to the bound.  The ball contains the empty word, so every pair
+    realizes its own distance, and the generators are bijections, so distinct
+    pairs map to distinct pairs at realized distances: the minimum is the
+    least positive realized distance whatever the ball, and the verdict is
+    distal.  The ball is still enumerated, layer-atomically within the
+    budget, for the exhaustively enumerated length and the number of
+    distinct word permutations it reports.  Per-pair deltas are a test
+    oracle (tests/helpers.brute_force_distality).
     """
-    n = len(action.model)
-    if n > pair_cap:
-        raise ResourceLimitError(
-            f"distality table needs {n} addresses but the pairwise cap is {pair_cap}"
-        )
+    realized, _ = action.model.pair_ranks()
     words, word_length = enumerate_word_perms(
         action, word_length, perm_cap=perm_cap, on_cap="stop"
     )
-    if n == 1:
-        return DistalityVerdict(True, word_length, Fraction(0), len(words))
-    realized, rank = action.model.pair_ranks()
-    full = rank.copy()
-    for _, perm in words:
-        np.minimum(full, _image_ranks(rank, perm), out=full)
-    min_delta = realized[int(full[np.triu_indices(n, k=1)].min())]
-    if min_delta <= 0:
-        raise StructureError("bijective generators produced a zero delta")
-
-    def deltas(a, b):
-        i, j = action.model.index[a], action.model.index[b]
-        return realized[int(full[i, j])]
-
-    return DistalityVerdict(
-        True, word_length, min_delta, len(words), deltas if keep_pairs else None
-    )
+    min_delta = realized[1] if len(action.model) > 1 else Fraction(0)
+    return DistalityVerdict(True, word_length, min_delta, len(words))
 
 
 # ---------------------------------------------------------------- measures

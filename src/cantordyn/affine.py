@@ -725,21 +725,29 @@ def _coset_reduction_data(group, subgroup):
 
 
 def _coset_key_scaled(subgroup, class_ids, red_data, point, scaled_tr):
-    """Canonical (class_id, reduced scaled translation, point) key for a coset."""
+    """Canonical (class_id, reduced scaled translation, point) key for a coset.
+
+    The class id determines the point, so keys sort by (class_id, red)."""
     best = None
     for b in subgroup.reps:
         c = im.mat_mul(point, b.point)
         t2 = im.vec_add(scaled_tr, im.mat_vec(point, b.scaled_trans()))
         basis, pivots = red_data[point]
         red = im.reduce_echelon(basis, pivots, t2)
-        cand = (class_ids[c], red, _point_key(c))
+        cand = (class_ids[c], red, c)
         if best is None or cand < best:
             best = cand
     return best
 
 
 def coset_space(group, subgroup, *, cap=None):
-    """Enumerate G/H with a deterministic canonical order and generator tables."""
+    """Enumerate G/H with a deterministic canonical order and generator tables.
+
+    G/H is finite, so the orbit of the identity coset under the generators
+    alone (no inverses) is all of G/H.  One breadth-first pass computes each
+    coset's key once per generator image and records the image's discovery
+    id; sorting the keys then gives the canonical order and the tables.
+    """
     cap = cap if cap is not None else index_cap()
     expected = group.index_of(subgroup)
     if expected > cap:
@@ -749,67 +757,56 @@ def coset_space(group, subgroup, *, cap=None):
     class_ids = group.point_class_order()
     red_data = _coset_reduction_data(group, subgroup)
     d = group.denom
+    gens = [(g.point, g.scaled_trans()) for _, g in group.generators]
 
-    signed = []
-    for name, g in group.generators:
-        signed.append((g.point, g.scaled_trans()))
-        gi = g.inverse()
-        signed.append((gi.point, gi.scaled_trans()))
-
-    ident = im.identity(group.dimension)
     start = _coset_key_scaled(
-        subgroup, class_ids, red_data, ident, (0,) * group.dimension
+        subgroup, class_ids, red_data,
+        im.identity(group.dimension), (0,) * group.dimension,
     )
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new_frontier = []
-        for key in frontier:
-            _, red, pkey = key
-            n = group.dimension
-            point = tuple(tuple(pkey[i * n + j] for j in range(n)) for i in range(n))
-            for gp, gt in signed:
-                np_ = im.mat_mul(gp, point)
-                nt = im.vec_add(gt, im.mat_vec(gp, red))
-                nkey = _coset_key_scaled(subgroup, class_ids, red_data, np_, nt)
-                if nkey not in seen:
-                    if len(seen) >= cap:
-                        raise ResourceLimitError(
-                            f"coset enumeration exceeded the cap {cap}"
-                        )
-                    seen.add(nkey)
-                    new_frontier.append(nkey)
-        frontier = new_frontier
+    keys = [start]  # by discovery id; grows while walked, as the BFS queue
+    found = {start: 0}
+    images = []  # images[i][g]: discovery id of generator g times coset i
+    for _, red, point in keys:
+        row = []
+        for gp, gt in gens:
+            nkey = _coset_key_scaled(
+                subgroup, class_ids, red_data,
+                im.mat_mul(gp, point), im.vec_add(gt, im.mat_vec(gp, red)),
+            )
+            j = found.get(nkey)
+            if j is None:
+                if len(keys) >= cap:
+                    raise ResourceLimitError(
+                        f"coset enumeration exceeded the cap {cap}"
+                    )
+                j = found[nkey] = len(keys)
+                keys.append(nkey)
+            row.append(j)
+        images.append(row)
 
-    if len(seen) != expected:
+    if len(keys) != expected:
         raise StructureError(
-            f"coset enumeration found {len(seen)} cosets, expected {expected}"
+            f"coset enumeration found {len(keys)} cosets, expected {expected}"
         )
 
-    ordered = sorted(seen)
-    key_index = {k: i for i, k in enumerate(ordered)}
-    n = group.dimension
-    reps = []
-    for cid, red, pkey in ordered:
-        point = tuple(tuple(pkey[i * n + j] for j in range(n)) for i in range(n))
-        trans = tuple(Fraction(x, d) for x in red)
-        reps.append(AffineElement(point, trans, d))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    position = [0] * len(keys)
+    for i, old in enumerate(order):
+        position[old] = i
+    key_index = {keys[old]: i for i, old in enumerate(order)}
+    reps = tuple(
+        AffineElement(keys[old][2], tuple(Fraction(x, d) for x in keys[old][1]), d)
+        for old in order
+    )
 
     gen_perms = {}
-    for name, g in group.generators:
-        gp, gt = g.point, g.scaled_trans()
-        perm = []
-        for cid, red, pkey in ordered:
-            point = tuple(tuple(pkey[i * n + j] for j in range(n)) for i in range(n))
-            np_ = im.mat_mul(gp, point)
-            nt = im.vec_add(gt, im.mat_vec(gp, red))
-            nkey = _coset_key_scaled(subgroup, class_ids, red_data, np_, nt)
-            perm.append(key_index[nkey])
-        if sorted(perm) != list(range(len(ordered))):
+    for g, (name, _) in enumerate(group.generators):
+        perm = tuple(position[images[old][g]] for old in order)
+        if sorted(perm) != list(range(len(keys))):
             raise StructureError(f"generator {name} does not act bijectively")
-        gen_perms[name] = tuple(perm)
+        gen_perms[name] = perm
 
     return CosetSpace(
-        group, subgroup, tuple(reps), gen_perms, len(ordered),
+        group, subgroup, reps, gen_perms, len(keys),
         class_ids, red_data, key_index,
     )

@@ -50,6 +50,8 @@ def _apply_overrides(cfg, args):
     if getattr(args, "depth", None) is not None:
         updates["depth"] = args.depth
     if getattr(args, "words", None) is not None:
+        if args.words < 0:
+            raise StructureError("--words must be a nonnegative integer")
         updates["words"] = args.words
     if getattr(args, "lam", None) is not None:
         try:
@@ -145,7 +147,7 @@ def _dynamics_sections(report, action, cfg, *, pair_action=None, pair_depth=None
     table = modulus_table(pair_action)
     _modulus_section(report, table, pair_depth)
 
-    distal = is_distal(pair_action, cfg.words, keep_pairs=False)
+    distal = is_distal(pair_action, cfg.words)
     report.section("distality")
     report.add("depth_used", pair_depth, 1)
     report.add("distal", distal.distal, 1)

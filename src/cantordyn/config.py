@@ -261,6 +261,8 @@ def parse_config(text):
                     depth = parse_int(value, line_no)
                 elif key == "words":
                     words = parse_int(value, line_no)
+                    if words < 0:
+                        raise ParseError("[params]: words must be nonnegative", line_no)
                 elif key == "lambda":
                     lam = parse_fraction(value, line_no)
                     if not 0 < lam < 1:

@@ -133,7 +133,7 @@ def warp_model(depth, *, lam1=Fraction(1, 2)):
     for x in _x_addresses(depth):
         for y in _y_addresses(depth):
             addresses.append((x, y))
-    metric = WarpMetric(depth, Fraction(lam1))
+    metric = WarpMetric(depth, lam1)
     return CantorModel(addresses, depth, metric, cylinder_key=warp_cylinder_key)
 
 

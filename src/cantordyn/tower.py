@@ -15,6 +15,7 @@ from fractions import Fraction
 from .affine import (
     AffineGroup,
     FiniteIndexSubgroup,
+    compose,
     contains,
     coset_space,
     element_not_in,
@@ -264,22 +265,20 @@ def subgroup_cylinder(tower, subgroup):
     """Deepest-level addresses lying in the image of a subgroup.
 
     The cosets of H_K inside S * H_K form the orbit of the identity coset
-    under left multiplication by S's generators, so this is a plain orbit
-    computation in the deepest coset space.
+    under left multiplication by S's generators.  The coset space is finite,
+    so inverses add nothing, and only the cosets the orbit reaches are
+    multiplied.
     """
     deepest = tower.levels[-1]
-    perms = []
-    for el in subgroup.generator_elements():
-        perms.append(deepest.permutation_of(el))
-        perms.append(deepest.permutation_of(el.inverse()))
+    elements = subgroup.generator_elements()
     start = deepest.index_of_element(tower.chain.group.identity())
     seen = {start}
     frontier = [start]
     while frontier:
         new = []
         for i in frontier:
-            for p in perms:
-                j = p[i]
+            for el in elements:
+                j = deepest.index_of_element(compose(el, deepest.reps[i]))
                 if j not in seen:
                     seen.add(j)
                     new.append(j)

@@ -112,6 +112,29 @@ def brute_force_eta(model, partition, *, include_complement):
     return min(_distances_between(model, pairs), default=None)
 
 
+def permutation_orbit_cylinder(tower, subgroup):
+    """Deepest-level addresses in the image of a subgroup, by full
+    left-multiplication tables of its generators and their inverses."""
+    deepest = tower.levels[-1]
+    perms = []
+    for el in subgroup.generator_elements():
+        perms.append(deepest.permutation_of(el))
+        perms.append(deepest.permutation_of(el.inverse()))
+    start = deepest.index_of_element(tower.chain.group.identity())
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for i in frontier:
+            for p in perms:
+                j = p[i]
+                if j not in seen:
+                    seen.add(j)
+                    new.append(j)
+        frontier = new
+    return frozenset(tower.coordinates(i) for i in seen)
+
+
 def brute_force_core(cosets):
     """Core of H in G: intersect the conjugates of H by every rep of G/H."""
     h = cosets.subgroup

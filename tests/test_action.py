@@ -24,7 +24,7 @@ from cantordyn.action import (
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import vietoris, warp_example, warp_model
 from cantordyn.tower import boundary_action
-from helpers import three_point_action
+from helpers import brute_force_distality, three_point_action
 
 
 def dyadic_action(depth=3):
@@ -167,9 +167,10 @@ def test_equicontinuity_witness_lookup():
     assert table.sub_resolution_delta() == F(1, 8)
 
 
-def test_modulus_pairwise_cap():
+def test_modulus_pairwise_cap(monkeypatch):
+    monkeypatch.setattr("cantordyn.action.DEFAULT_PAIR_CAP", 4)
     with pytest.raises(ResourceLimitError):
-        modulus_table(dyadic_action(), pair_cap=4)
+        modulus_table(dyadic_action())
 
 
 # ---------------------------------------------------------------- distality
@@ -177,11 +178,11 @@ def test_modulus_pairwise_cap():
 def test_isometric_action_is_distal_with_delta_equal_distance():
     act = dyadic_action()
     verdict = is_distal(act, 6)
+    min_delta, deltas = brute_force_distality(act, 6)
     assert verdict.distal
-    for a in act.model.addresses:
-        for b in act.model.addresses:
-            if a != b:
-                assert verdict.delta(a, b) == act.model.distance(a, b)
+    assert verdict.min_delta == min_delta == F(1, 4)
+    for (a, b), d in deltas.items():
+        assert d == act.model.distance(a, b)
 
 
 def test_fo_boundary_is_distal():

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from cantordyn import _intmat as im
+from cantordyn import affine
 from cantordyn.affine import (
     AffineElement,
     AffineGroup,
@@ -31,6 +32,7 @@ from cantordyn.affine import (
     translation,
 )
 from cantordyn.errors import ResourceLimitError, StructureError
+from cantordyn.gallery import small_fo_variant
 
 from helpers import brute_force_core
 
@@ -456,6 +458,31 @@ def test_coset_permutations_compose_homomorphically():
             pb = cs.gen_perms[b]
             composed = tuple(pa[pb[i]] for i in range(cs.index))
             assert composed == cs.permutation_of(compose(gens[a], gens[b]))
+
+
+@pytest.mark.parametrize("case", ["klein_fo_level_1", "small_fo_variant_level_2"])
+def test_coset_space_computes_one_key_per_generator_image(monkeypatch, case):
+    if case == "klein_fo_level_1":
+        group, h = klein_group(), fo_level(1)
+    else:
+        chain = small_fo_variant(2)
+        group, h = chain.group, chain.levels[1]
+    calls = {"keys": 0}
+    original = affine._coset_key_scaled
+
+    def counted(*args):
+        calls["keys"] += 1
+        return original(*args)
+
+    monkeypatch.setattr(affine, "_coset_key_scaled", counted)
+    cs = coset_space(group, h)
+    monkeypatch.undo()
+    assert cs.index == group.index_of(h)
+    assert calls["keys"] == cs.index * len(group.generators) + 1
+    # the tables recorded during the walk agree with fresh key lookups
+    for name, g in group.generators:
+        assert cs.gen_perms[name] == cs.permutation_of(g)
+    assert [cs.index_of_element(rep) for rep in cs.reps] == list(range(cs.index))
 
 
 def test_coset_space_respects_index_cap():

@@ -132,29 +132,46 @@ def test_semantic_error_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+VIETORIS_TEXT = "[chain]\ngallery = vietoris\np = 2\ndepth = 2\n"
+
+
 @pytest.mark.parametrize(
-    "text, line",
+    "text, line, flags",
     [
-        ("[chain]\ngallery = vietoris\np = x\ndepth = 2\n", 3),
-        ("[action]\ngallery = warp_example\nfree_factor = maybe\n", 3),
+        ("[chain]\ngallery = vietoris\np = x\ndepth = 2\n", 3, ()),
+        ("[action]\ngallery = warp_example\nfree_factor = maybe\n", 3, ()),
         (
             "[group]\ndimension = 1\ndenominator = 1\ngenerator t = 1 ; 1\n"
             "[level 1]\nlattice = 2 0 / 0 2\n",
             6,
+            (),
         ),
         (
             "[group]\ndimension = 2\ndenominator = 1\ngenerator t = 1 ; 1\n"
             "[level 1]\nlattice = 2 0 / 0 2\n",
             4,
+            (),
         ),
+        (VIETORIS_TEXT + "[params]\nwords = -1\n", 6, ()),
+        # a flag has no line: the error names the flag instead
+        (VIETORIS_TEXT, None, ("--words", "-2")),
     ],
 )
-def test_malformed_values_exit_two_naming_the_line(tmp_path, capsys, text, line):
+def test_malformed_values_exit_two_naming_the_line(tmp_path, capsys, text, line, flags):
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)
-    rc, _, err = run_cli(capsys, "classify", str(bad))
+    rc, _, err = run_cli(capsys, "classify", str(bad), *flags)
     assert rc == 2
-    assert f"line {line}:" in err
+    assert (f"line {line}:" if line is not None else flags[0]) in err
+
+
+def test_zero_word_bound_stays_valid(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text(VIETORIS_TEXT + "[params]\nwords = 0\n")
+    for flags in ((), ("--words", "0")):
+        rc, out, _ = run_cli(capsys, "classify", str(cfg), *flags)
+        assert rc == 0
+        assert "  words: 0\n" in out
 
 
 def test_resource_cap_exits_three(tmp_path, capsys, monkeypatch):

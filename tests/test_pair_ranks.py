@@ -11,7 +11,9 @@ import pytest
 from cantordyn import action as action_module
 from cantordyn.action import (
     DEFAULT_PAIR_CAP,
+    CantorAction,
     CantorModel,
+    ExplicitMetric,
     TreeMetric,
     WarpMetric,
     is_distal,
@@ -24,7 +26,8 @@ from cantordyn.coding import (
     cylinder_partition,
     default_window,
 )
-from cantordyn.errors import ResourceLimitError
+from cantordyn.config import parse_config
+from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import warp_example, warp_model
 from helpers import (
     brute_force_diameter,
@@ -88,18 +91,61 @@ def test_pair_ranks_refuse_above_the_cap_before_any_pair(monkeypatch):
         model.pair_ranks()
 
 
+@pytest.mark.parametrize("lam1", [F(0), F(-1, 2)])
+def test_pair_ranks_refuse_distinct_addresses_at_distance_zero(lam1):
+    metric = WarpMetric(2)
+    object.__setattr__(metric, "lam1", lam1)  # past the constructor's check
+    model = CantorModel(warp_model(2).addresses, 2, metric)
+    with pytest.raises(StructureError, match="distinct addresses at distance 0"):
+        model.pair_ranks()
+
+
+def test_distality_refuses_a_zero_in_an_explicit_table():
+    addrs = (("a",), ("b",), ("c",))
+    table = (
+        ((("a",), ("b",)), F(0)),
+        ((("a",), ("c",)), F(1)),
+        ((("b",), ("c",)), F(1)),
+    )
+    model = CantorModel(addrs, 1, ExplicitMetric(table))
+    action = CantorAction(model, {"s": (0, 2, 1)}, ("a",))
+    with pytest.raises(StructureError, match="distinct addresses at distance 0"):
+        is_distal(action, 3)
+
+
+@pytest.mark.parametrize("lam1", [3, 0, F(-1, 2), 1])
+def test_warp_metric_rejects_a_fiber_base_outside_the_unit_interval(lam1):
+    with pytest.raises(StructureError):
+        WarpMetric(2, lam1)
+    with pytest.raises(StructureError):
+        warp_model(2, lam1=lam1)
+
+
+@pytest.mark.parametrize("lam1", [F(1, 2), F(2, 3), "2/3"])
+def test_warp_metric_accepts_fiber_bases_inside_the_unit_interval(lam1):
+    model = warp_model(2, lam1=lam1)
+    assert model.metric.lam1 == F(lam1)
+    assert model.validate_metric()
+
+
 # ----------------------------------------------------------------- engines
 
 def assert_engines_match_oracles(action, word_length):
     model = action.model
     assert modulus_table(action).rows == brute_force_modulus_rows(action)
 
-    verdict = is_distal(action, word_length, keep_pairs=True)
+    verdict = is_distal(action, word_length)
     min_delta, deltas = brute_force_distality(action, word_length)
+    assert verdict.distal
     assert verdict.min_delta == min_delta
-    for (a, b), d in deltas.items():
-        assert verdict.delta(a, b) == d
-        assert verdict.delta(b, a) == d
+    # each pair's least image distance over the ball is a realized distance
+    # no larger than its own, and the least of them is the least distance
+    distances = {(a, b): model.distance(a, b) for a, b in deltas}
+    assert min_delta == min(distances.values())
+    realized = set(distances.values())
+    for pair, d in deltas.items():
+        assert d in realized
+        assert 0 < d <= distances[pair]
 
     rng = random.Random(len(model))
     window = default_window(action)
@@ -165,6 +211,24 @@ def test_warp_commands_compute_each_distance_once(capsys, monkeypatch, command):
     assert calls["distance"] == 0
     assert len(built) == 1
     assert ranked == {id(built[0])}
+
+
+def test_classify_gathers_the_rank_matrix_once_per_token_and_never_per_word(
+    capsys, monkeypatch
+):
+    gathers = {"count": 0}
+    original = action_module._image_ranks
+
+    def image_ranks(rank, perm):
+        gathers["count"] += 1
+        return original(rank, perm)
+
+    monkeypatch.setattr(action_module, "_image_ranks", image_ranks)
+    config = CONFIG_DIR / "warp.cfg"
+    tokens = parse_config(config.read_text()).build_action().signed_tokens()
+    assert main(["classify", str(config)]) == 0
+    capsys.readouterr()
+    assert gathers["count"] == len(tokens)
 
 
 @pytest.mark.parametrize("command", ["classify", "code"])

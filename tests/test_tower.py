@@ -6,10 +6,12 @@ import pytest
 
 from cantordyn.affine import (
     AffineElement,
+    CosetSpace,
     contains,
     hermite_normal_form,
     identity_element,
     is_normal,
+    normal_core,
     subgroup_from_parts,
     subgroup_le,
     translation,
@@ -30,8 +32,11 @@ from cantordyn.tower import (
     build_tower,
     interleave,
     mccord_verdict,
+    subgroup_cylinder,
     truncated_point,
 )
+
+from helpers import permutation_orbit_cylinder
 
 
 def pure_level(group, a, b):
@@ -297,3 +302,41 @@ def test_mccord_witnesses_reverify_via_membership():
             assert not contains(rec.core, rec.witness)
             assert subgroup_le(rec.core, chain.levels[rec.level - 1])
             assert is_normal(chain.group, rec.core).normal
+
+
+# -------------------------------------------------------- subgroup cylinders
+
+CYLINDER_CHAINS = {
+    "small_fo_variant_3": lambda: small_fo_variant(3),
+    "rogers_tollefson_3": lambda: rogers_tollefson(3),
+    "vietoris_3_3": lambda: vietoris(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYLINDER_CHAINS))
+def test_subgroup_cylinder_matches_the_permutation_orbit_oracle(name):
+    chain = CYLINDER_CHAINS[name]()
+    tower = build_tower(chain)
+    for level, h in enumerate(chain.levels, start=1):
+        core = normal_core(chain.group, h)
+        assert subgroup_cylinder(tower, core) == permutation_orbit_cylinder(
+            tower, core
+        ), (name, level)
+
+
+def test_subgroup_cylinder_multiplies_only_the_cosets_it_reaches(monkeypatch):
+    chain = small_fo_variant(3)
+    tower = build_tower(chain)
+    calls = {"lookups": 0}
+    original = CosetSpace.index_of_element
+
+    def counted(self, g):
+        calls["lookups"] += 1
+        return original(self, g)
+
+    monkeypatch.setattr(CosetSpace, "index_of_element", counted)
+    for h in chain.levels:
+        core = normal_core(chain.group, h)
+        calls["lookups"] = 0
+        cylinder = subgroup_cylinder(tower, core)
+        assert calls["lookups"] <= len(cylinder) * len(core.generator_elements()) + 1
