@@ -15,6 +15,7 @@ here touches floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +26,15 @@ from .errors import ResourceLimitError, StructureError
 
 DEFAULT_PAIR_CAP = 4000
 COLLAPSED = "w0"
+
+
+def check_pair_cap(n):
+    """Refuse pairwise work on more than DEFAULT_PAIR_CAP addresses."""
+    if n > DEFAULT_PAIR_CAP:
+        raise ResourceLimitError(
+            f"pairwise distances need {n} addresses but the pairwise cap is "
+            f"{DEFAULT_PAIR_CAP}"
+        )
 
 
 # ----------------------------------------------------------------- metrics
@@ -253,6 +263,7 @@ class CantorModel:
 
         Exhaustive over all triples up to the cap, seeded-sampled above.
         Tree metrics are additionally checked for the ultrametric inequality.
+        Each ordered pair's distance is computed once per call.
         """
         import random
 
@@ -260,18 +271,19 @@ class CantorModel:
         n = len(addrs)
         ultra = isinstance(self.metric, TreeMetric)
         rng = random.Random(seed)
+        distance = functools.cache(self.distance)
 
         def check_pair(a, b):
-            d = self.distance(a, b)
+            d = distance(a, b)
             if d <= 0:
                 raise StructureError("distinct addresses at distance <= 0")
-            if d != self.distance(b, a):
+            if d != distance(b, a):
                 raise StructureError("metric is not symmetric")
 
         def check(a, b, c):
-            dab = self.distance(a, b)
-            dac = self.distance(a, c)
-            dcb = self.distance(c, b)
+            dab = distance(a, b)
+            dac = distance(a, c)
+            dcb = distance(c, b)
             if ultra:
                 if dab > max(dac, dcb):
                     raise StructureError("ultrametric inequality fails")
@@ -300,11 +312,7 @@ class CantorModel:
 
 def _pair_rank_matrix(model):
     n = len(model)
-    if n > DEFAULT_PAIR_CAP:
-        raise ResourceLimitError(
-            f"pairwise distances need {n} addresses but the pairwise cap is "
-            f"{DEFAULT_PAIR_CAP}"
-        )
+    check_pair_cap(n)
     keys, value = model.metric.pair_keys(model.addresses)
     distinct = np.unique(keys)
     rank = np.empty((n, n), dtype=np.min_scalar_type(len(distinct) - 1))
@@ -439,15 +447,15 @@ def is_minimal(action):
 
 # ------------------------------------------------------------- word groups
 
-def enumerate_word_perms(action, max_length, *, perm_cap=200000, on_cap="raise"):
+def enumerate_word_perms(action, max_length, *, perm_cap=200000):
     """Distinct permutations realized by words of length <= max_length.
 
     Breadth-first over (length, token order) with dedup by permutation, so
     the result is the Cayley ball of the induced permutation group.  Returns
     (pairs, completed_length) where pairs is a list of (word, perm_array)
     with the empty word first.  Layers are atomic: when the cap would be
-    exceeded, either the whole partial layer is dropped (on_cap="stop",
-    completed_length reports the last full layer) or an error is raised.
+    exceeded, the whole partial layer is dropped and completed_length
+    reports the last full layer.
     """
     n = len(action.model)
     tokens = action.signed_tokens()
@@ -478,10 +486,6 @@ def enumerate_word_perms(action, max_length, *, perm_cap=200000, on_cap="raise")
             if overflow:
                 break
         if overflow:
-            if on_cap == "raise":
-                raise ResourceLimitError(
-                    f"word enumeration exceeded the cap {perm_cap}"
-                )
             break
         if not new:
             completed = max_length
@@ -589,9 +593,7 @@ def is_distal(action, word_length=8, *, perm_cap=20000):
     oracle (tests/helpers.brute_force_distality).
     """
     realized, _ = action.model.pair_ranks()
-    words, word_length = enumerate_word_perms(
-        action, word_length, perm_cap=perm_cap, on_cap="stop"
-    )
+    words, word_length = enumerate_word_perms(action, word_length, perm_cap=perm_cap)
     min_delta = realized[1] if len(action.model) > 1 else Fraction(0)
     return DistalityVerdict(True, word_length, min_delta, len(words))
 

@@ -52,7 +52,6 @@ class AffineElement:
     point: tuple
     trans: tuple
     denom: int
-    order_bound: int = field(default=DEFAULT_ORDER_BOUND, compare=False, repr=False)
 
     def __post_init__(self):
         point = tuple(tuple(int(x) for x in row) for row in self.point)
@@ -67,9 +66,9 @@ class AffineElement:
         d = im.det(point)
         if d not in (1, -1):
             raise StructureError(f"point part must be unimodular, got determinant {d}")
-        if im.matrix_order(point, self.order_bound) is None:
+        if im.matrix_order(point, DEFAULT_ORDER_BOUND) is None:
             raise StructureError(
-                f"point part order exceeds the bound {self.order_bound}"
+                f"point part order exceeds the bound {DEFAULT_ORDER_BOUND}"
             )
         for t in trans:
             if (t * self.denom).denominator != 1:
@@ -95,7 +94,7 @@ class AffineElement:
     def inverse(self):
         inv = im.mat_inverse_unimodular(self.point)
         v = tuple(-x for x in im.mat_vec(inv, self.trans))
-        return AffineElement(inv, v, self.denom, self.order_bound)
+        return AffineElement(inv, v, self.denom)
 
     def __mul__(self, other):
         return compose(self, other)
@@ -126,7 +125,7 @@ def compose(a, b):
         raise StructureError("denominator mismatch in composition")
     point = im.mat_mul(a.point, b.point)
     trans = im.vec_add(a.trans, im.mat_vec(a.point, b.trans))
-    return AffineElement(point, trans, a.denom, a.order_bound)
+    return AffineElement(point, trans, a.denom)
 
 
 def inverse(a):
@@ -359,7 +358,7 @@ def _canonical_reps(lattice, reps):
     by_point = {}
     for r in reps:
         red = lattice.reduce(r.trans)
-        by_point[r.point] = AffineElement(r.point, red, denom, r.order_bound)
+        by_point[r.point] = AffineElement(r.point, red, denom)
     ident = im.identity(n)
     if ident not in by_point:
         raise StructureError("subgroup has no identity point class")
@@ -421,15 +420,7 @@ def contains(h, g):
     return h.lattice.contains(tuple(int(x) for x in diff))
 
 
-def subgroup_from_generators(
-    n,
-    denom,
-    generators,
-    *,
-    class_cap=DEFAULT_CLASS_CAP,
-    order_bound=DEFAULT_ORDER_BOUND,
-    require_full_rank=True,
-):
+def subgroup_from_generators(n, denom, generators):
     """Closure of a finite generating set into lattice + class-rep normal form.
 
     Worklist closure over products with generators and their inverses.  The
@@ -477,15 +468,15 @@ def subgroup_from_generators(
                 if not span.contains(delta):
                     grow_lattice(delta)
             else:
-                if len(classes) >= class_cap:
+                if len(classes) >= DEFAULT_CLASS_CAP:
                     raise ResourceLimitError(
-                        f"point class count exceeded the cap {class_cap}"
+                        f"point class count exceeded the cap {DEFAULT_CLASS_CAP}"
                     )
                 classes[new_point] = new_tr
                 on_new_point(new_point)
                 work.append((new_point, new_tr))
 
-    if require_full_rank and not span.full_rank():
+    if not span.full_rank():
         raise StructureError(
             "translation lattice is not full rank; the subgroup has infinite index"
         )
@@ -504,7 +495,7 @@ def subgroup_from_generators(
         int_cols.append(tuple(int(x) for x in col))
     lattice = lattice_from_columns(int_cols)
     reps = [
-        AffineElement(p, tuple(Fraction(x, denom) for x in t), denom, order_bound)
+        AffineElement(p, tuple(Fraction(x, denom) for x in t), denom)
         for p, t in classes.items()
     ]
     return subgroup_from_parts(lattice, reps, validate=True)
@@ -549,7 +540,7 @@ def subgroup_intersect(h1, h2):
         x = z[:n]
         shift = im.mat_vec(b1, x)
         w = im.vec_add(r1.trans, _to_fraction_vec(shift))
-        reps.append(AffineElement(r1.point, w, denom, r1.order_bound))
+        reps.append(AffineElement(r1.point, w, denom))
     if not reps:
         raise StructureError("subgroup intersection lost the identity class")
     return subgroup_from_parts(lat, reps, validate=True)
@@ -584,13 +575,13 @@ class AffineGroup:
     normal_form: FiniteIndexSubgroup
 
     @classmethod
-    def from_generators(cls, named_generators, *, denom=None, class_cap=DEFAULT_CLASS_CAP):
+    def from_generators(cls, named_generators, *, denom=None):
         named = tuple((str(name), g) for name, g in named_generators)
         if not named:
             raise StructureError("a group needs at least one generator")
         n = named[0][1].dimension
         d = denom if denom is not None else named[0][1].denom
-        nf = subgroup_from_generators(n, d, [g for _, g in named], class_cap=class_cap)
+        nf = subgroup_from_generators(n, d, [g for _, g in named])
         return cls(n, d, named, nf)
 
     def generator(self, name):
@@ -690,16 +681,13 @@ class CosetSpace:
     reps: tuple  # canonical AffineElement per coset, sorted
     gen_perms: dict  # generator name -> tuple permutation (left multiplication)
     index: int
-    # canonical-key data computed once by coset_space: point-class ids,
-    # per-point reduction lattices, and canonical key -> coset index
-    class_ids: dict = field(compare=False, repr=False)
+    # canonical-key data computed once by coset_space: per-point reduction
+    # lattices and rep products, and canonical key -> coset index
     red_data: dict = field(compare=False, repr=False)
     key_index: dict = field(compare=False, repr=False)
 
     def index_of_element(self, g):
-        key = _coset_key_scaled(
-            self.subgroup, self.class_ids, self.red_data, g.point, g.scaled_trans()
-        )
+        key = _coset_key_scaled(self.red_data, g.point, g.scaled_trans())
         try:
             return self.key_index[key]
         except KeyError:
@@ -714,30 +702,31 @@ class CosetSpace:
 
 
 def _coset_reduction_data(group, subgroup):
-    """Per point-part A of G: scaled HNF of A * L_H, for canonical reduction."""
-    d = group.denom
+    """Per point part A of G: the scaled HNF of A * L_H, and for each rep
+    (B, w) of H the triple (class id of AB, AB, A * w scaled)."""
+    class_ids = group.point_class_order()
+    pivots = tuple(range(group.dimension))
+    reps = [(b.point, b.scaled_trans()) for b in subgroup.reps]
     data = {}
     for p in group.normal_form.point_parts():
-        lat = subgroup.lattice.transform(p)
-        scaled = lat.scale(d)
-        data[p] = (scaled.basis, tuple(range(group.dimension)))
+        basis = subgroup.lattice.transform(p).scale(group.denom).basis
+        products = []
+        for b_point, b_tr in reps:
+            c = im.mat_mul(p, b_point)
+            products.append((class_ids[c], c, im.mat_vec(p, b_tr)))
+        data[p] = (basis, pivots, tuple(products))
     return data
 
 
-def _coset_key_scaled(subgroup, class_ids, red_data, point, scaled_tr):
+def _coset_key_scaled(red_data, point, scaled_tr):
     """Canonical (class_id, reduced scaled translation, point) key for a coset.
 
     The class id determines the point, so keys sort by (class_id, red)."""
-    best = None
-    for b in subgroup.reps:
-        c = im.mat_mul(point, b.point)
-        t2 = im.vec_add(scaled_tr, im.mat_vec(point, b.scaled_trans()))
-        basis, pivots = red_data[point]
-        red = im.reduce_echelon(basis, pivots, t2)
-        cand = (class_ids[c], red, c)
-        if best is None or cand < best:
-            best = cand
-    return best
+    basis, pivots, products = red_data[point]
+    return min(
+        (cid, im.reduce_echelon(basis, pivots, im.vec_add(scaled_tr, a_w)), c)
+        for cid, c, a_w in products
+    )
 
 
 def coset_space(group, subgroup, *, cap=None):
@@ -754,14 +743,12 @@ def coset_space(group, subgroup, *, cap=None):
         raise ResourceLimitError(
             f"coset index {expected} exceeds the cap {cap}"
         )
-    class_ids = group.point_class_order()
     red_data = _coset_reduction_data(group, subgroup)
     d = group.denom
     gens = [(g.point, g.scaled_trans()) for _, g in group.generators]
 
     start = _coset_key_scaled(
-        subgroup, class_ids, red_data,
-        im.identity(group.dimension), (0,) * group.dimension,
+        red_data, im.identity(group.dimension), (0,) * group.dimension
     )
     keys = [start]  # by discovery id; grows while walked, as the BFS queue
     found = {start: 0}
@@ -770,8 +757,7 @@ def coset_space(group, subgroup, *, cap=None):
         row = []
         for gp, gt in gens:
             nkey = _coset_key_scaled(
-                subgroup, class_ids, red_data,
-                im.mat_mul(gp, point), im.vec_add(gt, im.mat_vec(gp, red)),
+                red_data, im.mat_mul(gp, point), im.vec_add(gt, im.mat_vec(gp, red))
             )
             j = found.get(nkey)
             if j is None:
@@ -807,6 +793,5 @@ def coset_space(group, subgroup, *, cap=None):
         gen_perms[name] = perm
 
     return CosetSpace(
-        group, subgroup, reps, gen_perms, len(keys),
-        class_ids, red_data, key_index,
+        group, subgroup, reps, gen_perms, len(keys), red_data, key_index
     )

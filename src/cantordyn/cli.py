@@ -17,6 +17,7 @@ from . import __version__
 from .action import (
     COLLAPSED,
     DEFAULT_PAIR_CAP,
+    check_pair_cap,
     format_word,
     germinal_holonomy,
     invariant_measure,
@@ -27,7 +28,7 @@ from .action import (
     pushforward_invariant,
 )
 from .affine import is_normal, normal_core
-from .coding import coding_chain, return_words
+from .coding import coding_chain
 from .config import format_fraction, parse_config
 from .errors import CantordynError, StructureError
 from .report import Report
@@ -263,20 +264,21 @@ def cmd_compare(cfg_a, cfg_b, report):
 def cmd_code(cfg, report):
     if cfg.kind == "chain":
         chain, depth = _chain_for(cfg)
+        check_pair_cap(chain.indices()[-1])  # refuse before any coset
         tower = build_tower(chain, depth)
         action = tower.boundary_action(cfg.lam)
     else:
         action = cfg.build_action()
         tower = None
     chain_result = coding_chain(action, word_bound=cfg.words)
+    words = chain_result.words
     report.section("window")
     report.add("size", len(chain_result.window), 1)
     report.add("minimal_action", chain_result.minimal, 1)
     report.add("word_bound_requested", chain_result.word_bound_requested, 1)
-    report.add("word_bound_used", chain_result.word_bound_used, 1)
-    report.add("word_bound_effective", chain_result.word_bound_effective, 1)
-    report.add("return_word_classes", chain_result.return_word_count, 1)
-    words = return_words(action, chain_result.window, chain_result.word_bound_used)
+    report.add("word_bound_used", words.bound, 1)
+    report.add("word_bound_effective", words.effective_bound, 1)
+    report.add("return_word_classes", len(words), 1)
     report.add(
         "return_words_head",
         [format_word(w) for w in words.words[:6]],

@@ -23,6 +23,7 @@ from .action import enumerate_word_perms, modulus_table
 from .errors import InvariantViolation, StructureError
 
 DEFAULT_WORD_BOUND = 8
+SCHREIER_SIZE_CAP = 1024
 
 
 # ---------------------------------------------------------------- partitions
@@ -115,41 +116,39 @@ class ReturnWordSet:
 
 
 def _shortest_words_into_window(action, window):
-    """One shortest word sending the basepoint to each window address.
+    """One shortest word sending the basepoint to each window address, with
+    its permutation, as (word, perm) pairs in address order.
 
     Breadth-first search over the orbit graph; every such word is a return
     word by construction, and for transitive actions their translates of any
-    basepoint block reach every window point.
+    basepoint block reach every window point.  Each reached address's
+    permutation is one gather of its parent's, and only the frontier's and
+    the window's are kept.
     """
     model = action.model
     w0 = model.index[action.basepoint]
+    win_set = {model.index[a] for a in window}
     tokens = [
-        (name, sign, action.token_perm(name, sign))
+        ((name, sign), np.array(action.token_perm(name, sign), dtype=np.int32))
         for name, sign in action.signed_tokens()
     ]
-    parent = {w0: ((), None)}
-    frontier = [w0]
+    start = ((), np.arange(len(model), dtype=np.int32))
+    seen = {w0}
+    found = {w0: start}  # the window holds the basepoint
+    frontier = [(w0, start)]
     while frontier:
         new = []
-        for i in frontier:
-            for name, sign, p in tokens:
-                j = p[i]
-                if j not in parent:
-                    parent[j] = ((name, sign), i)
-                    new.append(j)
+        for i, (word, perm) in frontier:
+            for tok, p_tok in tokens:
+                j = int(p_tok[i])
+                if j not in seen:
+                    seen.add(j)
+                    reached = ((tok,) + word, p_tok[perm])  # token after the word
+                    if j in win_set:
+                        found[j] = reached
+                    new.append((j, reached))
         frontier = new
-    out = []
-    for a in sorted(window, key=lambda x: model.index[x]):
-        i = model.index[a]
-        if i not in parent:
-            continue
-        word = []
-        cur = i
-        while parent[cur][1] is not None:
-            tok, cur = parent[cur]
-            word.append(tok)
-        out.append(tuple(word))
-    return out
+    return [found[i] for i in sorted(found)]
 
 
 def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=20000):
@@ -163,25 +162,16 @@ def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=20000)
     win_arr = np.array(win_idx, dtype=np.int64)
     seen = set()
     words, perms = [], []
-
-    def consider(word, perm):
+    pairs, completed = enumerate_word_perms(action, bound, perm_cap=perm_budget)
+    for word, perm in pairs + _shortest_words_into_window(action, window):
         if int(perm[w0]) not in win_set:
-            return
+            continue
         key = perm[win_arr].tobytes()
         if key in seen:
-            return
+            continue
         seen.add(key)
         words.append(word)
         perms.append(perm)
-
-    pairs, completed = enumerate_word_perms(
-        action, bound, perm_cap=perm_budget, on_cap="stop"
-    )
-    for word, perm in pairs:
-        consider(word, perm)
-    for word in _shortest_words_into_window(action, window):
-        perm = np.array(action.word_perm(word), dtype=np.int32)
-        consider(word, perm)
     return ReturnWordSet(tuple(words), bound, completed, tuple(perms))
 
 
@@ -197,7 +187,8 @@ def code(action, window, partition, point, word):
 
 
 def compute_V(action, window, partition, words):
-    """Window points whose code function agrees with the basepoint's."""
+    """Window points whose code function agrees with the basepoint's under
+    every word of a ReturnWordSet."""
     model = action.model
     n = len(model)
     block_id = np.zeros(n, dtype=np.int32)
@@ -209,7 +200,7 @@ def compute_V(action, window, partition, words):
     for a in window:
         win_mask[model.index[a]] = True
     keep = win_mask.copy()
-    for perm in words.perms if isinstance(words, ReturnWordSet) else words:
+    for perm in words.perms:
         codes = block_id[np.asarray(perm)]
         keep &= codes == codes[w0]
     return frozenset(model.addresses[i] for i in np.nonzero(keep)[0])
@@ -280,14 +271,15 @@ def refine_fixed_point(action, window, partition):
     return ClopenPartition.from_blocks(model, window, blocks.values())
 
 
-def schreier_diameter(action, *, size_cap=4096):
-    """Exact diameter of the (undirected) orbit graph, or None above the cap.
+def schreier_diameter(action):
+    """Exact diameter of the (undirected) orbit graph, or None above
+    SCHREIER_SIZE_CAP addresses.
 
     Layered boolean reachability; on disconnected actions the diameter is the
     maximum over connected components.
     """
     n = len(action.model)
-    if n > size_cap:
+    if n > SCHREIER_SIZE_CAP:
         return None
     perms = [
         np.asarray(action.token_perm(name, sign), dtype=np.int64)
@@ -331,9 +323,7 @@ class CodingChain:
     window: frozenset
     levels: tuple
     word_bound_requested: int
-    word_bound_used: int
-    word_bound_effective: int
-    return_word_count: int
+    words: ReturnWordSet  # the final set: bound used, effective bound, classes
     schreier_diam: int  # None when above the size cap
     minimal: bool
 
@@ -405,7 +395,7 @@ def coding_chain(
     window = _check_clopen_window(action, window)
     table = modulus_table(action)
     minimal = is_minimal(action).minimal
-    diam_graph = schreier_diameter(action, size_cap=1024)
+    diam_graph = schreier_diameter(action)
     ceiling = max(word_bound, diam_graph if diam_graph is not None else len(model))
     bound = word_bound
     budget = 20000
@@ -435,27 +425,19 @@ def coding_chain(
             eps_prime, eps_sub = _witness_or_subresolution(table, eps)
         m, base_blocks = _least_cylinder_depth(model, v_prev, eps_prime)
 
-        # extend the partition of the level set across its translates; any
-        # window remainder (non-minimal actions) is partitioned by the same
-        # cylinder depth
+        # extend the partition of the level set across its translates, through
+        # the permutations their words have in `words` (the empty word first);
+        # any window remainder (non-minimal actions) is partitioned by the
+        # same cylinder depth
+        perm_of = dict(zip(words.words, words.perms))
         all_blocks = []
-        covered = set()
-        for word, part in (
-            prev_family if level > 1 else (((), window),)
-        ):
-            if level == 1:
-                imgs = base_blocks
-            else:
-                imgs = []
-                perm = action.word_perm(word)
-                for b in base_blocks:
-                    imgs.append(
-                        frozenset(
-                            model.addresses[perm[model.index[a]]] for a in b
-                        )
-                    )
-            all_blocks.extend(imgs)
-            covered |= set().union(*imgs) if imgs else set()
+        for word, _ in prev_family:
+            perm = perm_of[word]
+            all_blocks.extend(
+                frozenset(model.addresses[perm[model.index[a]]] for a in b)
+                for b in base_blocks
+            )
+        covered = set().union(*all_blocks)
         remainder = window - covered
         if remainder:
             all_blocks.extend(cylinder_partition(model, remainder, m))
@@ -526,12 +508,5 @@ def coding_chain(
         eps_prev = eps
 
     return CodingChain(
-        window,
-        tuple(levels),
-        word_bound,
-        bound,
-        words.effective_bound,
-        len(words),
-        diam_graph,
-        minimal,
+        window, tuple(levels), word_bound, words, diam_graph, minimal
     )

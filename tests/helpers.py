@@ -13,7 +13,6 @@ from cantordyn.action import (
     enumerate_word_perms,
 )
 from cantordyn.affine import conjugate, subgroup_intersect, subgroup_le
-from cantordyn.coding import return_words
 
 
 def three_point_action():
@@ -78,9 +77,7 @@ def brute_force_distality(action, word_length, *, perm_cap=20000):
     """(min_delta, {(a, b): delta}) with each delta the least Fraction image
     distance of the pair over the same word ball as `is_distal`."""
     model = action.model
-    words, _ = enumerate_word_perms(
-        action, word_length, perm_cap=perm_cap, on_cap="stop"
-    )
+    words, _ = enumerate_word_perms(action, word_length, perm_cap=perm_cap)
     addrs = model.addresses
     dist = pair_distances(model)
     deltas = {}
@@ -193,13 +190,14 @@ def least_cylinder_union_depth(model, subset):
 
 
 def check_coding_laws(action, chain_result, *, rng=None, tree_model=True):
-    """Fixset, translate partition, equivariance, local constancy, nesting.
+    """Fixset, translate partition, equivariance, local constancy, nesting,
+    over the return words the chain used.
 
     Raises AssertionError on any violation; returns the number of checks.
     """
     model = action.model
     window = chain_result.window
-    words = return_words(action, window, chain_result.word_bound_used)
+    words = chain_result.words
     checks = 0
     prev_v = window
     prev_eps = None

@@ -324,7 +324,7 @@ def test_word_enumeration_is_the_cayley_ball():
 
 def test_word_enumeration_budget_is_layer_atomic():
     act = warp_example(3, 2)
-    words, completed = enumerate_word_perms(act, 8, perm_cap=100, on_cap="stop")
+    words, completed = enumerate_word_perms(act, 8, perm_cap=100)
     assert completed < 8
     lengths = [len(w) for w, _ in words]
     assert max(lengths) == completed

@@ -460,13 +460,19 @@ def test_coset_permutations_compose_homomorphically():
             assert composed == cs.permutation_of(compose(gens[a], gens[b]))
 
 
-@pytest.mark.parametrize("case", ["klein_fo_level_1", "small_fo_variant_level_2"])
-def test_coset_space_computes_one_key_per_generator_image(monkeypatch, case):
+COSET_CASES = ["klein_fo_level_1", "small_fo_variant_level_2"]
+
+
+def coset_case(case):
     if case == "klein_fo_level_1":
-        group, h = klein_group(), fo_level(1)
-    else:
-        chain = small_fo_variant(2)
-        group, h = chain.group, chain.levels[1]
+        return klein_group(), fo_level(1)
+    chain = small_fo_variant(2)
+    return chain.group, chain.levels[1]
+
+
+@pytest.mark.parametrize("case", COSET_CASES)
+def test_coset_space_computes_one_key_per_generator_image(monkeypatch, case):
+    group, h = coset_case(case)
     calls = {"keys": 0}
     original = affine._coset_key_scaled
 
@@ -483,6 +489,24 @@ def test_coset_space_computes_one_key_per_generator_image(monkeypatch, case):
     for name, g in group.generators:
         assert cs.gen_perms[name] == cs.permutation_of(g)
     assert [cs.index_of_element(rep) for rep in cs.reps] == list(range(cs.index))
+
+
+@pytest.mark.parametrize("case", COSET_CASES)
+def test_coset_space_scales_each_translation_once(monkeypatch, case):
+    # the key data holds A * w per rep (B, w) of H, so no key recomputes it
+    group, h = coset_case(case)
+    calls = {"scaled": 0}
+    original = AffineElement.scaled_trans
+
+    def counted(self):
+        calls["scaled"] += 1
+        return original(self)
+
+    monkeypatch.setattr(AffineElement, "scaled_trans", counted)
+    cs = coset_space(group, h)
+    monkeypatch.undo()
+    assert cs.index == group.index_of(h)
+    assert calls["scaled"] <= len(h.reps) + len(group.generators)
 
 
 def test_coset_space_respects_index_cap():

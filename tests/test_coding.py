@@ -9,6 +9,7 @@ from cantordyn.action import CantorAction, CantorModel, TreeMetric, format_word,
 from cantordyn.affine import normal_core
 from cantordyn.coding import (
     ClopenPartition,
+    _shortest_words_into_window,
     code,
     coding_chain,
     compute_V,
@@ -176,6 +177,51 @@ def test_fixed_point_leaves_invariant_single_block_unchanged():
     partition = ClopenPartition.from_blocks(action.model, window, [window])
     fixed = refine_fixed_point(action, window, partition)
     assert fixed.blocks == (window,)
+
+
+def orbit_distances(action):
+    """Word length from the basepoint to each orbit point, by point-wise BFS."""
+    dist = {action.basepoint: 0}
+    frontier = [action.basepoint]
+    while frontier:
+        new = []
+        for a in frontier:
+            for token in action.signed_tokens():
+                b = action.act((token,), a)
+                if b not in dist:
+                    dist[b] = dist[a] + 1
+                    new.append(b)
+        frontier = new
+    return dist
+
+
+SHORTEST_WORD_ACTIONS = {
+    "vietoris_5_3": lambda: boundary_action(vietoris(5, 3)),
+    "small_fo_variant_2": lambda: boundary_action(small_fo_variant(2)),
+    "warp_3_2": lambda: warp_example(3, 2),
+    "warp_fiber_only_2_1": lambda: warp_example(2, 1, include_free_factor=False),
+    **{
+        f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed))
+        for seed in range(6)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(SHORTEST_WORD_ACTIONS))
+def test_shortest_words_carry_their_permutations(name):
+    action = SHORTEST_WORD_ACTIONS[name]()
+    model = action.model
+    window = default_window(action)
+    dist = orbit_distances(action)
+    w0 = model.index[action.basepoint]
+    targets = []
+    for word, perm in _shortest_words_into_window(action, window):
+        assert tuple(int(i) for i in perm) == action.word_perm(word)
+        target = model.addresses[int(perm[w0])]
+        assert len(word) == dist[target]
+        targets.append(model.index[target])
+    # one word per reachable window address, in address order
+    assert targets == sorted(model.index[a] for a in window if a in dist)
 
 
 def test_fixed_point_agreement_at_schreier_diameter_on_random_actions():

@@ -9,7 +9,8 @@ from cantordyn.config import parse_config, serialize_config
 from cantordyn.errors import ParseError
 from cantordyn.report import strip_timing
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_DIR = REPO / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.cfg"))
 
 
@@ -274,6 +275,53 @@ def test_chain_commands_enumerate_each_coset_space_once(
     rc, _, _ = run_cli(capsys, command, str(CONFIG_DIR / args[0]), *args[1:])
     assert rc == 0
     assert calls == {"coset_space": depth, "build_tower": 1}
+
+
+def test_code_refuses_an_over_cap_chain_before_any_coset(capsys, monkeypatch):
+    from cantordyn import tower
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset_space ran before the pairwise cap")
+
+    monkeypatch.setattr(tower, "coset_space", refuse)
+    rc, out, err = run_cli(capsys, "code", str(CONFIG_DIR / "fo.cfg"))
+    assert rc == 3
+    assert out == ""
+    assert (
+        "pairwise distances need 11025 addresses but the pairwise cap is 4000"
+        in err
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [CONFIG_DIR / "vietoris5.cfg", REPO / "perfbench/configs/klein_3_5_mid.cfg"],
+    ids=["vietoris5", "klein_3_5_mid"],
+)
+def test_code_builds_one_return_word_set_and_no_word_perm(
+    capsys, monkeypatch, config
+):
+    from cantordyn import cli, coding
+    from cantordyn.action import CantorAction
+
+    calls = {"return_words": 0, "word_perm": 0}
+    return_words, word_perm = coding.return_words, CantorAction.word_perm
+
+    def counted_words(*args, **kwargs):
+        calls["return_words"] += 1
+        return return_words(*args, **kwargs)
+
+    def counted_perm(*args, **kwargs):
+        calls["word_perm"] += 1
+        return word_perm(*args, **kwargs)
+
+    for module in (coding, cli):
+        if getattr(module, "return_words", None) is return_words:
+            monkeypatch.setattr(module, "return_words", counted_words)
+    monkeypatch.setattr(CantorAction, "word_perm", counted_perm)
+    rc, _, _ = run_cli(capsys, "code", str(config))
+    assert rc == 0
+    assert calls == {"return_words": 1, "word_perm": 0}
 
 
 def test_depth_override_reaches_action_configs(capsys):
