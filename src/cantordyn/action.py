@@ -10,7 +10,8 @@ levels on trees, numerators over one common denominator on the warp
 product), so the pairwise engines (modulus table, diameters, partition gaps)
 compare integers and read exact Fractions back only for the values they
 report; distality needs only the least positive realized distance.  Nothing
-here touches floating point.
+here touches floating point.  numpy is imported inside the pairwise and
+word-ball engines, so a command that runs none of them never loads it.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ResourceLimitError, StructureError
 
@@ -63,6 +62,8 @@ class TreeMetric:
 
     def pair_keys(self, addresses):
         """Keys depth - (agreement level); key 0 only on the diagonal."""
+        import numpy as np
+
         digits = np.array(addresses, dtype=np.int64)
         depth = digits.shape[1]
         keys = depth - _agreement_levels(digits)
@@ -125,6 +126,8 @@ class WarpMetric:
         collapsed point, whose X is 0.  Python ints take over from int64 when
         a numerator could overflow it, so every lam1 stays exact.
         """
+        import numpy as np
+
         p, q, k = self.lam1.numerator, self.lam1.denominator, self.depth
         denominator = 3 ** k * q ** k
         largest = 3 ** k * (q ** k + max(abs(p), q) ** k)
@@ -167,6 +170,8 @@ class ExplicitMetric:
 
     def pair_keys(self, addresses):
         """Ranks of the table's distances, each pair looked up once."""
+        import numpy as np
+
         n = len(addresses)
         dist = {
             (i, j): self.distance(addresses[i], addresses[j])
@@ -183,6 +188,8 @@ class ExplicitMetric:
 
 def _agreement_levels(digits):
     """lev[a, b] = number of leading columns on which rows a and b agree."""
+    import numpy as np
+
     n, k = digits.shape
     agree = np.ones((n, n), dtype=bool)
     lev = np.zeros((n, n), dtype=np.min_scalar_type(k))
@@ -254,6 +261,8 @@ class CantorModel:
     def diameter(self, subset):
         """Largest distance within the subset: the realized distance at the
         subset's largest pair rank (0 for fewer than two addresses)."""
+        import numpy as np
+
         realized, rank = self.pair_ranks()
         idx = [self.index[a] for a in subset]
         return realized[int(rank[np.ix_(idx, idx)].max(initial=0))]
@@ -311,6 +320,8 @@ class CantorModel:
 
 
 def _pair_rank_matrix(model):
+    import numpy as np
+
     n = len(model)
     check_pair_cap(n)
     keys, value = model.metric.pair_keys(model.addresses)
@@ -457,6 +468,8 @@ def enumerate_word_perms(action, max_length, *, perm_cap=200000):
     exceeded, the whole partial layer is dropped and completed_length
     reports the last full layer.
     """
+    import numpy as np
+
     n = len(action.model)
     tokens = action.signed_tokens()
     token_arrays = [
@@ -545,12 +558,16 @@ class ModulusTable:
 
 def _image_ranks(rank, perm):
     """rank[perm[a], perm[b]] for every pair (a, b)."""
+    import numpy as np
+
     p = np.asarray(perm, dtype=np.intp)
     return rank.take(p, axis=0).take(p, axis=1)
 
 
 def modulus_table(action):
     """Exact kappa over all pairs and all generators (with inverses)."""
+    import numpy as np
+
     n = len(action.model)
     realized, rank = action.model.pair_ranks()
     img = np.zeros_like(rank)
@@ -638,10 +655,15 @@ def pushforward_invariant(action, measure, tokens=None):
     return True
 
 
-def invariant_measure(action):
+def invariant_measure(action, verdict=None):
     """Uniform measure when minimal; uniform on the basepoint's minimal
-    orbit closure otherwise.  Invariance is verified exactly either way."""
-    verdict = is_minimal(action)
+    orbit closure otherwise.  Invariance is verified exactly either way.
+
+    `verdict` is the action's MinimalityVerdict, computed here unless the
+    caller already holds it.
+    """
+    if verdict is None:
+        verdict = is_minimal(action)
     if verdict.minimal:
         n = len(action.model)
         mu = CylinderMeasure(

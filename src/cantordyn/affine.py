@@ -37,6 +37,13 @@ def index_cap():
     return cap
 
 
+def check_index_cap(index, cap=None):
+    """Refuse a coset space of more than `cap` (default index_cap()) cosets."""
+    cap = index_cap() if cap is None else cap
+    if index > cap:
+        raise ResourceLimitError(f"coset index {index} exceeds the cap {cap}")
+
+
 def _to_fraction_vec(v):
     return tuple(Fraction(x) for x in v)
 
@@ -604,9 +611,6 @@ class AffineGroup:
         ordered = [ident] + rest
         return {p: i for i, p in enumerate(ordered)}
 
-    def contains_element(self, g):
-        return contains(self.normal_form, g)
-
     def contains_subgroup(self, h):
         return subgroup_le(h, self.normal_form)
 
@@ -739,10 +743,7 @@ def coset_space(group, subgroup, *, cap=None):
     """
     cap = cap if cap is not None else index_cap()
     expected = group.index_of(subgroup)
-    if expected > cap:
-        raise ResourceLimitError(
-            f"coset index {expected} exceeds the cap {cap}"
-        )
+    check_index_cap(expected, cap)
     red_data = _coset_reduction_data(group, subgroup)
     d = group.denom
     gens = [(g.point, g.scaled_trans()) for _, g in group.generators]

@@ -28,7 +28,6 @@ from .action import (
     pushforward_invariant,
 )
 from .affine import is_normal, normal_core
-from .coding import coding_chain
 from .config import format_fraction, parse_config
 from .errors import CantordynError, StructureError
 from .report import Report
@@ -156,7 +155,7 @@ def _dynamics_sections(report, action, cfg, *, pair_action=None, pair_depth=None
     report.add("word_classes", distal.word_count, 1)
     report.add("min_delta", distal.min_delta, 1)
 
-    mu = invariant_measure(action)
+    mu = invariant_measure(action, minimal)
     report.section("measure")
     report.add("support", mu.support_label, 1)
     weights = {w for _, w in mu.weights}
@@ -164,7 +163,8 @@ def _dynamics_sections(report, action, cfg, *, pair_action=None, pair_depth=None
         report.add("weight", next(iter(weights)), 1)
     else:
         report.add("weights", len(mu.weights), 1)
-    report.add("pushforward_invariant", pushforward_invariant(action, mu), 1)
+    # invariant_measure verified exact invariance; it raises otherwise
+    report.add("pushforward_invariant", True, 1)
     return minimal
 
 
@@ -189,12 +189,13 @@ def cmd_classify(cfg, report):
         report.add("levels", depth, 1)
         report.add("indices", chain.indices(), 1)
 
-        action = boundary_action(chain, depth, lam=cfg.lam)
+        tower = build_tower(chain, depth)
+        action = tower.boundary_action(cfg.lam)
         pair_depth = _pairwise_depth(chain, depth)
         pair_action = (
             action
             if pair_depth == depth
-            else boundary_action(chain, pair_depth, lam=cfg.lam)
+            else tower.truncate(pair_depth).boundary_action(cfg.lam)
         )
         _dynamics_sections(
             report, action, cfg, pair_action=pair_action, pair_depth=pair_depth
@@ -262,6 +263,8 @@ def cmd_compare(cfg_a, cfg_b, report):
 
 
 def cmd_code(cfg, report):
+    from .coding import coding_chain  # imports numpy, which most commands never load
+
     if cfg.kind == "chain":
         chain, depth = _chain_for(cfg)
         check_pair_cap(chain.indices()[-1])  # refuse before any coset

@@ -275,29 +275,30 @@ def schreier_diameter(action):
     """Exact diameter of the (undirected) orbit graph, or None above
     SCHREIER_SIZE_CAP addresses.
 
-    Layered boolean reachability; on disconnected actions the diameter is the
-    maximum over connected components.
+    After d rounds, row u of `reach` is the set of addresses within d steps
+    of u, packed eight to a byte.  A round ORs in the row of each neighbour
+    p(u), which grows every ball by one step; the signed tokens are closed
+    under inverses, so these are the balls of the undirected graph.  The
+    number of rounds that change some row is the largest eccentricity: the
+    diameter, and on disconnected actions the maximum over components.
     """
     n = len(action.model)
     if n > SCHREIER_SIZE_CAP:
         return None
     perms = [
-        np.asarray(action.token_perm(name, sign), dtype=np.int64)
+        np.asarray(action.token_perm(name, sign), dtype=np.intp)
         for name, sign in action.signed_tokens()
     ]
-    reach = np.eye(n, dtype=bool)
-    dist = np.zeros((n, n), dtype=np.int32)
-    d = 0
+    reach = np.packbits(np.eye(n, dtype=bool), axis=1)
+    rounds = 0
     while True:
         new = reach.copy()
         for p in perms:
-            new |= reach[:, p]
-        if (new == reach).all():
-            break
-        d += 1
-        dist[new & ~reach] = d
+            new |= reach[p]
+        if np.array_equal(new, reach):
+            return rounds
         reach = new
-    return int(dist.max())
+        rounds += 1
 
 
 # ------------------------------------------------------------- coding chain
@@ -330,9 +331,6 @@ class CodingChain:
     @property
     def depth(self):
         return len(self.levels)
-
-    def v_sets(self):
-        return [lv.v for lv in self.levels]
 
 
 def _least_cylinder_depth(model, subset, bound):

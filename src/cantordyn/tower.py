@@ -15,6 +15,7 @@ from fractions import Fraction
 from .affine import (
     AffineGroup,
     FiniteIndexSubgroup,
+    check_index_cap,
     compose,
     contains,
     coset_space,
@@ -89,6 +90,13 @@ class QuotientTower:
         k = self.depth
         return tuple(self.project(k, coset_index, l) for l in range(1, k + 1))
 
+    def truncate(self, depth):
+        """The tower of the chain's first `depth` levels: the first `depth`
+        coset spaces and the depth - 1 bonding maps between them."""
+        return QuotientTower(
+            self.chain.truncate(depth), self.levels[:depth], self.bonding[: depth - 1]
+        )
+
     def boundary_action(self, lam=Fraction(1, 2)):
         """Left translation on the deepest coset space as a finite Cantor model.
 
@@ -111,6 +119,7 @@ def build_tower(chain, depth=None):
     """Coset spaces per level plus bonding maps computed by rep reduction."""
     depth = chain.depth if depth is None else depth
     chain = chain.truncate(depth)
+    check_index_cap(chain.indices()[-1])  # refuse before any coset
     spaces = [coset_space(chain.group, h) for h in chain.levels]
     bonding = []
     for l in range(len(spaces) - 1):

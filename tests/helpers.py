@@ -5,6 +5,8 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
+
 from cantordyn.action import (
     CantorAction,
     CantorModel,
@@ -107,6 +109,49 @@ def brute_force_eta(model, partition, *, include_complement):
         outside = [a for a in model.addresses if a not in partition.window]
         pairs += itertools.product(partition.window, outside)
     return min(_distances_between(model, pairs), default=None)
+
+
+def dense_schreier_diameter(action):
+    """Orbit-graph diameter by layered n x n boolean reachability with an
+    n x n distance matrix; the maximum over components when disconnected."""
+    n = len(action.model)
+    perms = [
+        np.asarray(action.token_perm(name, sign), dtype=np.int64)
+        for name, sign in action.signed_tokens()
+    ]
+    reach = np.eye(n, dtype=bool)
+    dist = np.zeros((n, n), dtype=np.int32)
+    d = 0
+    while True:
+        new = reach.copy()
+        for p in perms:
+            new |= reach[:, p]
+        if (new == reach).all():
+            break
+        d += 1
+        dist[new & ~reach] = d
+        reach = new
+    return int(dist.max())
+
+
+def bfs_schreier_diameter(action):
+    """Orbit-graph diameter as the largest eccentricity over per-source
+    breadth-first searches on index lists."""
+    perms = [action.token_perm(name, sign) for name, sign in action.signed_tokens()]
+    diameter = 0
+    for source in range(len(action.model)):
+        seen = {source}
+        frontier = [source]
+        steps = 0
+        while frontier:
+            new = [p[i] for i in frontier for p in perms if p[i] not in seen]
+            new = list(dict.fromkeys(new))
+            seen.update(new)
+            if new:
+                steps += 1
+            frontier = new
+        diameter = max(diameter, steps)
+    return diameter
 
 
 def permutation_orbit_cylinder(tower, subgroup):

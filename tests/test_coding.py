@@ -8,6 +8,7 @@ import pytest
 from cantordyn.action import CantorAction, CantorModel, TreeMetric, format_word, parse_word
 from cantordyn.affine import normal_core
 from cantordyn.coding import (
+    SCHREIER_SIZE_CAP,
     ClopenPartition,
     _shortest_words_into_window,
     code,
@@ -23,12 +24,19 @@ from cantordyn.coding import (
 from cantordyn.errors import InvariantViolation, StructureError
 from cantordyn.gallery import (
     fokkink_oversteegen,
+    rogers_tollefson,
     small_fo_variant,
     vietoris,
     warp_example,
 )
 from cantordyn.tower import boundary_action, build_tower, subgroup_cylinder
-from helpers import check_coding_laws, least_cylinder_union_depth, random_tree_action
+from helpers import (
+    bfs_schreier_diameter,
+    check_coding_laws,
+    dense_schreier_diameter,
+    least_cylinder_union_depth,
+    random_tree_action,
+)
 
 
 def dyadic_setup():
@@ -302,6 +310,29 @@ def test_graph_diameter_of_disconnected_action_is_component_maximum():
     action = warp_example(2, 1, include_free_factor=False)
     # orbits are the 4-cycles inside each fiber plus the fixed point
     assert schreier_diameter(action) == 2
+
+
+DIAMETER_ACTIONS = {
+    "vietoris_5_4": lambda: boundary_action(vietoris(5, 4)),
+    "vietoris_2_3": lambda: boundary_action(vietoris(2, 3)),
+    "small_fo_variant_2": lambda: boundary_action(small_fo_variant(2)),
+    "rogers_tollefson_3": lambda: boundary_action(rogers_tollefson(3)),
+    "warp_3_2": lambda: warp_example(3, 2),
+    "warp_fiber_only_2_1": lambda: warp_example(2, 1, include_free_factor=False),
+    **{
+        f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed))
+        for seed in range(8)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(DIAMETER_ACTIONS))
+def test_schreier_diameter_matches_dense_and_bfs_oracles(name):
+    action = DIAMETER_ACTIONS[name]()
+    assert len(action.model) <= SCHREIER_SIZE_CAP
+    diameter = schreier_diameter(action)
+    assert diameter == dense_schreier_diameter(action)
+    assert diameter == bfs_schreier_diameter(action)
 
 
 def test_partition_construction_rejects_bad_blocks():

@@ -247,10 +247,18 @@ def test_code_report_includes_core_oracle(capsys):
     assert "match true" in out
 
 
-@pytest.mark.parametrize("command", ["classify", "code"])
 @pytest.mark.parametrize(
-    "args, depth",
-    [(("vietoris5.cfg",), 4), (("small_fo.cfg", "--depth", "2"), 2)],
+    "command, args, depth",
+    [
+        pytest.param(command, args, depth, id=f"args{i}-{depth}-{command}")
+        for i, (args, depth) in enumerate(
+            [(("vietoris5.cfg",), 4), (("small_fo.cfg", "--depth", "2"), 2)]
+        )
+        for command in ("classify", "code")
+    ]
+    # fo.cfg's level 2 is over the pairwise cap, so classify reads its
+    # pairwise tables off the level-1 truncation of the same tower
+    + [pytest.param("classify", ("fo.cfg",), 2, id="fo-2-classify")],
 )
 def test_chain_commands_enumerate_each_coset_space_once(
     capsys, monkeypatch, command, args, depth
@@ -275,6 +283,25 @@ def test_chain_commands_enumerate_each_coset_space_once(
     rc, _, _ = run_cli(capsys, command, str(CONFIG_DIR / args[0]), *args[1:])
     assert rc == 0
     assert calls == {"coset_space": depth, "build_tower": 1}
+
+
+@pytest.mark.parametrize("command", ["classify", "measure", "holonomy"])
+def test_tower_refuses_an_over_cap_chain_before_any_coset(
+    tmp_path, capsys, monkeypatch, command
+):
+    from cantordyn import tower
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset_space ran before the index cap")
+
+    monkeypatch.setattr(tower, "coset_space", refuse)
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("[chain]\ngallery = vietoris\np = 2\ndepth = 30\n")
+    flags = ("--word", "g1", "--at", "0") if command == "holonomy" else ()
+    rc, out, err = run_cli(capsys, command, str(cfg), *flags)
+    assert rc == 3
+    assert out == ""
+    assert f"coset index {2 ** 30} exceeds the cap 1000000" in err
 
 
 def test_code_refuses_an_over_cap_chain_before_any_coset(capsys, monkeypatch):
@@ -322,6 +349,65 @@ def test_code_builds_one_return_word_set_and_no_word_perm(
     rc, _, _ = run_cli(capsys, "code", str(config))
     assert rc == 0
     assert calls == {"return_words": 1, "word_perm": 0}
+
+
+@pytest.mark.parametrize(
+    "args", [("configs/vietoris5.cfg",), ("perfbench/configs/warp_d4.cfg", "--words", "4")]
+)
+def test_classify_checks_minimality_and_invariance_once(capsys, monkeypatch, args):
+    from cantordyn import action, cli
+
+    calls = {"is_minimal": 0, "pushforward_invariant": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **kw):
+            calls[name] += 1
+            return fn(*a, **kw)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counted(name, getattr(action, name))
+        for module in (action, cli):
+            monkeypatch.setattr(module, name, wrapper)
+    rc, out, _ = run_cli(capsys, "classify", str(REPO / args[0]), *args[1:])
+    assert rc == 0
+    assert "  pushforward_invariant: true\n" in out
+    assert calls == {"is_minimal": 1, "pushforward_invariant": 1}
+
+
+def test_commands_without_an_engine_never_load_numpy():
+    import os
+    import subprocess
+    import sys
+
+    script = """
+import contextlib, io, pathlib, sys
+from cantordyn.cli import main
+from cantordyn.config import parse_config
+runs = [
+    ["compare", "configs/fo.cfg", "configs/fo_explicit.cfg"],
+    ["measure", "perfbench/configs/warp_d4.cfg"],
+    ["holonomy", "perfbench/configs/warp_d4.cfg", "--word", "g1", "--at", "w0"],
+    ["classify", "configs/fo.cfg", "--words", "-2"],
+]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+for path in sorted(pathlib.Path("configs").glob("*.cfg")):
+    cfg = parse_config(path.read_text())
+    cfg.build_chain() if cfg.kind == "chain" else cfg.build_action()
+print(codes, "numpy" in sys.modules)
+"""
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "[0, 0, 0, 2] False\n"
 
 
 def test_depth_override_reaches_action_configs(capsys):
