@@ -2,22 +2,27 @@
 
 Addresses are hashable tuples spelled over per-level alphabets (or a reserved
 collapsed token); generators are total bijections stored as index
-permutations.  Metrics are exact rational functions.  Each model computes
-every pairwise distance once, into a cached pair-rank matrix: each pair's
-index into the ascending tuple of exact realized distances.  Each metric
-fills it with integer keys order-isomorphic to its distances (disagreement
-levels on trees, numerators over one common denominator on the warp
-product), so the pairwise engines (modulus table, diameters, partition gaps)
-compare integers and read exact Fractions back only for the values they
-report; distality needs only the least positive realized distance.  Nothing
-here touches floating point.  numpy is imported inside the pairwise and
-word-ball engines, so a command that runs none of them never loads it.
+permutations.  Metrics are exact rational functions, and the pairwise engines
+(modulus table, least distance, diameters, partition gaps) take one of two
+routes by metric.  On a tree metric two addresses lie within lam^j exactly
+when they share a depth-j cylinder, so the engines read cylinders off the
+lexicographic order of the addresses, O(n K) per signed token, in pure
+Python.  Any other metric (the warp product) computes every pairwise distance
+once, into a cached pair-rank matrix: each pair's index into the ascending
+tuple of exact realized distances, filled from integer keys
+order-isomorphic to the distances (numerators over one common denominator on
+the warp product), so those engines compare integers and read exact
+Fractions back only for the values they report.  Nothing here touches
+floating point.  numpy is imported inside the rank-matrix engines and the
+array word ball, so a command on a tree model (chain `classify`) never loads
+it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,21 +58,17 @@ class TreeMetric:
     def distance(self, a, b):
         if a == b:
             return Fraction(0)
-        j = 0
-        for x, y in zip(a, b):
-            if x != y:
-                break
-            j += 1
-        return self.lam ** j
+        return self.lam ** common_prefix(a, b)
 
-    def pair_keys(self, addresses):
-        """Keys depth - (agreement level); key 0 only on the diagonal."""
-        import numpy as np
 
-        digits = np.array(addresses, dtype=np.int64)
-        depth = digits.shape[1]
-        keys = depth - _agreement_levels(digits)
-        return keys, lambda key: self.lam ** (depth - int(key)) if key else Fraction(0)
+def common_prefix(a, b):
+    """Number of leading levels on which two addresses agree."""
+    j = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        j += 1
+    return j
 
 
 @dataclass(frozen=True)
@@ -150,42 +151,6 @@ class WarpMetric:
         return keys, lambda key: Fraction(int(key), denominator)
 
 
-@dataclass(frozen=True)
-class ExplicitMetric:
-    """Exact rational distance table over the address set."""
-
-    table: tuple  # tuple of ((a, b), Fraction) with a < b in address order
-
-    def __post_init__(self):
-        object.__setattr__(self, "_lookup", dict(self.table))
-
-    def distance(self, a, b):
-        if a == b:
-            return Fraction(0)
-        key = (a, b) if (a, b) in self._lookup else (b, a)
-        try:
-            return self._lookup[key]
-        except KeyError:
-            raise StructureError(f"distance table has no entry for {a!r}, {b!r}")
-
-    def pair_keys(self, addresses):
-        """Ranks of the table's distances, each pair looked up once."""
-        import numpy as np
-
-        n = len(addresses)
-        dist = {
-            (i, j): self.distance(addresses[i], addresses[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        }
-        values = sorted(set(dist.values()) | {Fraction(0)})
-        key_of = {d: key for key, d in enumerate(values)}
-        keys = np.zeros((n, n), dtype=np.int64)
-        for (i, j), d in dist.items():
-            keys[i, j] = keys[j, i] = key_of[d]
-        return keys, values.__getitem__
-
-
 def _agreement_levels(digits):
     """lev[a, b] = number of leading columns on which rows a and b agree."""
     import numpy as np
@@ -229,7 +194,9 @@ class CantorModel:
         self.metric = metric
         self._cylinder_key = cylinder_key
         self.index = {a: i for i, a in enumerate(self.addresses)}
+        self.is_tree = isinstance(metric, TreeMetric)
         self._pair_ranks = None
+        self._lex_order = None
 
     def __len__(self):
         return len(self.addresses)
@@ -237,9 +204,39 @@ class CantorModel:
     def distance(self, a, b):
         return self.metric.distance(a, b)
 
+    def lex_order(self):
+        """(order, split) of a tree model: its address indices in
+        lexicographic order, and split[t], the common-prefix length of the
+        t-th and (t+1)-th addresses in that order.
+
+        A depth-j cylinder is a run of the order that no split below j cuts,
+        and a set of addresses has the common prefix of its least and
+        greatest.  Built on first use and cached; like the rank matrix, it is
+        refused above DEFAULT_PAIR_CAP addresses.
+        """
+        if self._lex_order is None:
+            check_pair_cap(len(self))
+            addrs = self.addresses
+            order = sorted(range(len(addrs)), key=addrs.__getitem__)
+            split = [
+                common_prefix(addrs[i], addrs[k]) for i, k in zip(order, order[1:])
+            ]
+            self._lex_order = order, split
+        return self._lex_order
+
+    def least_distance(self):
+        """The least positive realized distance (0 for a single address): on
+        a tree, lam to the deepest level at which some cylinder splits."""
+        if self.is_tree:
+            _, split = self.lex_order()
+            return self.metric.lam ** max(split) if split else Fraction(0)
+        realized, _ = self.pair_ranks()
+        return realized[1] if len(self) > 1 else Fraction(0)
+
     def pair_ranks(self):
-        """(realized, rank): the ascending exact distances, 0 first, and the
-        n x n matrix of each pair's index into them.
+        """(realized, rank) of a model whose metric has integer pair keys:
+        the ascending exact distances, 0 first, and the n x n matrix of each
+        pair's index into them.
 
         Built on first use from the metric's integer pair keys and cached;
         above DEFAULT_PAIR_CAP addresses it refuses before computing a pair,
@@ -259,8 +256,12 @@ class CantorModel:
         return [a for a in self.addresses if self.cylinder_key(a, j) == key]
 
     def diameter(self, subset):
-        """Largest distance within the subset: the realized distance at the
-        subset's largest pair rank (0 for fewer than two addresses)."""
+        """Largest distance within the subset (0 for fewer than two
+        addresses): on a tree, the distance between its lexicographically
+        least and greatest addresses; otherwise the realized distance at its
+        largest pair rank."""
+        if self.is_tree:
+            return self.distance(min(subset), max(subset)) if subset else Fraction(0)
         import numpy as np
 
         realized, rank = self.pair_ranks()
@@ -278,7 +279,7 @@ class CantorModel:
 
         addrs = self.addresses
         n = len(addrs)
-        ultra = isinstance(self.metric, TreeMetric)
+        ultra = self.is_tree
         rng = random.Random(seed)
         distance = functools.cache(self.distance)
 
@@ -458,56 +459,75 @@ def is_minimal(action):
 
 # ------------------------------------------------------------- word groups
 
-def enumerate_word_perms(action, max_length, *, perm_cap=200000):
+def _word_ball(tokens, identity, max_length, perm_cap, compose):
     """Distinct permutations realized by words of length <= max_length.
 
     Breadth-first over (length, token order) with dedup by permutation, so
     the result is the Cayley ball of the induced permutation group.  Returns
-    (pairs, completed_length) where pairs is a list of (word, perm_array)
-    with the empty word first.  Layers are atomic: when the cap would be
-    exceeded, the whole partial layer is dropped and completed_length
-    reports the last full layer.
-    """
-    import numpy as np
+    (pairs, completed_length) where pairs is a list of (word, perm) with the
+    empty word first.  Layers are atomic: when the cap would be exceeded, the
+    whole partial layer is dropped and completed_length reports the last full
+    layer.
 
-    n = len(action.model)
-    tokens = action.signed_tokens()
-    token_arrays = [
-        (name, sign, np.array(action.token_perm(name, sign), dtype=np.int32))
-        for name, sign in tokens
-    ]
-    ident = np.arange(n, dtype=np.int32)
-    seen = {ident.tobytes()}
-    order = [((), ident)]
-    frontier = [((), ident)]
+    Permutations are hashable values of the caller's choosing: `identity` is
+    one, `tokens` holds (token, token permutation) pairs, and `compose(perm)`
+    returns the map from a token's permutation to the token applied after
+    `perm` (i -> p[perm[i]]).
+    """
+    seen = {identity}  # an overflowing layer's keys stay: the search ends there
+    order = [((), identity)]
+    frontier = [((), identity)]
     completed = 0
     for layer in range(1, max_length + 1):
         new = []
-        layer_keys = set()
-        overflow = False
         for word, perm in frontier:
-            for name, sign, p in token_arrays:
-                key = p[perm].tobytes()  # token applied after the word
-                if key in seen or key in layer_keys:
+            after = compose(perm)
+            for token, p in tokens:
+                key = after(p)
+                size = len(seen)
+                seen.add(key)
+                if len(seen) == size:
                     continue
-                if len(seen) + len(layer_keys) >= perm_cap:
-                    overflow = True
-                    break
-                layer_keys.add(key)
-                comp = np.frombuffer(key, dtype=np.int32)  # shares the key's bytes
-                new.append((((name, sign),) + word, comp))
-            if overflow:
-                break
-        if overflow:
-            break
+                if size >= perm_cap:
+                    return order, completed
+                new.append(((token,) + word, key))
         if not new:
-            completed = max_length
-            break
-        seen.update(layer_keys)
+            return order, max_length
         order.extend(new)
         frontier = new
         completed = layer
     return order, completed
+
+
+def enumerate_word_perms(action, max_length, *, perm_cap=200000):
+    """The word ball (`_word_ball`) with each permutation an int32 array,
+    for callers that gather arrays through it."""
+    import numpy as np
+
+    def compose(key):
+        perm = np.frombuffer(key, dtype=np.int32)
+        return lambda p: p[perm].tobytes()
+
+    tokens = [
+        (token, np.array(action.token_perm(*token), dtype=np.int32))
+        for token in action.signed_tokens()
+    ]
+    identity = np.arange(len(action.model), dtype=np.int32).tobytes()
+    ball, completed = _word_ball(tokens, identity, max_length, perm_cap, compose)
+    return [(word, np.frombuffer(key, dtype=np.int32)) for word, key in ball], completed
+
+
+def enumerate_word_tuples(action, max_length, *, perm_cap=200000):
+    """The word ball (`_word_ball`) with each permutation a tuple, composed
+    by operator.itemgetter: no numpy."""
+
+    def compose(perm):
+        get = operator.itemgetter(*perm)
+        return get if len(perm) > 1 else lambda p: (get(p),)  # one item comes back bare
+
+    tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
+    identity = tuple(range(len(action.model)))
+    return _word_ball(tokens, identity, max_length, perm_cap, compose)
 
 
 # ------------------------------------------------------------ modulus table
@@ -566,6 +586,41 @@ def _image_ranks(rank, perm):
 
 def modulus_table(action):
     """Exact kappa over all pairs and all generators (with inverses)."""
+    engine = _cylinder_modulus_rows if action.model.is_tree else _rank_modulus_rows
+    return ModulusTable(engine(action), tuple(sorted(action.generators)))
+
+
+def _cylinder_modulus_rows(action):
+    """The pairs within lam^j are the pairs inside one depth-j cylinder, so
+    kappa(lam^j) is lam to the least common-prefix length of a depth-j
+    cylinder's image under a token, over cylinders with two or more members;
+    one row per level j at which some cylinder splits."""
+    model = action.model
+    addrs = model.addresses
+    order, split = model.lex_order()
+    position = [0] * len(order)
+    for t, i in enumerate(order):
+        position[i] = t
+    # images[g][t]: lexicographic position of token g's image of the t-th address
+    images = []
+    for name, sign in action.signed_tokens():
+        perm = action.token_perm(name, sign)
+        images.append([position[perm[i]] for i in order])
+    lam = model.metric.lam
+    rows = []
+    for j in sorted(set(split)):
+        cuts = [0] + [t + 1 for t, s in enumerate(split) if s < j] + [len(order)]
+        runs = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+        least = min(
+            common_prefix(addrs[order[min(img[lo:hi])]], addrs[order[max(img[lo:hi])]])
+            for img in images
+            for lo, hi in runs
+        )
+        rows.append((lam ** j, lam ** least))
+    return tuple(rows)
+
+
+def _rank_modulus_rows(action):
     import numpy as np
 
     n = len(action.model)
@@ -579,10 +634,9 @@ def modulus_table(action):
     worst = np.zeros(len(realized), dtype=rank.dtype)
     np.maximum.at(worst, pair_rank, img[iu])
     kappa = np.maximum.accumulate(worst)
-    rows = tuple(
+    return tuple(
         (realized[r], realized[kappa[r]]) for r in np.unique(pair_rank)[::-1]
     )
-    return ModulusTable(rows, tuple(sorted(action.generators)))
 
 
 # --------------------------------------------------------------- distality
@@ -608,10 +662,14 @@ def is_distal(action, word_length=8, *, perm_cap=20000):
     budget, for the exhaustively enumerated length and the number of
     distinct word permutations it reports.  Per-pair deltas are a test
     oracle (tests/helpers.brute_force_distality).
+
+    A tree model's ball is counted on tuples, so that the command loads no
+    numpy; on the rank-matrix route numpy is loaded already, and the array
+    ball is faster on models of a few hundred addresses.
     """
-    realized, _ = action.model.pair_ranks()
-    words, word_length = enumerate_word_perms(action, word_length, perm_cap=perm_cap)
-    min_delta = realized[1] if len(action.model) > 1 else Fraction(0)
+    min_delta = action.model.least_distance()
+    ball = enumerate_word_tuples if action.model.is_tree else enumerate_word_perms
+    words, word_length = ball(action, word_length, perm_cap=perm_cap)
     return DistalityVerdict(True, word_length, min_delta, len(words))
 
 
@@ -632,27 +690,37 @@ class CylinderMeasure:
         if sum(w for _, w in ws) != 1:
             raise StructureError("measure weights must total exactly 1")
         object.__setattr__(self, "_lookup", dict(ws))
+        # one integer class per distinct weight; addresses outside the
+        # support weigh 0
+        classes = {}
+        class_of = {a: classes.setdefault(w, len(classes)) for a, w in ws}
+        object.__setattr__(self, "_class_of", class_of)
+        zero = classes.setdefault(Fraction(0), len(classes))
+        object.__setattr__(self, "_zero_class", zero)
 
     def weight(self, address):
         return self._lookup.get(address, Fraction(0))
+
+    def weight_classes(self, addresses):
+        """The weight-class vector over the addresses: two addresses share a
+        class exactly when their weights are equal."""
+        return [self._class_of.get(a, self._zero_class) for a in addresses]
 
 
 def pushforward_invariant(action, measure, tokens=None):
     """Exact check that g_* mu = mu for every signed generator token.
 
     `tokens` is a list of (name, sign) pairs; it defaults to every generator
-    and its inverse.
+    and its inverse.  (g_* mu)(a) = mu(g^-1 a), so g_* mu = mu exactly when
+    the weight classes w satisfy w[inv[i]] == w[i] at every address index i,
+    with inv the permutation of g^-1; each token compares two integer lists.
     """
     if tokens is None:
         tokens = action.signed_tokens()
-    for name, sign in tokens:
-        inv = _invert_perm(action.token_perm(name, sign))
-        for a in action.model.addresses:
-            # (g_* mu)(a) = mu(g^{-1} a)
-            pre = action.model.addresses[inv[action.model.index[a]]]
-            if measure.weight(pre) != measure.weight(a):
-                return False
-    return True
+    w = measure.weight_classes(action.model.addresses)
+    return all(
+        [w[j] for j in action.token_perm(name, -sign)] == w for name, sign in tokens
+    )
 
 
 def invariant_measure(action, verdict=None):

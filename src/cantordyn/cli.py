@@ -102,6 +102,8 @@ def _parse_address(action, text):
 
 
 def _chain_for(cfg):
+    """The config's chain, built and validated once per command, truncated
+    to the requested depth (the chain's own when none is set)."""
     chain = cfg.build_chain()
     depth = cfg.depth if cfg.depth is not None else chain.depth
     return chain.truncate(depth), depth
@@ -181,20 +183,19 @@ def _pairwise_depth(chain, depth, cap=DEFAULT_PAIR_CAP):
     return best
 
 
-def cmd_classify(cfg, report):
-    if cfg.kind == "chain":
-        chain, depth = _chain_for(cfg)
+def cmd_classify(cfg, chain, report):
+    if chain is not None:
         report.section("chain")
         report.add("label", chain.label, 1)
-        report.add("levels", depth, 1)
+        report.add("levels", chain.depth, 1)
         report.add("indices", chain.indices(), 1)
 
-        tower = build_tower(chain, depth)
+        tower = build_tower(chain)
         action = tower.boundary_action(cfg.lam)
-        pair_depth = _pairwise_depth(chain, depth)
+        pair_depth = _pairwise_depth(chain, chain.depth)
         pair_action = (
             action
-            if pair_depth == depth
+            if pair_depth == chain.depth
             else tower.truncate(pair_depth).boundary_action(cfg.lam)
         )
         _dynamics_sections(
@@ -262,13 +263,12 @@ def cmd_compare(cfg_a, cfg_b, report):
     return report
 
 
-def cmd_code(cfg, report):
+def cmd_code(cfg, chain, report):
     from .coding import coding_chain  # imports numpy, which most commands never load
 
-    if cfg.kind == "chain":
-        chain, depth = _chain_for(cfg)
+    if chain is not None:
         check_pair_cap(chain.indices()[-1])  # refuse before any coset
-        tower = build_tower(chain, depth)
+        tower = build_tower(chain)
         action = tower.boundary_action(cfg.lam)
     else:
         action = cfg.build_action()
@@ -321,10 +321,9 @@ def cmd_code(cfg, report):
     return report
 
 
-def cmd_holonomy(cfg, word_text, address_text, report):
-    if cfg.kind == "chain":
-        chain, depth = _chain_for(cfg)
-        action = boundary_action(chain, depth, lam=cfg.lam)
+def cmd_holonomy(cfg, chain, word_text, address_text, report):
+    if chain is not None:
+        action = boundary_action(chain, lam=cfg.lam)
     else:
         action = cfg.build_action()
     word = parse_word(word_text)
@@ -346,10 +345,9 @@ def cmd_holonomy(cfg, word_text, address_text, report):
     return report
 
 
-def cmd_measure(cfg, report):
-    if cfg.kind == "chain":
-        chain, depth = _chain_for(cfg)
-        action = boundary_action(chain, depth, lam=cfg.lam)
+def cmd_measure(cfg, chain, report):
+    if chain is not None:
+        action = boundary_action(chain, lam=cfg.lam)
     else:
         action = cfg.build_action()
     mu = invariant_measure(action)
@@ -422,18 +420,16 @@ def run(argv):
     else:
         cfg = _apply_overrides(_load_config(args.config), args)
         report.add("config", args.config)
-        depth = cfg.depth
-        if cfg.kind == "chain" and depth is None:
-            depth = cfg.build_chain().depth
+        chain, depth = _chain_for(cfg) if cfg.kind == "chain" else (None, cfg.depth)
         _params_section(report, cfg, depth)
         if args.command == "classify":
-            cmd_classify(cfg, report)
+            cmd_classify(cfg, chain, report)
         elif args.command == "code":
-            cmd_code(cfg, report)
+            cmd_code(cfg, chain, report)
         elif args.command == "holonomy":
-            cmd_holonomy(cfg, args.word, args.address, report)
+            cmd_holonomy(cfg, chain, args.word, args.address, report)
         elif args.command == "measure":
-            cmd_measure(cfg, report)
+            cmd_measure(cfg, chain, report)
 
     elapsed_ms = (time.monotonic() - started) * 1000
     text = report.render(timing_ms=elapsed_ms)

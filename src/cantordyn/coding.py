@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .action import enumerate_word_perms, modulus_table
+from .action import common_prefix, enumerate_word_perms, modulus_table
 from .errors import InvariantViolation, StructureError
 
 DEFAULT_WORD_BOUND = 8
@@ -345,11 +345,32 @@ def _least_cylinder_depth(model, subset, bound):
 
 def _eta_of_partition(model, partition, *, include_complement):
     """Least distance between distinct blocks (and to the complement), or
-    None when no such pair exists."""
-    realized, rank = model.pair_ranks()
-    block_id = np.zeros(len(model), dtype=np.intp)
+    None when no such pair exists.
+
+    On a tree, the closest pair with different block labels (the complement
+    labelled 0) is lexicographically adjacent among the labelled addresses,
+    so eta is lam to the deepest common prefix of such an adjacent pair.
+    """
+    block_id = [0] * len(model)
     for i, b in enumerate(partition.blocks, start=1):
-        block_id[[model.index[a] for a in b]] = i
+        for a in b:
+            block_id[model.index[a]] = i
+    if model.is_tree:
+        order, _ = model.lex_order()
+        if not include_complement:
+            order = [i for i in order if block_id[i]]
+        addrs = model.addresses
+        deepest = max(
+            (
+                common_prefix(addrs[i], addrs[k])
+                for i, k in zip(order, order[1:])
+                if block_id[i] != block_id[k]
+            ),
+            default=None,
+        )
+        return None if deepest is None else model.metric.lam ** deepest
+    realized, rank = model.pair_ranks()
+    block_id = np.array(block_id, dtype=np.intp)
     inside = np.nonzero(block_id)[0]
     ids = block_id[inside]
     gaps = [rank[np.ix_(inside, inside)][ids[:, None] != ids[None, :]]]

@@ -1,4 +1,14 @@
-"""Pytest hooks: print one pass/fail line per acceptance criterion."""
+"""Pytest hooks: print one pass/fail line per acceptance criterion, and the
+Hypothesis profile every property test runs under."""
+
+from hypothesis import settings
+
+# Derandomized, with a fixed example count: each run checks the same inputs
+# in a bounded time, and no example database is written.
+settings.register_profile(
+    "tier1", derandomize=True, max_examples=60, deadline=None, database=None
+)
+settings.load_profile("tier1")
 
 CRITERION_LINES = []
 

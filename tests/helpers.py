@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,11 +11,75 @@ import numpy as np
 from cantordyn.action import (
     CantorAction,
     CantorModel,
-    ExplicitMetric,
     TreeMetric,
+    _agreement_levels,
+    common_prefix,
     enumerate_word_perms,
 )
 from cantordyn.affine import conjugate, subgroup_intersect, subgroup_le
+from cantordyn.errors import StructureError
+
+
+# ------------------------------------------------- metrics with pair keys
+
+@dataclass(frozen=True)
+class ExplicitMetric:
+    """Exact rational distance table over the address set."""
+
+    table: tuple  # tuple of ((a, b), Fraction) with a < b in address order
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lookup", dict(self.table))
+
+    def distance(self, a, b):
+        if a == b:
+            return F(0)
+        key = (a, b) if (a, b) in self._lookup else (b, a)
+        try:
+            return self._lookup[key]
+        except KeyError:
+            raise StructureError(f"distance table has no entry for {a!r}, {b!r}")
+
+    def pair_keys(self, addresses):
+        """Ranks of the table's distances, each pair looked up once."""
+        n = len(addresses)
+        dist = {
+            (i, j): self.distance(addresses[i], addresses[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+        }
+        values = sorted(set(dist.values()) | {F(0)})
+        key_of = {d: key for key, d in enumerate(values)}
+        keys = np.zeros((n, n), dtype=np.int64)
+        for (i, j), d in dist.items():
+            keys[i, j] = keys[j, i] = key_of[d]
+        return keys, values.__getitem__
+
+
+@dataclass(frozen=True)
+class RankedTreeMetric:
+    """The tree ultrametric lam^j with integer pair keys and no TreeMetric
+    type, so that a model over it runs the rank-matrix engines: the oracle
+    for the cylinder engines of tree models."""
+
+    lam: F
+
+    def distance(self, a, b):
+        return self.lam ** common_prefix(a, b) if a != b else F(0)
+
+    def pair_keys(self, addresses):
+        """Keys depth - (agreement level); key 0 only on the diagonal."""
+        digits = np.array(addresses, dtype=np.int64)
+        depth = digits.shape[1]
+        keys = depth - _agreement_levels(digits)
+        return keys, lambda key: self.lam ** (depth - int(key)) if key else F(0)
+
+
+def rank_oracle(action):
+    """The action on a copy of its tree model over RankedTreeMetric."""
+    model = action.model
+    ranked = CantorModel(model.addresses, model.depth, RankedTreeMetric(model.metric.lam))
+    return CantorAction(ranked, action.generators, action.basepoint, action.label)
 
 
 def three_point_action():
@@ -109,6 +174,21 @@ def brute_force_eta(model, partition, *, include_complement):
         outside = [a for a in model.addresses if a not in partition.window]
         pairs += itertools.product(partition.window, outside)
     return min(_distances_between(model, pairs), default=None)
+
+
+def brute_force_pushforward_invariant(action, measure, tokens=None):
+    """g_* mu = mu for each signed token, comparing Fraction weights address
+    by address: (g_* mu)(a) = mu(g^-1 a)."""
+    model = action.model
+    if tokens is None:
+        tokens = action.signed_tokens()
+    for name, sign in tokens:
+        inv = {j: i for i, j in enumerate(action.token_perm(name, sign))}
+        for a in model.addresses:
+            pre = model.addresses[inv[model.index[a]]]
+            if measure.weight(pre) != measure.weight(a):
+                return False
+    return True
 
 
 def dense_schreier_diameter(action):

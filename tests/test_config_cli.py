@@ -186,7 +186,7 @@ def test_invariant_violation_exits_four(capsys, monkeypatch):
     from cantordyn import cli as cli_module
     from cantordyn.errors import InvariantViolation
 
-    def boom(cfg, report):
+    def boom(*args):
         raise InvariantViolation("synthetic violation")
 
     monkeypatch.setattr(cli_module, "cmd_classify", boom)
@@ -376,6 +376,33 @@ def test_classify_checks_minimality_and_invariance_once(capsys, monkeypatch, arg
     assert calls == {"is_minimal": 1, "pushforward_invariant": 1}
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("classify", "configs/rt.cfg"),
+        ("code", "configs/vietoris5.cfg"),
+        ("measure", "configs/vietoris5.cfg"),
+        ("holonomy", "configs/vietoris2.cfg", "--word", "t*t^-1", "--at", "0.0.0.0"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_chain_commands_build_the_chain_once(capsys, monkeypatch, args):
+    from cantordyn.config import Config
+
+    calls = []
+    build_chain = Config.build_chain
+
+    def counted(self):
+        calls.append(self)
+        return build_chain(self)
+
+    monkeypatch.setattr(Config, "build_chain", counted)
+    assert parse_config((REPO / args[1]).read_text()).depth is None
+    rc, _, _ = run_cli(capsys, args[0], str(REPO / args[1]), *args[2:])
+    assert rc == 0
+    assert len(calls) == 1
+
+
 def test_commands_without_an_engine_never_load_numpy():
     import os
     import subprocess
@@ -390,6 +417,11 @@ runs = [
     ["measure", "perfbench/configs/warp_d4.cfg"],
     ["holonomy", "perfbench/configs/warp_d4.cfg", "--word", "g1", "--at", "w0"],
     ["classify", "configs/fo.cfg", "--words", "-2"],
+    ["classify", "perfbench/configs/klein_3_5_mid.cfg"],
+    ["classify", "configs/small_fo.cfg", "--depth", "2"],
+    ["classify", "configs/fo.cfg", "--depth", "1"],
+    ["classify", "configs/rt.cfg"],
+    ["classify", "configs/vietoris5.cfg"],
 ]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(argv) for argv in runs]
@@ -407,7 +439,7 @@ print(codes, "numpy" in sys.modules)
         text=True,
         check=True,
     )
-    assert proc.stdout == "[0, 0, 0, 2] False\n"
+    assert proc.stdout == "[0, 0, 0, 2, 0, 0, 0, 0, 0] False\n"
 
 
 def test_depth_override_reaches_action_configs(capsys):

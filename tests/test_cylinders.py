@@ -1,0 +1,192 @@
+"""Cylinder engines of tree models against the rank-matrix oracle, the word
+ball on tuples against the array ball, and the weight-class pushforward check
+against the Fraction oracle."""
+
+import itertools
+import math
+import pathlib
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cantordyn.action import (
+    CantorAction,
+    CantorModel,
+    CylinderMeasure,
+    TreeMetric,
+    enumerate_word_perms,
+    enumerate_word_tuples,
+    invariant_measure,
+    is_distal,
+    modulus_table,
+    pushforward_invariant,
+)
+from cantordyn.coding import (
+    ClopenPartition,
+    _eta_of_partition,
+    cylinder_partition,
+    default_window,
+)
+from cantordyn.config import parse_config
+from cantordyn.gallery import (
+    fokkink_oversteegen,
+    rogers_tollefson,
+    small_fo_variant,
+    vietoris,
+    warp_example,
+)
+from cantordyn.tower import boundary_action
+from helpers import brute_force_pushforward_invariant, random_tree_action, rank_oracle
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def klein_3_5_mid():
+    text = (REPO / "perfbench/configs/klein_3_5_mid.cfg").read_text()
+    return parse_config(text).build_action()
+
+
+TREE_ACTIONS = {
+    "vietoris_5_4": lambda: boundary_action(vietoris(5, 4)),
+    "rogers_tollefson_3": lambda: boundary_action(rogers_tollefson(3)),
+    "fokkink_oversteegen_1": lambda: boundary_action(fokkink_oversteegen(1)),
+    "small_fo_3": lambda: boundary_action(small_fo_variant(3)),
+    "klein_3_5_mid": klein_3_5_mid,
+    **{f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed)) for seed in range(12)},
+}
+
+
+def probes(action, rng):
+    """Subsets for diameters (every cylinder, random sets, the empty set) and
+    partitions for eta (cylinder partitions of the default window, and
+    random labellings of random windows)."""
+    model = action.model
+    addrs = model.addresses
+    subsets = [()]
+    for j in range(model.depth + 1):
+        subsets += cylinder_partition(model, addrs, j)
+    subsets += [rng.sample(addrs, rng.randint(1, min(40, len(addrs)))) for _ in range(10)]
+    window = default_window(action)
+    partitions = [
+        ClopenPartition.from_blocks(model, window, cylinder_partition(model, window, j))
+        for j in range(1, model.depth + 1)
+    ]
+    for _ in range(4):
+        window = rng.sample(addrs, rng.randint(1, len(addrs)))
+        labels = [rng.randint(1, 3) for _ in window]
+        blocks = [[a for a, k in zip(window, labels) if k == b] for b in (1, 2, 3)]
+        partitions.append(ClopenPartition.from_blocks(model, window, blocks))
+    return subsets, partitions
+
+
+def engine_answers(action, subsets, partitions):
+    model = action.model
+    return (
+        modulus_table(action).rows,
+        is_distal(action, 0).min_delta,
+        [model.diameter(s) for s in subsets],
+        [
+            _eta_of_partition(model, p, include_complement=complement)
+            for p in partitions
+            for complement in (False, True)
+        ],
+    )
+
+
+def refuse_pair_ranks(self):
+    raise AssertionError("a tree model built its pair-rank matrix")
+
+
+def assert_cylinders_match_rank_oracle(action, seed=0):
+    subsets, partitions = probes(action, random.Random(seed))
+    expected = engine_answers(rank_oracle(action), subsets, partitions)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CantorModel, "pair_ranks", refuse_pair_ranks)
+        assert engine_answers(action, subsets, partitions) == expected
+
+
+@pytest.mark.parametrize("name", TREE_ACTIONS)
+def test_cylinder_engines_match_the_rank_oracle(name):
+    assert_cylinders_match_rank_oracle(TREE_ACTIONS[name]())
+
+
+@pytest.mark.parametrize("name", TREE_ACTIONS)
+def test_tuple_ball_is_the_array_ball(name):
+    action = TREE_ACTIONS[name]()
+    for perm_cap in (20000, 50):
+        tuples, completed = enumerate_word_tuples(action, 8, perm_cap=perm_cap)
+        arrays, array_completed = enumerate_word_perms(action, 8, perm_cap=perm_cap)
+        assert completed == array_completed
+        assert [(w, list(p)) for w, p in tuples] == [(w, p.tolist()) for w, p in arrays]
+        verdict = is_distal(action, 8, perm_cap=perm_cap)
+        assert (verdict.word_count, verdict.word_length) == (len(arrays), completed)
+
+
+@st.composite
+def tree_actions(draw):
+    """Tree models on a random subset of a product tree, in a random address
+    order, under random bijections: isometries only by chance."""
+    branch = draw(
+        st.lists(st.integers(2, 4), min_size=1, max_size=4).filter(lambda b: math.prod(b) <= 64)
+    )
+    full = list(itertools.product(*map(range, branch)))
+    addrs = draw(st.lists(st.sampled_from(full), min_size=1, max_size=len(full), unique=True))
+    lam = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3)]))
+    model = CantorModel(addrs, len(branch), TreeMetric(lam))
+    perms = draw(st.lists(st.permutations(range(len(addrs))), min_size=1, max_size=3))
+    gens = {f"a{i}": tuple(p) for i, p in enumerate(perms)}
+    return CantorAction(model, gens, addrs[0])
+
+
+@given(tree_actions(), st.integers(0, 2 ** 16))
+def test_cylinder_engines_match_the_rank_oracle_on_random_bijections(action, seed):
+    assert_cylinders_match_rank_oracle(action, seed)
+
+
+# ------------------------------------------------------------- pushforward
+
+def measures(action, rng):
+    """The invariant measure and measures that fail invariance under some
+    or every token: a point mass, a cylinder, random rational weights."""
+    model = action.model
+    addrs = model.addresses
+    cylinder = model.cylinder_members(action.basepoint, 1)
+    raw = [rng.randint(0, 3) for _ in addrs]
+    raw[0] += 1
+    return [
+        invariant_measure(action),
+        CylinderMeasure(((action.basepoint, F(1)),)),
+        CylinderMeasure(tuple((a, F(1, len(cylinder))) for a in cylinder)),
+        CylinderMeasure(tuple((a, F(w, sum(raw))) for a, w in zip(addrs, raw))),
+    ]
+
+
+def refuse_weight(self, address):
+    raise AssertionError("the pushforward check read a Fraction weight")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: boundary_action(vietoris(2, 3)),
+        lambda: boundary_action(fokkink_oversteegen(1)),
+        lambda: warp_example(3, 2, include_free_factor=False),
+        lambda: warp_example(2, 2),
+        lambda: random_tree_action(3),
+    ],
+    ids=["vietoris_2_3", "fokkink_oversteegen_1", "warp_fiber_only", "warp_2", "random_tree_3"],
+)
+def test_pushforward_check_matches_the_fraction_oracle(build):
+    action = build()
+    cases = [[token] for token in action.signed_tokens()] + [None]
+    verdicts = []
+    for mu in measures(action, random.Random(len(action.model))):
+        expected = [brute_force_pushforward_invariant(action, mu, c) for c in cases]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CylinderMeasure, "weight", refuse_weight)
+            assert [pushforward_invariant(action, mu, c) for c in cases] == expected
+        verdicts += expected
+    assert True in verdicts and False in verdicts

@@ -13,8 +13,6 @@ from cantordyn.action import (
     DEFAULT_PAIR_CAP,
     CantorAction,
     CantorModel,
-    ExplicitMetric,
-    TreeMetric,
     WarpMetric,
     is_distal,
     modulus_table,
@@ -30,12 +28,15 @@ from cantordyn.config import parse_config
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import warp_example, warp_model
 from helpers import (
+    ExplicitMetric,
+    RankedTreeMetric,
     brute_force_diameter,
     brute_force_distality,
     brute_force_eta,
     brute_force_modulus_rows,
     pair_distances,
     random_tree_action,
+    rank_oracle,
     three_point_action,
 )
 
@@ -76,16 +77,17 @@ def test_pair_ranks_match_an_explicit_table():
 
 @pytest.mark.parametrize("seed", TREE_SEEDS)
 def test_pair_ranks_match_tree_distances(seed):
-    assert_ranks_match_distances(random_tree_action(seed, max_addresses=128).model)
+    action = rank_oracle(random_tree_action(seed, max_addresses=128))
+    assert_ranks_match_distances(action.model)
 
 
 def test_pair_ranks_refuse_above_the_cap_before_any_pair(monkeypatch):
     def no_pairs(self, addresses):
         raise AssertionError("pair keys computed above the cap")
 
-    monkeypatch.setattr(TreeMetric, "pair_keys", no_pairs)
+    monkeypatch.setattr(RankedTreeMetric, "pair_keys", no_pairs)
     model = CantorModel(
-        [(i,) for i in range(DEFAULT_PAIR_CAP + 1)], 1, TreeMetric(F(1, 2))
+        [(i,) for i in range(DEFAULT_PAIR_CAP + 1)], 1, RankedTreeMetric(F(1, 2))
     )
     with pytest.raises(ResourceLimitError):
         model.pair_ranks()
@@ -211,6 +213,45 @@ def test_warp_commands_compute_each_distance_once(capsys, monkeypatch, command):
     assert calls["distance"] == 0
     assert len(built) == 1
     assert ranked == {id(built[0])}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "perfbench/configs/klein_3_5_mid.cfg"],
+        ["classify", "configs/small_fo.cfg", "--depth", "2"],
+        ["classify", "configs/fo.cfg", "--depth", "1"],
+        ["classify", "configs/rt.cfg"],
+        ["classify", "configs/vietoris5.cfg"],
+        ["code", "perfbench/configs/klein_3_5_mid.cfg"],
+        ["code", "configs/small_fo.cfg", "--depth", "2"],
+        ["code", "configs/rt.cfg"],
+        ["code", "configs/vietoris5.cfg"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_chain_commands_never_build_a_rank_matrix(capsys, monkeypatch, argv):
+    calls = {"pair_ranks": 0, "_pair_rank_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        CantorModel, "pair_ranks", counted("pair_ranks", CantorModel.pair_ranks)
+    )
+    monkeypatch.setattr(
+        action_module,
+        "_pair_rank_matrix",
+        counted("_pair_rank_matrix", action_module._pair_rank_matrix),
+    )
+    monkeypatch.chdir(CONFIG_DIR.parent)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls == {"pair_ranks": 0, "_pair_rank_matrix": 0}
 
 
 def test_classify_gathers_the_rank_matrix_once_per_token_and_never_per_word(
