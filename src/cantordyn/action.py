@@ -14,8 +14,9 @@ order-isomorphic to the distances (numerators over one common denominator on
 the warp product), so those engines compare integers and read exact
 Fractions back only for the values they report.  Nothing here touches
 floating point.  numpy is imported inside the rank-matrix engines and the
-array word ball, so a command on a tree model (chain `classify`) never loads
-it.
+array word ball; a tree model counts its word ball on tuples, so a command on
+a tree model (chain `classify` and `code`) never loads it.  Uniform measures
+are built as one weight class, with no per-address Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -517,17 +518,19 @@ def enumerate_word_perms(action, max_length, *, perm_cap=200000):
     return [(word, np.frombuffer(key, dtype=np.int32)) for word, key in ball], completed
 
 
+def tuple_getter(indices):
+    """The map p -> tuple(p[i] for i in indices), through operator.itemgetter;
+    `indices` is a nonempty sequence."""
+    get = operator.itemgetter(*indices)
+    return get if len(indices) > 1 else lambda p: (get(p),)  # one item comes back bare
+
+
 def enumerate_word_tuples(action, max_length, *, perm_cap=200000):
     """The word ball (`_word_ball`) with each permutation a tuple, composed
-    by operator.itemgetter: no numpy."""
-
-    def compose(perm):
-        get = operator.itemgetter(*perm)
-        return get if len(perm) > 1 else lambda p: (get(p),)  # one item comes back bare
-
+    by `tuple_getter`: no numpy."""
     tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
     identity = tuple(range(len(action.model)))
-    return _word_ball(tokens, identity, max_length, perm_cap, compose)
+    return _word_ball(tokens, identity, max_length, perm_cap, tuple_getter)
 
 
 # ------------------------------------------------------------ modulus table
@@ -677,7 +680,12 @@ def is_distal(action, word_length=8, *, perm_cap=20000):
 
 @dataclass(frozen=True)
 class CylinderMeasure:
-    """Exact rational weights per address with total mass one."""
+    """Exact rational weights per address with total mass one.
+
+    Each distinct weight is an integer class: `support_weights` lists the
+    distinct weights of the support in order of first appearance, and an
+    address outside the support weighs 0.
+    """
 
     weights: tuple  # tuple of (address, Fraction)
     support_label: str = "full"
@@ -689,17 +697,35 @@ class CylinderMeasure:
             raise StructureError("measure weights must be nonnegative")
         if sum(w for _, w in ws) != 1:
             raise StructureError("measure weights must total exactly 1")
-        object.__setattr__(self, "_lookup", dict(ws))
-        # one integer class per distinct weight; addresses outside the
-        # support weigh 0
         classes = {}
         class_of = {a: classes.setdefault(w, len(classes)) for a, w in ws}
+        self._set_classes(class_of, classes)
+
+    @classmethod
+    def uniform(cls, support, label="full"):
+        """Weight 1/m on each of m addresses, built as one weight class: no
+        per-address Fraction arithmetic, and the total is 1 by construction."""
+        support = tuple(support)
+        if not support:
+            raise StructureError("a uniform measure needs a nonempty support")
+        w = Fraction(1, len(support))
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "weights", tuple((a, w) for a in support))
+        object.__setattr__(mu, "support_label", label)
+        mu._set_classes(dict.fromkeys(support, 0), {w: 0})
+        return mu
+
+    def _set_classes(self, class_of, classes):
+        """Store the address -> class and weight -> class maps; the weight 0
+        gets a class of its own unless the support has it."""
         object.__setattr__(self, "_class_of", class_of)
+        object.__setattr__(self, "support_weights", tuple(classes))
         zero = classes.setdefault(Fraction(0), len(classes))
         object.__setattr__(self, "_zero_class", zero)
+        object.__setattr__(self, "_class_weight", tuple(classes))
 
     def weight(self, address):
-        return self._lookup.get(address, Fraction(0))
+        return self._class_weight[self._class_of.get(address, self._zero_class)]
 
     def weight_classes(self, addresses):
         """The weight-class vector over the addresses: two addresses share a
@@ -733,18 +759,11 @@ def invariant_measure(action, verdict=None):
     if verdict is None:
         verdict = is_minimal(action)
     if verdict.minimal:
-        n = len(action.model)
-        mu = CylinderMeasure(
-            tuple((a, Fraction(1, n)) for a in action.model.addresses), "full"
-        )
+        mu = CylinderMeasure.uniform(action.model.addresses, "full")
     else:
-        orb = sorted(
-            verdict.witness_orbit, key=lambda a: action.model.index[a]
-        )
-        m = len(orb)
-        mu = CylinderMeasure(
-            tuple((a, Fraction(1, m)) for a in orb),
-            f"orbit-closure of {action.basepoint!r} ({m} addresses)",
+        orb = sorted(verdict.witness_orbit, key=action.model.index.__getitem__)
+        mu = CylinderMeasure.uniform(
+            orb, f"orbit-closure of {action.basepoint!r} ({len(orb)} addresses)"
         )
     if not pushforward_invariant(action, mu):
         raise StructureError("constructed measure failed exact invariance")

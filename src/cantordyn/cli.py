@@ -160,9 +160,8 @@ def _dynamics_sections(report, action, cfg, *, pair_action=None, pair_depth=None
     mu = invariant_measure(action, minimal)
     report.section("measure")
     report.add("support", mu.support_label, 1)
-    weights = {w for _, w in mu.weights}
-    if len(weights) == 1:
-        report.add("weight", next(iter(weights)), 1)
+    if len(mu.support_weights) == 1:
+        report.add("weight", mu.support_weights[0], 1)
     else:
         report.add("weights", len(mu.weights), 1)
     # invariant_measure verified exact invariance; it raises otherwise
@@ -264,7 +263,7 @@ def cmd_compare(cfg_a, cfg_b, report):
 
 
 def cmd_code(cfg, chain, report):
-    from .coding import coding_chain  # imports numpy, which most commands never load
+    from .coding import coding_chain  # only code pays for defining its dataclasses
 
     if chain is not None:
         check_pair_cap(chain.indices()[-1])  # refuse before any coset
@@ -354,9 +353,8 @@ def cmd_measure(cfg, chain, report):
     report.section("measure")
     report.add("support", mu.support_label, 1)
     report.add("addresses", len(mu.weights), 1)
-    weights = {w for _, w in mu.weights}
-    if len(weights) == 1:
-        report.add("weight", next(iter(weights)), 1)
+    if len(mu.support_weights) == 1:
+        report.add("weight", mu.support_weights[0], 1)
     for name in action.generators:
         report.add(
             f"invariant_under {name}",

@@ -10,6 +10,11 @@ the window.  The word-length truncation is validated against an equivalent
 fixed-point partition refinement and raised automatically when they differ.
 All diameters, gaps, and thresholds are exact rationals; no comparison uses
 a tolerance.
+
+Each return word keeps only its restriction to W, a tuple of address indices,
+which is all the chain reads.  A tree model (every chain) enumerates its word
+ball on tuples, and the Schreier diameter grows Python-int bitsets, so `code`
+on a chain loads no numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from .action import common_prefix, enumerate_word_perms, modulus_table
+from .action import (
+    common_prefix,
+    enumerate_word_perms,
+    enumerate_word_tuples,
+    modulus_table,
+    tuple_getter,
+)
 from .errors import InvariantViolation, StructureError
 
 DEFAULT_WORD_BOUND = 8
@@ -103,47 +112,58 @@ class ReturnWordSet:
     The ball enumeration is layer-atomic under a permutation budget, so
     effective_bound records the last exhaustively enumerated word length;
     one shortest transition word per reachable window address is always
-    included regardless of its length.
+    included regardless of its length.  `images[k][t]` is the address index
+    the k-th word sends the t-th window address to, `window` holding their
+    indices in ascending order: the level set, its base blocks and every
+    translate lie in the window.
     """
 
     words: tuple  # tuple of word tuples, empty word first
     bound: int
     effective_bound: int
-    perms: tuple = field(compare=False, repr=False)  # np arrays aligned to words
+    window: tuple = field(compare=False, repr=False)  # window address indices
+    images: tuple = field(compare=False, repr=False)  # per word, window images
 
     def __len__(self):
         return len(self.words)
 
+    def positions(self, model, subset):
+        """Positions in `window` of the addresses of a subset of it."""
+        where = {i: t for t, i in enumerate(self.window)}
+        try:
+            return [where[model.index[a]] for a in subset]
+        except KeyError:
+            raise StructureError("subset must lie in the return words' window")
 
-def _shortest_words_into_window(action, window):
+
+def _shortest_words_into_window(action, win_idx):
     """One shortest word sending the basepoint to each window address, with
-    its permutation, as (word, perm) pairs in address order.
+    the word's window images (as in ReturnWordSet), as (word, image) pairs in
+    address order; `win_idx` holds the window's address indices, ascending.
 
     Breadth-first search over the orbit graph; every such word is a return
     word by construction, and for transitive actions their translates of any
-    basepoint block reach every window point.  Each reached address's
-    permutation is one gather of its parent's, and only the frontier's and
-    the window's are kept.
+    basepoint block reach every window point.  A token after a word sends
+    the window to the token's images of the word's window images, so each
+    reached address's image is one gather of its parent's.
     """
     model = action.model
     w0 = model.index[action.basepoint]
-    win_set = {model.index[a] for a in window}
-    tokens = [
-        ((name, sign), np.array(action.token_perm(name, sign), dtype=np.int32))
-        for name, sign in action.signed_tokens()
-    ]
-    start = ((), np.arange(len(model), dtype=np.int32))
+    win_set = set(win_idx)
+    tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
+    start = ((), tuple(win_idx))
     seen = {w0}
     found = {w0: start}  # the window holds the basepoint
     frontier = [(w0, start)]
     while frontier:
         new = []
-        for i, (word, perm) in frontier:
+        for i, (word, image) in frontier:
+            after = tuple_getter(image)
             for tok, p_tok in tokens:
-                j = int(p_tok[i])
+                j = p_tok[i]
                 if j not in seen:
                     seen.add(j)
-                    reached = ((tok,) + word, p_tok[perm])  # token after the word
+                    reached = ((tok,) + word, after(p_tok))  # token after the word
                     if j in win_set:
                         found[j] = reached
                     new.append((j, reached))
@@ -153,26 +173,37 @@ def _shortest_words_into_window(action, window):
 
 def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=20000):
     """Ball words of bounded length landing the basepoint in the window, plus
-    one shortest transition word per reachable window address."""
+    one shortest transition word per reachable window address.
+
+    A tree model enumerates its ball on tuples and loads no numpy; any other
+    model enumerates it on arrays, which is faster and smaller there, and has
+    loaded numpy already for its rank matrix.
+    """
     window = _check_clopen_window(action, window)
     model = action.model
     w0 = model.index[action.basepoint]
     win_idx = sorted(model.index[a] for a in window)
     win_set = set(win_idx)
-    win_arr = np.array(win_idx, dtype=np.int64)
-    seen = set()
-    words, perms = [], []
-    pairs, completed = enumerate_word_perms(action, bound, perm_cap=perm_budget)
-    for word, perm in pairs + _shortest_words_into_window(action, window):
-        if int(perm[w0]) not in win_set:
-            continue
-        key = perm[win_arr].tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        words.append(word)
-        perms.append(perm)
-    return ReturnWordSet(tuple(words), bound, completed, tuple(perms))
+    if model.is_tree:
+        ball, restrict = enumerate_word_tuples, tuple_getter(win_idx)
+    else:
+        import numpy as np
+
+        ball, win_arr = enumerate_word_perms, np.array(win_idx, dtype=np.intp)
+
+        def restrict(perm):
+            return tuple(perm[win_arr].tolist())
+
+    pairs, completed = ball(action, bound, perm_cap=perm_budget)
+    first_word = {}  # window image -> its first word, in word order
+    for word, perm in pairs:
+        if perm[w0] in win_set:
+            first_word.setdefault(restrict(perm), word)
+    for word, image in _shortest_words_into_window(action, win_idx):
+        first_word.setdefault(image, word)
+    return ReturnWordSet(
+        tuple(first_word.values()), bound, completed, tuple(win_idx), tuple(first_word)
+    )
 
 
 def code(action, window, partition, point, word):
@@ -188,22 +219,20 @@ def code(action, window, partition, point, word):
 
 def compute_V(action, window, partition, words):
     """Window points whose code function agrees with the basepoint's under
-    every word of a ReturnWordSet."""
+    every word of a ReturnWordSet over the same window."""
     model = action.model
-    n = len(model)
-    block_id = np.zeros(n, dtype=np.int32)
+    if sorted(model.index[a] for a in window) != list(words.window):
+        raise StructureError("return words were enumerated over another window")
+    block_id = [0] * len(model)
     for i, b in enumerate(partition.blocks, start=1):
         for a in b:
             block_id[model.index[a]] = i
-    w0 = model.index[action.basepoint]
-    win_mask = np.zeros(n, dtype=bool)
-    for a in window:
-        win_mask[model.index[a]] = True
-    keep = win_mask.copy()
-    for perm in words.perms:
-        codes = block_id[np.asarray(perm)]
-        keep &= codes == codes[w0]
-    return frozenset(model.addresses[i] for i in np.nonzero(keep)[0])
+    (b0,) = words.positions(model, [action.basepoint])
+    keep = range(len(words.window))
+    for image in words.images:
+        code0 = block_id[image[b0]]
+        keep = [t for t in keep if block_id[image[t]] == code0]
+    return frozenset(model.addresses[words.window[t]] for t in keep)
 
 
 def translates(action, v, words):
@@ -213,13 +242,12 @@ def translates(action, v, words):
     hard error (a mis-specified or non-equicontinuous action).
     """
     model = action.model
-    v_idx = sorted(model.index[a] for a in v)
-    v_arr = np.array(v_idx, dtype=np.int64)
+    v_pos = words.positions(model, v)
     out = []
     seen = {}
     covered = set()
-    for word, perm in zip(words.words, words.perms):
-        img_idx = frozenset(int(i) for i in np.asarray(perm)[v_arr])
+    for word, image in zip(words.words, words.images):
+        img_idx = frozenset([image[t] for t in v_pos])
         if img_idx in seen:
             continue
         if img_idx & covered:
@@ -276,26 +304,23 @@ def schreier_diameter(action):
     SCHREIER_SIZE_CAP addresses.
 
     After d rounds, row u of `reach` is the set of addresses within d steps
-    of u, packed eight to a byte.  A round ORs in the row of each neighbour
-    p(u), which grows every ball by one step; the signed tokens are closed
-    under inverses, so these are the balls of the undirected graph.  The
-    number of rounds that change some row is the largest eccentricity: the
-    diameter, and on disconnected actions the maximum over components.
+    of u, as the bits of one Python int.  A round ORs in the row of each
+    neighbour p(u), which grows every ball by one step; the signed tokens are
+    closed under inverses, so these are the balls of the undirected graph.
+    The number of rounds that change some row is the largest eccentricity:
+    the diameter, and on disconnected actions the maximum over components.
     """
     n = len(action.model)
     if n > SCHREIER_SIZE_CAP:
         return None
-    perms = [
-        np.asarray(action.token_perm(name, sign), dtype=np.intp)
-        for name, sign in action.signed_tokens()
-    ]
-    reach = np.packbits(np.eye(n, dtype=bool), axis=1)
+    perms = [action.token_perm(*token) for token in action.signed_tokens()]
+    reach = [1 << u for u in range(n)]
     rounds = 0
     while True:
-        new = reach.copy()
+        new = reach
         for p in perms:
-            new |= reach[p]
-        if np.array_equal(new, reach):
+            new = [a | reach[j] for a, j in zip(new, p)]
+        if new == reach:
             return rounds
         reach = new
         rounds += 1
@@ -369,6 +394,8 @@ def _eta_of_partition(model, partition, *, include_complement):
             default=None,
         )
         return None if deepest is None else model.metric.lam ** deepest
+    import numpy as np
+
     realized, rank = model.pair_ranks()
     block_id = np.array(block_id, dtype=np.intp)
     inside = np.nonzero(block_id)[0]
@@ -445,16 +472,16 @@ def coding_chain(
         m, base_blocks = _least_cylinder_depth(model, v_prev, eps_prime)
 
         # extend the partition of the level set across its translates, through
-        # the permutations their words have in `words` (the empty word first);
-        # any window remainder (non-minimal actions) is partitioned by the
-        # same cylinder depth
-        perm_of = dict(zip(words.words, words.perms))
+        # the window images their words have in `words` (the empty word
+        # first); any window remainder (non-minimal actions) is partitioned by
+        # the same cylinder depth
+        image_of = dict(zip(words.words, words.images))
+        base_pos = [words.positions(model, b) for b in base_blocks]
         all_blocks = []
         for word, _ in prev_family:
-            perm = perm_of[word]
+            image = image_of[word]
             all_blocks.extend(
-                frozenset(model.addresses[perm[model.index[a]]] for a in b)
-                for b in base_blocks
+                frozenset(model.addresses[image[t]] for t in pos) for pos in base_pos
             )
         covered = set().union(*all_blocks)
         remainder = window - covered

@@ -234,6 +234,31 @@ def bfs_schreier_diameter(action):
     return diameter
 
 
+def naive_refine_fixed_point(action, window, partition):
+    """The window's blocks of the coarsest refinement of the partition (with
+    the window's complement as one more block) whose blocks each send all
+    their members into one block under every generator and its inverse, by
+    splitting one offending block at a time until none splits."""
+    model = action.model
+    outside = set(model.addresses) - set(window)
+    blocks = [set(b) for b in partition.blocks] + ([outside] if outside else [])
+    perms = [action.token_perm(name, sign) for name, sign in action.signed_tokens()]
+    split = True
+    while split:
+        split = False
+        block_of = {a: k for k, b in enumerate(blocks) for a in b}
+        for k, p in itertools.product(range(len(blocks)), perms):
+            groups = {}
+            for a in blocks[k]:
+                image = model.addresses[p[model.index[a]]]
+                groups.setdefault(block_of[image], set()).add(a)
+            if len(groups) > 1:
+                blocks[k : k + 1] = groups.values()
+                split = True
+                break
+    return {frozenset(b) for b in blocks if b <= window}
+
+
 def permutation_orbit_cylinder(tower, subgroup):
     """Deepest-level addresses in the image of a subgroup, by full
     left-multiplication tables of its generators and their inverses."""
@@ -323,16 +348,21 @@ def check_coding_laws(action, chain_result, *, rng=None, tree_model=True):
     model = action.model
     window = chain_result.window
     words = chain_result.words
+    where = {model.addresses[i]: t for t, i in enumerate(words.window)}
+
+    def image(k, a):
+        """The k-th return word's image of a window address."""
+        return model.addresses[words.images[k][where[a]]]
+
     checks = 0
     prev_v = window
     prev_eps = None
     for lv in chain_result.levels:
         v = lv.v
-        v_idx = [model.index[a] for a in sorted(v, key=lambda a: model.index[a])]
 
         # fixset law, exhaustively over the enumerated words
-        for word, perm in zip(words.words, words.perms):
-            img = frozenset(model.addresses[int(perm[i])] for i in v_idx)
+        for k, word in enumerate(words.words):
+            img = frozenset(image(k, a) for a in v)
             assert not (img & v) or img == v, (
                 f"fixset law fails at level {lv.level} under {word}"
             )
@@ -371,15 +401,13 @@ def check_coding_laws(action, chain_result, *, rng=None, tree_model=True):
                 u = win[rng.randrange(len(win))]
                 gi = rng.randrange(len(words.words))
                 hi = rng.randrange(len(words.words))
-                gperm = words.perms[gi]
-                hperm = words.perms[hi]
-                u2 = model.addresses[int(gperm[model.index[u]])]
-                w2 = model.addresses[int(gperm[model.index[action.basepoint]])]
+                u2 = image(gi, u)
+                w2 = image(gi, action.basepoint)  # a return word keeps it inside
                 if u2 not in window:
                     continue
-                if model.addresses[int(hperm[model.index[w2]])] not in window:
+                if image(hi, w2) not in window:
                     continue
-                img = model.addresses[int(hperm[model.index[u2]])]
+                img = image(hi, u2)
                 lhs = block_id.get(img, 0)
                 composed = action.word_perm(words.words[hi] + words.words[gi])
                 rhs = block_id.get(model.addresses[composed[model.index[u]]], 0)

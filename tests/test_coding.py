@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cantordyn.action import CantorAction, CantorModel, TreeMetric, format_word, parse_word
 from cantordyn.affine import normal_core
@@ -35,7 +37,9 @@ from helpers import (
     check_coding_laws,
     dense_schreier_diameter,
     least_cylinder_union_depth,
+    naive_refine_fixed_point,
     random_tree_action,
+    rank_oracle,
 )
 
 
@@ -220,16 +224,59 @@ def test_shortest_words_carry_their_permutations(name):
     action = SHORTEST_WORD_ACTIONS[name]()
     model = action.model
     window = default_window(action)
+    win_idx = sorted(model.index[a] for a in window)
     dist = orbit_distances(action)
-    w0 = model.index[action.basepoint]
+    b0 = win_idx.index(model.index[action.basepoint])
     targets = []
-    for word, perm in _shortest_words_into_window(action, window):
-        assert tuple(int(i) for i in perm) == action.word_perm(word)
-        target = model.addresses[int(perm[w0])]
+    for word, image in _shortest_words_into_window(action, win_idx):
+        perm = action.word_perm(word)
+        assert image == tuple(perm[i] for i in win_idx)
+        target = model.addresses[image[b0]]
         assert len(word) == dist[target]
         targets.append(model.index[target])
     # one word per reachable window address, in address order
     assert targets == sorted(model.index[a] for a in window if a in dist)
+
+
+RETURN_WORD_ACTIONS = {
+    "vietoris_5_3": lambda: boundary_action(vietoris(5, 3)),
+    "small_fo_variant_2": lambda: boundary_action(small_fo_variant(2)),
+    "rogers_tollefson_3": lambda: boundary_action(rogers_tollefson(3)),
+    **{
+        f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed))
+        for seed in range(6)
+    },
+}
+
+
+def assert_images_are_window_restrictions(action, words):
+    model = action.model
+    assert list(words.window) == sorted(model.index[a] for a in default_window(action))
+    assert len(words.images) == len(words.words)
+    for word, image in zip(words.words, words.images):
+        perm = action.word_perm(word)
+        assert image == tuple(perm[i] for i in words.window), word
+
+
+@pytest.mark.parametrize("name", list(RETURN_WORD_ACTIONS))
+def test_tuple_ball_return_words_are_the_array_ball_ones(name):
+    # the rank oracle's model is no TreeMetric, so it takes the array ball
+    action = RETURN_WORD_ACTIONS[name]()
+    window = default_window(action)
+    for bound, budget in ((8, 20000), (8, 50), (3, 20000)):
+        tuples = return_words(action, window, bound, perm_budget=budget)
+        arrays = return_words(rank_oracle(action), window, bound, perm_budget=budget)
+        assert tuples == arrays  # words, bound and effective bound
+        assert (tuples.window, tuples.images) == (arrays.window, arrays.images)
+        assert all(type(i) is int for image in arrays.images for i in image)
+        assert_images_are_window_restrictions(action, tuples)
+
+
+def test_warp_return_word_images_are_window_restrictions():
+    action = warp_example(3, 2)
+    words = return_words(action, default_window(action), 8)
+    assert len(words) > 1
+    assert_images_are_window_restrictions(action, words)
 
 
 def test_fixed_point_agreement_at_schreier_diameter_on_random_actions():
@@ -333,6 +380,46 @@ def test_schreier_diameter_matches_dense_and_bfs_oracles(name):
     diameter = schreier_diameter(action)
     assert diameter == dense_schreier_diameter(action)
     assert diameter == bfs_schreier_diameter(action)
+
+
+@given(st.integers(0, 2 ** 16))
+def test_schreier_diameter_matches_bfs_on_random_tree_actions(seed):
+    action = random_tree_action(seed, max_addresses=64)
+    assert schreier_diameter(action) == bfs_schreier_diameter(action)
+
+
+REFINE_ACTIONS = {
+    "vietoris_2_3": lambda: boundary_action(vietoris(2, 3)),
+    "vietoris_3_2": lambda: boundary_action(vietoris(3, 2)),
+    "small_fo_variant_2": lambda: boundary_action(small_fo_variant(2)),
+    "rogers_tollefson_3": lambda: boundary_action(rogers_tollefson(3)),
+    "fokkink_oversteegen_1": lambda: boundary_action(fokkink_oversteegen(1)),
+    "warp_3_2": lambda: warp_example(3, 2),
+    **{
+        f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed, max_addresses=128))
+        for seed in range(6)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(REFINE_ACTIONS))
+def test_refine_fixed_point_matches_the_naive_split_loop(name):
+    action = REFINE_ACTIONS[name]()
+    model = action.model
+    rng = random.Random(len(model))
+    window = default_window(action)
+    partitions = [
+        ClopenPartition.from_blocks(model, window, cylinder_partition(model, window, j))
+        for j in range(1, model.depth + 1)
+    ]
+    for labels in (2, 3, 5):
+        blocks = {}
+        for a in window:
+            blocks.setdefault(rng.randrange(labels), set()).add(a)
+        partitions.append(ClopenPartition.from_blocks(model, window, blocks.values()))
+    for partition in partitions:
+        fixed = refine_fixed_point(action, window, partition)
+        assert set(fixed.blocks) == naive_refine_fixed_point(action, window, partition)
 
 
 def test_partition_construction_rejects_bad_blocks():

@@ -422,6 +422,10 @@ runs = [
     ["classify", "configs/fo.cfg", "--depth", "1"],
     ["classify", "configs/rt.cfg"],
     ["classify", "configs/vietoris5.cfg"],
+    ["code", "perfbench/configs/klein_3_5_mid.cfg"],
+    ["code", "configs/small_fo.cfg", "--depth", "2"],
+    ["code", "configs/rt.cfg"],
+    ["code", "configs/vietoris5.cfg"],
 ]
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     codes = [main(argv) for argv in runs]
@@ -439,7 +443,7 @@ print(codes, "numpy" in sys.modules)
         text=True,
         check=True,
     )
-    assert proc.stdout == "[0, 0, 0, 2, 0, 0, 0, 0, 0] False\n"
+    assert proc.stdout == "[0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0] False\n"
 
 
 def test_depth_override_reaches_action_configs(capsys):

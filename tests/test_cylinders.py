@@ -21,6 +21,7 @@ from cantordyn.action import (
     enumerate_word_tuples,
     invariant_measure,
     is_distal,
+    is_minimal,
     modulus_table,
     pushforward_invariant,
 )
@@ -168,7 +169,7 @@ def refuse_weight(self, address):
     raise AssertionError("the pushforward check read a Fraction weight")
 
 
-@pytest.mark.parametrize(
+MEASURE_ACTIONS = pytest.mark.parametrize(
     "build",
     [
         lambda: boundary_action(vietoris(2, 3)),
@@ -179,6 +180,9 @@ def refuse_weight(self, address):
     ],
     ids=["vietoris_2_3", "fokkink_oversteegen_1", "warp_fiber_only", "warp_2", "random_tree_3"],
 )
+
+
+@MEASURE_ACTIONS
 def test_pushforward_check_matches_the_fraction_oracle(build):
     action = build()
     cases = [[token] for token in action.signed_tokens()] + [None]
@@ -190,3 +194,29 @@ def test_pushforward_check_matches_the_fraction_oracle(build):
             assert [pushforward_invariant(action, mu, c) for c in cases] == expected
         verdicts += expected
     assert True in verdicts and False in verdicts
+
+
+@MEASURE_ACTIONS
+def test_uniform_measure_is_the_address_by_address_one(build):
+    action = build()
+    model = action.model
+    verdict = is_minimal(action)
+    orbit = model.addresses if verdict.minimal else sorted(
+        verdict.witness_orbit, key=model.index.__getitem__
+    )
+    cylinder = model.cylinder_members(action.basepoint, 1)
+    cases = [[token] for token in action.signed_tokens()] + [None]
+    for support in (orbit, cylinder, [action.basepoint]):
+        uniform = CylinderMeasure.uniform(support, "label")
+        listed = CylinderMeasure(tuple((a, F(1, len(support))) for a in support), "label")
+        assert uniform == listed
+        assert uniform.support_weights == listed.support_weights == (F(1, len(support)),)
+        assert [uniform.weight(a) for a in model.addresses] == [
+            listed.weight(a) for a in model.addresses
+        ]
+        assert uniform.weight_classes(model.addresses) == listed.weight_classes(model.addresses)
+        assert [pushforward_invariant(action, uniform, c) for c in cases] == [
+            pushforward_invariant(action, listed, c) for c in cases
+        ]
+    mu = invariant_measure(action)
+    assert mu.weights == tuple((a, F(1, len(orbit))) for a in orbit)
