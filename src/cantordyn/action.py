@@ -8,15 +8,21 @@ routes by metric.  On a tree metric two addresses lie within lam^j exactly
 when they share a depth-j cylinder, so the engines read cylinders off the
 lexicographic order of the addresses, O(n K) per signed token, in pure
 Python.  Any other metric (the warp product) computes every pairwise distance
-once, into a cached pair-rank matrix: each pair's index into the ascending
-tuple of exact realized distances, filled from integer keys
-order-isomorphic to the distances (numerators over one common denominator on
-the warp product), so those engines compare integers and read exact
-Fractions back only for the values they report.  Nothing here touches
-floating point.  numpy is imported inside the rank-matrix engines and the
-array word ball; a tree model counts its word ball on tuples, so a command on
-a tree model (chain `classify` and `code`) never loads it.  Uniform measures
-are built as one weight class, with no per-address Fraction arithmetic.
+once, into cached pair ranks: each pair's index into the ascending tuple of
+exact realized distances, filled from integer keys order-isomorphic to the
+distances (numerators over one common denominator on the warp product), so
+those engines compare integers and read exact Fractions back only for the
+values they report.  Nothing here touches floating point.
+
+A model of at most BYTE_ALPHABET (256) addresses, the size of the alphabet
+of `bytes.translate`, computes on bytes and plain ints: its word ball holds
+bytes permutations composed by `translate`, and its pair ranks are rows of
+Python ints read through `operator.itemgetter` gathers.  Above that, a tree
+model counts its word ball on tuples, and any other model keeps int32 arrays
+and a numpy rank matrix.  So numpy is imported only by a non-tree model of
+more than 256 addresses, and a command without numpy installed exits 3 there.
+Uniform measures are built as one weight class, with no per-address Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from fractions import Fraction
 from .errors import ResourceLimitError, StructureError
 
 DEFAULT_PAIR_CAP = 4000
+BYTE_ALPHABET = 256  # the alphabet of bytes.translate: most addresses a bytes perm holds
 COLLAPSED = "w0"
 
 
@@ -40,6 +47,19 @@ def check_pair_cap(n):
             f"pairwise distances need {n} addresses but the pairwise cap is "
             f"{DEFAULT_PAIR_CAP}"
         )
+
+
+def _numpy(n):
+    """numpy, which the engines of a non-tree model above BYTE_ALPHABET
+    addresses need; without it the command hits a cap (exit 3)."""
+    try:
+        import numpy
+    except ImportError:
+        raise ResourceLimitError(
+            f"a non-tree model of {n} addresses needs numpy, which is not "
+            f"installed (up to {BYTE_ALPHABET} addresses run without it)"
+        ) from None
+    return numpy
 
 
 # ----------------------------------------------------------------- metrics
@@ -151,6 +171,38 @@ class WarpMetric:
         keys += low
         return keys, lambda key: Fraction(int(key), denominator)
 
+    def pair_key_rows(self, addresses):
+        """The keys of `pair_keys` as n rows of Python ints, without numpy.
+
+        Row a is |X_a - X_b| q^K + min(X_a, X_b) w_a(b), where w_a(b) is the
+        weight of the y agreement of a and b.  The first two factors depend
+        only on X_a and w_a only on a's y part, each of which few addresses
+        have, so each is computed once and a row is two C-level maps.
+        """
+        p, q, k = self.lam1.numerator, self.lam1.denominator, self.depth
+        qk = q ** k
+        weight = [p ** j * q ** (k - j) for j in range(k)] + [0]
+        xs = [
+            0 if a == COLLAPSED else sum(d * 3 ** (k - 1 - t) for t, d in enumerate(a[0]))
+            for a in addresses
+        ]
+        ys = [None if a == COLLAPSED else tuple(a[1]) for a in addresses]
+        x_parts = {}  # X_a -> (|X_a - X_b| q^K, min(X_a, X_b)) over b
+        weights = {}  # y part of a -> w_a; the collapsed point weighs 0
+        rows = []
+        for xa, ya in zip(xs, ys):
+            if xa not in x_parts:
+                x_parts[xa] = ([abs(xa - xb) * qk for xb in xs], [min(xa, xb) for xb in xs])
+            if ya not in weights:
+                w = {
+                    yb: 0 if None in (ya, yb) else weight[common_prefix(ya, yb)]
+                    for yb in set(ys)
+                }
+                weights[ya] = list(map(w.__getitem__, ys))
+            far, low = x_parts[xa]
+            rows.append(list(map(operator.add, far, map(operator.mul, low, weights[ya]))))
+        return rows, lambda key: Fraction(key, 3 ** k * qk)
+
 
 def _agreement_levels(digits):
     """lev[a, b] = number of leading columns on which rows a and b agree."""
@@ -234,17 +286,26 @@ class CantorModel:
         realized, _ = self.pair_ranks()
         return realized[1] if len(self) > 1 else Fraction(0)
 
+    @property
+    def fits_bytes(self):
+        """At most BYTE_ALPHABET addresses: every address index fits in a
+        byte, so the model computes on bytes and plain ints, without numpy."""
+        return len(self.addresses) <= BYTE_ALPHABET
+
     def pair_ranks(self):
         """(realized, rank) of a model whose metric has integer pair keys:
-        the ascending exact distances, 0 first, and the n x n matrix of each
-        pair's index into them.
+        the ascending exact distances, 0 first, and the n x n table of each
+        pair's index into them, read as rank[i][j].
 
-        Built on first use from the metric's integer pair keys and cached;
-        above DEFAULT_PAIR_CAP addresses it refuses before computing a pair,
-        and it refuses a metric that puts distinct addresses at distance 0.
+        The table is a list of rows of Python ints on a model that fits
+        bytes (from the metric's `pair_key_rows`), and a numpy matrix above
+        (from its `pair_keys`).  Built on first use and cached; above
+        DEFAULT_PAIR_CAP addresses it refuses before computing a pair, and it
+        refuses a metric that puts distinct addresses at distance 0.
         """
         if self._pair_ranks is None:
-            self._pair_ranks = _pair_rank_matrix(self)
+            build = _pair_rank_rows if self.fits_bytes else _pair_rank_matrix
+            self._pair_ranks = build(self)
         return self._pair_ranks
 
     def cylinder_key(self, address, j):
@@ -263,11 +324,16 @@ class CantorModel:
         largest pair rank."""
         if self.is_tree:
             return self.distance(min(subset), max(subset)) if subset else Fraction(0)
-        import numpy as np
-
         realized, rank = self.pair_ranks()
         idx = [self.index[a] for a in subset]
-        return realized[int(rank[np.ix_(idx, idx)].max(initial=0))]
+        if not idx:
+            return Fraction(0)
+        if self.fits_bytes:
+            get = tuple_getter(idx)
+            return realized[max(max(get(rank[i])) for i in idx)]
+        import numpy as np
+
+        return realized[int(rank[np.ix_(idx, idx)].max())]
 
     def validate_metric(self, *, triple_cap=1000, samples=10 ** 4, seed=0):
         """Symmetry, identity of indiscernibles, and the triangle inequality.
@@ -321,13 +387,30 @@ class CantorModel:
         return True
 
 
-def _pair_rank_matrix(model):
-    import numpy as np
-
+def _pair_rank_rows(model):
+    """Pair ranks as rows of Python ints, from the metric's `pair_key_rows`."""
     n = len(model)
     check_pair_cap(n)
+    keys, value = model.metric.pair_key_rows(model.addresses)
+    distinct = sorted(set().union(*keys))
+    rank_of = {key: r for r, key in enumerate(distinct)}
+    rank = [list(map(rank_of.__getitem__, row)) for row in keys]
+    for i, row in enumerate(rank):
+        # rank 0 (distance 0) belongs to the diagonal alone
+        if row[i] != 0 or row.count(0) != 1:
+            raise StructureError("distinct addresses at distance 0")
+    return tuple(map(value, distinct)), rank
+
+
+def _pair_rank_matrix(model):
+    """Pair ranks as a numpy matrix, from the metric's `pair_keys`; the
+    distinct keys are found by sorting, which stays exact on object keys."""
+    n = len(model)
+    check_pair_cap(n)
+    np = _numpy(n)
     keys, value = model.metric.pair_keys(model.addresses)
-    distinct = np.unique(keys)
+    flat = np.sort(keys, axis=None)
+    distinct = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
     rank = np.empty((n, n), dtype=np.min_scalar_type(len(distinct) - 1))
     for i, row in enumerate(keys):  # row by row keeps the index temporaries small
         rank[i] = np.searchsorted(distinct, row)
@@ -503,7 +586,7 @@ def _word_ball(tokens, identity, max_length, perm_cap, compose):
 def enumerate_word_perms(action, max_length, *, perm_cap=200000):
     """The word ball (`_word_ball`) with each permutation an int32 array,
     for callers that gather arrays through it."""
-    import numpy as np
+    np = _numpy(len(action.model))
 
     def compose(key):
         perm = np.frombuffer(key, dtype=np.int32)
@@ -531,6 +614,52 @@ def enumerate_word_tuples(action, max_length, *, perm_cap=200000):
     tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
     identity = tuple(range(len(action.model)))
     return _word_ball(tokens, identity, max_length, perm_cap, tuple_getter)
+
+
+def enumerate_word_bytes(action, max_length, *, perm_cap=200000):
+    """The word ball (`_word_ball`) with each permutation a bytes string, on
+    a model of at most BYTE_ALPHABET addresses.
+
+    A token applied after a word is `word.translate(table)`, with the table
+    the token's permutation padded to 256 entries: one gather in C, and the
+    result is its own hash key.
+    """
+    pad = bytes(BYTE_ALPHABET - len(action.model))
+    tokens = [
+        (token, bytes(action.token_perm(*token)) + pad) for token in action.signed_tokens()
+    ]
+    identity = bytes(range(len(action.model)))
+    return _word_ball(
+        tokens, identity, max_length, perm_cap, operator.attrgetter("translate")
+    )
+
+
+def _array_getter(indices):
+    """tuple_getter for int32 arrays, giving Python ints."""
+    import numpy as np
+
+    idx = np.array(indices, dtype=np.intp)
+    return lambda perm: tuple(perm[idx].tolist())
+
+
+def word_ball(action, max_length, *, perm_cap=200000):
+    """The word ball in the representation that suits the model, as
+    (pairs, completed_length, gather).
+
+    bytes on a model of at most BYTE_ALPHABET addresses, tuples on a larger
+    tree model, and int32 arrays on a larger model of any other metric,
+    which has loaded numpy for its rank matrix.  `gather(indices)` maps a
+    ball permutation to the tuple of its images of the indices, as Python
+    ints.
+    """
+    model = action.model
+    if model.fits_bytes:
+        ball, gather = enumerate_word_bytes, tuple_getter
+    elif model.is_tree:
+        ball, gather = enumerate_word_tuples, tuple_getter
+    else:
+        ball, gather = enumerate_word_perms, _array_getter
+    return (*ball(action, max_length, perm_cap=perm_cap), gather)
 
 
 # ------------------------------------------------------------ modulus table
@@ -580,7 +709,11 @@ class ModulusTable:
 
 
 def _image_ranks(rank, perm):
-    """rank[perm[a], perm[b]] for every pair (a, b)."""
+    """rank[perm[a]][perm[b]] for every pair (a, b): rows gathered by
+    itemgetter from rows of ints, or a matrix gathered by take."""
+    if isinstance(rank, list):
+        get = tuple_getter(perm)
+        return [get(rank[i]) for i in perm]
     import numpy as np
 
     p = np.asarray(perm, dtype=np.intp)
@@ -624,22 +757,56 @@ def _cylinder_modulus_rows(action):
 
 
 def _rank_modulus_rows(action):
+    """kappa(r) is the largest image rank, over the tokens, of a pair whose
+    rank is at most r; one row per rank some distinct pair realizes."""
+    realized, rank = action.model.pair_ranks()
+    if action.model.fits_bytes:
+        worst = _worst_image_ranks(action, realized, rank)
+    else:
+        worst = _worst_image_ranks_numpy(action, realized, rank)
+    rows = []
+    kappa = 0
+    for r, k in enumerate(worst):
+        if k is not None:
+            kappa = max(kappa, k)
+            if r:
+                rows.append((realized[r], realized[kappa]))
+    return tuple(reversed(rows))
+
+
+def _worst_image_ranks(action, realized, rank):
+    """worst[r]: the largest image rank of a distinct pair of rank r (None
+    where no pair has it).  A pair (a, b), a < b, is coded as the one int
+    rank * m + image rank, so a row's codes go into one set by C-level maps,
+    and the last code of a rank in sorted order holds its largest image."""
+    m = len(realized)
+    scaled = [list(map(m.__mul__, row[a + 1:])) for a, row in enumerate(rank)]
+    codes = set()
+    for token in action.signed_tokens():
+        image = _image_ranks(rank, action.token_perm(*token))
+        for a, row in enumerate(scaled):
+            codes.update(map(operator.add, row, image[a][a + 1:]))
+    worst = [None] * m
+    for code in sorted(codes):
+        r, k = divmod(code, m)
+        worst[r] = k
+    return worst
+
+
+def _worst_image_ranks_numpy(action, realized, rank):
     import numpy as np
 
     n = len(action.model)
-    realized, rank = action.model.pair_ranks()
     img = np.zeros_like(rank)
     for name, sign in action.signed_tokens():
         np.maximum(img, _image_ranks(rank, action.token_perm(name, sign)), out=img)
-    # kappa(r) = max image distance over pairs at distance <= r
     iu = np.triu_indices(n, k=1)
     pair_rank = rank[iu]
     worst = np.zeros(len(realized), dtype=rank.dtype)
     np.maximum.at(worst, pair_rank, img[iu])
-    kappa = np.maximum.accumulate(worst)
-    return tuple(
-        (realized[r], realized[kappa[r]]) for r in np.unique(pair_rank)[::-1]
-    )
+    present = np.zeros(len(realized), dtype=bool)
+    present[pair_rank] = True
+    return [int(k) if seen else None for k, seen in zip(worst, present)]
 
 
 # --------------------------------------------------------------- distality
@@ -666,13 +833,12 @@ def is_distal(action, word_length=8, *, perm_cap=20000):
     distinct word permutations it reports.  Per-pair deltas are a test
     oracle (tests/helpers.brute_force_distality).
 
-    A tree model's ball is counted on tuples, so that the command loads no
-    numpy; on the rank-matrix route numpy is loaded already, and the array
-    ball is faster on models of a few hundred addresses.
+    The ball takes the model's representation (`word_ball`): bytes up to
+    BYTE_ALPHABET addresses, so that no command there loads numpy, and
+    tuples or arrays above.
     """
     min_delta = action.model.least_distance()
-    ball = enumerate_word_tuples if action.model.is_tree else enumerate_word_perms
-    words, word_length = ball(action, word_length, perm_cap=perm_cap)
+    words, word_length, _ = word_ball(action, word_length, perm_cap=perm_cap)
     return DistalityVerdict(True, word_length, min_delta, len(words))
 
 

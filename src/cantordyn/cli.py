@@ -27,11 +27,9 @@ from .action import (
     parse_word,
     pushforward_invariant,
 )
-from .affine import is_normal, normal_core
 from .config import format_fraction, parse_config
 from .errors import CantordynError, StructureError
 from .report import Report
-from .tower import boundary_action, build_tower, interleave, mccord_verdict, subgroup_cylinder
 
 MODULUS_HEAD_TAIL = 5
 
@@ -109,6 +107,15 @@ def _chain_for(cfg):
     return chain.truncate(depth), depth
 
 
+def _action_for(cfg, chain):
+    """The command's action: the chain's boundary action, or the config's."""
+    if chain is None:
+        return cfg.build_action()
+    from .tower import boundary_action
+
+    return boundary_action(chain, lam=cfg.lam)
+
+
 def _modulus_section(report, table, depth_used):
     report.section("modulus")
     report.add("depth_used", depth_used, 1)
@@ -184,6 +191,9 @@ def _pairwise_depth(chain, depth, cap=DEFAULT_PAIR_CAP):
 
 def cmd_classify(cfg, chain, report):
     if chain is not None:
+        from .affine import is_normal  # affine and tower serve chains alone
+        from .tower import build_tower, mccord_verdict
+
         report.section("chain")
         report.add("label", chain.label, 1)
         report.add("levels", chain.depth, 1)
@@ -244,6 +254,8 @@ def cmd_classify(cfg, chain, report):
 
 
 def cmd_compare(cfg_a, cfg_b, report):
+    from .tower import interleave
+
     chain_a, depth_a = _chain_for(cfg_a)
     chain_b, depth_b = _chain_for(cfg_b)
     report.section("chains")
@@ -266,6 +278,9 @@ def cmd_code(cfg, chain, report):
     from .coding import coding_chain  # only code pays for defining its dataclasses
 
     if chain is not None:
+        from .affine import normal_core
+        from .tower import build_tower, subgroup_cylinder
+
         check_pair_cap(chain.indices()[-1])  # refuse before any coset
         tower = build_tower(chain)
         action = tower.boundary_action(cfg.lam)
@@ -321,10 +336,7 @@ def cmd_code(cfg, chain, report):
 
 
 def cmd_holonomy(cfg, chain, word_text, address_text, report):
-    if chain is not None:
-        action = boundary_action(chain, lam=cfg.lam)
-    else:
-        action = cfg.build_action()
+    action = _action_for(cfg, chain)
     word = parse_word(word_text)
     address = _parse_address(action, address_text)
     verdict = germinal_holonomy(action, word, address)
@@ -345,10 +357,7 @@ def cmd_holonomy(cfg, chain, word_text, address_text, report):
 
 
 def cmd_measure(cfg, chain, report):
-    if chain is not None:
-        action = boundary_action(chain, lam=cfg.lam)
-    else:
-        action = cfg.build_action()
+    action = _action_for(cfg, chain)
     mu = invariant_measure(action)
     report.section("measure")
     report.add("support", mu.support_label, 1)

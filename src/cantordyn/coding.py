@@ -12,9 +12,11 @@ All diameters, gaps, and thresholds are exact rationals; no comparison uses
 a tolerance.
 
 Each return word keeps only its restriction to W, a tuple of address indices,
-which is all the chain reads.  A tree model (every chain) enumerates its word
-ball on tuples, and the Schreier diameter grows Python-int bitsets, so `code`
-on a chain loads no numpy.
+which is all the chain reads.  The word ball takes the model's representation
+(bytes up to 256 addresses, tuples on larger trees), the partition gap reads
+cylinders or rows of pair ranks, and the Schreier diameter grows Python-int
+bitsets, so `code` loads numpy only on a non-tree model of more than 256
+addresses.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .action import (
-    common_prefix,
-    enumerate_word_perms,
-    enumerate_word_tuples,
-    modulus_table,
-    tuple_getter,
-)
+from .action import common_prefix, modulus_table, tuple_getter, word_ball
 from .errors import InvariantViolation, StructureError
 
 DEFAULT_WORD_BOUND = 8
@@ -175,26 +171,16 @@ def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=20000)
     """Ball words of bounded length landing the basepoint in the window, plus
     one shortest transition word per reachable window address.
 
-    A tree model enumerates its ball on tuples and loads no numpy; any other
-    model enumerates it on arrays, which is faster and smaller there, and has
-    loaded numpy already for its rank matrix.
+    The ball takes the model's representation (`action.word_ball`), and each
+    ball permutation is restricted to the window by its gather.
     """
     window = _check_clopen_window(action, window)
     model = action.model
     w0 = model.index[action.basepoint]
     win_idx = sorted(model.index[a] for a in window)
     win_set = set(win_idx)
-    if model.is_tree:
-        ball, restrict = enumerate_word_tuples, tuple_getter(win_idx)
-    else:
-        import numpy as np
-
-        ball, win_arr = enumerate_word_perms, np.array(win_idx, dtype=np.intp)
-
-        def restrict(perm):
-            return tuple(perm[win_arr].tolist())
-
-    pairs, completed = ball(action, bound, perm_cap=perm_budget)
+    pairs, completed, gather = word_ball(action, bound, perm_cap=perm_budget)
+    restrict = gather(win_idx)
     first_word = {}  # window image -> its first word, in word order
     for word, perm in pairs:
         if perm[w0] in win_set:
@@ -375,6 +361,8 @@ def _eta_of_partition(model, partition, *, include_complement):
     On a tree, the closest pair with different block labels (the complement
     labelled 0) is lexicographically adjacent among the labelled addresses,
     so eta is lam to the deepest common prefix of such an adjacent pair.
+    Otherwise eta is the least pair rank between a block and the addresses
+    labelled otherwise (the complement only when included).
     """
     block_id = [0] * len(model)
     for i, b in enumerate(partition.blocks, start=1):
@@ -394,9 +382,19 @@ def _eta_of_partition(model, partition, *, include_complement):
             default=None,
         )
         return None if deepest is None else model.metric.lam ** deepest
+    realized, rank = model.pair_ranks()
+    if model.fits_bytes:
+        labelled = [i for i, b in enumerate(block_id) if b or include_complement]
+        least = None
+        for label, block in enumerate(partition.blocks, start=1):
+            others = [k for k in labelled if block_id[k] != label]
+            if others:
+                get = tuple_getter(others)
+                gap = min(min(get(rank[model.index[a]])) for a in block)
+                least = gap if least is None else min(least, gap)
+        return None if least is None else realized[least]
     import numpy as np
 
-    realized, rank = model.pair_ranks()
     block_id = np.array(block_id, dtype=np.intp)
     inside = np.nonzero(block_id)[0]
     ids = block_id[inside]

@@ -6,6 +6,8 @@ levels generated by A^l Z^2 together with the glide (x, y) -> (x + a^l/2, -y),
 which is the pushforward of the base glide since A commutes with the
 reflection.  The warp-product action realizes a rank-k free abelian fiber
 action plus one transported odometer cycle through the whole address set.
+The chain builders import the affine and tower layers when they run, so
+building an action loads neither.
 """
 
 from __future__ import annotations
@@ -14,17 +16,8 @@ import itertools
 from fractions import Fraction
 
 from .action import COLLAPSED, CantorAction, CantorModel, WarpMetric, warp_cylinder_key
-from .affine import (
-    AffineElement,
-    AffineGroup,
-    hermite_normal_form,
-    identity_element,
-    subgroup_from_parts,
-    translation,
-)
 from .config import parse_bool
 from .errors import StructureError
-from .tower import SubgroupChain
 
 REFLECTION = ((1, 0), (0, -1))
 
@@ -46,6 +39,15 @@ def vietoris(p, depth):
         raise StructureError(f"vietoris base must be a prime >= 2, got {p}")
     if depth < 1:
         raise StructureError("depth must be at least 1")
+    from .affine import (
+        AffineGroup,
+        hermite_normal_form,
+        identity_element,
+        subgroup_from_parts,
+        translation,
+    )
+    from .tower import SubgroupChain
+
     group = AffineGroup.from_generators([("t", translation((1,), 1))])
     levels = [
         subgroup_from_parts(
@@ -58,6 +60,8 @@ def vietoris(p, depth):
 
 def klein_type_group():
     """Plane translations plus the glide (x, y) -> (x + 1/2, -y)."""
+    from .affine import AffineElement, AffineGroup, translation
+
     t1 = translation((1, 0), 2)
     t2 = translation((0, 1), 2)
     g = AffineElement(REFLECTION, (Fraction(1, 2), 0), 2)
@@ -65,6 +69,9 @@ def klein_type_group():
 
 
 def _klein_chain(a, b, depth, label):
+    from .affine import AffineElement, hermite_normal_form, subgroup_from_parts
+    from .tower import SubgroupChain
+
     group = klein_type_group()
     levels = []
     for l in range(1, depth + 1):
@@ -85,6 +92,9 @@ def rogers_tollefson(depth):
     """Klein-type chain with bonding matrix diag(1, 2)."""
     if not 1 <= depth <= 8:
         raise StructureError("rogers_tollefson depth must be in 1..8")
+    from .affine import AffineElement, hermite_normal_form, subgroup_from_parts
+    from .tower import SubgroupChain
+
     group = klein_type_group()
     levels = []
     for l in range(1, depth + 1):

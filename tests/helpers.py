@@ -15,8 +15,16 @@ from cantordyn.action import (
     _agreement_levels,
     common_prefix,
     enumerate_word_perms,
+    is_distal,
+    modulus_table,
 )
 from cantordyn.affine import conjugate, subgroup_intersect, subgroup_le
+from cantordyn.coding import (
+    ClopenPartition,
+    _eta_of_partition,
+    cylinder_partition,
+    default_window,
+)
 from cantordyn.errors import StructureError
 
 
@@ -40,8 +48,9 @@ class ExplicitMetric:
         except KeyError:
             raise StructureError(f"distance table has no entry for {a!r}, {b!r}")
 
-    def pair_keys(self, addresses):
-        """Ranks of the table's distances, each pair looked up once."""
+    def pair_key_rows(self, addresses):
+        """Ranks of the table's distances as rows of ints, each pair looked
+        up once."""
         n = len(addresses)
         dist = {
             (i, j): self.distance(addresses[i], addresses[j])
@@ -50,10 +59,14 @@ class ExplicitMetric:
         }
         values = sorted(set(dist.values()) | {F(0)})
         key_of = {d: key for key, d in enumerate(values)}
-        keys = np.zeros((n, n), dtype=np.int64)
+        keys = [[0] * n for _ in range(n)]
         for (i, j), d in dist.items():
-            keys[i, j] = keys[j, i] = key_of[d]
+            keys[i][j] = keys[j][i] = key_of[d]
         return keys, values.__getitem__
+
+    def pair_keys(self, addresses):
+        keys, value = self.pair_key_rows(addresses)
+        return np.array(keys, dtype=np.int64), value
 
 
 @dataclass(frozen=True)
@@ -72,7 +85,16 @@ class RankedTreeMetric:
         digits = np.array(addresses, dtype=np.int64)
         depth = digits.shape[1]
         keys = depth - _agreement_levels(digits)
-        return keys, lambda key: self.lam ** (depth - int(key)) if key else F(0)
+        return keys, self._value(depth)
+
+    def pair_key_rows(self, addresses):
+        """The keys of `pair_keys` as rows of ints, one common prefix a pair."""
+        depth = len(addresses[0])
+        keys = [[depth - common_prefix(a, b) for b in addresses] for a in addresses]
+        return keys, self._value(depth)
+
+    def _value(self, depth):
+        return lambda key: self.lam ** (depth - int(key)) if key else F(0)
 
 
 def rank_oracle(action):
@@ -92,6 +114,47 @@ def three_point_action():
     )
     model = CantorModel(addrs, 1, ExplicitMetric(table))
     return CantorAction(model, {"s": (0, 2, 1)}, ("a",))
+
+
+# ------------------------------------------------- engine probes
+
+def probes(action, rng):
+    """Subsets for diameters (every cylinder, random sets, the empty set) and
+    partitions for eta (cylinder partitions of the default window, and
+    random labellings of random windows)."""
+    model = action.model
+    addrs = model.addresses
+    subsets = [()]
+    for j in range(model.depth + 1):
+        subsets += cylinder_partition(model, addrs, j)
+    subsets += [rng.sample(addrs, rng.randint(1, min(40, len(addrs)))) for _ in range(10)]
+    window = default_window(action)
+    partitions = [
+        ClopenPartition.from_blocks(model, window, cylinder_partition(model, window, j))
+        for j in range(1, model.depth + 1)
+    ]
+    for _ in range(4):
+        window = rng.sample(addrs, rng.randint(1, len(addrs)))
+        labels = [rng.randint(1, 3) for _ in window]
+        blocks = [[a for a, k in zip(window, labels) if k == b] for b in (1, 2, 3)]
+        partitions.append(ClopenPartition.from_blocks(model, window, blocks))
+    return subsets, partitions
+
+
+def engine_answers(action, subsets, partitions):
+    """Modulus rows, min_delta, and the diameters and etas of the probes,
+    as the model's engines compute them."""
+    model = action.model
+    return (
+        modulus_table(action).rows,
+        is_distal(action, 0).min_delta,
+        [model.diameter(s) for s in subsets],
+        [
+            _eta_of_partition(model, p, include_complement=complement)
+            for p in partitions
+            for complement in (False, True)
+        ],
+    )
 
 
 # -------------------------------------------- pairwise brute-force oracles

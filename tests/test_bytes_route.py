@@ -1,0 +1,266 @@
+"""Models of at most 256 addresses compute on bytes and plain ints: pair ranks
+as rows of Python ints and the word ball as bytes permutations, each against
+the numpy engine it replaces and the Fraction oracles; and the commands that
+must run without numpy, or refuse cleanly without it."""
+
+import json
+import os
+import pathlib
+import random
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from cantordyn import action as action_module
+from cantordyn.action import (
+    BYTE_ALPHABET,
+    DEFAULT_PAIR_CAP,
+    CantorAction,
+    CantorModel,
+    TreeMetric,
+    WarpMetric,
+    enumerate_word_bytes,
+    enumerate_word_perms,
+    enumerate_word_tuples,
+    is_distal,
+    word_ball,
+)
+from cantordyn.errors import ResourceLimitError, StructureError
+from cantordyn.gallery import small_fo_variant, warp_example, warp_model
+from cantordyn.tower import boundary_action
+from helpers import (
+    RankedTreeMetric,
+    brute_force_diameter,
+    brute_force_eta,
+    brute_force_modulus_rows,
+    engine_answers,
+    pair_distances,
+    probes,
+    random_tree_action,
+    rank_oracle,
+    three_point_action,
+)
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+WORKLOADS = json.loads((REPO / "perfbench/workloads.json").read_text(encoding="utf-8"))
+
+WARP_ACTIONS = {
+    f"warp_{depth}{'' if free else '_fiber_only'}": (
+        lambda depth=depth, free=free: warp_example(depth, include_free_factor=free)
+    )
+    for depth in (2, 3, 4)
+    for free in (True, False)
+}
+
+
+def run_python(script, *args):
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+
+
+# -------------------------------------------------------------- pair ranks
+
+@pytest.mark.parametrize("lam1", [F(1, 2), F(2, 3), F(1, 10 ** 7)], ids=str)
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_rank_rows_are_the_rank_matrix(depth, lam1):
+    model = warp_model(depth, lam1=lam1)
+    realized, rank = model.pair_ranks()
+    assert type(rank) is list
+    assert all(type(r) is int for row in rank for r in row)
+    matrix_realized, matrix = action_module._pair_rank_matrix(model)
+    assert realized == matrix_realized
+    assert rank == matrix.tolist()
+    # from depth 3, 1/10^7 takes the numpy keys past int64, to object keys
+    keys, _ = model.metric.pair_keys(model.addresses)
+    assert (keys.dtype == object) == (depth >= 3 and lam1 == F(1, 10 ** 7))
+
+
+RANK_ACTIONS = {
+    **WARP_ACTIONS,
+    "three_point": three_point_action,
+    **{
+        f"ranked_tree_{seed}": (
+            lambda seed=seed: rank_oracle(random_tree_action(seed, max_addresses=BYTE_ALPHABET))
+        )
+        for seed in range(4)
+    },
+}
+
+
+@pytest.mark.parametrize("name", RANK_ACTIONS)
+def test_rank_row_engines_are_the_numpy_engines(name, monkeypatch):
+    build = RANK_ACTIONS[name]
+    action = build()
+    subsets, partitions = probes(action, random.Random(len(action.model)))
+    answers = engine_answers(action, subsets, partitions)
+    assert type(action.model.pair_ranks()[1]) is list
+    monkeypatch.setattr(action_module, "BYTE_ALPHABET", 0)  # no model fits bytes
+    numpy_action = build()
+    assert engine_answers(numpy_action, subsets, partitions) == answers
+    assert type(numpy_action.model.pair_ranks()[1]) is not list
+
+
+@pytest.mark.parametrize("name", [name for name in RANK_ACTIONS if "warp_4" not in name])
+def test_rank_row_engines_match_the_fraction_oracles(name):
+    action = RANK_ACTIONS[name]()
+    model = action.model
+    subsets, partitions = probes(action, random.Random(len(model)))
+    rows, min_delta, diameters, etas = engine_answers(action, subsets, partitions)
+    assert rows == brute_force_modulus_rows(action)
+    assert min_delta == min(pair_distances(model).values(), default=F(0))
+    assert diameters == [brute_force_diameter(model, s) for s in subsets]
+    assert etas == [
+        brute_force_eta(model, p, include_complement=complement)
+        for p in partitions
+        for complement in (False, True)
+    ]
+
+
+@pytest.mark.parametrize("fits_bytes", [True, False], ids=["rows", "matrix"])
+@pytest.mark.parametrize("lam1", [F(0), F(-1, 2)], ids=str)
+def test_both_routes_refuse_distinct_addresses_at_distance_zero(monkeypatch, lam1, fits_bytes):
+    if not fits_bytes:
+        monkeypatch.setattr(action_module, "BYTE_ALPHABET", 0)
+    metric = WarpMetric(2)
+    object.__setattr__(metric, "lam1", lam1)  # past the constructor's check
+    model = CantorModel(warp_model(2).addresses, 2, metric)
+    with pytest.raises(StructureError, match="distinct addresses at distance 0"):
+        model.pair_ranks()
+
+
+@pytest.mark.parametrize("build", ["_pair_rank_rows", "_pair_rank_matrix"])
+def test_both_routes_refuse_above_the_pair_cap_before_any_key(monkeypatch, build):
+    def no_keys(self, addresses):
+        raise AssertionError("pair keys computed above the cap")
+
+    for method in ("pair_keys", "pair_key_rows"):
+        monkeypatch.setattr(RankedTreeMetric, method, no_keys)
+    model = CantorModel(
+        [(i,) for i in range(DEFAULT_PAIR_CAP + 1)], 1, RankedTreeMetric(F(1, 2))
+    )
+    with pytest.raises(ResourceLimitError):
+        getattr(action_module, build)(model)
+
+
+# -------------------------------------------------------------- word balls
+
+BALL_ACTIONS = {
+    **WARP_ACTIONS,
+    "small_fo_variant_2": lambda: boundary_action(small_fo_variant(2)),
+    **{
+        f"random_tree_{seed}": (
+            lambda seed=seed: random_tree_action(seed, max_addresses=BYTE_ALPHABET)
+        )
+        for seed in range(6)
+    },
+}
+
+
+def listed(ball):
+    return [(word, list(perm)) for word, perm in ball]
+
+
+@pytest.mark.parametrize("name", BALL_ACTIONS)
+def test_bytes_ball_is_the_tuple_and_array_ball(name):
+    action = BALL_ACTIONS[name]()
+    assert len(action.model) <= BYTE_ALPHABET
+    for perm_cap in (20000, 50):
+        ball, completed = enumerate_word_bytes(action, 8, perm_cap=perm_cap)
+        tuples, tuple_completed = enumerate_word_tuples(action, 8, perm_cap=perm_cap)
+        arrays, array_completed = enumerate_word_perms(action, 8, perm_cap=perm_cap)
+        assert completed == tuple_completed == array_completed
+        assert all(type(perm) is bytes for _, perm in ball)
+        assert listed(ball) == listed(tuples)
+        assert listed(ball) == [(word, perm.tolist()) for word, perm in arrays]
+        assert word_ball(action, 8, perm_cap=perm_cap)[:2] == (ball, completed)
+        verdict = is_distal(action, 8, perm_cap=perm_cap)
+        assert (verdict.word_count, verdict.word_length) == (len(ball), completed)
+
+
+@given(
+    n=st.integers(1, BYTE_ALPHABET),
+    seed=st.integers(0, 2 ** 16),
+    generators=st.integers(1, 3),
+    length=st.integers(0, 5),
+    perm_cap=st.integers(1, 300),
+)
+@example(n=BYTE_ALPHABET, seed=0, generators=2, length=5, perm_cap=300)
+@example(n=1, seed=0, generators=1, length=3, perm_cap=1)
+def test_bytes_ball_is_the_tuple_ball_on_random_permutations(
+    n, seed, generators, length, perm_cap
+):
+    rng = random.Random(seed)
+    model = CantorModel([(i,) for i in range(n)], 1, TreeMetric(F(1, 2)))
+    gens = {f"a{i}": tuple(rng.sample(range(n), n)) for i in range(generators)}
+    action = CantorAction(model, gens, (0,))
+    ball, completed = enumerate_word_bytes(action, length, perm_cap=perm_cap)
+    tuples, tuple_completed = enumerate_word_tuples(action, length, perm_cap=perm_cap)
+    arrays, array_completed = enumerate_word_perms(action, length, perm_cap=perm_cap)
+    assert completed == tuple_completed == array_completed
+    assert listed(ball) == listed(tuples)
+    assert listed(ball) == [(word, perm.tolist()) for word, perm in arrays]
+
+
+# ------------------------------------------------- commands and numpy
+
+BLOCK_NUMPY = 'import sys\nsys.modules["numpy"] = None  # every import of numpy fails\n'
+
+
+@pytest.mark.parametrize("command", ["classify", "code"])
+def test_a_warp_model_above_256_addresses_without_numpy_exits_three(command):
+    proc = run_python(
+        BLOCK_NUMPY + "from cantordyn.cli import main\nsys.exit(main(sys.argv[1:]))",
+        command,
+        "configs/warp.cfg",
+        "--depth",
+        "5",
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        "error: a non-tree model of 993 addresses needs numpy, which is not "
+        "installed (up to 256 addresses run without it)\n"
+    )
+
+
+def test_warp_commands_load_neither_numpy_nor_the_chain_layers():
+    script = """
+import contextlib, io, json, sys
+from cantordyn.cli import main
+from cantordyn.config import parse_config
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+for path in json.loads(sys.argv[2]):  # the set-up work of the same configs
+    parse_config(open(path).read()).build_action()
+loaded = ("numpy", "cantordyn.affine", "cantordyn.tower")
+print(codes, [name for name in loaded if name in sys.modules])
+"""
+    commands = WORKLOADS["warp-actions"]["commands"]
+    configs = sorted({argv[1] for argv in commands})
+    proc = run_python(script, json.dumps(commands), json.dumps(configs))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[0] * len(commands)} []\n"
+
+
+def test_the_numpy_route_finds_distinct_keys_without_numpy_ma():
+    script = """
+import contextlib, io, sys
+from cantordyn import action
+action.BYTE_ALPHABET = 0  # the numpy route, on a model of 57 addresses
+from cantordyn.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main([command, "configs/warp.cfg"]) for command in ("classify", "code")]
+print(codes, "numpy" in sys.modules, "numpy.ma" in sys.modules)
+"""
+    proc = run_python(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] True False\n"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cantordyn import action as action_module
 from cantordyn.action import CantorAction, CantorModel, TreeMetric, format_word, parse_word
 from cantordyn.affine import normal_core
 from cantordyn.coding import (
@@ -259,16 +260,22 @@ def assert_images_are_window_restrictions(action, words):
 
 
 @pytest.mark.parametrize("name", list(RETURN_WORD_ACTIONS))
-def test_tuple_ball_return_words_are_the_array_ball_ones(name):
-    # the rank oracle's model is no TreeMetric, so it takes the array ball
+def test_tuple_ball_return_words_are_the_array_ball_ones(name, monkeypatch):
+    # with no model fitting bytes, the tree model takes the tuple ball and the
+    # rank oracle's model, no TreeMetric, the array ball; models of at most
+    # 256 addresses take the bytes ball unpatched
     action = RETURN_WORD_ACTIONS[name]()
     window = default_window(action)
     for bound, budget in ((8, 20000), (8, 50), (3, 20000)):
-        tuples = return_words(action, window, bound, perm_budget=budget)
-        arrays = return_words(rank_oracle(action), window, bound, perm_budget=budget)
-        assert tuples == arrays  # words, bound and effective bound
-        assert (tuples.window, tuples.images) == (arrays.window, arrays.images)
-        assert all(type(i) is int for image in arrays.images for i in image)
+        chosen = return_words(action, window, bound, perm_budget=budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(action_module, "BYTE_ALPHABET", 0)
+            tuples = return_words(action, window, bound, perm_budget=budget)
+            arrays = return_words(rank_oracle(action), window, bound, perm_budget=budget)
+        for words in (chosen, arrays):
+            assert tuples == words  # words, bound and effective bound
+            assert (tuples.window, tuples.images) == (words.window, words.images)
+            assert all(type(i) is int for image in words.images for i in image)
         assert_images_are_window_restrictions(action, tuples)
 
 

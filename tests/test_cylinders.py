@@ -22,14 +22,7 @@ from cantordyn.action import (
     invariant_measure,
     is_distal,
     is_minimal,
-    modulus_table,
     pushforward_invariant,
-)
-from cantordyn.coding import (
-    ClopenPartition,
-    _eta_of_partition,
-    cylinder_partition,
-    default_window,
 )
 from cantordyn.config import parse_config
 from cantordyn.gallery import (
@@ -40,7 +33,13 @@ from cantordyn.gallery import (
     warp_example,
 )
 from cantordyn.tower import boundary_action
-from helpers import brute_force_pushforward_invariant, random_tree_action, rank_oracle
+from helpers import (
+    brute_force_pushforward_invariant,
+    engine_answers,
+    probes,
+    random_tree_action,
+    rank_oracle,
+)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -58,43 +57,6 @@ TREE_ACTIONS = {
     "klein_3_5_mid": klein_3_5_mid,
     **{f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed)) for seed in range(12)},
 }
-
-
-def probes(action, rng):
-    """Subsets for diameters (every cylinder, random sets, the empty set) and
-    partitions for eta (cylinder partitions of the default window, and
-    random labellings of random windows)."""
-    model = action.model
-    addrs = model.addresses
-    subsets = [()]
-    for j in range(model.depth + 1):
-        subsets += cylinder_partition(model, addrs, j)
-    subsets += [rng.sample(addrs, rng.randint(1, min(40, len(addrs)))) for _ in range(10)]
-    window = default_window(action)
-    partitions = [
-        ClopenPartition.from_blocks(model, window, cylinder_partition(model, window, j))
-        for j in range(1, model.depth + 1)
-    ]
-    for _ in range(4):
-        window = rng.sample(addrs, rng.randint(1, len(addrs)))
-        labels = [rng.randint(1, 3) for _ in window]
-        blocks = [[a for a, k in zip(window, labels) if k == b] for b in (1, 2, 3)]
-        partitions.append(ClopenPartition.from_blocks(model, window, blocks))
-    return subsets, partitions
-
-
-def engine_answers(action, subsets, partitions):
-    model = action.model
-    return (
-        modulus_table(action).rows,
-        is_distal(action, 0).min_delta,
-        [model.diameter(s) for s in subsets],
-        [
-            _eta_of_partition(model, p, include_complement=complement)
-            for p in partitions
-            for complement in (False, True)
-        ],
-    )
 
 
 def refuse_pair_ranks(self):

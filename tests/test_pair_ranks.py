@@ -49,12 +49,12 @@ def assert_ranks_match_distances(model):
     assert realized[0] == 0
     assert all(a < b for a, b in zip(realized, realized[1:]))
     n = len(model)
-    assert rank.shape == (n, n)
-    assert all(rank[i, i] == 0 for i in range(n))
+    assert len(rank) == n and all(len(row) == n for row in rank)
+    assert all(rank[i][i] == 0 for i in range(n))
     dist = pair_distances(model)
     for (i, j), d in dist.items():
-        assert realized[rank[i, j]] == d
-        assert rank[j, i] == rank[i, j]
+        assert realized[rank[i][j]] == d
+        assert rank[j][i] == rank[i][j]
     assert set(realized) == set(dist.values()) | {F(0)}
 
 
@@ -194,19 +194,22 @@ def test_warp_commands_compute_each_distance_once(capsys, monkeypatch, command):
         calls["distance"] += 1
         return original_distance(self, a, b)
 
-    def build(model):
-        built.append(model)
-        return original_build(model)
+    def counted(original_build):
+        def build(model):
+            built.append(model)
+            return original_build(model)
+
+        return build
 
     def pair_ranks(self):
         ranked.add(id(self))
         return original_pair_ranks(self)
 
     original_distance = WarpMetric.distance
-    original_build = action_module._pair_rank_matrix
     original_pair_ranks = action_module.CantorModel.pair_ranks
     monkeypatch.setattr(WarpMetric, "distance", distance)
-    monkeypatch.setattr(action_module, "_pair_rank_matrix", build)
+    for build in ("_pair_rank_rows", "_pair_rank_matrix"):  # either route counts
+        monkeypatch.setattr(action_module, build, counted(getattr(action_module, build)))
     monkeypatch.setattr(action_module.CantorModel, "pair_ranks", pair_ranks)
     assert main([command, str(CONFIG_DIR / "warp.cfg")]) == 0
     capsys.readouterr()
@@ -231,7 +234,7 @@ def test_warp_commands_compute_each_distance_once(capsys, monkeypatch, command):
     ids=lambda argv: " ".join(argv),
 )
 def test_chain_commands_never_build_a_rank_matrix(capsys, monkeypatch, argv):
-    calls = {"pair_ranks": 0, "_pair_rank_matrix": 0}
+    calls = {"pair_ranks": 0, "_pair_rank_rows": 0, "_pair_rank_matrix": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -243,15 +246,12 @@ def test_chain_commands_never_build_a_rank_matrix(capsys, monkeypatch, argv):
     monkeypatch.setattr(
         CantorModel, "pair_ranks", counted("pair_ranks", CantorModel.pair_ranks)
     )
-    monkeypatch.setattr(
-        action_module,
-        "_pair_rank_matrix",
-        counted("_pair_rank_matrix", action_module._pair_rank_matrix),
-    )
+    for build in ("_pair_rank_rows", "_pair_rank_matrix"):
+        monkeypatch.setattr(action_module, build, counted(build, getattr(action_module, build)))
     monkeypatch.chdir(CONFIG_DIR.parent)
     assert main(argv) == 0
     capsys.readouterr()
-    assert calls == {"pair_ranks": 0, "_pair_rank_matrix": 0}
+    assert calls == {"pair_ranks": 0, "_pair_rank_rows": 0, "_pair_rank_matrix": 0}
 
 
 def test_classify_gathers_the_rank_matrix_once_per_token_and_never_per_word(
