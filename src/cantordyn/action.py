@@ -10,17 +10,15 @@ lexicographic order of the addresses, O(n K) per signed token, in pure
 Python.  Any other metric (the warp product) computes every pairwise distance
 once, into cached pair ranks: each pair's index into the ascending tuple of
 exact realized distances, filled from integer keys order-isomorphic to the
-distances (numerators over one common denominator on the warp product), so
+distances (numerators over one common denominator on the warp product), held
+as rows of Python ints and read through `operator.itemgetter` gathers, so
 those engines compare integers and read exact Fractions back only for the
 values they report.  Nothing here touches floating point.
 
-A model of at most BYTE_ALPHABET (256) addresses, the size of the alphabet
-of `bytes.translate`, computes on bytes and plain ints: its word ball holds
-bytes permutations composed by `translate`, and its pair ranks are rows of
-Python ints read through `operator.itemgetter` gathers.  Above that, a tree
-model counts its word ball on tuples, and any other model keeps int32 arrays
-and a numpy rank matrix.  So numpy is imported only by a non-tree model of
-more than 256 addresses, and a command without numpy installed exits 3 there.
+The word ball holds bytes permutations composed by `bytes.translate` on a
+model of at most BYTE_ALPHABET (256) addresses, the size of that method's
+alphabet, and tuples above.  Everything here runs on the standard library:
+the array engines these replace are kept only as test oracles, in `tests/`.
 Uniform measures are built as one weight class, with no per-address Fraction
 arithmetic.
 """
@@ -47,19 +45,6 @@ def check_pair_cap(n):
             f"pairwise distances need {n} addresses but the pairwise cap is "
             f"{DEFAULT_PAIR_CAP}"
         )
-
-
-def _numpy(n):
-    """numpy, which the engines of a non-tree model above BYTE_ALPHABET
-    addresses need; without it the command hits a cap (exit 3)."""
-    try:
-        import numpy
-    except ImportError:
-        raise ResourceLimitError(
-            f"a non-tree model of {n} addresses needs numpy, which is not "
-            f"installed (up to {BYTE_ALPHABET} addresses run without it)"
-        ) from None
-    return numpy
 
 
 # ----------------------------------------------------------------- metrics
@@ -139,45 +124,16 @@ class WarpMetric:
             return abs(xa - xb)
         return abs(xa - xb) + min(xa, xb) * self.d1(a[1], b[1])
 
-    def pair_keys(self, addresses):
-        """Numerators over 3^K q^K, where lam1 = p/q and K is the depth.
-
-        With X = sum(d_i 3^(K-1-i)) and j the y agreement length, a pair's
-        numerator is |X_a - X_b| q^K + min(X_a, X_b) p^j q^(K-j); the second
-        term is dropped when the y parts agree fully and vanishes against the
-        collapsed point, whose X is 0.  Python ints take over from int64 when
-        a numerator could overflow it, so every lam1 stays exact.
-        """
-        import numpy as np
-
-        p, q, k = self.lam1.numerator, self.lam1.denominator, self.depth
-        denominator = 3 ** k * q ** k
-        largest = 3 ** k * (q ** k + max(abs(p), q) ** k)
-        dtype = np.int64 if largest < 2 ** 63 else object
-        n = len(addresses)
-        x = np.zeros(n, dtype=dtype)
-        y = np.zeros((n, k), dtype=np.int64)
-        for i, a in enumerate(addresses):
-            if a != COLLAPSED:
-                x[i] = sum(d * 3 ** (k - 1 - t) for t, d in enumerate(a[0]))
-                y[i, :] = a[1]
-        weight = np.array(
-            [p ** j * q ** (k - j) for j in range(k)] + [0], dtype=dtype
-        )
-        keys = np.abs(x[:, None] - x[None, :])
-        keys *= q ** k
-        low = np.minimum(x[:, None], x[None, :])
-        low *= weight[_agreement_levels(y)]
-        keys += low
-        return keys, lambda key: Fraction(int(key), denominator)
-
     def pair_key_rows(self, addresses):
-        """The keys of `pair_keys` as n rows of Python ints, without numpy.
+        """Numerators over 3^K q^K, where lam1 = p/q and K is the depth, as n
+        rows of Python ints, so every lam1 stays exact.
 
-        Row a is |X_a - X_b| q^K + min(X_a, X_b) w_a(b), where w_a(b) is the
-        weight of the y agreement of a and b.  The first two factors depend
-        only on X_a and w_a only on a's y part, each of which few addresses
-        have, so each is computed once and a row is two C-level maps.
+        With X = sum(d_i 3^(K-1-i)), row a is |X_a - X_b| q^K + min(X_a, X_b)
+        w_a(b), where w_a(b) = p^j q^(K-j) for a y agreement of length j < K,
+        and 0 when the y parts agree fully or either address is the collapsed
+        point, whose X is 0.  The first two factors depend only on X_a and
+        w_a only on a's y part, each of which few addresses have, so each is
+        computed once and a row is two C-level maps.
         """
         p, q, k = self.lam1.numerator, self.lam1.denominator, self.depth
         qk = q ** k
@@ -202,20 +158,6 @@ class WarpMetric:
             far, low = x_parts[xa]
             rows.append(list(map(operator.add, far, map(operator.mul, low, weights[ya]))))
         return rows, lambda key: Fraction(key, 3 ** k * qk)
-
-
-def _agreement_levels(digits):
-    """lev[a, b] = number of leading columns on which rows a and b agree."""
-    import numpy as np
-
-    n, k = digits.shape
-    agree = np.ones((n, n), dtype=bool)
-    lev = np.zeros((n, n), dtype=np.min_scalar_type(k))
-    for j in range(k):
-        col = digits[:, j]
-        agree &= col[:, None] == col[None, :]
-        lev += agree
-    return lev
 
 
 def warp_cylinder_key(address, j):
@@ -286,26 +228,18 @@ class CantorModel:
         realized, _ = self.pair_ranks()
         return realized[1] if len(self) > 1 else Fraction(0)
 
-    @property
-    def fits_bytes(self):
-        """At most BYTE_ALPHABET addresses: every address index fits in a
-        byte, so the model computes on bytes and plain ints, without numpy."""
-        return len(self.addresses) <= BYTE_ALPHABET
-
     def pair_ranks(self):
         """(realized, rank) of a model whose metric has integer pair keys:
         the ascending exact distances, 0 first, and the n x n table of each
-        pair's index into them, read as rank[i][j].
+        pair's index into them, as a list of rows of Python ints read as
+        rank[i][j], from the metric's `pair_key_rows`.
 
-        The table is a list of rows of Python ints on a model that fits
-        bytes (from the metric's `pair_key_rows`), and a numpy matrix above
-        (from its `pair_keys`).  Built on first use and cached; above
-        DEFAULT_PAIR_CAP addresses it refuses before computing a pair, and it
-        refuses a metric that puts distinct addresses at distance 0.
+        Built on first use and cached; above DEFAULT_PAIR_CAP addresses it
+        refuses before computing a pair, and it refuses a metric that puts
+        distinct addresses at distance 0.
         """
         if self._pair_ranks is None:
-            build = _pair_rank_rows if self.fits_bytes else _pair_rank_matrix
-            self._pair_ranks = build(self)
+            self._pair_ranks = _pair_rank_rows(self)
         return self._pair_ranks
 
     def cylinder_key(self, address, j):
@@ -328,12 +262,8 @@ class CantorModel:
         idx = [self.index[a] for a in subset]
         if not idx:
             return Fraction(0)
-        if self.fits_bytes:
-            get = tuple_getter(idx)
-            return realized[max(max(get(rank[i])) for i in idx)]
-        import numpy as np
-
-        return realized[int(rank[np.ix_(idx, idx)].max())]
+        get = tuple_getter(idx)
+        return realized[max(max(get(rank[i])) for i in idx)]
 
     def validate_metric(self, *, triple_cap=1000, samples=10 ** 4, seed=0):
         """Symmetry, identity of indiscernibles, and the triangle inequality.
@@ -388,7 +318,8 @@ class CantorModel:
 
 
 def _pair_rank_rows(model):
-    """Pair ranks as rows of Python ints, from the metric's `pair_key_rows`."""
+    """Pair ranks as rows of Python ints, from the metric's `pair_key_rows`;
+    the distinct keys are sorted as Python ints, exact at any size."""
     n = len(model)
     check_pair_cap(n)
     keys, value = model.metric.pair_key_rows(model.addresses)
@@ -400,24 +331,6 @@ def _pair_rank_rows(model):
         if row[i] != 0 or row.count(0) != 1:
             raise StructureError("distinct addresses at distance 0")
     return tuple(map(value, distinct)), rank
-
-
-def _pair_rank_matrix(model):
-    """Pair ranks as a numpy matrix, from the metric's `pair_keys`; the
-    distinct keys are found by sorting, which stays exact on object keys."""
-    n = len(model)
-    check_pair_cap(n)
-    np = _numpy(n)
-    keys, value = model.metric.pair_keys(model.addresses)
-    flat = np.sort(keys, axis=None)
-    distinct = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
-    rank = np.empty((n, n), dtype=np.min_scalar_type(len(distinct) - 1))
-    for i, row in enumerate(keys):  # row by row keeps the index temporaries small
-        rank[i] = np.searchsorted(distinct, row)
-        # rank 0 (distance 0) belongs to the diagonal alone
-        if rank[i, i] != 0 or np.count_nonzero(rank[i] == 0) != 1:
-            raise StructureError("distinct addresses at distance 0")
-    return tuple(value(key) for key in distinct), rank
 
 
 # ------------------------------------------------------------------ action
@@ -583,24 +496,6 @@ def _word_ball(tokens, identity, max_length, perm_cap, compose):
     return order, completed
 
 
-def enumerate_word_perms(action, max_length, *, perm_cap=200000):
-    """The word ball (`_word_ball`) with each permutation an int32 array,
-    for callers that gather arrays through it."""
-    np = _numpy(len(action.model))
-
-    def compose(key):
-        perm = np.frombuffer(key, dtype=np.int32)
-        return lambda p: p[perm].tobytes()
-
-    tokens = [
-        (token, np.array(action.token_perm(*token), dtype=np.int32))
-        for token in action.signed_tokens()
-    ]
-    identity = np.arange(len(action.model), dtype=np.int32).tobytes()
-    ball, completed = _word_ball(tokens, identity, max_length, perm_cap, compose)
-    return [(word, np.frombuffer(key, dtype=np.int32)) for word, key in ball], completed
-
-
 def tuple_getter(indices):
     """The map p -> tuple(p[i] for i in indices), through operator.itemgetter;
     `indices` is a nonempty sequence."""
@@ -610,7 +505,7 @@ def tuple_getter(indices):
 
 def enumerate_word_tuples(action, max_length, *, perm_cap=200000):
     """The word ball (`_word_ball`) with each permutation a tuple, composed
-    by `tuple_getter`: no numpy."""
+    by `tuple_getter`."""
     tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
     identity = tuple(range(len(action.model)))
     return _word_ball(tokens, identity, max_length, perm_cap, tuple_getter)
@@ -634,32 +529,16 @@ def enumerate_word_bytes(action, max_length, *, perm_cap=200000):
     )
 
 
-def _array_getter(indices):
-    """tuple_getter for int32 arrays, giving Python ints."""
-    import numpy as np
-
-    idx = np.array(indices, dtype=np.intp)
-    return lambda perm: tuple(perm[idx].tolist())
-
-
 def word_ball(action, max_length, *, perm_cap=200000):
-    """The word ball in the representation that suits the model, as
-    (pairs, completed_length, gather).
-
-    bytes on a model of at most BYTE_ALPHABET addresses, tuples on a larger
-    tree model, and int32 arrays on a larger model of any other metric,
-    which has loaded numpy for its rank matrix.  `gather(indices)` maps a
-    ball permutation to the tuple of its images of the indices, as Python
-    ints.
+    """The word ball (`_word_ball`) in the representation that suits the
+    model, as (pairs, completed_length): bytes on a model of at most
+    BYTE_ALPHABET addresses, and tuples above, whatever the metric.  Either
+    way a ball permutation is a sequence of Python ints that `tuple_getter`
+    gathers.
     """
-    model = action.model
-    if model.fits_bytes:
-        ball, gather = enumerate_word_bytes, tuple_getter
-    elif model.is_tree:
-        ball, gather = enumerate_word_tuples, tuple_getter
-    else:
-        ball, gather = enumerate_word_perms, _array_getter
-    return (*ball(action, max_length, perm_cap=perm_cap), gather)
+    if len(action.model) <= BYTE_ALPHABET:
+        return enumerate_word_bytes(action, max_length, perm_cap=perm_cap)
+    return enumerate_word_tuples(action, max_length, perm_cap=perm_cap)
 
 
 # ------------------------------------------------------------ modulus table
@@ -709,15 +588,10 @@ class ModulusTable:
 
 
 def _image_ranks(rank, perm):
-    """rank[perm[a]][perm[b]] for every pair (a, b): rows gathered by
-    itemgetter from rows of ints, or a matrix gathered by take."""
-    if isinstance(rank, list):
-        get = tuple_getter(perm)
-        return [get(rank[i]) for i in perm]
-    import numpy as np
-
-    p = np.asarray(perm, dtype=np.intp)
-    return rank.take(p, axis=0).take(p, axis=1)
+    """rank[perm[a]][perm[b]] for every pair (a, b), each row gathered by
+    itemgetter."""
+    get = tuple_getter(perm)
+    return [get(rank[i]) for i in perm]
 
 
 def modulus_table(action):
@@ -760,10 +634,7 @@ def _rank_modulus_rows(action):
     """kappa(r) is the largest image rank, over the tokens, of a pair whose
     rank is at most r; one row per rank some distinct pair realizes."""
     realized, rank = action.model.pair_ranks()
-    if action.model.fits_bytes:
-        worst = _worst_image_ranks(action, realized, rank)
-    else:
-        worst = _worst_image_ranks_numpy(action, realized, rank)
+    worst = _worst_image_ranks(action, realized, rank)
     rows = []
     kappa = 0
     for r, k in enumerate(worst):
@@ -793,22 +664,6 @@ def _worst_image_ranks(action, realized, rank):
     return worst
 
 
-def _worst_image_ranks_numpy(action, realized, rank):
-    import numpy as np
-
-    n = len(action.model)
-    img = np.zeros_like(rank)
-    for name, sign in action.signed_tokens():
-        np.maximum(img, _image_ranks(rank, action.token_perm(name, sign)), out=img)
-    iu = np.triu_indices(n, k=1)
-    pair_rank = rank[iu]
-    worst = np.zeros(len(realized), dtype=rank.dtype)
-    np.maximum.at(worst, pair_rank, img[iu])
-    present = np.zeros(len(realized), dtype=bool)
-    present[pair_rank] = True
-    return [int(k) if seen else None for k, seen in zip(worst, present)]
-
-
 # --------------------------------------------------------------- distality
 
 @dataclass(frozen=True)
@@ -834,11 +689,10 @@ def is_distal(action, word_length=8, *, perm_cap=20000):
     oracle (tests/helpers.brute_force_distality).
 
     The ball takes the model's representation (`word_ball`): bytes up to
-    BYTE_ALPHABET addresses, so that no command there loads numpy, and
-    tuples or arrays above.
+    BYTE_ALPHABET addresses and tuples above, on any metric.
     """
     min_delta = action.model.least_distance()
-    words, word_length, _ = word_ball(action, word_length, perm_cap=perm_cap)
+    words, word_length = word_ball(action, word_length, perm_cap=perm_cap)
     return DistalityVerdict(True, word_length, min_delta, len(words))
 
 

@@ -38,7 +38,7 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StructureError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)
 
@@ -441,8 +441,11 @@ def run(argv):
     elapsed_ms = (time.monotonic() - started) * 1000
     text = report.render(timing_ms=elapsed_ms)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise StructureError(f"cannot write report {args.out!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -13,10 +13,9 @@ a tolerance.
 
 Each return word keeps only its restriction to W, a tuple of address indices,
 which is all the chain reads.  The word ball takes the model's representation
-(bytes up to 256 addresses, tuples on larger trees), the partition gap reads
-cylinders or rows of pair ranks, and the Schreier diameter grows Python-int
-bitsets, so `code` loads numpy only on a non-tree model of more than 256
-addresses.
+(bytes up to 256 addresses, tuples above), the partition gap reads cylinders
+or rows of pair ranks, and the Schreier diameter grows Python-int bitsets,
+all on the standard library.
 """
 
 from __future__ import annotations
@@ -172,15 +171,15 @@ def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=20000)
     one shortest transition word per reachable window address.
 
     The ball takes the model's representation (`action.word_ball`), and each
-    ball permutation is restricted to the window by its gather.
+    ball permutation is restricted to the window by one `tuple_getter`.
     """
     window = _check_clopen_window(action, window)
     model = action.model
     w0 = model.index[action.basepoint]
     win_idx = sorted(model.index[a] for a in window)
     win_set = set(win_idx)
-    pairs, completed, gather = word_ball(action, bound, perm_cap=perm_budget)
-    restrict = gather(win_idx)
+    pairs, completed = word_ball(action, bound, perm_cap=perm_budget)
+    restrict = tuple_getter(win_idx)
     first_word = {}  # window image -> its first word, in word order
     for word, perm in pairs:
         if perm[w0] in win_set:
@@ -383,26 +382,15 @@ def _eta_of_partition(model, partition, *, include_complement):
         )
         return None if deepest is None else model.metric.lam ** deepest
     realized, rank = model.pair_ranks()
-    if model.fits_bytes:
-        labelled = [i for i, b in enumerate(block_id) if b or include_complement]
-        least = None
-        for label, block in enumerate(partition.blocks, start=1):
-            others = [k for k in labelled if block_id[k] != label]
-            if others:
-                get = tuple_getter(others)
-                gap = min(min(get(rank[model.index[a]])) for a in block)
-                least = gap if least is None else min(least, gap)
-        return None if least is None else realized[least]
-    import numpy as np
-
-    block_id = np.array(block_id, dtype=np.intp)
-    inside = np.nonzero(block_id)[0]
-    ids = block_id[inside]
-    gaps = [rank[np.ix_(inside, inside)][ids[:, None] != ids[None, :]]]
-    if include_complement:
-        gaps.append(rank[np.ix_(inside, np.nonzero(block_id == 0)[0])].ravel())
-    gaps = np.concatenate(gaps)
-    return realized[int(gaps.min())] if gaps.size else None
+    labelled = [i for i, b in enumerate(block_id) if b or include_complement]
+    least = None
+    for label, block in enumerate(partition.blocks, start=1):
+        others = [k for k in labelled if block_id[k] != label]
+        if others:
+            get = tuple_getter(others)
+            gap = min(min(get(rank[model.index[a]])) for a in block)
+            least = gap if least is None else min(least, gap)
+    return None if least is None else realized[least]
 
 
 def _witness_or_subresolution(table, eps):

@@ -9,12 +9,14 @@ from fractions import Fraction as F
 import numpy as np
 
 from cantordyn.action import (
+    COLLAPSED,
     CantorAction,
     CantorModel,
     TreeMetric,
-    _agreement_levels,
+    WarpMetric,
+    _word_ball,
+    check_pair_cap,
     common_prefix,
-    enumerate_word_perms,
     is_distal,
     modulus_table,
 )
@@ -72,7 +74,7 @@ class ExplicitMetric:
 @dataclass(frozen=True)
 class RankedTreeMetric:
     """The tree ultrametric lam^j with integer pair keys and no TreeMetric
-    type, so that a model over it runs the rank-matrix engines: the oracle
+    type, so that a model over it runs the pair-rank engines: the oracle
     for the cylinder engines of tree models."""
 
     lam: F
@@ -84,14 +86,13 @@ class RankedTreeMetric:
         """Keys depth - (agreement level); key 0 only on the diagonal."""
         digits = np.array(addresses, dtype=np.int64)
         depth = digits.shape[1]
-        keys = depth - _agreement_levels(digits)
+        keys = depth - agreement_levels(digits)
         return keys, self._value(depth)
 
     def pair_key_rows(self, addresses):
-        """The keys of `pair_keys` as rows of ints, one common prefix a pair."""
-        depth = len(addresses[0])
-        keys = [[depth - common_prefix(a, b) for b in addresses] for a in addresses]
-        return keys, self._value(depth)
+        """The keys of `pair_keys` as rows of ints."""
+        keys, value = self.pair_keys(addresses)
+        return keys.tolist(), value
 
     def _value(self, depth):
         return lambda key: self.lam ** (depth - int(key)) if key else F(0)
@@ -114,6 +115,85 @@ def three_point_action():
     )
     model = CantorModel(addrs, 1, ExplicitMetric(table))
     return CantorAction(model, {"s": (0, 2, 1)}, ("a",))
+
+
+# ----------------------------------------- array oracles of the pure-Python routes
+
+def agreement_levels(digits):
+    """lev[a, b] = number of leading columns on which rows a and b agree."""
+    n, k = digits.shape
+    agree = np.ones((n, n), dtype=bool)
+    lev = np.zeros((n, n), dtype=np.min_scalar_type(k))
+    for j in range(k):
+        col = digits[:, j]
+        agree &= col[:, None] == col[None, :]
+        lev += agree
+    return lev
+
+
+def warp_pair_keys(metric, addresses):
+    """The numerators of `WarpMetric.pair_key_rows` as one numpy matrix.
+
+    With X = sum(d_i 3^(K-1-i)) and j the y agreement length, a pair's
+    numerator is |X_a - X_b| q^K + min(X_a, X_b) p^j q^(K-j); the second term
+    is dropped when the y parts agree fully and vanishes against the collapsed
+    point, whose X is 0.  Object keys take over from int64 when a numerator
+    could overflow it, so every lam1 stays exact.
+    """
+    p, q, k = metric.lam1.numerator, metric.lam1.denominator, metric.depth
+    denominator = 3 ** k * q ** k
+    largest = 3 ** k * (q ** k + max(abs(p), q) ** k)
+    dtype = np.int64 if largest < 2 ** 63 else object
+    n = len(addresses)
+    x = np.zeros(n, dtype=dtype)
+    y = np.zeros((n, k), dtype=np.int64)
+    for i, a in enumerate(addresses):
+        if a != COLLAPSED:
+            x[i] = sum(d * 3 ** (k - 1 - t) for t, d in enumerate(a[0]))
+            y[i, :] = a[1]
+    weight = np.array([p ** j * q ** (k - j) for j in range(k)] + [0], dtype=dtype)
+    keys = np.abs(x[:, None] - x[None, :])
+    keys *= q ** k
+    low = np.minimum(x[:, None], x[None, :])
+    low *= weight[agreement_levels(y)]
+    keys += low
+    return keys, lambda key: F(int(key), denominator)
+
+
+def pair_rank_matrix(model):
+    """(realized, rank) of `CantorModel.pair_ranks` with rank a numpy matrix,
+    from numpy pair keys (`warp_pair_keys`, or the metric's `pair_keys`); the
+    distinct keys are found by sorting, which stays exact on object keys."""
+    n = len(model)
+    check_pair_cap(n)
+    metric = model.metric
+    pair_keys = warp_pair_keys if isinstance(metric, WarpMetric) else type(metric).pair_keys
+    keys, value = pair_keys(metric, model.addresses)
+    flat = np.sort(keys, axis=None)
+    distinct = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+    rank = np.empty((n, n), dtype=np.min_scalar_type(len(distinct) - 1))
+    for i, row in enumerate(keys):  # row by row keeps the index temporaries small
+        rank[i] = np.searchsorted(distinct, row)
+        # rank 0 (distance 0) belongs to the diagonal alone
+        if rank[i, i] != 0 or np.count_nonzero(rank[i] == 0) != 1:
+            raise StructureError("distinct addresses at distance 0")
+    return tuple(value(key) for key in distinct), rank
+
+
+def enumerate_word_perms(action, max_length, *, perm_cap=200000):
+    """The word ball (`_word_ball`) with each permutation an int32 array."""
+
+    def compose(key):
+        perm = np.frombuffer(key, dtype=np.int32)
+        return lambda p: p[perm].tobytes()
+
+    tokens = [
+        (token, np.array(action.token_perm(*token), dtype=np.int32))
+        for token in action.signed_tokens()
+    ]
+    identity = np.arange(len(action.model), dtype=np.int32).tobytes()
+    ball, completed = _word_ball(tokens, identity, max_length, perm_cap, compose)
+    return [(word, np.frombuffer(key, dtype=np.int32)) for word, key in ball], completed
 
 
 # ------------------------------------------------- engine probes

@@ -14,7 +14,6 @@ import time
 
 from cantordyn import cli
 from cantordyn.action import (
-    enumerate_word_perms,
     germinal_holonomy,
     invariant_measure,
     modulus_table,
@@ -34,7 +33,12 @@ from cantordyn.report import strip_timing
 from cantordyn.tower import boundary_action, build_tower, interleave, mccord_verdict, subgroup_cylinder
 
 from conftest import record_criterion
-from helpers import brute_force_core, check_coding_laws, random_tree_action
+from helpers import (
+    brute_force_core,
+    check_coding_laws,
+    enumerate_word_perms,
+    random_tree_action,
+)
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 

@@ -10,7 +10,6 @@ from cantordyn.action import (
     CantorAction,
     CantorModel,
     TreeMetric,
-    enumerate_word_perms,
     format_word,
     germinal_holonomy,
     invariant_measure,
@@ -24,7 +23,7 @@ from cantordyn.action import (
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import vietoris, warp_example, warp_model
 from cantordyn.tower import boundary_action
-from helpers import brute_force_distality, three_point_action
+from helpers import brute_force_distality, enumerate_word_perms, three_point_action
 
 
 def dyadic_action(depth=3):

@@ -1,7 +1,7 @@
-"""Models of at most 256 addresses compute on bytes and plain ints: pair ranks
-as rows of Python ints and the word ball as bytes permutations, each against
-the numpy engine it replaces and the Fraction oracles; and the commands that
-must run without numpy, or refuse cleanly without it."""
+"""Every model computes on bytes, tuples and plain ints: pair ranks as rows of
+Python ints, and the word ball as bytes permutations up to 256 addresses and
+tuples above, each against the numpy oracle it replaced (`tests/helpers.py`)
+and the Fraction oracles; and commands that run without numpy."""
 
 import json
 import os
@@ -24,7 +24,6 @@ from cantordyn.action import (
     TreeMetric,
     WarpMetric,
     enumerate_word_bytes,
-    enumerate_word_perms,
     enumerate_word_tuples,
     is_distal,
     word_ball,
@@ -38,11 +37,14 @@ from helpers import (
     brute_force_eta,
     brute_force_modulus_rows,
     engine_answers,
+    enumerate_word_perms,
     pair_distances,
+    pair_rank_matrix,
     probes,
     random_tree_action,
     rank_oracle,
     three_point_action,
+    warp_pair_keys,
 )
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -77,11 +79,11 @@ def test_rank_rows_are_the_rank_matrix(depth, lam1):
     realized, rank = model.pair_ranks()
     assert type(rank) is list
     assert all(type(r) is int for row in rank for r in row)
-    matrix_realized, matrix = action_module._pair_rank_matrix(model)
+    matrix_realized, matrix = pair_rank_matrix(model)
     assert realized == matrix_realized
     assert rank == matrix.tolist()
     # from depth 3, 1/10^7 takes the numpy keys past int64, to object keys
-    keys, _ = model.metric.pair_keys(model.addresses)
+    keys, _ = warp_pair_keys(model.metric, model.addresses)
     assert (keys.dtype == object) == (depth >= 3 and lam1 == F(1, 10 ** 7))
 
 
@@ -99,15 +101,18 @@ RANK_ACTIONS = {
 
 @pytest.mark.parametrize("name", RANK_ACTIONS)
 def test_rank_row_engines_are_the_numpy_engines(name, monkeypatch):
+    # the engines answer alike on the route of models above 256 addresses,
+    # whose rank rows are the numpy oracle's rank matrix
     build = RANK_ACTIONS[name]
     action = build()
     subsets, partitions = probes(action, random.Random(len(action.model)))
     answers = engine_answers(action, subsets, partitions)
     assert type(action.model.pair_ranks()[1]) is list
     monkeypatch.setattr(action_module, "BYTE_ALPHABET", 0)  # no model fits bytes
-    numpy_action = build()
-    assert engine_answers(numpy_action, subsets, partitions) == answers
-    assert type(numpy_action.model.pair_ranks()[1]) is not list
+    large = build()
+    assert engine_answers(large, subsets, partitions) == answers
+    realized, matrix = pair_rank_matrix(large.model)
+    assert large.model.pair_ranks() == (realized, matrix.tolist())
 
 
 @pytest.mark.parametrize("name", [name for name in RANK_ACTIONS if "warp_4" not in name])
@@ -126,19 +131,21 @@ def test_rank_row_engines_match_the_fraction_oracles(name):
     ]
 
 
-@pytest.mark.parametrize("fits_bytes", [True, False], ids=["rows", "matrix"])
+# the model's rank rows and the numpy oracle each refuse what the other does
+ROUTES = {"_pair_rank_rows": action_module._pair_rank_rows, "_pair_rank_matrix": pair_rank_matrix}
+
+
+@pytest.mark.parametrize("build", ROUTES.values(), ids=["rows", "matrix"])
 @pytest.mark.parametrize("lam1", [F(0), F(-1, 2)], ids=str)
-def test_both_routes_refuse_distinct_addresses_at_distance_zero(monkeypatch, lam1, fits_bytes):
-    if not fits_bytes:
-        monkeypatch.setattr(action_module, "BYTE_ALPHABET", 0)
+def test_both_routes_refuse_distinct_addresses_at_distance_zero(lam1, build):
     metric = WarpMetric(2)
     object.__setattr__(metric, "lam1", lam1)  # past the constructor's check
     model = CantorModel(warp_model(2).addresses, 2, metric)
     with pytest.raises(StructureError, match="distinct addresses at distance 0"):
-        model.pair_ranks()
+        build(model)
 
 
-@pytest.mark.parametrize("build", ["_pair_rank_rows", "_pair_rank_matrix"])
+@pytest.mark.parametrize("build", ROUTES)
 def test_both_routes_refuse_above_the_pair_cap_before_any_key(monkeypatch, build):
     def no_keys(self, addresses):
         raise AssertionError("pair keys computed above the cap")
@@ -149,7 +156,7 @@ def test_both_routes_refuse_above_the_pair_cap_before_any_key(monkeypatch, build
         [(i,) for i in range(DEFAULT_PAIR_CAP + 1)], 1, RankedTreeMetric(F(1, 2))
     )
     with pytest.raises(ResourceLimitError):
-        getattr(action_module, build)(model)
+        ROUTES[build](model)
 
 
 # -------------------------------------------------------------- word balls
@@ -182,7 +189,7 @@ def test_bytes_ball_is_the_tuple_and_array_ball(name):
         assert all(type(perm) is bytes for _, perm in ball)
         assert listed(ball) == listed(tuples)
         assert listed(ball) == [(word, perm.tolist()) for word, perm in arrays]
-        assert word_ball(action, 8, perm_cap=perm_cap)[:2] == (ball, completed)
+        assert word_ball(action, 8, perm_cap=perm_cap) == (ball, completed)
         verdict = is_distal(action, 8, perm_cap=perm_cap)
         assert (verdict.word_count, verdict.word_length) == (len(ball), completed)
 
@@ -213,25 +220,6 @@ def test_bytes_ball_is_the_tuple_ball_on_random_permutations(
 
 # ------------------------------------------------- commands and numpy
 
-BLOCK_NUMPY = 'import sys\nsys.modules["numpy"] = None  # every import of numpy fails\n'
-
-
-@pytest.mark.parametrize("command", ["classify", "code"])
-def test_a_warp_model_above_256_addresses_without_numpy_exits_three(command):
-    proc = run_python(
-        BLOCK_NUMPY + "from cantordyn.cli import main\nsys.exit(main(sys.argv[1:]))",
-        command,
-        "configs/warp.cfg",
-        "--depth",
-        "5",
-    )
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == (
-        "error: a non-tree model of 993 addresses needs numpy, which is not "
-        "installed (up to 256 addresses run without it)\n"
-    )
-
-
 def test_warp_commands_load_neither_numpy_nor_the_chain_layers():
     script = """
 import contextlib, io, json, sys
@@ -251,16 +239,21 @@ print(codes, [name for name in loaded if name in sys.modules])
     assert proc.stdout == f"{[0] * len(commands)} []\n"
 
 
-def test_the_numpy_route_finds_distinct_keys_without_numpy_ma():
+def test_the_route_above_256_addresses_gives_the_bytes_route_reports():
     script = """
 import contextlib, io, sys
 from cantordyn import action
-action.BYTE_ALPHABET = 0  # the numpy route, on a model of 57 addresses
 from cantordyn.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main([command, "configs/warp.cfg"]) for command in ("classify", "code")]
-print(codes, "numpy" in sys.modules, "numpy.ma" in sys.modules)
+from cantordyn.report import strip_timing
+runs = []
+for alphabet in (256, 0):  # 0: the route above 256 addresses, on 57 addresses
+    action.BYTE_ALPHABET = alphabet
+    for command in ("classify", "code"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runs.append((main([command, "configs/warp.cfg"]), strip_timing(out.getvalue())))
+print(runs[:2] == runs[2:], [rc for rc, _ in runs], "numpy" in sys.modules)
 """
     proc = run_python(script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[0, 0] True False\n"
+    assert proc.stdout == "True [0, 0, 0, 0] False\n"

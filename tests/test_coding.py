@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cantordyn import action as action_module
+from cantordyn import coding as coding_module
 from cantordyn.action import CantorAction, CantorModel, TreeMetric, format_word, parse_word
 from cantordyn.affine import normal_core
 from cantordyn.coding import (
@@ -37,10 +38,10 @@ from helpers import (
     bfs_schreier_diameter,
     check_coding_laws,
     dense_schreier_diameter,
+    enumerate_word_perms,
     least_cylinder_union_depth,
     naive_refine_fixed_point,
     random_tree_action,
-    rank_oracle,
 )
 
 
@@ -261,9 +262,14 @@ def assert_images_are_window_restrictions(action, words):
 
 @pytest.mark.parametrize("name", list(RETURN_WORD_ACTIONS))
 def test_tuple_ball_return_words_are_the_array_ball_ones(name, monkeypatch):
-    # with no model fitting bytes, the tree model takes the tuple ball and the
-    # rank oracle's model, no TreeMetric, the array ball; models of at most
-    # 256 addresses take the bytes ball unpatched
+    # with no model fitting bytes, the model takes the tuple ball, and with the
+    # array oracle in place of `word_ball` the array ball, each permutation
+    # handed over as a list of ints; models of at most 256 addresses take the
+    # bytes ball unpatched
+    def array_ball(action, length, *, perm_cap):
+        ball, completed = enumerate_word_perms(action, length, perm_cap=perm_cap)
+        return [(word, perm.tolist()) for word, perm in ball], completed
+
     action = RETURN_WORD_ACTIONS[name]()
     window = default_window(action)
     for bound, budget in ((8, 20000), (8, 50), (3, 20000)):
@@ -271,7 +277,8 @@ def test_tuple_ball_return_words_are_the_array_ball_ones(name, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(action_module, "BYTE_ALPHABET", 0)
             tuples = return_words(action, window, bound, perm_budget=budget)
-            arrays = return_words(rank_oracle(action), window, bound, perm_budget=budget)
+            patch.setattr(coding_module, "word_ball", array_ball)
+            arrays = return_words(action, window, bound, perm_budget=budget)
         for words in (chosen, arrays):
             assert tuples == words  # words, bound and effective bound
             assert (tuples.window, tuples.images) == (words.window, words.images)

@@ -123,6 +123,15 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xff\xfe")
+    rc, out, err = run_cli(capsys, "classify", str(bad))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot read config {str(bad)!r}: ")
+    assert err.count("\n") == 1
+
+
 def test_semantic_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(
@@ -557,6 +566,17 @@ def test_out_flag_writes_the_report(tmp_path, capsys):
     assert rc == 0
     assert out == ""
     assert "minimal: true" in target.read_text()
+
+
+def test_out_flag_to_an_unwritable_path_exits_two(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    rc, out, err = run_cli(
+        capsys, "classify", str(CONFIG_DIR / "rt.cfg"), "--out", str(target)
+    )
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: cannot write report {str(target)!r}: ")
+    assert err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 def test_depth_and_lambda_overrides(capsys):

@@ -17,7 +17,6 @@ from cantordyn.action import (
     CantorModel,
     CylinderMeasure,
     TreeMetric,
-    enumerate_word_perms,
     enumerate_word_tuples,
     invariant_measure,
     is_distal,
@@ -36,6 +35,7 @@ from cantordyn.tower import boundary_action
 from helpers import (
     brute_force_pushforward_invariant,
     engine_answers,
+    enumerate_word_perms,
     probes,
     random_tree_action,
     rank_oracle,

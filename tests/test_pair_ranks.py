@@ -1,4 +1,4 @@
-"""The cached pair-rank matrix and the pairwise engines that read it,
+"""The cached pair ranks and the pairwise engines that read them,
 differentially against per-pair Fraction oracles."""
 
 import pathlib
@@ -85,7 +85,7 @@ def test_pair_ranks_refuse_above_the_cap_before_any_pair(monkeypatch):
     def no_pairs(self, addresses):
         raise AssertionError("pair keys computed above the cap")
 
-    monkeypatch.setattr(RankedTreeMetric, "pair_keys", no_pairs)
+    monkeypatch.setattr(RankedTreeMetric, "pair_key_rows", no_pairs)
     model = CantorModel(
         [(i,) for i in range(DEFAULT_PAIR_CAP + 1)], 1, RankedTreeMetric(F(1, 2))
     )
@@ -208,8 +208,9 @@ def test_warp_commands_compute_each_distance_once(capsys, monkeypatch, command):
     original_distance = WarpMetric.distance
     original_pair_ranks = action_module.CantorModel.pair_ranks
     monkeypatch.setattr(WarpMetric, "distance", distance)
-    for build in ("_pair_rank_rows", "_pair_rank_matrix"):  # either route counts
-        monkeypatch.setattr(action_module, build, counted(getattr(action_module, build)))
+    monkeypatch.setattr(
+        action_module, "_pair_rank_rows", counted(action_module._pair_rank_rows)
+    )
     monkeypatch.setattr(action_module.CantorModel, "pair_ranks", pair_ranks)
     assert main([command, str(CONFIG_DIR / "warp.cfg")]) == 0
     capsys.readouterr()
@@ -234,7 +235,7 @@ def test_warp_commands_compute_each_distance_once(capsys, monkeypatch, command):
     ids=lambda argv: " ".join(argv),
 )
 def test_chain_commands_never_build_a_rank_matrix(capsys, monkeypatch, argv):
-    calls = {"pair_ranks": 0, "_pair_rank_rows": 0, "_pair_rank_matrix": 0}
+    calls = {"pair_ranks": 0, "_pair_rank_rows": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -246,12 +247,15 @@ def test_chain_commands_never_build_a_rank_matrix(capsys, monkeypatch, argv):
     monkeypatch.setattr(
         CantorModel, "pair_ranks", counted("pair_ranks", CantorModel.pair_ranks)
     )
-    for build in ("_pair_rank_rows", "_pair_rank_matrix"):
-        monkeypatch.setattr(action_module, build, counted(build, getattr(action_module, build)))
+    monkeypatch.setattr(
+        action_module,
+        "_pair_rank_rows",
+        counted("_pair_rank_rows", action_module._pair_rank_rows),
+    )
     monkeypatch.chdir(CONFIG_DIR.parent)
     assert main(argv) == 0
     capsys.readouterr()
-    assert calls == {"pair_ranks": 0, "_pair_rank_rows": 0, "_pair_rank_matrix": 0}
+    assert calls == {"pair_ranks": 0, "_pair_rank_rows": 0}
 
 
 def test_classify_gathers_the_rank_matrix_once_per_token_and_never_per_word(
@@ -278,7 +282,7 @@ def test_oversized_warp_model_exits_three_before_any_pair(capsys, monkeypatch, c
         raise AssertionError("a pair was computed above the cap")
 
     monkeypatch.setattr(WarpMetric, "distance", no_pairs)
-    monkeypatch.setattr(WarpMetric, "pair_keys", no_pairs)
+    monkeypatch.setattr(WarpMetric, "pair_key_rows", no_pairs)
     start = time.perf_counter()
     rc = main([command, str(CONFIG_DIR / "warp.cfg"), "--depth", "6"])
     elapsed = time.perf_counter() - start
