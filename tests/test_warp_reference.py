@@ -15,6 +15,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 REFERENCE = pathlib.Path(__file__).resolve().parent / "data" / "warp_depth5_reference.json"
 
@@ -32,14 +34,22 @@ print(json.dumps(results))
 """
 
 
-def test_warp_depth_5_reproduces_its_reference_without_numpy():
-    entries = json.loads(REFERENCE.read_text(encoding="utf-8"))["commands"]
-    assert sorted(e["argv"][0] for e in entries) == ["classify", "code"]
+def _entries():
+    return json.loads(REFERENCE.read_text(encoding="utf-8"))["commands"]
+
+
+def test_the_reference_holds_classify_and_code():
+    assert sorted(e["argv"][0] for e in _entries()) == ["classify", "code"]
+
+
+@pytest.mark.parametrize("command", ["classify", "code"])
+def test_warp_depth_5_reproduces_its_reference_without_numpy(command):
+    (entry,) = [e for e in _entries() if e["argv"][0] == command]
     env = dict(os.environ)
     env.pop("CANTORDYN_INDEX_CAP", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", REPLAY_WITHOUT_NUMPY, json.dumps([e["argv"] for e in entries])],
+        [sys.executable, "-c", REPLAY_WITHOUT_NUMPY, json.dumps([entry["argv"]])],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -48,4 +58,4 @@ def test_warp_depth_5_reproduces_its_reference_without_numpy():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     results = [tuple(result) for result in json.loads(proc.stdout)]
-    assert results == [(e["exit"], e["report"]) for e in entries]
+    assert results == [(entry["exit"], entry["report"])]
