@@ -31,20 +31,11 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ResourceLimitError, StructureError
+from .errors import StructureError
+from .limits import BALL_BUDGET, ball_cap, check_cells
 
-DEFAULT_PAIR_CAP = 4000
 BYTE_ALPHABET = 256  # the alphabet of bytes.translate: most addresses a bytes perm holds
 COLLAPSED = "w0"
-
-
-def check_pair_cap(n):
-    """Refuse pairwise work on more than DEFAULT_PAIR_CAP addresses."""
-    if n > DEFAULT_PAIR_CAP:
-        raise ResourceLimitError(
-            f"pairwise distances need {n} addresses but the pairwise cap is "
-            f"{DEFAULT_PAIR_CAP}"
-        )
 
 
 # ----------------------------------------------------------------- metrics
@@ -206,11 +197,10 @@ class CantorModel:
 
         A depth-j cylinder is a run of the order that no split below j cuts,
         and a set of addresses has the common prefix of its least and
-        greatest.  Built on first use and cached; like the rank matrix, it is
-        refused above DEFAULT_PAIR_CAP addresses.
+        greatest.  Built on first use and cached; it holds O(n) entries, so
+        no cell cap applies.
         """
         if self._lex_order is None:
-            check_pair_cap(len(self))
             addrs = self.addresses
             order = sorted(range(len(addrs)), key=addrs.__getitem__)
             split = [
@@ -234,7 +224,7 @@ class CantorModel:
         pair's index into them, as a list of rows of Python ints read as
         rank[i][j], from the metric's `pair_key_rows`.
 
-        Built on first use and cached; above DEFAULT_PAIR_CAP addresses it
+        Built on first use and cached; above CELL_CAP cells (n^2 ranks) it
         refuses before computing a pair, and it refuses a metric that puts
         distinct addresses at distance 0.
         """
@@ -321,7 +311,7 @@ def _pair_rank_rows(model):
     """Pair ranks as rows of Python ints, from the metric's `pair_key_rows`;
     the distinct keys are sorted as Python ints, exact at any size."""
     n = len(model)
-    check_pair_cap(n)
+    check_cells(n * n, f"pair ranks of {n} addresses")
     keys, value = model.metric.pair_key_rows(model.addresses)
     distinct = sorted(set().union(*keys))
     rank_of = {key: r for r, key in enumerate(distinct)}
@@ -503,7 +493,7 @@ def tuple_getter(indices):
     return get if len(indices) > 1 else lambda p: (get(p),)  # one item comes back bare
 
 
-def enumerate_word_tuples(action, max_length, *, perm_cap=200000):
+def enumerate_word_tuples(action, max_length, *, perm_cap):
     """The word ball (`_word_ball`) with each permutation a tuple, composed
     by `tuple_getter`."""
     tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
@@ -511,7 +501,7 @@ def enumerate_word_tuples(action, max_length, *, perm_cap=200000):
     return _word_ball(tokens, identity, max_length, perm_cap, tuple_getter)
 
 
-def enumerate_word_bytes(action, max_length, *, perm_cap=200000):
+def enumerate_word_bytes(action, max_length, *, perm_cap):
     """The word ball (`_word_ball`) with each permutation a bytes string, on
     a model of at most BYTE_ALPHABET addresses.
 
@@ -529,13 +519,14 @@ def enumerate_word_bytes(action, max_length, *, perm_cap=200000):
     )
 
 
-def word_ball(action, max_length, *, perm_cap=200000):
+def word_ball(action, max_length, *, perm_cap):
     """The word ball (`_word_ball`) in the representation that suits the
     model, as (pairs, completed_length): bytes on a model of at most
     BYTE_ALPHABET addresses, and tuples above, whatever the metric.  Either
     way a ball permutation is a sequence of Python ints that `tuple_getter`
-    gathers.
+    gathers.  The budget is clamped to CELL_CAP cells (`limits.ball_cap`).
     """
+    perm_cap = ball_cap(perm_cap, len(action.model))
     if len(action.model) <= BYTE_ALPHABET:
         return enumerate_word_bytes(action, max_length, perm_cap=perm_cap)
     return enumerate_word_tuples(action, max_length, perm_cap=perm_cap)
@@ -674,7 +665,7 @@ class DistalityVerdict:
     word_count: int
 
 
-def is_distal(action, word_length=8, *, perm_cap=20000):
+def is_distal(action, word_length=8, *, perm_cap=BALL_BUDGET):
     """Distality over the word ball, with min_delta the least positive
     realized distance.
 
@@ -827,15 +818,3 @@ def germinal_holonomy(action, word, point):
         a = moved[0]
         witness = (a, model.addresses[perm[model.index[a]]])
     return GerminalVerdict(False, model.depth, witness)
-
-
-# -------------------------------------------------------------- warp values
-
-def warp_distance(model, a, b):
-    """Exact warp-product distance between two composite addresses."""
-    if not isinstance(model.metric, WarpMetric):
-        raise StructureError("warp_distance needs a warp-metric model")
-    for x in (a, b):
-        if x != COLLAPSED and x not in model.index:
-            raise StructureError(f"malformed composite address {x!r}")
-    return model.metric.distance(a, b)

@@ -11,37 +11,14 @@ is no floating point anywhere in this module.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _intmat as im
 from .errors import ResourceLimitError, StructureError
+from .limits import CLASS_CAP, check_index_cap, index_cap
 
 DEFAULT_ORDER_BOUND = 12
-DEFAULT_INDEX_CAP = 10 ** 6
-DEFAULT_CLASS_CAP = 4096
-INDEX_CAP_ENV = "CANTORDYN_INDEX_CAP"
-
-
-def index_cap():
-    raw = os.environ.get(INDEX_CAP_ENV)
-    if raw is None:
-        return DEFAULT_INDEX_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise StructureError(f"{INDEX_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap <= 0:
-        raise StructureError(f"{INDEX_CAP_ENV} must be positive")
-    return cap
-
-
-def check_index_cap(index, cap=None):
-    """Refuse a coset space of more than `cap` (default index_cap()) cosets."""
-    cap = index_cap() if cap is None else cap
-    if index > cap:
-        raise ResourceLimitError(f"coset index {index} exceeds the cap {cap}")
 
 
 def _to_fraction_vec(v):
@@ -475,9 +452,9 @@ def subgroup_from_generators(n, denom, generators):
                 if not span.contains(delta):
                     grow_lattice(delta)
             else:
-                if len(classes) >= DEFAULT_CLASS_CAP:
+                if len(classes) >= CLASS_CAP:
                     raise ResourceLimitError(
-                        f"point class count exceeded the cap {DEFAULT_CLASS_CAP}"
+                        f"point class count exceeded the cap {CLASS_CAP}"
                     )
                 classes[new_point] = new_tr
                 on_new_point(new_point)

@@ -16,8 +16,6 @@ from fractions import Fraction
 from . import __version__
 from .action import (
     COLLAPSED,
-    DEFAULT_PAIR_CAP,
-    check_pair_cap,
     format_word,
     germinal_holonomy,
     invariant_measure,
@@ -133,12 +131,9 @@ def _modulus_section(report, table, depth_used):
     report.add("kappa_equals_r_on_all_rows", table.is_exact_isometry_table(), 1)
 
 
-def _dynamics_sections(report, action, cfg, *, pair_action=None, pair_depth=None):
-    """Minimality and measure at full depth; pairwise tables possibly at a
-    reduced depth that fits the pairwise cap, reported as depth_used."""
-    if pair_action is None:
-        pair_action = action
-        pair_depth = action.model.depth
+def _dynamics_sections(report, action, cfg):
+    """Minimality, modulus, distality and measure, all at the model's depth,
+    which the modulus and distality sections report as depth_used."""
     minimal = is_minimal(action)
     report.section("minimality")
     report.add("minimal", minimal.minimal, 1)
@@ -153,12 +148,11 @@ def _dynamics_sections(report, action, cfg, *, pair_action=None, pair_depth=None
             1,
         )
 
-    table = modulus_table(pair_action)
-    _modulus_section(report, table, pair_depth)
+    _modulus_section(report, modulus_table(action), action.model.depth)
 
-    distal = is_distal(pair_action, cfg.words)
+    distal = is_distal(action, cfg.words)
     report.section("distality")
-    report.add("depth_used", pair_depth, 1)
+    report.add("depth_used", action.model.depth, 1)
     report.add("distal", distal.distal, 1)
     report.add("word_bound", distal.word_length, 1)
     report.add("word_classes", distal.word_count, 1)
@@ -173,43 +167,19 @@ def _dynamics_sections(report, action, cfg, *, pair_action=None, pair_depth=None
         report.add("weights", len(mu.weights), 1)
     # invariant_measure verified exact invariance; it raises otherwise
     report.add("pushforward_invariant", True, 1)
-    return minimal
-
-
-def _pairwise_depth(chain, depth, cap=DEFAULT_PAIR_CAP):
-    """Deepest level whose coset count fits the pairwise cap."""
-    best = None
-    for l in range(1, depth + 1):
-        if chain.group.index_of(chain.levels[l - 1]) <= cap:
-            best = l
-    if best is None:
-        raise StructureError(
-            "no chain level fits the pairwise cap; nothing to analyze"
-        )
-    return best
 
 
 def cmd_classify(cfg, chain, report):
     if chain is not None:
         from .affine import is_normal  # affine and tower serve chains alone
-        from .tower import build_tower, mccord_verdict
+        from .tower import mccord_verdict
 
         report.section("chain")
         report.add("label", chain.label, 1)
         report.add("levels", chain.depth, 1)
         report.add("indices", chain.indices(), 1)
 
-        tower = build_tower(chain)
-        action = tower.boundary_action(cfg.lam)
-        pair_depth = _pairwise_depth(chain, chain.depth)
-        pair_action = (
-            action
-            if pair_depth == chain.depth
-            else tower.truncate(pair_depth).boundary_action(cfg.lam)
-        )
-        _dynamics_sections(
-            report, action, cfg, pair_action=pair_action, pair_depth=pair_depth
-        )
+        _dynamics_sections(report, _action_for(cfg, chain), cfg)
 
         report.section("normality")
         for l, h in enumerate(chain.levels, start=1):
@@ -275,13 +245,14 @@ def cmd_compare(cfg_a, cfg_b, report):
 
 
 def cmd_code(cfg, chain, report):
-    from .coding import coding_chain  # only code pays for defining its dataclasses
+    from .coding import check_window_cells, coding_chain  # only code pays for its dataclasses
 
     if chain is not None:
         from .affine import normal_core
         from .tower import build_tower, subgroup_cylinder
 
-        check_pair_cap(chain.indices()[-1])  # refuse before any coset
+        indices = chain.indices()  # the default window: one level-1 coset's fibre
+        check_window_cells(indices[-1] // indices[0] if chain.depth > 1 else indices[-1])
         tower = build_tower(chain)
         action = tower.boundary_action(cfg.lam)
     else:

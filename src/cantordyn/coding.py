@@ -25,9 +25,9 @@ from fractions import Fraction
 
 from .action import common_prefix, modulus_table, tuple_getter, word_ball
 from .errors import InvariantViolation, StructureError
+from .limits import BALL_BUDGET, CODING_BUDGET, SCHREIER_SIZE_CAP, ball_cap, check_cells
 
 DEFAULT_WORD_BOUND = 8
-SCHREIER_SIZE_CAP = 1024
 
 
 # ---------------------------------------------------------------- partitions
@@ -166,14 +166,22 @@ def _shortest_words_into_window(action, win_idx):
     return [found[i] for i in sorted(found)]
 
 
-def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=20000):
+def check_window_cells(size):
+    """Refuse return words over a window of `size` addresses: each word keeps
+    its image of the window, and a transitive action has a word per address."""
+    check_cells(size * size, f"return words over a window of {size} addresses")
+
+
+def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=BALL_BUDGET):
     """Ball words of bounded length landing the basepoint in the window, plus
     one shortest transition word per reachable window address.
 
     The ball takes the model's representation (`action.word_ball`), and each
-    ball permutation is restricted to the window by one `tuple_getter`.
+    ball permutation is restricted to the window by one `tuple_getter`.  A
+    window over the cell cap is refused before any ball permutation.
     """
     window = _check_clopen_window(action, window)
+    check_window_cells(len(window))
     model = action.model
     w0 = model.index[action.basepoint]
     win_idx = sorted(model.index[a] for a in window)
@@ -430,8 +438,8 @@ def coding_chain(
     diam_graph = schreier_diameter(action)
     ceiling = max(word_bound, diam_graph if diam_graph is not None else len(model))
     bound = word_bound
-    budget = 20000
-    hard_budget = 200000
+    hard_budget = ball_cap(CODING_BUDGET, len(model))  # word_ball's own clamp
+    budget = min(BALL_BUDGET, hard_budget)
     words = return_words(action, window, bound, perm_budget=budget)
 
     levels = []

@@ -28,7 +28,7 @@ class ParseError(StructureError):
 
 
 class ResourceLimitError(CantordynError):
-    """A configured cap (coset index, pairwise table, class count) was exceeded."""
+    """A cap of `limits` (coset index, class count, cells) was exceeded."""
 
     exit_code = 3
 

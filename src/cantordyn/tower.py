@@ -15,7 +15,6 @@ from fractions import Fraction
 from .affine import (
     AffineGroup,
     FiniteIndexSubgroup,
-    check_index_cap,
     compose,
     contains,
     coset_space,
@@ -25,6 +24,7 @@ from .affine import (
     subgroup_le,
 )
 from .errors import StructureError
+from .limits import check_index_cap
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,6 @@ class QuotientTower:
         """Compatible coset ids at every level for a deepest-level coset."""
         k = self.depth
         return tuple(self.project(k, coset_index, l) for l in range(1, k + 1))
-
-    def truncate(self, depth):
-        """The tower of the chain's first `depth` levels: the first `depth`
-        coset spaces and the depth - 1 bonding maps between them."""
-        return QuotientTower(
-            self.chain.truncate(depth), self.levels[:depth], self.bonding[: depth - 1]
-        )
 
     def boundary_action(self, lam=Fraction(1, 2)):
         """Left translation on the deepest coset space as a finite Cantor model.

@@ -15,7 +15,6 @@ from cantordyn.action import (
     TreeMetric,
     WarpMetric,
     _word_ball,
-    check_pair_cap,
     common_prefix,
     is_distal,
     modulus_table,
@@ -28,6 +27,7 @@ from cantordyn.coding import (
     default_window,
 )
 from cantordyn.errors import StructureError
+from cantordyn.limits import check_cells
 
 
 # ------------------------------------------------- metrics with pair keys
@@ -165,7 +165,7 @@ def pair_rank_matrix(model):
     from numpy pair keys (`warp_pair_keys`, or the metric's `pair_keys`); the
     distinct keys are found by sorting, which stays exact on object keys."""
     n = len(model)
-    check_pair_cap(n)
+    check_cells(n * n, f"pair ranks of {n} addresses")
     metric = model.metric
     pair_keys = warp_pair_keys if isinstance(metric, WarpMetric) else type(metric).pair_keys
     keys, value = pair_keys(metric, model.addresses)

@@ -10,6 +10,8 @@ from cantordyn.action import (
     CantorAction,
     CantorModel,
     TreeMetric,
+    WarpMetric,
+    enumerate_word_tuples,
     format_word,
     germinal_holonomy,
     invariant_measure,
@@ -18,7 +20,6 @@ from cantordyn.action import (
     modulus_table,
     parse_word,
     pushforward_invariant,
-    warp_distance,
 )
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import vietoris, warp_example, warp_model
@@ -167,9 +168,16 @@ def test_equicontinuity_witness_lookup():
 
 
 def test_modulus_pairwise_cap(monkeypatch):
-    monkeypatch.setattr("cantordyn.action.DEFAULT_PAIR_CAP", 4)
-    with pytest.raises(ResourceLimitError):
-        modulus_table(dyadic_action())
+    # a warp model's pair ranks hold n^2 cells and are refused before any key;
+    # a tree model's cylinder engines store no pair and run under the same cap
+    def no_keys(self, addresses):
+        raise AssertionError("pair keys computed above the cell cap")
+
+    monkeypatch.setattr("cantordyn.limits.CELL_CAP", 168)
+    monkeypatch.setattr(WarpMetric, "pair_key_rows", no_keys)
+    with pytest.raises(ResourceLimitError, match="pair ranks of 13 addresses need 169"):
+        modulus_table(warp_example(2))
+    assert len(modulus_table(dyadic_action()).rows) == 3
 
 
 # ---------------------------------------------------------------- distality
@@ -276,27 +284,21 @@ def test_germ_triviality_is_monotone_in_depth():
 
 def test_warp_distance_identity_class():
     model = warp_model(3)
-    assert warp_distance(model, COLLAPSED, COLLAPSED) == 0
+    assert model.distance(COLLAPSED, COLLAPSED) == 0
 
 
 def test_warp_distance_same_base_scales_fiber_metric():
     model = warp_model(3)
     x = (2, 2, 2)
     xval = F(2, 3) + F(2, 9) + F(2, 27)
-    d = warp_distance(model, (x, (0, 0, 0)), (x, (1, 0, 0)))
+    d = model.distance((x, (0, 0, 0)), (x, (1, 0, 0)))
     assert d == xval  # d1 of fiber addresses differing at level 1 is 1
 
 
 def test_warp_distance_to_collapsed_class_is_the_base_value():
     model = warp_model(3)
     x = (2, 2, 2)
-    assert warp_distance(model, (x, (0, 1, 0)), COLLAPSED) == F(26, 27)
-
-
-def test_warp_distance_rejects_malformed_addresses():
-    model = warp_model(2)
-    with pytest.raises(StructureError):
-        warp_distance(model, ((2,), (0,)), COLLAPSED)
+    assert model.distance((x, (0, 1, 0)), COLLAPSED) == F(26, 27)
 
 
 def test_warp_metric_triangle_inequality_exhaustive_small():
@@ -319,6 +321,17 @@ def test_word_enumeration_is_the_cayley_ball():
     assert completed == 12
     assert len(words) == 8  # the induced group is cyclic of order 8
     assert words[0][0] == ()
+
+
+def test_the_cell_cap_stops_the_ball_layer_atomically(monkeypatch):
+    act = warp_example(3, 2)
+    unclamped = is_distal(act, 8)
+    monkeypatch.setattr("cantordyn.limits.CELL_CAP", 100 * len(act.model))
+    words, completed = enumerate_word_tuples(act, 8, perm_cap=100)
+    assert completed < unclamped.word_length
+    assert max(len(w) for w, _ in words) == completed
+    verdict = is_distal(act, 8, perm_cap=10 ** 6)  # the clamp binds whatever the budget
+    assert (verdict.word_length, verdict.word_count) == (completed, len(words))
 
 
 def test_word_enumeration_budget_is_layer_atomic():

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import example, given
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from cantordyn import action as action_module
 from cantordyn.action import (
     BYTE_ALPHABET,
-    DEFAULT_PAIR_CAP,
     CantorAction,
     CantorModel,
     TreeMetric,
@@ -30,6 +30,7 @@ from cantordyn.action import (
 )
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import small_fo_variant, warp_example, warp_model
+from cantordyn.limits import CELL_CAP
 from cantordyn.tower import boundary_action
 from helpers import (
     RankedTreeMetric,
@@ -153,7 +154,7 @@ def test_both_routes_refuse_above_the_pair_cap_before_any_key(monkeypatch, build
     for method in ("pair_keys", "pair_key_rows"):
         monkeypatch.setattr(RankedTreeMetric, method, no_keys)
     model = CantorModel(
-        [(i,) for i in range(DEFAULT_PAIR_CAP + 1)], 1, RankedTreeMetric(F(1, 2))
+        [(i,) for i in range(isqrt(CELL_CAP) + 1)], 1, RankedTreeMetric(F(1, 2))
     )
     with pytest.raises(ResourceLimitError):
         ROUTES[build](model)

@@ -25,7 +25,7 @@ from cantordyn.coding import (
     schreier_diameter,
     translates,
 )
-from cantordyn.errors import InvariantViolation, StructureError
+from cantordyn.errors import InvariantViolation, ResourceLimitError, StructureError
 from cantordyn.gallery import (
     fokkink_oversteegen,
     rogers_tollefson,
@@ -284,6 +284,18 @@ def test_tuple_ball_return_words_are_the_array_ball_ones(name, monkeypatch):
             assert (tuples.window, tuples.images) == (words.window, words.images)
             assert all(type(i) is int for image in words.images for i in image)
         assert_images_are_window_restrictions(action, tuples)
+
+
+def test_return_words_refuse_a_window_over_the_cell_cap_before_any_ball(monkeypatch):
+    def no_ball(*args, **kwargs):
+        raise AssertionError("a ball permutation was enumerated above the cell cap")
+
+    action = boundary_action(vietoris(2, 4))
+    window = default_window(action)
+    monkeypatch.setattr("cantordyn.limits.CELL_CAP", len(window) ** 2 - 1)
+    monkeypatch.setattr(coding_module, "word_ball", no_ball)
+    with pytest.raises(ResourceLimitError, match="return words over a window of 8 addresses"):
+        return_words(action, window, 8)
 
 
 def test_warp_return_word_images_are_window_restrictions():

@@ -1,6 +1,7 @@
 """Config parsing round-trips, report determinism, and CLI exit codes."""
 
 import pathlib
+import time
 
 import pytest
 
@@ -265,8 +266,7 @@ def test_code_report_includes_core_oracle(capsys):
         )
         for command in ("classify", "code")
     ]
-    # fo.cfg's level 2 is over the pairwise cap, so classify reads its
-    # pairwise tables off the level-1 truncation of the same tower
+    # fo.cfg: every classify section reads the one depth-2 tower
     + [pytest.param("classify", ("fo.cfg",), 2, id="fo-2-classify")],
 )
 def test_chain_commands_enumerate_each_coset_space_once(
@@ -312,20 +312,50 @@ def test_tower_refuses_an_over_cap_chain_before_any_coset(
     assert f"coset index {2 ** 30} exceeds the cap 1000000" in err
 
 
-def test_code_refuses_an_over_cap_chain_before_any_coset(capsys, monkeypatch):
+def test_code_refuses_an_over_cap_chain_before_any_coset(tmp_path, capsys, monkeypatch):
     from cantordyn import tower
 
     def refuse(*args, **kwargs):
-        raise AssertionError("coset_space ran before the pairwise cap")
+        raise AssertionError("coset_space ran before the cell cap")
 
     monkeypatch.setattr(tower, "coset_space", refuse)
-    rc, out, err = run_cli(capsys, "code", str(CONFIG_DIR / "fo.cfg"))
+    cfg = tmp_path / "deep.cfg"
+    cfg.write_text("[chain]\ngallery = vietoris\np = 2\ndepth = 16\n")
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "code", str(cfg))
+    assert time.perf_counter() - start < 1.0
     assert rc == 3
     assert out == ""
     assert (
-        "pairwise distances need 11025 addresses but the pairwise cap is 4000"
-        in err
+        "return words over a window of 32768 addresses need 1073741824 cells "
+        "but the cell cap is 16000000" in err
     )
+
+
+def test_classify_runs_a_first_level_over_4000_cosets(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[chain]\ngallery = vietoris\np = 4001\ndepth = 1\n")
+    rc, out, _ = run_cli(capsys, "classify", str(cfg))
+    assert rc == 0
+    assert "  indices: 4001\n" in out
+    assert out.count("  depth_used: 1\n") == 2
+
+
+def test_classify_fo_reports_every_section_at_depth_two(capsys):
+    rc, out, _ = run_cli(capsys, "classify", str(CONFIG_DIR / "fo.cfg"))
+    assert rc == 0
+    assert out.count("  depth_used: 2\n") == 2
+    assert "  rows: 2\n" in out
+    assert "    r 1: kappa 1\n    r 1/2: kappa 1/2\n" in out
+    assert "  word_classes: 216\n" in out
+    assert "  min_delta: 1/2\n" in out
+    assert "  level 2: fail witness" in out  # and McCord fails at the same depth
+
+
+def test_code_fo_matches_the_core_of_level_two(capsys):
+    rc, out, _ = run_cli(capsys, "code", str(CONFIG_DIR / "fo.cfg"))
+    assert rc == 0
+    assert "  level 1: core_of_chain_level 2 cylinder_size 1 match true\n" in out
 
 
 @pytest.mark.parametrize(

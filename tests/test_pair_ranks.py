@@ -5,12 +5,12 @@ import pathlib
 import random
 import time
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 
 from cantordyn import action as action_module
 from cantordyn.action import (
-    DEFAULT_PAIR_CAP,
     CantorAction,
     CantorModel,
     WarpMetric,
@@ -27,6 +27,7 @@ from cantordyn.coding import (
 from cantordyn.config import parse_config
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import warp_example, warp_model
+from cantordyn.limits import CELL_CAP
 from helpers import (
     ExplicitMetric,
     RankedTreeMetric,
@@ -87,7 +88,7 @@ def test_pair_ranks_refuse_above_the_cap_before_any_pair(monkeypatch):
 
     monkeypatch.setattr(RankedTreeMetric, "pair_key_rows", no_pairs)
     model = CantorModel(
-        [(i,) for i in range(DEFAULT_PAIR_CAP + 1)], 1, RankedTreeMetric(F(1, 2))
+        [(i,) for i in range(isqrt(CELL_CAP) + 1)], 1, RankedTreeMetric(F(1, 2))
     )
     with pytest.raises(ResourceLimitError):
         model.pair_ranks()
