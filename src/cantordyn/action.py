@@ -25,10 +25,8 @@ arithmetic.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import StructureError
@@ -40,17 +38,16 @@ COLLAPSED = "w0"
 
 # ----------------------------------------------------------------- metrics
 
-@dataclass(frozen=True)
-class TreeMetric:
+class TreeMetric(namedtuple("TreeMetric", "lam")):
     """Ultrametric lam^j for first disagreement at level j+1."""
 
-    lam: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        lam = Fraction(self.lam)
-        object.__setattr__(self, "lam", lam)
+    def __new__(cls, lam):
+        lam = Fraction(lam)
         if not 0 < lam < 1:
             raise StructureError("tree metric base must be a rational in (0,1)")
+        return super().__new__(cls, lam)
 
     def distance(self, a, b):
         if a == b:
@@ -68,8 +65,7 @@ def common_prefix(a, b):
     return j
 
 
-@dataclass(frozen=True)
-class WarpMetric:
+class WarpMetric(namedtuple("WarpMetric", "depth lam1")):
     """d0(x,x') + min(x,x') * d1(y,y') on a product collapsed along x = 0.
 
     Addresses are either the collapsed token or pairs (x_digits, y_digits);
@@ -83,14 +79,13 @@ class WarpMetric:
     (x, y') to change the fiber coordinate cheaply before climbing).
     """
 
-    depth: int
-    lam1: Fraction = Fraction(1, 2)
+    __slots__ = ()
 
-    def __post_init__(self):
-        lam1 = Fraction(self.lam1)
-        object.__setattr__(self, "lam1", lam1)
+    def __new__(cls, depth, lam1=Fraction(1, 2)):
+        lam1 = Fraction(lam1)
         if not 0 < lam1 < 1:
             raise StructureError("warp fiber base lam1 must be a rational in (0,1)")
+        return super().__new__(cls, depth, lam1)
 
     def x_value(self, a):
         if a == COLLAPSED:
@@ -255,57 +250,6 @@ class CantorModel:
         get = tuple_getter(idx)
         return realized[max(max(get(rank[i])) for i in idx)]
 
-    def validate_metric(self, *, triple_cap=1000, samples=10 ** 4, seed=0):
-        """Symmetry, identity of indiscernibles, and the triangle inequality.
-
-        Exhaustive over all triples up to the cap, seeded-sampled above.
-        Tree metrics are additionally checked for the ultrametric inequality.
-        Each ordered pair's distance is computed once per call.
-        """
-        import random
-
-        addrs = self.addresses
-        n = len(addrs)
-        ultra = self.is_tree
-        rng = random.Random(seed)
-        distance = functools.cache(self.distance)
-
-        def check_pair(a, b):
-            d = distance(a, b)
-            if d <= 0:
-                raise StructureError("distinct addresses at distance <= 0")
-            if d != distance(b, a):
-                raise StructureError("metric is not symmetric")
-
-        def check(a, b, c):
-            dab = distance(a, b)
-            dac = distance(a, c)
-            dcb = distance(c, b)
-            if ultra:
-                if dab > max(dac, dcb):
-                    raise StructureError("ultrametric inequality fails")
-            elif dab > dac + dcb:
-                raise StructureError("triangle inequality fails")
-
-        if n <= triple_cap:
-            for i in range(n):
-                for k in range(i + 1, n):
-                    check_pair(addrs[i], addrs[k])
-            for a, b, c in itertools.combinations(addrs, 3):
-                check(a, b, c)
-                check(a, c, b)
-                check(b, a, c)
-        else:
-            for _ in range(samples):
-                a, b = (addrs[rng.randrange(n)] for _ in range(2))
-                if a != b:
-                    check_pair(a, b)
-            for _ in range(samples):
-                a, b, c = (addrs[rng.randrange(n)] for _ in range(3))
-                if len({a, b, c}) == 3:
-                    check(a, b, c)
-        return True
-
 
 def _pair_rank_rows(model):
     """Pair ranks as rows of Python ints, from the metric's `pair_key_rows`;
@@ -429,10 +373,7 @@ def _invert_perm(perm):
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class MinimalityVerdict:
-    minimal: bool
-    witness_orbit: frozenset = None
+MinimalityVerdict = namedtuple("MinimalityVerdict", "minimal witness_orbit", defaults=(None,))
 
 
 def is_minimal(action):
@@ -534,21 +475,19 @@ def word_ball(action, max_length, *, perm_cap):
 
 # ------------------------------------------------------------ modulus table
 
-@dataclass(frozen=True)
-class ModulusTable:
+class ModulusTable(namedtuple("ModulusTable", "rows generator_names")):
     """Rows (r, kappa(r)) over all realized distances, r strictly decreasing."""
 
-    rows: tuple
-    generator_names: tuple = field(default=(), compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        rows = tuple((Fraction(r), Fraction(k)) for r, k in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __new__(cls, rows, generator_names=()):
+        rows = tuple((Fraction(r), Fraction(k)) for r, k in rows)
         for (r1, k1), (r2, k2) in zip(rows, rows[1:]):
             if not r1 > r2:
                 raise StructureError("modulus rows must be strictly decreasing in r")
             if k2 > k1:
                 raise StructureError("kappa must be nondecreasing in r")
+        return super().__new__(cls, rows, generator_names)
 
     def kappa(self, r):
         out = Fraction(0)
@@ -657,12 +596,7 @@ def _worst_image_ranks(action, realized, rank):
 
 # --------------------------------------------------------------- distality
 
-@dataclass(frozen=True)
-class DistalityVerdict:
-    distal: bool
-    word_length: int
-    min_delta: Fraction
-    word_count: int
+DistalityVerdict = namedtuple("DistalityVerdict", "distal word_length min_delta word_count")
 
 
 def is_distal(action, word_length=8, *, perm_cap=BALL_BUDGET):
@@ -689,21 +623,24 @@ def is_distal(action, word_length=8, *, perm_cap=BALL_BUDGET):
 
 # ---------------------------------------------------------------- measures
 
-@dataclass(frozen=True)
 class CylinderMeasure:
-    """Exact rational weights per address with total mass one.
+    """Exact rational weights per address with total mass one: `weights` is a
+    tuple of (address, Fraction).
 
     Each distinct weight is an integer class: `support_weights` lists the
     distinct weights of the support in order of first appearance, and an
     address outside the support weighs 0.
     """
 
-    weights: tuple  # tuple of (address, Fraction)
-    support_label: str = "full"
+    __slots__ = (
+        "weights", "support_label", "support_weights", "_class_of", "_zero_class",
+        "_class_weight",
+    )
 
-    def __post_init__(self):
-        ws = tuple((a, Fraction(w)) for a, w in self.weights)
-        object.__setattr__(self, "weights", ws)
+    def __init__(self, weights, support_label="full"):
+        ws = tuple((a, Fraction(w)) for a, w in weights)
+        self.weights = ws
+        self.support_label = support_label
         if any(w < 0 for _, w in ws):
             raise StructureError("measure weights must be nonnegative")
         if sum(w for _, w in ws) != 1:
@@ -721,19 +658,23 @@ class CylinderMeasure:
             raise StructureError("a uniform measure needs a nonempty support")
         w = Fraction(1, len(support))
         mu = object.__new__(cls)
-        object.__setattr__(mu, "weights", tuple((a, w) for a in support))
-        object.__setattr__(mu, "support_label", label)
+        mu.weights = tuple((a, w) for a in support)
+        mu.support_label = label
         mu._set_classes(dict.fromkeys(support, 0), {w: 0})
         return mu
 
     def _set_classes(self, class_of, classes):
         """Store the address -> class and weight -> class maps; the weight 0
         gets a class of its own unless the support has it."""
-        object.__setattr__(self, "_class_of", class_of)
-        object.__setattr__(self, "support_weights", tuple(classes))
-        zero = classes.setdefault(Fraction(0), len(classes))
-        object.__setattr__(self, "_zero_class", zero)
-        object.__setattr__(self, "_class_weight", tuple(classes))
+        self._class_of = class_of
+        self.support_weights = tuple(classes)
+        self._zero_class = classes.setdefault(Fraction(0), len(classes))
+        self._class_weight = tuple(classes)
+
+    def __eq__(self, other):
+        if other.__class__ is not CylinderMeasure:
+            return NotImplemented
+        return (self.weights, self.support_label) == (other.weights, other.support_label)
 
     def weight(self, address):
         return self._class_weight[self._class_of.get(address, self._zero_class)]
@@ -783,11 +724,9 @@ def invariant_measure(action, verdict=None):
 
 # ------------------------------------------------------------- germ depths
 
-@dataclass(frozen=True)
-class GerminalVerdict:
-    trivial: bool
-    depth: int  # least trivial cylinder depth, or the model depth when nontrivial
-    witness: tuple = None  # (address, image) disagreeing in the deepest checked cylinder
+# depth: the least trivial cylinder depth, or the model depth when nontrivial;
+# witness: an (address, image) pair disagreeing in the deepest checked cylinder
+GerminalVerdict = namedtuple("GerminalVerdict", "trivial depth witness", defaults=(None,))
 
 
 def germinal_holonomy(action, word, point):

@@ -11,7 +11,7 @@ is no floating point anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import _intmat as im
@@ -29,19 +29,24 @@ def _point_key(a):
     return tuple(x for row in a for x in row)
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value=None):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class AffineElement:
-    """An affine map x -> point @ x + trans with exact rational translation."""
+    """An affine map x -> point @ x + trans with exact rational translation.
 
-    point: tuple
-    trans: tuple
-    denom: int
+    The one constructor validates; the fields are never reassigned."""
 
-    def __post_init__(self):
-        point = tuple(tuple(int(x) for x in row) for row in self.point)
-        trans = _to_fraction_vec(self.trans)
+    __slots__ = ("point", "trans", "denom")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, point, trans, denom):
+        point = tuple(tuple(int(x) for x in row) for row in point)
+        trans = _to_fraction_vec(trans)
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "trans", trans)
+        object.__setattr__(self, "denom", denom)
         n = len(point)
         if any(len(row) != n for row in point) or len(trans) != n:
             raise StructureError("point part must be square and match the translation length")
@@ -86,6 +91,17 @@ class AffineElement:
     def key(self):
         return (_point_key(self.point), self.trans)
 
+    def __eq__(self, other):
+        if other.__class__ is not AffineElement:
+            return NotImplemented
+        return (self.point, self.trans, self.denom) == (other.point, other.trans, other.denom)
+
+    def __hash__(self):
+        return hash((self.point, self.trans, self.denom))
+
+    def __repr__(self):
+        return f"AffineElement(point={self.point!r}, trans={self.trans!r}, denom={self.denom})"
+
     def __str__(self):
         rows = ";".join(",".join(str(x) for x in row) for row in self.point)
         vec = ",".join(str(t) for t in self.trans)
@@ -116,14 +132,14 @@ def inverse(a):
     return a.inverse()
 
 
-@dataclass(frozen=True)
 class IntegerLattice:
     """Full-rank sublattice of Z^n with canonical upper-triangular HNF basis."""
 
-    basis: tuple
+    __slots__ = ("basis",)
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        basis = tuple(tuple(int(x) for x in row) for row in self.basis)
+    def __init__(self, basis):
+        basis = tuple(tuple(int(x) for x in row) for row in basis)
         object.__setattr__(self, "basis", basis)
         n = len(basis)
         d = im.det(basis)
@@ -179,6 +195,17 @@ class IntegerLattice:
 
     def columns(self):
         return [self.column(j) for j in range(self.dimension)]
+
+    def __eq__(self, other):
+        if other.__class__ is not IntegerLattice:
+            return NotImplemented
+        return self.basis == other.basis
+
+    def __hash__(self):
+        return hash(self.basis)
+
+    def __repr__(self):
+        return f"IntegerLattice(basis={self.basis!r})"
 
     def __str__(self):
         return "[" + ";".join(",".join(str(x) for x in row) for row in self.basis) + "]"
@@ -281,8 +308,7 @@ class _LatticeSpan:
         return len(self._pivots) == self.n
 
 
-@dataclass(frozen=True)
-class FiniteIndexSubgroup:
+class FiniteIndexSubgroup(namedtuple("FiniteIndexSubgroup", "lattice reps")):
     """Translation lattice plus one affine representative per point class.
 
     The group is the union over representatives r of the cosets r * T(lattice).
@@ -292,13 +318,12 @@ class FiniteIndexSubgroup:
     translation parts are reduced modulo the lattice.
     """
 
-    lattice: IntegerLattice
-    reps: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.reps:
+    def __new__(cls, lattice, reps):
+        if not reps:
             raise StructureError("subgroup needs at least one representative")
-        object.__setattr__(self, "reps", tuple(self.reps))
+        return super().__new__(cls, lattice, tuple(reps))
 
     @property
     def dimension(self):
@@ -549,14 +574,13 @@ def element_not_in(h1, h2):
     return None
 
 
-@dataclass(frozen=True)
-class AffineGroup:
-    """A fixed-dimension affine presentation: named generators plus denominator."""
+class AffineGroup(namedtuple("AffineGroup", "dimension denom generators normal_form")):
+    """A fixed-dimension affine presentation: named generators plus denominator.
 
-    dimension: int
-    denom: int
-    generators: tuple  # tuple of (name, AffineElement)
-    normal_form: FiniteIndexSubgroup
+    `generators` is a tuple of (name, AffineElement); `normal_form` is the
+    FiniteIndexSubgroup they generate."""
+
+    __slots__ = ()
 
     @classmethod
     def from_generators(cls, named_generators, *, denom=None):
@@ -619,11 +643,9 @@ def subgroup_index_in(h_small, h_big):
     return total
 
 
-@dataclass(frozen=True)
-class NormalityVerdict:
-    normal: bool
-    witness_name: str = None
-    witness: AffineElement = None
+NormalityVerdict = namedtuple(
+    "NormalityVerdict", "normal witness_name witness", defaults=(None, None)
+)
 
 
 def is_normal(g, h):
@@ -653,33 +675,47 @@ def normal_core(g, h):
     return core
 
 
-@dataclass(frozen=True)
 class CosetSpace:
-    """Left cosets of H in G with canonical representatives and generator action."""
+    """Left cosets of H in G in canonical order, with the generator action.
 
-    group: AffineGroup
-    subgroup: FiniteIndexSubgroup
-    reps: tuple  # canonical AffineElement per coset, sorted
-    gen_perms: dict  # generator name -> tuple permutation (left multiplication)
-    index: int
-    # canonical-key data computed once by coset_space: per-point reduction
-    # lattices and rep products, and canonical key -> coset index
-    red_data: dict = field(compare=False, repr=False)
-    key_index: dict = field(compare=False, repr=False)
+    Coset i is held by its canonical key `keys[i]` = (point class id, reduced
+    scaled translation, point): the coset of the element (point, reduced / d).
+    `gen_perms` maps each generator name to its left-multiplication
+    permutation of the coset indices.
+    """
 
-    def index_of_element(self, g):
-        key = _coset_key_scaled(self.red_data, g.point, g.scaled_trans())
+    __slots__ = ("group", "subgroup", "keys", "gen_perms", "index", "_red_data", "_key_index")
+
+    def __init__(self, group, subgroup, keys, gen_perms, red_data, key_index):
+        self.group = group
+        self.subgroup = subgroup
+        self.keys = keys
+        self.gen_perms = gen_perms
+        self.index = len(keys)
+        # per point part the reduction lattice and rep products; key -> index
+        self._red_data = red_data
+        self._key_index = key_index
+
+    @property
+    def reps(self):
+        """One AffineElement per coset, built on demand by the validating
+        constructor: the engines read `keys`."""
+        d = self.group.denom
+        return tuple(
+            AffineElement(point, tuple(Fraction(x, d) for x in red), d)
+            for _, red, point in self.keys
+        )
+
+    def index_of_scaled(self, point, scaled_tr):
+        """Index of the coset of the element (point, scaled_tr / d)."""
+        key = _coset_key_scaled(self._red_data, point, scaled_tr)
         try:
-            return self.key_index[key]
+            return self._key_index[key]
         except KeyError:
             raise StructureError("element does not lie in the enumerated coset space")
 
-    def permutation_of(self, g):
-        """Left-multiplication permutation induced by an arbitrary element."""
-        out = []
-        for rep in self.reps:
-            out.append(self.index_of_element(compose(g, rep)))
-        return tuple(out)
+    def index_of_element(self, g):
+        return self.index_of_scaled(g.point, g.scaled_trans())
 
 
 def _coset_reduction_data(group, subgroup):
@@ -722,7 +758,6 @@ def coset_space(group, subgroup, *, cap=None):
     expected = group.index_of(subgroup)
     check_index_cap(expected, cap)
     red_data = _coset_reduction_data(group, subgroup)
-    d = group.denom
     gens = [(g.point, g.scaled_trans()) for _, g in group.generators]
 
     start = _coset_key_scaled(
@@ -758,10 +793,6 @@ def coset_space(group, subgroup, *, cap=None):
     for i, old in enumerate(order):
         position[old] = i
     key_index = {keys[old]: i for i, old in enumerate(order)}
-    reps = tuple(
-        AffineElement(keys[old][2], tuple(Fraction(x, d) for x in keys[old][1]), d)
-        for old in order
-    )
 
     gen_perms = {}
     for g, (name, _) in enumerate(group.generators):
@@ -771,5 +802,5 @@ def coset_space(group, subgroup, *, cap=None):
         gen_perms[name] = perm
 
     return CosetSpace(
-        group, subgroup, reps, gen_perms, len(keys), red_data, key_index
+        group, subgroup, tuple(map(keys.__getitem__, order)), gen_perms, red_data, key_index
     )

@@ -14,17 +14,6 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .action import (
-    COLLAPSED,
-    format_word,
-    germinal_holonomy,
-    invariant_measure,
-    is_distal,
-    is_minimal,
-    modulus_table,
-    parse_word,
-    pushforward_invariant,
-)
 from .config import format_fraction, parse_config
 from .errors import CantordynError, StructureError
 from .report import Report
@@ -59,11 +48,7 @@ def _apply_overrides(cfg, args):
         updates["lam"] = lam
     if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
-    if not updates:
-        return cfg
-    from dataclasses import replace
-
-    return replace(cfg, **updates)
+    return cfg._replace(**updates)
 
 
 def _params_section(report, cfg, depth):
@@ -75,6 +60,8 @@ def _params_section(report, cfg, depth):
 
 
 def _address_str(model, address):
+    from .action import COLLAPSED
+
     if address == COLLAPSED:
         return COLLAPSED
     if (
@@ -134,6 +121,8 @@ def _modulus_section(report, table, depth_used):
 def _dynamics_sections(report, action, cfg):
     """Minimality, modulus, distality and measure, all at the model's depth,
     which the modulus and distality sections report as depth_used."""
+    from .action import invariant_measure, is_distal, is_minimal, modulus_table
+
     minimal = is_minimal(action)
     report.section("minimality")
     report.add("minimal", minimal.minimal, 1)
@@ -245,7 +234,8 @@ def cmd_compare(cfg_a, cfg_b, report):
 
 
 def cmd_code(cfg, chain, report):
-    from .coding import check_window_cells, coding_chain  # only code pays for its dataclasses
+    from .action import format_word
+    from .coding import check_window_cells, coding_chain
 
     if chain is not None:
         from .affine import normal_core
@@ -307,6 +297,8 @@ def cmd_code(cfg, chain, report):
 
 
 def cmd_holonomy(cfg, chain, word_text, address_text, report):
+    from .action import format_word, germinal_holonomy, parse_word
+
     action = _action_for(cfg, chain)
     word = parse_word(word_text)
     address = _parse_address(action, address_text)
@@ -328,6 +320,8 @@ def cmd_holonomy(cfg, chain, word_text, address_text, report):
 
 
 def cmd_measure(cfg, chain, report):
+    from .action import invariant_measure, pushforward_invariant
+
     action = _action_for(cfg, chain)
     mu = invariant_measure(action)
     report.section("measure")

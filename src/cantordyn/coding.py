@@ -20,7 +20,7 @@ all on the standard library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .action import common_prefix, modulus_table, tuple_getter, word_ball
@@ -32,12 +32,15 @@ DEFAULT_WORD_BOUND = 8
 
 # ---------------------------------------------------------------- partitions
 
-@dataclass(frozen=True)
 class ClopenPartition:
-    """Disjoint blocks covering the window, ordered by least address."""
+    """Disjoint blocks covering the window, ordered by least address: `window`
+    is a frozenset and `blocks` a tuple of frozensets."""
 
-    window: frozenset
-    blocks: tuple  # tuple of frozensets
+    __slots__ = ("window", "blocks")
+
+    def __init__(self, window, blocks):
+        self.window = window
+        self.blocks = blocks
 
     @classmethod
     def from_blocks(cls, model, window, blocks):
@@ -99,7 +102,6 @@ def _check_clopen_window(action, window):
 
 # --------------------------------------------------------------- return words
 
-@dataclass(frozen=True)
 class ReturnWordSet:
     """Words of bounded length returning the basepoint to the window,
     deduplicated by their restriction to the window.
@@ -110,14 +112,27 @@ class ReturnWordSet:
     included regardless of its length.  `images[k][t]` is the address index
     the k-th word sends the t-th window address to, `window` holding their
     indices in ascending order: the level set, its base blocks and every
-    translate lie in the window.
+    translate lie in the window.  `words` holds word tuples, the empty word
+    first.
     """
 
-    words: tuple  # tuple of word tuples, empty word first
-    bound: int
-    effective_bound: int
-    window: tuple = field(compare=False, repr=False)  # window address indices
-    images: tuple = field(compare=False, repr=False)  # per word, window images
+    __slots__ = ("words", "bound", "effective_bound", "window", "images")
+
+    def __init__(self, words, bound, effective_bound, window, images):
+        self.words = words
+        self.bound = bound
+        self.effective_bound = effective_bound
+        self.window = window
+        self.images = images
+
+    def __eq__(self, other):
+        """Equal words, bound and effective bound; window and images are
+        not compared."""
+        if other.__class__ is not ReturnWordSet:
+            return NotImplemented
+        return (self.words, self.bound, self.effective_bound) == (
+            other.words, other.bound, other.effective_bound
+        )
 
     def __len__(self):
         return len(self.words)
@@ -321,30 +336,25 @@ def schreier_diameter(action):
 
 # ------------------------------------------------------------- coding chain
 
-@dataclass(frozen=True)
-class CodingLevel:
-    level: int
-    eps: Fraction
-    eps_prime: Fraction
-    eps_prime_sub_resolution: bool
-    eta: Fraction
-    delta: Fraction
-    delta_sub_resolution: bool
-    cylinder_depth: int
-    partition: ClopenPartition
-    v: frozenset
-    translate_family: tuple  # tuple of (word, frozenset)
-    covers_window: bool
+# partition: a ClopenPartition of the window; translate_family: a tuple of
+# (word, frozenset) pairs
+CodingLevel = namedtuple(
+    "CodingLevel",
+    "level eps eps_prime eps_prime_sub_resolution eta delta delta_sub_resolution "
+    "cylinder_depth partition v translate_family covers_window",
+)
 
 
-@dataclass(frozen=True)
-class CodingChain:
-    window: frozenset
-    levels: tuple
-    word_bound_requested: int
-    words: ReturnWordSet  # the final set: bound used, effective bound, classes
-    schreier_diam: int  # None when above the size cap
-    minimal: bool
+class CodingChain(
+    namedtuple(
+        "CodingChain", "window levels word_bound_requested words schreier_diam minimal"
+    )
+):
+    """The levels of `coding_chain`.  `words` is the final ReturnWordSet (the
+    bound used, the effective bound, the classes); `schreier_diam` is None
+    above the size cap."""
+
+    __slots__ = ()
 
     @property
     def depth(self):

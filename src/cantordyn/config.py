@@ -9,7 +9,7 @@ serializing a parsed config and reparsing is a fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import ParseError, StructureError
@@ -86,30 +86,23 @@ def format_affine(mat, vec):
     return format_matrix(mat) + " ; " + " ".join(format_fraction(v) for v in vec)
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    dimension: int
-    denominator: int
-    generators: tuple  # (name, matrix, vector)
+# generators: (name, matrix, vector) triples; lattice: a matrix; reps:
+# (matrix, vector) pairs
+GroupSpec = namedtuple("GroupSpec", "dimension denominator generators")
+LevelSpec = namedtuple("LevelSpec", "lattice reps")
 
 
-@dataclass(frozen=True)
-class LevelSpec:
-    lattice: tuple  # matrix
-    reps: tuple  # tuple of (matrix, vector)
+class Config(
+    namedtuple(
+        "Config",
+        "kind gallery gallery_params group levels depth words lam seed",
+        defaults=(None, (), None, (), None, 8, Fraction(1, 2), 0),
+    )
+):
+    """A parsed config.  `kind` is "chain" or "action"; `gallery_params`
+    holds (key, value-string) pairs in canonical order."""
 
-
-@dataclass(frozen=True)
-class Config:
-    kind: str  # "chain" or "action"
-    gallery: str = None
-    gallery_params: tuple = ()  # ordered (key, value-string) pairs, canonical
-    group: GroupSpec = None
-    levels: tuple = ()
-    depth: int = None
-    words: int = 8
-    lam: Fraction = Fraction(1, 2)
-    seed: int = 0
+    __slots__ = ()
 
     def build_chain(self):
         from . import affine, gallery, tower
@@ -157,8 +150,11 @@ class Config:
 
 
 def parse_config(text):
-    """Parse config text; errors carry line numbers and the offending section."""
-    sections = []  # (name, [(line_no, key, value)])
+    """Parse config text; errors carry line numbers and the offending section.
+
+    A section or key given twice is an error at the second; only `rep` lines
+    repeat."""
+    sections = []  # (name, header line, [(line_no, key, value)])
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -171,7 +167,7 @@ def parse_config(text):
             name = stripped[1:-1].strip()
             if not name:
                 raise ParseError("empty section name", line_no)
-            current = (name, [])
+            current = (name, line_no, [])
             sections.append(current)
             continue
         if current is None:
@@ -179,9 +175,11 @@ def parse_config(text):
         if "=" not in stripped:
             raise ParseError("expected 'key = value'", line_no)
         key, value = stripped.split("=", 1)
-        current[1].append((line_no, key.strip(), value.strip()))
+        key = " ".join(key.split())
+        if key != "rep" and any(k == key for _, k, _ in current[2]):
+            raise ParseError(f"[{current[0]}]: duplicate key {key!r}", line_no)
+        current[2].append((line_no, key, value.strip()))
 
-    names = [n for n, _ in sections]
     kind = None
     gallery_name = None
     gallery_params = []
@@ -193,12 +191,14 @@ def parse_config(text):
     lam = Fraction(1, 2)
     seed = 0
 
-    for name, entries in sections:
+    seen = set()
+    for name, header, entries in sections:
+        if name in seen:
+            raise ParseError(f"duplicate section [{name}]", header)
+        seen.add(name)
         if name in ("chain", "action"):
             if kind is not None:
-                raise ParseError(
-                    f"duplicate top-level section [{name}]", entries[0][0] if entries else None
-                )
+                raise ParseError(f"duplicate top-level section [{name}]", header)
             kind = name
             for line_no, key, value in entries:
                 if key == "gallery":
@@ -241,6 +241,8 @@ def parse_config(text):
                     f"section [{name}] must be '[level N]'",
                     entries[0][0] if entries else None,
                 )
+            if idx in level_specs:
+                raise ParseError(f"duplicate section [level {idx}]", header)
             lattice = None
             reps = []
             for line_no, key, value in entries:
@@ -301,17 +303,10 @@ def parse_config(text):
     if group is not None and not levels:
         raise ParseError("an explicit group needs at least one [level N] section", None)
 
-    # canonical gallery-parameter order, duplicates rejected
-    if gallery_params:
-        seen_keys = [k for k, _ in gallery_params]
-        if len(seen_keys) != len(set(seen_keys)):
-            raise ParseError("duplicate gallery parameter", None)
-        gallery_params = [
-            (k, v)
-            for key in GALLERY_PARAM_KEYS
-            for k, v in gallery_params
-            if k == key
-        ]
+    # canonical gallery-parameter order (a repeated key was refused above)
+    gallery_params = [
+        (k, v) for key in GALLERY_PARAM_KEYS for k, v in gallery_params if k == key
+    ]
 
     return Config(
         kind=kind,

@@ -7,7 +7,8 @@ which is the pushforward of the base glide since A commutes with the
 reflection.  The warp-product action realizes a rank-k free abelian fiber
 action plus one transported odometer cycle through the whole address set.
 The chain builders import the affine and tower layers when they run, so
-building an action loads neither.
+building an action loads neither, and the warp builders import the action
+layer, so building a chain does not load it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .action import COLLAPSED, CantorAction, CantorModel, WarpMetric, warp_cylinder_key
 from .config import parse_bool
 from .errors import StructureError
 
@@ -137,6 +137,8 @@ def _int_to_y(v, depth):
 
 def warp_model(depth, *, lam1=Fraction(1, 2)):
     """The collapsed product model with the warp metric, canonical order."""
+    from .action import COLLAPSED, CantorModel, WarpMetric, warp_cylinder_key
+
     if not 1 <= depth <= 8:
         raise StructureError("warp model depth must be in 1..8")
     addresses = [COLLAPSED]
@@ -157,6 +159,8 @@ def warp_example(depth, fiber_generators=2, *, include_free_factor=True):
     canonical address order makes it a single cycle, which is the depth-K
     shadow of a minimal equicontinuous cycle through the model.
     """
+    from .action import COLLAPSED, CantorAction
+
     if fiber_generators < 1:
         raise StructureError("need at least one fiber generator")
     model = warp_model(depth)

@@ -9,13 +9,11 @@ by independent membership calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+from . import _intmat as im
 from .affine import (
-    AffineGroup,
-    FiniteIndexSubgroup,
-    compose,
     contains,
     coset_space,
     element_not_in,
@@ -27,16 +25,13 @@ from .errors import StructureError
 from .limits import check_index_cap
 
 
-@dataclass(frozen=True)
-class SubgroupChain:
+class SubgroupChain(namedtuple("SubgroupChain", "group levels label")):
     """A strictly descending chain of finite-index subgroups of one group."""
 
-    group: AffineGroup
-    levels: tuple
-    label: str = "chain"
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
+    def __new__(cls, group, levels, label="chain"):
+        self = super().__new__(cls, group, tuple(levels), label)
         if not self.levels:
             raise StructureError("chain needs at least one level")
         for h in self.levels:
@@ -50,6 +45,7 @@ class SubgroupChain:
                 raise StructureError(
                     "chain is not proper: consecutive levels have index ratio 1"
                 )
+        return self
 
     @property
     def depth(self):
@@ -64,13 +60,12 @@ class SubgroupChain:
         return SubgroupChain(self.group, self.levels[:depth], self.label)
 
 
-@dataclass(frozen=True)
-class QuotientTower:
-    """Coset spaces G/H_l with bonding maps from each level to the previous."""
+class QuotientTower(namedtuple("QuotientTower", "chain levels bonding")):
+    """Coset spaces G/H_l with bonding maps from each level to the previous:
+    `levels` holds a CosetSpace per level, and `bonding[l]` maps the level
+    l+1 indices to the level l indices."""
 
-    chain: SubgroupChain
-    levels: tuple  # CosetSpace per level
-    bonding: tuple  # bonding[l] : level l+1 indices -> level l indices
+    __slots__ = ()
 
     @property
     def depth(self):
@@ -109,7 +104,8 @@ class QuotientTower:
 
 
 def build_tower(chain, depth=None):
-    """Coset spaces per level plus bonding maps computed by rep reduction."""
+    """Coset spaces per level plus bonding maps: each fine coset's key,
+    reduced modulo the coarse subgroup."""
     depth = chain.depth if depth is None else depth
     chain = chain.truncate(depth)
     check_index_cap(chain.indices()[-1])  # refuse before any coset
@@ -118,7 +114,7 @@ def build_tower(chain, depth=None):
     for l in range(len(spaces) - 1):
         fine, coarse = spaces[l + 1], spaces[l]
         ratio = subgroup_index_in(chain.levels[l + 1], chain.levels[l])
-        mapping = tuple(coarse.index_of_element(rep) for rep in fine.reps)
+        mapping = tuple(coarse.index_of_scaled(point, red) for _, red, point in fine.keys)
         fibers = {}
         for i in mapping:
             fibers[i] = fibers.get(i, 0) + 1
@@ -130,54 +126,23 @@ def build_tower(chain, depth=None):
     return QuotientTower(chain, tuple(spaces), tuple(bonding))
 
 
-@dataclass(frozen=True)
-class TruncatedPoint:
-    """One coset id per level, compatible under the bonding maps."""
-
-    tower: QuotientTower
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) != self.tower.depth:
-            raise StructureError("coordinate count must match the tower depth")
-        for l, (fine, coarse) in enumerate(zip(self.coords[1:], self.coords)):
-            if self.tower.bonding[l][fine] != coarse:
-                raise StructureError(
-                    f"incompatible coordinates between levels {l + 1} and {l + 2}"
-                )
-
-    def project(self, level):
-        if not 1 <= level <= len(self.coords):
-            raise StructureError("projection level out of range")
-        return self.coords[level - 1]
-
-
-def truncated_point(tower, deepest_index):
-    """The compatible coordinate sequence of a deepest-level coset."""
-    if not 0 <= deepest_index < tower.levels[-1].index:
-        raise StructureError("coset index out of range at the deepest level")
-    return TruncatedPoint(tower, tower.coordinates(deepest_index))
-
-
 # ------------------------------------------------------------------ McCord
 
-@dataclass(frozen=True)
-class McCordLevel:
-    level: int
-    core: FiniteIndexSubgroup
-    cofinal_at: int = None
-    witness: object = None  # AffineElement in H_{deepest} \ core when not cofinal
+class McCordLevel(
+    namedtuple("McCordLevel", "level core cofinal_at witness", defaults=(None, None))
+):
+    """One level's normal core, and the least cofinal level or, when none, a
+    witness: an AffineElement in H_deepest outside the core."""
+
+    __slots__ = ()
 
     @property
     def cofinal(self):
         return self.cofinal_at is not None
 
 
-@dataclass(frozen=True)
-class McCordVerdict:
-    chain: SubgroupChain
-    records: tuple
+class McCordVerdict(namedtuple("McCordVerdict", "chain records")):
+    __slots__ = ()
 
     @property
     def compatible(self):
@@ -217,14 +182,13 @@ def mccord_verdict(chain):
 
 # -------------------------------------------------------------- interleave
 
-@dataclass(frozen=True)
-class InterleaveVerdict:
-    success: bool
-    map_ab: tuple = None  # for each level l of A, least nu with B_nu <= A_l
-    map_ba: tuple = None  # for each level nu of B, least l with A_l <= B_nu
-    fail_side: str = None  # "A" or "B": which chain's level lacked a partner
-    fail_level: int = None
-    witness: object = None
+# map_ab: for each level l of A, the least nu with B_nu <= A_l (map_ba the
+# same from B); fail_side: "A" or "B", the chain whose fail_level lacked a partner
+InterleaveVerdict = namedtuple(
+    "InterleaveVerdict",
+    "success map_ab map_ba fail_side fail_level witness",
+    defaults=(None,) * 5,
+)
 
 
 def _least_contained_level(target, levels):
@@ -269,18 +233,21 @@ def subgroup_cylinder(tower, subgroup):
     The cosets of H_K inside S * H_K form the orbit of the identity coset
     under left multiplication by S's generators.  The coset space is finite,
     so inverses add nothing, and only the cosets the orbit reaches are
-    multiplied.
+    multiplied, each through its integer key.
     """
     deepest = tower.levels[-1]
-    elements = subgroup.generator_elements()
+    elements = [(el.point, el.scaled_trans()) for el in subgroup.generator_elements()]
     start = deepest.index_of_element(tower.chain.group.identity())
     seen = {start}
     frontier = [start]
     while frontier:
         new = []
         for i in frontier:
-            for el in elements:
-                j = deepest.index_of_element(compose(el, deepest.reps[i]))
+            _, red, point = deepest.keys[i]
+            for ep, et in elements:
+                j = deepest.index_of_scaled(
+                    im.mat_mul(ep, point), im.vec_add(et, im.mat_vec(ep, red))
+                )
                 if j not in seen:
                     seen.add(j)
                     new.append(j)

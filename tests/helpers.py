@@ -19,7 +19,7 @@ from cantordyn.action import (
     is_distal,
     modulus_table,
 )
-from cantordyn.affine import conjugate, subgroup_intersect, subgroup_le
+from cantordyn.affine import compose, conjugate, subgroup_intersect, subgroup_le
 from cantordyn.coding import (
     ClopenPartition,
     _eta_of_partition,
@@ -28,6 +28,87 @@ from cantordyn.coding import (
 )
 from cantordyn.errors import StructureError
 from cantordyn.limits import check_cells
+
+
+def validate_metric(model, *, triple_cap=1000, samples=10 ** 4, seed=0):
+    """Symmetry, identity of indiscernibles, and the triangle inequality of a
+    model's metric.
+
+    Exhaustive over all triples up to the cap, seeded-sampled above.
+    Tree metrics are additionally checked for the ultrametric inequality.
+    Each ordered pair's distance is computed once per call.
+    """
+    addrs = model.addresses
+    n = len(addrs)
+    ultra = model.is_tree
+    rng = random.Random(seed)
+    distance = functools.cache(model.distance)
+
+    def check_pair(a, b):
+        d = distance(a, b)
+        if d <= 0:
+            raise StructureError("distinct addresses at distance <= 0")
+        if d != distance(b, a):
+            raise StructureError("metric is not symmetric")
+
+    def check(a, b, c):
+        dab = distance(a, b)
+        dac = distance(a, c)
+        dcb = distance(c, b)
+        if ultra:
+            if dab > max(dac, dcb):
+                raise StructureError("ultrametric inequality fails")
+        elif dab > dac + dcb:
+            raise StructureError("triangle inequality fails")
+
+    if n <= triple_cap:
+        for i in range(n):
+            for k in range(i + 1, n):
+                check_pair(addrs[i], addrs[k])
+        for a, b, c in itertools.combinations(addrs, 3):
+            check(a, b, c)
+            check(a, c, b)
+            check(b, a, c)
+    else:
+        for _ in range(samples):
+            a, b = (addrs[rng.randrange(n)] for _ in range(2))
+            if a != b:
+                check_pair(a, b)
+        for _ in range(samples):
+            a, b, c = (addrs[rng.randrange(n)] for _ in range(3))
+            if len({a, b, c}) == 3:
+                check(a, b, c)
+    return True
+
+
+@dataclass(frozen=True)
+class TruncatedPoint:
+    """One coset id per level of a tower, compatible under the bonding maps."""
+
+    tower: object
+    coords: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(self.coords))
+        if len(self.coords) != self.tower.depth:
+            raise StructureError("coordinate count must match the tower depth")
+        for l, (fine, coarse) in enumerate(zip(self.coords[1:], self.coords)):
+            if self.tower.bonding[l][fine] != coarse:
+                raise StructureError(
+                    f"incompatible coordinates between levels {l + 1} and {l + 2}"
+                )
+
+    def project(self, level):
+        if not 1 <= level <= len(self.coords):
+            raise StructureError("projection level out of range")
+        return self.coords[level - 1]
+
+
+def truncated_point(tower, deepest_index):
+    """The compatible coordinate sequence of a deepest-level coset."""
+    if not 0 <= deepest_index < tower.levels[-1].index:
+        raise StructureError("coset index out of range at the deepest level")
+    return TruncatedPoint(tower, tower.coordinates(deepest_index))
 
 
 # ------------------------------------------------- metrics with pair keys
@@ -402,14 +483,23 @@ def naive_refine_fixed_point(action, window, partition):
     return {frozenset(b) for b in blocks if b <= window}
 
 
+def permutation_of(cosets, g, reps=None):
+    """Left-multiplication permutation of a coset space induced by an
+    arbitrary element, through the validated reps (`cosets.reps` unless the
+    caller passes them, built once)."""
+    reps = cosets.reps if reps is None else reps
+    return tuple(cosets.index_of_element(compose(g, rep)) for rep in reps)
+
+
 def permutation_orbit_cylinder(tower, subgroup):
     """Deepest-level addresses in the image of a subgroup, by full
     left-multiplication tables of its generators and their inverses."""
     deepest = tower.levels[-1]
+    reps = deepest.reps
     perms = []
     for el in subgroup.generator_elements():
-        perms.append(deepest.permutation_of(el))
-        perms.append(deepest.permutation_of(el.inverse()))
+        perms.append(permutation_of(deepest, el, reps))
+        perms.append(permutation_of(deepest, el.inverse(), reps))
     start = deepest.index_of_element(tower.chain.group.identity())
     seen = {start}
     frontier = [start]

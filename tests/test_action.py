@@ -24,7 +24,12 @@ from cantordyn.action import (
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import vietoris, warp_example, warp_model
 from cantordyn.tower import boundary_action
-from helpers import brute_force_distality, enumerate_word_perms, three_point_action
+from helpers import (
+    brute_force_distality,
+    enumerate_word_perms,
+    three_point_action,
+    validate_metric,
+)
 
 
 def dyadic_action(depth=3):
@@ -302,15 +307,15 @@ def test_warp_distance_to_collapsed_class_is_the_base_value():
 
 
 def test_warp_metric_triangle_inequality_exhaustive_small():
-    warp_model(3).validate_metric(triple_cap=100)
+    validate_metric(warp_model(3), triple_cap=100)
 
 
 def test_warp_metric_triangle_inequality_sampled_large():
-    warp_model(6).validate_metric(triple_cap=100, samples=10 ** 4, seed=3)
+    validate_metric(warp_model(6), triple_cap=100, samples=10 ** 4, seed=3)
 
 
 def test_tree_metric_is_an_ultrametric():
-    dyadic_action(3).model.validate_metric()
+    validate_metric(dyadic_action(3).model)
 
 
 # ----------------------------------------------------------- word machinery

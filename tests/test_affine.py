@@ -34,7 +34,7 @@ from cantordyn.affine import (
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import small_fo_variant
 
-from helpers import brute_force_core
+from helpers import brute_force_core, permutation_of
 
 D = ((1, 0), (0, -1))
 
@@ -457,7 +457,7 @@ def test_coset_permutations_compose_homomorphically():
             pa = cs.gen_perms[a]
             pb = cs.gen_perms[b]
             composed = tuple(pa[pb[i]] for i in range(cs.index))
-            assert composed == cs.permutation_of(compose(gens[a], gens[b]))
+            assert composed == permutation_of(cs, compose(gens[a], gens[b]))
 
 
 COSET_CASES = ["klein_fo_level_1", "small_fo_variant_level_2"]
@@ -487,7 +487,7 @@ def test_coset_space_computes_one_key_per_generator_image(monkeypatch, case):
     assert calls["keys"] == cs.index * len(group.generators) + 1
     # the tables recorded during the walk agree with fresh key lookups
     for name, g in group.generators:
-        assert cs.gen_perms[name] == cs.permutation_of(g)
+        assert cs.gen_perms[name] == permutation_of(cs, g)
     assert [cs.index_of_element(rep) for rep in cs.reps] == list(range(cs.index))
 
 
@@ -549,10 +549,10 @@ def test_core_is_the_kernel_of_the_coset_representation():
         cs = coset_space(G, h)
         identity_perm = tuple(range(cs.index))
         for el in core.generator_elements():
-            assert cs.permutation_of(el) == identity_perm
+            assert permutation_of(cs, el) == identity_perm
         # the glide class representative of H lies outside the core
         glide = h.reps[1]
-        assert cs.permutation_of(glide) != identity_perm
+        assert permutation_of(cs, glide) != identity_perm
         assert not contains(core, glide)
 
 

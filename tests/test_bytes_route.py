@@ -139,8 +139,7 @@ ROUTES = {"_pair_rank_rows": action_module._pair_rank_rows, "_pair_rank_matrix":
 @pytest.mark.parametrize("build", ROUTES.values(), ids=["rows", "matrix"])
 @pytest.mark.parametrize("lam1", [F(0), F(-1, 2)], ids=str)
 def test_both_routes_refuse_distinct_addresses_at_distance_zero(lam1, build):
-    metric = WarpMetric(2)
-    object.__setattr__(metric, "lam1", lam1)  # past the constructor's check
+    metric = tuple.__new__(WarpMetric, (2, lam1))  # past the constructor's check
     model = CantorModel(warp_model(2).addresses, 2, metric)
     with pytest.raises(StructureError, match="distinct addresses at distance 0"):
         build(model)

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from cantordyn.cli import main
-from cantordyn.config import parse_config, serialize_config
+from cantordyn.config import PARAM_KEYS, parse_config, serialize_config
 from cantordyn.errors import ParseError
 from cantordyn.report import strip_timing
 
@@ -144,6 +144,29 @@ def test_semantic_error_exits_two(tmp_path, capsys):
 
 
 VIETORIS_TEXT = "[chain]\ngallery = vietoris\np = 2\ndepth = 2\n"
+FO_TEXT = (CONFIG_DIR / "fo_explicit.cfg").read_text(encoding="utf-8")  # 21 lines
+PARAMS_TEXT = VIETORIS_TEXT + "[params]\ndepth = 2\nwords = 8\nlambda = 1/2\nseed = 0\n"
+
+
+def repeat_line(text, line):
+    """The text with its line `line` written twice: the copy is line + 1."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:line] + lines[line - 1 : line] + lines[line:])
+
+
+# a section or key given twice fails at the second, whatever its value
+DUPLICATES = {
+    "level 2": (FO_TEXT + "[level 2]\nlattice = 27 0 / 0 1225\n", 22),
+    "lattice": (FO_TEXT.replace("= 3 0 / 0 35\n", "= 3 0 / 0 35\nlattice = 9 0 / 0 35\n"), 11),
+    "group": (FO_TEXT + "[group]\ndimension = 2\n", 22),
+    "params": (FO_TEXT + "[params]\nseed = 1\n", 22),
+    "dimension": (repeat_line(FO_TEXT, 3), 4),
+    "denominator": (repeat_line(FO_TEXT, 4), 5),
+    "generator": (FO_TEXT.replace("generator g", "generator g = 1 0 / 0 1 ; 0 1\ngenerator  g"), 8),
+    "gallery": (repeat_line(VIETORIS_TEXT, 2), 3),
+    "p": (repeat_line(VIETORIS_TEXT, 3), 4),
+    **{key: (repeat_line(PARAMS_TEXT, line), line + 1) for line, key in enumerate(PARAM_KEYS, 6)},
+}
 
 
 @pytest.mark.parametrize(
@@ -166,6 +189,10 @@ VIETORIS_TEXT = "[chain]\ngallery = vietoris\np = 2\ndepth = 2\n"
         (VIETORIS_TEXT + "[params]\nwords = -1\n", 6, ()),
         # a flag has no line: the error names the flag instead
         (VIETORIS_TEXT, None, ("--words", "-2")),
+    ]
+    + [
+        pytest.param(text, line, (), id=f"duplicate-{name}")
+        for name, (text, line) in DUPLICATES.items()
     ],
 )
 def test_malformed_values_exit_two_naming_the_line(tmp_path, capsys, text, line, flags):
@@ -174,6 +201,23 @@ def test_malformed_values_exit_two_naming_the_line(tmp_path, capsys, text, line,
     rc, _, err = run_cli(capsys, "classify", str(bad), *flags)
     assert rc == 2
     assert (f"line {line}:" if line is not None else flags[0]) in err
+
+
+def test_a_duplicate_error_names_the_section_or_key(tmp_path, capsys):
+    for name, what in (("level 2", "[level 2]"), ("lattice", "'lattice'"), ("p", "'p'")):
+        text, line = DUPLICATES[name]
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        rc, out, err = run_cli(capsys, "classify", str(bad))
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: line {line}: ") and "duplicate" in err and what in err
+
+
+def test_rep_lines_repeat():
+    glide = "rep = 1 0 / 0 -1 ; 3/2 0\n"
+    cfg = parse_config(FO_TEXT.replace(glide, "rep = 1 0 / 0 1 ; 0 0\n" + glide))
+    assert [len(level.reps) for level in cfg.levels] == [2, 1]
+    assert cfg.build_chain().levels == parse_config(FO_TEXT).build_chain().levels
 
 
 def test_zero_word_bound_stays_valid(tmp_path, capsys):
@@ -393,7 +437,7 @@ def test_code_builds_one_return_word_set_and_no_word_perm(
     "args", [("configs/vietoris5.cfg",), ("perfbench/configs/warp_d4.cfg", "--words", "4")]
 )
 def test_classify_checks_minimality_and_invariance_once(capsys, monkeypatch, args):
-    from cantordyn import action, cli
+    from cantordyn import action
 
     calls = {"is_minimal": 0, "pushforward_invariant": 0}
 
@@ -404,10 +448,8 @@ def test_classify_checks_minimality_and_invariance_once(capsys, monkeypatch, arg
 
         return wrapper
 
-    for name in calls:
-        wrapper = counted(name, getattr(action, name))
-        for module in (action, cli):
-            monkeypatch.setattr(module, name, wrapper)
+    for name in calls:  # the CLI imports them from the action module when it runs
+        monkeypatch.setattr(action, name, counted(name, getattr(action, name)))
     rc, out, _ = run_cli(capsys, "classify", str(REPO / args[0]), *args[1:])
     assert rc == 0
     assert "  pushforward_invariant: true\n" in out

@@ -39,6 +39,7 @@ from helpers import (
     random_tree_action,
     rank_oracle,
     three_point_action,
+    validate_metric,
 )
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -96,8 +97,7 @@ def test_pair_ranks_refuse_above_the_cap_before_any_pair(monkeypatch):
 
 @pytest.mark.parametrize("lam1", [F(0), F(-1, 2)])
 def test_pair_ranks_refuse_distinct_addresses_at_distance_zero(lam1):
-    metric = WarpMetric(2)
-    object.__setattr__(metric, "lam1", lam1)  # past the constructor's check
+    metric = tuple.__new__(WarpMetric, (2, lam1))  # past the constructor's check
     model = CantorModel(warp_model(2).addresses, 2, metric)
     with pytest.raises(StructureError, match="distinct addresses at distance 0"):
         model.pair_ranks()
@@ -128,7 +128,7 @@ def test_warp_metric_rejects_a_fiber_base_outside_the_unit_interval(lam1):
 def test_warp_metric_accepts_fiber_bases_inside_the_unit_interval(lam1):
     model = warp_model(2, lam1=lam1)
     assert model.metric.lam1 == F(lam1)
-    assert model.validate_metric()
+    assert validate_metric(model)
 
 
 # ----------------------------------------------------------------- engines

@@ -1,5 +1,6 @@
 """Chains, quotient towers, cofinality verdicts, and interleaving."""
 
+import pathlib
 from fractions import Fraction as F
 
 import pytest
@@ -27,16 +28,16 @@ from cantordyn.gallery import (
 )
 from cantordyn.tower import (
     SubgroupChain,
-    TruncatedPoint,
     boundary_action,
     build_tower,
     interleave,
     mccord_verdict,
     subgroup_cylinder,
-    truncated_point,
 )
 
-from helpers import permutation_orbit_cylinder
+from helpers import TruncatedPoint, permutation_orbit_cylinder, truncated_point
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def pure_level(group, a, b):
@@ -313,6 +314,48 @@ CYLINDER_CHAINS = {
 }
 
 
+KEY_CHAINS = dict(CYLINDER_CHAINS, fokkink_oversteegen_2=lambda: fokkink_oversteegen(2))
+
+
+@pytest.mark.parametrize("name", sorted(KEY_CHAINS))
+def test_coset_keys_give_the_validated_reps_and_the_rep_bonding_maps(name):
+    tower = build_tower(KEY_CHAINS[name]())
+    reps = [space.reps for space in tower.levels]
+    for space, level_reps in zip(tower.levels, reps):
+        assert len(level_reps) == len(space.keys) == space.index
+        for i, (rep, (_, red, point)) in enumerate(zip(level_reps, space.keys)):
+            assert rep == AffineElement(rep.point, rep.trans, rep.denom)
+            assert (point, red) == (rep.point, rep.scaled_trans())
+            assert space.index_of_element(rep) == i
+    for l, mapping in enumerate(tower.bonding):
+        assert mapping == tuple(map(tower.levels[l].index_of_element, reps[l + 1]))
+
+
+def test_coset_space_constructs_no_affine_element(monkeypatch):
+    from cantordyn import affine, tower
+    from cantordyn.cli import main
+
+    counts = {"inside": 0, "spaces": 0, "built": 0}
+    init, coset_space = AffineElement.__init__, affine.coset_space
+
+    def counted_init(self, *args):
+        counts["built"] += counts["inside"]
+        init(self, *args)
+
+    def counted_space(*args, **kwargs):
+        counts["inside"], counts["spaces"] = 1, counts["spaces"] + 1
+        try:
+            return coset_space(*args, **kwargs)
+        finally:
+            counts["inside"] = 0
+
+    monkeypatch.setattr(AffineElement, "__init__", counted_init)
+    for module in (affine, tower):
+        monkeypatch.setattr(module, "coset_space", counted_space)
+    assert main(["code", str(REPO / "perfbench/configs/klein_3_5_mid.cfg")]) == 0
+    assert counts == {"inside": 0, "spaces": 3, "built": 0}
+
+
 @pytest.mark.parametrize("name", sorted(CYLINDER_CHAINS))
 def test_subgroup_cylinder_matches_the_permutation_orbit_oracle(name):
     chain = CYLINDER_CHAINS[name]()
@@ -328,13 +371,13 @@ def test_subgroup_cylinder_multiplies_only_the_cosets_it_reaches(monkeypatch):
     chain = small_fo_variant(3)
     tower = build_tower(chain)
     calls = {"lookups": 0}
-    original = CosetSpace.index_of_element
+    original = CosetSpace.index_of_scaled  # every coset lookup, by key or element
 
-    def counted(self, g):
+    def counted(self, point, scaled_tr):
         calls["lookups"] += 1
-        return original(self, g)
+        return original(self, point, scaled_tr)
 
-    monkeypatch.setattr(CosetSpace, "index_of_element", counted)
+    monkeypatch.setattr(CosetSpace, "index_of_scaled", counted)
     for h in chain.levels:
         core = normal_core(chain.group, h)
         calls["lookups"] = 0
