@@ -5,8 +5,6 @@ Python ints or fractions.Fraction, never floats.  Dimensions in this library
 are tiny (n <= 4), so cofactor expansions are fine.
 """
 
-from fractions import Fraction
-
 from .errors import StructureError
 
 
@@ -59,15 +57,6 @@ def adjugate(a):
             )
             cof[i][j] = (-1) ** (i + j) * det(minor)
     return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
-
-
-def mat_inverse_exact(a):
-    """Inverse with Fraction entries; raises on singular input."""
-    d = det(a)
-    if d == 0:
-        raise StructureError("matrix is singular")
-    adj = adjugate(a)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in adj)
 
 
 def mat_inverse_unimodular(a):
@@ -188,7 +177,8 @@ def column_hnf(rows, *, with_transform=False):
 def solve_echelon(h, pivots, v):
     """Solve H y = v over the integers for a column-echelon H; None if no solution.
 
-    Entries of v may be ints or Fractions; the solution must be integral.
+    Entries of v may be ints or Fractions; a remainder at any pivot means
+    no integral solution.
     Returns a length-k integer vector (zeros in non-pivot positions).
     """
     n = len(h)
@@ -201,10 +191,6 @@ def solve_echelon(h, pivots, v):
         q, rr = divmod(rem[r], piv)
         if rr != 0:
             return None
-        if isinstance(q, Fraction):
-            if q.denominator != 1:
-                return None
-            q = int(q)
         y[t] = q
         if q:
             for i in range(n):

@@ -314,9 +314,6 @@ class CantorAction:
     def addresses(self):
         return self.model.addresses
 
-    def generator_names(self):
-        return list(self.generators)
-
     def token_perm(self, name, sign):
         if name not in self.generators:
             raise StructureError(f"unknown generator name {name!r}")

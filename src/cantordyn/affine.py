@@ -10,7 +10,6 @@ is no floating point anywhere in this module.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -77,16 +76,10 @@ class AffineElement:
     def scaled_trans(self):
         return tuple(int(t * self.denom) for t in self.trans)
 
-    def compose(self, other):
-        return compose(self, other)
-
     def inverse(self):
         inv = im.mat_inverse_unimodular(self.point)
         v = tuple(-x for x in im.mat_vec(inv, self.trans))
         return AffineElement(inv, v, self.denom)
-
-    def __mul__(self, other):
-        return compose(self, other)
 
     def key(self):
         return (_point_key(self.point), self.trans)
@@ -126,10 +119,6 @@ def compose(a, b):
     point = im.mat_mul(a.point, b.point)
     trans = im.vec_add(a.trans, im.mat_vec(a.point, b.trans))
     return AffineElement(point, trans, a.denom)
-
-
-def inverse(a):
-    return a.inverse()
 
 
 class IntegerLattice:
@@ -232,32 +221,25 @@ def lattice_from_columns(cols):
     return IntegerLattice(basis)
 
 
-def lattice_intersect(l1, l2):
-    """Intersection of two full-rank integer lattices, via duals."""
+def _stacked_hnf(l1, l2):
+    """Column HNF H = [B1 | -B2] U of two lattice bases, and L1 & L2.
+
+    A solution z of H z = t gives (x, y) = U z with B1 x - B2 y = t.  The
+    last n columns of U span the kernel B1 x = B2 y, so B1 times their x
+    parts spans the intersection.
+    """
     if l1.dimension != l2.dimension:
         raise StructureError("dimension mismatch in lattice intersection")
     n = l1.dimension
+    rows = tuple(r1 + tuple(-x for x in r2) for r1, r2 in zip(l1.basis, l2.basis))
+    h, pivots, u = im.column_hnf(rows, with_transform=True)
+    kernel_x = tuple(row[n:] for row in u[:n])
+    return h, pivots, u, hermite_normal_form(im.mat_mul(l1.basis, kernel_x))
 
-    def dual_cols(lat):
-        inv = im.mat_inverse_exact(lat.basis)
-        # columns of (B^{-1})^T are the rows of B^{-1}
-        return [tuple(inv[i][j] for j in range(n)) for i in range(n)]
 
-    cols = dual_cols(l1) + dual_cols(l2)
-    denom = 1
-    for c in cols:
-        for x in c:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-    int_cols = [tuple(int(x * denom) for x in c) for c in cols]
-    s = lattice_from_columns(int_cols)
-    inv = im.mat_inverse_exact(s.basis)
-    out_cols = []
-    for i in range(n):
-        col = tuple(inv[i][j] * denom for j in range(n))
-        if any(x.denominator != 1 for x in col):
-            raise StructureError("lattice intersection is not integral")
-        out_cols.append(tuple(int(x) for x in col))
-    return lattice_from_columns(out_cols)
+def lattice_intersect(l1, l2):
+    """Intersection of two full-rank integer lattices."""
+    return _stacked_hnf(l1, l2)[3]
 
 
 class _LatticeSpan:
@@ -265,16 +247,9 @@ class _LatticeSpan:
 
     def __init__(self, n):
         self.n = n
-        self.cols = []
+        self.cols = []  # the pivot columns of the Hermite form, in order
         self._h = None
         self._pivots = ()
-
-    def _refresh(self):
-        if not self.cols:
-            self._h, self._pivots = None, ()
-            return
-        rows = tuple(tuple(c[i] for c in self.cols) for i in range(self.n))
-        self._h, self._pivots = im.column_hnf(rows)
 
     def contains(self, v):
         if all(x == 0 for x in v):
@@ -283,25 +258,16 @@ class _LatticeSpan:
             return False
         return im.solve_echelon(self._h, self._pivots, v) is not None
 
-    def reduce(self, v):
-        if self._h is None:
-            return tuple(v)
-        return im.reduce_echelon(self._h, self._pivots, v)
-
     def add(self, v):
         """Add a vector; returns True if the lattice grew."""
         if self.contains(v):
             return False
-        self.cols.append(tuple(v))
-        self._refresh()
-        # drop redundant columns: keep the echelon pivot columns only
-        keep = []
-        for j in range(len(self._h[0]) if self._h else 0):
-            col = tuple(self._h[i][j] for i in range(self.n))
-            if any(x != 0 for x in col):
-                keep.append(col)
-        self.cols = keep
-        self._refresh()
+        rows = tuple(tuple(c[i] for c in self.cols) + (v[i],) for i in range(self.n))
+        h, self._pivots = im.column_hnf(rows)
+        # the columns after the pivot ones are zero
+        r = len(self._pivots)
+        self._h = tuple(row[:r] for row in h)
+        self.cols = [tuple(row[j] for row in h) for j in range(r)]
         return True
 
     def full_rank(self):
@@ -523,8 +489,8 @@ def subgroup_intersect(h1, h2):
     if h1.dimension != h2.dimension or h1.denom != h2.denom:
         raise StructureError("subgroup intersection: incompatible operands")
     n = h1.dimension
-    denom = h1.denom
-    lat = lattice_intersect(h1.lattice, h2.lattice)
+    b1 = h1.lattice.basis
+    hh, pivots, u, lat = _stacked_hnf(h1.lattice, h2.lattice)
     reps = []
     for r1 in h1.reps:
         r2 = h2.rep_for_point(r1.point)
@@ -533,23 +499,13 @@ def subgroup_intersect(h1, h2):
         diff = im.vec_sub(r2.trans, r1.trans)
         if any(x.denominator != 1 for x in diff):
             continue
-        target = tuple(int(x) for x in diff)
-        # solve B1 x - B2 y = target over the integers
-        b1 = h1.lattice.basis
-        b2 = h2.lattice.basis
-        rows = tuple(
-            tuple(b1[i][j] for j in range(n)) + tuple(-b2[i][j] for j in range(n))
-            for i in range(n)
-        )
-        hh, pivots, u = im.column_hnf(rows, with_transform=True)
-        y = im.solve_echelon(hh, pivots, target)
+        # solve B1 x - B2 y = diff over the integers
+        y = im.solve_echelon(hh, pivots, tuple(int(x) for x in diff))
         if y is None:
             continue
-        z = im.mat_vec(u, y)
-        x = z[:n]
-        shift = im.mat_vec(b1, x)
+        shift = im.mat_vec(b1, im.mat_vec(u, y)[:n])
         w = im.vec_add(r1.trans, _to_fraction_vec(shift))
-        reps.append(AffineElement(r1.point, w, denom))
+        reps.append(AffineElement(r1.point, w, h1.denom))
     if not reps:
         raise StructureError("subgroup intersection lost the identity class")
     return subgroup_from_parts(lat, reps, validate=True)
@@ -598,9 +554,6 @@ class AffineGroup(namedtuple("AffineGroup", "dimension denom generators normal_f
                 return g
         raise StructureError(f"unknown generator {name!r}")
 
-    def generator_names(self):
-        return [name for name, _ in self.generators]
-
     def identity(self):
         return identity_element(self.dimension, self.denom)
 
@@ -616,16 +569,8 @@ class AffineGroup(namedtuple("AffineGroup", "dimension denom generators normal_f
         return subgroup_le(h, self.normal_form)
 
     def index_of(self, h):
-        """Index [G : H] via lattice determinants and class counts."""
-        lat_ratio, rem = divmod(h.lattice.index(), self.normal_form.lattice.index())
-        if rem:
-            raise StructureError("subgroup lattice is not contained in the group lattice")
-        total, rem = divmod(
-            lat_ratio * self.normal_form.num_classes(), h.num_classes()
-        )
-        if rem:
-            raise StructureError("class counts are incompatible with a subgroup")
-        return total
+        """Index [G : H]."""
+        return subgroup_index_in(h, self.normal_form)
 
     def __str__(self):
         gens = ", ".join(f"{n}={g}" for n, g in self.generators)
@@ -633,7 +578,8 @@ class AffineGroup(namedtuple("AffineGroup", "dimension denom generators normal_f
 
 
 def subgroup_index_in(h_small, h_big):
-    """Index [H_big : H_small] for nested subgroups."""
+    """Index [H_big : H_small] for nested subgroups, via lattice
+    determinants and class counts."""
     lat_ratio, rem = divmod(h_small.lattice.index(), h_big.lattice.index())
     if rem:
         raise StructureError("lattices are not nested")
@@ -717,6 +663,22 @@ class CosetSpace:
     def index_of_element(self, g):
         return self.index_of_scaled(g.point, g.scaled_trans())
 
+    def orbit(self, elements):
+        """Indices of the orbit of the identity coset under left
+        multiplication by `elements`.  The identity coset has the least key,
+        so index 0; the space is finite, so inverses add nothing."""
+        gens = [(g.point, g.scaled_trans()) for g in elements]
+        seen = {0}
+        queue = [0]  # grows while walked
+        for i in queue:
+            _, red, point = self.keys[i]
+            for gp, gt in gens:
+                j = self.index_of_scaled(*_left_multiply(gp, gt, point, red))
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        return queue
+
 
 def _coset_reduction_data(group, subgroup):
     """Per point part A of G: the scaled HNF of A * L_H, and for each rep
@@ -733,6 +695,11 @@ def _coset_reduction_data(group, subgroup):
             products.append((class_ids[c], c, im.mat_vec(p, b_tr)))
         data[p] = (basis, pivots, tuple(products))
     return data
+
+
+def _left_multiply(gp, gt, point, scaled_tr):
+    """(point, scaled translation) of (gp, gt / d) times (point, scaled_tr / d)."""
+    return im.mat_mul(gp, point), im.vec_add(gt, im.mat_vec(gp, scaled_tr))
 
 
 def _coset_key_scaled(red_data, point, scaled_tr):
@@ -769,9 +736,7 @@ def coset_space(group, subgroup, *, cap=None):
     for _, red, point in keys:
         row = []
         for gp, gt in gens:
-            nkey = _coset_key_scaled(
-                red_data, im.mat_mul(gp, point), im.vec_add(gt, im.mat_vec(gp, red))
-            )
+            nkey = _coset_key_scaled(red_data, *_left_multiply(gp, gt, point, red))
             j = found.get(nkey)
             if j is None:
                 if len(keys) >= cap:

@@ -105,11 +105,13 @@ class Config(
     __slots__ = ()
 
     def build_chain(self):
-        from . import affine, gallery, tower
+        from . import affine, tower
 
         if self.kind != "chain":
             raise StructureError("config does not describe a chain")
         if self.gallery:
+            from . import gallery
+
             return gallery.build_chain(self.gallery, dict(self.gallery_params))
         group = affine.AffineGroup.from_generators(
             [
@@ -137,12 +139,12 @@ class Config(
             raise StructureError(f"[level ...]: {exc}") from exc
 
     def build_action(self):
-        from . import gallery
-
         if self.kind == "chain":
             from .tower import boundary_action
 
             return boundary_action(self.build_chain(), self.depth, lam=self.lam)
+        from . import gallery
+
         params = dict(self.gallery_params)
         if self.depth is not None:
             params["depth"] = self.depth

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from . import _intmat as im
 from .affine import (
     contains,
     coset_space,
@@ -55,9 +54,10 @@ class SubgroupChain(namedtuple("SubgroupChain", "group levels label")):
         return [self.group.index_of(h) for h in self.levels]
 
     def truncate(self, depth):
+        """The first `depth` levels: a prefix of a valid chain is valid."""
         if depth < 1 or depth > self.depth:
             raise StructureError(f"depth {depth} outside 1..{self.depth}")
-        return SubgroupChain(self.group, self.levels[:depth], self.label)
+        return self._replace(levels=self.levels[:depth])
 
 
 class QuotientTower(namedtuple("QuotientTower", "chain levels bonding")):
@@ -106,8 +106,8 @@ class QuotientTower(namedtuple("QuotientTower", "chain levels bonding")):
 def build_tower(chain, depth=None):
     """Coset spaces per level plus bonding maps: each fine coset's key,
     reduced modulo the coarse subgroup."""
-    depth = chain.depth if depth is None else depth
-    chain = chain.truncate(depth)
+    if depth is not None:
+        chain = chain.truncate(depth)
     check_index_cap(chain.indices()[-1])  # refuse before any coset
     spaces = [coset_space(chain.group, h) for h in chain.levels]
     bonding = []
@@ -231,28 +231,11 @@ def subgroup_cylinder(tower, subgroup):
     """Deepest-level addresses lying in the image of a subgroup.
 
     The cosets of H_K inside S * H_K form the orbit of the identity coset
-    under left multiplication by S's generators.  The coset space is finite,
-    so inverses add nothing, and only the cosets the orbit reaches are
-    multiplied, each through its integer key.
+    under left multiplication by S's generators; only the cosets the orbit
+    reaches are multiplied.
     """
-    deepest = tower.levels[-1]
-    elements = [(el.point, el.scaled_trans()) for el in subgroup.generator_elements()]
-    start = deepest.index_of_element(tower.chain.group.identity())
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for i in frontier:
-            _, red, point = deepest.keys[i]
-            for ep, et in elements:
-                j = deepest.index_of_scaled(
-                    im.mat_mul(ep, point), im.vec_add(et, im.mat_vec(ep, red))
-                )
-                if j not in seen:
-                    seen.add(j)
-                    new.append(j)
-        frontier = new
-    return frozenset(tower.coordinates(i) for i in seen)
+    orbit = tower.levels[-1].orbit(subgroup.generator_elements())
+    return frozenset(tower.coordinates(i) for i in orbit)
 
 
 # -------------------------------------------------------- boundary action

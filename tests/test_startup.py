@@ -1,8 +1,9 @@
 """What a command pays at start: no benchmark command or set-up build imports
 `dataclasses` (which loads `inspect`, `ast`, `dis` and `tokenize`), `compare`
-and chain set-up load no action layer, and the plain classes that replace the
-dataclasses keep their value semantics.  Needs neither numpy nor the test
-helpers, so it runs on the declared minimum Python without numpy."""
+and chain set-up load no action layer, an explicit chain loads no gallery,
+and the plain classes that replace the dataclasses keep their value
+semantics.  Needs neither numpy nor the test helpers, so it runs on the
+declared minimum Python without numpy."""
 
 import json
 import os
@@ -56,6 +57,26 @@ def test_commands_and_setup_import_no_dataclasses_and_compare_no_action():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{[0] * len(commands)} False []\n"
+
+
+def test_explicit_chain_classify_loads_no_gallery():
+    script = (
+        "import contextlib, io, sys\n"
+        "from cantordyn.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['classify', 'perfbench/configs/klein_3_5_mid.cfg'])\n"
+        "print(code, 'cantordyn.gallery' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
 
 
 GLIDE = ((1, 0), (0, -1))

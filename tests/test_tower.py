@@ -70,6 +70,26 @@ def test_chain_rejects_repeated_level():
         SubgroupChain(group, [h2, h2])
 
 
+def test_truncate_is_the_prefix_chain_and_checks_only_its_range(monkeypatch):
+    chain = small_fo_variant(3)
+    expected = {
+        d: SubgroupChain(chain.group, chain.levels[:d], chain.label) for d in (1, 2, 3)
+    }
+
+    def refuse(*args):
+        raise AssertionError("a prefix of a validated chain was validated again")
+
+    monkeypatch.setattr("cantordyn.tower.subgroup_le", refuse)
+    for d in (1, 2, 3):
+        truncated = chain.truncate(d)
+        assert type(truncated) is SubgroupChain
+        assert truncated == expected[d]
+        assert truncated.depth == d
+    for d in (-1, 0, 4):
+        with pytest.raises(StructureError, match="outside 1..3"):
+            chain.truncate(d)
+
+
 # ----------------------------------------------------------------- towers
 
 def test_dyadic_tower_level_sizes():
