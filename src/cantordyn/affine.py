@@ -2,10 +2,15 @@
 
 Elements are pairs (A, v): x -> A x + v with A an integer matrix of
 determinant +-1 and finite order, and v a rational vector whose entries have
-denominators dividing a group-wide integer d.  Finite-index subgroups are
-stored as a translation lattice in canonical Hermite form together with one
-affine representative per point-part class.  All arithmetic is exact; there
-is no floating point anywhere in this module.
+denominators dividing a group-wide integer d.  An element stores v scaled by
+d, as integers (`scaled`); `trans` reads v back as Fractions.  The public
+constructor validates once, at the boundary; products, inverses and lattice
+reductions of validated elements keep det +-1 and the denominator, so they
+are built unchecked.  Generated groups are closed by a breadth-first walk
+over point classes whose Schreier generators span the translation lattice.
+Finite-index subgroups are stored as a translation lattice in canonical
+Hermite form together with one affine representative per point-part class.
+All arithmetic is exact; there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -20,10 +25,6 @@ from .limits import CLASS_CAP, check_index_cap, index_cap
 DEFAULT_ORDER_BOUND = 12
 
 
-def _to_fraction_vec(v):
-    return tuple(Fraction(x) for x in v)
-
-
 def _point_key(a):
     return tuple(x for row in a for x in row)
 
@@ -32,65 +33,71 @@ def _frozen(self, name, value=None):
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
+def _check_point(point):
+    d = im.det(point)
+    if d not in (1, -1):
+        raise StructureError(f"point part must be unimodular, got determinant {d}")
+    if im.matrix_order(point, DEFAULT_ORDER_BOUND) is None:
+        raise StructureError(
+            f"point part order exceeds the bound {DEFAULT_ORDER_BOUND}"
+        )
+
+
 class AffineElement:
-    """An affine map x -> point @ x + trans with exact rational translation.
+    """An affine map x -> point @ x + scaled / denom, exact.
 
-    The one constructor validates; the fields are never reassigned."""
+    The public constructor takes the translation as rationals and validates;
+    the fields are never reassigned."""
 
-    __slots__ = ("point", "trans", "denom")
+    __slots__ = ("point", "scaled", "denom")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, point, trans, denom):
         point = tuple(tuple(int(x) for x in row) for row in point)
-        trans = _to_fraction_vec(trans)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "trans", trans)
-        object.__setattr__(self, "denom", denom)
+        trans = tuple(Fraction(x) for x in trans)
         n = len(point)
         if any(len(row) != n for row in point) or len(trans) != n:
             raise StructureError("point part must be square and match the translation length")
-        if self.denom < 1:
+        if denom < 1:
             raise StructureError("denominator must be a positive integer")
-        d = im.det(point)
-        if d not in (1, -1):
-            raise StructureError(f"point part must be unimodular, got determinant {d}")
-        if im.matrix_order(point, DEFAULT_ORDER_BOUND) is None:
-            raise StructureError(
-                f"point part order exceeds the bound {DEFAULT_ORDER_BOUND}"
-            )
+        _check_point(point)
         for t in trans:
-            if (t * self.denom).denominator != 1:
-                raise StructureError(
-                    f"translation entry {t} is not a multiple of 1/{self.denom}"
-                )
+            if (t * denom).denominator != 1:
+                raise StructureError(f"translation entry {t} is not a multiple of 1/{denom}")
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "scaled", tuple(int(t * denom) for t in trans))
+        object.__setattr__(self, "denom", denom)
+
+    @property
+    def trans(self):
+        return tuple(Fraction(x, self.denom) for x in self.scaled)
 
     @property
     def dimension(self):
         return len(self.point)
 
     def is_identity(self):
-        return self.point == im.identity(self.dimension) and all(
-            t == 0 for t in self.trans
-        )
-
-    def scaled_trans(self):
-        return tuple(int(t * self.denom) for t in self.trans)
+        return self.point == im.identity(self.dimension) and not any(self.scaled)
 
     def inverse(self):
         inv = im.mat_inverse_unimodular(self.point)
-        v = tuple(-x for x in im.mat_vec(inv, self.trans))
-        return AffineElement(inv, v, self.denom)
+        v = tuple(-x for x in im.mat_vec(inv, self.scaled))
+        return _element(inv, v, self.denom)
 
     def key(self):
-        return (_point_key(self.point), self.trans)
+        return (_point_key(self.point), self.scaled)
 
     def __eq__(self, other):
         if other.__class__ is not AffineElement:
             return NotImplemented
-        return (self.point, self.trans, self.denom) == (other.point, other.trans, other.denom)
+        return (
+            self.point == other.point
+            and self.scaled == other.scaled
+            and self.denom == other.denom
+        )
 
     def __hash__(self):
-        return hash((self.point, self.trans, self.denom))
+        return hash((self.point, self.scaled, self.denom))
 
     def __repr__(self):
         return f"AffineElement(point={self.point!r}, trans={self.trans!r}, denom={self.denom})"
@@ -101,12 +108,21 @@ class AffineElement:
         return f"[{rows}]|({vec})"
 
 
+def _element(point, scaled, denom):
+    """The element (point, scaled / denom), unchecked: only for products,
+    inverses and lattice reductions of validated elements."""
+    g = object.__new__(AffineElement)
+    object.__setattr__(g, "point", point)
+    object.__setattr__(g, "scaled", scaled)
+    object.__setattr__(g, "denom", denom)
+    return g
+
+
 def identity_element(n, denom=1):
     return AffineElement(im.identity(n), (0,) * n, denom)
 
 
 def translation(v, denom=1):
-    v = _to_fraction_vec(v)
     return AffineElement(im.identity(len(v)), v, denom)
 
 
@@ -117,8 +133,7 @@ def compose(a, b):
     if a.denom != b.denom:
         raise StructureError("denominator mismatch in composition")
     point = im.mat_mul(a.point, b.point)
-    trans = im.vec_add(a.trans, im.mat_vec(a.point, b.trans))
-    return AffineElement(point, trans, a.denom)
+    return _element(point, im.vec_add(a.scaled, im.mat_vec(a.point, b.scaled)), a.denom)
 
 
 class IntegerLattice:
@@ -169,9 +184,9 @@ class IntegerLattice:
         return hermite_normal_form(im.mat_mul(a, self.basis))
 
     def scale(self, c):
-        return hermite_normal_form(
-            tuple(tuple(c * x for x in row) for row in self.basis)
-        )
+        """The lattice c * L for a positive integer c: c times a canonical
+        basis is canonical."""
+        return IntegerLattice(tuple(tuple(c * x for x in row) for row in self.basis))
 
     def contains_lattice(self, other):
         n = self.dimension
@@ -211,12 +226,14 @@ def hermite_normal_form(m):
     return IntegerLattice(basis)
 
 
-def lattice_from_columns(cols):
-    n = len(cols[0])
+def lattice_from_columns(n, cols):
+    """The lattice spanned by integer columns of length n, which must have rank n."""
     rows = tuple(tuple(c[i] for c in cols) for i in range(n))
     h, pivots = im.column_hnf(rows)
     if len(pivots) != n:
-        raise StructureError("columns do not span a full-rank lattice")
+        raise StructureError(
+            "translation lattice is not full rank; the subgroup has infinite index"
+        )
     basis = tuple(tuple(h[i][j] for j in range(n)) for i in range(n))
     return IntegerLattice(basis)
 
@@ -240,38 +257,6 @@ def _stacked_hnf(l1, l2):
 def lattice_intersect(l1, l2):
     """Intersection of two full-rank integer lattices."""
     return _stacked_hnf(l1, l2)[3]
-
-
-class _LatticeSpan:
-    """Incrementally grown integer lattice of possibly deficient rank."""
-
-    def __init__(self, n):
-        self.n = n
-        self.cols = []  # the pivot columns of the Hermite form, in order
-        self._h = None
-        self._pivots = ()
-
-    def contains(self, v):
-        if all(x == 0 for x in v):
-            return True
-        if self._h is None:
-            return False
-        return im.solve_echelon(self._h, self._pivots, v) is not None
-
-    def add(self, v):
-        """Add a vector; returns True if the lattice grew."""
-        if self.contains(v):
-            return False
-        rows = tuple(tuple(c[i] for c in self.cols) + (v[i],) for i in range(self.n))
-        h, self._pivots = im.column_hnf(rows)
-        # the columns after the pivot ones are zero
-        r = len(self._pivots)
-        self._h = tuple(row[:r] for row in h)
-        self.cols = [tuple(row[j] for row in h) for j in range(r)]
-        return True
-
-    def full_rank(self):
-        return len(self._pivots) == self.n
 
 
 class FiniteIndexSubgroup(namedtuple("FiniteIndexSubgroup", "lattice reps")):
@@ -313,9 +298,10 @@ class FiniteIndexSubgroup(namedtuple("FiniteIndexSubgroup", "lattice reps")):
 
     def lattice_elements(self):
         """The lattice basis vectors as translation elements."""
+        d, n = self.denom, self.dimension
         return [
-            translation(self.lattice.column(j), self.denom)
-            for j in range(self.dimension)
+            _element(im.identity(n), tuple(d * x for x in self.lattice.column(j)), d)
+            for j in range(n)
         ]
 
     def generator_elements(self):
@@ -330,14 +316,12 @@ class FiniteIndexSubgroup(namedtuple("FiniteIndexSubgroup", "lattice reps")):
 def _canonical_reps(lattice, reps):
     n = reps[0].dimension
     denom = reps[0].denom
-    by_point = {}
-    for r in reps:
-        red = lattice.reduce(r.trans)
-        by_point[r.point] = AffineElement(r.point, red, denom)
+    scaled = lattice.scale(denom)
+    by_point = {r.point: _element(r.point, scaled.reduce(r.scaled), denom) for r in reps}
     ident = im.identity(n)
     if ident not in by_point:
         raise StructureError("subgroup has no identity point class")
-    if any(t != 0 for t in by_point[ident].trans):
+    if any(by_point[ident].scaled):
         raise StructureError("identity point class does not contain the identity")
     rest = sorted(
         (r for p, r in by_point.items() if p != ident), key=AffineElement.key
@@ -351,7 +335,7 @@ def subgroup_from_parts(lattice, reps, *, validate=True):
     n = reps[0].dimension
     ident = im.identity(n)
     if all(r.point != ident for r in reps):
-        reps.append(identity_element(n, reps[0].denom))
+        reps.append(_element(ident, (0,) * n, reps[0].denom))
     canon = _canonical_reps(lattice, reps)
     h = FiniteIndexSubgroup(lattice, canon)
     if validate:
@@ -389,90 +373,56 @@ def contains(h, g):
     r = h.rep_for_point(g.point)
     if r is None:
         return False
-    diff = im.vec_sub(g.trans, r.trans)
-    if any(x.denominator != 1 for x in diff):
+    d = h.denom
+    diff = im.vec_sub(g.scaled, r.scaled)
+    if any(x % d for x in diff):
         return False
-    return h.lattice.contains(tuple(int(x) for x in diff))
+    return h.lattice.contains(tuple(x // d for x in diff))
 
 
 def subgroup_from_generators(n, denom, generators):
     """Closure of a finite generating set into lattice + class-rep normal form.
 
-    Worklist closure over products with generators and their inverses.  The
-    translation lattice is kept stable under all discovered point parts; a
-    growing lattice only merges classes, so one representative per point part
-    suffices throughout.
+    A breadth-first walk over point classes keeps the first scaled translation
+    of each class, the translation of its transversal element r_c.  Each new
+    class's point is checked once, as the constructor checks a point part.  By
+    Schreier's lemma the translations of r_c s r_cs^-1, for classes c and
+    generators s, generate the translation subgroup: each is the difference
+    between the translation of r_c s and the one kept for its class.
     """
     gens = list(generators)
     for g in gens:
         if g.dimension != n or g.denom != denom:
             raise StructureError("generator dimension/denominator mismatch")
-    signed = []
-    for g in gens:
-        signed.append(g)
-        signed.append(g.inverse())
-
-    span = _LatticeSpan(n)  # scaled by denom: holds denom * v for v in T(H)
-    classes = {}  # point matrix -> scaled translation (reduced later)
     ident = im.identity(n)
-    classes[ident] = (0,) * n
-
-    def grow_lattice(vec):
-        # keep the span stable under every known point part
-        queue = [tuple(vec)]
-        while queue:
-            w = queue.pop()
-            if span.add(w):
-                for p in classes:
-                    queue.append(im.mat_vec(p, w))
-
-    def on_new_point(p):
-        for col in list(span.cols):
-            grow_lattice(im.mat_vec(p, col))
-
-    work = [(ident, (0,) * n)]
-    while work:
-        point, tr = work.pop()
-        for g in signed:
-            gp = g.point
-            gt = g.scaled_trans()
-            new_point = im.mat_mul(point, gp)
-            new_tr = im.vec_add(tr, im.mat_vec(point, gt))
-            if new_point in classes:
-                delta = im.vec_sub(new_tr, classes[new_point])
-                if not span.contains(delta):
-                    grow_lattice(delta)
-            else:
+    classes = {ident: (0,) * n}  # point matrix -> scaled translation of r_c
+    schreier = []  # the nonzero scaled translations of r_c s r_cs^-1
+    queue = [ident]  # grows while walked
+    for point in queue:
+        tr = classes[point]
+        for g in gens:
+            new_point = im.mat_mul(point, g.point)
+            new_tr = im.vec_add(tr, im.mat_vec(point, g.scaled))
+            old = classes.get(new_point)
+            if old is None:
                 if len(classes) >= CLASS_CAP:
                     raise ResourceLimitError(
                         f"point class count exceeded the cap {CLASS_CAP}"
                     )
+                _check_point(new_point)
                 classes[new_point] = new_tr
-                on_new_point(new_point)
-                work.append((new_point, new_tr))
+                queue.append(new_point)
+            elif new_tr != old:
+                schreier.append(im.vec_sub(new_tr, old))
 
-    if not span.full_rank():
+    scaled = lattice_from_columns(n, schreier)
+    if any(x % denom for row in scaled.basis for x in row):
         raise StructureError(
-            "translation lattice is not full rank; the subgroup has infinite index"
+            "translation lattice has fractional entries; rescale coordinates "
+            "so identity-point translations are integral"
         )
-    # unscale: lattice entries must be integral in unscaled units
-    cols = []
-    for col in span.cols:
-        unscaled = [Fraction(x, denom) for x in col]
-        cols.append(unscaled)
-    int_cols = []
-    for col in cols:
-        if any(x.denominator != 1 for x in col):
-            raise StructureError(
-                "translation lattice has fractional entries; rescale coordinates "
-                "so identity-point translations are integral"
-            )
-        int_cols.append(tuple(int(x) for x in col))
-    lattice = lattice_from_columns(int_cols)
-    reps = [
-        AffineElement(p, tuple(Fraction(x, denom) for x in t), denom)
-        for p, t in classes.items()
-    ]
+    lattice = IntegerLattice(tuple(tuple(x // denom for x in row) for row in scaled.basis))
+    reps = [_element(p, t, denom) for p, t in classes.items()]
     return subgroup_from_parts(lattice, reps, validate=True)
 
 
@@ -488,7 +438,7 @@ def subgroup_intersect(h1, h2):
     """Intersection of two finite-index subgroups of a common ambient group."""
     if h1.dimension != h2.dimension or h1.denom != h2.denom:
         raise StructureError("subgroup intersection: incompatible operands")
-    n = h1.dimension
+    n, d = h1.dimension, h1.denom
     b1 = h1.lattice.basis
     hh, pivots, u, lat = _stacked_hnf(h1.lattice, h2.lattice)
     reps = []
@@ -496,16 +446,16 @@ def subgroup_intersect(h1, h2):
         r2 = h2.rep_for_point(r1.point)
         if r2 is None:
             continue
-        diff = im.vec_sub(r2.trans, r1.trans)
-        if any(x.denominator != 1 for x in diff):
+        diff = im.vec_sub(r2.scaled, r1.scaled)
+        if any(x % d for x in diff):
             continue
-        # solve B1 x - B2 y = diff over the integers
-        y = im.solve_echelon(hh, pivots, tuple(int(x) for x in diff))
+        # solve B1 x - B2 y = diff / d over the integers
+        y = im.solve_echelon(hh, pivots, tuple(x // d for x in diff))
         if y is None:
             continue
         shift = im.mat_vec(b1, im.mat_vec(u, y)[:n])
-        w = im.vec_add(r1.trans, _to_fraction_vec(shift))
-        reps.append(AffineElement(r1.point, w, h1.denom))
+        w = im.vec_add(r1.scaled, tuple(d * x for x in shift))
+        reps.append(_element(r1.point, w, d))
     if not reps:
         raise StructureError("subgroup intersection lost the identity class")
     return subgroup_from_parts(lat, reps, validate=True)
@@ -520,8 +470,7 @@ def subgroup_le(h1, h2):
 
 def element_not_in(h1, h2):
     """Some element of H1 outside H2, or None when H1 <= H2."""
-    for j in range(h1.dimension):
-        t = translation(h1.lattice.column(j), h1.denom)
+    for t in h1.lattice_elements():
         if not contains(h2, t):
             return t
     for r in h1.reps:
@@ -638,19 +587,15 @@ class CosetSpace:
         self.keys = keys
         self.gen_perms = gen_perms
         self.index = len(keys)
-        # per point part the reduction lattice and rep products; key -> index
+        # per point part the reduction lattice and key product; key -> index
         self._red_data = red_data
         self._key_index = key_index
 
     @property
     def reps(self):
-        """One AffineElement per coset, built on demand by the validating
-        constructor: the engines read `keys`."""
+        """One AffineElement per coset, built on demand: the engines read `keys`."""
         d = self.group.denom
-        return tuple(
-            AffineElement(point, tuple(Fraction(x, d) for x in red), d)
-            for _, red, point in self.keys
-        )
+        return tuple(_element(point, red, d) for _, red, point in self.keys)
 
     def index_of_scaled(self, point, scaled_tr):
         """Index of the coset of the element (point, scaled_tr / d)."""
@@ -661,13 +606,13 @@ class CosetSpace:
             raise StructureError("element does not lie in the enumerated coset space")
 
     def index_of_element(self, g):
-        return self.index_of_scaled(g.point, g.scaled_trans())
+        return self.index_of_scaled(g.point, g.scaled)
 
     def orbit(self, elements):
         """Indices of the orbit of the identity coset under left
         multiplication by `elements`.  The identity coset has the least key,
         so index 0; the space is finite, so inverses add nothing."""
-        gens = [(g.point, g.scaled_trans()) for g in elements]
+        gens = [(g.point, g.scaled) for g in elements]
         seen = {0}
         queue = [0]  # grows while walked
         for i in queue:
@@ -681,19 +626,19 @@ class CosetSpace:
 
 
 def _coset_reduction_data(group, subgroup):
-    """Per point part A of G: the scaled HNF of A * L_H, and for each rep
-    (B, w) of H the triple (class id of AB, AB, A * w scaled)."""
+    """Per point part A of G: the scaled HNF of A * L_H, and for the rep (B, w)
+    of H whose AB has the least class id the triple (that id, AB, A * w
+    scaled).  Distinct reps have distinct point parts B, so distinct AB and
+    class ids: the least class id alone picks a coset's key."""
     class_ids = group.point_class_order()
     pivots = tuple(range(group.dimension))
-    reps = [(b.point, b.scaled_trans()) for b in subgroup.reps]
     data = {}
     for p in group.normal_form.point_parts():
         basis = subgroup.lattice.transform(p).scale(group.denom).basis
-        products = []
-        for b_point, b_tr in reps:
-            c = im.mat_mul(p, b_point)
-            products.append((class_ids[c], c, im.mat_vec(p, b_tr)))
-        data[p] = (basis, pivots, tuple(products))
+        by_id = {class_ids[im.mat_mul(p, b.point)]: b for b in subgroup.reps}
+        cid = min(by_id)
+        b = by_id[cid]
+        data[p] = (basis, pivots, cid, im.mat_mul(p, b.point), im.mat_vec(p, b.scaled))
     return data
 
 
@@ -703,14 +648,12 @@ def _left_multiply(gp, gt, point, scaled_tr):
 
 
 def _coset_key_scaled(red_data, point, scaled_tr):
-    """Canonical (class_id, reduced scaled translation, point) key for a coset.
+    """Canonical (class_id, reduced scaled translation, point) key for a coset:
+    its elements of least class id, reduced modulo their lattice.
 
     The class id determines the point, so keys sort by (class_id, red)."""
-    basis, pivots, products = red_data[point]
-    return min(
-        (cid, im.reduce_echelon(basis, pivots, im.vec_add(scaled_tr, a_w)), c)
-        for cid, c, a_w in products
-    )
+    basis, pivots, cid, c, a_w = red_data[point]
+    return cid, im.reduce_echelon(basis, pivots, im.vec_add(scaled_tr, a_w)), c
 
 
 def coset_space(group, subgroup, *, cap=None):
@@ -725,7 +668,7 @@ def coset_space(group, subgroup, *, cap=None):
     expected = group.index_of(subgroup)
     check_index_cap(expected, cap)
     red_data = _coset_reduction_data(group, subgroup)
-    gens = [(g.point, g.scaled_trans()) for _, g in group.generators]
+    gens = [(g.point, g.scaled) for _, g in group.generators]
 
     start = _coset_key_scaled(
         red_data, im.identity(group.dimension), (0,) * group.dimension

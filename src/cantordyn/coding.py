@@ -424,16 +424,11 @@ def _witness_or_subresolution(table, eps):
     return sub, True
 
 
-def coding_chain(
-    action,
-    window=None,
-    max_levels=None,
-    word_bound=DEFAULT_WORD_BOUND,
-):
+def coding_chain(action, window=None, word_bound=DEFAULT_WORD_BOUND):
     """Run the inductive refinement: level sets, translates, and constants.
 
-    Stops when the level set is a single address or the requested level
-    count is reached.  Every level's code-equality set is validated against
+    Stops when the level set is a single address or a piece of the last
+    level has diameter 0.  Every level's code-equality set is validated against
     the fixed-point refinement; a disagreement raises the word bound, up to
     the orbit-graph diameter (address count when the diameter is uncomputed).
     """
@@ -459,8 +454,6 @@ def coding_chain(
     level = 0
     while True:
         if len(v_prev) <= 1:
-            break
-        if max_levels is not None and level >= max_levels:
             break
         level += 1
         if level == 1:

@@ -139,10 +139,8 @@ class Config(
             raise StructureError(f"[level ...]: {exc}") from exc
 
     def build_action(self):
-        if self.kind == "chain":
-            from .tower import boundary_action
-
-            return boundary_action(self.build_chain(), self.depth, lam=self.lam)
+        if self.kind != "action":
+            raise StructureError("config does not describe an action")
         from . import gallery
 
         params = dict(self.gallery_params)

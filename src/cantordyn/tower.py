@@ -103,11 +103,9 @@ class QuotientTower(namedtuple("QuotientTower", "chain levels bonding")):
         return CantorAction(model, generators, basepoint, label=self.chain.label)
 
 
-def build_tower(chain, depth=None):
+def build_tower(chain):
     """Coset spaces per level plus bonding maps: each fine coset's key,
     reduced modulo the coarse subgroup."""
-    if depth is not None:
-        chain = chain.truncate(depth)
     check_index_cap(chain.indices()[-1])  # refuse before any coset
     spaces = [coset_space(chain.group, h) for h in chain.levels]
     bonding = []
@@ -240,10 +238,10 @@ def subgroup_cylinder(tower, subgroup):
 
 # -------------------------------------------------------- boundary action
 
-def boundary_action(chain, depth=None, *, lam=Fraction(1, 2)):
-    """The boundary action of the depth-K tower of a chain.
+def boundary_action(chain, *, lam=Fraction(1, 2)):
+    """The boundary action of the tower of a chain.
 
     Builds the tower and returns `QuotientTower.boundary_action`; a caller
     that also needs the tower builds it once and calls the method.
     """
-    return build_tower(chain, depth).boundary_action(lam)
+    return build_tower(chain).boundary_action(lam)

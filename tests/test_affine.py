@@ -493,20 +493,21 @@ def test_coset_space_computes_one_key_per_generator_image(monkeypatch, case):
 
 @pytest.mark.parametrize("case", COSET_CASES)
 def test_coset_space_scales_each_translation_once(monkeypatch, case):
-    # the key data holds A * w per rep (B, w) of H, so no key recomputes it
+    # each translation is scaled once, by the validating constructor: the coset
+    # keys and their reduction data are built from `scaled`, with no element
     group, h = coset_case(case)
-    calls = {"scaled": 0}
-    original = AffineElement.scaled_trans
+    calls = {"built": 0}
+    original = AffineElement.__init__
 
-    def counted(self):
-        calls["scaled"] += 1
-        return original(self)
+    def counted(self, *args):
+        calls["built"] += 1
+        original(self, *args)
 
-    monkeypatch.setattr(AffineElement, "scaled_trans", counted)
+    monkeypatch.setattr(AffineElement, "__init__", counted)
     cs = coset_space(group, h)
     monkeypatch.undo()
     assert cs.index == group.index_of(h)
-    assert calls["scaled"] <= len(h.reps) + len(group.generators)
+    assert calls["built"] == 0
 
 
 def test_coset_space_respects_index_cap():

@@ -7,7 +7,7 @@ import pytest
 
 from cantordyn.cli import main
 from cantordyn.config import PARAM_KEYS, parse_config, serialize_config
-from cantordyn.errors import ParseError
+from cantordyn.errors import ParseError, StructureError
 from cantordyn.report import strip_timing
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -218,6 +218,13 @@ def test_rep_lines_repeat():
     cfg = parse_config(FO_TEXT.replace(glide, "rep = 1 0 / 0 1 ; 0 0\n" + glide))
     assert [len(level.reps) for level in cfg.levels] == [2, 1]
     assert cfg.build_chain().levels == parse_config(FO_TEXT).build_chain().levels
+
+
+def test_a_chain_config_builds_a_chain_and_no_action():
+    # a chain's action is its tower's boundary action, which the CLI builds
+    # from the chain it has already truncated
+    with pytest.raises(StructureError, match="does not describe an action"):
+        parse_config(FO_TEXT).build_action()
 
 
 def test_zero_word_bound_stays_valid(tmp_path, capsys):

@@ -46,7 +46,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 def klein_3_5_mid():
     text = (REPO / "perfbench/configs/klein_3_5_mid.cfg").read_text()
-    return parse_config(text).build_action()
+    return boundary_action(parse_config(text).build_chain())
 
 
 TREE_ACTIONS = {

@@ -345,7 +345,7 @@ def test_coset_keys_give_the_validated_reps_and_the_rep_bonding_maps(name):
         assert len(level_reps) == len(space.keys) == space.index
         for i, (rep, (_, red, point)) in enumerate(zip(level_reps, space.keys)):
             assert rep == AffineElement(rep.point, rep.trans, rep.denom)
-            assert (point, red) == (rep.point, rep.scaled_trans())
+            assert (point, red) == (rep.point, rep.scaled)
             assert space.index_of_element(rep) == i
     for l, mapping in enumerate(tower.bonding):
         assert mapping == tuple(map(tower.levels[l].index_of_element, reps[l + 1]))
