@@ -341,17 +341,13 @@ class CantorAction:
             out.append((name, -1))
         return out
 
-    def orbit(self, point, max_word_length=None):
+    def orbit(self, point):
         """Breadth-first closure of a point under generators and inverses."""
         start = self.model.index[point]
         seen = {start}
         frontier = [start]
-        depth = 0
         perms = [self.token_perm(n, s) for n, s in self.signed_tokens()]
         while frontier:
-            if max_word_length is not None and depth >= max_word_length:
-                break
-            depth += 1
             new = []
             for i in frontier:
                 for p in perms:

@@ -423,7 +423,7 @@ def subgroup_from_generators(n, denom, generators):
         )
     lattice = IntegerLattice(tuple(tuple(x // denom for x in row) for row in scaled.basis))
     reps = [_element(p, t, denom) for p, t in classes.items()]
-    return subgroup_from_parts(lattice, reps, validate=True)
+    return subgroup_from_parts(lattice, reps, validate=False)
 
 
 def conjugate(g, h):
@@ -712,3 +712,15 @@ def coset_space(group, subgroup, *, cap=None):
     return CosetSpace(
         group, subgroup, tuple(map(keys.__getitem__, order)), gen_perms, red_data, key_index
     )
+
+
+def coarser_cosets(group, subgroup, keys):
+    """The cosets of `subgroup` that the cosets with canonical `keys`, of a
+    subgroup of it, lie in: their keys in canonical order, and the index
+    among them of each fine coset's image.  Fine keys that cover G give
+    every coarse key, in the order `coset_space` gives them."""
+    red_data = _coset_reduction_data(group, subgroup)
+    images = [_coset_key_scaled(red_data, point, red) for _, red, point in keys]
+    coarse = sorted(set(images))
+    index = {key: i for i, key in enumerate(coarse)}
+    return coarse, tuple(map(index.__getitem__, images))

@@ -96,9 +96,9 @@ def _action_for(cfg, chain):
     """The command's action: the chain's boundary action, or the config's."""
     if chain is None:
         return cfg.build_action()
-    from .tower import boundary_action
+    from .tower import build_tower
 
-    return boundary_action(chain, lam=cfg.lam)
+    return build_tower(chain).boundary_action(cfg.lam)
 
 
 def _modulus_section(report, table, depth_used):
@@ -150,10 +150,7 @@ def _dynamics_sections(report, action, cfg):
     mu = invariant_measure(action, minimal)
     report.section("measure")
     report.add("support", mu.support_label, 1)
-    if len(mu.support_weights) == 1:
-        report.add("weight", mu.support_weights[0], 1)
-    else:
-        report.add("weights", len(mu.weights), 1)
+    report.add("weight", mu.support_weights[0], 1)
     # invariant_measure verified exact invariance; it raises otherwise
     report.add("pushforward_invariant", True, 1)
 
@@ -327,8 +324,7 @@ def cmd_measure(cfg, chain, report):
     report.section("measure")
     report.add("support", mu.support_label, 1)
     report.add("addresses", len(mu.weights), 1)
-    if len(mu.support_weights) == 1:
-        report.add("weight", mu.support_weights[0], 1)
+    report.add("weight", mu.support_weights[0], 1)
     for name in action.generators:
         report.add(
             f"invariant_under {name}",

@@ -92,16 +92,7 @@ def rogers_tollefson(depth):
     """Klein-type chain with bonding matrix diag(1, 2)."""
     if not 1 <= depth <= 8:
         raise StructureError("rogers_tollefson depth must be in 1..8")
-    from .affine import AffineElement, hermite_normal_form, subgroup_from_parts
-    from .tower import SubgroupChain
-
-    group = klein_type_group()
-    levels = []
-    for l in range(1, depth + 1):
-        lat = hermite_normal_form(((1, 0), (0, 2 ** l)))
-        glide = AffineElement(REFLECTION, (Fraction(1, 2), 0), 2)
-        levels.append(subgroup_from_parts(lat, [glide]))
-    return SubgroupChain(group, levels, label=f"rogers_tollefson(depth={depth})")
+    return _klein_chain(1, 2, depth, f"rogers_tollefson(depth={depth})")
 
 
 def small_fo_variant(depth):

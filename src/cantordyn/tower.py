@@ -1,10 +1,13 @@
 """Descending subgroup chains, their finite quotient towers, and chain tests.
 
 A chain H_1 >= H_2 >= ... of finite-index subgroups yields a tower of coset
-spaces G/H_l with bonding surjections.  The normal-core cofinality verdict
-and the interleaving test quantify over the available depth only; every
-verdict records the depth it was computed at and failure witnesses re-verify
-by independent membership calls.
+spaces G/H_l with bonding surjections.  Only the deepest space G/H_K is
+enumerated: every coarser coset is the image of deeper ones, so each coarser
+level is read off the keys of the level below it, and the addresses (one
+coset id per level for each deepest coset) are composed once per level.
+The normal-core cofinality verdict and the interleaving test quantify over
+the available depth only; every verdict records the depth it was computed at
+and failure witnesses re-verify by independent membership calls.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from fractions import Fraction
 
 from .affine import (
     contains,
+    coarser_cosets,
     coset_space,
     element_not_in,
     normal_core,
@@ -60,30 +64,17 @@ class SubgroupChain(namedtuple("SubgroupChain", "group levels label")):
         return self._replace(levels=self.levels[:depth])
 
 
-class QuotientTower(namedtuple("QuotientTower", "chain levels bonding")):
-    """Coset spaces G/H_l with bonding maps from each level to the previous:
-    `levels` holds a CosetSpace per level, and `bonding[l]` maps the level
-    l+1 indices to the level l indices."""
+class QuotientTower(namedtuple("QuotientTower", "chain space bonding addresses")):
+    """The deepest coset space G/H_K, the bonding maps, and the addresses:
+    `bonding[l]` maps the level l+2 indices to the level l+1 indices, and
+    `addresses[i]` lists the coset ids, level 1 through K, of the cosets
+    that the deepest coset i lies in."""
 
     __slots__ = ()
 
     @property
     def depth(self):
-        return len(self.levels)
-
-    def project(self, deep_level, coset_index, shallow_level):
-        """Image of a level `deep_level` coset at `shallow_level` (1-based)."""
-        if not 1 <= shallow_level <= deep_level <= self.depth:
-            raise StructureError("levels out of range for projection")
-        i = coset_index
-        for l in range(deep_level - 1, shallow_level - 1, -1):
-            i = self.bonding[l - 1][i]
-        return i
-
-    def coordinates(self, coset_index):
-        """Compatible coset ids at every level for a deepest-level coset."""
-        k = self.depth
-        return tuple(self.project(k, coset_index, l) for l in range(1, k + 1))
+        return self.chain.depth
 
     def boundary_action(self, lam=Fraction(1, 2)):
         """Left translation on the deepest coset space as a finite Cantor model.
@@ -95,33 +86,39 @@ class QuotientTower(namedtuple("QuotientTower", "chain levels bonding")):
         from .action import CantorAction, CantorModel, TreeMetric
 
         group = self.chain.group
-        deepest = self.levels[-1]
-        addresses = tuple(self.coordinates(i) for i in range(deepest.index))
-        model = CantorModel(addresses, self.depth, TreeMetric(Fraction(lam)))
-        generators = {name: deepest.gen_perms[name] for name, _ in group.generators}
-        basepoint = addresses[deepest.index_of_element(group.identity())]
+        model = CantorModel(self.addresses, self.depth, TreeMetric(Fraction(lam)))
+        generators = {name: self.space.gen_perms[name] for name, _ in group.generators}
+        basepoint = self.addresses[self.space.index_of_element(group.identity())]
         return CantorAction(model, generators, basepoint, label=self.chain.label)
 
 
 def build_tower(chain):
-    """Coset spaces per level plus bonding maps: each fine coset's key,
-    reduced modulo the coarse subgroup."""
-    check_index_cap(chain.indices()[-1])  # refuse before any coset
-    spaces = [coset_space(chain.group, h) for h in chain.levels]
-    bonding = []
-    for l in range(len(spaces) - 1):
-        fine, coarse = spaces[l + 1], spaces[l]
-        ratio = subgroup_index_in(chain.levels[l + 1], chain.levels[l])
-        mapping = tuple(coarse.index_of_scaled(point, red) for _, red, point in fine.keys)
-        fibers = {}
+    """The deepest coset space, and each coarser level read off it: level l
+    is the set of H_l-cosets that level l+1's cosets lie in, and the
+    bonding map sends each fine coset to its coarse one."""
+    indices = chain.indices()
+    check_index_cap(indices[-1])  # refuse before any coset
+    group, levels = chain.group, chain.levels
+    space = coset_space(group, levels[-1])
+    keys, bonding = space.keys, []
+    for l in range(len(levels) - 2, -1, -1):
+        keys, mapping = coarser_cosets(group, levels[l], keys)
+        if len(keys) != indices[l]:
+            raise StructureError(
+                f"level {l + 1} has {len(keys)} cosets, expected {indices[l]}"
+            )
+        ratio = subgroup_index_in(levels[l + 1], levels[l])
+        fibers = [0] * len(keys)
         for i in mapping:
-            fibers[i] = fibers.get(i, 0) + 1
-        if set(fibers) != set(range(coarse.index)):
-            raise StructureError("bonding map is not surjective")
-        if any(c != ratio for c in fibers.values()):
+            fibers[i] += 1
+        if any(c != ratio for c in fibers):
             raise StructureError("bonding map fibers are not of constant size")
         bonding.append(mapping)
-    return QuotientTower(chain, tuple(spaces), tuple(bonding))
+    bonding.reverse()
+    addresses = [(i,) for i in range(len(keys))]
+    for mapping in bonding:
+        addresses = [addresses[j] + (i,) for i, j in enumerate(mapping)]
+    return QuotientTower(chain, space, tuple(bonding), tuple(addresses))
 
 
 # ------------------------------------------------------------------ McCord
@@ -232,16 +229,6 @@ def subgroup_cylinder(tower, subgroup):
     under left multiplication by S's generators; only the cosets the orbit
     reaches are multiplied.
     """
-    orbit = tower.levels[-1].orbit(subgroup.generator_elements())
-    return frozenset(tower.coordinates(i) for i in orbit)
+    orbit = tower.space.orbit(subgroup.generator_elements())
+    return frozenset(tower.addresses[i] for i in orbit)
 
-
-# -------------------------------------------------------- boundary action
-
-def boundary_action(chain, *, lam=Fraction(1, 2)):
-    """The boundary action of the tower of a chain.
-
-    Builds the tower and returns `QuotientTower.boundary_action`; a caller
-    that also needs the tower builds it once and calls the method.
-    """
-    return build_tower(chain).boundary_action(lam)

@@ -106,9 +106,9 @@ class TruncatedPoint:
 
 def truncated_point(tower, deepest_index):
     """The compatible coordinate sequence of a deepest-level coset."""
-    if not 0 <= deepest_index < tower.levels[-1].index:
+    if not 0 <= deepest_index < tower.space.index:
         raise StructureError("coset index out of range at the deepest level")
-    return TruncatedPoint(tower, tower.coordinates(deepest_index))
+    return TruncatedPoint(tower, tower.addresses[deepest_index])
 
 
 # ------------------------------------------------- metrics with pair keys
@@ -494,7 +494,7 @@ def permutation_of(cosets, g, reps=None):
 def permutation_orbit_cylinder(tower, subgroup):
     """Deepest-level addresses in the image of a subgroup, by full
     left-multiplication tables of its generators and their inverses."""
-    deepest = tower.levels[-1]
+    deepest = tower.space
     reps = deepest.reps
     perms = []
     for el in subgroup.generator_elements():
@@ -512,7 +512,7 @@ def permutation_orbit_cylinder(tower, subgroup):
                     seen.add(j)
                     new.append(j)
         frontier = new
-    return frozenset(tower.coordinates(i) for i in seen)
+    return frozenset(tower.addresses[i] for i in seen)
 
 
 def brute_force_core(cosets):

@@ -30,7 +30,7 @@ from cantordyn.gallery import (
     warp_example,
 )
 from cantordyn.report import strip_timing
-from cantordyn.tower import boundary_action, build_tower, interleave, mccord_verdict, subgroup_cylinder
+from cantordyn.tower import build_tower, interleave, mccord_verdict, subgroup_cylinder
 
 from conftest import record_criterion
 from helpers import (
@@ -70,12 +70,12 @@ def timed(number, label, budget):
 
 def gallery_actions():
     return [
-        boundary_action(vietoris(2, 3)),
-        boundary_action(vietoris(3, 2)),
-        boundary_action(vietoris(5, 2)),
-        boundary_action(fokkink_oversteegen(1)),
-        boundary_action(rogers_tollefson(3)),
-        boundary_action(small_fo_variant(2)),
+        build_tower(vietoris(2, 3)).boundary_action(),
+        build_tower(vietoris(3, 2)).boundary_action(),
+        build_tower(vietoris(5, 2)).boundary_action(),
+        build_tower(fokkink_oversteegen(1)).boundary_action(),
+        build_tower(rogers_tollefson(3)).boundary_action(),
+        build_tower(small_fo_variant(2)).boundary_action(),
         warp_example(3, 2),
         warp_example(3, 2, include_free_factor=False),
     ]
@@ -133,7 +133,7 @@ def test_criterion_3_coding_core_oracle_equivalence():
         ]
         for chain in chains:
             tower = build_tower(chain)
-            action = boundary_action(chain)
+            action = build_tower(chain).boundary_action()
             result = coding_chain(action)
             assert result.levels, chain.label
             for lv in result.levels:
@@ -175,13 +175,13 @@ def test_criterion_5_equicontinuity_shadow():
             small_fo_variant(2),
         ]
         for chain in boundary_chains:
-            table = modulus_table(boundary_action(chain))
+            table = modulus_table(build_tower(chain).boundary_action())
             assert table.is_exact_isometry_table(), chain.label
         # the warp fiber generators are exact isometries of the warp metric
         table = modulus_table(warp_example(3, 2, include_free_factor=False))
         assert table.is_exact_isometry_table()
         for tbl in [table] + [
-            modulus_table(boundary_action(c)) for c in boundary_chains
+            modulus_table(build_tower(c).boundary_action()) for c in boundary_chains
         ]:
             rows = tbl.rows
             for (r1, k1), (r2, k2) in zip(rows, rows[1:]):
@@ -207,7 +207,7 @@ def test_criterion_7_holonomy_dichotomy():
         verdict = germinal_holonomy(deep, (("g1", 1),), deep.basepoint)
         assert not verdict.trivial
         assert verdict.depth == 6
-        action = boundary_action(vietoris(2, 4))
+        action = build_tower(vietoris(2, 4)).boundary_action()
         words, completed = enumerate_word_perms(action, 8)
         assert completed == 8
         for word, perm in words:

@@ -31,7 +31,7 @@ from cantordyn.action import (
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import small_fo_variant, warp_example, warp_model
 from cantordyn.limits import CELL_CAP
-from cantordyn.tower import boundary_action
+from cantordyn.tower import build_tower
 from helpers import (
     RankedTreeMetric,
     brute_force_diameter,
@@ -163,7 +163,7 @@ def test_both_routes_refuse_above_the_pair_cap_before_any_key(monkeypatch, build
 
 BALL_ACTIONS = {
     **WARP_ACTIONS,
-    "small_fo_variant_2": lambda: boundary_action(small_fo_variant(2)),
+    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
     **{
         f"random_tree_{seed}": (
             lambda seed=seed: random_tree_action(seed, max_addresses=BYTE_ALPHABET)

@@ -33,7 +33,7 @@ from cantordyn.gallery import (
     vietoris,
     warp_example,
 )
-from cantordyn.tower import boundary_action, build_tower, subgroup_cylinder
+from cantordyn.tower import build_tower, subgroup_cylinder
 from helpers import (
     bfs_schreier_diameter,
     check_coding_laws,
@@ -46,7 +46,7 @@ from helpers import (
 
 
 def dyadic_setup():
-    action = boundary_action(vietoris(2, 3))
+    action = build_tower(vietoris(2, 3)).boundary_action()
     window = default_window(action)
     words = return_words(action, window, 4)
     blocks = cylinder_partition(action.model, window, 2)
@@ -77,7 +77,7 @@ def test_dyadic_return_word_classes_at_length_four():
 
 
 def test_whole_space_window_admits_all_word_classes():
-    action = boundary_action(vietoris(2, 3))
+    action = build_tower(vietoris(2, 3)).boundary_action()
     window = frozenset(action.model.addresses)
     rws = return_words(action, window, 8)
     assert len(rws) == 8  # all elements of the induced cyclic group
@@ -123,7 +123,7 @@ def test_dyadic_level_set_is_the_next_cylinder():
 
 
 def test_single_invariant_block_gives_whole_window():
-    action = boundary_action(vietoris(2, 3))
+    action = build_tower(vietoris(2, 3)).boundary_action()
     window = frozenset(action.model.addresses)
     words = return_words(action, window, 8)
     partition = ClopenPartition.from_blocks(action.model, window, [window])
@@ -133,7 +133,7 @@ def test_single_invariant_block_gives_whole_window():
 def test_fo_level_set_matches_core_cylinder_via_cross_module_oracle():
     chain = fokkink_oversteegen(1)
     tower = build_tower(chain)
-    action = boundary_action(chain)
+    action = build_tower(chain).boundary_action()
     cc = coding_chain(action)
     assert len(cc.levels) == 1
     lv = cc.levels[0]
@@ -158,7 +158,7 @@ def test_dyadic_translates_are_the_two_cosets():
 
 
 def test_invariant_window_has_a_single_translate():
-    action = boundary_action(vietoris(2, 3))
+    action = build_tower(vietoris(2, 3)).boundary_action()
     window = frozenset(action.model.addresses)
     words = return_words(action, window, 8)
     partition = ClopenPartition.from_blocks(action.model, window, [window])
@@ -186,7 +186,7 @@ def test_fixed_point_agrees_with_word_bounded_level_set():
 
 
 def test_fixed_point_leaves_invariant_single_block_unchanged():
-    action = boundary_action(vietoris(2, 3))
+    action = build_tower(vietoris(2, 3)).boundary_action()
     window = frozenset(action.model.addresses)
     partition = ClopenPartition.from_blocks(action.model, window, [window])
     fixed = refine_fixed_point(action, window, partition)
@@ -210,8 +210,8 @@ def orbit_distances(action):
 
 
 SHORTEST_WORD_ACTIONS = {
-    "vietoris_5_3": lambda: boundary_action(vietoris(5, 3)),
-    "small_fo_variant_2": lambda: boundary_action(small_fo_variant(2)),
+    "vietoris_5_3": lambda: build_tower(vietoris(5, 3)).boundary_action(),
+    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
     "warp_3_2": lambda: warp_example(3, 2),
     "warp_fiber_only_2_1": lambda: warp_example(2, 1, include_free_factor=False),
     **{
@@ -241,9 +241,9 @@ def test_shortest_words_carry_their_permutations(name):
 
 
 RETURN_WORD_ACTIONS = {
-    "vietoris_5_3": lambda: boundary_action(vietoris(5, 3)),
-    "small_fo_variant_2": lambda: boundary_action(small_fo_variant(2)),
-    "rogers_tollefson_3": lambda: boundary_action(rogers_tollefson(3)),
+    "vietoris_5_3": lambda: build_tower(vietoris(5, 3)).boundary_action(),
+    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
+    "rogers_tollefson_3": lambda: build_tower(rogers_tollefson(3)).boundary_action(),
     **{
         f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed))
         for seed in range(6)
@@ -290,7 +290,7 @@ def test_return_words_refuse_a_window_over_the_cell_cap_before_any_ball(monkeypa
     def no_ball(*args, **kwargs):
         raise AssertionError("a ball permutation was enumerated above the cell cap")
 
-    action = boundary_action(vietoris(2, 4))
+    action = build_tower(vietoris(2, 4)).boundary_action()
     window = default_window(action)
     monkeypatch.setattr("cantordyn.limits.CELL_CAP", len(window) ** 2 - 1)
     monkeypatch.setattr(coding_module, "word_ball", no_ball)
@@ -321,7 +321,7 @@ def test_fixed_point_agreement_at_schreier_diameter_on_random_actions():
 # -------------------------------------------------------------- coding chain
 
 def test_dyadic_chain_levels_and_constants():
-    action = boundary_action(vietoris(2, 3))
+    action = build_tower(vietoris(2, 3)).boundary_action()
     cc = coding_chain(action)
     assert len(cc.levels) == 2
     l1, l2 = cc.levels
@@ -334,7 +334,7 @@ def test_dyadic_chain_levels_and_constants():
 
 
 def test_singleton_window_gives_empty_chain():
-    action = boundary_action(vietoris(2, 3))
+    action = build_tower(vietoris(2, 3)).boundary_action()
     cc = coding_chain(action, window=frozenset({action.basepoint}))
     assert cc.levels == ()
 
@@ -342,7 +342,7 @@ def test_singleton_window_gives_empty_chain():
 def test_chain_levels_match_core_cylinders_per_partition_depth():
     for chain in (vietoris(2, 4), small_fo_variant(3)):
         tower = build_tower(chain)
-        action = boundary_action(chain)
+        action = build_tower(chain).boundary_action()
         cc = coding_chain(action)
         assert cc.levels, "expected at least one coding level"
         for lv in cc.levels:
@@ -353,9 +353,9 @@ def test_chain_levels_match_core_cylinders_per_partition_depth():
 def test_coding_laws_on_gallery_actions():
     rng = random.Random(17)
     actions = [
-        boundary_action(vietoris(2, 3)),
-        boundary_action(vietoris(3, 2)),
-        boundary_action(small_fo_variant(2)),
+        build_tower(vietoris(2, 3)).boundary_action(),
+        build_tower(vietoris(3, 2)).boundary_action(),
+        build_tower(small_fo_variant(2)).boundary_action(),
         warp_example(2, 2),
         warp_example(2, 2, include_free_factor=False),
     ]
@@ -374,7 +374,7 @@ def test_coding_laws_on_random_tree_actions():
 
 
 def test_chain_reports_graph_diameter_on_small_models():
-    action = boundary_action(vietoris(2, 3))
+    action = build_tower(vietoris(2, 3)).boundary_action()
     cc = coding_chain(action)
     assert cc.schreier_diam == 4  # the 8-cycle
 
@@ -386,10 +386,10 @@ def test_graph_diameter_of_disconnected_action_is_component_maximum():
 
 
 DIAMETER_ACTIONS = {
-    "vietoris_5_4": lambda: boundary_action(vietoris(5, 4)),
-    "vietoris_2_3": lambda: boundary_action(vietoris(2, 3)),
-    "small_fo_variant_2": lambda: boundary_action(small_fo_variant(2)),
-    "rogers_tollefson_3": lambda: boundary_action(rogers_tollefson(3)),
+    "vietoris_5_4": lambda: build_tower(vietoris(5, 4)).boundary_action(),
+    "vietoris_2_3": lambda: build_tower(vietoris(2, 3)).boundary_action(),
+    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
+    "rogers_tollefson_3": lambda: build_tower(rogers_tollefson(3)).boundary_action(),
     "warp_3_2": lambda: warp_example(3, 2),
     "warp_fiber_only_2_1": lambda: warp_example(2, 1, include_free_factor=False),
     **{
@@ -415,11 +415,11 @@ def test_schreier_diameter_matches_bfs_on_random_tree_actions(seed):
 
 
 REFINE_ACTIONS = {
-    "vietoris_2_3": lambda: boundary_action(vietoris(2, 3)),
-    "vietoris_3_2": lambda: boundary_action(vietoris(3, 2)),
-    "small_fo_variant_2": lambda: boundary_action(small_fo_variant(2)),
-    "rogers_tollefson_3": lambda: boundary_action(rogers_tollefson(3)),
-    "fokkink_oversteegen_1": lambda: boundary_action(fokkink_oversteegen(1)),
+    "vietoris_2_3": lambda: build_tower(vietoris(2, 3)).boundary_action(),
+    "vietoris_3_2": lambda: build_tower(vietoris(3, 2)).boundary_action(),
+    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
+    "rogers_tollefson_3": lambda: build_tower(rogers_tollefson(3)).boundary_action(),
+    "fokkink_oversteegen_1": lambda: build_tower(fokkink_oversteegen(1)).boundary_action(),
     "warp_3_2": lambda: warp_example(3, 2),
     **{
         f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed, max_addresses=128))
@@ -449,7 +449,7 @@ def test_refine_fixed_point_matches_the_naive_split_loop(name):
 
 
 def test_partition_construction_rejects_bad_blocks():
-    action = boundary_action(vietoris(2, 3))
+    action = build_tower(vietoris(2, 3)).boundary_action()
     window = default_window(action)
     with pytest.raises(StructureError):
         ClopenPartition.from_blocks(
@@ -460,7 +460,7 @@ def test_partition_construction_rejects_bad_blocks():
 
 
 def test_local_constancy_depth_bounded_by_partition_scale():
-    action = boundary_action(vietoris(2, 4))
+    action = build_tower(vietoris(2, 4)).boundary_action()
     cc = coding_chain(action)
     for lv in cc.levels:
         j = least_cylinder_union_depth(action.model, lv.v)

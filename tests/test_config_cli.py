@@ -323,9 +323,11 @@ def test_code_report_includes_core_oracle(capsys):
 def test_chain_commands_enumerate_each_coset_space_once(
     capsys, monkeypatch, command, args, depth
 ):
+    """A tower of any depth enumerates only its deepest coset space."""
     from cantordyn import affine, tower
 
     calls = {"coset_space": 0, "build_tower": 0}
+    towers = []
 
     def counted(name, fn):
         def wrapper(*a, **kw):
@@ -334,14 +336,20 @@ def test_chain_commands_enumerate_each_coset_space_once(
 
         return wrapper
 
+    def build(chain):
+        calls["build_tower"] += 1
+        towers.append(build_tower(chain))
+        return towers[-1]
+
     enumerate_cosets = counted("coset_space", affine.coset_space)
-    build = counted("build_tower", tower.build_tower)
+    build_tower = tower.build_tower
     for module in (affine, tower):
         monkeypatch.setattr(module, "coset_space", enumerate_cosets)
     monkeypatch.setattr(tower, "build_tower", build)  # cli imports it when a chain runs
     rc, _, _ = run_cli(capsys, command, str(CONFIG_DIR / args[0]), *args[1:])
     assert rc == 0
-    assert calls == {"coset_space": depth, "build_tower": 1}
+    assert calls == {"coset_space": 1, "build_tower": 1}
+    assert towers[0].depth == depth
 
 
 @pytest.mark.parametrize("command", ["classify", "measure", "holonomy"])

@@ -31,7 +31,7 @@ from cantordyn.gallery import (
     vietoris,
     warp_example,
 )
-from cantordyn.tower import boundary_action
+from cantordyn.tower import build_tower
 from helpers import (
     brute_force_pushforward_invariant,
     engine_answers,
@@ -46,14 +46,14 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 def klein_3_5_mid():
     text = (REPO / "perfbench/configs/klein_3_5_mid.cfg").read_text()
-    return boundary_action(parse_config(text).build_chain())
+    return build_tower(parse_config(text).build_chain()).boundary_action()
 
 
 TREE_ACTIONS = {
-    "vietoris_5_4": lambda: boundary_action(vietoris(5, 4)),
-    "rogers_tollefson_3": lambda: boundary_action(rogers_tollefson(3)),
-    "fokkink_oversteegen_1": lambda: boundary_action(fokkink_oversteegen(1)),
-    "small_fo_3": lambda: boundary_action(small_fo_variant(3)),
+    "vietoris_5_4": lambda: build_tower(vietoris(5, 4)).boundary_action(),
+    "rogers_tollefson_3": lambda: build_tower(rogers_tollefson(3)).boundary_action(),
+    "fokkink_oversteegen_1": lambda: build_tower(fokkink_oversteegen(1)).boundary_action(),
+    "small_fo_3": lambda: build_tower(small_fo_variant(3)).boundary_action(),
     "klein_3_5_mid": klein_3_5_mid,
     **{f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed)) for seed in range(12)},
 }
@@ -134,8 +134,8 @@ def refuse_weight(self, address):
 MEASURE_ACTIONS = pytest.mark.parametrize(
     "build",
     [
-        lambda: boundary_action(vietoris(2, 3)),
-        lambda: boundary_action(fokkink_oversteegen(1)),
+        lambda: build_tower(vietoris(2, 3)).boundary_action(),
+        lambda: build_tower(fokkink_oversteegen(1)).boundary_action(),
         lambda: warp_example(3, 2, include_free_factor=False),
         lambda: warp_example(2, 2),
         lambda: random_tree_action(3),

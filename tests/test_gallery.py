@@ -22,7 +22,7 @@ from cantordyn.gallery import (
     vietoris,
     warp_example,
 )
-from cantordyn.tower import boundary_action, build_tower, mccord_verdict
+from cantordyn.tower import build_tower, mccord_verdict
 
 from helpers import brute_force_core
 
@@ -108,7 +108,7 @@ def test_rogers_tollefson_indices_and_tower():
     chain = rogers_tollefson(3)
     assert chain.indices() == [2, 4, 8]
     tower = build_tower(chain)
-    assert [s.index for s in tower.levels] == [2, 4, 8]
+    assert [len({a[:l] for a in tower.addresses}) for l in (1, 2, 3)] == [2, 4, 8]
 
 
 def test_small_variant_shares_the_fo_failure_pattern():
@@ -179,4 +179,4 @@ def test_builder_dispatch_by_name():
 
 def test_boundary_isometry_for_all_gallery_chains():
     for chain in (vietoris(2, 4), rogers_tollefson(3), small_fo_variant(2)):
-        assert modulus_table(boundary_action(chain)).is_exact_isometry_table()
+        assert modulus_table(build_tower(chain).boundary_action()).is_exact_isometry_table()

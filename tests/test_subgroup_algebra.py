@@ -6,11 +6,12 @@ diagonal lattice diag(a, b), with or without a glide rep (R, (a/2, y)) (a odd,
 so the glide lies in the group).  Intersections are checked element by
 element over a box of the group, lattice intersections for symmetry and
 membership, and coset orbits against subgroup indices.  Closures of seeded
-random generator sets must match the worklist closure with an incrementally
-grown lattice, refusals included, and every element the algebra derives on
-the gallery chains must pass the validating constructor.  Needs neither numpy
-nor the test helpers; the property tests run under the `tier1` Hypothesis
-profile that conftest.py loads.
+random generator sets, and of the 48-class cubic group, must match the
+worklist closure with an incrementally grown lattice, refusals included, and
+pass the closure and stability checks the closure itself skips; every
+element the algebra derives on the gallery chains must pass the validating
+constructor.  Needs neither numpy nor the test helpers; the property tests
+run under the `tier1` Hypothesis profile that conftest.py loads.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from cantordyn import gallery
 from cantordyn.affine import (
     AffineElement,
     IntegerLattice,
+    _validate_subgroup,
     conjugate,
     contains,
     coset_space,
@@ -252,10 +254,27 @@ def test_closure_matches_the_worklist_oracle(seed):
         got = closure_outcome(subgroup_from_generators, n, d, gens)
         want = closure_outcome(worklist_closure, n, d, gens)
         assert got == want, (n, d, [str(g) for g in gens])
-        assert got[0] != "ok" or str(got[1]) == str(want[1])
+        if got[0] == "ok":
+            assert str(got[1]) == str(want[1])
+            _validate_subgroup(got[1])  # the closure builds it unchecked
         kinds.add(got[0] if got[0] == "ok" else got[1])
     # normal forms and both refusals occur
     assert len(kinds) == 3, kinds
+
+
+def test_closure_of_the_cubic_group_is_valid_and_matches_the_oracle():
+    # orders 3, 4 and 2 generate the 48 signed permutation matrices
+    gens = [
+        AffineElement(((0, 0, 1), (1, 0, 0), (0, 1, 0)), (0, 0, 0), 1),
+        AffineElement(((0, -1, 0), (1, 0, 0), (0, 0, 1)), (0, 0, 0), 1),
+        AffineElement(((-1, 0, 0), (0, -1, 0), (0, 0, -1)), (0, 0, 0), 1),
+        AffineElement(im.identity(3), (1, 0, 0), 1),
+    ]
+    cubic = subgroup_from_generators(3, 1, gens)
+    _validate_subgroup(cubic)
+    assert cubic.num_classes() == 48
+    assert cubic.lattice.basis == im.identity(3)
+    assert str(cubic) == str(worklist_closure(3, 1, gens))
 
 
 def test_closure_refuses_an_infinite_point_group_at_its_first_unbounded_point():

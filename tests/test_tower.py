@@ -9,6 +9,7 @@ from cantordyn.affine import (
     AffineElement,
     CosetSpace,
     contains,
+    coset_space,
     hermite_normal_form,
     identity_element,
     is_normal,
@@ -28,7 +29,6 @@ from cantordyn.gallery import (
 )
 from cantordyn.tower import (
     SubgroupChain,
-    boundary_action,
     build_tower,
     interleave,
     mccord_verdict,
@@ -92,51 +92,55 @@ def test_truncate_is_the_prefix_chain_and_checks_only_its_range(monkeypatch):
 
 # ----------------------------------------------------------------- towers
 
+def level_sizes(tower):
+    return [len({a[:l] for a in tower.addresses}) for l in range(1, tower.depth + 1)]
+
+
 def test_dyadic_tower_level_sizes():
     tower = build_tower(vietoris(2, 3))
-    assert [s.index for s in tower.levels] == [2, 4, 8]
+    assert level_sizes(tower) == [2, 4, 8]
+    assert [len(m) for m in tower.bonding] == [4, 8]
 
 
 def test_fo_tower_level_sizes():
     tower = build_tower(fokkink_oversteegen(2))
-    assert [s.index for s in tower.levels] == [105, 11025]
+    assert level_sizes(tower) == [105, 11025]
+    assert tower.space.index == 11025
 
 
 def test_single_level_tower_has_no_bonding():
     tower = build_tower(vietoris(2, 1))
-    assert len(tower.levels) == 1
+    assert tower.depth == 1
     assert tower.bonding == ()
+    assert tower.addresses == ((0,), (1,))
 
 
 def test_bonding_compatibility_exact():
     for chain in (vietoris(2, 4), vietoris(3, 3), small_fo_variant(2)):
         tower = build_tower(chain)
-        k = tower.depth
-        for i in range(tower.levels[-1].index):
-            coords = tower.coordinates(i)
-            for deep in range(1, k + 1):
-                for shallow in range(1, deep + 1):
-                    assert (
-                        tower.project(deep, coords[deep - 1], shallow)
-                        == coords[shallow - 1]
-                    )
+        assert len(tower.addresses) == tower.space.index
+        for i, address in enumerate(tower.addresses):
+            assert len(address) == tower.depth and address[-1] == i
+            for l, mapping in enumerate(tower.bonding):
+                assert mapping[address[l + 1]] == address[l]
 
 
 # ------------------------------------------------------------ truncated pts
 
 def test_identity_point_has_identity_coordinates():
-    tower = build_tower(vietoris(2, 3))
-    ident = tower.chain.group.identity()
-    idx = tower.levels[-1].index_of_element(ident)
+    chain = vietoris(2, 3)
+    tower = build_tower(chain)
+    ident = chain.group.identity()
+    idx = tower.space.index_of_element(ident)
     pt = truncated_point(tower, idx)
     assert pt.coords == tuple(
-        s.index_of_element(ident) for s in tower.levels
+        coset_space(chain.group, h).index_of_element(ident) for h in chain.levels
     )
 
 
 def test_dyadic_point_for_five_mod_eight():
     tower = build_tower(vietoris(2, 3))
-    idx = tower.levels[-1].index_of_element(translation((5,), 1))
+    idx = tower.space.index_of_element(translation((5,), 1))
     pt = truncated_point(tower, idx)
     assert pt.coords == (1, 1, 5)
     assert pt.project(2) == 1
@@ -272,7 +276,7 @@ def test_interleave_rejects_mismatched_groups():
 # --------------------------------------------------------- boundary actions
 
 def test_dyadic_boundary_action_is_an_odometer():
-    action = boundary_action(vietoris(2, 3))
+    action = build_tower(vietoris(2, 3)).boundary_action()
     assert len(action.model) == 8
     # the generator cycles through all addresses
     seen = {action.basepoint}
@@ -284,14 +288,14 @@ def test_dyadic_boundary_action_is_an_odometer():
 
 
 def test_fo_boundary_action_has_105_addresses_and_transitive_generators():
-    action = boundary_action(fokkink_oversteegen(1))
+    action = build_tower(fokkink_oversteegen(1)).boundary_action()
     assert len(action.model) == 105
     assert len(action.orbit(action.basepoint)) == 105
 
 
 def test_index_two_chain_boundary_swaps_two_addresses():
     chain = vietoris(2, 1)
-    action = boundary_action(chain)
+    action = build_tower(chain).boundary_action()
     assert len(action.model) == 2
     a, b = action.model.addresses
     assert action.act((("t", 1),), a) == b
@@ -302,14 +306,14 @@ def test_boundary_generators_are_tree_isometries():
     from cantordyn.action import modulus_table
 
     for chain in (vietoris(2, 4), vietoris(3, 3), small_fo_variant(2)):
-        table = modulus_table(boundary_action(chain))
+        table = modulus_table(build_tower(chain).boundary_action())
         assert table.is_exact_isometry_table()
         rows = table.rows
         assert all(k <= r for r, k in rows)
 
 
 def test_boundary_action_respects_lambda():
-    action = boundary_action(vietoris(2, 3), lam=F(1, 3))
+    action = build_tower(vietoris(2, 3)).boundary_action(F(1, 3))
     d = action.model.distance((0, 0, 0), (0, 0, 4))
     assert d == F(1, 9)
 
@@ -339,41 +343,50 @@ KEY_CHAINS = dict(CYLINDER_CHAINS, fokkink_oversteegen_2=lambda: fokkink_overste
 
 @pytest.mark.parametrize("name", sorted(KEY_CHAINS))
 def test_coset_keys_give_the_validated_reps_and_the_rep_bonding_maps(name):
-    tower = build_tower(KEY_CHAINS[name]())
-    reps = [space.reps for space in tower.levels]
-    for space, level_reps in zip(tower.levels, reps):
+    chain = KEY_CHAINS[name]()
+    tower = build_tower(chain)
+    spaces = [coset_space(chain.group, h) for h in chain.levels]
+    assert tower.space.keys == spaces[-1].keys
+    reps = [space.reps for space in spaces]
+    for space, level_reps in zip(spaces, reps):
         assert len(level_reps) == len(space.keys) == space.index
         for i, (rep, (_, red, point)) in enumerate(zip(level_reps, space.keys)):
             assert rep == AffineElement(rep.point, rep.trans, rep.denom)
             assert (point, red) == (rep.point, rep.scaled)
             assert space.index_of_element(rep) == i
     for l, mapping in enumerate(tower.bonding):
-        assert mapping == tuple(map(tower.levels[l].index_of_element, reps[l + 1]))
+        assert mapping == tuple(map(spaces[l].index_of_element, reps[l + 1]))
 
 
 def test_coset_space_constructs_no_affine_element(monkeypatch):
     from cantordyn import affine, tower
     from cantordyn.cli import main
 
-    counts = {"inside": 0, "spaces": 0, "built": 0}
-    init, coset_space = AffineElement.__init__, affine.coset_space
+    counts = {"inside": 0, "coset_space": 0, "build_tower": 0, "built": 0}
 
     def counted_init(self, *args):
-        counts["built"] += counts["inside"]
+        counts["built"] += counts["inside"] > 0
         init(self, *args)
 
-    def counted_space(*args, **kwargs):
-        counts["inside"], counts["spaces"] = 1, counts["spaces"] + 1
-        try:
-            return coset_space(*args, **kwargs)
-        finally:
-            counts["inside"] = 0
+    def counted(fn):  # build_tower calls coset_space: count nested calls as inside
+        def wrapper(*args, **kwargs):
+            counts["inside"] += 1
+            counts[fn.__name__] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                counts["inside"] -= 1
 
+        return wrapper
+
+    init = AffineElement.__init__
     monkeypatch.setattr(AffineElement, "__init__", counted_init)
+    counted_space = counted(affine.coset_space)
     for module in (affine, tower):
         monkeypatch.setattr(module, "coset_space", counted_space)
+    monkeypatch.setattr(tower, "build_tower", counted(tower.build_tower))
     assert main(["code", str(REPO / "perfbench/configs/klein_3_5_mid.cfg")]) == 0
-    assert counts == {"inside": 0, "spaces": 3, "built": 0}
+    assert counts == {"inside": 0, "coset_space": 1, "build_tower": 1, "built": 0}
 
 
 @pytest.mark.parametrize("name", sorted(CYLINDER_CHAINS))
