@@ -468,19 +468,19 @@ def word_ball(action, max_length, *, perm_cap):
 
 # ------------------------------------------------------------ modulus table
 
-class ModulusTable(namedtuple("ModulusTable", "rows generator_names")):
+class ModulusTable(namedtuple("ModulusTable", "rows")):
     """Rows (r, kappa(r)) over all realized distances, r strictly decreasing."""
 
     __slots__ = ()
 
-    def __new__(cls, rows, generator_names=()):
+    def __new__(cls, rows):
         rows = tuple((Fraction(r), Fraction(k)) for r, k in rows)
         for (r1, k1), (r2, k2) in zip(rows, rows[1:]):
             if not r1 > r2:
                 raise StructureError("modulus rows must be strictly decreasing in r")
             if k2 > k1:
                 raise StructureError("kappa must be nondecreasing in r")
-        return super().__new__(cls, rows, generator_names)
+        return super().__new__(cls, rows)
 
     def kappa(self, r):
         out = Fraction(0)
@@ -520,7 +520,7 @@ def _image_ranks(rank, perm):
 def modulus_table(action):
     """Exact kappa over all pairs and all generators (with inverses)."""
     engine = _cylinder_modulus_rows if action.model.is_tree else _rank_modulus_rows
-    return ModulusTable(engine(action), tuple(sorted(action.generators)))
+    return ModulusTable(engine(action))
 
 
 def _cylinder_modulus_rows(action):

@@ -656,7 +656,27 @@ def _coset_key_scaled(red_data, point, scaled_tr):
     return cid, im.reduce_echelon(basis, pivots, im.vec_add(scaled_tr, a_w)), c
 
 
-def coset_space(group, subgroup, *, cap=None):
+def quotient_word_keys(group, normal):
+    """(tokens, identity, compose) for `action._word_ball` on G/N, N normal:
+    a word's value is its element's coset key, so two words share a key
+    exactly when they act alike on G/H for any H with core N.  Tokens are
+    each generator then its inverse, as (point, scaled); one applied after a
+    word left-multiplies the word's key, well defined as N is normal."""
+    red_data = _coset_reduction_data(group, normal)
+    tokens = []
+    for name, g in group.generators:
+        for sign, e in ((1, g), (-1, g.inverse())):
+            tokens.append(((name, sign), (e.point, e.scaled)))
+
+    def compose(key):
+        _, red, point = key
+        return lambda e: _coset_key_scaled(red_data, *_left_multiply(*e, point, red))
+
+    n = group.dimension
+    return tokens, _coset_key_scaled(red_data, im.identity(n), (0,) * n), compose
+
+
+def coset_space(group, subgroup):
     """Enumerate G/H with a deterministic canonical order and generator tables.
 
     G/H is finite, so the orbit of the identity coset under the generators
@@ -664,9 +684,9 @@ def coset_space(group, subgroup, *, cap=None):
     coset's key once per generator image and records the image's discovery
     id; sorting the keys then gives the canonical order and the tables.
     """
-    cap = cap if cap is not None else index_cap()
+    cap = index_cap()
     expected = group.index_of(subgroup)
-    check_index_cap(expected, cap)
+    check_index_cap(expected)
     red_data = _coset_reduction_data(group, subgroup)
     gens = [(g.point, g.scaled) for _, g in group.generators]
 

@@ -118,92 +118,102 @@ def _modulus_section(report, table, depth_used):
     report.add("kappa_equals_r_on_all_rows", table.is_exact_isometry_table(), 1)
 
 
-def _dynamics_sections(report, action, cfg):
-    """Minimality, modulus, distality and measure, all at the model's depth,
-    which the modulus and distality sections report as depth_used."""
-    from .action import invariant_measure, is_distal, is_minimal, modulus_table
-
-    minimal = is_minimal(action)
+def _dynamics_sections(report, depth, orbit, table, distal, measure):
+    """Minimality, modulus, distality and measure, from the engines on an
+    action or from the algebra on a chain, at the model's depth, which the
+    modulus and distality sections report as depth_used.  `orbit` is None on
+    a minimal action, else the witness orbit's address strings in model
+    order; `measure` is the support label and weight of an invariant measure."""
     report.section("minimality")
-    report.add("minimal", minimal.minimal, 1)
-    if not minimal.minimal:
-        orbit = sorted(
-            minimal.witness_orbit, key=lambda a: action.model.index[a]
-        )
+    report.add("minimal", orbit is None, 1)
+    if orbit is not None:
         report.add("witness_orbit_size", len(orbit), 1)
-        report.add(
-            "witness_orbit",
-            [_address_str(action.model, a) for a in orbit[:10]],
-            1,
-        )
+        report.add("witness_orbit", orbit[:10], 1)
 
-    _modulus_section(report, modulus_table(action), action.model.depth)
+    _modulus_section(report, table, depth)
 
-    distal = is_distal(action, cfg.words)
     report.section("distality")
-    report.add("depth_used", action.model.depth, 1)
+    report.add("depth_used", depth, 1)
     report.add("distal", distal.distal, 1)
     report.add("word_bound", distal.word_length, 1)
     report.add("word_classes", distal.word_count, 1)
     report.add("min_delta", distal.min_delta, 1)
 
-    mu = invariant_measure(action, minimal)
     report.section("measure")
-    report.add("support", mu.support_label, 1)
-    report.add("weight", mu.support_weights[0], 1)
-    # invariant_measure verified exact invariance; it raises otherwise
+    report.add("support", measure[0], 1)
+    report.add("weight", measure[1], 1)
     report.add("pushforward_invariant", True, 1)
+
+
+def _chain_dynamics(chain, mccord, lam, max_length):
+    """The boundary action's modulus table, DistalityVerdict, measure and
+    word ball (as `action._word_ball` gives it), read off the chain.  G
+    permutes G/H_K transitively and keeps each partition G/H_j, so the action
+    is a minimal tree isometry with the uniform measure: one row (lam^j,
+    lam^j) for each j with [H_j : H_j+1] > 1 (H_0 = G), and least distance
+    lam to the last.  Words act alike exactly when their elements agree
+    modulo the kernel core(H_K), McCord's core of the deepest level, so the
+    ball runs on coset keys of the core and stores no cells."""
+    from .action import DistalityVerdict, ModulusTable, _word_ball
+    from .affine import quotient_word_keys
+    from .limits import BALL_BUDGET
+
+    indices = chain.indices()
+    splits = [j for j, (a, b) in enumerate(zip([1] + indices, indices)) if b > a]
+    tokens, identity, compose = quotient_word_keys(chain.group, mccord.records[-1].core)
+    ball = _word_ball(tokens, identity, max_length, BALL_BUDGET, compose)
+    min_delta = lam ** splits[-1] if splits else Fraction(0)
+    distal = DistalityVerdict(True, ball[1], min_delta, len(ball[0]))
+    table = ModulusTable((lam ** j, lam ** j) for j in splits)
+    return table, distal, ("full", Fraction(1, indices[-1])), ball
 
 
 def cmd_classify(cfg, chain, report):
     if chain is not None:
         from .affine import is_normal  # affine and tower serve chains alone
+        from .limits import check_index_cap
         from .tower import mccord_verdict
 
+        check_index_cap(chain.indices()[-1])  # no coset is enumerated; a contract
+        mccord = mccord_verdict(chain)
         report.section("chain")
         report.add("label", chain.label, 1)
         report.add("levels", chain.depth, 1)
         report.add("indices", chain.indices(), 1)
 
-        _dynamics_sections(report, _action_for(cfg, chain), cfg)
+        table, distal, measure, _ = _chain_dynamics(chain, mccord, cfg.lam, cfg.words)
+        _dynamics_sections(report, chain.depth, None, table, distal, measure)
 
         report.section("normality")
         for l, h in enumerate(chain.levels, start=1):
             verdict = is_normal(chain.group, h)
-            if verdict.normal:
-                report.add(f"level {l}", "normal true", 1)
-            else:
-                report.add(
-                    f"level {l}",
-                    f"normal false witness {verdict.witness_name} {verdict.witness}",
-                    1,
-                )
+            text = f"false witness {verdict.witness_name} {verdict.witness}"
+            report.add(f"level {l}", f"normal {'true' if verdict.normal else text}", 1)
 
-        verdict = mccord_verdict(chain)
         report.section("mccord")
-        for rec in verdict.records:
-            if rec.cofinal:
-                report.add(
-                    f"level {rec.level}",
-                    f"cofinal_at {rec.cofinal_at} core_index "
-                    f"{chain.group.index_of(rec.core)}",
-                    1,
-                )
-            else:
-                report.add(
-                    f"level {rec.level}",
-                    f"fail witness {rec.witness} core_index "
-                    f"{chain.group.index_of(rec.core)}",
-                    1,
-                )
-        report.add("compatible_up_to_depth", verdict.compatible, 1)
+        for rec in mccord.records:
+            head = f"cofinal_at {rec.cofinal_at}" if rec.cofinal else f"fail witness {rec.witness}"
+            core_index = chain.group.index_of(rec.core)
+            report.add(f"level {rec.level}", f"{head} core_index {core_index}", 1)
+        report.add("compatible_up_to_depth", mccord.compatible, 1)
     else:
+        from .action import invariant_measure, is_distal, is_minimal, modulus_table
+
         action = cfg.build_action()
+        model = action.model
         report.section("action")
         report.add("label", action.label, 1)
-        report.add("addresses", len(action.model), 1)
+        report.add("addresses", len(model), 1)
         report.add("generators", list(action.generators), 1)
-        _dynamics_sections(report, action, cfg)
+        minimal = is_minimal(action)
+        orbit = None if minimal.minimal else [
+            _address_str(model, a)
+            for a in sorted(minimal.witness_orbit, key=model.index.__getitem__)
+        ]
+        table, distal = modulus_table(action), is_distal(action, cfg.words)
+        mu = invariant_measure(action, minimal)  # raises unless exactly invariant
+        measure = (mu.support_label, mu.support_weights[0])
+        _dynamics_sections(report, model.depth, orbit, table, distal, measure)
         report.section("chain_sections")
         report.add("available", False, 1)
     return report

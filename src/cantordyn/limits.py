@@ -28,9 +28,9 @@ def index_cap():
     return cap
 
 
-def check_index_cap(index, cap=None):
-    """Refuse a coset space of more than `cap` (default index_cap()) cosets."""
-    cap = index_cap() if cap is None else cap
+def check_index_cap(index):
+    """Refuse a coset space of more than index_cap() cosets."""
+    cap = index_cap()
     if index > cap:
         raise ResourceLimitError(f"coset index {index} exceeds the cap {cap}")
 

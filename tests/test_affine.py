@@ -510,10 +510,11 @@ def test_coset_space_scales_each_translation_once(monkeypatch, case):
     assert calls["built"] == 0
 
 
-def test_coset_space_respects_index_cap():
+def test_coset_space_respects_index_cap(monkeypatch):
     G = klein_group()
+    monkeypatch.setenv("CANTORDYN_INDEX_CAP", "10")
     with pytest.raises(ResourceLimitError):
-        coset_space(G, fo_level(1), cap=10)
+        coset_space(G, fo_level(1))
 
 
 def test_subgroup_index_in_nested_levels():

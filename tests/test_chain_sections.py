@@ -1,0 +1,146 @@
+"""`classify`'s dynamics sections on a chain, read off its algebra, against
+the engines on the chain's boundary action.
+
+On a chain `classify` builds no tower: minimality, the modulus rows, the
+least distance and the uniform weight follow from left translation on G/H_K,
+and the word ball is counted on coset keys of core(H_K).  Here the engines
+run on `build_tower(chain).boundary_action(lam)` and must agree on every
+gallery chain at its default depth, on two chains whose first level is G,
+and on seeded random Klein-type chains built by intersecting subgroups like
+those of tests/test_subgroup_algebra.py.  The word ball must give the same
+words in the same order, and the same completed length, as the bytes or
+tuple ball, called directly so that no cell clamp binds; the ball does not
+depend on lam.  A budget of 5 holds the layer-atomic cutoff.  Needs neither numpy nor the test helpers.
+"""
+
+import functools
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from cantordyn import gallery
+from cantordyn.action import (
+    BYTE_ALPHABET,
+    _word_ball,
+    enumerate_word_bytes,
+    enumerate_word_tuples,
+    invariant_measure,
+    is_minimal,
+    modulus_table,
+)
+from cantordyn.affine import (
+    AffineElement,
+    hermite_normal_form,
+    identity_element,
+    quotient_word_keys,
+    subgroup_from_parts,
+    subgroup_index_in,
+    subgroup_intersect,
+)
+from cantordyn.cli import _chain_dynamics
+from cantordyn.gallery import REFLECTION, klein_type_group
+from cantordyn.limits import BALL_BUDGET
+from cantordyn.tower import SubgroupChain, build_tower, mccord_verdict
+
+GROUP = klein_type_group()
+LAMBDAS = (F(1, 2), F(2, 3))
+WORDS = (0, 3, 8)
+GALLERY_CHAINS = ("vietoris", "fokkink_oversteegen", "rogers_tollefson", "small_fo_variant")
+RANDOM_SEEDS = range(12)
+
+
+def klein_subgroup(a, b, glide, y=0):
+    """diag(a, b) with the glide (R, (a/2, y)) when `glide` (a odd), else
+    the lattice alone."""
+    lattice = hermite_normal_form(((a, 0), (0, b)))
+    rep = AffineElement(REFLECTION, (F(a, 2), y), 2) if glide else identity_element(2, 2)
+    return subgroup_from_parts(lattice, [rep])
+
+
+def random_chain(seed):
+    """Up to four levels, each the last one met with a random Klein-type
+    subgroup, keeping a level only when it is proper."""
+    rng = random.Random(seed)
+    levels = []
+    for _ in range(4):
+        glide = rng.random() < 0.6
+        a = rng.choice((1, 3)) if glide else rng.randint(1, 3)
+        b = rng.randint(1, 4)
+        h = klein_subgroup(a, b, glide, rng.randrange(b))
+        if levels:
+            h = subgroup_intersect(levels[-1], h)
+            if subgroup_index_in(h, levels[-1]) == 1:
+                continue
+        levels.append(h)
+    return SubgroupChain(GROUP, levels, label=f"random({seed})")
+
+
+FIRST_LEVEL_G = {
+    "G": [klein_subgroup(1, 1, True)],  # indices [1]: one coset
+    "G-15": [klein_subgroup(1, 1, True), klein_subgroup(3, 5, True)],  # indices [1, 15]
+}
+
+
+@functools.lru_cache(maxsize=None)
+def chain_of(name):
+    if name in GALLERY_CHAINS:
+        return gallery.build_chain(name, {})
+    if name in FIRST_LEVEL_G:
+        return SubgroupChain(GROUP, FIRST_LEVEL_G[name], label=name)
+    return random_chain(int(name.split("-")[1]))
+
+
+@functools.lru_cache(maxsize=None)
+def action_of(name, lam):
+    return build_tower(chain_of(name)).boundary_action(lam)
+
+
+def engine_ball(action, max_length, budget):
+    small = len(action.model) <= BYTE_ALPHABET
+    enumerate_words = enumerate_word_bytes if small else enumerate_word_tuples
+    ball, completed = enumerate_words(action, max_length, perm_cap=budget)
+    return [word for word, _ in ball], completed
+
+
+CHAINS = list(GALLERY_CHAINS) + list(FIRST_LEVEL_G) + [f"random-{s}" for s in RANDOM_SEEDS]
+
+
+def test_first_level_g_chains_have_the_intended_indices():
+    assert chain_of("G").indices() == [1]
+    assert chain_of("G-15").indices() == [1, 15]
+
+
+@pytest.mark.parametrize("name", CHAINS)
+@pytest.mark.parametrize("lam", LAMBDAS, ids=str)
+def test_modulus_distance_minimality_and_measure_match_the_engines(name, lam):
+    chain, action = chain_of(name), action_of(name, lam)
+    table, distal, measure, _ = _chain_dynamics(chain, mccord_verdict(chain), lam, 0)
+    assert is_minimal(action).minimal
+    assert table.rows == modulus_table(action).rows
+    assert distal.distal
+    assert distal.min_delta == action.model.least_distance()
+    mu = invariant_measure(action)
+    assert (mu.support_label, mu.support_weights) == (measure[0], measure[1:])
+
+
+@pytest.mark.parametrize("name", CHAINS)
+@pytest.mark.parametrize("max_length", WORDS)
+def test_word_ball_on_core_keys_matches_the_permutation_ball(name, max_length):
+    chain, action = chain_of(name), action_of(name, LAMBDAS[0])
+    _, distal, _, (ball, completed) = _chain_dynamics(
+        chain, mccord_verdict(chain), LAMBDAS[0], max_length
+    )
+    words, engine_completed = engine_ball(action, max_length, BALL_BUDGET)
+    assert [word for word, _ in ball] == words
+    assert completed == engine_completed == distal.word_length
+    assert distal.word_count == len(words)
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_word_ball_on_core_keys_stops_at_the_same_layer_under_a_budget_of_five(name):
+    chain, action = chain_of(name), action_of(name, LAMBDAS[0])
+    core = mccord_verdict(chain).records[-1].core
+    tokens, identity, compose = quotient_word_keys(chain.group, core)
+    ball, completed = _word_ball(tokens, identity, 8, 5, compose)
+    assert ([word for word, _ in ball], completed) == engine_ball(action, 8, 5)

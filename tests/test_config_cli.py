@@ -317,16 +317,28 @@ def test_code_report_includes_core_oracle(capsys):
         )
         for command in ("classify", "code")
     ]
-    # fo.cfg: every classify section reads the one depth-2 tower
-    + [pytest.param("classify", ("fo.cfg",), 2, id="fo-2-classify")],
+    + [pytest.param("classify", ("fo.cfg",), 2, id="fo-2-classify")]
+    + [
+        pytest.param("measure", ("vietoris2.cfg",), 4, id="vietoris2-4-measure"),
+        pytest.param(
+            "holonomy",
+            ("vietoris2.cfg", "--word", "t*t^-1", "--at", "0.0.0.0"),
+            4,
+            id="vietoris2-4-holonomy",
+        ),
+    ],
 )
 def test_chain_commands_enumerate_each_coset_space_once(
     capsys, monkeypatch, command, args, depth
 ):
-    """A tower of any depth enumerates only its deepest coset space."""
-    from cantordyn import affine, tower
+    """A tower of any depth enumerates only its deepest coset space.
+    `classify` reads its dynamics sections off the chain: it builds no tower,
+    enumerates no coset and runs no address engine, and its word ball reuses
+    McCord's core of the deepest level, so it computes one normal core per
+    level."""
+    from cantordyn import action, affine, tower
 
-    calls = {"coset_space": 0, "build_tower": 0}
+    calls = {"coset_space": 0, "build_tower": 0, "normal_core": 0}
     towers = []
 
     def counted(name, fn):
@@ -342,14 +354,25 @@ def test_chain_commands_enumerate_each_coset_space_once(
         return towers[-1]
 
     enumerate_cosets = counted("coset_space", affine.coset_space)
+    core = counted("normal_core", affine.normal_core)
     build_tower = tower.build_tower
     for module in (affine, tower):
         monkeypatch.setattr(module, "coset_space", enumerate_cosets)
+        monkeypatch.setattr(module, "normal_core", core)
     monkeypatch.setattr(tower, "build_tower", build)  # cli imports it when a chain runs
+    engines = ("is_minimal", "modulus_table", "is_distal", "invariant_measure")
+    if command == "classify":  # cli imports them only for an action config
+        for name in engines:
+            calls[name] = 0
+            monkeypatch.setattr(action, name, counted(name, getattr(action, name)))
     rc, _, _ = run_cli(capsys, command, str(CONFIG_DIR / args[0]), *args[1:])
     assert rc == 0
-    assert calls == {"coset_space": 1, "build_tower": 1}
-    assert towers[0].depth == depth
+    if command == "classify":
+        zero = dict.fromkeys(("coset_space", "build_tower") + engines, 0)
+        assert calls == {**zero, "normal_core": depth}
+    else:
+        assert (calls["coset_space"], calls["build_tower"]) == (1, 1)
+        assert towers[0].depth == depth
 
 
 @pytest.mark.parametrize("command", ["classify", "measure", "holonomy"])
@@ -449,9 +472,14 @@ def test_code_builds_one_return_word_set_and_no_word_perm(
 
 
 @pytest.mark.parametrize(
-    "args", [("configs/vietoris5.cfg",), ("perfbench/configs/warp_d4.cfg", "--words", "4")]
+    "args, count",
+    [
+        (("configs/vietoris5.cfg",), 0),  # a chain: minimal and invariant by its algebra
+        (("perfbench/configs/warp_d4.cfg", "--words", "4"), 1),
+    ],
+    ids=["args0", "args1"],
 )
-def test_classify_checks_minimality_and_invariance_once(capsys, monkeypatch, args):
+def test_classify_checks_minimality_and_invariance_once(capsys, monkeypatch, args, count):
     from cantordyn import action
 
     calls = {"is_minimal": 0, "pushforward_invariant": 0}
@@ -468,7 +496,7 @@ def test_classify_checks_minimality_and_invariance_once(capsys, monkeypatch, arg
     rc, out, _ = run_cli(capsys, "classify", str(REPO / args[0]), *args[1:])
     assert rc == 0
     assert "  pushforward_invariant: true\n" in out
-    assert calls == {"is_minimal": 1, "pushforward_invariant": 1}
+    assert calls == {"is_minimal": count, "pushforward_invariant": count}
 
 
 @pytest.mark.parametrize(
