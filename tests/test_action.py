@@ -30,6 +30,7 @@ from helpers import (
     three_point_action,
     validate_metric,
 )
+from modulus_oracle import modulus_table_of
 
 
 def dyadic_action(depth=3):
@@ -127,7 +128,7 @@ def test_full_warp_action_is_minimal():
 # ------------------------------------------------------------ modulus table
 
 def test_tree_modulus_is_the_identity_on_realized_distances():
-    table = modulus_table(dyadic_action())
+    table = modulus_table_of(dyadic_action())
     assert table.rows == (
         (F(1), F(1)),
         (F(1, 2), F(1, 2)),
@@ -148,7 +149,7 @@ def test_expanding_generator_breaks_the_isometry_table():
 
 def test_modulus_rows_monotone_and_bounded():
     for act in (dyadic_action(), warp_example(2, 2), three_point_action()):
-        table = modulus_table(act)
+        table = modulus_table_of(act)
         rows = table.rows
         for (r1, k1), (r2, k2) in zip(rows, rows[1:]):
             assert r1 > r2 and k1 >= k2
@@ -156,7 +157,7 @@ def test_modulus_rows_monotone_and_bounded():
 
 
 def test_equicontinuity_witness_lookup():
-    table = modulus_table(dyadic_action())
+    table = modulus_table_of(dyadic_action())
     assert table.equicontinuity_witness(F(1, 2)) == F(1, 4)
     assert table.equicontinuity_witness(F(1)) == F(1, 2)
     assert table.equicontinuity_witness(F(1, 4)) is None
@@ -165,7 +166,7 @@ def test_equicontinuity_witness_lookup():
 
 def test_modulus_pairwise_cap(monkeypatch):
     # a warp model's pair ranks hold n^2 cells and are refused before any key;
-    # a tree model's cylinder engines store no pair and run under the same cap
+    # the cylinder oracle for a tree model stores no pair and runs under the same cap
     def no_keys(self, addresses):
         raise AssertionError("pair keys computed above the cell cap")
 
@@ -173,7 +174,7 @@ def test_modulus_pairwise_cap(monkeypatch):
     monkeypatch.setattr(WarpMetric, "pair_key_rows", no_keys)
     with pytest.raises(ResourceLimitError, match="pair ranks of 13 addresses need 169"):
         modulus_table(warp_example(2))
-    assert len(modulus_table(dyadic_action()).rows) == 3
+    assert len(modulus_table_of(dyadic_action()).rows) == 3
 
 
 # ---------------------------------------------------------------- distality

@@ -1,21 +1,25 @@
-"""`classify`'s dynamics sections on a chain, read off its algebra, against
-the engines on the chain's boundary action.
+"""The dynamics of a chain's boundary action, read off its algebra, against
+the engines on that action.
 
-On a chain `classify` builds no tower: minimality, the modulus rows, the
-least distance and the uniform weight follow from left translation on G/H_K,
-and the word ball is counted on coset keys of core(H_K).  Here the engines
-run on `build_tower(chain).boundary_action(lam)` and must agree on every
-gallery chain at its default depth, on two chains whose first level is G,
-and on seeded random Klein-type chains built by intersecting subgroups like
-those of tests/test_subgroup_algebra.py.  The word ball must give the same
-words in the same order, and the same completed length, as the bytes or
-tuple ball, called directly so that no cell clamp binds; the ball does not
-depend on lam.  A budget of 5 holds the layer-atomic cutoff.  Needs neither numpy nor the test helpers.
+On a chain `classify` and `measure` build no tower: minimality, the modulus
+rows, the least distance and the uniform weight follow from left
+translation on G/H_K, and the word ball is counted on coset keys of
+core(H_K).  `code` builds the tower, whose descent check must pass, and
+takes the same modulus rows.  Here the engines, and the cylinder modulus
+oracle, run on `build_tower(chain).boundary_action(lam)` and must agree on
+every gallery chain at its default depth, on two chains whose first level is
+G, and on seeded random Klein-type chains built by intersecting subgroups
+like those of tests/test_subgroup_algebra.py.  The word ball must give the
+same words in the same order, and the same completed length, as the bytes
+or tuple ball, called directly so that no cell clamp binds; the ball does
+not depend on lam.  A budget of 5 holds the layer-atomic cutoff.  Needs
+neither numpy nor the test helpers.
 """
 
 import functools
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,7 +31,7 @@ from cantordyn.action import (
     enumerate_word_tuples,
     invariant_measure,
     is_minimal,
-    modulus_table,
+    pushforward_invariant,
 )
 from cantordyn.affine import (
     AffineElement,
@@ -38,10 +42,12 @@ from cantordyn.affine import (
     subgroup_index_in,
     subgroup_intersect,
 )
-from cantordyn.cli import _chain_dynamics
+from cantordyn.cli import _chain_dynamics, _chain_reading, cmd_measure
 from cantordyn.gallery import REFLECTION, klein_type_group
 from cantordyn.limits import BALL_BUDGET
+from cantordyn.report import Report
 from cantordyn.tower import SubgroupChain, build_tower, mccord_verdict
+from modulus_oracle import cylinder_modulus_rows
 
 GROUP = klein_type_group()
 LAMBDAS = (F(1, 2), F(2, 3))
@@ -93,6 +99,7 @@ def chain_of(name):
 
 @functools.lru_cache(maxsize=None)
 def action_of(name, lam):
+    """The boundary action, on a tower that has passed the descent gate."""
     return build_tower(chain_of(name)).boundary_action(lam)
 
 
@@ -116,12 +123,33 @@ def test_first_level_g_chains_have_the_intended_indices():
 def test_modulus_distance_minimality_and_measure_match_the_engines(name, lam):
     chain, action = chain_of(name), action_of(name, lam)
     table, distal, measure, _ = _chain_dynamics(chain, mccord_verdict(chain), lam, 0)
+    assert (table, measure) == _chain_reading(chain, lam)  # what code and measure read
     assert is_minimal(action).minimal
-    assert table.rows == modulus_table(action).rows
+    assert table.rows == cylinder_modulus_rows(action)
     assert distal.distal
     assert distal.min_delta == action.model.least_distance()
     mu = invariant_measure(action)
     assert (mu.support_label, mu.support_weights) == (measure[0], measure[1:])
+
+
+@pytest.mark.parametrize("name", CHAINS)
+@pytest.mark.parametrize("lam", LAMBDAS, ids=str)
+def test_measure_lines_match_the_engines(name, lam):
+    """`measure` on a chain enumerates no coset; its lines must be those the
+    engines give on the boundary action, token by token."""
+    chain, action = chain_of(name), action_of(name, lam)
+    report = cmd_measure(SimpleNamespace(lam=lam), chain, Report("test", "measure"))
+    expected = Report("test", "measure")
+    mu = invariant_measure(action)
+    expected.section("measure")
+    expected.add("support", mu.support_label, 1)
+    expected.add("addresses", len(mu.weights), 1)
+    expected.add("weight", mu.support_weights[0], 1)
+    for gen in action.generators:
+        verdict = pushforward_invariant(action, mu, [(gen, 1), (gen, -1)])
+        expected.add(f"invariant_under {gen}", verdict, 1)
+    expected.add("pushforward_invariant_all", pushforward_invariant(action, mu), 1)
+    assert report.render() == expected.render()
 
 
 @pytest.mark.parametrize("name", CHAINS)

@@ -16,7 +16,6 @@ from cantordyn.coding import (
     ClopenPartition,
     _shortest_words_into_window,
     code,
-    coding_chain,
     compute_V,
     cylinder_partition,
     default_window,
@@ -34,6 +33,7 @@ from cantordyn.gallery import (
     warp_example,
 )
 from cantordyn.tower import build_tower, subgroup_cylinder
+from modulus_oracle import coding_chain_of
 from helpers import (
     bfs_schreier_diameter,
     check_coding_laws,
@@ -134,7 +134,7 @@ def test_fo_level_set_matches_core_cylinder_via_cross_module_oracle():
     chain = fokkink_oversteegen(1)
     tower = build_tower(chain)
     action = build_tower(chain).boundary_action()
-    cc = coding_chain(action)
+    cc = coding_chain_of(action)
     assert len(cc.levels) == 1
     lv = cc.levels[0]
     core = normal_core(chain.group, chain.levels[lv.cylinder_depth - 1])
@@ -322,7 +322,7 @@ def test_fixed_point_agreement_at_schreier_diameter_on_random_actions():
 
 def test_dyadic_chain_levels_and_constants():
     action = build_tower(vietoris(2, 3)).boundary_action()
-    cc = coding_chain(action)
+    cc = coding_chain_of(action)
     assert len(cc.levels) == 2
     l1, l2 = cc.levels
     assert l1.v == frozenset({(0, 0, 0), (0, 0, 4)})
@@ -335,7 +335,7 @@ def test_dyadic_chain_levels_and_constants():
 
 def test_singleton_window_gives_empty_chain():
     action = build_tower(vietoris(2, 3)).boundary_action()
-    cc = coding_chain(action, window=frozenset({action.basepoint}))
+    cc = coding_chain_of(action, window=frozenset({action.basepoint}))
     assert cc.levels == ()
 
 
@@ -343,7 +343,7 @@ def test_chain_levels_match_core_cylinders_per_partition_depth():
     for chain in (vietoris(2, 4), small_fo_variant(3)):
         tower = build_tower(chain)
         action = build_tower(chain).boundary_action()
-        cc = coding_chain(action)
+        cc = coding_chain_of(action)
         assert cc.levels, "expected at least one coding level"
         for lv in cc.levels:
             core = normal_core(chain.group, chain.levels[lv.cylinder_depth - 1])
@@ -360,7 +360,7 @@ def test_coding_laws_on_gallery_actions():
         warp_example(2, 2, include_free_factor=False),
     ]
     for action in actions:
-        cc = coding_chain(action)
+        cc = coding_chain_of(action)
         tree = not action.label.startswith("warp")
         assert check_coding_laws(action, cc, rng=rng, tree_model=tree) > 0
 
@@ -369,13 +369,13 @@ def test_coding_laws_on_random_tree_actions():
     rng = random.Random(23)
     for seed in range(6):
         action = random_tree_action(seed, max_addresses=256)
-        cc = coding_chain(action)
+        cc = coding_chain_of(action)
         assert check_coding_laws(action, cc, rng=rng) > 0
 
 
 def test_chain_reports_graph_diameter_on_small_models():
     action = build_tower(vietoris(2, 3)).boundary_action()
-    cc = coding_chain(action)
+    cc = coding_chain_of(action)
     assert cc.schreier_diam == 4  # the 8-cycle
 
 
@@ -461,7 +461,7 @@ def test_partition_construction_rejects_bad_blocks():
 
 def test_local_constancy_depth_bounded_by_partition_scale():
     action = build_tower(vietoris(2, 4)).boundary_action()
-    cc = coding_chain(action)
+    cc = coding_chain_of(action)
     for lv in cc.levels:
         j = least_cylinder_union_depth(action.model, lv.v)
         assert j is not None and j <= lv.cylinder_depth

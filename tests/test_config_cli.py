@@ -256,6 +256,42 @@ def test_invariant_violation_exits_four(capsys, monkeypatch):
     assert "synthetic violation" in err
 
 
+def swap_across_level_one(monkeypatch, chain):
+    """Patch `tower.coset_space` so that the first generator's permutation
+    swaps its images of two cosets lying in different level-1 cosets."""
+    from cantordyn import tower
+
+    addresses = tower.build_tower(chain).addresses
+    k = next(k for k, a in enumerate(addresses) if a[0] != addresses[0][0])
+    coset_space = tower.coset_space
+
+    def swapped(group, subgroup):
+        space = coset_space(group, subgroup)
+        name = group.generators[0][0]
+        perm = list(space.gen_perms[name])
+        perm[0], perm[k] = perm[k], perm[0]
+        space.gen_perms = {**space.gen_perms, name: tuple(perm)}
+        return space
+
+    monkeypatch.setattr(tower, "coset_space", swapped)
+
+
+def test_a_permutation_that_does_not_descend_exits_four(capsys, monkeypatch):
+    from cantordyn.errors import InvariantViolation
+    from cantordyn.tower import build_tower
+
+    path = CONFIG_DIR / "vietoris2.cfg"
+    chain = parse_config(path.read_text()).build_chain()
+    swap_across_level_one(monkeypatch, chain)
+    with pytest.raises(InvariantViolation, match="does not map level 1 cosets"):
+        build_tower(chain)
+    for argv in (("code",), ("holonomy", "--word", "t*t^-1", "--at", "0.0.0.0")):
+        rc, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (rc, out) == (4, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
 def test_compare_success_and_failure(capsys):
     rc, out, _ = run_cli(
         capsys,
@@ -331,11 +367,13 @@ def test_code_report_includes_core_oracle(capsys):
 def test_chain_commands_enumerate_each_coset_space_once(
     capsys, monkeypatch, command, args, depth
 ):
-    """A tower of any depth enumerates only its deepest coset space.
-    `classify` reads its dynamics sections off the chain: it builds no tower,
-    enumerates no coset and runs no address engine, and its word ball reuses
-    McCord's core of the deepest level, so it computes one normal core per
-    level."""
+    """A tower of any depth enumerates only its deepest coset space, and no
+    chain command runs an address engine.  `classify` and `measure` read
+    their sections off the chain: they build no tower and enumerate no coset.
+    `classify`'s word ball reuses McCord's core of the deepest level, so it
+    computes one normal core per level.  `code` takes its modulus table and
+    minimality from the chain too, so it runs neither `is_minimal` nor
+    `modulus_table`."""
     from cantordyn import action, affine, tower
 
     calls = {"coset_space": 0, "build_tower": 0, "normal_core": 0}
@@ -361,15 +399,15 @@ def test_chain_commands_enumerate_each_coset_space_once(
         monkeypatch.setattr(module, "normal_core", core)
     monkeypatch.setattr(tower, "build_tower", build)  # cli imports it when a chain runs
     engines = ("is_minimal", "modulus_table", "is_distal", "invariant_measure")
-    if command == "classify":  # cli imports them only for an action config
-        for name in engines:
-            calls[name] = 0
-            monkeypatch.setattr(action, name, counted(name, getattr(action, name)))
+    for name in engines:  # cli imports them from the action module when it runs
+        calls[name] = 0
+        monkeypatch.setattr(action, name, counted(name, getattr(action, name)))
     rc, _, _ = run_cli(capsys, command, str(CONFIG_DIR / args[0]), *args[1:])
     assert rc == 0
-    if command == "classify":
-        zero = dict.fromkeys(("coset_space", "build_tower") + engines, 0)
-        assert calls == {**zero, "normal_core": depth}
+    assert [calls[name] for name in engines] == [0] * len(engines)
+    if command in ("classify", "measure"):
+        cores = depth if command == "classify" else 0
+        assert (calls["coset_space"], calls["build_tower"], calls["normal_core"]) == (0, 0, cores)
     else:
         assert (calls["coset_space"], calls["build_tower"]) == (1, 1)
         assert towers[0].depth == depth
@@ -472,14 +510,19 @@ def test_code_builds_one_return_word_set_and_no_word_perm(
 
 
 @pytest.mark.parametrize(
-    "args, count",
-    [
-        (("configs/vietoris5.cfg",), 0),  # a chain: minimal and invariant by its algebra
-        (("perfbench/configs/warp_d4.cfg", "--words", "4"), 1),
+    "command, args, count",
+    [  # on a chain, minimal and invariant by its algebra
+        pytest.param("classify", ("configs/vietoris5.cfg",), 0, id="args0"),
+        pytest.param("classify", ("perfbench/configs/warp_d4.cfg", "--words", "4"), 1, id="args1"),
+        pytest.param("measure", ("configs/vietoris5.cfg",), 0, id="measure-vietoris5"),
+        pytest.param("measure", ("perfbench/configs/warp_d4.cfg",), 1, id="measure-warp_d4"),
     ],
-    ids=["args0", "args1"],
 )
-def test_classify_checks_minimality_and_invariance_once(capsys, monkeypatch, args, count):
+def test_classify_checks_minimality_and_invariance_once(
+    capsys, monkeypatch, command, args, count
+):
+    """`invariant_measure` checks every signed token and raises otherwise, so
+    one check gives every invariance line of `classify` and `measure`."""
     from cantordyn import action
 
     calls = {"is_minimal": 0, "pushforward_invariant": 0}
@@ -493,9 +536,10 @@ def test_classify_checks_minimality_and_invariance_once(capsys, monkeypatch, arg
 
     for name in calls:  # the CLI imports them from the action module when it runs
         monkeypatch.setattr(action, name, counted(name, getattr(action, name)))
-    rc, out, _ = run_cli(capsys, "classify", str(REPO / args[0]), *args[1:])
+    rc, out, _ = run_cli(capsys, command, str(REPO / args[0]), *args[1:])
     assert rc == 0
-    assert "  pushforward_invariant: true\n" in out
+    key = "pushforward_invariant_all" if command == "measure" else "pushforward_invariant"
+    assert f"  {key}: true\n" in out
     assert calls == {"is_minimal": count, "pushforward_invariant": count}
 
 

@@ -25,6 +25,7 @@ from cantordyn.gallery import (
 from cantordyn.tower import build_tower, mccord_verdict
 
 from helpers import brute_force_core
+from modulus_oracle import modulus_table_of
 
 
 def test_vietoris_chain_levels():
@@ -179,4 +180,4 @@ def test_builder_dispatch_by_name():
 
 def test_boundary_isometry_for_all_gallery_chains():
     for chain in (vietoris(2, 4), rogers_tollefson(3), small_fo_variant(2)):
-        assert modulus_table(build_tower(chain).boundary_action()).is_exact_isometry_table()
+        assert modulus_table_of(build_tower(chain).boundary_action()).is_exact_isometry_table()

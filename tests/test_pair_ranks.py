@@ -15,7 +15,6 @@ from cantordyn.action import (
     CantorModel,
     WarpMetric,
     is_distal,
-    modulus_table,
 )
 from cantordyn.cli import main
 from cantordyn.coding import (
@@ -41,6 +40,7 @@ from helpers import (
     three_point_action,
     validate_metric,
 )
+from modulus_oracle import modulus_table_of
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 TREE_SEEDS = range(6)
@@ -135,7 +135,7 @@ def test_warp_metric_accepts_fiber_bases_inside_the_unit_interval(lam1):
 
 def assert_engines_match_oracles(action, word_length):
     model = action.model
-    assert modulus_table(action).rows == brute_force_modulus_rows(action)
+    assert modulus_table_of(action).rows == brute_force_modulus_rows(action)
 
     verdict = is_distal(action, word_length)
     min_delta, deltas = brute_force_distality(action, word_length)

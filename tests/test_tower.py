@@ -303,10 +303,10 @@ def test_index_two_chain_boundary_swaps_two_addresses():
 
 
 def test_boundary_generators_are_tree_isometries():
-    from cantordyn.action import modulus_table
+    from modulus_oracle import modulus_table_of
 
     for chain in (vietoris(2, 4), vietoris(3, 3), small_fo_variant(2)):
-        table = modulus_table(build_tower(chain).boundary_action())
+        table = modulus_table_of(build_tower(chain).boundary_action())
         assert table.is_exact_isometry_table()
         rows = table.rows
         assert all(k <= r for r, k in rows)
