@@ -222,8 +222,8 @@ class CantorModel:
         rank[i][j], from the metric's `pair_key_rows`.
 
         Built on first use and cached; above CELL_CAP cells (n^2 ranks) it
-        refuses before computing a pair, and it refuses a metric that puts
-        distinct addresses at distance 0.
+        refuses before computing a pair, as it refuses a metric without pair
+        keys (a tree's) or one putting distinct addresses at distance 0.
         """
         if self._pair_ranks is None:
             self._pair_ranks = _pair_rank_rows(self)
@@ -256,6 +256,8 @@ class CantorModel:
 def _pair_rank_rows(model):
     """Pair ranks as rows of Python ints, from the metric's `pair_key_rows`;
     the distinct keys are sorted as Python ints, exact at any size."""
+    if not hasattr(model.metric, "pair_key_rows"):
+        raise StructureError(f"pair ranks need integer pair keys, which {model.metric!r} lacks")
     n = len(model)
     check_cells(n * n, f"pair ranks of {n} addresses")
     keys, value = model.metric.pair_key_rows(model.addresses)

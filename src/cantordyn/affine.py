@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from . import _intmat as im
 from .errors import ResourceLimitError, StructureError
@@ -587,7 +588,7 @@ class CosetSpace:
         self.keys = keys
         self.gen_perms = gen_perms
         self.index = len(keys)
-        # per point part the reduction lattice and key product; key -> index
+        # per point part the identity's step row; key -> index
         self._red_data = red_data
         self._key_index = key_index
 
@@ -599,9 +600,8 @@ class CosetSpace:
 
     def index_of_scaled(self, point, scaled_tr):
         """Index of the coset of the element (point, scaled_tr / d)."""
-        key = _coset_key_scaled(self._red_data, point, scaled_tr)
         try:
-            return self._key_index[key]
+            return self._key_index[_step(self._red_data[point], scaled_tr)]
         except KeyError:
             raise StructureError("element does not lie in the enumerated coset space")
 
@@ -609,16 +609,16 @@ class CosetSpace:
         return self.index_of_scaled(g.point, g.scaled)
 
     def orbit(self, elements):
-        """Indices of the orbit of the identity coset under left
-        multiplication by `elements`.  The identity coset has the least key,
-        so index 0; the space is finite, so inverses add nothing."""
-        gens = [(g.point, g.scaled) for g in elements]
+        """Indices of the orbit of the identity coset (the least key, so index
+        0) under left multiplication by `elements`, through their step table;
+        the space is finite, so inverses add nothing."""
+        table = _step_table(self.group, self._red_data, [(g.point, g.scaled) for g in elements])
         seen = {0}
         queue = [0]  # grows while walked
         for i in queue:
-            _, red, point = self.keys[i]
-            for gp, gt in gens:
-                j = self.index_of_scaled(*_left_multiply(gp, gt, point, red))
+            cid, red, _ = self.keys[i]
+            for row in table[cid]:
+                j = self._key_index[_step(row, red)]
                 if j not in seen:
                     seen.add(j)
                     queue.append(j)
@@ -626,86 +626,102 @@ class CosetSpace:
 
 
 def _coset_reduction_data(group, subgroup):
-    """Per point part A of G: the scaled HNF of A * L_H, and for the rep (B, w)
-    of H whose AB has the least class id the triple (that id, AB, A * w
-    scaled).  Distinct reps have distinct point parts B, so distinct AB and
-    class ids: the least class id alone picks a coset's key."""
+    """Per point part A of G, the identity's step row there: for the rep (B, w)
+    of H whose AB has the least class id, A * w scaled, the columns of the
+    scaled HNF of A * L_H, that id and AB.  Distinct reps have distinct B, so
+    distinct class ids: a coset's key, its elements of least class id reduced
+    modulo their lattice, sorts by (class id, reduced translation)."""
     class_ids = group.point_class_order()
-    pivots = tuple(range(group.dimension))
+    ident = im.identity(group.dimension)
     data = {}
     for p in group.normal_form.point_parts():
         basis = subgroup.lattice.transform(p).scale(group.denom).basis
         by_id = {class_ids[im.mat_mul(p, b.point)]: b for b in subgroup.reps}
         cid = min(by_id)
         b = by_id[cid]
-        data[p] = (basis, pivots, cid, im.mat_mul(p, b.point), im.mat_vec(p, b.scaled))
+        cols = tuple(  # bottom-up: (pivot row t, pivot, the entries above it)
+            (t, basis[t][t], tuple(basis[i][t] for i in range(t)))
+            for t in reversed(range(len(basis)))
+        )
+        data[p] = (ident, im.mat_vec(p, b.scaled), cols, cid, im.mat_mul(p, b.point))
     return data
 
 
-def _left_multiply(gp, gt, point, scaled_tr):
-    """(point, scaled translation) of (gp, gt / d) times (point, scaled_tr / d)."""
-    return im.mat_mul(gp, point), im.vec_add(gt, im.mat_vec(gp, scaled_tr))
+def _step_table(group, red_data, elements):
+    """The coset step kernel: for the class id of each point part p of G, the
+    step row of each element (gp, gt), read once off the identity's row at
+    gp p: gp, gt plus that row's offset, and its columns, class id and point."""
+    table = [None] * len(red_data)
+    for p, cid in group.point_class_order().items():
+        rows = table[cid] = []
+        for gp, gt in elements:
+            _, offset, cols, ncid, c = red_data[im.mat_mul(gp, p)]
+            rows.append((gp, im.vec_add(gt, offset), cols, ncid, c))
+    return table
 
 
-def _coset_key_scaled(red_data, point, scaled_tr):
-    """Canonical (class_id, reduced scaled translation, point) key for a coset:
-    its elements of least class id, reduced modulo their lattice.
-
-    The class id determines the point, so keys sort by (class_id, red)."""
-    basis, pivots, cid, c, a_w = red_data[point]
-    return cid, im.reduce_echelon(basis, pivots, im.vec_add(scaled_tr, a_w)), c
+def _step(row, red):
+    """The key of the row's element times the coset (cid, red, p), the row
+    taken at cid: one mat-vec, then a bottom-up floor reduction (the basis is
+    a full-rank Hermite form, so pivot t sits on row t)."""
+    gp, offset, cols, cid, c = row
+    v = [sum(map(mul, r, red), o) for r, o in zip(gp, offset)]
+    for t, pivot, above in cols:
+        q, v[t] = divmod(v[t], pivot)
+        if q:
+            for i, x in enumerate(above):
+                v[i] -= q * x
+    return cid, tuple(v), c
 
 
 def quotient_word_keys(group, normal):
     """(tokens, identity, compose) for `action._word_ball` on G/N, N normal:
     a word's value is its element's coset key, so two words share a key
     exactly when they act alike on G/H for any H with core N.  Tokens are
-    each generator then its inverse, as (point, scaled); one applied after a
-    word left-multiplies the word's key, well defined as N is normal."""
+    each generator then its inverse, carrying their step-table column; one
+    applied after a word left-multiplies its key, well defined as N is normal."""
     red_data = _coset_reduction_data(group, normal)
-    tokens = []
-    for name, g in group.generators:
-        for sign, e in ((1, g), (-1, g.inverse())):
-            tokens.append(((name, sign), (e.point, e.scaled)))
+    signed = [
+        ((name, s), e) for name, g in group.generators for s, e in ((1, g), (-1, g.inverse()))
+    ]
+    table = _step_table(group, red_data, [(e.point, e.scaled) for _, e in signed])
+    tokens = [(token, j) for j, (token, _) in enumerate(signed)]
 
     def compose(key):
-        _, red, point = key
-        return lambda e: _coset_key_scaled(red_data, *_left_multiply(*e, point, red))
+        cid, red, _ = key
+        rows = table[cid]
+        return lambda j: _step(rows[j], red)
 
     n = group.dimension
-    return tokens, _coset_key_scaled(red_data, im.identity(n), (0,) * n), compose
+    return tokens, _step(red_data[im.identity(n)], (0,) * n), compose
 
 
 def coset_space(group, subgroup):
     """Enumerate G/H with a deterministic canonical order and generator tables.
 
     G/H is finite, so the orbit of the identity coset under the generators
-    alone (no inverses) is all of G/H.  One breadth-first pass computes each
-    coset's key once per generator image and records the image's discovery
-    id; sorting the keys then gives the canonical order and the tables.
+    alone (no inverses) is all of G/H.  One breadth-first pass steps each
+    coset once per generator through the step table and records the image's
+    discovery id; sorting the keys gives the canonical order and the tables.
     """
     cap = index_cap()
     expected = group.index_of(subgroup)
     check_index_cap(expected)
     red_data = _coset_reduction_data(group, subgroup)
-    gens = [(g.point, g.scaled) for _, g in group.generators]
+    table = _step_table(group, red_data, [(g.point, g.scaled) for _, g in group.generators])
 
-    start = _coset_key_scaled(
-        red_data, im.identity(group.dimension), (0,) * group.dimension
-    )
+    start = _step(red_data[im.identity(group.dimension)], (0,) * group.dimension)
     keys = [start]  # by discovery id; grows while walked, as the BFS queue
     found = {start: 0}
     images = []  # images[i][g]: discovery id of generator g times coset i
-    for _, red, point in keys:
+    for cid, red, _ in keys:
         row = []
-        for gp, gt in gens:
-            nkey = _coset_key_scaled(red_data, *_left_multiply(gp, gt, point, red))
+        for step in table[cid]:
+            nkey = _step(step, red)
             j = found.get(nkey)
             if j is None:
                 if len(keys) >= cap:
-                    raise ResourceLimitError(
-                        f"coset enumeration exceeded the cap {cap}"
-                    )
+                    raise ResourceLimitError(f"coset enumeration exceeded the cap {cap}")
                 j = found[nkey] = len(keys)
                 keys.append(nkey)
             row.append(j)
@@ -716,11 +732,10 @@ def coset_space(group, subgroup):
             f"coset enumeration found {len(keys)} cosets, expected {expected}"
         )
 
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    position = [0] * len(keys)
-    for i, old in enumerate(order):
-        position[old] = i
-    key_index = {keys[old]: i for i, old in enumerate(order)}
+    canonical = tuple(sorted(keys))
+    key_index = dict(zip(canonical, range(len(keys))))
+    order = list(map(found.__getitem__, canonical))  # discovery ids, canonically
+    position = list(map(key_index.__getitem__, keys))
 
     gen_perms = {}
     for g, (name, _) in enumerate(group.generators):
@@ -729,9 +744,7 @@ def coset_space(group, subgroup):
             raise StructureError(f"generator {name} does not act bijectively")
         gen_perms[name] = perm
 
-    return CosetSpace(
-        group, subgroup, tuple(map(keys.__getitem__, order)), gen_perms, red_data, key_index
-    )
+    return CosetSpace(group, subgroup, canonical, gen_perms, red_data, key_index)
 
 
 def coarser_cosets(group, subgroup, keys):
@@ -740,7 +753,7 @@ def coarser_cosets(group, subgroup, keys):
     among them of each fine coset's image.  Fine keys that cover G give
     every coarse key, in the order `coset_space` gives them."""
     red_data = _coset_reduction_data(group, subgroup)
-    images = [_coset_key_scaled(red_data, point, red) for _, red, point in keys]
+    images = [_step(red_data[point], red) for _, red, point in keys]
     coarse = sorted(set(images))
     index = {key: i for i, key in enumerate(coarse)}
     return coarse, tuple(map(index.__getitem__, images))

@@ -241,10 +241,10 @@ def cmd_compare(cfg_a, cfg_b, report):
 
 def cmd_code(cfg, chain, report):
     from .action import format_word
-    from .coding import check_window_cells, coding_chain
+    from .coding import basepoint_eccentricity, check_window_cells, coding_chain, schreier_diameter
 
     if chain is not None:
-        from .affine import normal_core
+        from .affine import is_normal, normal_core
         from .tower import build_tower, subgroup_cylinder
 
         indices = chain.indices()  # the default window: one level-1 coset's fibre
@@ -252,13 +252,16 @@ def cmd_code(cfg, chain, report):
         tower = build_tower(chain)  # raises unless the generators descend
         action = tower.boundary_action(cfg.lam)
         table, minimal = _chain_reading(chain, cfg.lam)[0], True
+        regular = is_normal(chain.group, chain.levels[-1]).normal  # a Cayley graph
     else:
         from .action import is_minimal, modulus_table
 
         action = cfg.build_action()
         tower = None
         table, minimal = modulus_table(action), is_minimal(action).minimal
-    chain_result = coding_chain(action, table, minimal, word_bound=cfg.words)
+        regular = False
+    diameter = basepoint_eccentricity(action) if regular else schreier_diameter(action)
+    chain_result = coding_chain(action, table, minimal, diameter, word_bound=cfg.words)
     words = chain_result.words
     report.section("window")
     report.add("size", len(chain_result.window), 1)

@@ -16,7 +16,8 @@ which is all the chain reads.  The word ball takes the model's representation
 (bytes up to 256 addresses, tuples above), the partition gap reads cylinders
 or rows of pair ranks, and the Schreier diameter grows Python-int bitsets,
 all on the standard library.  The chain takes its modulus table (computed
-only on the rank route, for non-tree models) and minimality from the caller.
+only on the rank route, for non-tree models), minimality and orbit-graph
+diameter from the caller.
 """
 
 from __future__ import annotations
@@ -278,8 +279,8 @@ def refine_fixed_point(action, window, partition):
 
     Iterated splitting of all classes (the window complement starts as one
     class and splits too) by generator images until stable; bijectivity makes
-    the fixed point stable under inverses as well.  Returns the stabilized
-    partition restricted to the window.
+    the fixed point stable under inverses as well; each round is C-level maps.
+    Returns the stabilized partition restricted to the window.
     """
     model = action.model
     n = len(model)
@@ -288,20 +289,15 @@ def refine_fixed_point(action, window, partition):
     for i, b in enumerate(partition.blocks, start=1):
         for a in b:
             ids[model.index[a]] = i
-    gens = [action.generators[name] for name in action.generators]
+    gens = list(action.generators.values())
+    classes = len(set(ids))
     while True:
-        signature = [
-            (ids[i],) + tuple(ids[p[i]] for p in gens) for i in range(n)
-        ]
-        relabel = {}
-        new_ids = []
-        for sig in signature:
-            if sig not in relabel:
-                relabel[sig] = len(relabel)
-            new_ids.append(relabel[sig])
-        if len(relabel) == len(set(ids)):
+        signatures = list(zip(ids, *[map(ids.__getitem__, p) for p in gens]))
+        relabel = dict.fromkeys(signatures)  # in order of first appearance
+        if len(relabel) == classes:
             break
-        ids = new_ids
+        classes = len(relabel)
+        ids = list(map(dict(zip(relabel, range(classes))).__getitem__, signatures))
     blocks = {}
     for a in window:
         blocks.setdefault(ids[model.index[a]], set()).add(a)
@@ -333,6 +329,22 @@ def schreier_diameter(action):
             return rounds
         reach = new
         rounds += 1
+
+
+def basepoint_eccentricity(action):
+    """The basepoint's eccentricity in the orbit graph, by one breadth-first
+    search, or None above SCHREIER_SIZE_CAP addresses: the diameter when the
+    graph is vertex-transitive, as the Cayley graph of G/H_K is for H_K normal."""
+    if len(action.model) > SCHREIER_SIZE_CAP:
+        return None
+    perms = [action.token_perm(*token) for token in action.signed_tokens()]
+    seen = frontier = {action.model.index[action.basepoint]}
+    rounds = -1
+    while frontier:
+        frontier = {j for p in perms for j in map(p.__getitem__, frontier)} - seen
+        seen = seen | frontier
+        rounds += 1
+    return rounds
 
 
 # ------------------------------------------------------------- coding chain
@@ -425,10 +437,11 @@ def _witness_or_subresolution(table, eps):
     return sub, True
 
 
-def coding_chain(action, table, minimal, window=None, word_bound=DEFAULT_WORD_BOUND):
+def coding_chain(action, table, minimal, diameter, window=None, word_bound=DEFAULT_WORD_BOUND):
     """Run the inductive refinement: level sets, translates, and constants.
 
-    `table` and `minimal` are the action's ModulusTable and minimality.
+    `table`, `minimal` and `diameter` are the action's ModulusTable,
+    minimality and orbit-graph diameter (None when uncomputed).
     Stops when the level set is a single address or a piece of the last
     level has diameter 0.  Every level's code-equality set is validated against
     the fixed-point refinement; a disagreement raises the word bound, up to
@@ -438,8 +451,7 @@ def coding_chain(action, table, minimal, window=None, word_bound=DEFAULT_WORD_BO
     if window is None:
         window = default_window(action)
     window = _check_clopen_window(action, window)
-    diam_graph = schreier_diameter(action)
-    ceiling = max(word_bound, diam_graph if diam_graph is not None else len(model))
+    ceiling = max(word_bound, diameter if diameter is not None else len(model))
     bound = word_bound
     hard_budget = ball_cap(CODING_BUDGET, len(model))  # word_ball's own clamp
     budget = min(BALL_BUDGET, hard_budget)
@@ -549,5 +561,5 @@ def coding_chain(action, table, minimal, window=None, word_bound=DEFAULT_WORD_BO
         eps_prev = eps
 
     return CodingChain(
-        window, tuple(levels), word_bound, words, diam_graph, minimal
+        window, tuple(levels), word_bound, words, diameter, minimal
     )

@@ -6,7 +6,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError:  # the numpy-free oracles below still import
+    np = None
 
 from cantordyn.action import (
     COLLAPSED,
@@ -18,6 +21,7 @@ from cantordyn.action import (
     common_prefix,
     is_distal,
 )
+from cantordyn import _intmat as im
 from cantordyn.affine import compose, conjugate, subgroup_intersect, subgroup_le
 from cantordyn.coding import (
     ClopenPartition,
@@ -482,6 +486,75 @@ def naive_refine_fixed_point(action, window, partition):
                 split = True
                 break
     return {frozenset(b) for b in blocks if b <= window}
+
+
+def left_multiply(gp, gt, point, scaled_tr):
+    """(point, scaled translation) of (gp, gt / d) times (point, scaled_tr / d)."""
+    return im.mat_mul(gp, point), im.vec_add(gt, im.mat_vec(gp, scaled_tr))
+
+
+def coset_key_oracle(group, subgroup):
+    """The coset key of an element (point, scaled), from a product with each
+    rep of H: over the elements (point, scaled) (B, w) of its coset, the one
+    of least point class id, its translation reduced modulo the scaled HNF of
+    point * L_H by `reduce_echelon`."""
+    class_ids = group.point_class_order()
+    pivots = tuple(range(group.dimension))
+
+    def key(point, scaled):
+        basis = subgroup.lattice.transform(point).scale(group.denom).basis
+        cid, c, tr = min(
+            (class_ids[im.mat_mul(point, b.point)], *left_multiply(point, scaled, b.point, b.scaled))
+            for b in subgroup.reps
+        )
+        return cid, im.reduce_echelon(basis, pivots, tr), c
+
+    return key
+
+
+def bfs_coset_space(group, subgroup):
+    """(keys, gen_perms) of G/H by a breadth-first walk that multiplies each
+    coset's element by each generator and keys the product afresh, then
+    sorts the keys into the canonical order."""
+    key = coset_key_oracle(group, subgroup)
+    n = group.dimension
+    start = key(im.identity(n), (0,) * n)
+    keys = [start]  # grows while walked
+    found = {start: 0}
+    images = []
+    for _, red, point in keys:
+        row = []
+        for _, g in group.generators:
+            nkey = key(*left_multiply(g.point, g.scaled, point, red))
+            if nkey not in found:
+                found[nkey] = len(keys)
+                keys.append(nkey)
+            row.append(found[nkey])
+        images.append(row)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    position = {old: i for i, old in enumerate(order)}
+    gen_perms = {
+        name: tuple(position[images[old][g]] for old in order)
+        for g, (name, _) in enumerate(group.generators)
+    }
+    return tuple(keys[old] for old in order), gen_perms
+
+
+def bfs_orbit(space, elements):
+    """`CosetSpace.orbit` by multiplying each reached coset's element and
+    keying the product afresh."""
+    key = coset_key_oracle(space.group, space.subgroup)
+    index = {k: i for i, k in enumerate(space.keys)}
+    seen = {0}
+    queue = [0]
+    for i in queue:
+        _, red, point = space.keys[i]
+        for g in elements:
+            j = index[key(*left_multiply(g.point, g.scaled, point, red))]
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return queue
 
 
 def permutation_of(cosets, g, reps=None):

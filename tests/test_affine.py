@@ -472,19 +472,21 @@ def coset_case(case):
 
 @pytest.mark.parametrize("case", COSET_CASES)
 def test_coset_space_computes_one_key_per_generator_image(monkeypatch, case):
+    # one step of the step table keys the identity coset, and one more keys
+    # each generator image
     group, h = coset_case(case)
-    calls = {"keys": 0}
-    original = affine._coset_key_scaled
+    calls = {"steps": 0}
+    original = affine._step
 
     def counted(*args):
-        calls["keys"] += 1
+        calls["steps"] += 1
         return original(*args)
 
-    monkeypatch.setattr(affine, "_coset_key_scaled", counted)
+    monkeypatch.setattr(affine, "_step", counted)
     cs = coset_space(group, h)
     monkeypatch.undo()
     assert cs.index == group.index_of(h)
-    assert calls["keys"] == cs.index * len(group.generators) + 1
+    assert calls["steps"] == cs.index * len(group.generators) + 1
     # the tables recorded during the walk agree with fresh key lookups
     for name, g in group.generators:
         assert cs.gen_perms[name] == permutation_of(cs, g)

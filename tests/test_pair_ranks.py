@@ -25,8 +25,9 @@ from cantordyn.coding import (
 )
 from cantordyn.config import parse_config
 from cantordyn.errors import ResourceLimitError, StructureError
-from cantordyn.gallery import warp_example, warp_model
+from cantordyn.gallery import vietoris, warp_example, warp_model
 from cantordyn.limits import CELL_CAP
+from cantordyn.tower import build_tower
 from helpers import (
     ExplicitMetric,
     RankedTreeMetric,
@@ -101,6 +102,17 @@ def test_pair_ranks_refuse_distinct_addresses_at_distance_zero(lam1):
     model = CantorModel(warp_model(2).addresses, 2, metric)
     with pytest.raises(StructureError, match="distinct addresses at distance 0"):
         model.pair_ranks()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [action_module.modulus_table, lambda action: action.model.pair_ranks()],
+    ids=["modulus_table", "pair_ranks"],
+)
+def test_pair_ranks_on_a_tree_model_raise_a_structure_error_naming_the_metric(call):
+    action = build_tower(vietoris(2, 3)).boundary_action()
+    with pytest.raises(StructureError, match="pair keys, which TreeMetric"):
+        call(action)
 
 
 def test_distality_refuses_a_zero_in_an_explicit_table():
