@@ -1,8 +1,9 @@
-"""Small exact integer/rational matrix helpers.
+"""Small exact integer matrix helpers.
 
 Matrices are tuples of row tuples.  Everything here is exact: entries are
-Python ints or fractions.Fraction, never floats.  Dimensions in this library
-are tiny (n <= 4), so cofactor expansions are fine.
+Python ints, never floats (affine translations reach here scaled to integers
+over the group's denominator).  Dimensions in this library are tiny (n <= 4),
+so cofactor expansions are fine.
 """
 
 from .errors import StructureError
@@ -177,8 +178,8 @@ def column_hnf(rows, *, with_transform=False):
 def solve_echelon(h, pivots, v):
     """Solve H y = v over the integers for a column-echelon H; None if no solution.
 
-    Entries of v may be ints or Fractions; a remainder at any pivot means
-    no integral solution.
+    Entries of v are ints; a remainder at any pivot means no integral
+    solution.
     Returns a length-k integer vector (zeros in non-pivot positions).
     """
     n = len(h)
@@ -204,7 +205,7 @@ def reduce_echelon(h, pivots, v):
     """Canonical representative of v modulo the column lattice of H.
 
     Processes pivot rows bottom-up with floor division, leaving each pivot-row
-    coordinate in [0, pivot).  Works for int or Fraction coordinates.
+    coordinate in [0, pivot).  Coordinates are ints.
     """
     n = len(h)
     rem = list(v)

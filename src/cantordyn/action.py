@@ -1,8 +1,10 @@
 """Finite-depth Cantor models, exact metrics, and dynamical diagnostics.
 
-Addresses are hashable tuples spelled over per-level alphabets (or a reserved
-collapsed token); generators are total bijections stored as index
-permutations.  Metrics are exact rational functions, and the pairwise engines
+A point is an address index: generators are index permutations, and the
+basepoint, orbits and subsets are indices.  Addresses, hashable tuples over
+per-level alphabets (or a reserved collapsed token), are only the points'
+labels, read by the metric, the cylinder keys and the lexicographic order.
+Metrics are exact rational functions, and the pairwise engines
 (least distance, diameters, partition gaps) take one of two routes by
 metric.  On a tree metric two addresses lie within lam^j exactly when they
 share a depth-j cylinder, so the engines read cylinders off the
@@ -21,8 +23,8 @@ The word ball holds bytes permutations composed by `bytes.translate` on a
 model of at most BYTE_ALPHABET (256) addresses, the size of that method's
 alphabet, and tuples above.  Everything here runs on the standard library:
 the array engines these replace are kept only as test oracles, in `tests/`.
-Uniform measures are built as one weight class, with no per-address Fraction
-arithmetic.
+The invariant measure is uniform on an orbit, where the action is
+transitive, so it is a support set and one weight.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import StructureError
+from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, ball_cap, check_cells
 
 BYTE_ALPHABET = 256  # the alphabet of bytes.translate: most addresses a bytes perm holds
@@ -234,21 +236,23 @@ class CantorModel:
             return self._cylinder_key(address, j)
         return tuple(address[:j])
 
-    def cylinder_members(self, address, j):
-        key = self.cylinder_key(address, j)
-        return [a for a in self.addresses if self.cylinder_key(a, j) == key]
+    def cylinder_members(self, i, j):
+        """Indices of the addresses in the depth-j cylinder of address i."""
+        key = self.cylinder_key(self.addresses[i], j)
+        return [k for k, a in enumerate(self.addresses) if self.cylinder_key(a, j) == key]
 
     def diameter(self, subset):
-        """Largest distance within the subset (0 for fewer than two
-        addresses): on a tree, the distance between its lexicographically
-        least and greatest addresses; otherwise the realized distance at its
-        largest pair rank."""
-        if self.is_tree:
-            return self.distance(min(subset), max(subset)) if subset else Fraction(0)
-        realized, rank = self.pair_ranks()
-        idx = [self.index[a] for a in subset]
-        if not idx:
+        """Largest distance within a set of address indices (0 for fewer than
+        two): on a tree, the distance between its lexicographically least and
+        greatest addresses; otherwise the realized distance at its largest
+        pair rank."""
+        if not subset:
             return Fraction(0)
+        if self.is_tree:
+            members = list(map(self.addresses.__getitem__, subset))
+            return self.distance(min(members), max(members))
+        realized, rank = self.pair_ranks()
+        idx = list(subset)
         get = tuple_getter(idx)
         return realized[max(max(get(rank[i])) for i in idx)]
 
@@ -295,7 +299,8 @@ def format_word(word):
 
 
 class CantorAction:
-    """Named total bijections of a finite Cantor model with a basepoint."""
+    """Named total bijections of a finite Cantor model with a basepoint, an
+    address index."""
 
     def __init__(self, model, generators, basepoint, label="action"):
         self.model = model
@@ -307,16 +312,12 @@ class CantorAction:
             if sorted(perm) != list(range(n)):
                 raise StructureError(f"generator {name!r} is not a bijection")
             self.generators[name] = perm
-        if basepoint not in model.index:
-            raise StructureError("basepoint is not an address of the model")
+        if not (isinstance(basepoint, int) and 0 <= basepoint < n):
+            raise StructureError(f"basepoint {basepoint!r} is not an index of the model")
         self.basepoint = basepoint
         self._inverses = {
             name: _invert_perm(perm) for name, perm in self.generators.items()
         }
-
-    @property
-    def addresses(self):
-        return self.model.addresses
 
     def token_perm(self, name, sign):
         if name not in self.generators:
@@ -332,11 +333,11 @@ class CantorAction:
             perm = [p[i] for i in perm]
         return tuple(perm)
 
-    def act(self, word, point):
-        i = self.model.index[point]
+    def act(self, word, i):
+        """The word's image of address index i."""
         for name, sign in reversed(word):
             i = self.token_perm(name, sign)[i]
-        return self.model.addresses[i]
+        return i
 
     def signed_tokens(self):
         out = []
@@ -345,22 +346,17 @@ class CantorAction:
             out.append((name, -1))
         return out
 
-    def orbit(self, point):
-        """Breadth-first closure of a point under generators and inverses."""
-        start = self.model.index[point]
-        seen = {start}
-        frontier = [start]
+    def orbit(self, i):
+        """Breadth-first closure of address index i under generators and
+        inverses, as a set of indices."""
+        seen, queue = {i}, [i]
         perms = [self.token_perm(n, s) for n, s in self.signed_tokens()]
-        while frontier:
-            new = []
-            for i in frontier:
-                for p in perms:
-                    j = p[i]
-                    if j not in seen:
-                        seen.add(j)
-                        new.append(j)
-            frontier = new
-        return {self.model.addresses[i] for i in seen}
+        for i in queue:  # grows while walked
+            for p in perms:
+                if p[i] not in seen:
+                    seen.add(p[i])
+                    queue.append(p[i])
+        return seen
 
 
 def _invert_perm(perm):
@@ -370,6 +366,7 @@ def _invert_perm(perm):
     return tuple(inv)
 
 
+# witness_orbit: the basepoint's orbit, a frozenset of address indices
 MinimalityVerdict = namedtuple("MinimalityVerdict", "minimal witness_orbit", defaults=(None,))
 
 
@@ -592,137 +589,64 @@ def is_distal(action, word_length=8, *, perm_cap=BALL_BUDGET):
 
 # ---------------------------------------------------------------- measures
 
-class CylinderMeasure:
-    """Exact rational weights per address with total mass one: `weights` is a
-    tuple of (address, Fraction).
-
-    Each distinct weight is an integer class: `support_weights` lists the
-    distinct weights of the support in order of first appearance, and an
-    address outside the support weighs 0.
-    """
-
-    __slots__ = (
-        "weights", "support_label", "support_weights", "_class_of", "_zero_class",
-        "_class_weight",
-    )
-
-    def __init__(self, weights, support_label="full"):
-        ws = tuple((a, Fraction(w)) for a, w in weights)
-        self.weights = ws
-        self.support_label = support_label
-        if any(w < 0 for _, w in ws):
-            raise StructureError("measure weights must be nonnegative")
-        if sum(w for _, w in ws) != 1:
-            raise StructureError("measure weights must total exactly 1")
-        classes = {}
-        class_of = {a: classes.setdefault(w, len(classes)) for a, w in ws}
-        self._set_classes(class_of, classes)
-
-    @classmethod
-    def uniform(cls, support, label="full"):
-        """Weight 1/m on each of m addresses, built as one weight class: no
-        per-address Fraction arithmetic, and the total is 1 by construction."""
-        support = tuple(support)
-        if not support:
-            raise StructureError("a uniform measure needs a nonempty support")
-        w = Fraction(1, len(support))
-        mu = object.__new__(cls)
-        mu.weights = tuple((a, w) for a in support)
-        mu.support_label = label
-        mu._set_classes(dict.fromkeys(support, 0), {w: 0})
-        return mu
-
-    def _set_classes(self, class_of, classes):
-        """Store the address -> class and weight -> class maps; the weight 0
-        gets a class of its own unless the support has it."""
-        self._class_of = class_of
-        self.support_weights = tuple(classes)
-        self._zero_class = classes.setdefault(Fraction(0), len(classes))
-        self._class_weight = tuple(classes)
-
-    def __eq__(self, other):
-        if other.__class__ is not CylinderMeasure:
-            return NotImplemented
-        return (self.weights, self.support_label) == (other.weights, other.support_label)
-
-    def weight(self, address):
-        return self._class_weight[self._class_of.get(address, self._zero_class)]
-
-    def weight_classes(self, addresses):
-        """The weight-class vector over the addresses: two addresses share a
-        class exactly when their weights are equal."""
-        return [self._class_of.get(a, self._zero_class) for a in addresses]
-
-
-def pushforward_invariant(action, measure, tokens=None):
-    """Exact check that g_* mu = mu for every signed generator token.
-
-    `tokens` is a list of (name, sign) pairs; it defaults to every generator
-    and its inverse.  (g_* mu)(a) = mu(g^-1 a), so g_* mu = mu exactly when
-    the weight classes w satisfy w[inv[i]] == w[i] at every address index i,
-    with inv the permutation of g^-1; each token compares two integer lists.
-    """
-    if tokens is None:
-        tokens = action.signed_tokens()
-    w = measure.weight_classes(action.model.addresses)
-    return all(
-        [w[j] for j in action.token_perm(name, -sign)] == w for name, sign in tokens
-    )
+# label: the support's description; support: a frozenset of address indices;
+# weight: the Fraction each of them carries
+InvariantMeasure = namedtuple("InvariantMeasure", "label support weight")
 
 
 def invariant_measure(action, verdict=None):
-    """Uniform measure when minimal; uniform on the basepoint's minimal
-    orbit closure otherwise.  Invariance is verified exactly either way.
+    """Uniform measure when minimal; uniform on the basepoint's orbit
+    otherwise.
 
-    `verdict` is the action's MinimalityVerdict, computed here unless the
-    caller already holds it.
+    A permutation action is transitive on an orbit, so the uniform measure
+    there is its only invariant probability measure, and it is invariant
+    exactly when every generator maps the support into itself: the one check
+    made here.  `verdict` is the action's MinimalityVerdict, computed here
+    unless the caller already holds it.
     """
     if verdict is None:
         verdict = is_minimal(action)
+    model = action.model
     if verdict.minimal:
-        mu = CylinderMeasure.uniform(action.model.addresses, "full")
+        support, label = frozenset(range(len(model))), "full"
     else:
-        orb = sorted(verdict.witness_orbit, key=action.model.index.__getitem__)
-        mu = CylinderMeasure.uniform(
-            orb, f"orbit-closure of {action.basepoint!r} ({len(orb)} addresses)"
-        )
-    if not pushforward_invariant(action, mu):
-        raise StructureError("constructed measure failed exact invariance")
-    return mu
+        support = verdict.witness_orbit
+        label = f"orbit-closure of {model.addresses[action.basepoint]!r} ({len(support)} addresses)"
+    for name, perm in action.generators.items():
+        if not support.issuperset(map(perm.__getitem__, support)):
+            raise InvariantViolation(f"generator {name} moves mass off the measure's support")
+    return InvariantMeasure(label, support, Fraction(1, len(support)))
 
 
 # ------------------------------------------------------------- germ depths
 
 # depth: the least trivial cylinder depth, or the model depth when nontrivial;
-# witness: an (address, image) pair disagreeing in the deepest checked cylinder
+# witness: an (index, image index) pair disagreeing in the deepest checked cylinder
 GerminalVerdict = namedtuple("GerminalVerdict", "trivial depth witness", defaults=(None,))
 
 
 def germinal_holonomy(action, word, point):
-    """Least depth j whose cylinder around the point is fixed pointwise.
+    """Least depth j whose cylinder around address index `point` is fixed
+    pointwise.
 
     The word must stabilize the point.  Singleton cylinders are vacuous
     evidence and never certify triviality; if only they remain, the germ is
     reported nontrivial through the full depth.
     """
-    image = action.act(word, point)
-    if image != point:
-        raise StructureError(
-            f"word {format_word(word)} does not stabilize {point!r}; "
-            f"it maps to {image!r}"
-        )
-    perm = action.word_perm(word)
     model = action.model
+    perm = action.word_perm(word)
+    if perm[point] != point:
+        raise StructureError(
+            f"word {format_word(word)} does not stabilize {model.addresses[point]!r}; "
+            f"it maps to {model.addresses[perm[point]]!r}"
+        )
     witness = None
     for j in range(model.depth + 1):
         members = model.cylinder_members(point, j)
         if len(members) <= 1 and j > 0:
             break
-        moved = [
-            a for a in members if model.addresses[perm[model.index[a]]] != a
-        ]
+        moved = [i for i in members if perm[i] != i]
         if not moved:
             return GerminalVerdict(True, j)
-        a = moved[0]
-        witness = (a, model.addresses[perm[model.index[a]]])
+        witness = (moved[0], perm[moved[0]])
     return GerminalVerdict(False, model.depth, witness)

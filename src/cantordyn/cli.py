@@ -59,9 +59,11 @@ def _params_section(report, cfg, depth):
     report.add("seed", cfg.seed, 1)
 
 
-def _address_str(model, address):
+def _address_str(model, i):
+    """Address index i, spelled as the CLI reads and prints it."""
     from .action import COLLAPSED
 
+    address = model.addresses[i]
     if address == COLLAPSED:
         return COLLAPSED
     if (
@@ -76,11 +78,12 @@ def _address_str(model, address):
     return ".".join(str(c) for c in address)
 
 
-def _parse_address(action, text):
+def _parse_address(model, text):
+    """The index of the address spelled `text`."""
     text = text.strip()
-    for a in action.model.addresses:
-        if _address_str(action.model, a) == text:
-            return a
+    for i in range(len(model)):
+        if _address_str(model, i) == text:
+            return i
     raise StructureError(f"address {text!r} is not in the model")
 
 
@@ -206,12 +209,11 @@ def cmd_classify(cfg, chain, report):
         report.add("generators", list(action.generators), 1)
         minimal = is_minimal(action)
         orbit = None if minimal.minimal else [
-            _address_str(model, a)
-            for a in sorted(minimal.witness_orbit, key=model.index.__getitem__)
+            _address_str(model, i) for i in sorted(minimal.witness_orbit)
         ]
         table, distal = modulus_table(action), is_distal(action, cfg.words)
         mu = invariant_measure(action, minimal)  # raises unless exactly invariant
-        measure = (mu.support_label, mu.support_weights[0])
+        measure = (mu.label, mu.weight)
         _dynamics_sections(report, model.depth, orbit, table, distal, measure)
         report.section("chain_sections")
         report.add("available", False, 1)
@@ -319,7 +321,7 @@ def cmd_holonomy(cfg, chain, word_text, address_text, report):
 
         action = build_tower(chain).boundary_action(cfg.lam)
     word = parse_word(word_text)
-    address = _parse_address(action, address_text)
+    address = _parse_address(action.model, address_text)
     verdict = germinal_holonomy(action, word, address)
     report.section("holonomy")
     report.add("word", format_word(word), 1)
@@ -350,7 +352,7 @@ def cmd_measure(cfg, chain, report):
 
         action = cfg.build_action()
         mu = invariant_measure(action)  # raises unless invariant under every token
-        label, weight, size = mu.support_label, mu.support_weights[0], len(mu.weights)
+        label, weight, size = mu.label, mu.weight, len(mu.support)
         names = list(action.generators)
     report.section("measure")
     report.add("support", label, 1)

@@ -11,9 +11,11 @@ fixed-point partition refinement and raised automatically when they differ.
 All diameters, gaps, and thresholds are exact rationals; no comparison uses
 a tolerance.
 
-Each return word keeps only its restriction to W, a tuple of address indices,
-which is all the chain reads.  The word ball takes the model's representation
-(bytes up to 256 addresses, tuples above), the partition gap reads cylinders
+Points are address indices: the window, the partition blocks, the level
+sets and their translates are sets of them, and each return word keeps only
+its restriction to W, a tuple of them, which is all the chain reads.  The
+word ball takes the model's representation (bytes up to 256 addresses,
+tuples above), the partition gap reads cylinders
 or rows of pair ranks, and the Schreier diameter grows Python-int bitsets,
 all on the standard library.  The chain takes its modulus table (computed
 only on the rank route, for non-tree models), minimality and orbit-graph
@@ -35,8 +37,8 @@ DEFAULT_WORD_BOUND = 8
 # ---------------------------------------------------------------- partitions
 
 class ClopenPartition:
-    """Disjoint blocks covering the window, ordered by least address: `window`
-    is a frozenset and `blocks` a tuple of frozensets."""
+    """Disjoint blocks covering the window, ordered by least element: `window`
+    is a frozenset of address indices and `blocks` a tuple of frozensets."""
 
     __slots__ = ("window", "blocks")
 
@@ -45,7 +47,7 @@ class ClopenPartition:
         self.blocks = blocks
 
     @classmethod
-    def from_blocks(cls, model, window, blocks):
+    def from_blocks(cls, window, blocks):
         window = frozenset(window)
         blocks = [frozenset(b) for b in blocks if b]
         seen = set()
@@ -55,25 +57,26 @@ class ClopenPartition:
             seen |= b
         if seen != window:
             raise StructureError("partition blocks do not cover the window")
-        blocks.sort(key=lambda b: min(model.index[a] for a in b))
+        blocks.sort(key=min)
         return cls(window, tuple(blocks))
 
-    def block_index(self, address):
-        """1-based block index, or 0 when the address is outside the window."""
-        for i, b in enumerate(self.blocks, start=1):
-            if address in b:
-                return i
-        return 0
+    def labels(self, n):
+        """The block number, from 1, of each of n address indices; 0 off the window."""
+        ids = [0] * n
+        for label, block in enumerate(self.blocks, start=1):
+            for i in block:
+                ids[i] = label
+        return ids
 
     def __len__(self):
         return len(self.blocks)
 
 
 def cylinder_partition(model, subset, depth):
-    """Partition of a subset into its depth-j cylinder classes."""
+    """Partition of a set of address indices into its depth-j cylinder classes."""
     groups = {}
-    for a in subset:
-        groups.setdefault(model.cylinder_key(a, depth), set()).add(a)
+    for i in subset:
+        groups.setdefault(model.cylinder_key(model.addresses[i], depth), set()).add(i)
     return [frozenset(g) for g in groups.values()]
 
 
@@ -83,7 +86,7 @@ def default_window(action):
     model = action.model
     cyl = frozenset(model.cylinder_members(action.basepoint, 1))
     if len(cyl) <= 1:
-        return frozenset(model.addresses)
+        return frozenset(range(len(model)))
     return cyl
 
 
@@ -93,9 +96,9 @@ def _check_clopen_window(action, window):
     if action.basepoint not in window:
         raise StructureError("window must contain the basepoint")
     for j in range(model.depth + 1):
-        keys = {model.cylinder_key(a, j) for a in window}
+        keys = {model.cylinder_key(model.addresses[i], j) for i in window}
         members = {
-            a for a in model.addresses if model.cylinder_key(a, j) in keys
+            i for i, a in enumerate(model.addresses) if model.cylinder_key(a, j) in keys
         }
         if members == window:
             return window
@@ -139,11 +142,11 @@ class ReturnWordSet:
     def __len__(self):
         return len(self.words)
 
-    def positions(self, model, subset):
-        """Positions in `window` of the addresses of a subset of it."""
+    def positions(self, subset):
+        """Positions in `window` of a subset of its address indices."""
         where = {i: t for t, i in enumerate(self.window)}
         try:
-            return [where[model.index[a]] for a in subset]
+            return [where[i] for i in subset]
         except KeyError:
             raise StructureError("subset must lie in the return words' window")
 
@@ -159,8 +162,7 @@ def _shortest_words_into_window(action, win_idx):
     the window to the token's images of the word's window images, so each
     reached address's image is one gather of its parent's.
     """
-    model = action.model
-    w0 = model.index[action.basepoint]
+    w0 = action.basepoint
     win_set = set(win_idx)
     tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
     start = ((), tuple(win_idx))
@@ -199,15 +201,13 @@ def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=BALL_B
     """
     window = _check_clopen_window(action, window)
     check_window_cells(len(window))
-    model = action.model
-    w0 = model.index[action.basepoint]
-    win_idx = sorted(model.index[a] for a in window)
-    win_set = set(win_idx)
+    w0 = action.basepoint
+    win_idx = sorted(window)
     pairs, completed = word_ball(action, bound, perm_cap=perm_budget)
     restrict = tuple_getter(win_idx)
     first_word = {}  # window image -> its first word, in word order
     for word, perm in pairs:
-        if perm[w0] in win_set:
+        if perm[w0] in window:
             first_word.setdefault(restrict(perm), word)
     for word, image in _shortest_words_into_window(action, win_idx):
         first_word.setdefault(image, word)
@@ -218,31 +218,23 @@ def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=BALL_B
 
 def code(action, window, partition, point, word):
     """Block index of the word's image of the point; 0 outside the window."""
-    window = frozenset(window)
     if point not in window:
         raise StructureError("coded point must lie in the window")
-    image = action.act(word, point)
-    if image not in window:
-        return 0
-    return partition.block_index(image)
+    return partition.labels(len(action.model))[action.act(word, point)]
 
 
 def compute_V(action, window, partition, words):
     """Window points whose code function agrees with the basepoint's under
     every word of a ReturnWordSet over the same window."""
-    model = action.model
-    if sorted(model.index[a] for a in window) != list(words.window):
+    if sorted(window) != list(words.window):
         raise StructureError("return words were enumerated over another window")
-    block_id = [0] * len(model)
-    for i, b in enumerate(partition.blocks, start=1):
-        for a in b:
-            block_id[model.index[a]] = i
-    (b0,) = words.positions(model, [action.basepoint])
+    block_id = partition.labels(len(action.model))
+    (b0,) = words.positions([action.basepoint])
     keep = range(len(words.window))
     for image in words.images:
         code0 = block_id[image[b0]]
         keep = [t for t in keep if block_id[image[t]] == code0]
-    return frozenset(model.addresses[words.window[t]] for t in keep)
+    return frozenset(map(words.window.__getitem__, keep))
 
 
 def translates(action, v, words):
@@ -251,8 +243,7 @@ def translates(action, v, words):
     Any two images must be equal or disjoint; overlap without equality is a
     hard error (a mis-specified or non-equicontinuous action).
     """
-    model = action.model
-    v_pos = words.positions(model, v)
+    v_pos = words.positions(v)
     out = []
     seen = {}
     covered = set()
@@ -268,7 +259,7 @@ def translates(action, v, words):
             )
         seen[img_idx] = word
         covered |= img_idx
-        out.append((word, frozenset(model.addresses[i] for i in img_idx)))
+        out.append((word, img_idx))
     return tuple(out)
 
 
@@ -282,13 +273,7 @@ def refine_fixed_point(action, window, partition):
     the fixed point stable under inverses as well; each round is C-level maps.
     Returns the stabilized partition restricted to the window.
     """
-    model = action.model
-    n = len(model)
-    window = frozenset(window)
-    ids = [0] * n
-    for i, b in enumerate(partition.blocks, start=1):
-        for a in b:
-            ids[model.index[a]] = i
+    ids = partition.labels(len(action.model))
     gens = list(action.generators.values())
     classes = len(set(ids))
     while True:
@@ -299,9 +284,9 @@ def refine_fixed_point(action, window, partition):
         classes = len(relabel)
         ids = list(map(dict(zip(relabel, range(classes))).__getitem__, signatures))
     blocks = {}
-    for a in window:
-        blocks.setdefault(ids[model.index[a]], set()).add(a)
-    return ClopenPartition.from_blocks(model, window, blocks.values())
+    for i in window:
+        blocks.setdefault(ids[i], set()).add(i)
+    return ClopenPartition.from_blocks(window, blocks.values())
 
 
 def schreier_diameter(action):
@@ -338,7 +323,7 @@ def basepoint_eccentricity(action):
     if len(action.model) > SCHREIER_SIZE_CAP:
         return None
     perms = [action.token_perm(*token) for token in action.signed_tokens()]
-    seen = frontier = {action.model.index[action.basepoint]}
+    seen = frontier = {action.basepoint}
     rounds = -1
     while frontier:
         frontier = {j for p in perms for j in map(p.__getitem__, frontier)} - seen
@@ -394,10 +379,7 @@ def _eta_of_partition(model, partition, *, include_complement):
     Otherwise eta is the least pair rank between a block and the addresses
     labelled otherwise (the complement only when included).
     """
-    block_id = [0] * len(model)
-    for i, b in enumerate(partition.blocks, start=1):
-        for a in b:
-            block_id[model.index[a]] = i
+    block_id = partition.labels(len(model))
     if model.is_tree:
         order, _ = model.lex_order()
         if not include_complement:
@@ -419,7 +401,7 @@ def _eta_of_partition(model, partition, *, include_complement):
         others = [k for k in labelled if block_id[k] != label]
         if others:
             get = tuple_getter(others)
-            gap = min(min(get(rank[model.index[a]])) for a in block)
+            gap = min(min(get(rank[i])) for i in block)
             least = gap if least is None else min(least, gap)
     return None if least is None else realized[least]
 
@@ -483,18 +465,16 @@ def coding_chain(action, table, minimal, diameter, window=None, word_bound=DEFAU
         # first); any window remainder (non-minimal actions) is partitioned by
         # the same cylinder depth
         image_of = dict(zip(words.words, words.images))
-        base_pos = [words.positions(model, b) for b in base_blocks]
+        base_pos = [words.positions(b) for b in base_blocks]
         all_blocks = []
         for word, _ in prev_family:
             image = image_of[word]
-            all_blocks.extend(
-                frozenset(model.addresses[image[t]] for t in pos) for pos in base_pos
-            )
+            all_blocks.extend(frozenset(image[t] for t in pos) for pos in base_pos)
         covered = set().union(*all_blocks)
         remainder = window - covered
         if remainder:
             all_blocks.extend(cylinder_partition(model, remainder, m))
-        partition = ClopenPartition.from_blocks(model, window, all_blocks)
+        partition = ClopenPartition.from_blocks(window, all_blocks)
 
         include_complement = level == 1 and len(window) < len(model)
         eta = _eta_of_partition(model, partition, include_complement=include_complement)
@@ -507,8 +487,7 @@ def coding_chain(action, table, minimal, diameter, window=None, word_bound=DEFAU
             matches_fixed_point = v == target
             if matches_fixed_point:
                 family = translates(action, v, words)
-                reached = set().union(*(set(p) for _, p in family))
-                covers = reached == set(window)
+                covers = set().union(*(p for _, p in family)) == window
                 if covers or not minimal:
                     break
             if words.effective_bound < bound and budget < hard_budget:

@@ -185,6 +185,7 @@ def parse_config(text):
     gallery_params = []
     group = None
     level_specs = {}
+    explicit = []  # (name, header line) of the [group] and [level N] sections
     sized = []  # (line, matrix) whose size must match the group dimension
     depth = None
     words = 8
@@ -202,6 +203,8 @@ def parse_config(text):
             kind = name
             for line_no, key, value in entries:
                 if key == "gallery":
+                    if not value:
+                        raise ParseError(f"[{name}]: gallery needs a builder name", line_no)
                     gallery_name = value
                 elif key == "free_factor":
                     flag = parse_bool(value, line_no)
@@ -211,6 +214,7 @@ def parse_config(text):
                 else:
                     raise ParseError(f"[{name}]: unknown key {key!r}", line_no)
         elif name == "group":
+            explicit.append((name, header))
             dim = denom = None
             gens = []
             for line_no, key, value in entries:
@@ -243,6 +247,7 @@ def parse_config(text):
                 )
             if idx in level_specs:
                 raise ParseError(f"duplicate section [level {idx}]", header)
+            explicit.append((name, header))
             lattice = None
             reps = []
             for line_no, key, value in entries:
@@ -276,6 +281,9 @@ def parse_config(text):
         else:
             raise ParseError(f"unknown section [{name}]", None)
 
+    if gallery_name is not None and explicit:
+        name, header = explicit[0]
+        raise ParseError(f"section [{name}] is ignored next to a gallery reference", header)
     if group is not None:
         for line_no, mat in sized:
             if len(mat) != group.dimension or len(mat[0]) != group.dimension:

@@ -176,32 +176,45 @@ def warp_example(depth, fiber_generators=2, *, include_free_factor=True):
     return CantorAction(
         model,
         generators,
-        COLLAPSED,
+        model.index[COLLAPSED],
         label=f"warp_example(depth={depth}, k={fiber_generators}, "
         f"free_factor={'yes' if include_free_factor else 'no'})",
     )
 
 
+# each builder by name, with the parameters it reads and their defaults
+CHAINS = {
+    "vietoris": (vietoris, {"p": 2, "depth": 3}),
+    "fokkink_oversteegen": (fokkink_oversteegen, {"depth": 2}),
+    "rogers_tollefson": (rogers_tollefson, {"depth": 3}),
+    "small_fo_variant": (small_fo_variant, {"depth": 2}),
+}
+ACTIONS = {"warp_example": (warp_example, {"depth": 6, "k1": 2, "free_factor": "true"})}
+
+
+def _dispatch(kind, table, name, params):
+    """The named builder and its parameters over the defaults; a builder
+    that is not in the table, or a parameter it would not read, is refused."""
+    if name not in table:
+        raise StructureError(f"unknown gallery {kind} {name!r}")
+    builder, defaults = table[name]
+    for key in params:
+        if key not in defaults:
+            raise StructureError(f"gallery {kind} {name!r} takes no parameter {key!r}")
+    return builder, {**defaults, **params}
+
+
 def build_chain(name, params):
     """Dispatch a gallery chain builder by name with a parameter mapping."""
-    if name == "vietoris":
-        return vietoris(int(params.get("p", 2)), int(params.get("depth", 3)))
-    if name == "fokkink_oversteegen":
-        return fokkink_oversteegen(int(params.get("depth", 2)))
-    if name == "rogers_tollefson":
-        return rogers_tollefson(int(params.get("depth", 3)))
-    if name == "small_fo_variant":
-        return small_fo_variant(int(params.get("depth", 2)))
-    raise StructureError(f"unknown gallery chain {name!r}")
+    builder, args = _dispatch("chain", CHAINS, name, params)
+    return builder(**{key: int(value) for key, value in args.items()})
 
 
 def build_action(name, params):
     """Dispatch a gallery action builder by name with a parameter mapping."""
-    if name == "warp_example":
-        return warp_example(
-            int(params.get("depth", 6)),
-            int(params.get("k1", 2)),
-            include_free_factor=parse_bool(params.get("free_factor", "true")),
-        )
-    raise StructureError(f"unknown gallery action {name!r}")
-
+    builder, args = _dispatch("action", ACTIONS, name, params)
+    return builder(
+        int(args["depth"]),
+        int(args["k1"]),
+        include_free_factor=parse_bool(args["free_factor"]),
+    )

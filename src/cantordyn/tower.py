@@ -84,13 +84,14 @@ class QuotientTower(namedtuple("QuotientTower", "chain space bonding addresses")
         Addresses are the compatible coset-id sequences of the tower;
         generators act by the deepest level's permutations; the metric is the
         tree metric with base lam; the basepoint is the identity coset.
+        Address i is coset i of the deepest space.
         """
         from .action import CantorAction, CantorModel, TreeMetric
 
         group = self.chain.group
         model = CantorModel(self.addresses, self.depth, TreeMetric(Fraction(lam)))
         generators = {name: self.space.gen_perms[name] for name, _ in group.generators}
-        basepoint = self.addresses[self.space.index_of_element(group.identity())]
+        basepoint = self.space.index_of_element(group.identity())
         return CantorAction(model, generators, basepoint, label=self.chain.label)
 
 
@@ -233,12 +234,11 @@ def interleave(chain_a, chain_b):
 
 
 def subgroup_cylinder(tower, subgroup):
-    """Deepest-level addresses lying in the image of a subgroup.
+    """Indices of the deepest-level cosets lying in the image of a subgroup.
 
     The cosets of H_K inside S * H_K form the orbit of the identity coset
     under left multiplication by S's generators; only the cosets the orbit
     reaches are multiplied.
     """
-    orbit = tower.space.orbit(subgroup.generator_elements())
-    return frozenset(tower.addresses[i] for i in orbit)
+    return frozenset(tower.space.orbit(subgroup.generator_elements()))
 

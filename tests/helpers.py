@@ -199,7 +199,7 @@ def three_point_action():
         ((("b",), ("c",)), F(1, 1)),
     )
     model = CantorModel(addrs, 1, ExplicitMetric(table))
-    return CantorAction(model, {"s": (0, 2, 1)}, ("a",))
+    return CantorAction(model, {"s": (0, 2, 1)}, 0)
 
 
 # ----------------------------------------- array oracles of the pure-Python routes
@@ -284,25 +284,25 @@ def enumerate_word_perms(action, max_length, *, perm_cap=200000):
 # ------------------------------------------------- engine probes
 
 def probes(action, rng):
-    """Subsets for diameters (every cylinder, random sets, the empty set) and
-    partitions for eta (cylinder partitions of the default window, and
-    random labellings of random windows)."""
+    """Index subsets for diameters (every cylinder, random sets, the empty
+    set) and partitions for eta (cylinder partitions of the default window,
+    and random labellings of random windows)."""
     model = action.model
-    addrs = model.addresses
+    points = range(len(model))
     subsets = [()]
     for j in range(model.depth + 1):
-        subsets += cylinder_partition(model, addrs, j)
-    subsets += [rng.sample(addrs, rng.randint(1, min(40, len(addrs)))) for _ in range(10)]
+        subsets += cylinder_partition(model, points, j)
+    subsets += [rng.sample(points, rng.randint(1, min(40, len(points)))) for _ in range(10)]
     window = default_window(action)
     partitions = [
-        ClopenPartition.from_blocks(model, window, cylinder_partition(model, window, j))
+        ClopenPartition.from_blocks(window, cylinder_partition(model, window, j))
         for j in range(1, model.depth + 1)
     ]
     for _ in range(4):
-        window = rng.sample(addrs, rng.randint(1, len(addrs)))
+        window = rng.sample(points, rng.randint(1, len(points)))
         labels = [rng.randint(1, 3) for _ in window]
-        blocks = [[a for a, k in zip(window, labels) if k == b] for b in (1, 2, 3)]
-        partitions.append(ClopenPartition.from_blocks(model, window, blocks))
+        blocks = [[i for i, k in zip(window, labels) if k == b] for b in (1, 2, 3)]
+        partitions.append(ClopenPartition.from_blocks(window, blocks))
     return subsets, partitions
 
 
@@ -344,7 +344,7 @@ def pair_distances(model):
 def _distances_between(model, pairs):
     dist = pair_distances(model)
     for a, b in pairs:
-        i, j = sorted((model.index[a], model.index[b]))
+        i, j = sorted((a, b))
         yield dist[i, j] if i != j else F(0)
 
 
@@ -393,29 +393,34 @@ def brute_force_diameter(model, subset):
 
 def brute_force_eta(model, partition, *, include_complement):
     """Least distance between distinct blocks (and to the complement)."""
-    block = {a: partition.block_index(a) for a in partition.window}
+    block = {i: k for k, b in enumerate(partition.blocks) for i in b}
     pairs = [
         (a, b)
         for a, b in itertools.product(partition.window, partition.window)
         if block[a] != block[b]
     ]
     if include_complement:
-        outside = [a for a in model.addresses if a not in partition.window]
+        outside = [i for i in range(len(model)) if i not in partition.window]
         pairs += itertools.product(partition.window, outside)
     return min(_distances_between(model, pairs), default=None)
 
 
-def brute_force_pushforward_invariant(action, measure, tokens=None):
-    """g_* mu = mu for each signed token, comparing Fraction weights address
-    by address: (g_* mu)(a) = mu(g^-1 a)."""
-    model = action.model
-    if tokens is None:
-        tokens = action.signed_tokens()
-    for name, sign in tokens:
+def measure_weights(action, measure):
+    """The Fraction weight of every address index under an InvariantMeasure,
+    0 off its support."""
+    return [measure.weight if i in measure.support else F(0) for i in range(len(action.model))]
+
+
+def brute_force_pushforward_invariant(action, measure):
+    """mu has total mass one and g_* mu = mu for each signed token, comparing
+    Fraction weights address by address: (g_* mu)(a) = mu(g^-1 a)."""
+    weight = measure_weights(action, measure)
+    if sum(weight) != 1:
+        return False
+    for name, sign in action.signed_tokens():
         inv = {j: i for i, j in enumerate(action.token_perm(name, sign))}
-        for a in model.addresses:
-            pre = model.addresses[inv[model.index[a]]]
-            if measure.weight(pre) != measure.weight(a):
+        for i in range(len(weight)):
+            if weight[inv[i]] != weight[i]:
                 return False
     return True
 
@@ -468,8 +473,7 @@ def naive_refine_fixed_point(action, window, partition):
     the window's complement as one more block) whose blocks each send all
     their members into one block under every generator and its inverse, by
     splitting one offending block at a time until none splits."""
-    model = action.model
-    outside = set(model.addresses) - set(window)
+    outside = set(range(len(action.model))) - set(window)
     blocks = [set(b) for b in partition.blocks] + ([outside] if outside else [])
     perms = [action.token_perm(name, sign) for name, sign in action.signed_tokens()]
     split = True
@@ -478,9 +482,8 @@ def naive_refine_fixed_point(action, window, partition):
         block_of = {a: k for k, b in enumerate(blocks) for a in b}
         for k, p in itertools.product(range(len(blocks)), perms):
             groups = {}
-            for a in blocks[k]:
-                image = model.addresses[p[model.index[a]]]
-                groups.setdefault(block_of[image], set()).add(a)
+            for i in blocks[k]:
+                groups.setdefault(block_of[p[i]], set()).add(i)
             if len(groups) > 1:
                 blocks[k : k + 1] = groups.values()
                 split = True
@@ -566,7 +569,7 @@ def permutation_of(cosets, g, reps=None):
 
 
 def permutation_orbit_cylinder(tower, subgroup):
-    """Deepest-level addresses in the image of a subgroup, by full
+    """Indices of the deepest-level cosets in the image of a subgroup, by full
     left-multiplication tables of its generators and their inverses."""
     deepest = tower.space
     reps = deepest.reps
@@ -586,7 +589,7 @@ def permutation_orbit_cylinder(tower, subgroup):
                     seen.add(j)
                     new.append(j)
         frontier = new
-    return frozenset(tower.addresses[i] for i in seen)
+    return frozenset(seen)
 
 
 def brute_force_core(cosets):
@@ -630,16 +633,23 @@ def random_tree_action(seed, max_addresses=512):
         return tuple(out)
 
     gens = {f"a{i}": rand_auto() for i in range(rng.choice([2, 3]))}
-    return CantorAction(model, gens, addrs[0], label=f"random-tree({seed})")
+    return CantorAction(model, gens, 0, label=f"random-tree({seed})")
+
+
+def index_set(model, addresses):
+    """The frozenset of the indices of some addresses of a model."""
+    return frozenset(map(model.index.__getitem__, addresses))
 
 
 def least_cylinder_union_depth(model, subset):
-    """Least j such that the subset is an exact union of depth-j cylinders."""
+    """Least j such that a set of address indices is an exact union of
+    depth-j cylinders."""
     subset = frozenset(subset)
+    addrs = model.addresses
     for j in range(model.depth + 1):
-        keys = {model.cylinder_key(a, j) for a in subset}
+        keys = {model.cylinder_key(addrs[i], j) for i in subset}
         members = {
-            a for a in model.addresses if model.cylinder_key(a, j) in keys
+            i for i, a in enumerate(addrs) if model.cylinder_key(a, j) in keys
         }
         if members == subset:
             return j
@@ -655,11 +665,11 @@ def check_coding_laws(action, chain_result, *, rng=None, tree_model=True):
     model = action.model
     window = chain_result.window
     words = chain_result.words
-    where = {model.addresses[i]: t for t, i in enumerate(words.window)}
+    where = {i: t for t, i in enumerate(words.window)}
 
-    def image(k, a):
-        """The k-th return word's image of a window address."""
-        return model.addresses[words.images[k][where[a]]]
+    def image(k, i):
+        """The k-th return word's image of a window address index."""
+        return words.images[k][where[i]]
 
     checks = 0
     prev_v = window
@@ -698,9 +708,8 @@ def check_coding_laws(action, chain_result, *, rng=None, tree_model=True):
         # translated point under a word equals the code of the original point
         # under the concatenated word
         if rng is not None:
-            partition = lv.partition
-            block_id = {a: partition.block_index(a) for a in window}
-            win = sorted(window, key=lambda a: model.index[a])
+            block_id = lv.partition.labels(len(model))
+            win = sorted(window)
             done = 0
             attempts = 0
             while done < 20 and attempts < 400:
@@ -715,9 +724,9 @@ def check_coding_laws(action, chain_result, *, rng=None, tree_model=True):
                 if image(hi, w2) not in window:
                     continue
                 img = image(hi, u2)
-                lhs = block_id.get(img, 0)
+                lhs = block_id[img]
                 composed = action.word_perm(words.words[hi] + words.words[gi])
-                rhs = block_id.get(model.addresses[composed[model.index[u]]], 0)
+                rhs = block_id[composed[u]]
                 assert lhs == rhs, "code equivariance fails"
                 checks += 1
                 done += 1

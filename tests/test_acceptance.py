@@ -13,12 +13,7 @@ import random
 import time
 
 from cantordyn import cli
-from cantordyn.action import (
-    germinal_holonomy,
-    invariant_measure,
-    modulus_table,
-    pushforward_invariant,
-)
+from cantordyn.action import germinal_holonomy, invariant_measure, modulus_table
 from cantordyn.affine import contains, coset_space, is_normal, normal_core, translation
 from cantordyn.config import parse_config, serialize_config
 from cantordyn.gallery import (
@@ -34,6 +29,7 @@ from cantordyn.tower import build_tower, interleave, mccord_verdict, subgroup_cy
 from conftest import record_criterion
 from helpers import (
     brute_force_core,
+    brute_force_pushforward_invariant,
     check_coding_laws,
     enumerate_word_perms,
     random_tree_action,
@@ -193,12 +189,11 @@ def test_criterion_6_invariant_measures_verify_exactly():
     with timed(6, "exact pushforward invariance of returned measures", 5.0):
         for action in gallery_actions():
             mu = invariant_measure(action)
-            assert pushforward_invariant(action, mu)
-            assert sum(w for _, w in mu.weights) == 1
+            assert brute_force_pushforward_invariant(action, mu)  # and total mass 1
         fiber_only = warp_example(3, 2, include_free_factor=False)
         mu = invariant_measure(fiber_only)
-        assert mu.weight(fiber_only.basepoint) == 1
-        assert pushforward_invariant(fiber_only, mu)
+        assert (mu.support, mu.weight) == ({fiber_only.basepoint}, 1)
+        assert brute_force_pushforward_invariant(fiber_only, mu)
 
 
 def test_criterion_7_holonomy_dichotomy():
@@ -211,9 +206,9 @@ def test_criterion_7_holonomy_dichotomy():
         words, completed = enumerate_word_perms(action, 8)
         assert completed == 8
         for word, perm in words:
-            for i, address in enumerate(action.model.addresses):
+            for i in range(len(action.model)):
                 if int(perm[i]) == i:
-                    germ = germinal_holonomy(action, word, address)
+                    germ = germinal_holonomy(action, word, i)
                     assert germ.trivial and germ.depth <= 4
 
 

@@ -17,16 +17,17 @@ from cantordyn.action import (
     invariant_measure,
     is_distal,
     is_minimal,
+    MinimalityVerdict,
     modulus_table,
     parse_word,
-    pushforward_invariant,
 )
-from cantordyn.errors import ResourceLimitError, StructureError
+from cantordyn.errors import InvariantViolation, ResourceLimitError, StructureError
 from cantordyn.gallery import vietoris, warp_example, warp_model
 from cantordyn.tower import build_tower
 from helpers import (
     brute_force_distality,
     enumerate_word_perms,
+    measure_weights,
     three_point_action,
     validate_metric,
 )
@@ -41,20 +42,21 @@ def dyadic_action(depth=3):
 
 def test_empty_word_is_identity():
     act = dyadic_action()
-    for a in act.model.addresses:
-        assert act.act((), a) == a
+    for i in range(len(act.model)):
+        assert act.act((), i) == i
 
 
 def test_double_step_wraps_around():
     act = dyadic_action()
-    assert act.act(parse_word("t*t"), (0, 2, 6)) == (0, 0, 0)
+    index = act.model.index
+    assert act.act(parse_word("t*t"), index[(0, 2, 6)]) == index[(0, 0, 0)]
 
 
 def test_word_with_inverse_pair_is_identity():
     act = dyadic_action()
     w = parse_word("t*t^-1")
-    for a in act.model.addresses:
-        assert act.act(w, a) == a
+    for i in range(len(act.model)):
+        assert act.act(w, i) == i
 
 
 def test_unknown_generator_name_rejected():
@@ -82,7 +84,7 @@ def test_word_evaluation_is_a_homomorphism():
         for _ in range(30):
             w1 = tuple(rng.choice(tokens) for _ in range(rng.randint(0, 6)))
             w2 = tuple(rng.choice(tokens) for _ in range(rng.randint(0, 6)))
-            p = rng.choice(act.model.addresses)
+            p = rng.choice(range(len(act.model)))
             assert act.act(w1 + w2, p) == act.act(w1, act.act(w2, p))
 
 
@@ -95,18 +97,26 @@ def test_word_parsing_round_trip():
 
 def test_dyadic_orbit_reaches_everything():
     act = dyadic_action()
-    assert act.orbit((0, 0, 0)) == set(act.model.addresses)
+    assert act.orbit(act.model.index[(0, 0, 0)]) == set(range(len(act.model)))
 
 
 def test_fiber_only_warp_orbit_of_collapsed_point_is_itself():
     act = warp_example(3, 2, include_free_factor=False)
-    assert act.orbit(COLLAPSED) == {COLLAPSED}
+    collapsed = act.model.index[COLLAPSED]
+    assert act.orbit(collapsed) == {collapsed}
 
 
 def test_identity_only_action_has_singleton_orbits():
     model = CantorModel(((0,), (1,)), 1, TreeMetric(F(1, 2)))
-    act = CantorAction(model, {"e": (0, 1)}, (0,))
-    assert act.orbit((0,)) == {(0,)}
+    act = CantorAction(model, {"e": (0, 1)}, 0)
+    assert act.orbit(0) == {0}
+
+
+def test_basepoint_must_be_an_index_of_the_model():
+    model = CantorModel(((0,), (1,)), 1, TreeMetric(F(1, 2)))
+    for basepoint in (2, -1, (0,)):
+        with pytest.raises(StructureError, match="basepoint"):
+            CantorAction(model, {"e": (0, 1)}, basepoint)
 
 
 # --------------------------------------------------------------- minimality
@@ -118,7 +128,7 @@ def test_dyadic_boundary_is_minimal():
 def test_fiber_only_warp_action_is_not_minimal():
     verdict = is_minimal(warp_example(3, 2, include_free_factor=False))
     assert not verdict.minimal
-    assert verdict.witness_orbit == frozenset({COLLAPSED})
+    assert verdict.witness_orbit == frozenset({0})  # the collapsed point
 
 
 def test_full_warp_action_is_minimal():
@@ -200,70 +210,74 @@ def test_fo_boundary_is_distal():
 def test_non_injective_generator_rejected_at_construction():
     model = CantorModel(((0,), (1,)), 1, TreeMetric(F(1, 2)))
     with pytest.raises(StructureError):
-        CantorAction(model, {"bad": (0, 0)}, (0,))
+        CantorAction(model, {"bad": (0, 0)}, 0)
 
 
 # ----------------------------------------------------------------- measures
 
 def test_uniform_measure_on_dyadic_boundary():
-    mu = invariant_measure(dyadic_action())
-    assert all(w == F(1, 8) for _, w in mu.weights)
+    act = dyadic_action()
+    assert measure_weights(act, invariant_measure(act)) == [F(1, 8)] * 8
 
 
 def test_uniform_measure_on_fo_boundary():
     from cantordyn.gallery import fokkink_oversteegen
 
-    mu = invariant_measure(build_tower(fokkink_oversteegen(1)).boundary_action())
-    assert all(w == F(1, 105) for _, w in mu.weights)
+    act = build_tower(fokkink_oversteegen(1)).boundary_action()
+    assert measure_weights(act, invariant_measure(act)) == [F(1, 105)] * 105
 
 
 def test_point_mass_for_fiber_only_warp_action():
     act = warp_example(3, 2, include_free_factor=False)
     mu = invariant_measure(act)
-    assert mu.weight(COLLAPSED) == 1
-    assert pushforward_invariant(act, mu)
+    assert measure_weights(act, mu) == [1] + [0] * (len(act.model) - 1)
+    assert mu.label == "orbit-closure of 'w0' (1 addresses)"
 
 
 def test_pushforward_exactness_per_generator():
     for act in (dyadic_action(), warp_example(2, 2)):
-        mu = invariant_measure(act)
+        weight = measure_weights(act, invariant_measure(act))
         for name, sign in act.signed_tokens():
             inv = {v: k for k, v in enumerate(act.token_perm(name, sign))}
-            for a in act.model.addresses:
-                i = act.model.index[a]
-                pre = act.model.addresses[inv[i]]
-                assert mu.weight(pre) == mu.weight(a)
+            for i in range(len(act.model)):
+                assert weight[inv[i]] == weight[i]
+
+
+def test_a_support_that_a_generator_leaves_is_refused():
+    act = warp_example(2, 2)  # minimal: no proper subset is invariant
+    with pytest.raises(InvariantViolation, match="support"):
+        invariant_measure(act, MinimalityVerdict(False, frozenset({0, 1})))
 
 
 # ---------------------------------------------------------- germinal depths
 
 def test_empty_word_has_trivial_germ_at_depth_zero():
     act = dyadic_action()
-    verdict = germinal_holonomy(act, (), (0, 0, 0))
+    verdict = germinal_holonomy(act, (), act.model.index[(0, 0, 0)])
     assert verdict.trivial and verdict.depth == 0
 
 
 def test_full_cycle_word_is_identity_hence_trivial():
     act = dyadic_action()
     word = (("t", 1),) * 8
-    verdict = germinal_holonomy(act, word, (0, 0, 0))
+    verdict = germinal_holonomy(act, word, act.model.index[(0, 0, 0)])
     assert verdict.trivial and verdict.depth == 0
 
 
 def test_fiber_generator_germ_is_nontrivial_through_full_depth():
     act = warp_example(3, 2)
-    verdict = germinal_holonomy(act, (("g1", 1),), COLLAPSED)
+    verdict = germinal_holonomy(act, (("g1", 1),), act.model.index[COLLAPSED])
     assert not verdict.trivial
     assert verdict.depth == 3
     a, b = verdict.witness
-    assert a != b
+    assert a != b and act.word_perm((("g1", 1),))[a] == b
 
 
 def test_non_stabilizing_word_rejected_with_image_named():
     act = dyadic_action()
     with pytest.raises(StructureError) as err:
-        germinal_holonomy(act, (("t", 1),), (0, 0, 0))
-    assert "does not stabilize" in str(err.value)
+        germinal_holonomy(act, (("t", 1),), act.model.index[(0, 0, 0)])
+    assert "does not stabilize (0, 0, 0)" in str(err.value)
 
 
 def test_germ_triviality_is_monotone_in_depth():
@@ -271,12 +285,13 @@ def test_germ_triviality_is_monotone_in_depth():
     word = (("g1", 1),) * 4  # g1^4 = identity on depth-2 fibers
     perm = act.word_perm(word)
     assert perm == tuple(range(len(act.model)))
-    verdict = germinal_holonomy(act, word, COLLAPSED)
+    collapsed = act.model.index[COLLAPSED]
+    verdict = germinal_holonomy(act, word, collapsed)
     assert verdict.trivial
     model = act.model
     for j in range(verdict.depth, model.depth + 1):
-        for a in model.cylinder_members(COLLAPSED, j):
-            assert model.addresses[perm[model.index[a]]] == a
+        for i in model.cylinder_members(collapsed, j):
+            assert perm[i] == i
 
 
 # -------------------------------------------------------------- warp metric

@@ -209,7 +209,7 @@ def test_bytes_ball_is_the_tuple_ball_on_random_permutations(
     rng = random.Random(seed)
     model = CantorModel([(i,) for i in range(n)], 1, TreeMetric(F(1, 2)))
     gens = {f"a{i}": tuple(rng.sample(range(n), n)) for i in range(generators)}
-    action = CantorAction(model, gens, (0,))
+    action = CantorAction(model, gens, 0)
     ball, completed = enumerate_word_bytes(action, length, perm_cap=perm_cap)
     tuples, tuple_completed = enumerate_word_tuples(action, length, perm_cap=perm_cap)
     arrays, array_completed = enumerate_word_perms(action, length, perm_cap=perm_cap)

@@ -31,7 +31,6 @@ from cantordyn.action import (
     enumerate_word_tuples,
     invariant_measure,
     is_minimal,
-    pushforward_invariant,
 )
 from cantordyn.affine import (
     AffineElement,
@@ -129,7 +128,7 @@ def test_modulus_distance_minimality_and_measure_match_the_engines(name, lam):
     assert distal.distal
     assert distal.min_delta == action.model.least_distance()
     mu = invariant_measure(action)
-    assert (mu.support_label, mu.support_weights) == (measure[0], measure[1:])
+    assert (mu.label, mu.weight) == measure
 
 
 @pytest.mark.parametrize("name", CHAINS)
@@ -141,14 +140,17 @@ def test_measure_lines_match_the_engines(name, lam):
     report = cmd_measure(SimpleNamespace(lam=lam), chain, Report("test", "measure"))
     expected = Report("test", "measure")
     mu = invariant_measure(action)
+    weight = [mu.weight if i in mu.support else F(0) for i in range(len(action.model))]
     expected.section("measure")
-    expected.add("support", mu.support_label, 1)
-    expected.add("addresses", len(mu.weights), 1)
-    expected.add("weight", mu.support_weights[0], 1)
-    for gen in action.generators:
-        verdict = pushforward_invariant(action, mu, [(gen, 1), (gen, -1)])
-        expected.add(f"invariant_under {gen}", verdict, 1)
-    expected.add("pushforward_invariant_all", pushforward_invariant(action, mu), 1)
+    expected.add("support", mu.label, 1)
+    expected.add("addresses", len(mu.support), 1)
+    expected.add("weight", mu.weight, 1)
+    verdicts = []
+    for gen, perm in action.generators.items():
+        # g_* mu = mu, Fraction by Fraction, exactly when mu(g a) = mu(a)
+        verdicts.append([weight[j] for j in perm] == weight)
+        expected.add(f"invariant_under {gen}", verdicts[-1], 1)
+    expected.add("pushforward_invariant_all", all(verdicts) and sum(weight) == 1, 1)
     assert report.render() == expected.render()
 
 

@@ -40,6 +40,7 @@ from helpers import (
     dense_schreier_diameter,
     enumerate_word_perms,
     least_cylinder_union_depth,
+    index_set,
     naive_refine_fixed_point,
     random_tree_action,
 )
@@ -50,14 +51,14 @@ def dyadic_setup():
     window = default_window(action)
     words = return_words(action, window, 4)
     blocks = cylinder_partition(action.model, window, 2)
-    partition = ClopenPartition.from_blocks(action.model, window, blocks)
+    partition = ClopenPartition.from_blocks(window, blocks)
     return action, window, words, partition
 
 
 def identity_only_action():
     model = CantorModel(((0, 0), (0, 1), (1, 0), (1, 1)), 2, TreeMetric(F(1, 2)))
     n = len(model)
-    return CantorAction(model, {"e": tuple(range(n))}, (0, 0))
+    return CantorAction(model, {"e": tuple(range(n))}, 0)
 
 
 # ------------------------------------------------------------- return words
@@ -78,7 +79,7 @@ def test_dyadic_return_word_classes_at_length_four():
 
 def test_whole_space_window_admits_all_word_classes():
     action = build_tower(vietoris(2, 3)).boundary_action()
-    window = frozenset(action.model.addresses)
+    window = frozenset(range(len(action.model)))
     rws = return_words(action, window, 8)
     assert len(rws) == 8  # all elements of the induced cyclic group
 
@@ -99,19 +100,20 @@ def test_code_of_basepoint_under_return_words_is_nonzero():
 
 def test_code_example_lands_in_block_one():
     action, window, words, partition = dyadic_setup()
-    u = (0, 2, 2)  # the address of 2 mod 8
+    u = action.model.index[(0, 2, 2)]  # the address of 2 mod 8
     assert code(action, window, partition, u, parse_word("t*t")) == 1
 
 
 def test_code_zero_when_image_leaves_window():
     action, window, _, partition = dyadic_setup()
-    assert code(action, window, partition, (0, 0, 0), parse_word("t")) == 0
+    u = action.model.index[(0, 0, 0)]
+    assert code(action, window, partition, u, parse_word("t")) == 0
 
 
 def test_code_requires_point_in_window():
     action, window, _, partition = dyadic_setup()
     with pytest.raises(StructureError):
-        code(action, window, partition, (1, 1, 1), ())
+        code(action, window, partition, action.model.index[(1, 1, 1)], ())
 
 
 # ---------------------------------------------------------------- compute_V
@@ -119,14 +121,14 @@ def test_code_requires_point_in_window():
 def test_dyadic_level_set_is_the_next_cylinder():
     action, window, words, partition = dyadic_setup()
     v = compute_V(action, window, partition, words)
-    assert v == frozenset({(0, 0, 0), (0, 0, 4)})
+    assert v == index_set(action.model, {(0, 0, 0), (0, 0, 4)})
 
 
 def test_single_invariant_block_gives_whole_window():
     action = build_tower(vietoris(2, 3)).boundary_action()
-    window = frozenset(action.model.addresses)
+    window = frozenset(range(len(action.model)))
     words = return_words(action, window, 8)
-    partition = ClopenPartition.from_blocks(action.model, window, [window])
+    partition = ClopenPartition.from_blocks(window, [window])
     assert compute_V(action, window, partition, words) == window
 
 
@@ -149,7 +151,7 @@ def test_dyadic_translates_are_the_two_cosets():
     action, window, words, partition = dyadic_setup()
     v = compute_V(action, window, partition, words)
     family = translates(action, v, words)
-    assert [sorted(p) for _, p in family] == [
+    assert [sorted(map(action.model.addresses.__getitem__, p)) for _, p in family] == [
         [(0, 0, 0), (0, 0, 4)],
         [(0, 2, 2), (0, 2, 6)],
     ]
@@ -159,9 +161,9 @@ def test_dyadic_translates_are_the_two_cosets():
 
 def test_invariant_window_has_a_single_translate():
     action = build_tower(vietoris(2, 3)).boundary_action()
-    window = frozenset(action.model.addresses)
+    window = frozenset(range(len(action.model)))
     words = return_words(action, window, 8)
-    partition = ClopenPartition.from_blocks(action.model, window, [window])
+    partition = ClopenPartition.from_blocks(window, [window])
     v = compute_V(action, window, partition, words)
     family = translates(action, v, words)
     assert len(family) == 1
@@ -170,7 +172,7 @@ def test_invariant_window_has_a_single_translate():
 def test_translate_overlap_without_equality_is_a_hard_error():
     # a hand-built non-equivariant "V": half of one coset and half of another
     action, window, words, _ = dyadic_setup()
-    bogus = frozenset({(0, 0, 0), (0, 2, 2)})
+    bogus = index_set(action.model, {(0, 0, 0), (0, 2, 2)})
     with pytest.raises(InvariantViolation):
         translates(action, bogus, words)
 
@@ -187,8 +189,8 @@ def test_fixed_point_agrees_with_word_bounded_level_set():
 
 def test_fixed_point_leaves_invariant_single_block_unchanged():
     action = build_tower(vietoris(2, 3)).boundary_action()
-    window = frozenset(action.model.addresses)
-    partition = ClopenPartition.from_blocks(action.model, window, [window])
+    window = frozenset(range(len(action.model)))
+    partition = ClopenPartition.from_blocks(window, [window])
     fixed = refine_fixed_point(action, window, partition)
     assert fixed.blocks == (window,)
 
@@ -224,20 +226,19 @@ SHORTEST_WORD_ACTIONS = {
 @pytest.mark.parametrize("name", list(SHORTEST_WORD_ACTIONS))
 def test_shortest_words_carry_their_permutations(name):
     action = SHORTEST_WORD_ACTIONS[name]()
-    model = action.model
     window = default_window(action)
-    win_idx = sorted(model.index[a] for a in window)
+    win_idx = sorted(window)
     dist = orbit_distances(action)
-    b0 = win_idx.index(model.index[action.basepoint])
+    b0 = win_idx.index(action.basepoint)
     targets = []
     for word, image in _shortest_words_into_window(action, win_idx):
         perm = action.word_perm(word)
         assert image == tuple(perm[i] for i in win_idx)
-        target = model.addresses[image[b0]]
+        target = image[b0]
         assert len(word) == dist[target]
-        targets.append(model.index[target])
+        targets.append(target)
     # one word per reachable window address, in address order
-    assert targets == sorted(model.index[a] for a in window if a in dist)
+    assert targets == sorted(i for i in window if i in dist)
 
 
 RETURN_WORD_ACTIONS = {
@@ -252,8 +253,7 @@ RETURN_WORD_ACTIONS = {
 
 
 def assert_images_are_window_restrictions(action, words):
-    model = action.model
-    assert list(words.window) == sorted(model.index[a] for a in default_window(action))
+    assert list(words.window) == sorted(default_window(action))
     assert len(words.images) == len(words.words)
     for word, image in zip(words.words, words.images):
         perm = action.word_perm(word)
@@ -312,7 +312,7 @@ def test_fixed_point_agreement_at_schreier_diameter_on_random_actions():
         diam = schreier_diameter(action)
         words = return_words(action, window, diam)
         blocks = cylinder_partition(action.model, window, 2)
-        partition = ClopenPartition.from_blocks(action.model, window, blocks)
+        partition = ClopenPartition.from_blocks(window, blocks)
         fixed = refine_fixed_point(action, window, partition)
         block = next(b for b in fixed.blocks if action.basepoint in b)
         assert compute_V(action, window, partition, words) == block
@@ -325,8 +325,8 @@ def test_dyadic_chain_levels_and_constants():
     cc = coding_chain_of(action)
     assert len(cc.levels) == 2
     l1, l2 = cc.levels
-    assert l1.v == frozenset({(0, 0, 0), (0, 0, 4)})
-    assert l2.v == frozenset({(0, 0, 0)})
+    assert l1.v == index_set(action.model, {(0, 0, 0), (0, 0, 4)})
+    assert l2.v == index_set(action.model, {(0, 0, 0)})
     assert l1.eps == F(1, 2)
     assert l2.eps == F(1, 8)
     assert l2.eps < l1.eps / 2
@@ -435,14 +435,14 @@ def test_refine_fixed_point_matches_the_naive_split_loop(name):
     rng = random.Random(len(model))
     window = default_window(action)
     partitions = [
-        ClopenPartition.from_blocks(model, window, cylinder_partition(model, window, j))
+        ClopenPartition.from_blocks(window, cylinder_partition(model, window, j))
         for j in range(1, model.depth + 1)
     ]
     for labels in (2, 3, 5):
         blocks = {}
-        for a in window:
-            blocks.setdefault(rng.randrange(labels), set()).add(a)
-        partitions.append(ClopenPartition.from_blocks(model, window, blocks.values()))
+        for i in sorted(window):
+            blocks.setdefault(rng.randrange(labels), set()).add(i)
+        partitions.append(ClopenPartition.from_blocks(window, blocks.values()))
     for partition in partitions:
         fixed = refine_fixed_point(action, window, partition)
         assert set(fixed.blocks) == naive_refine_fixed_point(action, window, partition)
@@ -451,12 +451,11 @@ def test_refine_fixed_point_matches_the_naive_split_loop(name):
 def test_partition_construction_rejects_bad_blocks():
     action = build_tower(vietoris(2, 3)).boundary_action()
     window = default_window(action)
+    origin = {action.model.index[(0, 0, 0)]}
     with pytest.raises(StructureError):
-        ClopenPartition.from_blocks(
-            action.model, window, [window, {(0, 0, 0)}]
-        )
+        ClopenPartition.from_blocks(window, [window, origin])
     with pytest.raises(StructureError):
-        ClopenPartition.from_blocks(action.model, window, [{(0, 0, 0)}])
+        ClopenPartition.from_blocks(window, [origin])
 
 
 def test_local_constancy_depth_bounded_by_partition_scale():

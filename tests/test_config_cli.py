@@ -213,6 +213,37 @@ def test_a_duplicate_error_names_the_section_or_key(tmp_path, capsys):
         assert err.startswith(f"error: line {line}: ") and "duplicate" in err and what in err
 
 
+# parts that a gallery builder would drop unread
+IGNORED_PARTS = {
+    "level-next-to-gallery": (
+        VIETORIS_TEXT + "[level 1]\nlattice = 7 0 / 0 7\n",
+        "line 5: section [level 1] is ignored next to a gallery reference",
+    ),
+    "group-next-to-gallery": (
+        "[group]\ndimension = 1\ndenominator = 1\ngenerator t = 1 ; 1\n" + VIETORIS_TEXT,
+        "line 1: section [group] is ignored next to a gallery reference",
+    ),
+    "fokkink_oversteegen-p-k1-free_factor": (
+        "[chain]\ngallery = fokkink_oversteegen\np = 2\nk1 = 2\nfree_factor = true\n",
+        "gallery chain 'fokkink_oversteegen' takes no parameter 'p'",
+    ),
+    "warp_example-p": (
+        "[action]\ngallery = warp_example\np = 2\n",
+        "gallery action 'warp_example' takes no parameter 'p'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", IGNORED_PARTS)
+def test_a_part_the_gallery_ignores_exits_two_naming_it(tmp_path, capsys, name):
+    text, message = IGNORED_PARTS[name]
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    for command in ("classify", "code", "measure"):
+        rc, out, err = run_cli(capsys, command, str(bad))
+        assert (rc, out, err) == (2, "", f"error: {message}\n"), command
+
+
 def test_rep_lines_repeat():
     glide = "rep = 1 0 / 0 -1 ; 3/2 0\n"
     cfg = parse_config(FO_TEXT.replace(glide, "rep = 1 0 / 0 1 ; 0 0\n" + glide))
@@ -521,11 +552,12 @@ def test_code_builds_one_return_word_set_and_no_word_perm(
 def test_classify_checks_minimality_and_invariance_once(
     capsys, monkeypatch, command, args, count
 ):
-    """`invariant_measure` checks every signed token and raises otherwise, so
-    one check gives every invariance line of `classify` and `measure`."""
+    """`invariant_measure` checks that every generator keeps the measure's
+    support and raises otherwise, so one call gives every invariance line of
+    `classify` and `measure`."""
     from cantordyn import action
 
-    calls = {"is_minimal": 0, "pushforward_invariant": 0}
+    calls = {"is_minimal": 0, "invariant_measure": 0}
 
     def counted(name, fn):
         def wrapper(*a, **kw):
@@ -540,7 +572,7 @@ def test_classify_checks_minimality_and_invariance_once(
     assert rc == 0
     key = "pushforward_invariant_all" if command == "measure" else "pushforward_invariant"
     assert f"  {key}: true\n" in out
-    assert calls == {"is_minimal": count, "pushforward_invariant": count}
+    assert calls == {"is_minimal": count, "invariant_measure": count}
 
 
 @pytest.mark.parametrize(

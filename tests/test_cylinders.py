@@ -1,6 +1,6 @@
 """Cylinder engines of tree models against the rank-matrix oracle, the word
-ball on tuples against the array ball, and the weight-class pushforward check
-against the Fraction oracle."""
+ball on tuples against the array ball, and the invariant measure's support
+check against the Fraction oracle."""
 
 import itertools
 import math
@@ -15,15 +15,16 @@ from hypothesis import strategies as st
 from cantordyn.action import (
     CantorAction,
     CantorModel,
-    CylinderMeasure,
+    InvariantMeasure,
+    MinimalityVerdict,
     TreeMetric,
     enumerate_word_tuples,
     invariant_measure,
     is_distal,
     is_minimal,
-    pushforward_invariant,
 )
 from cantordyn.config import parse_config
+from cantordyn.errors import InvariantViolation
 from cantordyn.gallery import (
     fokkink_oversteegen,
     rogers_tollefson,
@@ -101,7 +102,7 @@ def tree_actions(draw):
     model = CantorModel(addrs, len(branch), TreeMetric(lam))
     perms = draw(st.lists(st.permutations(range(len(addrs))), min_size=1, max_size=3))
     gens = {f"a{i}": tuple(p) for i, p in enumerate(perms)}
-    return CantorAction(model, gens, addrs[0])
+    return CantorAction(model, gens, 0)
 
 
 @given(tree_actions(), st.integers(0, 2 ** 16))
@@ -111,24 +112,15 @@ def test_cylinder_engines_match_the_rank_oracle_on_random_bijections(action, see
 
 # ------------------------------------------------------------- pushforward
 
-def measures(action, rng):
-    """The invariant measure and measures that fail invariance under some
-    or every token: a point mass, a cylinder, random rational weights."""
-    model = action.model
-    addrs = model.addresses
-    cylinder = model.cylinder_members(action.basepoint, 1)
-    raw = [rng.randint(0, 3) for _ in addrs]
-    raw[0] += 1
-    return [
-        invariant_measure(action),
-        CylinderMeasure(((action.basepoint, F(1)),)),
-        CylinderMeasure(tuple((a, F(1, len(cylinder))) for a in cylinder)),
-        CylinderMeasure(tuple((a, F(w, sum(raw))) for a, w in zip(addrs, raw))),
-    ]
-
-
-def refuse_weight(self, address):
-    raise AssertionError("the pushforward check read a Fraction weight")
+def supports(action):
+    """The basepoint's orbit, its depth-1 cylinder, the basepoint alone and
+    the last address alone: the uniform measure on each is invariant or fails
+    under some token."""
+    n = len(action.model)
+    verdict = is_minimal(action)
+    orbit = range(n) if verdict.minimal else verdict.witness_orbit
+    cylinder = action.model.cylinder_members(action.basepoint, 1)
+    return [frozenset(s) for s in (orbit, cylinder, [action.basepoint], [n - 1])]
 
 
 MEASURE_ACTIONS = pytest.mark.parametrize(
@@ -145,40 +137,21 @@ MEASURE_ACTIONS = pytest.mark.parametrize(
 
 
 @MEASURE_ACTIONS
-def test_pushforward_check_matches_the_fraction_oracle(build):
+def test_support_check_matches_the_fraction_oracle(build):
+    # a uniform measure is invariant exactly when the generators keep its
+    # support, which invariant_measure checks on the orbit a verdict names
     action = build()
-    cases = [[token] for token in action.signed_tokens()] + [None]
     verdicts = []
-    for mu in measures(action, random.Random(len(action.model))):
-        expected = [brute_force_pushforward_invariant(action, mu, c) for c in cases]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(CylinderMeasure, "weight", refuse_weight)
-            assert [pushforward_invariant(action, mu, c) for c in cases] == expected
-        verdicts += expected
+    for support in supports(action):
+        mu = InvariantMeasure("label", support, F(1, len(support)))
+        expected = brute_force_pushforward_invariant(action, mu)
+        try:
+            invariant_measure(action, MinimalityVerdict(False, support))
+        except InvariantViolation:
+            assert not expected
+        else:
+            assert expected
+        verdicts.append(expected)
     assert True in verdicts and False in verdicts
-
-
-@MEASURE_ACTIONS
-def test_uniform_measure_is_the_address_by_address_one(build):
-    action = build()
-    model = action.model
-    verdict = is_minimal(action)
-    orbit = model.addresses if verdict.minimal else sorted(
-        verdict.witness_orbit, key=model.index.__getitem__
-    )
-    cylinder = model.cylinder_members(action.basepoint, 1)
-    cases = [[token] for token in action.signed_tokens()] + [None]
-    for support in (orbit, cylinder, [action.basepoint]):
-        uniform = CylinderMeasure.uniform(support, "label")
-        listed = CylinderMeasure(tuple((a, F(1, len(support))) for a in support), "label")
-        assert uniform == listed
-        assert uniform.support_weights == listed.support_weights == (F(1, len(support)),)
-        assert [uniform.weight(a) for a in model.addresses] == [
-            listed.weight(a) for a in model.addresses
-        ]
-        assert uniform.weight_classes(model.addresses) == listed.weight_classes(model.addresses)
-        assert [pushforward_invariant(action, uniform, c) for c in cases] == [
-            pushforward_invariant(action, listed, c) for c in cases
-        ]
     mu = invariant_measure(action)
-    assert mu.weights == tuple((a, F(1, len(orbit))) for a in orbit)
+    assert (mu.support, mu.weight) == (supports(action)[0], F(1, len(mu.support)))

@@ -151,7 +151,8 @@ def test_gallery_chains_pass_chain_invariants():
 
 def test_warp_fiber_generators_fix_the_collapsed_point():
     action = warp_example(3, 2, include_free_factor=False)
-    assert action.orbit(COLLAPSED) == {COLLAPSED}
+    assert action.model.addresses[action.basepoint] == COLLAPSED
+    assert action.orbit(action.basepoint) == {action.basepoint}
     assert not is_minimal(action).minimal
 
 

@@ -123,7 +123,7 @@ def test_distality_refuses_a_zero_in_an_explicit_table():
         ((("b",), ("c",)), F(1)),
     )
     model = CantorModel(addrs, 1, ExplicitMetric(table))
-    action = CantorAction(model, {"s": (0, 2, 1)}, ("a",))
+    action = CantorAction(model, {"s": (0, 2, 1)}, 0)
     with pytest.raises(StructureError, match="distinct addresses at distance 0"):
         is_distal(action, 3)
 
@@ -164,15 +164,14 @@ def assert_engines_match_oracles(action, word_length):
 
     rng = random.Random(len(model))
     window = default_window(action)
-    subsets = [window, model.addresses, rng.sample(model.addresses, min(7, len(model)))]
+    points = range(len(model))
+    subsets = [window, points, rng.sample(points, min(7, len(model)))]
     subsets += [model.cylinder_members(action.basepoint, j) for j in range(model.depth + 1)]
     for subset in subsets:
         assert model.diameter(subset) == brute_force_diameter(model, subset)
 
     for j in range(1, model.depth + 1):
-        partition = ClopenPartition.from_blocks(
-            model, window, cylinder_partition(model, window, j)
-        )
+        partition = ClopenPartition.from_blocks(window, cylinder_partition(model, window, j))
         for include_complement in (False, True):
             assert _eta_of_partition(
                 model, partition, include_complement=include_complement
