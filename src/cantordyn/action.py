@@ -3,12 +3,13 @@
 A point is an address index: generators are index permutations, and the
 basepoint, orbits and subsets are indices.  Addresses, hashable tuples over
 per-level alphabets (or a reserved collapsed token), are only the points'
-labels, read by the metric, the cylinder keys and the lexicographic order.
-Metrics are exact rational functions, and the pairwise engines
-(least distance, diameters, partition gaps) take one of two routes by
-metric.  On a tree metric two addresses lie within lam^j exactly when they
-share a depth-j cylinder, so the engines read cylinders off the
-lexicographic order of the addresses, in pure Python.  Any other metric (the
+labels, read by the metric and by the cylinder key, which
+`CantorModel.cylinder_labels` turns once per depth into a column of small
+ints, one per address index.  Metrics are exact rational functions, and the
+pairwise engines (least distance, diameters, partition gaps) take one of two
+routes by metric.  On a tree metric two addresses lie within lam^j exactly
+when they share a depth-j cylinder, so the engines compare label columns, in
+pure Python.  Any other metric (the
 warp product) computes every pairwise distance once, into cached pair ranks:
 each pair's index into the ascending tuple of exact realized distances,
 filled from integer keys order-isomorphic to the distances (numerators over
@@ -167,7 +168,9 @@ def warp_cylinder_key(address, j):
 
 
 class CantorModel:
-    """A finite ordered address set with an exact metric and cylinder keys."""
+    """A finite ordered address set with an exact metric and cylinder keys;
+    a tree model's addresses have `depth` levels, so its depth-`depth`
+    cylinders are single addresses."""
 
     def __init__(self, addresses, depth, metric, cylinder_key=None):
         self.addresses = tuple(addresses)
@@ -177,11 +180,11 @@ class CantorModel:
             raise StructureError("model needs at least one address")
         self.depth = int(depth)
         self.metric = metric
-        self._cylinder_key = cylinder_key
+        self._cylinder_key = cylinder_key or (lambda a, j: a[:j])
         self.index = {a: i for i, a in enumerate(self.addresses)}
         self.is_tree = isinstance(metric, TreeMetric)
         self._pair_ranks = None
-        self._lex_order = None
+        self._cylinder_labels = {}
 
     def __len__(self):
         return len(self.addresses)
@@ -189,31 +192,32 @@ class CantorModel:
     def distance(self, a, b):
         return self.metric.distance(a, b)
 
-    def lex_order(self):
-        """(order, split) of a tree model: its address indices in
-        lexicographic order, and split[t], the common-prefix length of the
-        t-th and (t+1)-th addresses in that order.
+    def cylinder_labels(self, j):
+        """The depth-j cylinder of each address index, as a list of small
+        ints numbered from 0 in order of first appearance: two indices share
+        a label exactly when their addresses share the cylinder key (the
+        prefix a[:j], or the constructor's `cylinder_key`).
 
-        A depth-j cylinder is a run of the order that no split below j cuts,
-        and a set of addresses has the common prefix of its least and
-        greatest.  Built on first use and cached; it holds O(n) entries, so
-        no cell cap applies.
+        Built on first use of each depth and cached; a column holds n
+        entries, so no cell cap applies.
         """
-        if self._lex_order is None:
-            addrs = self.addresses
-            order = sorted(range(len(addrs)), key=addrs.__getitem__)
-            split = [
-                common_prefix(addrs[i], addrs[k]) for i, k in zip(order, order[1:])
-            ]
-            self._lex_order = order, split
-        return self._lex_order
+        labels = self._cylinder_labels.get(j)
+        if labels is None:
+            keys = [self._cylinder_key(a, j) for a in self.addresses]
+            ids = dict.fromkeys(keys)  # in order of first appearance
+            labels = list(map(dict(zip(ids, range(len(ids)))).__getitem__, keys))
+            self._cylinder_labels[j] = labels
+        return labels
 
     def least_distance(self):
         """The least positive realized distance (0 for a single address): on
-        a tree, lam to the deepest level at which some cylinder splits."""
+        a tree, lam to the deepest level j < depth at which some depth-j
+        cylinder holds two addresses."""
         if self.is_tree:
-            _, split = self.lex_order()
-            return self.metric.lam ** max(split) if split else Fraction(0)
+            for j in reversed(range(self.depth)):
+                if len(set(self.cylinder_labels(j))) < len(self):
+                    return self.metric.lam ** j
+            return Fraction(0)
         realized, _ = self.pair_ranks()
         return realized[1] if len(self) > 1 else Fraction(0)
 
@@ -231,28 +235,25 @@ class CantorModel:
             self._pair_ranks = _pair_rank_rows(self)
         return self._pair_ranks
 
-    def cylinder_key(self, address, j):
-        if self._cylinder_key is not None:
-            return self._cylinder_key(address, j)
-        return tuple(address[:j])
-
     def cylinder_members(self, i, j):
         """Indices of the addresses in the depth-j cylinder of address i."""
-        key = self.cylinder_key(self.addresses[i], j)
-        return [k for k, a in enumerate(self.addresses) if self.cylinder_key(a, j) == key]
+        labels = self.cylinder_labels(j)
+        return [k for k, label in enumerate(labels) if label == labels[i]]
 
     def diameter(self, subset):
         """Largest distance within a set of address indices (0 for fewer than
-        two): on a tree, the distance between its lexicographically least and
-        greatest addresses; otherwise the realized distance at its largest
-        pair rank."""
+        two): on a tree, lam to the deepest level j at which one depth-j
+        cylinder holds the whole set, a depth-`depth` cylinder being a single
+        address; otherwise the realized distance at its largest pair rank."""
         if not subset:
             return Fraction(0)
-        if self.is_tree:
-            members = list(map(self.addresses.__getitem__, subset))
-            return self.distance(min(members), max(members))
-        realized, rank = self.pair_ranks()
         idx = list(subset)
+        if self.is_tree:
+            for j in range(1, self.depth + 1):
+                if len(set(map(self.cylinder_labels(j).__getitem__, idx))) > 1:
+                    return self.metric.lam ** (j - 1)
+            return Fraction(0)
+        realized, rank = self.pair_ranks()
         get = tuple_getter(idx)
         return realized[max(max(get(rank[i])) for i in idx)]
 

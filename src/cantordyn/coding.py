@@ -15,9 +15,10 @@ Points are address indices: the window, the partition blocks, the level
 sets and their translates are sets of them, and each return word keeps only
 its restriction to W, a tuple of them, which is all the chain reads.  The
 word ball takes the model's representation (bytes up to 256 addresses,
-tuples above), the partition gap reads cylinders
-or rows of pair ranks, and the Schreier diameter grows Python-int bitsets,
-all on the standard library.  The chain takes its modulus table (computed
+tuples above), the partition gap and the clopen-window check compare the
+model's cylinder label columns (the gap reads rows of pair ranks off a
+tree), and the Schreier diameter grows Python-int bitsets, all on the
+standard library.  The chain takes its modulus table (computed
 only on the rank route, for non-tree models), minimality and orbit-graph
 diameter from the caller.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .action import common_prefix, tuple_getter, word_ball
+from .action import tuple_getter, word_ball
 from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, CODING_BUDGET, SCHREIER_SIZE_CAP, ball_cap, check_cells
 
@@ -74,9 +75,10 @@ class ClopenPartition:
 
 def cylinder_partition(model, subset, depth):
     """Partition of a set of address indices into its depth-j cylinder classes."""
+    labels = model.cylinder_labels(depth)
     groups = {}
     for i in subset:
-        groups.setdefault(model.cylinder_key(model.addresses[i], depth), set()).add(i)
+        groups.setdefault(labels[i], set()).add(i)
     return [frozenset(g) for g in groups.values()]
 
 
@@ -96,11 +98,11 @@ def _check_clopen_window(action, window):
     if action.basepoint not in window:
         raise StructureError("window must contain the basepoint")
     for j in range(model.depth + 1):
-        keys = {model.cylinder_key(model.addresses[i], j) for i in window}
-        members = {
-            i for i, a in enumerate(model.addresses) if model.cylinder_key(a, j) in keys
-        }
-        if members == window:
+        # the window's cylinders hold no other address exactly when their
+        # members number as many as the window's
+        labels = model.cylinder_labels(j)
+        cylinders = {labels[i] for i in window}
+        if sum(label in cylinders for label in labels) == len(window):
             return window
     raise StructureError("window is not a union of cylinders")
 
@@ -373,29 +375,23 @@ def _eta_of_partition(model, partition, *, include_complement):
     """Least distance between distinct blocks (and to the complement), or
     None when no such pair exists.
 
-    On a tree, the closest pair with different block labels (the complement
-    labelled 0) is lexicographically adjacent among the labelled addresses,
-    so eta is lam to the deepest common prefix of such an adjacent pair.
-    Otherwise eta is the least pair rank between a block and the addresses
-    labelled otherwise (the complement only when included).
+    The complement counts as block 0, and only when included.  On a tree two
+    addresses lie within lam^j exactly when they share a depth-j cylinder, so
+    eta is lam to the deepest j at which one depth-j cylinder holds two
+    different block ids: one whose (cylinder, block) pairs outnumber its
+    cylinders.  Otherwise eta is the least pair rank between a block and the
+    addresses labelled otherwise.
     """
     block_id = partition.labels(len(model))
-    if model.is_tree:
-        order, _ = model.lex_order()
-        if not include_complement:
-            order = [i for i in order if block_id[i]]
-        addrs = model.addresses
-        deepest = max(
-            (
-                common_prefix(addrs[i], addrs[k])
-                for i, k in zip(order, order[1:])
-                if block_id[i] != block_id[k]
-            ),
-            default=None,
-        )
-        return None if deepest is None else model.metric.lam ** deepest
-    realized, rank = model.pair_ranks()
     labelled = [i for i, b in enumerate(block_id) if b or include_complement]
+    if model.is_tree:
+        ids = list(map(block_id.__getitem__, labelled))
+        for j in range(model.depth - 1, -1, -1):
+            cylinders = list(map(model.cylinder_labels(j).__getitem__, labelled))
+            if len(set(zip(cylinders, ids))) > len(set(cylinders)):
+                return model.metric.lam ** j
+        return None
+    realized, rank = model.pair_ranks()
     least = None
     for label, block in enumerate(partition.blocks, start=1):
         others = [k for k in labelled if block_id[k] != label]
@@ -432,12 +428,12 @@ def coding_chain(action, table, minimal, diameter, window=None, word_bound=DEFAU
     model = action.model
     if window is None:
         window = default_window(action)
-    window = _check_clopen_window(action, window)
     ceiling = max(word_bound, diameter if diameter is not None else len(model))
     bound = word_bound
     hard_budget = ball_cap(CODING_BUDGET, len(model))  # word_ball's own clamp
     budget = min(BALL_BUDGET, hard_budget)
     words = return_words(action, window, bound, perm_budget=budget)
+    window = frozenset(words.window)  # checked clopen by return_words
 
     levels = []
     v_prev = window

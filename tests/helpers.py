@@ -20,6 +20,7 @@ from cantordyn.action import (
     _word_ball,
     common_prefix,
     is_distal,
+    warp_cylinder_key,
 )
 from cantordyn import _intmat as im
 from cantordyn.affine import compose, conjugate, subgroup_intersect, subgroup_le
@@ -645,12 +646,11 @@ def least_cylinder_union_depth(model, subset):
     """Least j such that a set of address indices is an exact union of
     depth-j cylinders."""
     subset = frozenset(subset)
-    addrs = model.addresses
+    warp = isinstance(model.metric, WarpMetric)
     for j in range(model.depth + 1):
-        keys = {model.cylinder_key(addrs[i], j) for i in subset}
-        members = {
-            i for i, a in enumerate(addrs) if model.cylinder_key(a, j) in keys
-        }
+        keys = [warp_cylinder_key(a, j) if warp else a[:j] for a in model.addresses]
+        inside = {keys[i] for i in subset}
+        members = {i for i, key in enumerate(keys) if key in inside}
         if members == subset:
             return j
     return None

@@ -20,7 +20,11 @@ def cylinder_modulus_rows(action):
     one row per level j at which some cylinder splits."""
     model = action.model
     addrs = model.addresses
-    order, split = model.lex_order()
+    # the addresses in lexicographic order, and the common-prefix length of
+    # each neighbouring pair there: a depth-j cylinder is a run of the order
+    # that no split below j cuts
+    order = sorted(range(len(addrs)), key=addrs.__getitem__)
+    split = [common_prefix(addrs[i], addrs[k]) for i, k in zip(order, order[1:])]
     position = [0] * len(order)
     for t, i in enumerate(order):
         position[i] = t
