@@ -169,8 +169,8 @@ def warp_cylinder_key(address, j):
 
 class CantorModel:
     """A finite ordered address set with an exact metric and cylinder keys;
-    a tree model's addresses have `depth` levels, so its depth-`depth`
-    cylinders are single addresses."""
+    a tree model's addresses must be tuples of `depth` levels (StructureError
+    otherwise), so its depth-`depth` cylinders are single addresses."""
 
     def __init__(self, addresses, depth, metric, cylinder_key=None):
         self.addresses = tuple(addresses)
@@ -183,6 +183,13 @@ class CantorModel:
         self._cylinder_key = cylinder_key or (lambda a, j: a[:j])
         self.index = {a: i for i, a in enumerate(self.addresses)}
         self.is_tree = isinstance(metric, TreeMetric)
+        if self.is_tree and any(
+            not isinstance(a, tuple) or len(a) != self.depth for a in self.addresses
+        ):
+            raise StructureError(
+                f"the addresses of a tree model of depth {self.depth} "
+                f"must be {self.depth}-level tuples"
+            )
         self._pair_ranks = None
         self._cylinder_labels = {}
 

@@ -609,20 +609,20 @@ class CosetSpace:
         return self.index_of_scaled(g.point, g.scaled)
 
     def orbit(self, elements):
-        """Indices of the orbit of the identity coset (the least key, so index
-        0) under left multiplication by `elements`, through their step table;
-        the space is finite, so inverses add nothing."""
+        """The orbit of the identity coset (the least key, so index 0) under
+        left multiplication by `elements`, as indices in breadth-first order,
+        and each orbit coset's row of images, one index per element, through
+        their step table; the space is finite, so inverses add nothing."""
         table = _step_table(self.group, self._red_data, [(g.point, g.scaled) for g in elements])
-        seen = {0}
-        queue = [0]  # grows while walked
+        seen, queue, rows = {0}, [0], []  # the queue grows while walked
         for i in queue:
             cid, red, _ = self.keys[i]
-            for row in table[cid]:
-                j = self._key_index[_step(row, red)]
+            rows.append([self._key_index[_step(step, red)] for step in table[cid]])
+            for j in rows[-1]:
                 if j not in seen:
                     seen.add(j)
                     queue.append(j)
-        return queue
+        return queue, rows
 
 
 def _coset_reduction_data(group, subgroup):

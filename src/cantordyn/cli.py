@@ -142,8 +142,8 @@ def _dynamics_sections(report, depth, orbit, table, distal, measure):
 def _chain_reading(chain, lam):
     """The boundary action's modulus table and measure (support label and
     weight), read off the chain.  G permutes G/H_K transitively and keeps each
-    G/H_j (`build_tower` checks the descent): a minimal tree isometry with one
-    row (lam^j, lam^j) for each j with [H_j : H_j+1] > 1 (H_0 = G)."""
+    G/H_j (the descent gates of `build_tower` and `code` check it): a minimal
+    tree isometry, one row (lam^j, lam^j) per j with [H_j : H_j+1] > 1 (H_0 = G)."""
     from .action import ModulusTable
 
     indices = chain.indices()
@@ -242,28 +242,28 @@ def cmd_compare(cfg_a, cfg_b, report):
 
 
 def cmd_code(cfg, chain, report):
+    """The coding chain of the default window; on a chain, read off its
+    algebra with no tower (`coding.ChainWindow`)."""
     from .action import format_word
-    from .coding import basepoint_eccentricity, check_window_cells, coding_chain, schreier_diameter
+    from .coding import ActionWindow, ChainWindow, check_window_cells, code_window
+    from .coding import basepoint_eccentricity, schreier_diameter
 
     if chain is not None:
-        from .affine import is_normal, normal_core
-        from .tower import build_tower, subgroup_cylinder
+        from .affine import coset_space, is_normal
 
         indices = chain.indices()  # the default window: one level-1 coset's fibre
         check_window_cells(indices[-1] // indices[0] if chain.depth > 1 else indices[-1])
-        tower = build_tower(chain)  # raises unless the generators descend
-        action = tower.boundary_action(cfg.lam)
+        source = ChainWindow(chain, coset_space(chain.group, chain.levels[-1]), cfg.lam)
         table, minimal = _chain_reading(chain, cfg.lam)[0], True
         regular = is_normal(chain.group, chain.levels[-1]).normal  # a Cayley graph
     else:
         from .action import is_minimal, modulus_table
 
         action = cfg.build_action()
-        tower = None
         table, minimal = modulus_table(action), is_minimal(action).minimal
-        regular = False
-    diameter = basepoint_eccentricity(action) if regular else schreier_diameter(action)
-    chain_result = coding_chain(action, table, minimal, diameter, word_bound=cfg.words)
+        source, regular = ActionWindow(action), False
+    diameter = (basepoint_eccentricity if regular else schreier_diameter)(source.graph)
+    chain_result = code_window(source, table, minimal, diameter, word_bound=cfg.words)
     words = chain_result.words
     report.section("window")
     report.add("size", len(chain_result.window), 1)
@@ -297,11 +297,10 @@ def cmd_code(cfg, chain, report):
             [format_word(w) for w, _ in lv.translate_family[:4]],
             2,
         )
-    if tower is not None:
+    if chain is not None:
         report.section("core_oracle")
         for lv in chain_result.levels:
-            core = normal_core(chain.group, chain.levels[lv.cylinder_depth - 1])
-            cyl = subgroup_cylinder(tower, core)
+            cyl = source.core_orbit(lv.cylinder_depth)  # against the level set
             report.add(
                 f"level {lv.level}",
                 f"core_of_chain_level {lv.cylinder_depth} cylinder_size "

@@ -14,13 +14,15 @@ a tolerance.
 Points are address indices: the window, the partition blocks, the level
 sets and their translates are sets of them, and each return word keeps only
 its restriction to W, a tuple of them, which is all the chain reads.  The
-word ball takes the model's representation (bytes up to 256 addresses,
-tuples above), the partition gap and the clopen-window check compare the
-model's cylinder label columns (the gap reads rows of pair ranks off a
-tree), and the Schreier diameter grows Python-int bitsets, all on the
-standard library.  The chain takes its modulus table (computed
-only on the rank route, for non-tree models), minimality and orbit-graph
-diameter from the caller.
+partition gap and the clopen-window check compare the model's cylinder
+label columns (the gap reads rows of pair ranks off a tree), and the
+Schreier diameter grows Python-int bitsets, all on the standard library.
+The chain takes its modulus table (computed only on the rank route, for
+non-tree models), minimality and orbit-graph diameter from the caller.
+
+The loop (`code_window`) reads a window source: `ActionWindow`, whose ball
+takes the model's representation (bytes up to 256 addresses, tuples above),
+or `ChainWindow`, a chain's window read off its algebra with no tower.
 """
 
 from __future__ import annotations
@@ -28,7 +30,15 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .action import tuple_getter, word_ball
+from .action import (
+    CantorAction,
+    CantorModel,
+    TreeMetric,
+    _invert_perm,
+    _word_ball,
+    tuple_getter,
+    word_ball,
+)
 from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, CODING_BUDGET, SCHREIER_SIZE_CAP, ball_cap, check_cells
 
@@ -93,6 +103,11 @@ def default_window(action):
 
 
 def _check_clopen_window(action, window):
+    """The window as a frozenset, refused unless it holds the basepoint and
+    is a union of cylinders of one depth.  The refusal cannot fire where the
+    depth-`depth` cylinders are single addresses: on a tree model, whose
+    addresses have `depth` levels, and on the warp model.  It guards a model
+    whose key function leaves several addresses in one finest cylinder."""
     model = action.model
     window = frozenset(window)
     if action.basepoint not in window:
@@ -153,38 +168,66 @@ class ReturnWordSet:
             raise StructureError("subset must lie in the return words' window")
 
 
-def _shortest_words_into_window(action, win_idx):
+# size: the address count; basepoint: an address index; tokens: (token,
+# permutation) pairs, each generator then its inverse
+OrbitGraph = namedtuple("OrbitGraph", "size basepoint tokens")
+
+
+def orbit_graph(action):
+    """The action's orbit graph: its signed tokens with their permutations."""
+    tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
+    return OrbitGraph(len(action.model), action.basepoint, tokens)
+
+
+def _shortest_words_into_window(graph, win_idx):
     """One shortest word sending the basepoint to each window address, with
     the word's window images (as in ReturnWordSet), as (word, image) pairs in
-    address order; `win_idx` holds the window's address indices, ascending.
+    address order; `graph` is an OrbitGraph and `win_idx` holds the window's
+    address indices, ascending.
 
-    Breadth-first search over the orbit graph; every such word is a return
+    Breadth-first search over the orbit graph, tokens in order, up to the
+    layer that reaches the last window address; every such word is a return
     word by construction, and for transitive actions their translates of any
     basepoint block reach every window point.  A token after a word sends
-    the window to the token's images of the word's window images, so each
-    reached address's image is one gather of its parent's.
+    the window to the token's images of the word's window images, so an
+    address's image is one gather of its parent's in the search tree.  Words
+    and images are built layer by layer, only on the paths to window
+    addresses, and a layer's are dropped once the next one's are built.
     """
-    w0 = action.basepoint
-    win_set = set(win_idx)
-    tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
-    start = ((), tuple(win_idx))
-    seen = {w0}
-    found = {w0: start}  # the window holds the basepoint
-    frontier = [(w0, start)]
-    while frontier:
+    w0 = graph.basepoint
+    perms = list(enumerate(p for _, p in graph.tokens))
+    via = [None] * graph.size  # address -> (parent, token index) of its first discovery
+    via[w0] = (w0, None)
+    window = set(win_idx)
+    layers = [[w0]]
+    missing = len(window) - 1  # the window holds the basepoint
+    while layers[-1] and missing:
         new = []
-        for i, (word, image) in frontier:
-            after = tuple_getter(image)
-            for tok, p_tok in tokens:
-                j = p_tok[i]
-                if j not in seen:
-                    seen.add(j)
-                    reached = ((tok,) + word, after(p_tok))  # token after the word
-                    if j in win_set:
-                        found[j] = reached
-                    new.append((j, reached))
-        frontier = new
-    return [found[i] for i in sorted(found)]
+        for i in layers[-1]:
+            for k, p in perms:
+                j = p[i]
+                if via[j] is None:
+                    via[j] = (i, k)
+                    new.append(j)
+        missing -= len(window.intersection(new))
+        layers.append(new)
+    on_path = {w0}  # the reached window addresses and their ancestors
+    for j in win_idx:
+        while via[j] is not None and j not in on_path:
+            on_path.add(j)
+            j = via[j][0]
+    reached = {w0: ((), tuple(win_idx))}
+    found = dict(reached)
+    for layer in layers[1:]:
+        previous, reached = reached, {}
+        for j in filter(on_path.__contains__, layer):
+            i, k = via[j]
+            word, image = previous[i]
+            token, p = graph.tokens[k]
+            reached[j] = ((token,) + word, tuple_getter(image)(p))  # token after the word
+            if j in window:
+                found[j] = reached[j]
+    return [found[i] for i in win_idx if i in found]
 
 
 def check_window_cells(size):
@@ -211,7 +254,7 @@ def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=BALL_B
     for word, perm in pairs:
         if perm[w0] in window:
             first_word.setdefault(restrict(perm), word)
-    for word, image in _shortest_words_into_window(action, win_idx):
+    for word, image in _shortest_words_into_window(orbit_graph(action), win_idx):
         first_word.setdefault(image, word)
     return ReturnWordSet(
         tuple(first_word.values()), bound, completed, tuple(win_idx), tuple(first_word)
@@ -291,9 +334,9 @@ def refine_fixed_point(action, window, partition):
     return ClopenPartition.from_blocks(window, blocks.values())
 
 
-def schreier_diameter(action):
-    """Exact diameter of the (undirected) orbit graph, or None above
-    SCHREIER_SIZE_CAP addresses.
+def schreier_diameter(graph):
+    """Exact diameter of the (undirected) orbit graph, an OrbitGraph, or None
+    above SCHREIER_SIZE_CAP addresses.
 
     After d rounds, row u of `reach` is the set of addresses within d steps
     of u, as the bits of one Python int.  A round ORs in the row of each
@@ -302,15 +345,14 @@ def schreier_diameter(action):
     The number of rounds that change some row is the largest eccentricity:
     the diameter, and on disconnected actions the maximum over components.
     """
-    n = len(action.model)
+    n = graph.size
     if n > SCHREIER_SIZE_CAP:
         return None
-    perms = [action.token_perm(*token) for token in action.signed_tokens()]
     reach = [1 << u for u in range(n)]
     rounds = 0
     while True:
         new = reach
-        for p in perms:
+        for _, p in graph.tokens:
             new = [a | reach[j] for a, j in zip(new, p)]
         if new == reach:
             return rounds
@@ -318,20 +360,157 @@ def schreier_diameter(action):
         rounds += 1
 
 
-def basepoint_eccentricity(action):
-    """The basepoint's eccentricity in the orbit graph, by one breadth-first
-    search, or None above SCHREIER_SIZE_CAP addresses: the diameter when the
-    graph is vertex-transitive, as the Cayley graph of G/H_K is for H_K normal."""
-    if len(action.model) > SCHREIER_SIZE_CAP:
+def basepoint_eccentricity(graph):
+    """The basepoint's eccentricity in the orbit graph, an OrbitGraph, by one
+    breadth-first search, or None above SCHREIER_SIZE_CAP addresses: the
+    diameter when the graph is vertex-transitive, as the Cayley graph of
+    G/H_K is for H_K normal."""
+    if graph.size > SCHREIER_SIZE_CAP:
         return None
-    perms = [action.token_perm(*token) for token in action.signed_tokens()]
-    seen = frontier = {action.basepoint}
+    seen = frontier = {graph.basepoint}
     rounds = -1
     while frontier:
-        frontier = {j for p in perms for j in map(p.__getitem__, frontier)} - seen
+        frontier = {j for _, p in graph.tokens for j in map(p.__getitem__, frontier)} - seen
         seen = seen | frontier
         rounds += 1
     return rounds
+
+
+# ------------------------------------------------------------ window sources
+
+class ActionWindow:
+    """A window of a CantorAction (`default_window` unless given), checked,
+    as `code_window` reads it: the `action` holding its points, the address
+    `size`, the `gap` from the window to the rest (None when there is none),
+    the OrbitGraph `graph`, and `words(bound, budget)`, its ReturnWordSet."""
+
+    def __init__(self, action, window=None):
+        window = _check_clopen_window(action, default_window(action) if window is None else window)
+        check_window_cells(len(window))
+        self.action, self.window, self.size = action, window, len(action.model)
+        whole = ClopenPartition(window, (window,))
+        self.gap = _eta_of_partition(action.model, whole, include_complement=True)
+        self.graph = orbit_graph(action)
+
+    def words(self, bound, budget):
+        return return_words(self.action, self.window, bound, perm_budget=budget)
+
+
+class ChainWindow:
+    """A chain's default window read off its algebra, with ActionWindow's
+    attributes and no tower: W = H_1/H_K, the identity coset's orbit under
+    H_1 in G/H_K (all of G/H_1 at depth 1).  A point is a window position,
+    `points` holding W's G/H_K indices in address order.  A window coset's
+    depth-j cylinder is its H_j coset.  W is a block of G's action, so a word
+    maps W into W exactly when its element lies in H_1, and the fixed point
+    restricted to W is H_1's: `action` is H_1 on W.  The rest of G/H_K lies
+    at distance lam^0.  `words` runs the ball on coset keys of core(H_K),
+    whose classes are the boundary action's word permutations; a class
+    lands when its element's H_K coset lies in W, and its image of W is one
+    gather per token through `graph`, G's permutations of G/H_K."""
+
+    def __init__(self, chain, space, lam):
+        from .affine import coarser_cosets, normal_core, quotient_word_keys
+
+        group, levels = chain.group, chain.levels
+        upper = levels[0] if chain.depth > 1 else group.normal_form
+        order, rows = space.orbit(upper.generator_elements())
+        self.points = points = tuple(sorted(order))
+        self.space, self.size = space, space.index
+        self.gap = Fraction(1) if len(points) < space.index else None
+        self._local = local = [None] * space.index  # G/H_K index -> window position
+        for t, i in enumerate(points):
+            local[i] = t
+        keys, labels, columns = [space.keys[i] for i in points], range(len(points)), []
+        for h in reversed(levels[:-1]):  # each level's keys reduced off the next one's
+            keys, mapping = coarser_cosets(group, h, keys)
+            labels = list(map(mapping.__getitem__, labels))
+            columns.insert(0, labels)
+        model = CantorModel(zip(*columns, range(len(points))), chain.depth, TreeMetric(lam))
+        rows = [row for _, row in sorted(zip(order, rows))]
+        perms = {f"h{e}": [local[j] for j in col] for e, col in enumerate(zip(*rows))}
+        self.action = CantorAction(model, perms, 0, label=chain.label)
+        tokens = []
+        for name, _ in group.generators:
+            perm = space.gen_perms[name]
+            tokens += [((name, 1), perm), ((name, -1), _invert_perm(perm))]
+        self.graph = OrbitGraph(space.index, 0, tokens)
+        self._cores = {chain.depth: normal_core(group, levels[-1])}
+        self._ball = quotient_word_keys(group, self._cores[chain.depth])
+        self._levels = levels
+        self._check_descent()
+
+    def _check_descent(self):
+        """The descent gate: each generator maps every translate of W it
+        reaches (structured as W through the first word reaching it) onto one,
+        and, read back on W, each cylinder of W into one cylinder, so every
+        word's image of W does too (InvariantViolation otherwise)."""
+        m = len(self.points)
+        model = self.action.model  # below level 1 and above single cosets:
+        columns = [model.cylinder_labels(j) for j in range(2, model.depth)]
+        counts = [len(set(labels)) for labels in columns]
+        where = [None] * self.size  # G/H_K index -> translate number * m + position
+        for t, i in enumerate(self.points):
+            where[i] = t
+        translates = [self.points]
+        for f in translates:  # grows while walked
+            for name, _ in self.space.group.generators:
+                image = tuple_getter(f)(self.space.gen_perms[name])
+                found = tuple_getter(image)(where)
+                if found.count(None) == m:  # a new translate
+                    for t, i in enumerate(image, start=len(translates) * m):
+                        where[i] = t
+                    translates.append(image)
+                    continue
+                if None not in found and min(found) // m == max(found) // m:
+                    perm = [x % m for x in found] if columns else ()
+                    pairs = (set(zip(c, map(c.__getitem__, perm))) for c in columns)
+                    if list(map(len, pairs)) == counts:
+                        continue
+                raise InvariantViolation(
+                    f"generator {name} does not map the translates of the window onto "
+                    "one another cylinder by cylinder: the generator permutations do "
+                    "not descend"
+                )
+
+    def core_orbit(self, level):
+        """The orbit of the identity coset under McCord's core of the level
+        (`normal_core`, computed once per level) in G/H_K, in window positions
+        (None for a coset off W): the cylinder the level set must equal."""
+        from .affine import normal_core
+
+        if level not in self._cores:
+            self._cores[level] = normal_core(self.space.group, self._levels[level - 1])
+        orbit = self.space.orbit(self._cores[level].generator_elements())[0]
+        return frozenset(map(self._local.__getitem__, orbit))
+
+    def _window_image(self, image):
+        """A word's image of W, G/H_K indices in address order, in window
+        positions, refused unless it lies in W."""
+        local = tuple_getter(image)(self._local)
+        if None in local:
+            raise InvariantViolation(
+                "a return word's permutation of G/H_K maps the window off itself: "
+                "the generator permutations do not descend"
+            )
+        return local
+
+    def words(self, bound, budget):
+        tokens, identity, compose = self._ball
+        pairs, completed = _word_ball(tokens, identity, bound, ball_cap(budget, self.size), compose)
+        perm = dict(self.graph.tokens)
+        first_word = {}  # window image -> its first word, in word order
+        for word, (_, red, point) in pairs:
+            if self._local[self.space.index_of_scaled(point, red)] is not None:
+                image = self.points
+                for token in reversed(word):
+                    image = tuple_getter(image)(perm[token])
+                first_word.setdefault(self._window_image(image), word)
+        for word, image in _shortest_words_into_window(self.graph, self.points):
+            first_word.setdefault(self._window_image(image), word)
+        positions = tuple(range(len(self.points)))
+        words = tuple(first_word.values())
+        return ReturnWordSet(words, bound, completed, positions, tuple(first_word))
 
 
 # ------------------------------------------------------------- coding chain
@@ -416,7 +595,14 @@ def _witness_or_subresolution(table, eps):
 
 
 def coding_chain(action, table, minimal, diameter, window=None, word_bound=DEFAULT_WORD_BOUND):
-    """Run the inductive refinement: level sets, translates, and constants.
+    """`code_window` on a window of an action (`ActionWindow`), by default
+    `default_window`."""
+    return code_window(ActionWindow(action, window), table, minimal, diameter, word_bound)
+
+
+def code_window(source, table, minimal, diameter, word_bound=DEFAULT_WORD_BOUND):
+    """Run the inductive refinement on a window source (`ActionWindow` or
+    `ChainWindow`): level sets, translates, and constants.
 
     `table`, `minimal` and `diameter` are the action's ModulusTable,
     minimality and orbit-graph diameter (None when uncomputed).
@@ -424,16 +610,16 @@ def coding_chain(action, table, minimal, diameter, window=None, word_bound=DEFAU
     level has diameter 0.  Every level's code-equality set is validated against
     the fixed-point refinement; a disagreement raises the word bound, up to
     the orbit-graph diameter (address count when the diameter is uncomputed).
+    The level-1 gap counts the addresses off the window (`source.gap`).
     """
+    action = source.action
     model = action.model
-    if window is None:
-        window = default_window(action)
-    ceiling = max(word_bound, diameter if diameter is not None else len(model))
+    ceiling = max(word_bound, diameter if diameter is not None else source.size)
     bound = word_bound
-    hard_budget = ball_cap(CODING_BUDGET, len(model))  # word_ball's own clamp
+    hard_budget = ball_cap(CODING_BUDGET, source.size)  # the ball's own clamp
     budget = min(BALL_BUDGET, hard_budget)
-    words = return_words(action, window, bound, perm_budget=budget)
-    window = frozenset(words.window)  # checked clopen by return_words
+    words = source.words(bound, budget)
+    window = frozenset(words.window)
 
     levels = []
     v_prev = window
@@ -472,8 +658,9 @@ def coding_chain(action, table, minimal, diameter, window=None, word_bound=DEFAU
             all_blocks.extend(cylinder_partition(model, remainder, m))
         partition = ClopenPartition.from_blocks(window, all_blocks)
 
-        include_complement = level == 1 and len(window) < len(model)
-        eta = _eta_of_partition(model, partition, include_complement=include_complement)
+        eta = _eta_of_partition(model, partition, include_complement=False)
+        if level == 1 and source.gap is not None:
+            eta = source.gap if eta is None else min(eta, source.gap)
         delta, delta_sub = _witness_or_subresolution(table, eta)
 
         fixed = refine_fixed_point(action, window, partition)
@@ -501,7 +688,7 @@ def coding_chain(action, table, minimal, diameter, window=None, word_bound=DEFAU
                     f"refinement at level {level} even at the orbit-graph "
                     f"diameter bound {ceiling}"
                 )
-            words = return_words(action, window, bound, perm_budget=budget)
+            words = source.words(bound, budget)
 
         if action.basepoint not in v:
             raise InvariantViolation("level set lost the basepoint")

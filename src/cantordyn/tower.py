@@ -240,5 +240,5 @@ def subgroup_cylinder(tower, subgroup):
     under left multiplication by S's generators; only the cosets the orbit
     reaches are multiplied.
     """
-    return frozenset(tower.space.orbit(subgroup.generator_elements()))
+    return frozenset(tower.space.orbit(subgroup.generator_elements())[0])
 

@@ -501,12 +501,15 @@ def coset_key_oracle(group, subgroup):
     """The coset key of an element (point, scaled), from a product with each
     rep of H: over the elements (point, scaled) (B, w) of its coset, the one
     of least point class id, its translation reduced modulo the scaled HNF of
-    point * L_H by `reduce_echelon`."""
+    point * L_H (built once per point) by `reduce_echelon`."""
     class_ids = group.point_class_order()
     pivots = tuple(range(group.dimension))
+    bases = {}  # point -> the scaled HNF of point * L_H
 
     def key(point, scaled):
-        basis = subgroup.lattice.transform(point).scale(group.denom).basis
+        basis = bases.get(point)
+        if basis is None:
+            basis = bases[point] = subgroup.lattice.transform(point).scale(group.denom).basis
         cid, c, tr = min(
             (class_ids[im.mat_mul(point, b.point)], *left_multiply(point, scaled, b.point, b.scaled))
             for b in subgroup.reps
@@ -546,19 +549,19 @@ def bfs_coset_space(group, subgroup):
 
 def bfs_orbit(space, elements):
     """`CosetSpace.orbit` by multiplying each reached coset's element and
-    keying the product afresh."""
+    keying the product afresh: the orbit and each orbit coset's images."""
     key = coset_key_oracle(space.group, space.subgroup)
     index = {k: i for i, k in enumerate(space.keys)}
     seen = {0}
-    queue = [0]
+    queue, rows = [0], []
     for i in queue:
         _, red, point = space.keys[i]
-        for g in elements:
-            j = index[key(*left_multiply(g.point, g.scaled, point, red))]
+        rows.append([index[key(*left_multiply(g.point, g.scaled, point, red))] for g in elements])
+        for j in rows[-1]:
             if j not in seen:
                 seen.add(j)
                 queue.append(j)
-    return queue
+    return queue, rows
 
 
 def permutation_of(cosets, g, reps=None):

@@ -10,7 +10,7 @@ through `helpers.engine_answers`.  Needs neither numpy nor the test helpers.
 """
 
 from cantordyn.action import ModulusTable, common_prefix, is_minimal, modulus_table
-from cantordyn.coding import DEFAULT_WORD_BOUND, coding_chain, schreier_diameter
+from cantordyn.coding import DEFAULT_WORD_BOUND, coding_chain, orbit_graph, schreier_diameter
 
 
 def cylinder_modulus_rows(action):
@@ -59,6 +59,5 @@ def coding_chain_of(action, window=None, word_bound=DEFAULT_WORD_BOUND):
     """`coding_chain` with the table of `modulus_table_of`, the verdict of
     `is_minimal` and `schreier_diameter`, computed on the action itself."""
     table, minimal = modulus_table_of(action), is_minimal(action).minimal
-    return coding_chain(
-        action, table, minimal, schreier_diameter(action), window=window, word_bound=word_bound
-    )
+    diameter = schreier_diameter(orbit_graph(action))
+    return coding_chain(action, table, minimal, diameter, window=window, word_bound=word_bound)

@@ -4,8 +4,8 @@ the engines on that action.
 On a chain `classify` and `measure` build no tower: minimality, the modulus
 rows, the least distance and the uniform weight follow from left
 translation on G/H_K, and the word ball is counted on coset keys of
-core(H_K).  `code` builds the tower, whose descent check must pass, and
-takes the same modulus rows.  Here the engines, and the cylinder modulus
+core(H_K).  `code` takes the same modulus rows (its coding chain is checked
+in tests/test_chain_code.py).  Here the engines, and the cylinder modulus
 oracle, run on `build_tower(chain).boundary_action(lam)` and must agree on
 every gallery chain at its default depth, on two chains whose first level is
 G, and on seeded random Klein-type chains built by intersecting subgroups

@@ -19,6 +19,7 @@ from cantordyn.coding import (
     compute_V,
     cylinder_partition,
     default_window,
+    orbit_graph,
     refine_fixed_point,
     return_words,
     schreier_diameter,
@@ -231,7 +232,7 @@ def test_shortest_words_carry_their_permutations(name):
     dist = orbit_distances(action)
     b0 = win_idx.index(action.basepoint)
     targets = []
-    for word, image in _shortest_words_into_window(action, win_idx):
+    for word, image in _shortest_words_into_window(orbit_graph(action), win_idx):
         perm = action.word_perm(word)
         assert image == tuple(perm[i] for i in win_idx)
         target = image[b0]
@@ -309,7 +310,7 @@ def test_fixed_point_agreement_at_schreier_diameter_on_random_actions():
     for seed in range(8):
         action = random_tree_action(seed, max_addresses=128)
         window = default_window(action)
-        diam = schreier_diameter(action)
+        diam = schreier_diameter(orbit_graph(action))
         words = return_words(action, window, diam)
         blocks = cylinder_partition(action.model, window, 2)
         partition = ClopenPartition.from_blocks(window, blocks)
@@ -382,7 +383,7 @@ def test_chain_reports_graph_diameter_on_small_models():
 def test_graph_diameter_of_disconnected_action_is_component_maximum():
     action = warp_example(2, 1, include_free_factor=False)
     # orbits are the 4-cycles inside each fiber plus the fixed point
-    assert schreier_diameter(action) == 2
+    assert schreier_diameter(orbit_graph(action)) == 2
 
 
 DIAMETER_ACTIONS = {
@@ -403,7 +404,7 @@ DIAMETER_ACTIONS = {
 def test_schreier_diameter_matches_dense_and_bfs_oracles(name):
     action = DIAMETER_ACTIONS[name]()
     assert len(action.model) <= SCHREIER_SIZE_CAP
-    diameter = schreier_diameter(action)
+    diameter = schreier_diameter(orbit_graph(action))
     assert diameter == dense_schreier_diameter(action)
     assert diameter == bfs_schreier_diameter(action)
 
@@ -411,7 +412,7 @@ def test_schreier_diameter_matches_dense_and_bfs_oracles(name):
 @given(st.integers(0, 2 ** 16))
 def test_schreier_diameter_matches_bfs_on_random_tree_actions(seed):
     action = random_tree_action(seed, max_addresses=64)
-    assert schreier_diameter(action) == bfs_schreier_diameter(action)
+    assert schreier_diameter(orbit_graph(action)) == bfs_schreier_diameter(action)
 
 
 REFINE_ACTIONS = {

@@ -287,13 +287,18 @@ def test_invariant_violation_exits_four(capsys, monkeypatch):
     assert "synthetic violation" in err
 
 
-def swap_across_level_one(monkeypatch, chain):
-    """Patch `tower.coset_space` so that the first generator's permutation
-    swaps its images of two cosets lying in different level-1 cosets."""
-    from cantordyn import tower
+def swap_across_level(monkeypatch, chain, level=1):
+    """Patch `coset_space`, where `tower` binds it and where `code` imports it
+    from, so that the first generator's permutation swaps its images of two
+    cosets lying in one coset of the level above and in different cosets of
+    the level."""
+    from cantordyn import affine, tower
 
     addresses = tower.build_tower(chain).addresses
-    k = next(k for k, a in enumerate(addresses) if a[0] != addresses[0][0])
+    first = addresses[0][:level]
+    k = next(
+        k for k, a in enumerate(addresses) if a[:level - 1] == first[:-1] and a[:level] != first
+    )
     coset_space = tower.coset_space
 
     def swapped(group, subgroup):
@@ -304,23 +309,28 @@ def swap_across_level_one(monkeypatch, chain):
         space.gen_perms = {**space.gen_perms, name: tuple(perm)}
         return space
 
-    monkeypatch.setattr(tower, "coset_space", swapped)
+    for module in (affine, tower):
+        monkeypatch.setattr(module, "coset_space", swapped)
 
 
-def test_a_permutation_that_does_not_descend_exits_four(capsys, monkeypatch):
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_a_permutation_that_does_not_descend_exits_four(capsys, monkeypatch, level):
+    """The tower's gate refuses it at the level; `code`, which builds no
+    tower, refuses the window images that break the level's cylinders."""
     from cantordyn.errors import InvariantViolation
     from cantordyn.tower import build_tower
 
-    path = CONFIG_DIR / "vietoris2.cfg"
+    path = CONFIG_DIR / "vietoris2.cfg"  # depth 4
     chain = parse_config(path.read_text()).build_chain()
-    swap_across_level_one(monkeypatch, chain)
-    with pytest.raises(InvariantViolation, match="does not map level 1 cosets"):
+    swap_across_level(monkeypatch, chain, level)
+    with pytest.raises(InvariantViolation, match=f"does not map level {level} cosets"):
         build_tower(chain)
     for argv in (("code",), ("holonomy", "--word", "t*t^-1", "--at", "0.0.0.0")):
         rc, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert (rc, out) == (4, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert ("do not descend" if argv[0] == "code" else f"level {level} cosets") in err
 
 
 def test_compare_success_and_failure(capsys):
@@ -404,11 +414,11 @@ def test_chain_commands_enumerate_each_coset_space_once(
     `classify`'s word ball reuses McCord's core of the deepest level, so it
     computes one normal core per level.  `code` takes its modulus table and
     minimality from the chain too, so it runs neither `is_minimal` nor
-    `modulus_table`."""
+    `modulus_table`, and it builds no tower: it enumerates G/H_K alone."""
     from cantordyn import action, affine, tower
 
     calls = {"coset_space": 0, "build_tower": 0, "normal_core": 0}
-    towers = []
+    towers, spaces = [], []
 
     def counted(name, fn):
         def wrapper(*a, **kw):
@@ -422,7 +432,12 @@ def test_chain_commands_enumerate_each_coset_space_once(
         towers.append(build_tower(chain))
         return towers[-1]
 
-    enumerate_cosets = counted("coset_space", affine.coset_space)
+    def enumerate_cosets(group, subgroup):
+        calls["coset_space"] += 1
+        spaces.append(coset_space(group, subgroup))
+        return spaces[-1]
+
+    coset_space = affine.coset_space
     core = counted("normal_core", affine.normal_core)
     build_tower = tower.build_tower
     for module in (affine, tower):
@@ -439,6 +454,10 @@ def test_chain_commands_enumerate_each_coset_space_once(
     if command in ("classify", "measure"):
         cores = depth if command == "classify" else 0
         assert (calls["coset_space"], calls["build_tower"], calls["normal_core"]) == (0, 0, cores)
+    elif command == "code":
+        assert (calls["coset_space"], calls["build_tower"]) == (1, 0)
+        chain = parse_config((CONFIG_DIR / args[0]).read_text()).build_chain()
+        assert spaces[0].subgroup == chain.levels[depth - 1]
     else:
         assert (calls["coset_space"], calls["build_tower"]) == (1, 1)
         assert towers[0].depth == depth
@@ -464,12 +483,13 @@ def test_tower_refuses_an_over_cap_chain_before_any_coset(
 
 
 def test_code_refuses_an_over_cap_chain_before_any_coset(tmp_path, capsys, monkeypatch):
-    from cantordyn import tower
+    from cantordyn import affine, tower
 
     def refuse(*args, **kwargs):
         raise AssertionError("coset_space ran before the cell cap")
 
-    monkeypatch.setattr(tower, "coset_space", refuse)
+    for module in (affine, tower):  # `code` imports it from affine
+        monkeypatch.setattr(module, "coset_space", refuse)
     cfg = tmp_path / "deep.cfg"
     cfg.write_text("[chain]\ngallery = vietoris\np = 2\ndepth = 16\n")
     start = time.perf_counter()
@@ -517,27 +537,30 @@ def test_code_fo_matches_the_core_of_level_two(capsys):
 def test_code_builds_one_return_word_set_and_no_word_perm(
     capsys, monkeypatch, config
 ):
+    """A chain's return words come from its window source alone, once: the
+    address-level `return_words` does not run."""
     from cantordyn import cli, coding
     from cantordyn.action import CantorAction
 
-    calls = {"return_words": 0, "word_perm": 0}
-    return_words, word_perm = coding.return_words, CantorAction.word_perm
+    calls = {"return_words": 0, "chain_words": 0, "word_perm": 0}
+    return_words, chain_words = coding.return_words, coding.ChainWindow.words
+    word_perm = CantorAction.word_perm
 
-    def counted_words(*args, **kwargs):
-        calls["return_words"] += 1
-        return return_words(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    def counted_perm(*args, **kwargs):
-        calls["word_perm"] += 1
-        return word_perm(*args, **kwargs)
+        return wrapper
 
     for module in (coding, cli):
         if getattr(module, "return_words", None) is return_words:
-            monkeypatch.setattr(module, "return_words", counted_words)
-    monkeypatch.setattr(CantorAction, "word_perm", counted_perm)
+            monkeypatch.setattr(module, "return_words", counted("return_words", return_words))
+    monkeypatch.setattr(coding.ChainWindow, "words", counted("chain_words", chain_words))
+    monkeypatch.setattr(CantorAction, "word_perm", counted("word_perm", word_perm))
     rc, _, _ = run_cli(capsys, "code", str(config))
     assert rc == 0
-    assert calls == {"return_words": 1, "word_perm": 0}
+    assert calls == {"return_words": 0, "chain_words": 1, "word_perm": 0}
 
 
 @pytest.mark.parametrize(

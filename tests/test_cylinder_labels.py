@@ -20,6 +20,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 
@@ -199,11 +200,30 @@ def test_clopen_window_check_on_cylinder_unions(name):
 @pytest.mark.parametrize("name", TREES)
 def test_clopen_window_check_refuses_a_cylinder_short_of_one_address(name):
     # the tree model with its last level dropped, whose finest cylinders may
-    # hold several addresses: the oracle's cylinders, but for the deepest
+    # hold several addresses: the oracle's cylinders, but for the deepest.  A
+    # tree model must have `depth`-level addresses, so the cut model keeps the
+    # tree's distances without its TreeMetric; the check reads labels alone.
     action, cylinders, _ = case(name)
     model = action.model
-    cut = CantorAction(
-        CantorModel(model.addresses, model.depth - 1, model.metric), {}, action.basepoint
-    )
+    metric = SimpleNamespace(distance=model.metric.distance)
+    cut = CantorAction(CantorModel(model.addresses, model.depth - 1, metric), {}, action.basepoint)
     refusals = check_windows(cut, cylinders[:-1], random.Random(name))
     assert (refusals > 0) == any(len(c) > 1 for c in cylinders[-2])
+
+
+@pytest.mark.parametrize(
+    "addresses, depth",
+    [
+        ([(0, 0), (0, 1), (1, 0), (1, 1)], 1),  # two levels under a depth-1 metric
+        ([(0,), (1,)], 2),
+        ([(0, 0), (1,)], 2),
+        ([0, 1], 1),  # not tuples
+    ],
+)
+def test_a_tree_model_refuses_addresses_without_depth_levels(addresses, depth):
+    # the tree engines read cylinders off address prefixes: with two levels
+    # under a depth-1 metric, diameter([0, 1]) would be 0 although the two
+    # addresses lie at distance 1/2
+    with pytest.raises(StructureError, match=f"must be {depth}-level tuples") as info:
+        CantorModel(addresses, depth, TreeMetric(F(1, 2)))
+    assert info.value.exit_code == 2

@@ -18,7 +18,7 @@ import pytest
 from cantordyn.affine import is_normal
 from cantordyn.cli import main
 from cantordyn.config import parse_config
-from cantordyn.coding import basepoint_eccentricity, schreier_diameter
+from cantordyn.coding import basepoint_eccentricity, orbit_graph, schreier_diameter
 from cantordyn.limits import SCHREIER_SIZE_CAP
 from cantordyn.tower import SubgroupChain, build_tower
 from helpers import bfs_schreier_diameter
@@ -44,8 +44,9 @@ def test_basepoint_eccentricity_is_the_diameter_on_normal_chains(name):
     assert is_normal(chain.group, chain.levels[-1]).normal
     action = build_tower(chain).boundary_action()
     assert len(action.model) <= SCHREIER_SIZE_CAP
-    diameter = basepoint_eccentricity(action)
-    assert diameter == schreier_diameter(action) == bfs_schreier_diameter(action)
+    graph = orbit_graph(action)
+    diameter = basepoint_eccentricity(graph)
+    assert diameter == schreier_diameter(graph) == bfs_schreier_diameter(action)
 
 
 def test_code_reports_no_diameter_above_the_size_cap(tmp_path, capsys):
@@ -57,7 +58,7 @@ def test_code_reports_no_diameter_above_the_size_cap(tmp_path, capsys):
     assert "  schreier_diameter: none\n" in out
     action = build_tower(parse_config(cfg.read_text()).build_chain()).boundary_action()
     assert len(action.model) == 2048
-    assert basepoint_eccentricity(action) is None
+    assert basepoint_eccentricity(orbit_graph(action)) is None
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from cantordyn.affine import (
     subgroup_le,
     translation,
 )
+from cantordyn.config import parse_config
 from cantordyn.errors import StructureError
 from cantordyn.gallery import (
     REFLECTION,
@@ -384,9 +385,13 @@ def test_coset_space_constructs_no_affine_element(monkeypatch):
     counted_space = counted(affine.coset_space)
     for module in (affine, tower):
         monkeypatch.setattr(module, "coset_space", counted_space)
-    monkeypatch.setattr(tower, "build_tower", counted(tower.build_tower))
-    assert main(["code", str(REPO / "perfbench/configs/klein_3_5_mid.cfg")]) == 0
-    assert counts == {"inside": 0, "coset_space": 1, "build_tower": 1, "built": 0}
+    build_tower = counted(tower.build_tower)
+    monkeypatch.setattr(tower, "build_tower", build_tower)
+    config = REPO / "perfbench/configs/klein_3_5_mid.cfg"
+    assert main(["code", str(config)]) == 0  # a chain's code builds no tower
+    assert counts == {"inside": 0, "coset_space": 1, "build_tower": 0, "built": 0}
+    build_tower(parse_config(config.read_text()).build_chain())
+    assert counts == {"inside": 0, "coset_space": 2, "build_tower": 1, "built": 0}
 
 
 @pytest.mark.parametrize("name", sorted(CYLINDER_CHAINS))
