@@ -20,10 +20,11 @@ The modulus table takes the rank route alone: a tree model here is a
 chain's boundary action, whose table is read off the chain, and the cylinder
 engine for it is a test oracle.  Nothing here touches floating point.
 
-The word ball holds bytes permutations composed by `bytes.translate` on a
-model of at most BYTE_ALPHABET (256) addresses, the size of that method's
-alphabet, and tuples above.  Everything here runs on the standard library:
-the array engines these replace are kept only as test oracles, in `tests/`.
+The word ball stores each class once, a key in ball order and a parent
+link, and builds a word only on request: bytes permutations (by
+`bytes.translate`, whose alphabet is BYTE_ALPHABET) up to 256 addresses,
+tuples above, coset keys on a chain.  It and all else here need only the
+standard library: the engines these replace are test oracles, in `tests/`.
 The invariant measure is uniform on an orbit, where the action is
 transitive, so it is a support set and one weight.
 """
@@ -31,8 +32,10 @@ transitive, so it is a support set and one weight.
 from __future__ import annotations
 
 import operator
+from array import array
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 
 from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, ball_cap, check_cells
@@ -389,44 +392,67 @@ def is_minimal(action):
 
 # ------------------------------------------------------------- word groups
 
+class WordBall(list):
+    """A word ball's keys in ball order, each class with one parent link,
+    parent * T + token index over the T tokens (`_word_ball`)."""
+
+    __slots__ = ("_links", "_tokens", "_words")
+
+    def __init__(self, keys, links, tokens):
+        super().__init__(keys)
+        self._links, self._tokens, self._words = links, tokens, {0: ()}
+
+    def path(self, i):
+        """Class i's token indices, oldest first."""
+        out = []
+        while i:
+            i, t = divmod(self._links[i], len(self._tokens))
+            out.insert(0, t)
+        return out
+
+    def word(self, i):
+        """Class i's word, newest token first; each word built is kept, so a
+        word whose parent's was read costs one tuple concatenation."""
+        words, links, t, path = self._words, self._links, len(self._tokens), [i]
+        while path[-1] not in words:
+            path.append(links[path[-1]] // t)
+        for j in reversed(path[:-1]):
+            words[j] = (self._tokens[links[j] % t][0],) + words[links[j] // t]
+        return words[i]
+
+
 def _word_ball(tokens, identity, max_length, perm_cap, compose):
-    """Distinct permutations realized by words of length <= max_length.
-
-    Breadth-first over (length, token order) with dedup by permutation, so
-    the result is the Cayley ball of the induced permutation group.  Returns
-    (pairs, completed_length) where pairs is a list of (word, perm) with the
-    empty word first.  Layers are atomic: when the cap would be exceeded, the
-    whole partial layer is dropped and completed_length reports the last full
-    layer.
-
-    Permutations are hashable values of the caller's choosing: `identity` is
-    one, `tokens` holds (token, token permutation) pairs, and `compose(perm)`
-    returns the map from a token's permutation to the token applied after
-    `perm` (i -> p[perm[i]]).
-    """
-    seen = {identity}  # an overflowing layer's keys stay: the search ends there
-    order = [((), identity)]
-    frontier = [((), identity)]
-    completed = 0
+    """The Cayley ball up to max_length of the permutations the tokens
+    generate, as (WordBall, completed_length): breadth-first over (length,
+    token order), the identity first.  Layers are atomic: the first new
+    class past the cap cuts the ball back to its layer's start, and the
+    completed length is the last full layer.  `identity` and the token
+    permutations in `tokens`, (token, permutation) pairs, are hashable
+    values of the caller's choosing, and `compose(perm)` maps a token's
+    permutation to the token applied after `perm` (i -> p[perm[i]]).  A
+    class is stored once, a key of `seen` (whose order is the ball order)
+    and a parent link: no word is built here."""
+    seen = {identity: None}
+    links = array("q", [0])  # the identity's is never read
+    perms = list(enumerate(p for _, p in tokens))
+    start = completed = 0
     for layer in range(1, max_length + 1):
-        new = []
-        for word, perm in frontier:
-            after = compose(perm)
-            for token, p in tokens:
-                key = after(p)
+        end = len(seen)
+        for parent, perm in enumerate(list(islice(seen, start, end)), start):
+            after, base = compose(perm), parent * len(perms)
+            for t, p in perms:
                 size = len(seen)
-                seen.add(key)
+                seen.setdefault(after(p))
                 if len(seen) == size:
                     continue
                 if size >= perm_cap:
-                    return order, completed
-                new.append(((token,) + word, key))
-        if not new:
-            return order, max_length
-        order.extend(new)
-        frontier = new
-        completed = layer
-    return order, completed
+                    del links[end:]
+                    return WordBall(islice(seen, end), links, tokens), completed
+                links.append(base + t)
+        if len(seen) == end:
+            return WordBall(seen, links, tokens), max_length
+        start, completed = end, layer
+    return WordBall(seen, links, tokens), completed
 
 
 def tuple_getter(indices):
@@ -446,12 +472,9 @@ def enumerate_word_tuples(action, max_length, *, perm_cap):
 
 def enumerate_word_bytes(action, max_length, *, perm_cap):
     """The word ball (`_word_ball`) with each permutation a bytes string, on
-    a model of at most BYTE_ALPHABET addresses.
-
-    A token applied after a word is `word.translate(table)`, with the table
-    the token's permutation padded to 256 entries: one gather in C, and the
-    result is its own hash key.
-    """
+    a model of at most BYTE_ALPHABET addresses: a token applied after a word
+    is `word.translate(table)`, the table its permutation padded to 256
+    entries, one gather in C whose result is its own hash key."""
     pad = bytes(BYTE_ALPHABET - len(action.model))
     tokens = [
         (token, bytes(action.token_perm(*token)) + pad) for token in action.signed_tokens()
@@ -464,7 +487,7 @@ def enumerate_word_bytes(action, max_length, *, perm_cap):
 
 def word_ball(action, max_length, *, perm_cap):
     """The word ball (`_word_ball`) in the representation that suits the
-    model, as (pairs, completed_length): bytes on a model of at most
+    model, as (WordBall, completed_length): bytes on a model of at most
     BYTE_ALPHABET addresses, and tuples above, whatever the metric.  Either
     way a ball permutation is a sequence of Python ints that `tuple_getter`
     gathers.  The budget is clamped to CELL_CAP cells (`limits.ball_cap`).
@@ -553,14 +576,17 @@ def _worst_image_ranks(action, realized, rank):
     """worst[r]: the largest image rank of a distinct pair of rank r (None
     where no pair has it).  A pair (a, b), a < b, is coded as the one int
     rank * m + image rank, so a row's codes go into one set by C-level maps,
-    and the last code of a rank in sorted order holds its largest image."""
+    and the last code of a rank in sorted order holds its largest image.
+    Each generator is scanned once: g^-1 maps the pair {ga, gb} to {a, b},
+    so its codes are g's with the two ranks swapped."""
     m = len(realized)
     scaled = [list(map(m.__mul__, row[a + 1:])) for a, row in enumerate(rank)]
     codes = set()
-    for token in action.signed_tokens():
-        image = _image_ranks(rank, action.token_perm(*token))
+    for perm in action.generators.values():
+        image, found = _image_ranks(rank, perm), set()
         for a, row in enumerate(scaled):
-            codes.update(map(operator.add, row, image[a][a + 1:]))
+            found.update(map(operator.add, row, image[a][a + 1:]))
+        codes.update(found, (c % m * m + c // m for c in found))
     worst = [None] * m
     for code in sorted(codes):
         r, k = divmod(code, m)
@@ -582,13 +608,10 @@ def is_distal(action, word_length=8, *, perm_cap=BALL_BUDGET):
     realizes its own distance, and the generators are bijections, so distinct
     pairs map to distinct pairs at realized distances: the minimum is the
     least positive realized distance whatever the ball, and the verdict is
-    distal.  The ball is still enumerated, layer-atomically within the
-    budget, for the exhaustively enumerated length and the number of
-    distinct word permutations it reports.  Per-pair deltas are a test
+    distal.  The ball (`word_ball`) is still enumerated, layer-atomically
+    within the budget, for the length it completes and its number of
+    classes, both reported; no word is built.  Per-pair deltas are a test
     oracle (tests/helpers.brute_force_distality).
-
-    The ball takes the model's representation (`word_ball`): bytes up to
-    BYTE_ALPHABET addresses and tuples above, on any metric.
     """
     min_delta = action.model.least_distance()
     words, word_length = word_ball(action, word_length, perm_cap=perm_cap)

@@ -158,7 +158,7 @@ def _chain_dynamics(chain, mccord, lam, max_length):
     least distance is the last row's, or 0 on a single coset.  Words act
     alike exactly when their elements agree modulo the kernel core(H_K),
     McCord's core of the deepest level, so the ball runs on coset keys of the
-    core and stores no cells."""
+    core and stores no cells; only its size is read, so no word is built."""
     from .action import DistalityVerdict, _word_ball
     from .affine import quotient_word_keys
     from .limits import BALL_BUDGET

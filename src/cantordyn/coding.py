@@ -241,19 +241,23 @@ def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=BALL_B
     one shortest transition word per reachable window address.
 
     The ball takes the model's representation (`action.word_ball`), and each
-    ball permutation is restricted to the window by one `tuple_getter`.  A
-    window over the cell cap is refused before any ball permutation.
+    ball permutation landing the basepoint in the window is restricted to
+    it by one `tuple_getter`; the ball builds a word only for the first
+    class of each window image.  A window over the cell cap is refused
+    before any ball permutation.
     """
     window = _check_clopen_window(action, window)
     check_window_cells(len(window))
     w0 = action.basepoint
     win_idx = sorted(window)
-    pairs, completed = word_ball(action, bound, perm_cap=perm_budget)
+    ball, completed = word_ball(action, bound, perm_cap=perm_budget)
     restrict = tuple_getter(win_idx)
     first_word = {}  # window image -> its first word, in word order
-    for word, perm in pairs:
+    for i, perm in enumerate(ball):
         if perm[w0] in window:
-            first_word.setdefault(restrict(perm), word)
+            image = restrict(perm)
+            if image not in first_word:
+                first_word[image] = ball.word(i)
     for word, image in _shortest_words_into_window(orbit_graph(action), win_idx):
         first_word.setdefault(image, word)
     return ReturnWordSet(
@@ -407,7 +411,8 @@ class ChainWindow:
     at distance lam^0.  `words` runs the ball on coset keys of core(H_K),
     whose classes are the boundary action's word permutations; a class
     lands when its element's H_K coset lies in W, and its image of W is one
-    gather per token through `graph`, G's permutations of G/H_K."""
+    gather per token of its path through `graph`, G's permutations of
+    G/H_K; a word is built only for the first class of each image."""
 
     def __init__(self, chain, space, lam):
         from .affine import coarser_cosets, normal_core, quotient_word_keys
@@ -497,15 +502,18 @@ class ChainWindow:
 
     def words(self, bound, budget):
         tokens, identity, compose = self._ball
-        pairs, completed = _word_ball(tokens, identity, bound, ball_cap(budget, self.size), compose)
+        ball, completed = _word_ball(tokens, identity, bound, ball_cap(budget, self.size), compose)
         perm = dict(self.graph.tokens)
+        perms = [perm[token] for token, _ in tokens]
         first_word = {}  # window image -> its first word, in word order
-        for word, (_, red, point) in pairs:
+        for i, (_, red, point) in enumerate(ball):
             if self._local[self.space.index_of_scaled(point, red)] is not None:
                 image = self.points
-                for token in reversed(word):
-                    image = tuple_getter(image)(perm[token])
-                first_word.setdefault(self._window_image(image), word)
+                for t in ball.path(i):
+                    image = tuple_getter(image)(perms[t])
+                image = self._window_image(image)
+                if image not in first_word:
+                    first_word[image] = ball.word(i)
         for word, image in _shortest_words_into_window(self.graph, self.points):
             first_word.setdefault(self._window_image(image), word)
         positions = tuple(range(len(self.points)))

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -17,7 +18,6 @@ from cantordyn.action import (
     CantorModel,
     TreeMetric,
     WarpMetric,
-    _word_ball,
     common_prefix,
     is_distal,
     warp_cylinder_key,
@@ -266,8 +266,84 @@ def pair_rank_matrix(model):
     return tuple(value(key) for key in distinct), rank
 
 
+def reference_word_ball(tokens, identity, max_length, perm_cap, compose):
+    """The word ball oracle, in the arguments of `action._word_ball`: a list
+    of (word, perm) pairs, every class keeping its word tuple, with the
+    empty word first, and the completed length.
+
+    Breadth-first over (length, token order) with dedup by permutation.
+    Layers are atomic: when the cap would be exceeded, the whole partial
+    layer is dropped and the completed length reports the last full layer;
+    a layer adding nothing completes max_length.
+    """
+    seen = {identity}  # an overflowing layer's keys stay: the search ends there
+    order = [((), identity)]
+    frontier = [((), identity)]
+    completed = 0
+    for layer in range(1, max_length + 1):
+        new = []
+        for word, perm in frontier:
+            after = compose(perm)
+            for token, p in tokens:
+                key = after(p)
+                size = len(seen)
+                seen.add(key)
+                if len(seen) == size:
+                    continue
+                if size >= perm_cap:
+                    return order, completed
+                new.append(((token,) + word, key))
+        if not new:
+            return order, max_length
+        order.extend(new)
+        frontier = new
+        completed = layer
+    return order, completed
+
+
+def reference_action_ball(action, max_length, perm_cap, *, as_bytes=None):
+    """`reference_word_ball` on an action's token permutations, with no cell
+    clamp: bytes strings composed by `bytes.translate` (by default up to 256
+    addresses), or tuples composed by `operator.itemgetter`."""
+    n = len(action.model)
+    signed = action.signed_tokens()
+    if as_bytes is None:
+        as_bytes = n <= 256
+    if as_bytes:
+        pad = bytes(256 - n)
+        tokens = [(token, bytes(action.token_perm(*token)) + pad) for token in signed]
+        compose, identity = operator.attrgetter("translate"), bytes(range(n))
+    else:
+        tokens = [(token, action.token_perm(*token)) for token in signed]
+        identity = tuple(range(n))
+
+        def compose(perm):  # one item comes back bare
+            get = operator.itemgetter(*perm)
+            return get if n > 1 else lambda p: (get(p),)
+
+    return reference_word_ball(tokens, identity, max_length, perm_cap, compose)
+
+
+def ball_pairs(ball):
+    """A WordBall as the oracle's (word, perm) pairs."""
+    return [(ball.word(i), key) for i, key in enumerate(ball)]
+
+
+class PairBall(list):
+    """The oracle's (word, perm) pairs as a WordBall reads them: the perms,
+    in ball order, and `word(i)`."""
+
+    def __init__(self, pairs):
+        super().__init__(perm for _, perm in pairs)
+        self.words = [word for word, _ in pairs]
+
+    def word(self, i):
+        return self.words[i]
+
+
 def enumerate_word_perms(action, max_length, *, perm_cap=200000):
-    """The word ball (`_word_ball`) with each permutation an int32 array."""
+    """The word ball (`reference_word_ball`) with each permutation an int32
+    array."""
 
     def compose(key):
         perm = np.frombuffer(key, dtype=np.int32)
@@ -278,7 +354,7 @@ def enumerate_word_perms(action, max_length, *, perm_cap=200000):
         for token in action.signed_tokens()
     ]
     identity = np.arange(len(action.model), dtype=np.int32).tobytes()
-    ball, completed = _word_ball(tokens, identity, max_length, perm_cap, compose)
+    ball, completed = reference_word_ball(tokens, identity, max_length, perm_cap, compose)
     return [(word, np.frombuffer(key, dtype=np.int32)) for word, key in ball], completed
 
 

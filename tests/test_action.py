@@ -25,6 +25,7 @@ from cantordyn.errors import InvariantViolation, ResourceLimitError, StructureEr
 from cantordyn.gallery import vietoris, warp_example, warp_model
 from cantordyn.tower import build_tower
 from helpers import (
+    ball_pairs,
     brute_force_distality,
     enumerate_word_perms,
     measure_weights,
@@ -343,7 +344,7 @@ def test_the_cell_cap_stops_the_ball_layer_atomically(monkeypatch):
     monkeypatch.setattr("cantordyn.limits.CELL_CAP", 100 * len(act.model))
     words, completed = enumerate_word_tuples(act, 8, perm_cap=100)
     assert completed < unclamped.word_length
-    assert max(len(w) for w, _ in words) == completed
+    assert max(len(w) for w, _ in ball_pairs(words)) == completed
     verdict = is_distal(act, 8, perm_cap=10 ** 6)  # the clamp binds whatever the budget
     assert (verdict.word_length, verdict.word_count) == (completed, len(words))
 

@@ -33,7 +33,9 @@ from cantordyn.gallery import small_fo_variant, warp_example, warp_model
 from cantordyn.limits import CELL_CAP
 from cantordyn.tower import build_tower
 from helpers import (
+    ExplicitMetric,
     RankedTreeMetric,
+    ball_pairs,
     brute_force_diameter,
     brute_force_eta,
     brute_force_modulus_rows,
@@ -88,9 +90,40 @@ def test_rank_rows_are_the_rank_matrix(depth, lam1):
     assert (keys.dtype == object) == (depth >= 3 and lam1 == F(1, 10 ** 7))
 
 
+def scrambled_action(model, seed):
+    """One seeded random permutation of the model, of order above 2 and no
+    isometry: its inverse's (rank, image rank) pairs are not its own, so the
+    modulus scan of the generator alone must also take them transposed."""
+    rng = random.Random(seed)
+    n, addrs = len(model), model.addresses
+    while True:
+        perm = rng.sample(range(n), n)
+        isometry = all(
+            model.distance(addrs[a], addrs[b]) == model.distance(addrs[perm[a]], addrs[perm[b]])
+            for a in range(n)
+            for b in range(a)
+        )
+        if not isometry and any(perm[perm[i]] != i for i in range(n)):
+            return CantorAction(model, {"s": perm}, 0)
+
+
+def explicit_model(n, seed):
+    """n points at seeded random distances in [1/2, 1], eighths, which the
+    triangle inequality allows whatever they are."""
+    rng = random.Random(seed)
+    addrs = [(i,) for i in range(n)]
+    table = tuple(
+        ((a, b), F(rng.randint(4, 8), 8)) for i, a in enumerate(addrs) for b in addrs[i + 1:]
+    )
+    return CantorModel(addrs, 1, ExplicitMetric(table))
+
+
 RANK_ACTIONS = {
     **WARP_ACTIONS,
     "three_point": three_point_action,
+    # seeds where the generator's inverse raises a modulus row
+    "warp_2_scrambled": lambda: scrambled_action(warp_model(2), 5),
+    "explicit_scrambled": lambda: scrambled_action(explicit_model(7, 3), 3),
     **{
         f"ranked_tree_{seed}": (
             lambda seed=seed: rank_oracle(random_tree_action(seed, max_addresses=BYTE_ALPHABET))
@@ -174,7 +207,7 @@ BALL_ACTIONS = {
 
 
 def listed(ball):
-    return [(word, list(perm)) for word, perm in ball]
+    return [(word, list(perm)) for word, perm in ball_pairs(ball)]
 
 
 @pytest.mark.parametrize("name", BALL_ACTIONS)
@@ -186,10 +219,11 @@ def test_bytes_ball_is_the_tuple_and_array_ball(name):
         tuples, tuple_completed = enumerate_word_tuples(action, 8, perm_cap=perm_cap)
         arrays, array_completed = enumerate_word_perms(action, 8, perm_cap=perm_cap)
         assert completed == tuple_completed == array_completed
-        assert all(type(perm) is bytes for _, perm in ball)
+        assert all(type(perm) is bytes for perm in ball)
         assert listed(ball) == listed(tuples)
         assert listed(ball) == [(word, perm.tolist()) for word, perm in arrays]
-        assert word_ball(action, 8, perm_cap=perm_cap) == (ball, completed)
+        chosen, chosen_completed = word_ball(action, 8, perm_cap=perm_cap)
+        assert (ball_pairs(chosen), chosen_completed) == (ball_pairs(ball), completed)
         verdict = is_distal(action, 8, perm_cap=perm_cap)
         assert (verdict.word_count, verdict.word_length) == (len(ball), completed)
 

@@ -10,10 +10,11 @@ oracle, run on `build_tower(chain).boundary_action(lam)` and must agree on
 every gallery chain at its default depth, on two chains whose first level is
 G, and on seeded random Klein-type chains built by intersecting subgroups
 like those of tests/test_subgroup_algebra.py.  The word ball must give the
-same words in the same order, and the same completed length, as the bytes
-or tuple ball, called directly so that no cell clamp binds; the ball does
-not depend on lam.  A budget of 5 holds the layer-atomic cutoff.  Needs
-neither numpy nor the test helpers.
+same words in the same order, and the same completed length, as the
+reference ball on the boundary action's permutations
+(`helpers.reference_action_ball`), with no cell clamp; the ball does not
+depend on lam.  A budget of 5 holds the layer-atomic cutoff.  Needs no
+numpy.
 """
 
 import functools
@@ -24,14 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 from cantordyn import gallery
-from cantordyn.action import (
-    BYTE_ALPHABET,
-    _word_ball,
-    enumerate_word_bytes,
-    enumerate_word_tuples,
-    invariant_measure,
-    is_minimal,
-)
+from cantordyn.action import _word_ball, invariant_measure, is_minimal
 from cantordyn.affine import (
     AffineElement,
     hermite_normal_form,
@@ -46,6 +40,7 @@ from cantordyn.gallery import REFLECTION, klein_type_group
 from cantordyn.limits import BALL_BUDGET
 from cantordyn.report import Report
 from cantordyn.tower import SubgroupChain, build_tower, mccord_verdict
+from helpers import reference_action_ball
 from modulus_oracle import cylinder_modulus_rows
 
 GROUP = klein_type_group()
@@ -102,11 +97,13 @@ def action_of(name, lam):
     return build_tower(chain_of(name)).boundary_action(lam)
 
 
-def engine_ball(action, max_length, budget):
-    small = len(action.model) <= BYTE_ALPHABET
-    enumerate_words = enumerate_word_bytes if small else enumerate_word_tuples
-    ball, completed = enumerate_words(action, max_length, perm_cap=budget)
+def oracle_ball(action, max_length, budget):
+    ball, completed = reference_action_ball(action, max_length, budget)
     return [word for word, _ in ball], completed
+
+
+def ball_words(ball):
+    return [ball.word(i) for i in range(len(ball))]
 
 
 CHAINS = list(GALLERY_CHAINS) + list(FIRST_LEVEL_G) + [f"random-{s}" for s in RANDOM_SEEDS]
@@ -161,9 +158,9 @@ def test_word_ball_on_core_keys_matches_the_permutation_ball(name, max_length):
     _, distal, _, (ball, completed) = _chain_dynamics(
         chain, mccord_verdict(chain), LAMBDAS[0], max_length
     )
-    words, engine_completed = engine_ball(action, max_length, BALL_BUDGET)
-    assert [word for word, _ in ball] == words
-    assert completed == engine_completed == distal.word_length
+    words, oracle_completed = oracle_ball(action, max_length, BALL_BUDGET)
+    assert ball_words(ball) == words
+    assert completed == oracle_completed == distal.word_length
     assert distal.word_count == len(words)
 
 
@@ -173,4 +170,4 @@ def test_word_ball_on_core_keys_stops_at_the_same_layer_under_a_budget_of_five(n
     core = mccord_verdict(chain).records[-1].core
     tokens, identity, compose = quotient_word_keys(chain.group, core)
     ball, completed = _word_ball(tokens, identity, 8, 5, compose)
-    assert ([word for word, _ in ball], completed) == engine_ball(action, 8, 5)
+    assert (ball_words(ball), completed) == oracle_ball(action, 8, 5)

@@ -36,6 +36,7 @@ from cantordyn.gallery import (
 from cantordyn.tower import build_tower, subgroup_cylinder
 from modulus_oracle import coding_chain_of
 from helpers import (
+    PairBall,
     bfs_schreier_diameter,
     check_coding_laws,
     dense_schreier_diameter,
@@ -269,7 +270,7 @@ def test_tuple_ball_return_words_are_the_array_ball_ones(name, monkeypatch):
     # bytes ball unpatched
     def array_ball(action, length, *, perm_cap):
         ball, completed = enumerate_word_perms(action, length, perm_cap=perm_cap)
-        return [(word, perm.tolist()) for word, perm in ball], completed
+        return PairBall([(word, perm.tolist()) for word, perm in ball]), completed
 
     action = RETURN_WORD_ACTIONS[name]()
     window = default_window(action)

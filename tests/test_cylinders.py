@@ -34,6 +34,7 @@ from cantordyn.gallery import (
 )
 from cantordyn.tower import build_tower
 from helpers import (
+    ball_pairs,
     brute_force_pushforward_invariant,
     engine_answers,
     enumerate_word_perms,
@@ -84,7 +85,9 @@ def test_tuple_ball_is_the_array_ball(name):
         tuples, completed = enumerate_word_tuples(action, 8, perm_cap=perm_cap)
         arrays, array_completed = enumerate_word_perms(action, 8, perm_cap=perm_cap)
         assert completed == array_completed
-        assert [(w, list(p)) for w, p in tuples] == [(w, p.tolist()) for w, p in arrays]
+        assert [(w, list(p)) for w, p in ball_pairs(tuples)] == [
+            (w, p.tolist()) for w, p in arrays
+        ]
         verdict = is_distal(action, 8, perm_cap=perm_cap)
         assert (verdict.word_count, verdict.word_length) == (len(arrays), completed)
 

@@ -270,7 +270,7 @@ def test_chain_commands_never_build_a_rank_matrix(capsys, monkeypatch, argv):
     assert calls == {"pair_ranks": 0, "_pair_rank_rows": 0}
 
 
-def test_classify_gathers_the_rank_matrix_once_per_token_and_never_per_word(
+def test_classify_gathers_the_rank_matrix_once_per_generator_and_never_per_word(
     capsys, monkeypatch
 ):
     gathers = {"count": 0}
@@ -282,10 +282,10 @@ def test_classify_gathers_the_rank_matrix_once_per_token_and_never_per_word(
 
     monkeypatch.setattr(action_module, "_image_ranks", image_ranks)
     config = CONFIG_DIR / "warp.cfg"
-    tokens = parse_config(config.read_text()).build_action().signed_tokens()
+    generators = parse_config(config.read_text()).build_action().generators
     assert main(["classify", str(config)]) == 0
     capsys.readouterr()
-    assert gathers["count"] == len(tokens)
+    assert gathers["count"] == len(generators)
 
 
 @pytest.mark.parametrize("command", ["classify", "code"])

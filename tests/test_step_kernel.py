@@ -19,12 +19,7 @@ from fractions import Fraction as F
 import pytest
 
 from cantordyn import gallery
-from cantordyn.action import (
-    BYTE_ALPHABET,
-    _word_ball,
-    enumerate_word_bytes,
-    enumerate_word_tuples,
-)
+from cantordyn.action import _word_ball
 from cantordyn.affine import (
     AffineElement,
     AffineGroup,
@@ -41,7 +36,7 @@ from cantordyn.affine import (
 )
 from cantordyn.limits import BALL_BUDGET
 from cantordyn.tower import SubgroupChain, build_tower
-from helpers import bfs_coset_space, bfs_orbit
+from helpers import bfs_coset_space, bfs_orbit, reference_action_ball
 from test_chain_sections import GALLERY_CHAINS, RANDOM_SEEDS, random_chain
 
 WORD_LENGTH = 4
@@ -148,10 +143,8 @@ def test_word_ball_on_core_keys_matches_the_permutation_ball(case):
     chain = chain_of(name)
     group = chain.group
     action = build_tower(SubgroupChain(group, chain.levels[:l])).boundary_action()
-    small = len(action.model) <= BYTE_ALPHABET
-    enumerate_words = enumerate_word_bytes if small else enumerate_word_tuples
-    ball, completed = enumerate_words(action, WORD_LENGTH, perm_cap=BALL_BUDGET)
+    ball, completed = reference_action_ball(action, WORD_LENGTH, BALL_BUDGET)
     tokens, identity, compose = quotient_word_keys(group, normal_core(group, chain.levels[l - 1]))
     keys_ball, keys_completed = _word_ball(tokens, identity, WORD_LENGTH, BALL_BUDGET, compose)
-    assert [word for word, _ in keys_ball] == [word for word, _ in ball]
+    assert [keys_ball.word(i) for i in range(len(keys_ball))] == [word for word, _ in ball]
     assert keys_completed == completed
