@@ -142,7 +142,7 @@ def _dynamics_sections(report, depth, orbit, table, distal, measure):
 def _chain_reading(chain, lam):
     """The boundary action's modulus table and measure (support label and
     weight), read off the chain.  G permutes G/H_K transitively and keeps each
-    G/H_j (the descent gates of `build_tower` and `code` check it): a minimal
+    G/H_j (the descent gates of `boundary_action` and `code` check it): a minimal
     tree isometry, one row (lam^j, lam^j) per j with [H_j : H_j+1] > 1 (H_0 = G)."""
     from .action import ModulusTable
 
@@ -313,13 +313,19 @@ def cmd_code(cfg, chain, report):
 def cmd_holonomy(cfg, chain, word_text, address_text, report):
     from .action import format_word, germinal_holonomy, parse_word
 
+    word = parse_word(word_text)
     if chain is None:
         action = cfg.build_action()
     else:
-        from .tower import build_tower
+        from .limits import check_index_cap
+        from .tower import boundary_action
 
-        action = build_tower(chain).boundary_action(cfg.lam)
-    word = parse_word(word_text)
+        check_index_cap(chain.indices()[-1])  # the cap, then the word's names, before any coset
+        names = dict(chain.group.generators)
+        for name, _ in reversed(word):  # in the order the word acts, as `word_perm` reads it
+            if name not in names:
+                raise StructureError(f"unknown generator name {name!r}")
+        action = boundary_action(chain, cfg.lam)
     address = _parse_address(action.model, address_text)
     verdict = germinal_holonomy(action, word, address)
     report.section("holonomy")

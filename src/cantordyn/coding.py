@@ -32,8 +32,6 @@ from fractions import Fraction
 
 from .action import (
     CantorAction,
-    CantorModel,
-    TreeMetric,
     _invert_perm,
     _word_ball,
     tuple_getter,
@@ -415,7 +413,8 @@ class ChainWindow:
     G/H_K; a word is built only for the first class of each image."""
 
     def __init__(self, chain, space, lam):
-        from .affine import coarser_cosets, normal_core, quotient_word_keys
+        from .affine import normal_core, quotient_word_keys
+        from .tower import chain_model
 
         group, levels = chain.group, chain.levels
         upper = levels[0] if chain.depth > 1 else group.normal_form
@@ -426,12 +425,7 @@ class ChainWindow:
         self._local = local = [None] * space.index  # G/H_K index -> window position
         for t, i in enumerate(points):
             local[i] = t
-        keys, labels, columns = [space.keys[i] for i in points], range(len(points)), []
-        for h in reversed(levels[:-1]):  # each level's keys reduced off the next one's
-            keys, mapping = coarser_cosets(group, h, keys)
-            labels = list(map(mapping.__getitem__, labels))
-            columns.insert(0, labels)
-        model = CantorModel(zip(*columns, range(len(points))), chain.depth, TreeMetric(lam))
+        model = chain_model(chain, [space.keys[i] for i in points], lam)
         rows = [row for _, row in sorted(zip(order, rows))]
         perms = {f"h{e}": [local[j] for j in col] for e, col in enumerate(zip(*rows))}
         self.action = CantorAction(model, perms, 0, label=chain.label)

@@ -1,12 +1,12 @@
-"""Descending subgroup chains, their finite quotient towers, and chain tests.
+"""Descending subgroup chains, their tree model, and chain tests.
 
-A chain H_1 >= H_2 >= ... of finite-index subgroups yields a tower of coset
-spaces G/H_l with bonding surjections.  Only the deepest space G/H_K is
+A chain H_1 >= H_2 >= ... of finite-index subgroups acts on its boundary,
+the coset spaces G/H_l nested as a tree.  Only the deepest space G/H_K is
 enumerated: every coarser coset is the image of deeper ones, so each coarser
-level is read off the keys of the level below it, and the addresses (one
-coset id per level for each deepest coset) are composed once per level.
-The tower checks that each generator's permutation descends to every
-coarser level, so its boundary action is a tree isometry, as the chain says.
+level's coset ids are read off the keys of the level below it, and the tree
+model's addresses (one coset id per level) are composed once per level.
+The boundary action checks that each generator's permutation descends to
+every coarser level, so it is a tree isometry, as the chain says.
 The normal-core cofinality verdict and the interleaving test quantify over
 the available depth only; every verdict records the depth it was computed at
 and failure witnesses re-verify by independent membership calls.
@@ -66,70 +66,48 @@ class SubgroupChain(namedtuple("SubgroupChain", "group levels label")):
         return self._replace(levels=self.levels[:depth])
 
 
-class QuotientTower(namedtuple("QuotientTower", "chain space bonding addresses")):
-    """The deepest coset space G/H_K, the bonding maps, and the addresses:
-    `bonding[l]` maps the level l+2 indices to the level l+1 indices, and
-    `addresses[i]` lists the coset ids, level 1 through K, of the cosets
-    that the deepest coset i lies in."""
+def chain_model(chain, keys, lam):
+    """The tree model of the H_K cosets with canonical `keys`: address t is
+    the level-1 to level-(K-1) coset ids of coset t, each id its coset's rank
+    among the coarse cosets the keys reach (every level's keys reduced off
+    the next finer level's), then t.  On all of G/H_K the ids are the G/H_l
+    ranks."""
+    from .action import CantorModel, TreeMetric
 
-    __slots__ = ()
-
-    @property
-    def depth(self):
-        return self.chain.depth
-
-    def boundary_action(self, lam=Fraction(1, 2)):
-        """Left translation on the deepest coset space as a finite Cantor model.
-
-        Addresses are the compatible coset-id sequences of the tower;
-        generators act by the deepest level's permutations; the metric is the
-        tree metric with base lam; the basepoint is the identity coset.
-        Address i is coset i of the deepest space.
-        """
-        from .action import CantorAction, CantorModel, TreeMetric
-
-        group = self.chain.group
-        model = CantorModel(self.addresses, self.depth, TreeMetric(Fraction(lam)))
-        generators = {name: self.space.gen_perms[name] for name, _ in group.generators}
-        basepoint = self.space.index_of_element(group.identity())
-        return CantorAction(model, generators, basepoint, label=self.chain.label)
+    labels, columns = range(len(keys)), []
+    for h in reversed(chain.levels[:-1]):
+        keys, mapping = coarser_cosets(chain.group, h, keys)
+        labels = list(map(mapping.__getitem__, labels))
+        columns.insert(0, labels)
+    return CantorModel(zip(*columns, range(len(labels))), chain.depth, TreeMetric(lam))
 
 
-def build_tower(chain):
-    """The deepest coset space, and each coarser level read off it: level l
-    is the set of H_l-cosets that level l+1's cosets lie in, and the
-    bonding map sends each fine coset to its coarse one."""
+def boundary_action(chain, lam=Fraction(1, 2)):
+    """Left translation on G/H_K as a finite Cantor model: `chain_model` on
+    every coset, the generators' permutations of G/H_K, the identity coset
+    (index 0) as basepoint.  Each coarser level must have its index in
+    cosets (StructureError, checked from the deepest up), then pass the
+    descent gate: each generator maps every level-l coset into one
+    (InvariantViolation, checked from level 1 down).  G is transitive on
+    G/H_K, so every level-l coset then holds [H_l : H_l+1] level-(l+1) ones."""
+    from .action import CantorAction
+
     indices = chain.indices()
     check_index_cap(indices[-1])  # refuse before any coset
-    group, levels = chain.group, chain.levels
-    space = coset_space(group, levels[-1])
-    keys, bonding = space.keys, []
-    for l in range(len(levels) - 2, -1, -1):
-        keys, mapping = coarser_cosets(group, levels[l], keys)
-        if len(keys) != indices[l]:
-            raise StructureError(
-                f"level {l + 1} has {len(keys)} cosets, expected {indices[l]}"
-            )
-        ratio = subgroup_index_in(levels[l + 1], levels[l])
-        fibers = [0] * len(keys)
-        for i in mapping:
-            fibers[i] += 1
-        if any(c != ratio for c in fibers):
-            raise StructureError("bonding map fibers are not of constant size")
-        bonding.append(mapping)
-    bonding.reverse()
-    addresses = [(i,) for i in range(len(keys))]
-    for mapping in bonding:
-        addresses = [addresses[j] + (i,) for i, j in enumerate(mapping)]
-    for l in range(len(levels) - 1):
-        # the descent gate: each generator maps a level-(l+1) coset into one
-        column = [a[l] for a in addresses]
+    space = coset_space(chain.group, chain.levels[-1])
+    model = chain_model(chain, space.keys, lam)
+    for l in reversed(range(1, chain.depth)):
+        count = len(set(model.cylinder_labels(l)))
+        if count != indices[l - 1]:
+            raise StructureError(f"level {l} has {count} cosets, expected {indices[l - 1]}")
+    for l in range(1, chain.depth):
+        column = model.cylinder_labels(l)
         for name, perm in space.gen_perms.items():
-            if len(set(zip(column, map(column.__getitem__, perm)))) != indices[l]:
+            if len(set(zip(column, map(column.__getitem__, perm)))) != indices[l - 1]:
                 raise InvariantViolation(
-                    f"generator {name} does not map level {l + 1} cosets to cosets"
+                    f"generator {name} does not map level {l} cosets to cosets"
                 )
-    return QuotientTower(chain, space, tuple(bonding), tuple(addresses))
+    return CantorAction(model, space.gen_perms, 0, label=chain.label)
 
 
 # ------------------------------------------------------------------ McCord
@@ -231,14 +209,3 @@ def interleave(chain_a, chain_b):
             )
         map_ba.append(l)
     return InterleaveVerdict(True, tuple(map_ab), tuple(map_ba))
-
-
-def subgroup_cylinder(tower, subgroup):
-    """Indices of the deepest-level cosets lying in the image of a subgroup.
-
-    The cosets of H_K inside S * H_K form the orbit of the identity coset
-    under left multiplication by S's generators; only the cosets the orbit
-    reaches are multiplied.
-    """
-    return frozenset(tower.space.orbit(subgroup.generator_elements())[0])
-

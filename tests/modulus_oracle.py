@@ -3,7 +3,7 @@
 The package computes a modulus table only on the rank route
 (`action.modulus_table`).  Its one tree model is a chain's boundary action,
 whose table `code` and `classify` read off the chain: one row (lam^j, lam^j)
-per split level, which `tower.build_tower`'s descent check makes true.  The
+per split level, which the descent gate of `tower.boundary_action` makes true.  The
 cylinder engine here computes the table of any tree model from its
 permutations, and is itself checked against `helpers.brute_force_modulus_rows`
 through `helpers.engine_answers`.  Needs neither numpy nor the test helpers.

@@ -24,7 +24,7 @@ from cantordyn.gallery import (
     warp_example,
 )
 from cantordyn.report import strip_timing
-from cantordyn.tower import build_tower, interleave, mccord_verdict, subgroup_cylinder
+from cantordyn.tower import interleave, mccord_verdict
 
 from conftest import record_criterion
 from helpers import (
@@ -35,6 +35,7 @@ from helpers import (
     random_tree_action,
 )
 from modulus_oracle import coding_chain_of, modulus_table_of
+from tower_oracle import build_tower, subgroup_cylinder
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 

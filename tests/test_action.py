@@ -23,7 +23,6 @@ from cantordyn.action import (
 )
 from cantordyn.errors import InvariantViolation, ResourceLimitError, StructureError
 from cantordyn.gallery import vietoris, warp_example, warp_model
-from cantordyn.tower import build_tower
 from helpers import (
     ball_pairs,
     brute_force_distality,
@@ -33,6 +32,7 @@ from helpers import (
     validate_metric,
 )
 from modulus_oracle import modulus_table_of
+from tower_oracle import build_tower
 
 
 def dyadic_action(depth=3):

@@ -31,7 +31,6 @@ from cantordyn.action import (
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import small_fo_variant, warp_example, warp_model
 from cantordyn.limits import CELL_CAP
-from cantordyn.tower import build_tower
 from helpers import (
     ExplicitMetric,
     RankedTreeMetric,
@@ -49,6 +48,7 @@ from helpers import (
     three_point_action,
     warp_pair_keys,
 )
+from tower_oracle import build_tower
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = json.loads((REPO / "perfbench/workloads.json").read_text(encoding="utf-8"))

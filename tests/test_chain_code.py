@@ -5,13 +5,14 @@ On a chain `code` builds no tower: `coding.ChainWindow` enumerates G/H_K
 once and codes the default window W = H_1/H_K under H_1, with return words
 from a word ball on coset keys of core(H_K) and window images gathered
 through the space's generator permutations.  Here that path must agree with
-`coding_chain` on `build_tower(chain).boundary_action(lam)`, given the same
+`coding_chain` on the oracle tower's boundary action
+(`tower_oracle.build_tower(chain).boundary_action(lam)`), given the same
 modulus table, minimality and orbit-graph diameter: every field of every
 coding level, with window positions read back as G/H_K indices; the final
 words, bound, effective bound, window and window images; the window, its gap
 to the rest, the orbit graph and its diameters; the number of return-word
 sets each path builds; and the `core_oracle` lines of `cmd_code`, against
-the tower's `subgroup_cylinder` of each level's core.  The chains are the
+the oracle's `subgroup_cylinder` of each level's core.  The chains are the
 gallery chains at their default depths, the two chains whose first level is
 G, two depth-1 chains, the seeded random Klein-type chains of
 tests/test_chain_sections.py, and three chains whose ball holds two landing
@@ -45,9 +46,9 @@ from cantordyn.coding import (
 from cantordyn.errors import InvariantViolation
 from cantordyn.gallery import build_chain
 from cantordyn.report import Report
-from cantordyn.tower import build_tower, subgroup_cylinder
 from test_chain_sections import CHAINS, LAMBDAS
 from test_chain_sections import chain_of as section_chain_of
+from tower_oracle import build_tower, subgroup_cylinder
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 WORD_BOUNDS = (0, 1, 3, 8)
@@ -283,8 +284,7 @@ def test_chain_code_builds_no_tower_and_no_address_ball(monkeypatch, capsys, con
     def refuse(*args, **kwargs):
         raise AssertionError("a chain's code ran an address-level engine")
 
-    monkeypatch.setattr(tower_module, "build_tower", refuse)
-    monkeypatch.setattr(tower_module.QuotientTower, "boundary_action", refuse)
+    monkeypatch.setattr(tower_module, "boundary_action", refuse)
     for name in ("enumerate_word_tuples", "enumerate_word_bytes", "word_ball"):
         monkeypatch.setattr(action_module, name, refuse)
     monkeypatch.setattr(coding, "word_ball", refuse)

@@ -6,7 +6,8 @@ rows, the least distance and the uniform weight follow from left
 translation on G/H_K, and the word ball is counted on coset keys of
 core(H_K).  `code` takes the same modulus rows (its coding chain is checked
 in tests/test_chain_code.py).  Here the engines, and the cylinder modulus
-oracle, run on `build_tower(chain).boundary_action(lam)` and must agree on
+oracle, run on the oracle tower's boundary action
+(`tower_oracle.build_tower(chain).boundary_action(lam)`) and must agree on
 every gallery chain at its default depth, on two chains whose first level is
 G, and on seeded random Klein-type chains built by intersecting subgroups
 like those of tests/test_subgroup_algebra.py.  The word ball must give the
@@ -39,9 +40,10 @@ from cantordyn.cli import _chain_dynamics, _chain_reading, cmd_measure
 from cantordyn.gallery import REFLECTION, klein_type_group
 from cantordyn.limits import BALL_BUDGET
 from cantordyn.report import Report
-from cantordyn.tower import SubgroupChain, build_tower, mccord_verdict
+from cantordyn.tower import SubgroupChain, mccord_verdict
 from helpers import reference_action_ball
 from modulus_oracle import cylinder_modulus_rows
+from tower_oracle import build_tower
 
 GROUP = klein_type_group()
 LAMBDAS = (F(1, 2), F(2, 3))

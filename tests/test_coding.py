@@ -33,7 +33,6 @@ from cantordyn.gallery import (
     vietoris,
     warp_example,
 )
-from cantordyn.tower import build_tower, subgroup_cylinder
 from modulus_oracle import coding_chain_of
 from helpers import (
     PairBall,
@@ -46,6 +45,7 @@ from helpers import (
     naive_refine_fixed_point,
     random_tree_action,
 )
+from tower_oracle import build_tower, subgroup_cylinder
 
 
 def dyadic_setup():

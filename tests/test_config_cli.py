@@ -288,13 +288,14 @@ def test_invariant_violation_exits_four(capsys, monkeypatch):
 
 
 def swap_across_level(monkeypatch, chain, level=1):
-    """Patch `coset_space`, where `tower` binds it and where `code` imports it
-    from, so that the first generator's permutation swaps its images of two
-    cosets lying in one coset of the level above and in different cosets of
-    the level."""
+    """Patch `coset_space`, where `tower` and the oracle tower bind it and
+    where `code` imports it from, so that the first generator's permutation
+    swaps its images of two cosets lying in one coset of the level above and
+    in different cosets of the level."""
+    import tower_oracle
     from cantordyn import affine, tower
 
-    addresses = tower.build_tower(chain).addresses
+    addresses = tower_oracle.build_tower(chain).addresses
     first = addresses[0][:level]
     k = next(
         k for k, a in enumerate(addresses) if a[:level - 1] == first[:-1] and a[:level] != first
@@ -309,22 +310,27 @@ def swap_across_level(monkeypatch, chain, level=1):
         space.gen_perms = {**space.gen_perms, name: tuple(perm)}
         return space
 
-    for module in (affine, tower):
+    for module in (affine, tower, tower_oracle):
         monkeypatch.setattr(module, "coset_space", swapped)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_a_permutation_that_does_not_descend_exits_four(capsys, monkeypatch, level):
-    """The tower's gate refuses it at the level; `code`, which builds no
-    tower, refuses the window images that break the level's cylinders."""
+    """The oracle tower's gate refuses it at the level, and so does the gate
+    of `boundary_action`, which `holonomy` reads; `code`, which builds no
+    boundary action, refuses the window images that break the level's
+    cylinders."""
+    from tower_oracle import build_tower
+
     from cantordyn.errors import InvariantViolation
-    from cantordyn.tower import build_tower
+    from cantordyn.tower import boundary_action
 
     path = CONFIG_DIR / "vietoris2.cfg"  # depth 4
     chain = parse_config(path.read_text()).build_chain()
     swap_across_level(monkeypatch, chain, level)
-    with pytest.raises(InvariantViolation, match=f"does not map level {level} cosets"):
-        build_tower(chain)
+    for build in (build_tower, boundary_action):
+        with pytest.raises(InvariantViolation, match=f"does not map level {level} cosets"):
+            build(chain)
     for argv in (("code",), ("holonomy", "--word", "t*t^-1", "--at", "0.0.0.0")):
         rc, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert (rc, out) == (4, "")
@@ -414,11 +420,13 @@ def test_chain_commands_enumerate_each_coset_space_once(
     `classify`'s word ball reuses McCord's core of the deepest level, so it
     computes one normal core per level.  `code` takes its modulus table and
     minimality from the chain too, so it runs neither `is_minimal` nor
-    `modulus_table`, and it builds no tower: it enumerates G/H_K alone."""
+    `modulus_table`, and it builds no boundary action: it enumerates G/H_K
+    alone.  `holonomy` enumerates G/H_K once, for its one boundary action:
+    the package builds no quotient tower."""
     from cantordyn import action, affine, tower
 
-    calls = {"coset_space": 0, "build_tower": 0, "normal_core": 0}
-    towers, spaces = [], []
+    calls = {"coset_space": 0, "boundary_action": 0, "normal_core": 0}
+    actions, spaces = [], []
 
     def counted(name, fn):
         def wrapper(*a, **kw):
@@ -427,10 +435,10 @@ def test_chain_commands_enumerate_each_coset_space_once(
 
         return wrapper
 
-    def build(chain):
-        calls["build_tower"] += 1
-        towers.append(build_tower(chain))
-        return towers[-1]
+    def build(chain, lam):
+        calls["boundary_action"] += 1
+        actions.append(boundary_action(chain, lam))
+        return actions[-1]
 
     def enumerate_cosets(group, subgroup):
         calls["coset_space"] += 1
@@ -439,11 +447,11 @@ def test_chain_commands_enumerate_each_coset_space_once(
 
     coset_space = affine.coset_space
     core = counted("normal_core", affine.normal_core)
-    build_tower = tower.build_tower
+    boundary_action = tower.boundary_action
     for module in (affine, tower):
         monkeypatch.setattr(module, "coset_space", enumerate_cosets)
         monkeypatch.setattr(module, "normal_core", core)
-    monkeypatch.setattr(tower, "build_tower", build)  # cli imports it when a chain runs
+    monkeypatch.setattr(tower, "boundary_action", build)  # cli imports it when a chain runs
     engines = ("is_minimal", "modulus_table", "is_distal", "invariant_measure")
     for name in engines:  # cli imports them from the action module when it runs
         calls[name] = 0
@@ -453,14 +461,16 @@ def test_chain_commands_enumerate_each_coset_space_once(
     assert [calls[name] for name in engines] == [0] * len(engines)
     if command in ("classify", "measure"):
         cores = depth if command == "classify" else 0
-        assert (calls["coset_space"], calls["build_tower"], calls["normal_core"]) == (0, 0, cores)
+        assert (calls["coset_space"], calls["boundary_action"], calls["normal_core"]) == (
+            0, 0, cores
+        )
     elif command == "code":
-        assert (calls["coset_space"], calls["build_tower"]) == (1, 0)
+        assert (calls["coset_space"], calls["boundary_action"]) == (1, 0)
         chain = parse_config((CONFIG_DIR / args[0]).read_text()).build_chain()
         assert spaces[0].subgroup == chain.levels[depth - 1]
     else:
-        assert (calls["coset_space"], calls["build_tower"]) == (1, 1)
-        assert towers[0].depth == depth
+        assert (calls["coset_space"], calls["boundary_action"]) == (1, 1)
+        assert actions[0].model.depth == depth
 
 
 @pytest.mark.parametrize("command", ["classify", "measure", "holonomy"])
@@ -480,6 +490,24 @@ def test_tower_refuses_an_over_cap_chain_before_any_coset(
     assert rc == 3
     assert out == ""
     assert f"coset index {2 ** 30} exceeds the cap 1000000" in err
+
+
+@pytest.mark.parametrize(
+    "word, name", [("zz", "zz"), ("x*y^-1*zz*qq", "qq"), ("g*zz*t1", "zz"), ("zz*g^-1", "zz")]
+)
+def test_holonomy_refuses_an_unknown_generator_before_any_coset(capsys, monkeypatch, word, name):
+    """The word's names are checked as it acts, right to left, so the error
+    names the token the action would have failed on."""
+    from cantordyn import affine, tower
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset_space ran before the word's names were checked")
+
+    for module in (affine, tower):
+        monkeypatch.setattr(module, "coset_space", refuse)
+    argv = ("holonomy", str(CONFIG_DIR / "fo.cfg"), "--word", word, "--at", "0.0")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: unknown generator name {name!r}\n")
 
 
 def test_code_refuses_an_over_cap_chain_before_any_coset(tmp_path, capsys, monkeypatch):

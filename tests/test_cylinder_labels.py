@@ -38,7 +38,7 @@ from cantordyn.coding import (
     default_window,
 )
 from cantordyn.errors import StructureError
-from cantordyn.tower import build_tower
+from tower_oracle import build_tower
 
 CHAINS = {
     "vietoris_2_4": lambda: gallery.vietoris(2, 4),

@@ -32,7 +32,6 @@ from cantordyn.gallery import (
     vietoris,
     warp_example,
 )
-from cantordyn.tower import build_tower
 from helpers import (
     ball_pairs,
     brute_force_pushforward_invariant,
@@ -42,6 +41,7 @@ from helpers import (
     random_tree_action,
     rank_oracle,
 )
+from tower_oracle import build_tower
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 

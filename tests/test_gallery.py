@@ -22,10 +22,11 @@ from cantordyn.gallery import (
     vietoris,
     warp_example,
 )
-from cantordyn.tower import build_tower, mccord_verdict
+from cantordyn.tower import mccord_verdict
 
 from helpers import brute_force_core
 from modulus_oracle import modulus_table_of
+from tower_oracle import build_tower
 
 
 def test_vietoris_chain_levels():

@@ -20,9 +20,10 @@ from cantordyn.cli import main
 from cantordyn.config import parse_config
 from cantordyn.coding import basepoint_eccentricity, orbit_graph, schreier_diameter
 from cantordyn.limits import SCHREIER_SIZE_CAP
-from cantordyn.tower import SubgroupChain, build_tower
+from cantordyn.tower import SubgroupChain
 from helpers import bfs_schreier_diameter
 from test_step_kernel import random_lattice_chain
+from tower_oracle import build_tower
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 NORMAL_CONFIGS = ("vietoris2", "vietoris3", "vietoris5", "quads", "triadic")

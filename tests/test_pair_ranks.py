@@ -27,7 +27,6 @@ from cantordyn.config import parse_config
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import vietoris, warp_example, warp_model
 from cantordyn.limits import CELL_CAP
-from cantordyn.tower import build_tower
 from helpers import (
     ExplicitMetric,
     RankedTreeMetric,
@@ -42,6 +41,7 @@ from helpers import (
     validate_metric,
 )
 from modulus_oracle import modulus_table_of
+from tower_oracle import build_tower
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 TREE_SEEDS = range(6)

@@ -35,9 +35,10 @@ from cantordyn.affine import (
     translation,
 )
 from cantordyn.limits import BALL_BUDGET
-from cantordyn.tower import SubgroupChain, build_tower
+from cantordyn.tower import SubgroupChain
 from helpers import bfs_coset_space, bfs_orbit, reference_action_ball
 from test_chain_sections import GALLERY_CHAINS, RANDOM_SEEDS, random_chain
+from tower_oracle import build_tower
 
 WORD_LENGTH = 4
 LATTICE_SEEDS = range(6)

@@ -28,15 +28,10 @@ from cantordyn.gallery import (
     small_fo_variant,
     vietoris,
 )
-from cantordyn.tower import (
-    SubgroupChain,
-    build_tower,
-    interleave,
-    mccord_verdict,
-    subgroup_cylinder,
-)
+from cantordyn.tower import SubgroupChain, interleave, mccord_verdict
 
 from helpers import TruncatedPoint, permutation_orbit_cylinder, truncated_point
+from tower_oracle import build_tower, subgroup_cylinder
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -360,16 +355,17 @@ def test_coset_keys_give_the_validated_reps_and_the_rep_bonding_maps(name):
 
 
 def test_coset_space_constructs_no_affine_element(monkeypatch):
+    import tower_oracle
     from cantordyn import affine, tower
     from cantordyn.cli import main
 
-    counts = {"inside": 0, "coset_space": 0, "build_tower": 0, "built": 0}
+    counts = {"inside": 0, "coset_space": 0, "boundary_action": 0, "build_tower": 0, "built": 0}
 
     def counted_init(self, *args):
         counts["built"] += counts["inside"] > 0
         init(self, *args)
 
-    def counted(fn):  # build_tower calls coset_space: count nested calls as inside
+    def counted(fn):  # the towers call coset_space: count nested calls as inside
         def wrapper(*args, **kwargs):
             counts["inside"] += 1
             counts[fn.__name__] += 1
@@ -383,15 +379,22 @@ def test_coset_space_constructs_no_affine_element(monkeypatch):
     init = AffineElement.__init__
     monkeypatch.setattr(AffineElement, "__init__", counted_init)
     counted_space = counted(affine.coset_space)
-    for module in (affine, tower):
+    for module in (affine, tower, tower_oracle):
         monkeypatch.setattr(module, "coset_space", counted_space)
-    build_tower = counted(tower.build_tower)
-    monkeypatch.setattr(tower, "build_tower", build_tower)
+    boundary_action = counted(tower.boundary_action)
+    monkeypatch.setattr(tower, "boundary_action", boundary_action)
+    build_tower = counted(tower_oracle.build_tower)
     config = REPO / "perfbench/configs/klein_3_5_mid.cfg"
-    assert main(["code", str(config)]) == 0  # a chain's code builds no tower
-    assert counts == {"inside": 0, "coset_space": 1, "build_tower": 0, "built": 0}
-    build_tower(parse_config(config.read_text()).build_chain())
-    assert counts == {"inside": 0, "coset_space": 2, "build_tower": 1, "built": 0}
+    assert main(["code", str(config)]) == 0  # a chain's code builds no boundary action
+    assert counts == {
+        "inside": 0, "coset_space": 1, "boundary_action": 0, "build_tower": 0, "built": 0
+    }
+    chain = parse_config(config.read_text()).build_chain()
+    build_tower(chain)
+    boundary_action(chain)
+    assert counts == {
+        "inside": 0, "coset_space": 3, "boundary_action": 1, "build_tower": 1, "built": 0
+    }
 
 
 @pytest.mark.parametrize("name", sorted(CYLINDER_CHAINS))

@@ -1,8 +1,9 @@
 """The tower's coarser levels, read off the deepest coset keys, against one
 coset space enumerated per level.
 
-`build_tower` enumerates only G/H_K; each coarser level is the set of
-H_l-cosets the level below lies in.  On every gallery chain at its default
+The oracle tower (`tower_oracle.build_tower`), like `tower.chain_model`,
+enumerates only G/H_K; each coarser level is the set of H_l-cosets the level
+below lies in.  On every gallery chain at its default
 depth, the coarse keys must be the keys `coset_space` enumerates for H_l,
 each bonding map must send a fine coset's rep to the coarse coset that
 contains it, and each address must be its deepest coset id composed back
@@ -13,7 +14,7 @@ import pytest
 
 from cantordyn import gallery
 from cantordyn.affine import coarser_cosets, coset_space
-from cantordyn.tower import build_tower
+from tower_oracle import build_tower
 
 GALLERY_CHAINS = ("vietoris", "fokkink_oversteegen", "rogers_tollefson", "small_fo_variant")
 
