@@ -60,31 +60,33 @@ def _params_section(report, cfg, depth):
 
 
 def _address_str(model, i):
-    """Address index i, spelled as the CLI reads and prints it."""
-    from .action import COLLAPSED
-
+    """Address index i, spelled as the CLI reads and prints it: w0, the
+    warp product's x:y digits, or a tree address's dotted ints."""
     address = model.addresses[i]
-    if address == COLLAPSED:
-        return COLLAPSED
-    if (
-        isinstance(address, tuple)
-        and len(address) == 2
-        and isinstance(address[0], tuple)
-        and isinstance(address[1], tuple)
-    ):
-        x = "".join(str(d) for d in address[0])
-        y = "".join(str(d) for d in address[1])
-        return f"{x}:{y}"
-    return ".".join(str(c) for c in address)
+    if isinstance(address, str):  # the collapsed point
+        return address
+    if address and isinstance(address[0], tuple):
+        return ":".join("".join(map(str, part)) for part in address)
+    return ".".join(map(str, address))
 
 
 def _parse_address(model, text):
-    """The index of the address spelled `text`."""
+    """The index of the address spelled `text`: x:y digits or dotted ints
+    read back into a key of the model's index (other text, such as w0, is
+    looked up as it is), confirmed by spelling that address again."""
     text = text.strip()
-    for i in range(len(model)):
-        if _address_str(model, i) == text:
-            return i
-    raise StructureError(f"address {text!r} is not in the model")
+    x, colon, y = text.partition(":")
+    try:
+        if colon:
+            address = (tuple(map(int, x)), tuple(map(int, y)))
+        else:
+            address = tuple(map(int, text.split(".")))
+    except ValueError:
+        address = text
+    i = model.index.get(address)
+    if i is None or _address_str(model, i) != text:
+        raise StructureError(f"address {text!r} is not in the model")
+    return i
 
 
 def _chain_for(cfg):
@@ -274,7 +276,7 @@ def cmd_code(cfg, chain, report):
     report.add("return_word_classes", len(words), 1)
     report.add(
         "return_words_head",
-        [format_word(w) for w in words.words[:6]],
+        [format_word(words.word(k)) for k in range(min(6, len(words)))],
         1,
     )
     report.add("schreier_diameter", chain_result.schreier_diam, 1)

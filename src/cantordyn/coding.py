@@ -12,8 +12,9 @@ All diameters, gaps, and thresholds are exact rationals; no comparison uses
 a tolerance.
 
 Points are address indices: the window, the partition blocks, the level
-sets and their translates are sets of them, and each return word keeps only
-its restriction to W, a tuple of them, which is all the chain reads.  The
+sets and their translates are sets of them, and a return word's image is
+read at them (a ball class's image is its ball key, held by reference).  A
+word is built only when read: a new translate, the report's head.  The
 partition gap and the clopen-window check compare the model's cylinder
 label columns (the gap reads rows of pair ranks off a tree), and the
 Schreier diameter grows Python-int bitsets, all on the standard library.
@@ -31,6 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .action import (
+    BYTE_ALPHABET,
     CantorAction,
     _invert_perm,
     _word_ball,
@@ -129,41 +131,38 @@ class ReturnWordSet:
     The ball enumeration is layer-atomic under a permutation budget, so
     effective_bound records the last exhaustively enumerated word length;
     one shortest transition word per reachable window address is always
-    included regardless of its length.  `images[k][t]` is the address index
-    the k-th word sends the t-th window address to, `window` holding their
-    indices in ascending order: the level set, its base blocks and every
-    translate lie in the window.  `words` holds word tuples, the empty word
-    first.
+    included regardless of its length.  `images[k][i]` is where the k-th
+    word sends window address index i, `window` holding those indices in
+    ascending order (the level set, its blocks and translates lie in it).
+    A ball class's image is its key, held by reference, and `word(k)` reads
+    its word off the `ball` (`classes[k]`) on request; the `shortest` words
+    follow, as word tuples whose images are dicts over the window.  `words`
+    builds them all, the empty word first.
     """
 
-    __slots__ = ("words", "bound", "effective_bound", "window", "images")
+    __slots__ = ("ball", "classes", "shortest", "bound", "effective_bound", "window", "images")
 
-    def __init__(self, words, bound, effective_bound, window, images):
-        self.words = words
+    def __init__(self, ball, classes, shortest, bound, effective_bound, window, images):
+        self.ball = ball
+        self.classes = classes
+        self.shortest = shortest
         self.bound = bound
         self.effective_bound = effective_bound
         self.window = window
         self.images = images
 
-    def __eq__(self, other):
-        """Equal words, bound and effective bound; window and images are
-        not compared."""
-        if other.__class__ is not ReturnWordSet:
-            return NotImplemented
-        return (self.words, self.bound, self.effective_bound) == (
-            other.words, other.bound, other.effective_bound
-        )
+    def word(self, k):
+        """The k-th word, newest token first."""
+        if k < len(self.classes):
+            return self.ball.word(self.classes[k])
+        return self.shortest[k - len(self.classes)]
+
+    @property
+    def words(self):
+        return tuple(map(self.word, range(len(self))))
 
     def __len__(self):
-        return len(self.words)
-
-    def positions(self, subset):
-        """Positions in `window` of a subset of its address indices."""
-        where = {i: t for t, i in enumerate(self.window)}
-        try:
-            return [where[i] for i in subset]
-        except KeyError:
-            raise StructureError("subset must lie in the return words' window")
+        return len(self.images)
 
 
 # size: the address count; basepoint: an address index; tokens: (token,
@@ -229,8 +228,8 @@ def _shortest_words_into_window(graph, win_idx):
 
 
 def check_window_cells(size):
-    """Refuse return words over a window of `size` addresses: each word keeps
-    its image of the window, and a transitive action has a word per address."""
+    """Refuse return words over a window of `size` addresses: a transitive
+    action has a shortest word per window address, each keeping its image."""
     check_cells(size * size, f"return words over a window of {size} addresses")
 
 
@@ -238,29 +237,33 @@ def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=BALL_B
     """Ball words of bounded length landing the basepoint in the window, plus
     one shortest transition word per reachable window address.
 
-    The ball takes the model's representation (`action.word_ball`), and each
-    ball permutation landing the basepoint in the window is restricted to
-    it by one `tuple_getter`; the ball builds a word only for the first
-    class of each window image.  A window over the cell cap is refused
-    before any ball permutation.
+    The ball takes the model's representation (`action.word_ball`).  The
+    landing classes are told apart by one C-level gather of the key at the
+    window (`bytes.translate` or `tuple_getter`), the first of each keeping
+    its key as its image, and no word is built.  A window over the cell cap
+    is refused before any ball permutation.
     """
     window = _check_clopen_window(action, window)
     check_window_cells(len(window))
     w0 = action.basepoint
     win_idx = sorted(window)
     ball, completed = word_ball(action, bound, perm_cap=perm_budget)
-    restrict = tuple_getter(win_idx)
-    first_word = {}  # window image -> its first word, in word order
-    for i, perm in enumerate(ball):
-        if perm[w0] in window:
-            image = restrict(perm)
-            if image not in first_word:
-                first_word[image] = ball.word(i)
+    if isinstance(ball[0], bytes):  # gather through the key padded to a translate table
+        at_window, pad = bytes(win_idx), bytes(BYTE_ALPHABET - len(action.model))
+        restrict, as_key = lambda key: at_window.translate(key + pad), bytes
+    else:
+        restrict, as_key = tuple_getter(win_idx), tuple
+    first = {}  # window restriction -> its first class, in ball order
+    for i, key in enumerate(ball):
+        if key[w0] in window:
+            first.setdefault(restrict(key), i)
+    classes = list(first.values())
+    shortest, images = [], [ball[i] for i in classes]
     for word, image in _shortest_words_into_window(orbit_graph(action), win_idx):
-        first_word.setdefault(image, word)
-    return ReturnWordSet(
-        tuple(first_word.values()), bound, completed, tuple(win_idx), tuple(first_word)
-    )
+        if as_key(image) not in first:
+            shortest.append(word)
+            images.append(dict(zip(win_idx, image)))
+    return ReturnWordSet(ball, classes, shortest, bound, completed, tuple(win_idx), images)
 
 
 def code(action, window, partition, point, word):
@@ -272,42 +275,40 @@ def code(action, window, partition, point, word):
 
 def compute_V(action, window, partition, words):
     """Window points whose code function agrees with the basepoint's under
-    every word of a ReturnWordSet over the same window."""
+    every word of a ReturnWordSet over the same window, read off its images."""
     if sorted(window) != list(words.window):
         raise StructureError("return words were enumerated over another window")
     block_id = partition.labels(len(action.model))
-    (b0,) = words.positions([action.basepoint])
-    keep = range(len(words.window))
+    w0 = action.basepoint
+    keep = words.window
     for image in words.images:
-        code0 = block_id[image[b0]]
-        keep = [t for t in keep if block_id[image[t]] == code0]
-    return frozenset(map(words.window.__getitem__, keep))
+        code0 = block_id[image[w0]]
+        keep = [i for i in keep if block_id[image[i]] == code0]
+    return frozenset(keep)
 
 
 def translates(action, v, words):
-    """Distinct images of V under the return words, first word per image.
+    """Distinct images of V under the return words, as (k, image) pairs for
+    the first word k of each (`words.word(k)`); no word is built here.
 
     Any two images must be equal or disjoint; overlap without equality is a
     hard error (a mis-specified or non-equicontinuous action).
     """
-    v_pos = words.positions(v)
-    out = []
-    seen = {}
+    seen = {}  # translate -> its first word's index, in order of appearance
     covered = set()
-    for word, image in zip(words.words, words.images):
-        img_idx = frozenset([image[t] for t in v_pos])
+    for k, image in enumerate(words.images):
+        img_idx = frozenset(map(image.__getitem__, v))
         if img_idx in seen:
             continue
         if img_idx & covered:
             other = next(s for s in seen if s & img_idx)
             raise InvariantViolation(
                 "translate overlap without equality under word "
-                f"{word!r} (images share {len(img_idx & other)} addresses)"
+                f"{words.word(k)!r} (images share {len(img_idx & other)} addresses)"
             )
-        seen[img_idx] = word
+        seen[img_idx] = k
         covered |= img_idx
-        out.append((word, img_idx))
-    return tuple(out)
+    return [(k, part) for part, k in seen.items()]
 
 
 # ------------------------------------------------------- fixed-point version
@@ -410,7 +411,7 @@ class ChainWindow:
     whose classes are the boundary action's word permutations; a class
     lands when its element's H_K coset lies in W, and its image of W is one
     gather per token of its path through `graph`, G's permutations of
-    G/H_K; a word is built only for the first class of each image."""
+    G/H_K; the first class of each image keeps it, and builds no word."""
 
     def __init__(self, chain, space, lam):
         from .affine import normal_core, quotient_word_keys
@@ -499,20 +500,21 @@ class ChainWindow:
         ball, completed = _word_ball(tokens, identity, bound, ball_cap(budget, self.size), compose)
         perm = dict(self.graph.tokens)
         perms = [perm[token] for token, _ in tokens]
-        first_word = {}  # window image -> its first word, in word order
+        first = {}  # window image -> its first class, in ball order
         for i, (_, red, point) in enumerate(ball):
             if self._local[self.space.index_of_scaled(point, red)] is not None:
                 image = self.points
                 for t in ball.path(i):
                     image = tuple_getter(image)(perms[t])
-                image = self._window_image(image)
-                if image not in first_word:
-                    first_word[image] = ball.word(i)
+                first.setdefault(self._window_image(image), i)
+        images, shortest = list(first), []
         for word, image in _shortest_words_into_window(self.graph, self.points):
-            first_word.setdefault(self._window_image(image), word)
-        positions = tuple(range(len(self.points)))
-        words = tuple(first_word.values())
-        return ReturnWordSet(words, bound, completed, positions, tuple(first_word))
+            image = self._window_image(image)
+            if image not in first:
+                shortest.append(word)
+                images.append(image)
+        window = tuple(range(len(self.points)))
+        return ReturnWordSet(ball, list(first.values()), shortest, bound, completed, window, images)
 
 
 # ------------------------------------------------------------- coding chain
@@ -625,7 +627,7 @@ def code_window(source, table, minimal, diameter, word_bound=DEFAULT_WORD_BOUND)
 
     levels = []
     v_prev = window
-    prev_family = (((), window),)
+    prev = [(words.images[0], window)]  # each translate's word's image, and the translate
     eps_prev = None
     level = 0
     while True:
@@ -636,24 +638,18 @@ def code_window(source, table, minimal, diameter, word_bound=DEFAULT_WORD_BOUND)
             eps = model.diameter(window)
             eps_prime, eps_sub = eps, False
         else:
-            eps = Fraction(1, 2) * min(
-                model.diameter(part) for _, part in prev_family
-            )
+            eps = Fraction(1, 2) * min(model.diameter(part) for _, part in prev)
             if eps <= 0:
                 break
             eps_prime, eps_sub = _witness_or_subresolution(table, eps)
         m, base_blocks = _least_cylinder_depth(model, v_prev, eps_prime)
 
         # extend the partition of the level set across its translates, through
-        # the window images their words have in `words` (the empty word
-        # first); any window remainder (non-minimal actions) is partitioned by
-        # the same cylinder depth
-        image_of = dict(zip(words.words, words.images))
-        base_pos = [words.positions(b) for b in base_blocks]
+        # their words' images (the empty word first); any window remainder
+        # (non-minimal actions) is partitioned by the same cylinder depth
         all_blocks = []
-        for word, _ in prev_family:
-            image = image_of[word]
-            all_blocks.extend(frozenset(image[t] for t in pos) for pos in base_pos)
+        for image, _ in prev:
+            all_blocks.extend(frozenset(map(image.__getitem__, b)) for b in base_blocks)
         covered = set().union(*all_blocks)
         remainder = window - covered
         if remainder:
@@ -671,8 +667,8 @@ def code_window(source, table, minimal, diameter, word_bound=DEFAULT_WORD_BOUND)
             v = compute_V(action, window, partition, words)
             matches_fixed_point = v == target
             if matches_fixed_point:
-                family = translates(action, v, words)
-                covers = set().union(*(p for _, p in family)) == window
+                members = translates(action, v, words)
+                covers = set().union(*(p for _, p in members)) == window
                 if covers or not minimal:
                     break
             if words.effective_bound < bound and budget < hard_budget:
@@ -692,6 +688,7 @@ def code_window(source, table, minimal, diameter, word_bound=DEFAULT_WORD_BOUND)
                 )
             words = source.words(bound, budget)
 
+        family = tuple((words.word(k), part) for k, part in members)
         if action.basepoint not in v:
             raise InvariantViolation("level set lost the basepoint")
         if not v <= v_prev:
@@ -721,7 +718,7 @@ def code_window(source, table, minimal, diameter, word_bound=DEFAULT_WORD_BOUND)
             )
         )
         v_prev = v
-        prev_family = family
+        prev = [(words.images[k], part) for k, part in members]
         eps_prev = eps
 
     return CodingChain(

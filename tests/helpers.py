@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -20,15 +21,19 @@ from cantordyn.action import (
     WarpMetric,
     common_prefix,
     is_distal,
+    tuple_getter,
     warp_cylinder_key,
+    word_ball,
 )
 from cantordyn import _intmat as im
 from cantordyn.affine import compose, conjugate, subgroup_intersect, subgroup_le
 from cantordyn.coding import (
     ClopenPartition,
     _eta_of_partition,
+    _shortest_words_into_window,
     cylinder_partition,
     default_window,
+    orbit_graph,
 )
 from cantordyn.errors import StructureError
 from cantordyn.limits import check_cells
@@ -341,6 +346,35 @@ class PairBall(list):
         return self.words[i]
 
 
+# words: word tuples, the empty word first; images: each word's image of the
+# window, a tuple of address indices in the order of `window`
+ReferenceReturnWords = namedtuple(
+    "ReferenceReturnWords", "words bound effective_bound window images"
+)
+
+
+def reference_return_words(action, window, bound, *, perm_budget=20000):
+    """The return words oracle: every ball permutation landing the basepoint
+    in the window restricted to it by `tuple_getter`, the first word of each
+    restriction built and kept, then one shortest transition word per window
+    address with a new restriction."""
+    w0 = action.basepoint
+    win_idx = sorted(window)
+    ball, completed = word_ball(action, bound, perm_cap=perm_budget)
+    restrict = tuple_getter(win_idx)
+    first_word = {}  # window image -> its first word, in word order
+    for i, perm in enumerate(ball):
+        if perm[w0] in window:
+            image = restrict(perm)
+            if image not in first_word:
+                first_word[image] = ball.word(i)
+    for word, image in _shortest_words_into_window(orbit_graph(action), win_idx):
+        first_word.setdefault(image, word)
+    return ReferenceReturnWords(
+        tuple(first_word.values()), bound, completed, tuple(win_idx), tuple(first_word)
+    )
+
+
 def enumerate_word_perms(action, max_length, *, perm_cap=200000):
     """The word ball (`reference_word_ball`) with each permutation an int32
     array."""
@@ -573,11 +607,14 @@ def left_multiply(gp, gt, point, scaled_tr):
     return im.mat_mul(gp, point), im.vec_add(gt, im.mat_vec(gp, scaled_tr))
 
 
+@functools.lru_cache(maxsize=1)
 def coset_key_oracle(group, subgroup):
     """The coset key of an element (point, scaled), from a product with each
     rep of H: over the elements (point, scaled) (B, w) of its coset, the one
     of least point class id, its translation reduced modulo the scaled HNF of
-    point * L_H (built once per point) by `reduce_echelon`."""
+    point * L_H (built once per point) by `reduce_echelon`.  The key of the
+    last (group, subgroup) is kept and memoised, so the coset space and orbit
+    oracles of one level key each product once."""
     class_ids = group.point_class_order()
     pivots = tuple(range(group.dimension))
     bases = {}  # point -> the scaled HNF of point * L_H
@@ -592,7 +629,7 @@ def coset_key_oracle(group, subgroup):
         )
         return cid, im.reduce_echelon(basis, pivots, tr), c
 
-    return key
+    return functools.lru_cache(maxsize=None)(key)
 
 
 def bfs_coset_space(group, subgroup):
@@ -744,11 +781,11 @@ def check_coding_laws(action, chain_result, *, rng=None, tree_model=True):
     model = action.model
     window = chain_result.window
     words = chain_result.words
-    where = {i: t for t, i in enumerate(words.window)}
+    all_words = words.words  # built once
 
     def image(k, i):
         """The k-th return word's image of a window address index."""
-        return words.images[k][where[i]]
+        return words.images[k][i]
 
     checks = 0
     prev_v = window
@@ -757,7 +794,7 @@ def check_coding_laws(action, chain_result, *, rng=None, tree_model=True):
         v = lv.v
 
         # fixset law, exhaustively over the enumerated words
-        for k, word in enumerate(words.words):
+        for k, word in enumerate(all_words):
             img = frozenset(image(k, a) for a in v)
             assert not (img & v) or img == v, (
                 f"fixset law fails at level {lv.level} under {word}"
@@ -794,8 +831,8 @@ def check_coding_laws(action, chain_result, *, rng=None, tree_model=True):
             while done < 20 and attempts < 400:
                 attempts += 1
                 u = win[rng.randrange(len(win))]
-                gi = rng.randrange(len(words.words))
-                hi = rng.randrange(len(words.words))
+                gi = rng.randrange(len(all_words))
+                hi = rng.randrange(len(all_words))
                 u2 = image(gi, u)
                 w2 = image(gi, action.basepoint)  # a return word keeps it inside
                 if u2 not in window:
@@ -804,7 +841,7 @@ def check_coding_laws(action, chain_result, *, rng=None, tree_model=True):
                     continue
                 img = image(hi, u2)
                 lhs = block_id[img]
-                composed = action.word_perm(words.words[hi] + words.words[gi])
+                composed = action.word_perm(all_words[hi] + all_words[gi])
                 rhs = block_id[composed[u]]
                 assert lhs == rhs, "code equivariance fails"
                 checks += 1

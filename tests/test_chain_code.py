@@ -133,9 +133,9 @@ def assert_same_chain(source, got, want):
         expected.words, expected.bound, expected.effective_bound
     )
     assert tuple(map(points.__getitem__, words.window)) == expected.window
-    assert [tuple(map(points.__getitem__, image)) for image in words.images] == list(
-        expected.images
-    )
+    assert [tuple(map(points.__getitem__, image)) for image in words.images] == [
+        tuple(image[i] for i in expected.window) for image in expected.images
+    ]
     assert len(got.levels) == len(want.levels)
     for lv, ref in zip(got.levels, want.levels):
         scalars = (

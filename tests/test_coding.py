@@ -157,8 +157,8 @@ def test_dyadic_translates_are_the_two_cosets():
         [(0, 0, 0), (0, 0, 4)],
         [(0, 2, 2), (0, 2, 6)],
     ]
-    assert family[0][0] == ()
-    assert format_word(family[1][0]) == "t*t"
+    assert words.word(family[0][0]) == ()
+    assert format_word(words.word(family[1][0])) == "t*t"
 
 
 def test_invariant_window_has_a_single_translate():
@@ -254,10 +254,15 @@ RETURN_WORD_ACTIONS = {
 }
 
 
+def window_images(words):
+    """Each image of a ReturnWordSet restricted to its window, as a tuple."""
+    return [tuple(image[i] for i in words.window) for image in words.images]
+
+
 def assert_images_are_window_restrictions(action, words):
     assert list(words.window) == sorted(default_window(action))
     assert len(words.images) == len(words.words)
-    for word, image in zip(words.words, words.images):
+    for word, image in zip(words.words, window_images(words)):
         perm = action.word_perm(word)
         assert image == tuple(perm[i] for i in words.window), word
 
@@ -282,9 +287,12 @@ def test_tuple_ball_return_words_are_the_array_ball_ones(name, monkeypatch):
             patch.setattr(coding_module, "word_ball", array_ball)
             arrays = return_words(action, window, bound, perm_budget=budget)
         for words in (chosen, arrays):
-            assert tuples == words  # words, bound and effective bound
-            assert (tuples.window, tuples.images) == (words.window, words.images)
-            assert all(type(i) is int for image in words.images for i in image)
+            assert (tuples.words, tuples.bound, tuples.effective_bound) == (
+                words.words, words.bound, words.effective_bound
+            )
+            assert tuples.window == words.window
+            assert window_images(tuples) == window_images(words)
+            assert all(type(i) is int for image in window_images(words) for i in image)
         assert_images_are_window_restrictions(action, tuples)
 
 

@@ -744,6 +744,69 @@ def test_holonomy_non_stabilizing_word_errors(capsys):
     assert "does not stabilize" in err
 
 
+def test_a_bad_address_is_refused_without_formatting_the_model(capsys, monkeypatch):
+    """`--at` is parsed into a key of the model's index and confirmed by one
+    round trip: on FO depth 2 (11 025 addresses) a bad one is refused with
+    the message it always had, after at most two addresses are written."""
+    from cantordyn import cli
+
+    calls = []
+    address_str = cli._address_str
+
+    def counted(model, i):
+        calls.append(i)
+        return address_str(model, i)
+
+    monkeypatch.setattr(cli, "_address_str", counted)
+    argv = ("holonomy", str(CONFIG_DIR / "fo.cfg"), "--word", "g*g", "--at", "3.50")
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", "error: address '3.50' is not in the model\n")
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize(
+    "config, text",
+    [  # a word each stabilizes: g1 * g1^-1 on warp, t * t^-1 on vietoris2
+        ("warp.cfg", "0.0"),
+        ("warp.cfg", "w1"),
+        ("warp.cfg", "0:2"),
+        ("warp.cfg", "01:0:1"),
+        ("warp.cfg", "+0:0"),
+        ("vietoris2.cfg", "w0"),
+        ("vietoris2.cfg", "0:0"),
+        ("vietoris2.cfg", "0.0.0"),
+        ("vietoris2.cfg", "0.0.0.0.0"),
+        ("vietoris2.cfg", "0.0.0.x"),
+        ("vietoris2.cfg", "00.0.0.0"),
+        ("vietoris2.cfg", "0..0.0"),
+        ("vietoris2.cfg", ""),
+    ],
+)
+def test_addresses_not_in_the_model_exit_2(capsys, config, text):
+    word = "g1*g1^-1" if config == "warp.cfg" else "t*t^-1"
+    argv = ("holonomy", str(CONFIG_DIR / config), "--word", word, "--at", text)
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out, err) == (2, "", f"error: address {text!r} is not in the model\n")
+
+
+@pytest.mark.parametrize("config", ["perfbench/configs/warp_d4.cfg", "configs/small_fo.cfg"])
+def test_every_address_round_trips(config):
+    """`_parse_address` inverts `_address_str` on every address of a warp
+    model and of a chain's boundary action."""
+    from cantordyn.cli import _address_str, _parse_address
+    from cantordyn.tower import boundary_action
+
+    cfg = parse_config((REPO / config).read_text())
+    if cfg.kind == "action":
+        model = cfg.build_action().model
+    else:
+        model = boundary_action(cfg.build_chain(), cfg.lam).model
+    assert len(model) > 200
+    for i in range(len(model)):
+        assert _parse_address(model, _address_str(model, i)) == i
+        assert _parse_address(model, f" {_address_str(model, i)} ") == i
+
+
 def test_measure_reports_per_generator_invariance(capsys):
     rc, out, _ = run_cli(capsys, "measure", str(CONFIG_DIR / "warp.cfg"))
     assert rc == 0
