@@ -21,10 +21,13 @@ chain's boundary action, whose table is read off the chain, and the cylinder
 engine for it is a test oracle.  Nothing here touches floating point.
 
 The word ball stores each class once, a key in ball order and a parent
-link, and builds a word only on request: bytes permutations (by
-`bytes.translate`, whose alphabet is BYTE_ALPHABET) up to 256 addresses,
-tuples above, coset keys on a chain.  It and all else here need only the
-standard library: the engines these replace are test oracles, in `tests/`.
+link, and reads a word off the links only on request.  `word_ball` is the
+one front door to an action's ball: it picks the key format, bytes
+permutations (by `bytes.translate`, whose alphabet is BYTE_ALPHABET) up to
+256 addresses and tuples above, and hands back the gather that reads a key
+at given indices in that format; a chain's ball runs on coset keys.  It and
+all else here need only the standard library: the engines these replace are
+test oracles, in `tests/`.
 The invariant measure is uniform on an orbit, where the action is
 transitive, so it is a support set and one weight.
 """
@@ -394,31 +397,27 @@ def is_minimal(action):
 
 class WordBall(list):
     """A word ball's keys in ball order, each class with one parent link,
-    parent * T + token index over the T tokens (`_word_ball`)."""
+    parent * T + token index over the T tokens (`_word_ball`); a class's
+    word is read off its links when asked for, and never kept."""
 
-    __slots__ = ("_links", "_tokens", "_words")
+    __slots__ = ("_links", "_tokens")
 
     def __init__(self, keys, links, tokens):
         super().__init__(keys)
-        self._links, self._tokens, self._words = links, tokens, {0: ()}
+        self._links, self._tokens = links, tokens
 
     def path(self, i):
         """Class i's token indices, oldest first."""
         out = []
         while i:
             i, t = divmod(self._links[i], len(self._tokens))
-            out.insert(0, t)
+            out.append(t)
+        out.reverse()
         return out
 
     def word(self, i):
-        """Class i's word, newest token first; each word built is kept, so a
-        word whose parent's was read costs one tuple concatenation."""
-        words, links, t, path = self._words, self._links, len(self._tokens), [i]
-        while path[-1] not in words:
-            path.append(links[path[-1]] // t)
-        for j in reversed(path[:-1]):
-            words[j] = (self._tokens[links[j] % t][0],) + words[links[j] // t]
-        return words[i]
+        """Class i's word, newest token first."""
+        return tuple(self._tokens[t][0] for t in reversed(self.path(i)))
 
 
 def _word_ball(tokens, identity, max_length, perm_cap, compose):
@@ -462,40 +461,27 @@ def tuple_getter(indices):
     return get if len(indices) > 1 else lambda p: (get(p),)  # one item comes back bare
 
 
-def enumerate_word_tuples(action, max_length, *, perm_cap):
-    """The word ball (`_word_ball`) with each permutation a tuple, composed
-    by `tuple_getter`."""
-    tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
-    identity = tuple(range(len(action.model)))
-    return _word_ball(tokens, identity, max_length, perm_cap, tuple_getter)
-
-
-def enumerate_word_bytes(action, max_length, *, perm_cap):
-    """The word ball (`_word_ball`) with each permutation a bytes string, on
-    a model of at most BYTE_ALPHABET addresses: a token applied after a word
-    is `word.translate(table)`, the table its permutation padded to 256
-    entries, one gather in C whose result is its own hash key."""
-    pad = bytes(BYTE_ALPHABET - len(action.model))
-    tokens = [
-        (token, bytes(action.token_perm(*token)) + pad) for token in action.signed_tokens()
-    ]
-    identity = bytes(range(len(action.model)))
-    return _word_ball(
-        tokens, identity, max_length, perm_cap, operator.attrgetter("translate")
-    )
-
-
 def word_ball(action, max_length, *, perm_cap):
-    """The word ball (`_word_ball`) in the representation that suits the
-    model, as (WordBall, completed_length): bytes on a model of at most
-    BYTE_ALPHABET addresses, and tuples above, whatever the metric.  Either
-    way a ball permutation is a sequence of Python ints that `tuple_getter`
-    gathers.  The budget is clamped to CELL_CAP cells (`limits.ball_cap`).
+    """The action's word ball (`_word_ball`), as (WordBall, completed_length,
+    at): the one front door to it, which picks the key format.  On a model
+    of at most BYTE_ALPHABET addresses a key is a bytes permutation, and a
+    token applied after it is `key.translate(table)`, the table its
+    permutation padded to 256 entries: one gather in C whose result is its
+    own hash key.  Above, keys are tuples composed by `tuple_getter`.
+    `at(indices)` maps a key to its entries at those indices, in the key's
+    own type.  The budget is clamped to CELL_CAP cells (`limits.ball_cap`).
     """
-    perm_cap = ball_cap(perm_cap, len(action.model))
-    if len(action.model) <= BYTE_ALPHABET:
-        return enumerate_word_bytes(action, max_length, perm_cap=perm_cap)
-    return enumerate_word_tuples(action, max_length, perm_cap=perm_cap)
+    n = len(action.model)
+    tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
+    if n <= BYTE_ALPHABET:
+        pad = bytes(BYTE_ALPHABET - n)
+        tokens = [(token, bytes(perm) + pad) for token, perm in tokens]
+        identity, compose = bytes(range(n)), operator.attrgetter("translate")
+        at = lambda indices: lambda key, table=bytes(indices): table.translate(key + pad)
+    else:
+        identity, compose, at = tuple(range(n)), tuple_getter, tuple_getter
+    ball, completed = _word_ball(tokens, identity, max_length, ball_cap(perm_cap, n), compose)
+    return ball, completed, at
 
 
 # ------------------------------------------------------------ modulus table
@@ -614,7 +600,7 @@ def is_distal(action, word_length=8, *, perm_cap=BALL_BUDGET):
     oracle (tests/helpers.brute_force_distality).
     """
     min_delta = action.model.least_distance()
-    words, word_length = word_ball(action, word_length, perm_cap=perm_cap)
+    words, word_length, _ = word_ball(action, word_length, perm_cap=perm_cap)
     return DistalityVerdict(True, word_length, min_delta, len(words))
 
 

@@ -21,9 +21,10 @@ Schreier diameter grows Python-int bitsets, all on the standard library.
 The chain takes its modulus table (computed only on the rank route, for
 non-tree models), minimality and orbit-graph diameter from the caller.
 
-The loop (`code_window`) reads a window source: `ActionWindow`, whose ball
-takes the model's representation (bytes up to 256 addresses, tuples above),
-or `ChainWindow`, a chain's window read off its algebra with no tower.
+The loop (`code_window`) reads a window source: `ActionWindow`, a window
+checked once whose return words run on the action's ball in whatever key
+format `action.word_ball` picks, or `ChainWindow`, a chain's window read off
+its algebra with no tower.
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .action import (
-    BYTE_ALPHABET,
-    CantorAction,
-    _invert_perm,
-    _word_ball,
-    tuple_getter,
-    word_ball,
-)
+from .action import CantorAction, _invert_perm, _word_ball, tuple_getter, word_ball
 from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, CODING_BUDGET, SCHREIER_SIZE_CAP, ball_cap, check_cells
 
@@ -126,7 +120,8 @@ def _check_clopen_window(action, window):
 
 class ReturnWordSet:
     """Words of bounded length returning the basepoint to the window,
-    deduplicated by their restriction to the window.
+    deduplicated by their restriction to the window, as a window source's
+    `words` gives them.
 
     The ball enumeration is layer-atomic under a permutation budget, so
     effective_bound records the last exhaustively enumerated word length;
@@ -231,39 +226,6 @@ def check_window_cells(size):
     """Refuse return words over a window of `size` addresses: a transitive
     action has a shortest word per window address, each keeping its image."""
     check_cells(size * size, f"return words over a window of {size} addresses")
-
-
-def return_words(action, window, bound=DEFAULT_WORD_BOUND, *, perm_budget=BALL_BUDGET):
-    """Ball words of bounded length landing the basepoint in the window, plus
-    one shortest transition word per reachable window address.
-
-    The ball takes the model's representation (`action.word_ball`).  The
-    landing classes are told apart by one C-level gather of the key at the
-    window (`bytes.translate` or `tuple_getter`), the first of each keeping
-    its key as its image, and no word is built.  A window over the cell cap
-    is refused before any ball permutation.
-    """
-    window = _check_clopen_window(action, window)
-    check_window_cells(len(window))
-    w0 = action.basepoint
-    win_idx = sorted(window)
-    ball, completed = word_ball(action, bound, perm_cap=perm_budget)
-    if isinstance(ball[0], bytes):  # gather through the key padded to a translate table
-        at_window, pad = bytes(win_idx), bytes(BYTE_ALPHABET - len(action.model))
-        restrict, as_key = lambda key: at_window.translate(key + pad), bytes
-    else:
-        restrict, as_key = tuple_getter(win_idx), tuple
-    first = {}  # window restriction -> its first class, in ball order
-    for i, key in enumerate(ball):
-        if key[w0] in window:
-            first.setdefault(restrict(key), i)
-    classes = list(first.values())
-    shortest, images = [], [ball[i] for i in classes]
-    for word, image in _shortest_words_into_window(orbit_graph(action), win_idx):
-        if as_key(image) not in first:
-            shortest.append(word)
-            images.append(dict(zip(win_idx, image)))
-    return ReturnWordSet(ball, classes, shortest, bound, completed, tuple(win_idx), images)
 
 
 def code(action, window, partition, point, word):
@@ -382,10 +344,12 @@ def basepoint_eccentricity(graph):
 # ------------------------------------------------------------ window sources
 
 class ActionWindow:
-    """A window of a CantorAction (`default_window` unless given), checked,
-    as `code_window` reads it: the `action` holding its points, the address
-    `size`, the `gap` from the window to the rest (None when there is none),
-    the OrbitGraph `graph`, and `words(bound, budget)`, its ReturnWordSet."""
+    """A window of a CantorAction (`default_window` unless given), checked
+    once, as `code_window` reads it: the `action` holding its points, the
+    address `size`, the `gap` from the window to the rest (None when there
+    is none), the OrbitGraph `graph`, and `words(bound, budget)`, its
+    ReturnWordSet.  A window over the cell cap is refused here, before any
+    ball permutation."""
 
     def __init__(self, action, window=None):
         window = _check_clopen_window(action, default_window(action) if window is None else window)
@@ -396,7 +360,27 @@ class ActionWindow:
         self.graph = orbit_graph(action)
 
     def words(self, bound, budget):
-        return return_words(self.action, self.window, bound, perm_budget=budget)
+        """Words of length at most `bound`, from a ball of at most `budget`
+        permutations, landing the basepoint in the window, plus one shortest
+        transition word per window address with a new image.  The landing
+        classes are told apart by one C-level gather of the key at the
+        window (`word_ball`'s `at`), the first of each keeping its key as
+        its image, and no word is built."""
+        window, w0 = self.window, self.action.basepoint
+        win_idx = sorted(window)
+        ball, completed, at = word_ball(self.action, bound, perm_cap=budget)
+        restrict = at(win_idx)
+        first = {}  # window restriction -> its first class, in ball order
+        for i, key in enumerate(ball):
+            if key[w0] in window:
+                first.setdefault(restrict(key), i)
+        classes, shortest = list(first.values()), []
+        images, as_key = [ball[i] for i in classes], type(restrict(ball[0]))
+        for word, image in _shortest_words_into_window(self.graph, win_idx):
+            if as_key(image) not in first:
+                shortest.append(word)
+                images.append(dict(zip(win_idx, image)))
+        return ReturnWordSet(ball, classes, shortest, bound, completed, tuple(win_idx), images)
 
 
 class ChainWindow:

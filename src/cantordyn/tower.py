@@ -27,7 +27,6 @@ from .affine import (
     subgroup_le,
 )
 from .errors import InvariantViolation, StructureError
-from .limits import check_index_cap
 
 
 class SubgroupChain(namedtuple("SubgroupChain", "group levels label")):
@@ -93,7 +92,6 @@ def boundary_action(chain, lam=Fraction(1, 2)):
     from .action import CantorAction
 
     indices = chain.indices()
-    check_index_cap(indices[-1])  # refuse before any coset
     space = coset_space(chain.group, chain.levels[-1])
     model = chain_model(chain, space.keys, lam)
     for l in reversed(range(1, chain.depth)):

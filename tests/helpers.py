@@ -360,7 +360,7 @@ def reference_return_words(action, window, bound, *, perm_budget=20000):
     address with a new restriction."""
     w0 = action.basepoint
     win_idx = sorted(window)
-    ball, completed = word_ball(action, bound, perm_cap=perm_budget)
+    ball, completed, _ = word_ball(action, bound, perm_cap=perm_budget)
     restrict = tuple_getter(win_idx)
     first_word = {}  # window image -> its first word, in word order
     for i, perm in enumerate(ball):

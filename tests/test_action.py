@@ -5,13 +5,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from cantordyn import action as action_module
 from cantordyn.action import (
     COLLAPSED,
     CantorAction,
     CantorModel,
     TreeMetric,
     WarpMetric,
-    enumerate_word_tuples,
     format_word,
     germinal_holonomy,
     invariant_measure,
@@ -20,6 +20,7 @@ from cantordyn.action import (
     MinimalityVerdict,
     modulus_table,
     parse_word,
+    word_ball,
 )
 from cantordyn.errors import InvariantViolation, ResourceLimitError, StructureError
 from cantordyn.gallery import vietoris, warp_example, warp_model
@@ -342,7 +343,9 @@ def test_the_cell_cap_stops_the_ball_layer_atomically(monkeypatch):
     act = warp_example(3, 2)
     unclamped = is_distal(act, 8)
     monkeypatch.setattr("cantordyn.limits.CELL_CAP", 100 * len(act.model))
-    words, completed = enumerate_word_tuples(act, 8, perm_cap=100)
+    with monkeypatch.context() as patch:
+        patch.setattr(action_module, "BYTE_ALPHABET", 0)  # the tuple route
+        words, completed, _ = word_ball(act, 8, perm_cap=100)
     assert completed < unclamped.word_length
     assert max(len(w) for w, _ in ball_pairs(words)) == completed
     verdict = is_distal(act, 8, perm_cap=10 ** 6)  # the clamp binds whatever the budget

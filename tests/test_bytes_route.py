@@ -23,9 +23,8 @@ from cantordyn.action import (
     CantorModel,
     TreeMetric,
     WarpMetric,
-    enumerate_word_bytes,
-    enumerate_word_tuples,
     is_distal,
+    tuple_getter,
     word_ball,
 )
 from cantordyn.errors import ResourceLimitError, StructureError
@@ -210,46 +209,65 @@ def listed(ball):
     return [(word, list(perm)) for word, perm in ball_pairs(ball)]
 
 
+def tuple_route_ball(action, length, perm_cap):
+    """`word_ball` with no model fitting bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(action_module, "BYTE_ALPHABET", 0)
+        return word_ball(action, length, perm_cap=perm_cap)
+
+
 @pytest.mark.parametrize("name", BALL_ACTIONS)
 def test_bytes_ball_is_the_tuple_and_array_ball(name):
     action = BALL_ACTIONS[name]()
     assert len(action.model) <= BYTE_ALPHABET
     for perm_cap in (20000, 50):
-        ball, completed = enumerate_word_bytes(action, 8, perm_cap=perm_cap)
-        tuples, tuple_completed = enumerate_word_tuples(action, 8, perm_cap=perm_cap)
+        ball, completed, _ = word_ball(action, 8, perm_cap=perm_cap)
+        tuples, tuple_completed, _ = tuple_route_ball(action, 8, perm_cap)
         arrays, array_completed = enumerate_word_perms(action, 8, perm_cap=perm_cap)
         assert completed == tuple_completed == array_completed
         assert all(type(perm) is bytes for perm in ball)
+        assert all(type(perm) is tuple for perm in tuples)
         assert listed(ball) == listed(tuples)
         assert listed(ball) == [(word, perm.tolist()) for word, perm in arrays]
-        chosen, chosen_completed = word_ball(action, 8, perm_cap=perm_cap)
-        assert (ball_pairs(chosen), chosen_completed) == (ball_pairs(ball), completed)
         verdict = is_distal(action, 8, perm_cap=perm_cap)
         assert (verdict.word_count, verdict.word_length) == (len(ball), completed)
 
 
 @given(
-    n=st.integers(1, BYTE_ALPHABET),
+    n=st.integers(1, BYTE_ALPHABET + 1),
     seed=st.integers(0, 2 ** 16),
     generators=st.integers(1, 3),
     length=st.integers(0, 5),
     perm_cap=st.integers(1, 300),
 )
 @example(n=BYTE_ALPHABET, seed=0, generators=2, length=5, perm_cap=300)
+@example(n=BYTE_ALPHABET + 1, seed=0, generators=2, length=5, perm_cap=300)
 @example(n=1, seed=0, generators=1, length=3, perm_cap=1)
 def test_bytes_ball_is_the_tuple_ball_on_random_permutations(
     n, seed, generators, length, perm_cap
 ):
+    # the model's own route (bytes up to 256 addresses, tuples above) and the
+    # tuple route; on each, `at(indices)` gathers a key at any indices in its
+    # own type
     rng = random.Random(seed)
     model = CantorModel([(i,) for i in range(n)], 1, TreeMetric(F(1, 2)))
     gens = {f"a{i}": tuple(rng.sample(range(n), n)) for i in range(generators)}
     action = CantorAction(model, gens, 0)
-    ball, completed = enumerate_word_bytes(action, length, perm_cap=perm_cap)
-    tuples, tuple_completed = enumerate_word_tuples(action, length, perm_cap=perm_cap)
+    ball, completed, at = word_ball(action, length, perm_cap=perm_cap)
+    tuples, tuple_completed, tuple_at = tuple_route_ball(action, length, perm_cap)
     arrays, array_completed = enumerate_word_perms(action, length, perm_cap=perm_cap)
     assert completed == tuple_completed == array_completed
     assert listed(ball) == listed(tuples)
     assert listed(ball) == [(word, perm.tolist()) for word, perm in arrays]
+    assert type(ball[0]) is (bytes if n <= BYTE_ALPHABET else tuple)
+    assert type(tuples[0]) is tuple
+    picks = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]  # repeats, any order
+    for indices in ([0], [n - 1], list(range(n)), sorted(set(picks)), picks):
+        for keys, gather in ((ball, at), (tuples, tuple_at)):
+            get = gather(indices)
+            for key in keys:
+                assert type(get(key)) is type(key)
+                assert list(get(key)) == list(tuple_getter(indices)(list(key)))
 
 
 # ------------------------------------------------- commands and numpy

@@ -90,7 +90,8 @@ def diameter_of(chain, graph):
 
 
 def counted_words(monkeypatch, cls, name="words"):
-    """Count the return-word sets a window source builds."""
+    """Count the return-word sets a window source builds (or the calls of
+    any attribute `name` of `cls`)."""
     calls = []
     words = getattr(cls, name)
 
@@ -196,9 +197,10 @@ def escalations(monkeypatch, name, budgets):
     window here, so no budget escalates without the cut; with it a first
     ball of one permutation codes the window wrongly, and the loop raises
     its budget, then its bound.  Both paths must end alike, in the same
-    chain or the same InvariantViolation, after as many return-word sets.
-    Returns the number of escalations and the final words (None on a
-    violation)."""
+    chain or the same InvariantViolation, after as many return-word sets,
+    and the action path must check its window and build its orbit graph
+    once, however many sets it builds.  Returns the number of escalations
+    and the final words (None on a violation)."""
     monkeypatch.setattr(coding, "BALL_BUDGET", budgets[0])
     monkeypatch.setattr(coding, "CODING_BUDGET", budgets[1])
     monkeypatch.setattr(
@@ -208,13 +210,13 @@ def escalations(monkeypatch, name, budgets):
     table = _chain_reading(chain, LAMBDAS[0])[0]
     action = tower_of(name).boundary_action(LAMBDAS[0])
     source = ChainWindow(chain, space_of(name), LAMBDAS[0])
+    diameter = diameter_of(chain, orbit_graph(action))
+    checks = counted_words(monkeypatch, coding, "_check_clopen_window")
+    graphs = counted_words(monkeypatch, coding, "orbit_graph")
     outcomes = []
     for cls, run in (
         (ChainWindow, lambda: code_window(source, table, True, diameter_of(chain, source.graph), 8)),
-        (
-            coding.ActionWindow,
-            lambda: coding_chain(action, table, True, diameter_of(chain, orbit_graph(action))),
-        ),
+        (coding.ActionWindow, lambda: coding_chain(action, table, True, diameter)),
     ):
         calls = counted_words(monkeypatch, cls)
         try:
@@ -223,6 +225,7 @@ def escalations(monkeypatch, name, budgets):
             outcomes.append((str(exc), len(calls)))
     (got, got_calls), (want, want_calls) = outcomes
     assert got_calls == want_calls
+    assert (len(checks), len(graphs)) == (1, 1)  # one ActionWindow, checked once
     if isinstance(want, str):
         assert got == want
         return got_calls - 1, None
@@ -285,8 +288,7 @@ def test_chain_code_builds_no_tower_and_no_address_ball(monkeypatch, capsys, con
         raise AssertionError("a chain's code ran an address-level engine")
 
     monkeypatch.setattr(tower_module, "boundary_action", refuse)
-    for name in ("enumerate_word_tuples", "enumerate_word_bytes", "word_ball"):
-        monkeypatch.setattr(action_module, name, refuse)
+    monkeypatch.setattr(action_module, "word_ball", refuse)  # an action's one ball
     monkeypatch.setattr(coding, "word_ball", refuse)
     assert main(["code", str(REPO / config)]) == 0
     assert "core_oracle:" in capsys.readouterr().out

@@ -9,10 +9,18 @@ from hypothesis import strategies as st
 
 from cantordyn import action as action_module
 from cantordyn import coding as coding_module
-from cantordyn.action import CantorAction, CantorModel, TreeMetric, format_word, parse_word
+from cantordyn.action import (
+    CantorAction,
+    CantorModel,
+    TreeMetric,
+    format_word,
+    parse_word,
+    tuple_getter,
+)
 from cantordyn.affine import normal_core
 from cantordyn.coding import (
     SCHREIER_SIZE_CAP,
+    ActionWindow,
     ClopenPartition,
     _shortest_words_into_window,
     code,
@@ -21,7 +29,6 @@ from cantordyn.coding import (
     default_window,
     orbit_graph,
     refine_fixed_point,
-    return_words,
     schreier_diameter,
     translates,
 )
@@ -33,6 +40,7 @@ from cantordyn.gallery import (
     vietoris,
     warp_example,
 )
+from cantordyn.limits import BALL_BUDGET
 from modulus_oracle import coding_chain_of
 from helpers import (
     PairBall,
@@ -51,7 +59,7 @@ from tower_oracle import build_tower, subgroup_cylinder
 def dyadic_setup():
     action = build_tower(vietoris(2, 3)).boundary_action()
     window = default_window(action)
-    words = return_words(action, window, 4)
+    words = ActionWindow(action, window).words(4, BALL_BUDGET)
     blocks = cylinder_partition(action.model, window, 2)
     partition = ClopenPartition.from_blocks(window, blocks)
     return action, window, words, partition
@@ -68,7 +76,7 @@ def identity_only_action():
 def test_identity_only_action_has_only_the_empty_class():
     action = identity_only_action()
     window = frozenset(action.model.cylinder_members(action.basepoint, 1))
-    rws = return_words(action, window, 5)
+    rws = ActionWindow(action, window).words(5, BALL_BUDGET)
     assert rws.words == ((),)
 
 
@@ -82,7 +90,7 @@ def test_dyadic_return_word_classes_at_length_four():
 def test_whole_space_window_admits_all_word_classes():
     action = build_tower(vietoris(2, 3)).boundary_action()
     window = frozenset(range(len(action.model)))
-    rws = return_words(action, window, 8)
+    rws = ActionWindow(action, window).words(8, BALL_BUDGET)
     assert len(rws) == 8  # all elements of the induced cyclic group
 
 
@@ -129,7 +137,7 @@ def test_dyadic_level_set_is_the_next_cylinder():
 def test_single_invariant_block_gives_whole_window():
     action = build_tower(vietoris(2, 3)).boundary_action()
     window = frozenset(range(len(action.model)))
-    words = return_words(action, window, 8)
+    words = ActionWindow(action, window).words(8, BALL_BUDGET)
     partition = ClopenPartition.from_blocks(window, [window])
     assert compute_V(action, window, partition, words) == window
 
@@ -164,7 +172,7 @@ def test_dyadic_translates_are_the_two_cosets():
 def test_invariant_window_has_a_single_translate():
     action = build_tower(vietoris(2, 3)).boundary_action()
     window = frozenset(range(len(action.model)))
-    words = return_words(action, window, 8)
+    words = ActionWindow(action, window).words(8, BALL_BUDGET)
     partition = ClopenPartition.from_blocks(window, [window])
     v = compute_V(action, window, partition, words)
     family = translates(action, v, words)
@@ -275,17 +283,17 @@ def test_tuple_ball_return_words_are_the_array_ball_ones(name, monkeypatch):
     # bytes ball unpatched
     def array_ball(action, length, *, perm_cap):
         ball, completed = enumerate_word_perms(action, length, perm_cap=perm_cap)
-        return PairBall([(word, perm.tolist()) for word, perm in ball]), completed
+        return PairBall([(word, perm.tolist()) for word, perm in ball]), completed, tuple_getter
 
     action = RETURN_WORD_ACTIONS[name]()
     window = default_window(action)
     for bound, budget in ((8, 20000), (8, 50), (3, 20000)):
-        chosen = return_words(action, window, bound, perm_budget=budget)
+        chosen = ActionWindow(action, window).words(bound, budget)
         with monkeypatch.context() as patch:
             patch.setattr(action_module, "BYTE_ALPHABET", 0)
-            tuples = return_words(action, window, bound, perm_budget=budget)
+            tuples = ActionWindow(action, window).words(bound, budget)
             patch.setattr(coding_module, "word_ball", array_ball)
-            arrays = return_words(action, window, bound, perm_budget=budget)
+            arrays = ActionWindow(action, window).words(bound, budget)
         for words in (chosen, arrays):
             assert (tuples.words, tuples.bound, tuples.effective_bound) == (
                 words.words, words.bound, words.effective_bound
@@ -305,12 +313,12 @@ def test_return_words_refuse_a_window_over_the_cell_cap_before_any_ball(monkeypa
     monkeypatch.setattr("cantordyn.limits.CELL_CAP", len(window) ** 2 - 1)
     monkeypatch.setattr(coding_module, "word_ball", no_ball)
     with pytest.raises(ResourceLimitError, match="return words over a window of 8 addresses"):
-        return_words(action, window, 8)
+        ActionWindow(action, window).words(8, BALL_BUDGET)
 
 
 def test_warp_return_word_images_are_window_restrictions():
     action = warp_example(3, 2)
-    words = return_words(action, default_window(action), 8)
+    words = ActionWindow(action, default_window(action)).words(8, BALL_BUDGET)
     assert len(words) > 1
     assert_images_are_window_restrictions(action, words)
 
@@ -320,7 +328,7 @@ def test_fixed_point_agreement_at_schreier_diameter_on_random_actions():
         action = random_tree_action(seed, max_addresses=128)
         window = default_window(action)
         diam = schreier_diameter(orbit_graph(action))
-        words = return_words(action, window, diam)
+        words = ActionWindow(action, window).words(diam, BALL_BUDGET)
         blocks = cylinder_partition(action.model, window, 2)
         partition = ClopenPartition.from_blocks(window, blocks)
         fixed = refine_fixed_point(action, window, partition)

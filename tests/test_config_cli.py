@@ -566,12 +566,12 @@ def test_code_builds_one_return_word_set_and_no_word_perm(
     capsys, monkeypatch, config
 ):
     """A chain's return words come from its window source alone, once: the
-    address-level `return_words` does not run."""
-    from cantordyn import cli, coding
+    address-level `ActionWindow.words` does not run."""
+    from cantordyn import coding
     from cantordyn.action import CantorAction
 
-    calls = {"return_words": 0, "chain_words": 0, "word_perm": 0}
-    return_words, chain_words = coding.return_words, coding.ChainWindow.words
+    calls = {"action_words": 0, "chain_words": 0, "word_perm": 0}
+    action_words, chain_words = coding.ActionWindow.words, coding.ChainWindow.words
     word_perm = CantorAction.word_perm
 
     def counted(name, fn):
@@ -581,14 +581,12 @@ def test_code_builds_one_return_word_set_and_no_word_perm(
 
         return wrapper
 
-    for module in (coding, cli):
-        if getattr(module, "return_words", None) is return_words:
-            monkeypatch.setattr(module, "return_words", counted("return_words", return_words))
+    monkeypatch.setattr(coding.ActionWindow, "words", counted("action_words", action_words))
     monkeypatch.setattr(coding.ChainWindow, "words", counted("chain_words", chain_words))
     monkeypatch.setattr(CantorAction, "word_perm", counted("word_perm", word_perm))
     rc, _, _ = run_cli(capsys, "code", str(config))
     assert rc == 0
-    assert calls == {"return_words": 0, "chain_words": 1, "word_perm": 0}
+    assert calls == {"action_words": 0, "chain_words": 1, "word_perm": 0}
 
 
 @pytest.mark.parametrize(

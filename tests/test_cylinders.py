@@ -12,16 +12,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cantordyn import action as action_module
 from cantordyn.action import (
     CantorAction,
     CantorModel,
     InvariantMeasure,
     MinimalityVerdict,
     TreeMetric,
-    enumerate_word_tuples,
     invariant_measure,
     is_distal,
     is_minimal,
+    word_ball,
 )
 from cantordyn.config import parse_config
 from cantordyn.errors import InvariantViolation
@@ -79,10 +80,12 @@ def test_cylinder_engines_match_the_rank_oracle(name):
 
 
 @pytest.mark.parametrize("name", TREE_ACTIONS)
-def test_tuple_ball_is_the_array_ball(name):
+def test_tuple_ball_is_the_array_ball(name, monkeypatch):
     action = TREE_ACTIONS[name]()
     for perm_cap in (20000, 50):
-        tuples, completed = enumerate_word_tuples(action, 8, perm_cap=perm_cap)
+        with monkeypatch.context() as patch:
+            patch.setattr(action_module, "BYTE_ALPHABET", 0)  # the tuple route
+            tuples, completed, _ = word_ball(action, 8, perm_cap=perm_cap)
         arrays, array_completed = enumerate_word_perms(action, 8, perm_cap=perm_cap)
         assert completed == array_completed
         assert [(w, list(p)) for w, p in ball_pairs(tuples)] == [

@@ -154,8 +154,9 @@ def assert_engines_match_oracles(action, word_length):
     assert verdict.distal
     assert verdict.min_delta == min_delta
     # each pair's least image distance over the ball is a realized distance
-    # no larger than its own, and the least of them is the least distance
-    distances = {(a, b): model.distance(a, b) for a, b in deltas}
+    # no larger than its own, and the least of them is the least distance;
+    # `deltas` lists the pairs in the order of the memoised `pair_distances`
+    distances = dict(zip(deltas, pair_distances(model).values()))
     assert min_delta == min(distances.values())
     realized = set(distances.values())
     for pair, d in deltas.items():

@@ -1,8 +1,8 @@
-"""Return words (`coding.return_words`) against the oracle that builds every
-word at once and restricts each image to the window
+"""Return words (`coding.ActionWindow.words`) against the oracle that builds
+every word at once and restricts each image to the window
 (`helpers.reference_return_words`).
 
-`return_words` keeps each class's ball key as its image, indexed by address
+`ActionWindow.words` keeps each class's ball key as its image, indexed by address
 index, and tells classes apart by one gather of the key at the window; a
 shortest word's image is a dict over the window.  It builds no word, and
 `word(k)` reads one off the ball on request.  Here its
@@ -24,7 +24,7 @@ import pytest
 from cantordyn import action as action_module
 from cantordyn.action import WordBall
 from cantordyn.cli import main
-from cantordyn.coding import default_window, return_words
+from cantordyn.coding import ActionWindow, default_window
 from cantordyn.gallery import warp_example
 from helpers import random_tree_action, reference_return_words
 from test_coding import RETURN_WORD_ACTIONS
@@ -78,7 +78,7 @@ def count_words(monkeypatch):
 
 def assert_matches_the_oracle(monkeypatch, action, window, budget):
     calls = count_words(monkeypatch)
-    got = return_words(action, window, 8, perm_budget=budget)
+    got = ActionWindow(action, window).words(8, budget)
     assert calls == []  # no word is built until one is read
     want = reference_return_words(action, window, 8, perm_budget=budget)
     assert got.words == want.words

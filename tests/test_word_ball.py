@@ -20,14 +20,7 @@ from fractions import Fraction as F
 import pytest
 
 from cantordyn import action as action_module
-from cantordyn.action import (
-    WordBall,
-    _word_ball,
-    enumerate_word_bytes,
-    is_distal,
-    tuple_getter,
-    word_ball,
-)
+from cantordyn.action import WordBall, _word_ball, is_distal, tuple_getter, word_ball
 from cantordyn.affine import normal_core, quotient_word_keys
 from cantordyn.cli import _chain_dynamics
 from cantordyn.coding import ActionWindow
@@ -69,7 +62,7 @@ def layer_caps(pairs):
 
 
 def assert_ball_is_the_reference(got, expected, tokens):
-    ball, completed = got
+    ball, completed = got[:2]  # `word_ball` hands back its gather too
     pairs, expected_completed = expected
     assert type(ball) is WordBall
     assert (ball_pairs(ball), completed) == (pairs, expected_completed)
@@ -83,7 +76,8 @@ def test_bytes_ball_is_the_reference_ball(name, length):
     action = action_of(name)
     for cap in FIXED_CAPS:
         expected = reference_action_ball(action, length, cap, as_bytes=True)
-        got = enumerate_word_bytes(action, length, perm_cap=cap)
+        got = word_ball(action, length, perm_cap=cap)
+        assert type(got[0][0]) is bytes
         assert_ball_is_the_reference(got, expected, action.signed_tokens())
 
 
@@ -92,7 +86,8 @@ def test_bytes_ball_cuts_back_at_each_layer_total(name):
     action = action_of(name)
     for cap in layer_caps(reference_action_ball(action, 8, 20000)[0]):
         expected = reference_action_ball(action, 8, cap, as_bytes=True)
-        got = enumerate_word_bytes(action, 8, perm_cap=cap)
+        got = word_ball(action, 8, perm_cap=cap)
+        assert type(got[0][0]) is bytes
         assert_ball_is_the_reference(got, expected, action.signed_tokens())
 
 
