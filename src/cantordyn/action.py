@@ -21,11 +21,13 @@ chain's boundary action, whose table is read off the chain, and the cylinder
 engine for it is a test oracle.  Nothing here touches floating point.
 
 The word ball stores each class once, a key in ball order and a parent
-link, and reads a word off the links only on request.  `word_ball` is the
-one front door to an action's ball: it picks the key format, bytes
-permutations (by `bytes.translate`, whose alphabet is BYTE_ALPHABET) up to
-256 addresses and tuples above, and hands back the gather that reads a key
-at given indices in that format; a chain's ball runs on coset keys.  It and
+link, and reads a word off the links only on request; a layer that could
+pass its cap is counted by hashes before any of its keys is stored.
+`word_ball` is the one front door to an action's ball: it picks the key
+format, bytes permutations (by `bytes.translate`, whose alphabet is
+BYTE_ALPHABET) up to 256 addresses and tuples above, and hands back the
+gather that reads a key at given indices in that format; a chain's ball
+runs on coset keys.  It and
 all else here need only the standard library: the engines these replace are
 test oracles, in `tests/`.
 The invariant measure is uniform on an orbit, where the action is
@@ -36,9 +38,9 @@ from __future__ import annotations
 
 import operator
 from array import array
-from collections import namedtuple
+from collections import deque, namedtuple
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, count, filterfalse, islice, repeat
 
 from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, ball_cap, check_cells
@@ -423,35 +425,69 @@ class WordBall(list):
 def _word_ball(tokens, identity, max_length, perm_cap, compose):
     """The Cayley ball up to max_length of the permutations the tokens
     generate, as (WordBall, completed_length): breadth-first over (length,
-    token order), the identity first.  Layers are atomic: the first new
-    class past the cap cuts the ball back to its layer's start, and the
-    completed length is the last full layer.  `identity` and the token
-    permutations in `tokens`, (token, permutation) pairs, are hashable
-    values of the caller's choosing, and `compose(perm)` maps a token's
-    permutation to the token applied after `perm` (i -> p[perm[i]]).  A
-    class is stored once, a key of `seen` (whose order is the ball order)
-    and a parent link: no word is built here."""
+    token order), the identity first.  Layers are atomic: a layer with more
+    new classes than the cap leaves room for is cut whole, and the completed
+    length is the last full layer.  `identity` and the token permutations in
+    `tokens`, (token, permutation) pairs, are hashable values of the
+    caller's choosing, and `compose(perm)` maps a token's permutation to the
+    token applied after `perm` (i -> p[perm[i]]).
+
+    A class is stored once: a key of `seen`, whose order is the ball order,
+    and a parent link, parent * T + token index over the T tokens; no word
+    is built here.  A layer is stored in one C-level pass over its
+    candidates, each new key holding its link until the layer is stored.  A
+    layer whose frontier times T could pass the cap is first counted by
+    `_passes_cap`, which holds one hash per new class and no key, so at its
+    peak a cut ball holds the keys of its completed layers and the hashes of
+    the layer it cuts (true hash collisions aside, which make it store that
+    layer before cutting it)."""
+    perms = [p for _, p in tokens]
+    width = len(perms)
     seen = {identity: None}
     links = array("q", [0])  # the identity's is never read
-    perms = list(enumerate(p for _, p in tokens))
     start = completed = 0
     for layer in range(1, max_length + 1):
-        end = len(seen)
-        for parent, perm in enumerate(list(islice(seen, start, end)), start):
-            after, base = compose(perm), parent * len(perms)
-            for t, p in perms:
-                size = len(seen)
-                seen.setdefault(after(p))
-                if len(seen) == size:
-                    continue
-                if size >= perm_cap:
-                    del links[end:]
-                    return WordBall(islice(seen, end), links, tokens), completed
-                links.append(base + t)
+        end = len(seen)  # a cut leaves the ball here
+        frontier = list(islice(seen, start, end))
+        room = max(perm_cap - end, 0)
+        if _passes_cap(seen, frontier, perms, compose, room):
+            break
+        deque(map(seen.setdefault, _candidates(frontier, perms, compose), count(start * width)), 0)
+        if len(seen) - end > room:  # true hash collisions hid classes from _passes_cap
+            break
         if len(seen) == end:
-            return WordBall(seen, links, tokens), max_length
+            completed = max_length
+            break
+        links.extend(islice(seen.values(), end, None))
+        seen.update(zip(islice(seen, end, None), repeat(None)))  # drops the link ints
         start, completed = end, layer
-    return WordBall(seen, links, tokens), completed
+    else:
+        end = len(seen)
+    return WordBall(islice(seen, end), links, tokens), completed
+
+
+def _candidates(frontier, perms, compose):
+    """Each token applied after each frontier key, in (parent, token) order."""
+    return chain.from_iterable(map(map, map(compose, frontier), repeat(perms)))
+
+
+def _passes_cap(seen, frontier, perms, compose, room):
+    """Whether the layer after `frontier` has more than `room` new classes,
+    counted as the distinct hashes of its candidates outside `seen`.  Equal
+    keys hash alike, so the count never exceeds the new classes and True is
+    exact; False is exact but for true hash collisions, which the caller
+    catches once the layer is stored.  The frontier is read in runs of
+    parents too short to pass `room` between checks, and the count stops as
+    soon as the parents left could not pass it either."""
+    width, hashes, i = len(perms), set(), 0
+    while len(hashes) + (len(frontier) - i) * width > room:
+        step = max((room - len(hashes)) // width, 1)
+        fresh = filterfalse(seen.__contains__, _candidates(frontier[i:i + step], perms, compose))
+        hashes.update(map(hash, fresh))
+        if len(hashes) > room:
+            return True
+        i += step
+    return False
 
 
 def tuple_getter(indices):
@@ -470,6 +506,8 @@ def word_ball(action, max_length, *, perm_cap):
     own hash key.  Above, keys are tuples composed by `tuple_getter`.
     `at(indices)` maps a key to its entries at those indices, in the key's
     own type.  The budget is clamped to CELL_CAP cells (`limits.ball_cap`).
+    At its peak the ball holds the keys of its completed layers and, for a
+    layer it cuts, one hash per new class (`_word_ball`).
     """
     n = len(action.model)
     tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
@@ -596,8 +634,10 @@ def is_distal(action, word_length=8, *, perm_cap=BALL_BUDGET):
     least positive realized distance whatever the ball, and the verdict is
     distal.  The ball (`word_ball`) is still enumerated, layer-atomically
     within the budget, for the length it completes and its number of
-    classes, both reported; no word is built.  Per-pair deltas are a test
-    oracle (tests/helpers.brute_force_distality).
+    classes, both reported; no word is built, and at its peak the ball
+    holds its completed layers' keys and one hash per class of a layer it
+    cuts.  Per-pair deltas are a test oracle
+    (tests/helpers.brute_force_distality).
     """
     min_delta = action.model.least_distance()
     words, word_length, _ = word_ball(action, word_length, perm_cap=perm_cap)

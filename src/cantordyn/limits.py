@@ -45,5 +45,8 @@ def check_cells(count, what):
 
 def ball_cap(budget, n):
     """The most permutations of n addresses a word ball may hold: the budget,
-    clamped to CELL_CAP cells."""
+    clamped to CELL_CAP cells.  A layer that could pass the cap is counted
+    by hashes before any of its keys is stored, so, true hash collisions
+    aside, the ball never holds more keys than this, even in a layer it
+    cuts."""
     return min(budget, CELL_CAP // n)

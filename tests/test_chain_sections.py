@@ -14,8 +14,11 @@ like those of tests/test_subgroup_algebra.py.  The word ball must give the
 same words in the same order, and the same completed length, as the
 reference ball on the boundary action's permutations
 (`helpers.reference_action_ball`), with no cell clamp; the ball does not
-depend on lam.  A budget of 5 holds the layer-atomic cutoff.  Needs no
-numpy.
+depend on lam.  A budget of 5 holds the layer-atomic cutoff.  Conjugating
+every level by one seeded element g keeps `classify`'s indices, McCord rows,
+normality verdicts and dynamics sections, witnesses aside: the boundary
+action of gH_lg⁻¹ is conjugate to the chain's, and core(gH_lg⁻¹) = core(H_l).
+Needs no numpy.
 """
 
 import functools
@@ -29,14 +32,17 @@ from cantordyn import gallery
 from cantordyn.action import _word_ball, invariant_measure, is_minimal
 from cantordyn.affine import (
     AffineElement,
+    compose,
+    conjugate,
     hermite_normal_form,
     identity_element,
+    is_normal,
     quotient_word_keys,
     subgroup_from_parts,
     subgroup_index_in,
     subgroup_intersect,
 )
-from cantordyn.cli import _chain_dynamics, _chain_reading, cmd_measure
+from cantordyn.cli import _chain_dynamics, _chain_reading, cmd_classify, cmd_measure
 from cantordyn.gallery import REFLECTION, klein_type_group
 from cantordyn.limits import BALL_BUDGET
 from cantordyn.report import Report
@@ -173,3 +179,51 @@ def test_word_ball_on_core_keys_stops_at_the_same_layer_under_a_budget_of_five(n
     tokens, identity, compose = quotient_word_keys(chain.group, core)
     ball, completed = _word_ball(tokens, identity, 8, 5, compose)
     assert (ball_words(ball), completed) == oracle_ball(action, 8, 5)
+
+
+# ------------------------------------------------------------- conjugation
+
+CONJUGATION_SEEDS = range(3)
+
+
+def moving_conjugator(chain, seed, tries=20):
+    """A seeded product of five generators and inverses of the chain's
+    group that moves some level, drawn up to `tries` times (a chain of
+    normal levels is moved by none), and the conjugated levels."""
+    group, rng = chain.group, random.Random(f"{chain.label}-{seed}")
+    for _ in range(tries):
+        g = identity_element(group.dimension, group.denom)
+        for _ in range(5):
+            _, e = rng.choice(group.generators)
+            g = compose(g, e if rng.random() < 0.5 else e.inverse())
+        levels = [conjugate(g, h) for h in chain.levels]
+        if levels != list(chain.levels):
+            break
+    return levels
+
+
+def classify_without_witnesses(chain):
+    """`classify`'s report on the chain, each witness cut from its line."""
+    cfg = SimpleNamespace(lam=LAMBDAS[0], words=8)
+    lines = []
+    for line in cmd_classify(cfg, chain, Report("test", "classify")).render().splitlines():
+        head, cut, rest = line.partition(" witness ")
+        lines.append(head + (" core_index" + rest.partition(" core_index")[2] if cut else ""))
+    return lines
+
+
+@pytest.mark.parametrize("name", CHAINS)
+@pytest.mark.parametrize("seed", CONJUGATION_SEEDS)
+def test_a_conjugate_chain_keeps_what_classify_reports(name, seed):
+    chain = chain_of(name)
+    levels = moving_conjugator(chain, seed)
+    if not all(is_normal(chain.group, h).normal for h in chain.levels):
+        assert levels != list(chain.levels)
+    conjugate_chain = SubgroupChain(chain.group, levels, label=chain.label)
+    assert conjugate_chain.indices() == chain.indices()
+    rows = [
+        [(r.level, r.cofinal, r.cofinal_at, c.group.index_of(r.core)) for r in mccord_verdict(c).records]
+        for c in (chain, conjugate_chain)
+    ]
+    assert rows[0] == rows[1]
+    assert classify_without_witnesses(conjugate_chain) == classify_without_witnesses(chain)

@@ -8,13 +8,18 @@ words and completed length must be the reference's: on the bytes route
 BYTE_ALPHABET = 0), and on coset keys of the gallery and random Klein-type
 chains' cores; at every length from 0 to 8, at caps 1, 2, 5 and 20 000, and
 at each cumulative layer total and one past it, where the layer-atomic
-cutoff binds or just fails to.  The distality verdict and a chain's
-dynamics read only the ball's size, and return words stay within a memory
-bound.  Needs no numpy.
+cutoff binds or just fails to.  A layer that could pass the cap is first
+counted by hashes: with keys whose hash collides on purpose the ball must
+still be the reference at every cap where such a layer is cut or closes, a
+layer that cannot pass the cap composes each candidate once, and a cut ball
+stays within a memory bound that its cut layer's keys would break.  The
+distality verdict and a chain's dynamics read only the ball's size, and
+return words stay within a memory bound.  Needs no numpy.
 """
 
 import functools
 import tracemalloc
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -25,7 +30,7 @@ from cantordyn.affine import normal_core, quotient_word_keys
 from cantordyn.cli import _chain_dynamics
 from cantordyn.coding import ActionWindow
 from cantordyn.gallery import warp_example
-from cantordyn.limits import ball_cap
+from cantordyn.limits import BALL_BUDGET, ball_cap
 from cantordyn.tower import mccord_verdict
 from helpers import ball_pairs, random_tree_action, reference_action_ball, reference_word_ball
 from test_chain_sections import CHAINS, chain_of
@@ -144,6 +149,197 @@ def test_a_long_word_is_rebuilt_without_recursion():
     assert ball.word(n - 1) == pairs[-1][0] and len(pairs[-1][0]) == n // 2
 
 
+# ------------------------------------------- layers that could pass the cap
+
+class WeakKey:
+    """A ball key whose hash is its first two entries' hash modulo 61, so
+    that distinct keys collide often; equality is the key's."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def __hash__(self):
+        return hash(tuple(self.key[:2])) % 61
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+class CountedCompose:
+    """`compose`, counting each token applied after each key."""
+
+    def __init__(self, compose):
+        self.compose, self.calls = compose, Counter()
+
+    def __call__(self, key):
+        after, calls = self.compose(key), self.calls
+
+        def counted(p):
+            calls[key] += 1
+            return after(p)
+
+        return counted
+
+
+def weakened(identity, compose):
+    """The identity and `compose` on WeakKey keys."""
+
+    def weak_compose(key):
+        after = compose(key.key)
+        return lambda p: WeakKey(after(p))
+
+    return WeakKey(identity), weak_compose
+
+
+def ball_source(name, monkeypatch):
+    """(tokens, identity, compose) as `_word_ball` receives them: what
+    `word_ball` hands it for an action on bytes or tuples, or a chain's
+    core keys."""
+    route, _, rest = name.partition("-")
+    if route == "chain":
+        return core_keys(rest)
+    received = []
+    with monkeypatch.context() as patch:
+        if route == "tuples":
+            patch.setattr(action_module, "BYTE_ALPHABET", 0)
+        patch.setattr(action_module, "_word_ball", lambda *args: received.append(args) or ([], 0))
+        word_ball(action_of(rest), 0, perm_cap=1)
+    tokens, identity, _, _, compose = received[0]
+    return tokens, identity, compose
+
+
+def layers(pairs, max_length):
+    """(start, parents, new) for each layer a ball of the reference's
+    (word, key) pairs grows: the classes before it, its frontier and the
+    classes it adds; the last is the first that adds none, if any."""
+    sizes = Counter(len(word) for word, _ in pairs)
+    out, start = [], 0
+    for length in range(1, max_length + 1):
+        start += sizes[length - 1]
+        out.append((start, sizes[length - 1], sizes[length]))
+        if not sizes[length]:
+            break
+    return out
+
+
+def at_risk_caps(pairs, max_length, width):
+    """The caps at which a layer is at risk (its start plus its frontier
+    times the tokens passes the cap), mapped to whether that layer is cut:
+    room for none, one, all but one, all, and one more than all of its new
+    classes, and the largest cap at which it is at risk."""
+    caps = {}
+    for start, parents, new in layers(pairs, max_length):
+        bound = start + parents * width
+        for cap in (start, start + 1, start + new - 1, start + new, start + new + 1, bound - 1):
+            if start <= cap < bound:
+                caps.setdefault(cap, new > cap - start)
+    return caps
+
+
+def parent_counts(calls, pairs, max_length, cap, width):
+    """How often each layer's frontier keys were composed, by what the
+    layer is at `cap`: 'safe' (it cannot pass the cap), 'closes' or
+    'cut'; each with the set of per-parent counts."""
+    keys_of = {}
+    for word, key in pairs:
+        keys_of.setdefault(len(word), []).append(key)
+    out = []
+    for start, parents, new in layers(pairs, max_length):
+        if start > cap:
+            break
+        kind = "safe" if start + parents * width <= cap else "closes" if start + new <= cap else "cut"
+        out.append((kind, {calls[key] for key in keys_of[len(out)]}))  # parents: one token shorter
+        if kind == "cut":
+            break
+    return out
+
+
+WEAK_SOURCES = {
+    "bytes-warp_2": 5,
+    "bytes-tree_2": 8,
+    "tuples-warp_2": 5,
+    "chain-fokkink_oversteegen": 8,
+    "chain-random-3": 8,
+}
+
+
+@pytest.mark.parametrize("name", WEAK_SOURCES)
+def test_colliding_hashes_give_the_reference_ball(name, monkeypatch):
+    # every cap at which a layer that could pass the cap is cut or closes;
+    # the hash count then misses classes, so some cut layer is only found
+    # once stored, which composes its frontier a second time
+    tokens, identity, compose = ball_source(name, monkeypatch)
+    length, width = WEAK_SOURCES[name], len(tokens)
+    full = reference_word_ball(tokens, identity, length, 10 ** 6, compose)[0]
+    caps = at_risk_caps(full, length, width)
+    assert set(caps.values()) == {True, False}  # layers cut and layers closing
+    counted = CountedCompose(compose)
+    weak_identity, weak_compose = weakened(identity, counted)
+    seen_late = False
+    for cap in sorted(caps):
+        counted.calls.clear()
+        expected = reference_word_ball(tokens, identity, length, cap, compose)
+        ball, completed = _word_ball(tokens, weak_identity, length, cap, weak_compose)
+        assert [key.key for key in ball] == [key for _, key in expected[0]], cap
+        assert [ball.word(i) for i in range(len(ball))] == [word for word, _ in expected[0]]
+        assert completed == expected[1]
+        kind, counts = parent_counts(counted.calls, full, length, cap, width)[-1]
+        seen_late |= kind == "cut" and 2 * width in counts
+    assert seen_late
+
+
+COUNT_SOURCES = {
+    "bytes-warp_2": 8,
+    "bytes-tree_2": 8,
+    "tuples-warp_2": 6,
+    "chain-fokkink_oversteegen": 8,
+    "bytes-warp_3": 7,
+}
+
+
+@pytest.mark.parametrize("name", COUNT_SOURCES)
+def test_each_candidate_is_composed_once_unless_its_layer_could_pass_the_cap(name, monkeypatch):
+    # a layer that cannot pass the cap composes each frontier key once per
+    # token; one that could is counted first, as far as it could still pass
+    # the cap, so a closing layer composes a frontier key once or twice per
+    # token and a cut one at most once; a ball with no cap composes each
+    # candidate once
+    tokens, identity, compose = ball_source(name, monkeypatch)
+    length, width = COUNT_SOURCES[name], len(tokens)
+    full = reference_word_ball(tokens, identity, length, 10 ** 6, compose)[0]
+    caps = at_risk_caps(full, length, width)
+    allowed = {"safe": {width}, "closes": {width, 2 * width}, "cut": {0, width}}
+    counted = CountedCompose(compose)
+    kinds = set()
+    for cap in sorted(caps) + [10 ** 6]:
+        counted.calls.clear()
+        _word_ball(tokens, identity, length, cap, counted)
+        for kind, counts in parent_counts(counted.calls, full, length, cap, width):
+            assert counts <= allowed[kind], (cap, kind, counts)
+            kinds.add(kind)
+    assert kinds == set(allowed)
+    assert sum(counted.calls.values()) == width * sum(p for _, p, _ in layers(full, length))
+
+
+@pytest.mark.parametrize("depth, budget, bound", [(4, 20000, 4.5e6), (5, BALL_BUDGET, 75e6)])
+def test_a_cut_ball_never_holds_its_cut_layer(depth, budget, bound):
+    # both balls complete six layers and cut the seventh.  Traced on CPython
+    # 3.11: warp_example(4), 241 addresses on bytes, 3.5 MB, and 6.3 MB when
+    # the cut layer stored its keys up to the cap; warp_example(5), 993
+    # addresses on tuples, 66.7 MB against 129.5 MB
+    action = warp_example(depth)
+    tracemalloc.start()
+    try:
+        ball, completed, _ = word_ball(action, 8, perm_cap=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(ball), completed) == ({4: 7720, 5: 8188}[depth], 6)
+    assert peak <= bound, f"{peak / 1e6:.1f} MB traced"
+
+
 # --------------------------------------------------- what callers read
 
 def refuse_word(self, i):
@@ -170,10 +366,12 @@ def test_chain_dynamics_build_no_word(name, monkeypatch):
 
 
 def test_return_words_on_warp_4_stay_within_their_memory_bound():
-    # the ball keeps one key and one parent link per class, and the return
-    # words keep each image as its key and build no word: 6.3 MB traced on
-    # CPython 3.11, 6.8 MB when each landing class was restricted to a window
-    # tuple, and 11.1 MB when the ball kept every class's word tuple
+    # the ball keeps one key and one parent link per class and counts the
+    # layer it cuts by hashes, and the return words keep each image as its
+    # key and build no word: 3.6 MB traced on CPython 3.11, 6.3 MB when the
+    # cut layer stored its keys up to the cap, 6.8 MB when each landing class
+    # was also restricted to a window tuple, and 11.1 MB when the ball kept
+    # every class's word tuple
     action = warp_example(4)
     action.model.pair_ranks()
     tracemalloc.start()
@@ -183,4 +381,4 @@ def test_return_words_on_warp_4_stay_within_their_memory_bound():
     finally:
         tracemalloc.stop()
     assert (len(words), words.effective_bound) == (3972, 6)
-    assert peak <= 8.5e6, f"{peak / 1e6:.1f} MB traced"
+    assert peak <= 5e6, f"{peak / 1e6:.1f} MB traced"
