@@ -362,18 +362,6 @@ class CantorAction:
             out.append((name, -1))
         return out
 
-    def orbit(self, i):
-        """Breadth-first closure of address index i under generators and
-        inverses, as a set of indices."""
-        seen, queue = {i}, [i]
-        perms = [self.token_perm(n, s) for n, s in self.signed_tokens()]
-        for i in queue:  # grows while walked
-            for p in perms:
-                if p[i] not in seen:
-                    seen.add(p[i])
-                    queue.append(p[i])
-        return seen
-
 
 def _invert_perm(perm):
     inv = [0] * len(perm)
@@ -382,17 +370,52 @@ def _invert_perm(perm):
     return tuple(inv)
 
 
+# size: the address count; basepoint: an address index; tokens: (token,
+# permutation) pairs, each generator then its inverse
+OrbitGraph = namedtuple("OrbitGraph", "size basepoint tokens")
+
+
+def orbit_graph(action):
+    """The action's orbit graph: its signed tokens with their permutations."""
+    tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
+    return OrbitGraph(len(action.model), action.basepoint, tokens)
+
+
+def breadth_first(graph):
+    """An OrbitGraph's breadth-first walk from its basepoint, tokens in order,
+    as (layers, via): `layers[d]` the addresses at distance d, and `via[j]`
+    address j's first (parent, token index), (basepoint, None) at the
+    basepoint and None where the walk never reaches."""
+    w0 = graph.basepoint
+    perms = list(enumerate(p for _, p in graph.tokens))
+    via = [None] * graph.size
+    via[w0] = (w0, None)
+    layers = [[w0]]
+    while True:
+        new = []
+        for i in layers[-1]:
+            for k, p in perms:
+                j = p[i]
+                if via[j] is None:
+                    via[j] = (i, k)
+                    new.append(j)
+        if not new:
+            return layers, via
+        layers.append(new)
+
+
 # witness_orbit: the basepoint's orbit, a frozenset of address indices
 MinimalityVerdict = namedtuple("MinimalityVerdict", "minimal witness_orbit", defaults=(None,))
 
 
 def is_minimal(action):
     """Every orbit is the full address set; the generator set is symmetric,
-    so the basepoint orbit decides, and it is the witness when not full."""
-    orb = action.orbit(action.basepoint)
+    so the basepoint orbit, the union of its walk's layers (`breadth_first`),
+    decides, and it is the witness when not full."""
+    orb = frozenset(chain.from_iterable(breadth_first(orbit_graph(action))[0]))
     if len(orb) == len(action.model):
         return MinimalityVerdict(True)
-    return MinimalityVerdict(False, frozenset(orb))
+    return MinimalityVerdict(False, orb)
 
 
 # ------------------------------------------------------------- word groups
@@ -510,7 +533,7 @@ def word_ball(action, max_length, *, perm_cap):
     layer it cuts, one hash per new class (`_word_ball`).
     """
     n = len(action.model)
-    tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
+    tokens = orbit_graph(action).tokens
     if n <= BYTE_ALPHABET:
         pad = bytes(BYTE_ALPHABET - n)
         tokens = [(token, bytes(perm) + pad) for token, perm in tokens]

@@ -30,10 +30,6 @@ def _point_key(a):
     return tuple(x for row in a for x in row)
 
 
-def _frozen(self, name, value=None):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
 def _check_point(point):
     d = im.det(point)
     if d not in (1, -1):
@@ -44,16 +40,14 @@ def _check_point(point):
         )
 
 
-class AffineElement:
+class AffineElement(namedtuple("AffineElement", "point scaled denom")):
     """An affine map x -> point @ x + scaled / denom, exact.
 
-    The public constructor takes the translation as rationals and validates;
-    the fields are never reassigned."""
+    The public constructor takes the translation as rationals and validates."""
 
-    __slots__ = ("point", "scaled", "denom")
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = ()
 
-    def __init__(self, point, trans, denom):
+    def __new__(cls, point, trans, denom):
         point = tuple(tuple(int(x) for x in row) for row in point)
         trans = tuple(Fraction(x) for x in trans)
         n = len(point)
@@ -65,9 +59,7 @@ class AffineElement:
         for t in trans:
             if (t * denom).denominator != 1:
                 raise StructureError(f"translation entry {t} is not a multiple of 1/{denom}")
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "scaled", tuple(int(t * denom) for t in trans))
-        object.__setattr__(self, "denom", denom)
+        return _element(point, tuple(int(t * denom) for t in trans), denom)
 
     @property
     def trans(self):
@@ -88,18 +80,6 @@ class AffineElement:
     def key(self):
         return (_point_key(self.point), self.scaled)
 
-    def __eq__(self, other):
-        if other.__class__ is not AffineElement:
-            return NotImplemented
-        return (
-            self.point == other.point
-            and self.scaled == other.scaled
-            and self.denom == other.denom
-        )
-
-    def __hash__(self):
-        return hash((self.point, self.scaled, self.denom))
-
     def __repr__(self):
         return f"AffineElement(point={self.point!r}, trans={self.trans!r}, denom={self.denom})"
 
@@ -112,11 +92,7 @@ class AffineElement:
 def _element(point, scaled, denom):
     """The element (point, scaled / denom), unchecked: only for products,
     inverses and lattice reductions of validated elements."""
-    g = object.__new__(AffineElement)
-    object.__setattr__(g, "point", point)
-    object.__setattr__(g, "scaled", scaled)
-    object.__setattr__(g, "denom", denom)
-    return g
+    return tuple.__new__(AffineElement, (point, scaled, denom))
 
 
 def identity_element(n, denom=1):
@@ -137,7 +113,7 @@ def compose(a, b):
     return _element(point, im.vec_add(a.scaled, im.mat_vec(a.point, b.scaled)), a.denom)
 
 
-class IntegerLattice:
+class IntegerLattice(namedtuple("IntegerLattice", "basis")):
     """Full-rank sublattice of Z^n with canonical upper-triangular HNF basis.
 
     The basis is taken as given: every lattice the package builds comes out
@@ -145,11 +121,10 @@ class IntegerLattice:
     which refuse a singular or rank-deficient input), or is a positive
     multiple (`scale`) or an exact quotient of one, which stays canonical."""
 
-    __slots__ = ("basis",)
-    __setattr__ = __delattr__ = _frozen
+    __slots__ = ()
 
-    def __init__(self, basis):
-        object.__setattr__(self, "basis", tuple(map(tuple, basis)))
+    def __new__(cls, basis):
+        return super().__new__(cls, tuple(map(tuple, basis)))
 
     @property
     def dimension(self):
@@ -190,20 +165,6 @@ class IntegerLattice:
     def column(self, j):
         return tuple(self.basis[i][j] for i in range(self.dimension))
 
-    def columns(self):
-        return [self.column(j) for j in range(self.dimension)]
-
-    def __eq__(self, other):
-        if other.__class__ is not IntegerLattice:
-            return NotImplemented
-        return self.basis == other.basis
-
-    def __hash__(self):
-        return hash(self.basis)
-
-    def __repr__(self):
-        return f"IntegerLattice(basis={self.basis!r})"
-
     def __str__(self):
         return "[" + ";".join(",".join(str(x) for x in row) for row in self.basis) + "]"
 
@@ -242,11 +203,6 @@ def _stacked_hnf(l1, l2):
     h, pivots, u = im.column_hnf(rows, with_transform=True)
     kernel_x = tuple(row[n:] for row in u[:n])
     return h, pivots, u, hermite_normal_form(im.mat_mul(l1.basis, kernel_x))
-
-
-def lattice_intersect(l1, l2):
-    """Intersection of two full-rank integer lattices."""
-    return _stacked_hnf(l1, l2)[3]
 
 
 class FiniteIndexSubgroup(namedtuple("FiniteIndexSubgroup", "lattice reps")):
@@ -483,15 +439,6 @@ class AffineGroup(namedtuple("AffineGroup", "dimension denom generators normal_f
         nf = subgroup_from_generators(n, d, [g for _, g in named])
         return cls(n, d, named, nf)
 
-    def generator(self, name):
-        for gname, g in self.generators:
-            if gname == name:
-                return g
-        raise StructureError(f"unknown generator {name!r}")
-
-    def identity(self):
-        return identity_element(self.dimension, self.denom)
-
     def point_class_order(self):
         """Deterministic point-class ids: identity first, then sorted."""
         ident = im.identity(self.dimension)
@@ -574,21 +521,12 @@ class CosetSpace:
         self._red_data = red_data
         self._key_index = key_index
 
-    @property
-    def reps(self):
-        """One AffineElement per coset, built on demand: the engines read `keys`."""
-        d = self.group.denom
-        return tuple(_element(point, red, d) for _, red, point in self.keys)
-
     def index_of_scaled(self, point, scaled_tr):
         """Index of the coset of the element (point, scaled_tr / d)."""
         try:
             return self._key_index[_step(self._red_data[point], scaled_tr)]
         except KeyError:
             raise StructureError("element does not lie in the enumerated coset space")
-
-    def index_of_element(self, g):
-        return self.index_of_scaled(g.point, g.scaled)
 
     def orbit(self, elements):
         """The orbit of the identity coset (the least key, so index 0) under

@@ -239,33 +239,31 @@ def cmd_compare(cfg_a, cfg_b, report):
     else:
         report.add("fail_side", verdict.fail_side, 1)
         report.add("fail_level", verdict.fail_level, 1)
-        report.add("witness", verdict.witness, 1)
+        report.add("witness", str(verdict.witness), 1)  # an element, printed whole
     return report
 
 
 def cmd_code(cfg, chain, report):
     """The coding chain of the default window; on a chain, read off its
-    algebra with no tower (`coding.ChainWindow`)."""
+    algebra with no tower (`coding.ChainWindow`).  The window source gives
+    the action's minimality and orbit-graph diameter."""
     from .action import format_word
     from .coding import ActionWindow, ChainWindow, check_window_cells, code_window
-    from .coding import basepoint_eccentricity, schreier_diameter
 
     if chain is not None:
-        from .affine import coset_space, is_normal
+        from .affine import coset_space
 
         indices = chain.indices()  # the default window: one level-1 coset's fibre
         check_window_cells(indices[-1] // indices[0] if chain.depth > 1 else indices[-1])
         source = ChainWindow(chain, coset_space(chain.group, chain.levels[-1]), cfg.lam)
-        table, minimal = _chain_reading(chain, cfg.lam)[0], True
-        regular = is_normal(chain.group, chain.levels[-1]).normal  # a Cayley graph
+        table = _chain_reading(chain, cfg.lam)[0]
     else:
-        from .action import is_minimal, modulus_table
+        from .action import modulus_table
 
         action = cfg.build_action()
-        table, minimal = modulus_table(action), is_minimal(action).minimal
-        source, regular = ActionWindow(action), False
-    diameter = (basepoint_eccentricity if regular else schreier_diameter)(source.graph)
-    chain_result = code_window(source, table, minimal, diameter, word_bound=cfg.words)
+        table = modulus_table(action)  # an over-cap model names its pair ranks first
+        source = ActionWindow(action)
+    chain_result = code_window(source, table, word_bound=cfg.words)
     words = chain_result.words
     report.section("window")
     report.add("size", len(chain_result.window), 1)
@@ -318,15 +316,18 @@ def cmd_holonomy(cfg, chain, word_text, address_text, report):
     word = parse_word(word_text)
     if chain is None:
         action = cfg.build_action()
+        names = action.generators
     else:
         from .limits import check_index_cap
-        from .tower import boundary_action
 
         check_index_cap(chain.indices()[-1])  # the cap, then the word's names, before any coset
         names = dict(chain.group.generators)
-        for name, _ in reversed(word):  # in the order the word acts, as `word_perm` reads it
-            if name not in names:
-                raise StructureError(f"unknown generator name {name!r}")
+    for name, _ in reversed(word):  # in the order the word acts, as `word_perm` reads it
+        if name not in names:
+            raise StructureError(f"unknown generator name {name!r}")
+    if chain is not None:
+        from .tower import boundary_action
+
         action = boundary_action(chain, cfg.lam)
     address = _parse_address(action.model, address_text)
     verdict = germinal_holonomy(action, word, address)

@@ -19,12 +19,14 @@ partition gap and the clopen-window check compare the model's cylinder
 label columns (the gap reads rows of pair ranks off a tree), and the
 Schreier diameter grows Python-int bitsets, all on the standard library.
 The chain takes its modulus table (computed only on the rank route, for
-non-tree models), minimality and orbit-graph diameter from the caller.
+non-tree models) from the caller.
 
 The loop (`code_window`) reads a window source: `ActionWindow`, a window
 checked once whose return words run on the action's ball in whatever key
 format `action.word_ball` picks, or `ChainWindow`, a chain's window read off
-its algebra with no tower.
+its algebra with no tower.  Each source walks its orbit graph once
+(`action.breadth_first`) and gives the loop the action's minimality and
+orbit-graph diameter.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .action import CantorAction, _invert_perm, _word_ball, tuple_getter, word_ball
+from .action import CantorAction, OrbitGraph, _invert_perm, _word_ball, breadth_first
+from .action import orbit_graph, tuple_getter, word_ball
 from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, CODING_BUDGET, SCHREIER_SIZE_CAP, ball_cap, check_cells
 
@@ -160,49 +163,22 @@ class ReturnWordSet:
         return len(self.images)
 
 
-# size: the address count; basepoint: an address index; tokens: (token,
-# permutation) pairs, each generator then its inverse
-OrbitGraph = namedtuple("OrbitGraph", "size basepoint tokens")
-
-
-def orbit_graph(action):
-    """The action's orbit graph: its signed tokens with their permutations."""
-    tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
-    return OrbitGraph(len(action.model), action.basepoint, tokens)
-
-
-def _shortest_words_into_window(graph, win_idx):
+def _shortest_words_into_window(graph, layers, via, win_idx):
     """One shortest word sending the basepoint to each window address, with
     the word's window images (as in ReturnWordSet), as (word, image) pairs in
-    address order; `graph` is an OrbitGraph and `win_idx` holds the window's
-    address indices, ascending.
+    address order, read off the OrbitGraph's walk `layers, via`
+    (`breadth_first`); `win_idx` holds the window's address indices, ascending.
 
-    Breadth-first search over the orbit graph, tokens in order, up to the
-    layer that reaches the last window address; every such word is a return
-    word by construction, and for transitive actions their translates of any
+    The words are the walk's tree paths; every such word is a return word by
+    construction, and for transitive actions their translates of any
     basepoint block reach every window point.  A token after a word sends
     the window to the token's images of the word's window images, so an
-    address's image is one gather of its parent's in the search tree.  Words
-    and images are built layer by layer, only on the paths to window
-    addresses, and a layer's are dropped once the next one's are built.
+    address's image is one gather of its parent's in the tree.  Words and
+    images are built layer by layer, only on the paths to window addresses,
+    and a layer's are dropped once the next one's are built.
     """
     w0 = graph.basepoint
-    perms = list(enumerate(p for _, p in graph.tokens))
-    via = [None] * graph.size  # address -> (parent, token index) of its first discovery
-    via[w0] = (w0, None)
     window = set(win_idx)
-    layers = [[w0]]
-    missing = len(window) - 1  # the window holds the basepoint
-    while layers[-1] and missing:
-        new = []
-        for i in layers[-1]:
-            for k, p in perms:
-                j = p[i]
-                if via[j] is None:
-                    via[j] = (i, k)
-                    new.append(j)
-        missing -= len(window.intersection(new))
-        layers.append(new)
     on_path = {w0}  # the reached window addresses and their ancestors
     for j in win_idx:
         while via[j] is not None and j not in on_path:
@@ -325,31 +301,17 @@ def schreier_diameter(graph):
         rounds += 1
 
 
-def basepoint_eccentricity(graph):
-    """The basepoint's eccentricity in the orbit graph, an OrbitGraph, by one
-    breadth-first search, or None above SCHREIER_SIZE_CAP addresses: the
-    diameter when the graph is vertex-transitive, as the Cayley graph of
-    G/H_K is for H_K normal."""
-    if graph.size > SCHREIER_SIZE_CAP:
-        return None
-    seen = frontier = {graph.basepoint}
-    rounds = -1
-    while frontier:
-        frontier = {j for _, p in graph.tokens for j in map(p.__getitem__, frontier)} - seen
-        seen = seen | frontier
-        rounds += 1
-    return rounds
-
-
 # ------------------------------------------------------------ window sources
 
 class ActionWindow:
     """A window of a CantorAction (`default_window` unless given), checked
     once, as `code_window` reads it: the `action` holding its points, the
     address `size`, the `gap` from the window to the rest (None when there
-    is none), the OrbitGraph `graph`, and `words(bound, budget)`, its
-    ReturnWordSet.  A window over the cell cap is refused here, before any
-    ball permutation."""
+    is none), the OrbitGraph `graph`, walked once, here (`breadth_first`),
+    the action `minimal` when the walk reaches every address, the graph's
+    `diameter()`, and `words(bound, budget)`, its ReturnWordSet, shortest
+    words read off the walk.  A window over the cell cap is refused here,
+    before any ball permutation."""
 
     def __init__(self, action, window=None):
         window = _check_clopen_window(action, default_window(action) if window is None else window)
@@ -358,6 +320,11 @@ class ActionWindow:
         whole = ClopenPartition(window, (window,))
         self.gap = _eta_of_partition(action.model, whole, include_complement=True)
         self.graph = orbit_graph(action)
+        self._walk = breadth_first(self.graph)
+        self.minimal = None not in self._walk[1]
+
+    def diameter(self):
+        return schreier_diameter(self.graph)
 
     def words(self, bound, budget):
         """Words of length at most `bound`, from a ball of at most `budget`
@@ -376,7 +343,7 @@ class ActionWindow:
                 first.setdefault(restrict(key), i)
         classes, shortest = list(first.values()), []
         images, as_key = [ball[i] for i in classes], type(restrict(ball[0]))
-        for word, image in _shortest_words_into_window(self.graph, win_idx):
+        for word, image in _shortest_words_into_window(self.graph, *self._walk, win_idx):
             if as_key(image) not in first:
                 shortest.append(word)
                 images.append(dict(zip(win_idx, image)))
@@ -395,7 +362,9 @@ class ChainWindow:
     whose classes are the boundary action's word permutations; a class
     lands when its element's H_K coset lies in W, and its image of W is one
     gather per token of its path through `graph`, G's permutations of
-    G/H_K; the first class of each image keeps it, and builds no word."""
+    G/H_K; the first class of each image keeps it, and builds no word.  G is
+    transitive on G/H_K, so the action is `minimal`; `graph` is walked once,
+    here, for the shortest words and the `diameter()` of a normal H_K."""
 
     def __init__(self, chain, space, lam):
         from .affine import normal_core, quotient_word_keys
@@ -419,6 +388,7 @@ class ChainWindow:
             perm = space.gen_perms[name]
             tokens += [((name, 1), perm), ((name, -1), _invert_perm(perm))]
         self.graph = OrbitGraph(space.index, 0, tokens)
+        self._walk = breadth_first(self.graph)
         self._cores = {chain.depth: normal_core(group, levels[-1])}
         self._ball = quotient_word_keys(group, self._cores[chain.depth])
         self._levels = levels
@@ -457,6 +427,17 @@ class ChainWindow:
                     "not descend"
                 )
 
+    minimal = True
+
+    def diameter(self):
+        """For H_K normal (its own core) the Cayley graph of G/H_K, whose
+        diameter is the basepoint's eccentricity, the walk's depth; None
+        above SCHREIER_SIZE_CAP cosets, as `schreier_diameter` otherwise."""
+        normal = self._cores[len(self._levels)] == self._levels[-1]
+        if normal and self.size <= SCHREIER_SIZE_CAP:
+            return len(self._walk[0]) - 1
+        return schreier_diameter(self.graph)
+
     def core_orbit(self, level):
         """The orbit of the identity coset under McCord's core of the level
         (`normal_core`, computed once per level) in G/H_K, in window positions
@@ -492,7 +473,7 @@ class ChainWindow:
                     image = tuple_getter(image)(perms[t])
                 first.setdefault(self._window_image(image), i)
         images, shortest = list(first), []
-        for word, image in _shortest_words_into_window(self.graph, self.points):
+        for word, image in _shortest_words_into_window(self.graph, *self._walk, self.points):
             image = self._window_image(image)
             if image not in first:
                 shortest.append(word)
@@ -517,7 +498,7 @@ class CodingChain(
         "CodingChain", "window levels word_bound_requested words schreier_diam minimal"
     )
 ):
-    """The levels of `coding_chain`.  `words` is the final ReturnWordSet (the
+    """The levels of `code_window`.  `words` is the final ReturnWordSet (the
     bound used, the effective bound, the classes); `schreier_diam` is None
     above the size cap."""
 
@@ -582,18 +563,13 @@ def _witness_or_subresolution(table, eps):
     return sub, True
 
 
-def coding_chain(action, table, minimal, diameter, window=None, word_bound=DEFAULT_WORD_BOUND):
-    """`code_window` on a window of an action (`ActionWindow`), by default
-    `default_window`."""
-    return code_window(ActionWindow(action, window), table, minimal, diameter, word_bound)
-
-
-def code_window(source, table, minimal, diameter, word_bound=DEFAULT_WORD_BOUND):
+def code_window(source, table, word_bound=DEFAULT_WORD_BOUND):
     """Run the inductive refinement on a window source (`ActionWindow` or
     `ChainWindow`): level sets, translates, and constants.
 
-    `table`, `minimal` and `diameter` are the action's ModulusTable,
-    minimality and orbit-graph diameter (None when uncomputed).
+    `table` is the action's ModulusTable; the source gives its minimality
+    (`source.minimal`) and orbit-graph diameter (`source.diameter()`, None
+    when uncomputed).
     Stops when the level set is a single address or a piece of the last
     level has diameter 0.  Every level's code-equality set is validated against
     the fixed-point refinement; a disagreement raises the word bound, up to
@@ -602,6 +578,7 @@ def code_window(source, table, minimal, diameter, word_bound=DEFAULT_WORD_BOUND)
     """
     action = source.action
     model = action.model
+    minimal, diameter = source.minimal, source.diameter()
     ceiling = max(word_bound, diameter if diameter is not None else source.size)
     bound = word_bound
     hard_budget = ball_cap(CODING_BUDGET, source.size)  # the ball's own clamp

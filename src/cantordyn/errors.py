@@ -14,16 +14,14 @@ class StructureError(CantordynError):
 
 
 class ParseError(StructureError):
-    """Config text could not be parsed; carries line/column when known."""
+    """Config text could not be parsed; carries its line when known."""
 
     exit_code = 2
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
         if line is not None:
-            where = f"line {line}" + (f", column {column}" if column is not None else "")
-            message = f"{where}: {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
 
 

@@ -19,21 +19,29 @@ from cantordyn.action import (
     CantorModel,
     TreeMetric,
     WarpMetric,
+    breadth_first,
     common_prefix,
     is_distal,
+    orbit_graph,
     tuple_getter,
     warp_cylinder_key,
     word_ball,
 )
 from cantordyn import _intmat as im
-from cantordyn.affine import compose, conjugate, subgroup_intersect, subgroup_le
+from cantordyn.affine import (
+    _element,
+    compose,
+    conjugate,
+    identity_element,
+    subgroup_intersect,
+    subgroup_le,
+)
 from cantordyn.coding import (
     ClopenPartition,
     _eta_of_partition,
     _shortest_words_into_window,
     cylinder_partition,
     default_window,
-    orbit_graph,
 )
 from cantordyn.errors import StructureError
 from cantordyn.limits import check_cells
@@ -368,7 +376,8 @@ def reference_return_words(action, window, bound, *, perm_budget=20000):
             image = restrict(perm)
             if image not in first_word:
                 first_word[image] = ball.word(i)
-    for word, image in _shortest_words_into_window(orbit_graph(action), win_idx):
+    graph = orbit_graph(action)
+    for word, image in _shortest_words_into_window(graph, *breadth_first(graph), win_idx):
         first_word.setdefault(image, word)
     return ReferenceReturnWords(
         tuple(first_word.values()), bound, completed, tuple(win_idx), tuple(first_word)
@@ -677,24 +686,37 @@ def bfs_orbit(space, elements):
     return queue, rows
 
 
+def coset_reps(cosets):
+    """One element per coset, read off its canonical key (point class id,
+    reduced scaled translation, point), in the space's order."""
+    d = cosets.group.denom
+    return tuple(_element(point, red, d) for _, red, point in cosets.keys)
+
+
+def index_of(cosets, g):
+    """The index of the coset of the element g."""
+    return cosets.index_of_scaled(g.point, g.scaled)
+
+
 def permutation_of(cosets, g, reps=None):
     """Left-multiplication permutation of a coset space induced by an
-    arbitrary element, through the validated reps (`cosets.reps` unless the
-    caller passes them, built once)."""
-    reps = cosets.reps if reps is None else reps
-    return tuple(cosets.index_of_element(compose(g, rep)) for rep in reps)
+    arbitrary element, through the key reps (`coset_reps` unless the caller
+    passes them, built once)."""
+    reps = coset_reps(cosets) if reps is None else reps
+    return tuple(index_of(cosets, compose(g, rep)) for rep in reps)
 
 
 def permutation_orbit_cylinder(tower, subgroup):
     """Indices of the deepest-level cosets in the image of a subgroup, by full
     left-multiplication tables of its generators and their inverses."""
     deepest = tower.space
-    reps = deepest.reps
+    reps = coset_reps(deepest)
     perms = []
     for el in subgroup.generator_elements():
         perms.append(permutation_of(deepest, el, reps))
         perms.append(permutation_of(deepest, el.inverse(), reps))
-    start = deepest.index_of_element(tower.chain.group.identity())
+    group = tower.chain.group
+    start = index_of(deepest, identity_element(group.dimension, group.denom))
     seen = {start}
     frontier = [start]
     while frontier:
@@ -713,7 +735,7 @@ def brute_force_core(cosets):
     """Core of H in G: intersect the conjugates of H by every rep of G/H."""
     h = cosets.subgroup
     core = h
-    for rep in cosets.reps:
+    for rep in coset_reps(cosets):
         conj = conjugate(rep, h)
         if conj != core and not subgroup_le(core, conj):
             core = subgroup_intersect(core, conj)

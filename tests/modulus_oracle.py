@@ -9,8 +9,8 @@ permutations, and is itself checked against `helpers.brute_force_modulus_rows`
 through `helpers.engine_answers`.  Needs neither numpy nor the test helpers.
 """
 
-from cantordyn.action import ModulusTable, common_prefix, is_minimal, modulus_table
-from cantordyn.coding import DEFAULT_WORD_BOUND, coding_chain, orbit_graph, schreier_diameter
+from cantordyn.action import ModulusTable, common_prefix, modulus_table
+from cantordyn.coding import DEFAULT_WORD_BOUND, ActionWindow, code_window
 
 
 def cylinder_modulus_rows(action):
@@ -56,8 +56,6 @@ def modulus_table_of(action):
 
 
 def coding_chain_of(action, window=None, word_bound=DEFAULT_WORD_BOUND):
-    """`coding_chain` with the table of `modulus_table_of`, the verdict of
-    `is_minimal` and `schreier_diameter`, computed on the action itself."""
-    table, minimal = modulus_table_of(action), is_minimal(action).minimal
-    diameter = schreier_diameter(orbit_graph(action))
-    return coding_chain(action, table, minimal, diameter, window=window, word_bound=word_bound)
+    """`code_window` on a window of the action (`ActionWindow`, by default
+    `default_window`) with the table of `modulus_table_of`."""
+    return code_window(ActionWindow(action, window), modulus_table_of(action), word_bound)

@@ -12,6 +12,7 @@ from cantordyn.action import (
     CantorModel,
     TreeMetric,
     WarpMetric,
+    breadth_first,
     format_word,
     germinal_holonomy,
     invariant_measure,
@@ -19,6 +20,7 @@ from cantordyn.action import (
     is_minimal,
     MinimalityVerdict,
     modulus_table,
+    orbit_graph,
     parse_word,
     word_ball,
 )
@@ -97,21 +99,29 @@ def test_word_parsing_round_trip():
 
 # ------------------------------------------------------------------- orbits
 
+def orbit(act, i):
+    """The orbit of address index i: the layers of the orbit graph's walk
+    from i."""
+    layers, _ = breadth_first(orbit_graph(act)._replace(basepoint=i))
+    return set().union(*layers)
+
+
 def test_dyadic_orbit_reaches_everything():
     act = dyadic_action()
-    assert act.orbit(act.model.index[(0, 0, 0)]) == set(range(len(act.model)))
+    assert orbit(act, act.model.index[(0, 0, 0)]) == set(range(len(act.model)))
 
 
 def test_fiber_only_warp_orbit_of_collapsed_point_is_itself():
     act = warp_example(3, 2, include_free_factor=False)
     collapsed = act.model.index[COLLAPSED]
-    assert act.orbit(collapsed) == {collapsed}
+    assert orbit(act, collapsed) == {collapsed}
 
 
 def test_identity_only_action_has_singleton_orbits():
     model = CantorModel(((0,), (1,)), 1, TreeMetric(F(1, 2)))
     act = CantorAction(model, {"e": (0, 1)}, 0)
-    assert act.orbit(0) == {0}
+    assert orbit(act, 0) == {0}
+    assert orbit(act, 1) == {1}
 
 
 def test_basepoint_must_be_an_index_of_the_model():

@@ -22,7 +22,6 @@ from cantordyn.affine import (
     hermite_normal_form,
     identity_element,
     is_normal,
-    lattice_intersect,
     normal_core,
     subgroup_from_generators,
     subgroup_from_parts,
@@ -34,7 +33,7 @@ from cantordyn.affine import (
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import small_fo_variant
 
-from helpers import brute_force_core, permutation_of
+from helpers import brute_force_core, coset_reps, index_of, permutation_of
 
 D = ((1, 0), (0, -1))
 
@@ -53,6 +52,10 @@ def fo_level(ell, a=(3, 35)):
 
 
 # ---------------------------------------------------------------- oracles
+
+def columns(lattice):
+    return [lattice.column(j) for j in range(lattice.dimension)]
+
 
 def lattice_points_by_combination(basis_cols, coeff_range):
     """All integer combinations of the columns with coefficients in a box."""
@@ -82,7 +85,7 @@ def in_lattice_by_adjugate(m, v):
 def subgroup_elements_in_box(h, box):
     """All elements of H whose (scaled) translations lie in a box."""
     out = []
-    cols = h.lattice.columns()
+    cols = columns(h.lattice)
     # coefficient range generous enough to fill the box
     rng = box
     for r in h.reps:
@@ -161,7 +164,7 @@ def test_hnf_same_lattice_by_box_enumeration():
     }
     got = {
         p
-        for p in lattice_points_by_combination(lat.columns(), 8)
+        for p in lattice_points_by_combination(columns(lat), 8)
         if all(abs(x) <= 8 for x in p)
     }
     assert want == got
@@ -212,6 +215,12 @@ def test_reduce_gives_canonical_coset_representative():
 
 # ------------------------------------------------------ lattice intersection
 
+def lattice_intersect(l1, l2):
+    """The lattice of the intersection of the two translation subgroups."""
+    n = l1.dimension
+    h1, h2 = (subgroup_from_parts(l, [identity_element(n)]) for l in (l1, l2))
+    return subgroup_intersect(h1, h2).lattice
+
 def test_intersect_coprime_scalings():
     l1 = hermite_normal_form(((2, 0), (0, 2)))
     l2 = hermite_normal_form(((3, 0), (0, 3)))
@@ -240,18 +249,18 @@ def test_intersect_random_lattices_by_box_enumeration():
         box = 36
         pts1 = {
             p
-            for p in lattice_points_by_combination(l1.columns(), box)
+            for p in lattice_points_by_combination(columns(l1), box)
             if all(abs(x) <= box for x in p)
         }
         pts2 = {
             p
-            for p in lattice_points_by_combination(l2.columns(), box)
+            for p in lattice_points_by_combination(columns(l2), box)
             if all(abs(x) <= box for x in p)
         }
         want = pts1 & pts2
         have = {
             p
-            for p in lattice_points_by_combination(got.columns(), box)
+            for p in lattice_points_by_combination(columns(got), box)
             if all(abs(x) <= box for x in p)
         }
         assert want == have
@@ -490,7 +499,7 @@ def test_coset_space_computes_one_key_per_generator_image(monkeypatch, case):
     # the tables recorded during the walk agree with fresh key lookups
     for name, g in group.generators:
         assert cs.gen_perms[name] == permutation_of(cs, g)
-    assert [cs.index_of_element(rep) for rep in cs.reps] == list(range(cs.index))
+    assert [index_of(cs, rep) for rep in coset_reps(cs)] == list(range(cs.index))
 
 
 @pytest.mark.parametrize("case", COSET_CASES)
@@ -499,13 +508,13 @@ def test_coset_space_scales_each_translation_once(monkeypatch, case):
     # keys and their reduction data are built from `scaled`, with no element
     group, h = coset_case(case)
     calls = {"built": 0}
-    original = AffineElement.__init__
+    original = AffineElement.__new__  # the validating constructor
 
-    def counted(self, *args):
+    def counted(cls, *args):
         calls["built"] += 1
-        original(self, *args)
+        return original(cls, *args)
 
-    monkeypatch.setattr(AffineElement, "__init__", counted)
+    monkeypatch.setattr(AffineElement, "__new__", counted)
     cs = coset_space(group, h)
     monkeypatch.undo()
     assert cs.index == group.index_of(h)

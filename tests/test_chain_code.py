@@ -1,17 +1,18 @@
-"""`code` on a chain from its algebra, against `coding_chain` on the
-boundary action.
+"""`code` on a chain from its algebra, against `code_window` on the
+boundary action's window.
 
 On a chain `code` builds no tower: `coding.ChainWindow` enumerates G/H_K
 once and codes the default window W = H_1/H_K under H_1, with return words
 from a word ball on coset keys of core(H_K) and window images gathered
 through the space's generator permutations.  Here that path must agree with
-`coding_chain` on the oracle tower's boundary action
+`code_window` on an `ActionWindow` of the oracle tower's boundary action
 (`tower_oracle.build_tower(chain).boundary_action(lam)`), given the same
-modulus table, minimality and orbit-graph diameter: every field of every
-coding level, with window positions read back as G/H_K indices; the final
-words, bound, effective bound, window and window images; the window, its gap
-to the rest, the orbit graph and its diameters; the number of return-word
-sets each path builds; and the `core_oracle` lines of `cmd_code`, against
+modulus table, each source giving its own minimality and orbit-graph
+diameter: every field of every coding level, with window positions read back
+as G/H_K indices; the final words, bound, effective bound, window and window
+images; the window, its gap to the rest, the orbit graph, its walk and its
+diameters; the number of return-word sets each path builds, and the one walk
+each source makes; and the `core_oracle` lines of `cmd_code`, against
 the oracle's `subgroup_cylinder` of each level's core.  The chains are the
 gallery chains at their default depths, the two chains whose first level is
 G, two depth-1 chains, the seeded random Klein-type chains of
@@ -30,17 +31,16 @@ import pytest
 from cantordyn import action as action_module
 from cantordyn import coding
 from cantordyn import tower as tower_module
-from cantordyn.affine import coset_space, is_normal, normal_core
+from cantordyn.action import breadth_first, orbit_graph
+from cantordyn.affine import coset_space, normal_core
 from cantordyn.cli import _chain_reading, cmd_code, main
 from cantordyn.coding import (
+    ActionWindow,
     ChainWindow,
     ClopenPartition,
     _eta_of_partition,
-    basepoint_eccentricity,
     code_window,
-    coding_chain,
     default_window,
-    orbit_graph,
     schreier_diameter,
 )
 from cantordyn.errors import InvariantViolation
@@ -84,11 +84,6 @@ def test_the_depth_one_chains_have_one_level():
     assert [chain_of(name).indices() for name in DEPTH_ONE] == [[15], [105]]
 
 
-def diameter_of(chain, graph):
-    regular = is_normal(chain.group, chain.levels[-1]).normal
-    return (basepoint_eccentricity if regular else schreier_diameter)(graph)
-
-
 def counted_words(monkeypatch, cls, name="words"):
     """Count the return-word sets a window source builds (or the calls of
     any attribute `name` of `cls`)."""
@@ -110,11 +105,10 @@ def both_paths(monkeypatch, name, lam, word_bound):
     table = _chain_reading(chain, lam)[0]
     action = tower_of(name).boundary_action(lam)
     chain_calls = counted_words(monkeypatch, ChainWindow)
-    tower_calls = counted_words(monkeypatch, coding.ActionWindow)
+    tower_calls = counted_words(monkeypatch, ActionWindow)
     source = ChainWindow(chain, space_of(name), lam)
-    got = code_window(source, table, True, diameter_of(chain, source.graph), word_bound)
-    graph = orbit_graph(action)
-    want = coding_chain(action, table, True, diameter_of(chain, graph), word_bound=word_bound)
+    got = code_window(source, table, word_bound)
+    want = code_window(ActionWindow(action), table, word_bound)
     return source, got, action, want, (len(chain_calls), len(tower_calls))
 
 
@@ -163,7 +157,9 @@ def test_the_window_its_gap_and_the_orbit_graph_are_the_boundary_actions(name, l
     assert source.gap == _eta_of_partition(action.model, whole, include_complement=True)
     graph = orbit_graph(action)
     assert source.graph == graph
-    assert diameter_of(chain, source.graph) == schreier_diameter(graph)
+    assert source._walk == breadth_first(graph)
+    assert source.minimal is ActionWindow(action).minimal is True
+    assert source.diameter() == schreier_diameter(graph)
     # the window's own model: the boundary action's cylinders, restricted
     model = source.action.model
     assert model.depth == action.model.depth == chain.depth
@@ -197,32 +193,37 @@ def escalations(monkeypatch, name, budgets):
     window here, so no budget escalates without the cut; with it a first
     ball of one permutation codes the window wrongly, and the loop raises
     its budget, then its bound.  Both paths must end alike, in the same
-    chain or the same InvariantViolation, after as many return-word sets,
-    and the action path must check its window and build its orbit graph
-    once, however many sets it builds.  Returns the number of escalations
-    and the final words (None on a violation)."""
+    chain or the same InvariantViolation, after as many return-word sets;
+    each source must walk its orbit graph once, and the action path must
+    check its window and build its orbit graph once, however many sets they
+    build.  Returns the number of escalations and the final words (None on
+    a violation)."""
     monkeypatch.setattr(coding, "BALL_BUDGET", budgets[0])
     monkeypatch.setattr(coding, "CODING_BUDGET", budgets[1])
     monkeypatch.setattr(
-        coding, "_shortest_words_into_window", lambda graph, window: [((), tuple(window))]
+        coding,
+        "_shortest_words_into_window",
+        lambda graph, layers, via, window: [((), tuple(window))],
     )
     chain = chain_of(name)
     table = _chain_reading(chain, LAMBDAS[0])[0]
     action = tower_of(name).boundary_action(LAMBDAS[0])
-    source = ChainWindow(chain, space_of(name), LAMBDAS[0])
-    diameter = diameter_of(chain, orbit_graph(action))
     checks = counted_words(monkeypatch, coding, "_check_clopen_window")
     graphs = counted_words(monkeypatch, coding, "orbit_graph")
-    outcomes = []
-    for cls, run in (
-        (ChainWindow, lambda: code_window(source, table, True, diameter_of(chain, source.graph), 8)),
-        (coding.ActionWindow, lambda: coding_chain(action, table, True, diameter)),
+    outcomes, sources = [], []
+    for cls, make in (
+        (ChainWindow, lambda: ChainWindow(chain, space_of(name), LAMBDAS[0])),
+        (ActionWindow, lambda: ActionWindow(action)),
     ):
+        walks = counted_words(monkeypatch, coding, "breadth_first")
         calls = counted_words(monkeypatch, cls)
+        sources.append(make())
         try:
-            outcomes.append((run(), len(calls)))
+            outcomes.append((code_window(sources[-1], table, 8), len(calls)))
         except InvariantViolation as exc:
             outcomes.append((str(exc), len(calls)))
+        assert len(walks) == 1  # one walk per source, however many sets it builds
+    source = sources[0]
     (got, got_calls), (want, want_calls) = outcomes
     assert got_calls == want_calls
     assert (len(checks), len(graphs)) == (1, 1)  # one ActionWindow, checked once
@@ -264,9 +265,7 @@ def test_core_oracle_lines_compare_the_level_set_with_the_cores_cylinder(name, l
     report = cmd_code(SimpleNamespace(lam=lam, words=8), chain, Report("test", "code"))
     keys = [key for _, key, _ in report.lines]
     oracle = [(key, value) for _, key, value in report.lines[keys.index("core_oracle") + 1:]]
-    table = _chain_reading(chain, lam)[0]
-    graph = orbit_graph(action)
-    want = coding_chain(action, table, True, diameter_of(chain, graph), word_bound=8)
+    want = code_window(ActionWindow(action), _chain_reading(chain, lam)[0], 8)
     expected = []
     for lv in want.levels:
         core = normal_core(chain.group, chain.levels[lv.cylinder_depth - 1])

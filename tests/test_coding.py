@@ -13,7 +13,9 @@ from cantordyn.action import (
     CantorAction,
     CantorModel,
     TreeMetric,
+    breadth_first,
     format_word,
+    orbit_graph,
     parse_word,
     tuple_getter,
 )
@@ -27,7 +29,6 @@ from cantordyn.coding import (
     compute_V,
     cylinder_partition,
     default_window,
-    orbit_graph,
     refine_fixed_point,
     schreier_diameter,
     translates,
@@ -241,7 +242,8 @@ def test_shortest_words_carry_their_permutations(name):
     dist = orbit_distances(action)
     b0 = win_idx.index(action.basepoint)
     targets = []
-    for word, image in _shortest_words_into_window(orbit_graph(action), win_idx):
+    graph = orbit_graph(action)
+    for word, image in _shortest_words_into_window(graph, *breadth_first(graph), win_idx):
         perm = action.word_perm(word)
         assert image == tuple(perm[i] for i in win_idx)
         target = image[b0]

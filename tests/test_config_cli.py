@@ -493,11 +493,21 @@ def test_tower_refuses_an_over_cap_chain_before_any_coset(
 
 
 @pytest.mark.parametrize(
-    "word, name", [("zz", "zz"), ("x*y^-1*zz*qq", "qq"), ("g*zz*t1", "zz"), ("zz*g^-1", "zz")]
+    "config, word, name, at",
+    [
+        ("fo.cfg", "zz", "zz", "0.0"),
+        ("fo.cfg", "x*y^-1*zz*qq", "qq", "0.0"),
+        ("fo.cfg", "g*zz*t1", "zz", "0.0"),
+        ("fo.cfg", "zz*g^-1", "zz", "0.0"),
+        ("warp.cfg", "zz*g1", "zz", "bogus"),  # an action: the names before the address
+    ],
 )
-def test_holonomy_refuses_an_unknown_generator_before_any_coset(capsys, monkeypatch, word, name):
+def test_holonomy_refuses_an_unknown_generator_before_any_coset(
+    capsys, monkeypatch, config, word, name, at
+):
     """The word's names are checked as it acts, right to left, so the error
-    names the token the action would have failed on."""
+    names the token the action would have failed on, and before `--at` is
+    read, on a chain and on an action alike."""
     from cantordyn import affine, tower
 
     def refuse(*args, **kwargs):
@@ -505,7 +515,7 @@ def test_holonomy_refuses_an_unknown_generator_before_any_coset(capsys, monkeypa
 
     for module in (affine, tower):
         monkeypatch.setattr(module, "coset_space", refuse)
-    argv = ("holonomy", str(CONFIG_DIR / "fo.cfg"), "--word", word, "--at", "0.0")
+    argv = ("holonomy", str(CONFIG_DIR / config), "--word", word, "--at", at)
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out, err) == (2, "", f"error: unknown generator name {name!r}\n")
 

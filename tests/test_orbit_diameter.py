@@ -1,53 +1,127 @@
-"""The orbit-graph diameter `code` reports, by one breadth-first search on
-normal chains.
+"""The one breadth-first walk of an orbit graph, and the orbit-graph diameter
+`code` reports.
+
+`action.breadth_first` walks an OrbitGraph from its basepoint, tokens in
+order, and every reader of the graph reads that walk: minimality, the
+shortest words into the window and, on normal chains, the diameter.  Here
+it must match an independent queue BFS, address by address: the distance,
+and the parent and token of the first discovery.  The actions are gallery
+actions, seeded random tree actions, the fiber-only warp action (not
+minimal, so the walk stops short) and the boundary actions of the chains of
+tests/test_chain_sections.py.
 
 When H_K is normal in G, the boundary action is the regular action of
 G/H_K, so its orbit graph is a Cayley graph: vertex-transitive, with the
-basepoint's eccentricity for its diameter.  On normal shipped chains and on
+basepoint's eccentricity, the walk's depth, for its diameter.
+`ChainWindow.diameter()` reads it there, on normal shipped chains and on
 seeded random lattice chains in Z^2 (every subgroup of an abelian group is
-normal) that eccentricity must equal both the bitset diameter and the
-per-source breadth-first oracle.  `code` keeps `schreier_diameter` for
-non-normal chains and for action configs, and above SCHREIER_SIZE_CAP it
-reports no diameter at all.  Needs no numpy.
+normal); it must equal both the bitset diameter and the per-source
+breadth-first oracle, as it must on chains whose H_K is not normal, where it
+runs `schreier_diameter`.  Above SCHREIER_SIZE_CAP no diameter is reported at
+all.  Needs no numpy.
 """
 
 import pathlib
+from collections import deque
+from fractions import Fraction as F
 
 import pytest
 
-from cantordyn.affine import is_normal
+from cantordyn.action import breadth_first, is_minimal, orbit_graph
+from cantordyn.affine import coset_space, is_normal
 from cantordyn.cli import main
+from cantordyn.coding import ChainWindow, schreier_diameter
 from cantordyn.config import parse_config
-from cantordyn.coding import basepoint_eccentricity, orbit_graph, schreier_diameter
+from cantordyn.gallery import fokkink_oversteegen, small_fo_variant, vietoris, warp_example
 from cantordyn.limits import SCHREIER_SIZE_CAP
-from cantordyn.tower import SubgroupChain
-from helpers import bfs_schreier_diameter
+from helpers import bfs_schreier_diameter, random_tree_action
+from test_chain_sections import CHAINS, action_of
+from test_chain_sections import chain_of as section_chain_of
 from test_step_kernel import random_lattice_chain
 from tower_oracle import build_tower
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 NORMAL_CONFIGS = ("vietoris2", "vietoris3", "vietoris5", "quads", "triadic")
+OTHER_CONFIGS = {  # H_K is not normal
+    "rt": "configs/rt.cfg",
+    "klein_3_5_mid": "perfbench/configs/klein_3_5_mid.cfg",
+}
 RANDOM_SEEDS = range(10)
+LAM = F(1, 2)
+
+WALK_ACTIONS = {
+    "vietoris_2_3": lambda: build_tower(vietoris(2, 3)).boundary_action(),
+    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
+    "fokkink_oversteegen_1": lambda: build_tower(fokkink_oversteegen(1)).boundary_action(),
+    "warp_3_2": lambda: warp_example(3, 2),
+    "warp_fiber_only_3_2": lambda: warp_example(3, 2, include_free_factor=False),
+    **{f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed)) for seed in range(6)},
+    **{f"chain_{name}": (lambda name=name: action_of(name, LAM)) for name in CHAINS},
+}
+
+
+def queue_walk(action):
+    """Distance, first-discovery parent and token index of each address the
+    basepoint reaches, in discovery order, by a FIFO queue over the signed
+    tokens in order."""
+    perms = [action.token_perm(*token) for token in action.signed_tokens()]
+    w0 = action.basepoint
+    found = {w0: (0, w0, None)}
+    queue = deque([w0])
+    while queue:
+        i = queue.popleft()
+        for k, p in enumerate(perms):
+            if p[i] not in found:
+                found[p[i]] = (found[i][0] + 1, i, k)
+                queue.append(p[i])
+    return found
+
+
+@pytest.mark.parametrize("name", list(WALK_ACTIONS))
+def test_breadth_first_is_the_queue_walk(name):
+    action = WALK_ACTIONS[name]()
+    layers, via = breadth_first(orbit_graph(action))
+    found = queue_walk(action)
+    assert [j for layer in layers for j in layer] == list(found)  # discovery order
+    assert all(layers)
+    for d, layer in enumerate(layers):
+        assert {found[j][0] for j in layer} == {d}
+    assert via == [found[j][1:] if j in found else None for j in range(len(action.model))]
+    assert is_minimal(action).minimal == (len(found) == len(action.model))
 
 
 def chain_of(name):
-    if name in NORMAL_CONFIGS:
-        text = (REPO / "configs" / f"{name}.cfg").read_text()
-        return parse_config(text).build_chain()
+    if name in NORMAL_CONFIGS or name in OTHER_CONFIGS:
+        path = REPO / OTHER_CONFIGS.get(name, f"configs/{name}.cfg")
+        return parse_config(path.read_text()).build_chain()
     return random_lattice_chain(int(name.split("-")[1]), 2)
 
 
+def window_of(chain):
+    return ChainWindow(chain, coset_space(chain.group, chain.levels[-1]), LAM)
+
+
 @pytest.mark.parametrize(
-    "name", list(NORMAL_CONFIGS) + [f"lattice-{s}" for s in RANDOM_SEEDS]
+    "name", list(NORMAL_CONFIGS) + list(OTHER_CONFIGS) + [f"lattice-{s}" for s in RANDOM_SEEDS]
 )
-def test_basepoint_eccentricity_is_the_diameter_on_normal_chains(name):
+def test_the_chain_windows_diameter_is_the_orbit_graphs(name):
     chain = chain_of(name)
-    assert is_normal(chain.group, chain.levels[-1]).normal
+    assert is_normal(chain.group, chain.levels[-1]).normal == (name not in OTHER_CONFIGS)
     action = build_tower(chain).boundary_action()
     assert len(action.model) <= SCHREIER_SIZE_CAP
-    graph = orbit_graph(action)
-    diameter = basepoint_eccentricity(graph)
-    assert diameter == schreier_diameter(graph) == bfs_schreier_diameter(action)
+    source = window_of(chain)
+    assert source.minimal is True
+    diameter = source.diameter()
+    assert diameter == schreier_diameter(orbit_graph(action)) == bfs_schreier_diameter(action)
+    if name not in OTHER_CONFIGS:  # the walk's depth: the basepoint's eccentricity
+        assert diameter == len(breadth_first(source.graph)[0]) - 1
+
+
+@pytest.mark.parametrize("name", CHAINS)
+def test_the_chain_windows_diameter_on_the_section_chains(name):
+    action = action_of(name, LAM)
+    want = schreier_diameter(orbit_graph(action))  # None above the cap
+    assert window_of(section_chain_of(name)).diameter() == want
 
 
 def test_code_reports_no_diameter_above_the_size_cap(tmp_path, capsys):
@@ -57,9 +131,9 @@ def test_code_reports_no_diameter_above_the_size_cap(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "  size: 1024\n" in out  # the window: one of two level-1 fibres
     assert "  schreier_diameter: none\n" in out
-    action = build_tower(parse_config(cfg.read_text()).build_chain()).boundary_action()
-    assert len(action.model) == 2048
-    assert basepoint_eccentricity(orbit_graph(action)) is None
+    source = window_of(parse_config(cfg.read_text()).build_chain())
+    assert source.size == 2048
+    assert source.diameter() is None
 
 
 @pytest.mark.parametrize(
@@ -68,13 +142,13 @@ def test_code_reports_no_diameter_above_the_size_cap(tmp_path, capsys):
         ("configs/rt.cfg", 1),  # rogers_tollefson: its deepest level is not normal
         ("perfbench/configs/klein_3_5_mid.cfg", 1),
         ("configs/warp_fiber_only.cfg", 1),  # an action config
-        ("configs/vietoris5.cfg", 0),  # normal: one breadth-first search
+        ("configs/vietoris5.cfg", 0),  # normal: the walk's depth
     ],
 )
 def test_code_runs_the_bitset_diameter_off_normal_chains(capsys, monkeypatch, config, calls):
     from cantordyn import coding
 
-    counted = {"schreier_diameter": 0, "basepoint_eccentricity": 0}
+    counted = {"schreier_diameter": 0, "breadth_first": 0}
 
     def wrap(name):
         fn = getattr(coding, name)
@@ -85,8 +159,8 @@ def test_code_runs_the_bitset_diameter_off_normal_chains(capsys, monkeypatch, co
 
         return wrapper
 
-    for name in counted:  # the CLI imports them from the coding module when it runs
+    for name in counted:  # the window sources read them from the coding module
         monkeypatch.setattr(coding, name, wrap(name))
     assert main(["code", str(REPO / config)]) == 0
     capsys.readouterr()
-    assert counted == {"schreier_diameter": calls, "basepoint_eccentricity": 1 - calls}
+    assert counted == {"schreier_diameter": calls, "breadth_first": 1}

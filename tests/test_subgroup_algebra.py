@@ -27,6 +27,7 @@ from cantordyn import gallery
 from cantordyn.affine import (
     AffineElement,
     IntegerLattice,
+    _element,
     _validate_subgroup,
     conjugate,
     contains,
@@ -35,7 +36,6 @@ from cantordyn.affine import (
     hermite_normal_form,
     identity_element,
     lattice_from_columns,
-    lattice_intersect,
     normal_core,
     subgroup_from_generators,
     subgroup_from_parts,
@@ -97,11 +97,19 @@ def test_intersection_membership_is_membership_in_both(h1, h2):
 def test_orbit_of_a_subgroup_over_the_intersection_has_its_index(h1, h2):
     k = subgroup_intersect(h1, h2)
     space = coset_space(GROUP, k)
-    assert space.index_of_element(GROUP.identity()) == 0
+    ident = identity_element(GROUP.dimension, GROUP.denom)
+    assert space.index_of_scaled(ident.point, ident.scaled) == 0
     assert len(space.orbit(k.generator_elements())[0]) == 1
     assert len(space.orbit(h1.generator_elements())[0]) == subgroup_index_in(k, h1)
     generators = [g for _, g in GROUP.generators]
     assert sorted(space.orbit(generators)[0]) == list(range(space.index))
+
+
+def lattice_intersect(l1, l2):
+    """The lattice of the intersection of the two translation subgroups."""
+    n = l1.dimension
+    h1, h2 = (subgroup_from_parts(l, [identity_element(n)]) for l in (l1, l2))
+    return subgroup_intersect(h1, h2).lattice
 
 
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(lattices(n), lattices(n))))
@@ -123,7 +131,8 @@ def test_identity_coset_comes_first_on_gallery_chain_levels(name):
     chain = gallery.build_chain(name, {})
     for h in chain.levels:
         space = coset_space(chain.group, h)
-        assert space.index_of_element(chain.group.identity()) == 0
+        ident = identity_element(chain.group.dimension, chain.group.denom)
+        assert space.index_of_scaled(ident.point, ident.scaled) == 0
 
 
 # ------------------------------------------------------- the closure oracle
@@ -305,5 +314,6 @@ def test_derived_elements_pass_the_validating_constructor(name):
             conj = conjugate(g, h)
             meet = subgroup_intersect(h, conj)
             checked += revalidated(conj.reps + meet.reps + (g.inverse(),))
-        checked += revalidated(coset_space(group, h).reps)
+        keys = coset_space(group, h).keys
+        checked += revalidated([_element(point, red, group.denom) for _, red, point in keys])
     assert checked > sum(chain.indices())

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cantordyn.action import breadth_first, orbit_graph
 from cantordyn.affine import (
     AffineElement,
     CosetSpace,
@@ -126,17 +127,19 @@ def test_bonding_compatibility_exact():
 def test_identity_point_has_identity_coordinates():
     chain = vietoris(2, 3)
     tower = build_tower(chain)
-    ident = chain.group.identity()
-    idx = tower.space.index_of_element(ident)
+    ident = identity_element(chain.group.dimension, chain.group.denom)
+    idx = tower.space.index_of_scaled(ident.point, ident.scaled)
     pt = truncated_point(tower, idx)
     assert pt.coords == tuple(
-        coset_space(chain.group, h).index_of_element(ident) for h in chain.levels
+        coset_space(chain.group, h).index_of_scaled(ident.point, ident.scaled)
+        for h in chain.levels
     )
 
 
 def test_dyadic_point_for_five_mod_eight():
     tower = build_tower(vietoris(2, 3))
-    idx = tower.space.index_of_element(translation((5,), 1))
+    five = translation((5,), 1)
+    idx = tower.space.index_of_scaled(five.point, five.scaled)
     pt = truncated_point(tower, idx)
     assert pt.coords == (1, 1, 5)
     assert pt.project(2) == 1
@@ -286,7 +289,8 @@ def test_dyadic_boundary_action_is_an_odometer():
 def test_fo_boundary_action_has_105_addresses_and_transitive_generators():
     action = build_tower(fokkink_oversteegen(1)).boundary_action()
     assert len(action.model) == 105
-    assert len(action.orbit(action.basepoint)) == 105
+    layers, via = breadth_first(orbit_graph(action))
+    assert sum(map(len, layers)) == 105 and None not in via
 
 
 def test_index_two_chain_boundary_swaps_two_addresses():
@@ -343,15 +347,16 @@ def test_coset_keys_give_the_validated_reps_and_the_rep_bonding_maps(name):
     tower = build_tower(chain)
     spaces = [coset_space(chain.group, h) for h in chain.levels]
     assert tower.space.keys == spaces[-1].keys
-    reps = [space.reps for space in spaces]
-    for space, level_reps in zip(spaces, reps):
-        assert len(level_reps) == len(space.keys) == space.index
-        for i, (rep, (_, red, point)) in enumerate(zip(level_reps, space.keys)):
-            assert rep == AffineElement(rep.point, rep.trans, rep.denom)
+    d = chain.group.denom
+    for space in spaces:
+        assert len(space.keys) == space.index
+        for i, (_, red, point) in enumerate(space.keys):
+            rep = AffineElement(point, [F(x, d) for x in red], d)  # validated
             assert (point, red) == (rep.point, rep.scaled)
-            assert space.index_of_element(rep) == i
+            assert space.index_of_scaled(rep.point, rep.scaled) == i
     for l, mapping in enumerate(tower.bonding):
-        assert mapping == tuple(map(spaces[l].index_of_element, reps[l + 1]))
+        fine = spaces[l + 1].keys
+        assert mapping == tuple(spaces[l].index_of_scaled(point, red) for _, red, point in fine)
 
 
 def test_coset_space_constructs_no_affine_element(monkeypatch):
@@ -361,9 +366,9 @@ def test_coset_space_constructs_no_affine_element(monkeypatch):
 
     counts = {"inside": 0, "coset_space": 0, "boundary_action": 0, "build_tower": 0, "built": 0}
 
-    def counted_init(self, *args):
+    def counted_new(cls, *args):
         counts["built"] += counts["inside"] > 0
-        init(self, *args)
+        return new(cls, *args)
 
     def counted(fn):  # the towers call coset_space: count nested calls as inside
         def wrapper(*args, **kwargs):
@@ -376,8 +381,8 @@ def test_coset_space_constructs_no_affine_element(monkeypatch):
 
         return wrapper
 
-    init = AffineElement.__init__
-    monkeypatch.setattr(AffineElement, "__init__", counted_init)
+    new = AffineElement.__new__  # the validating constructor; `_element` bypasses it
+    monkeypatch.setattr(AffineElement, "__new__", counted_new)
     counted_space = counted(affine.coset_space)
     for module in (affine, tower, tower_oracle):
         monkeypatch.setattr(module, "coset_space", counted_space)

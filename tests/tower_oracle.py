@@ -13,7 +13,7 @@ Needs neither numpy nor the test helpers.
 from collections import namedtuple
 from fractions import Fraction
 
-from cantordyn.affine import coarser_cosets, coset_space, subgroup_index_in
+from cantordyn.affine import coarser_cosets, coset_space, identity_element, subgroup_index_in
 from cantordyn.errors import InvariantViolation, StructureError
 from cantordyn.limits import check_index_cap
 
@@ -43,7 +43,8 @@ class QuotientTower(namedtuple("QuotientTower", "chain space bonding addresses")
         group = self.chain.group
         model = CantorModel(self.addresses, self.depth, TreeMetric(Fraction(lam)))
         generators = {name: self.space.gen_perms[name] for name, _ in group.generators}
-        basepoint = self.space.index_of_element(group.identity())
+        ident = identity_element(group.dimension, group.denom)
+        basepoint = self.space.index_of_scaled(ident.point, ident.scaled)
         return CantorAction(model, generators, basepoint, label=self.chain.label)
 
 
