@@ -27,11 +27,11 @@ pass its cap is counted by hashes before any of its keys is stored.
 format, bytes permutations (by `bytes.translate`, whose alphabet is
 BYTE_ALPHABET) up to 256 addresses and tuples above, and hands back the
 gather that reads a key at given indices in that format; a chain's ball
-runs on coset keys.  It and
-all else here need only the standard library: the engines these replace are
-test oracles, in `tests/`.
-The invariant measure is uniform on an orbit, where the action is
-transitive, so it is a support set and one weight.
+runs on coset keys.  `orbit_graph` is the one builder of an orbit graph, the
+signed tokens with their permutations, which each CantorAction holds.  All
+here needs only the standard library: the engines these replace are test
+oracles, in `tests/`.  The invariant measure is uniform on an orbit, where
+the action is transitive, so it is a support set and one weight.
 """
 
 from __future__ import annotations
@@ -106,14 +106,7 @@ class WarpMetric(namedtuple("WarpMetric", "depth lam1")):
         return sum(Fraction(d, 3 ** (i + 1)) for i, d in enumerate(a[0]))
 
     def d1(self, ya, yb):
-        if ya == yb:
-            return Fraction(0)
-        j = 0
-        for x, y in zip(ya, yb):
-            if x != y:
-                break
-            j += 1
-        return self.lam1 ** j
+        return Fraction(0) if ya == yb else self.lam1 ** common_prefix(ya, yb)
 
     def distance(self, a, b):
         if a == b:
@@ -316,7 +309,8 @@ def format_word(word):
 
 class CantorAction:
     """Named total bijections of a finite Cantor model with a basepoint, an
-    address index."""
+    address index, and their orbit graph `graph` (`orbit_graph`), built once
+    here: every reader of the action's signed tokens reads it."""
 
     def __init__(self, model, generators, basepoint, label="action"):
         self.model = model
@@ -331,14 +325,14 @@ class CantorAction:
         if not (isinstance(basepoint, int) and 0 <= basepoint < n):
             raise StructureError(f"basepoint {basepoint!r} is not an index of the model")
         self.basepoint = basepoint
-        self._inverses = {
-            name: _invert_perm(perm) for name, perm in self.generators.items()
-        }
+        self.graph = orbit_graph(n, basepoint, self.generators)
+        self._token_perms = dict(self.graph.tokens)
 
     def token_perm(self, name, sign):
-        if name not in self.generators:
+        perm = self._token_perms.get((name, 1 if sign > 0 else -1))
+        if perm is None:
             raise StructureError(f"unknown generator name {name!r}")
-        return self.generators[name] if sign > 0 else self._inverses[name]
+        return perm
 
     def word_perm(self, word):
         """Permutation of the word, composed right to left."""
@@ -356,11 +350,7 @@ class CantorAction:
         return i
 
     def signed_tokens(self):
-        out = []
-        for name in self.generators:
-            out.append((name, 1))
-            out.append((name, -1))
-        return out
+        return [token for token, _ in self.graph.tokens]
 
 
 def _invert_perm(perm):
@@ -375,10 +365,14 @@ def _invert_perm(perm):
 OrbitGraph = namedtuple("OrbitGraph", "size basepoint tokens")
 
 
-def orbit_graph(action):
-    """The action's orbit graph: its signed tokens with their permutations."""
-    tokens = [(token, action.token_perm(*token)) for token in action.signed_tokens()]
-    return OrbitGraph(len(action.model), action.basepoint, tokens)
+def orbit_graph(size, basepoint, generators):
+    """The orbit graph of `generators`, names mapped to permutations of `size`
+    addresses, in their order: each generator's token, then its inverse's.
+    The one place a token meets an inverted permutation."""
+    tokens = []
+    for name, perm in generators.items():
+        tokens += [((name, 1), perm), ((name, -1), _invert_perm(perm))]
+    return OrbitGraph(size, basepoint, tokens)
 
 
 def breadth_first(graph):
@@ -412,7 +406,7 @@ def is_minimal(action):
     """Every orbit is the full address set; the generator set is symmetric,
     so the basepoint orbit, the union of its walk's layers (`breadth_first`),
     decides, and it is the witness when not full."""
-    orb = frozenset(chain.from_iterable(breadth_first(orbit_graph(action))[0]))
+    orb = frozenset(chain.from_iterable(breadth_first(action.graph)[0]))
     if len(orb) == len(action.model):
         return MinimalityVerdict(True)
     return MinimalityVerdict(False, orb)
@@ -533,7 +527,7 @@ def word_ball(action, max_length, *, perm_cap):
     layer it cuts, one hash per new class (`_word_ball`).
     """
     n = len(action.model)
-    tokens = orbit_graph(action).tokens
+    tokens = action.graph.tokens
     if n <= BYTE_ALPHABET:
         pad = bytes(BYTE_ALPHABET - n)
         tokens = [(token, bytes(perm) + pad) for token, perm in tokens]
@@ -598,15 +592,11 @@ def _image_ranks(rank, perm):
 
 def modulus_table(action):
     """Exact kappa over all pairs and all generators (with inverses), on a
-    model whose metric has integer pair keys (`CantorModel.pair_ranks`).  A
+    model whose metric has integer pair keys (`CantorModel.pair_ranks`):
+    kappa(r) is the largest image rank, over the tokens, of a pair whose
+    rank is at most r; one row per rank some distinct pair realizes.  A
     chain's boundary action, the package's only tree model, has its table
     read off the chain (one row (lam^j, lam^j) per split level)."""
-    return ModulusTable(_rank_modulus_rows(action))
-
-
-def _rank_modulus_rows(action):
-    """kappa(r) is the largest image rank, over the tokens, of a pair whose
-    rank is at most r; one row per rank some distinct pair realizes."""
     realized, rank = action.model.pair_ranks()
     worst = _worst_image_ranks(action, realized, rank)
     rows = []
@@ -616,7 +606,7 @@ def _rank_modulus_rows(action):
             kappa = max(kappa, k)
             if r:
                 rows.append((realized[r], realized[kappa]))
-    return tuple(reversed(rows))
+    return ModulusTable(reversed(rows))
 
 
 def _worst_image_ranks(action, realized, rank):

@@ -248,14 +248,10 @@ def cmd_code(cfg, chain, report):
     algebra with no tower (`coding.ChainWindow`).  The window source gives
     the action's minimality and orbit-graph diameter."""
     from .action import format_word
-    from .coding import ActionWindow, ChainWindow, check_window_cells, code_window
+    from .coding import ActionWindow, ChainWindow, code_window
 
     if chain is not None:
-        from .affine import coset_space
-
-        indices = chain.indices()  # the default window: one level-1 coset's fibre
-        check_window_cells(indices[-1] // indices[0] if chain.depth > 1 else indices[-1])
-        source = ChainWindow(chain, coset_space(chain.group, chain.levels[-1]), cfg.lam)
+        source = ChainWindow(chain, cfg.lam)
         table = _chain_reading(chain, cfg.lam)[0]
     else:
         from .action import modulus_table

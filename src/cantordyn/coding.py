@@ -24,9 +24,10 @@ non-tree models) from the caller.
 The loop (`code_window`) reads a window source: `ActionWindow`, a window
 checked once whose return words run on the action's ball in whatever key
 format `action.word_ball` picks, or `ChainWindow`, a chain's window read off
-its algebra with no tower.  Each source walks its orbit graph once
-(`action.breadth_first`) and gives the loop the action's minimality and
-orbit-graph diameter.
+its algebra with no tower, which owns G/H_K: its window's cells, its one
+map to the window and G's orbit graph.  Each source walks its orbit graph
+(the action's own, or G's) once (`action.breadth_first`) and gives the loop
+the action's minimality and orbit-graph diameter.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .action import CantorAction, OrbitGraph, _invert_perm, _word_ball, breadth_first
-from .action import orbit_graph, tuple_getter, word_ball
+from .action import CantorAction, _word_ball, breadth_first, orbit_graph, tuple_getter, word_ball
 from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, CODING_BUDGET, SCHREIER_SIZE_CAP, ball_cap, check_cells
 
@@ -225,9 +225,10 @@ def compute_V(action, window, partition, words):
     return frozenset(keep)
 
 
-def translates(action, v, words):
-    """Distinct images of V under the return words, as (k, image) pairs for
-    the first word k of each (`words.word(k)`); no word is built here.
+def translates(v, words):
+    """Distinct images of V under a ReturnWordSet's words, read off its
+    images, as (k, image) pairs for the first word k of each
+    (`words.word(k)`); no word is built here.
 
     Any two images must be equal or disjoint; overlap without equality is a
     hard error (a mis-specified or non-equicontinuous action).
@@ -307,10 +308,10 @@ class ActionWindow:
     """A window of a CantorAction (`default_window` unless given), checked
     once, as `code_window` reads it: the `action` holding its points, the
     address `size`, the `gap` from the window to the rest (None when there
-    is none), the OrbitGraph `graph`, walked once, here (`breadth_first`),
-    the action `minimal` when the walk reaches every address, the graph's
-    `diameter()`, and `words(bound, budget)`, its ReturnWordSet, shortest
-    words read off the walk.  A window over the cell cap is refused here,
+    is none), the action's own OrbitGraph `graph`, walked once, here
+    (`breadth_first`), the action `minimal` when the walk reaches every
+    address, the graph's `diameter()`, and `words(bound, budget)`, its
+    ReturnWordSet, shortest words read off the walk.  A window over the cell cap is refused here,
     before any ball permutation."""
 
     def __init__(self, action, window=None):
@@ -319,7 +320,7 @@ class ActionWindow:
         self.action, self.window, self.size = action, window, len(action.model)
         whole = ClopenPartition(window, (window,))
         self.gap = _eta_of_partition(action.model, whole, include_complement=True)
-        self.graph = orbit_graph(action)
+        self.graph = action.graph
         self._walk = breadth_first(self.graph)
         self.minimal = None not in self._walk[1]
 
@@ -352,58 +353,57 @@ class ActionWindow:
 
 class ChainWindow:
     """A chain's default window read off its algebra, with ActionWindow's
-    attributes and no tower: W = H_1/H_K, the identity coset's orbit under
-    H_1 in G/H_K (all of G/H_1 at depth 1).  A point is a window position,
-    `points` holding W's G/H_K indices in address order.  A window coset's
-    depth-j cylinder is its H_j coset.  W is a block of G's action, so a word
-    maps W into W exactly when its element lies in H_1, and the fixed point
-    restricted to W is H_1's: `action` is H_1 on W.  The rest of G/H_K lies
-    at distance lam^0.  `words` runs the ball on coset keys of core(H_K),
-    whose classes are the boundary action's word permutations; a class
-    lands when its element's H_K coset lies in W, and its image of W is one
-    gather per token of its path through `graph`, G's permutations of
+    attributes and no tower; it owns G/H_K, the one coset space (`space`) it
+    enumerates once the window's cells pass the cap.  W = H_1/H_K is the
+    identity coset's orbit under H_1 (all of G/H_1 at depth 1).  A point is a
+    window position, `points` holding W's G/H_K indices in address order.  A
+    window coset's depth-j cylinder is its H_j coset.  W is a block of G's
+    action, so a word maps W into W exactly when its element lies in H_1, and
+    the fixed point restricted to W is H_1's: `action` is H_1 on W.  The rest
+    of G/H_K lies at distance lam^0.  `words` runs the ball on coset keys of
+    core(H_K), whose classes are the boundary action's word permutations; a
+    class lands when its element's H_K coset lies in W, and its image of W is
+    one gather per token of its path through `graph`, G's orbit graph on
     G/H_K; the first class of each image keeps it, and builds no word.  G is
-    transitive on G/H_K, so the action is `minimal`; `graph` is walked once,
-    here, for the shortest words and the `diameter()` of a normal H_K."""
+    transitive, so the action is `minimal`; `graph` is walked once, here, for
+    the shortest words and the `diameter()` of a normal H_K."""
 
-    def __init__(self, chain, space, lam):
-        from .affine import normal_core, quotient_word_keys
+    def __init__(self, chain, lam):
+        from .affine import coset_space, normal_core, quotient_word_keys
         from .tower import chain_model
 
         group, levels = chain.group, chain.levels
         upper = levels[0] if chain.depth > 1 else group.normal_form
+        check_window_cells(group.index_of(levels[-1]) // group.index_of(upper))
+        self.space = space = coset_space(group, levels[-1])
         order, rows = space.orbit(upper.generator_elements())
         self.points = points = tuple(sorted(order))
-        self.space, self.size = space, space.index
+        self.size = space.index
         self.gap = Fraction(1) if len(points) < space.index else None
-        self._local = local = [None] * space.index  # G/H_K index -> window position
-        for t, i in enumerate(points):
-            local[i] = t
         model = chain_model(chain, [space.keys[i] for i in points], lam)
+        self._where = where = self._check_descent(model)
         rows = [row for _, row in sorted(zip(order, rows))]
-        perms = {f"h{e}": [local[j] for j in col] for e, col in enumerate(zip(*rows))}
+        perms = {f"h{e}": [where[j] for j in col] for e, col in enumerate(zip(*rows))}
         self.action = CantorAction(model, perms, 0, label=chain.label)
-        tokens = []
-        for name, _ in group.generators:
-            perm = space.gen_perms[name]
-            tokens += [((name, 1), perm), ((name, -1), _invert_perm(perm))]
-        self.graph = OrbitGraph(space.index, 0, tokens)
+        self.graph = orbit_graph(space.index, 0, space.gen_perms)
         self._walk = breadth_first(self.graph)
         self._cores = {chain.depth: normal_core(group, levels[-1])}
         self._ball = quotient_word_keys(group, self._cores[chain.depth])
+        by_token = dict(self.graph.tokens)
+        self._perms = [by_token[token] for token, _ in self._ball[0]]  # by ball token index
         self._levels = levels
-        self._check_descent()
 
-    def _check_descent(self):
+    def _check_descent(self, model):
         """The descent gate: each generator maps every translate of W it
         reaches (structured as W through the first word reaching it) onto one,
         and, read back on W, each cylinder of W into one cylinder, so every
-        word's image of W does too (InvariantViolation otherwise)."""
+        word's image of W does too (InvariantViolation otherwise).  Returns
+        `where`, each G/H_K index's translate number * m + position, W being
+        translate 0: G is transitive, so where[i] < m exactly on W's cosets."""
         m = len(self.points)
-        model = self.action.model  # below level 1 and above single cosets:
-        columns = [model.cylinder_labels(j) for j in range(2, model.depth)]
+        columns = [model.cylinder_labels(j) for j in range(2, model.depth)]  # levels 2..K-1
         counts = [len(set(labels)) for labels in columns]
-        where = [None] * self.size  # G/H_K index -> translate number * m + position
+        where = [None] * self.size
         for t, i in enumerate(self.points):
             where[i] = t
         translates = [self.points]
@@ -426,6 +426,7 @@ class ChainWindow:
                     "one another cylinder by cylinder: the generator permutations do "
                     "not descend"
                 )
+        return where
 
     minimal = True
 
@@ -440,20 +441,21 @@ class ChainWindow:
 
     def core_orbit(self, level):
         """The orbit of the identity coset under McCord's core of the level
-        (`normal_core`, computed once per level) in G/H_K, in window positions
-        (None for a coset off W): the cylinder the level set must equal."""
+        (`normal_core`, computed once per level) in G/H_K, in window
+        positions: the cylinder the level set must equal.  The core lies in
+        H_1, so its orbit lies in W."""
         from .affine import normal_core
 
         if level not in self._cores:
             self._cores[level] = normal_core(self.space.group, self._levels[level - 1])
         orbit = self.space.orbit(self._cores[level].generator_elements())[0]
-        return frozenset(map(self._local.__getitem__, orbit))
+        return frozenset(map(self._where.__getitem__, orbit))
 
     def _window_image(self, image):
         """A word's image of W, G/H_K indices in address order, in window
         positions, refused unless it lies in W."""
-        local = tuple_getter(image)(self._local)
-        if None in local:
+        local = tuple_getter(image)(self._where)
+        if max(local) >= len(self.points):
             raise InvariantViolation(
                 "a return word's permutation of G/H_K maps the window off itself: "
                 "the generator permutations do not descend"
@@ -463,14 +465,13 @@ class ChainWindow:
     def words(self, bound, budget):
         tokens, identity, compose = self._ball
         ball, completed = _word_ball(tokens, identity, bound, ball_cap(budget, self.size), compose)
-        perm = dict(self.graph.tokens)
-        perms = [perm[token] for token, _ in tokens]
+        m = len(self.points)
         first = {}  # window image -> its first class, in ball order
         for i, (_, red, point) in enumerate(ball):
-            if self._local[self.space.index_of_scaled(point, red)] is not None:
+            if self._where[self.space.index_of_scaled(point, red)] < m:
                 image = self.points
                 for t in ball.path(i):
-                    image = tuple_getter(image)(perms[t])
+                    image = tuple_getter(image)(self._perms[t])
                 first.setdefault(self._window_image(image), i)
         images, shortest = list(first), []
         for word, image in _shortest_words_into_window(self.graph, *self._walk, self.points):
@@ -478,7 +479,7 @@ class ChainWindow:
             if image not in first:
                 shortest.append(word)
                 images.append(image)
-        window = tuple(range(len(self.points)))
+        window = tuple(range(m))
         return ReturnWordSet(ball, list(first.values()), shortest, bound, completed, window, images)
 
 
@@ -628,7 +629,7 @@ def code_window(source, table, word_bound=DEFAULT_WORD_BOUND):
             v = compute_V(action, window, partition, words)
             matches_fixed_point = v == target
             if matches_fixed_point:
-                members = translates(action, v, words)
+                members = translates(v, words)
                 covers = set().union(*(p for _, p in members)) == window
                 if covers or not minimal:
                     break

@@ -144,11 +144,7 @@ def mccord_verdict(chain):
     records = []
     for l, h in enumerate(chain.levels, start=1):
         core = normal_core(chain.group, h)
-        cofinal_at = None
-        for lp, hp in enumerate(chain.levels, start=1):
-            if subgroup_le(hp, core):
-                cofinal_at = lp
-                break
+        cofinal_at = _least_contained_level(core, chain.levels)
         if cofinal_at is not None:
             records.append(McCordLevel(l, core, cofinal_at=cofinal_at))
             continue
@@ -188,22 +184,14 @@ def interleave(chain_a, chain_b):
         or chain_a.group.normal_form != chain_b.group.normal_form
     ):
         raise StructureError("chains must live in the same ambient group")
-    map_ab = []
-    for l, h in enumerate(chain_a.levels, start=1):
-        nu = _least_contained_level(h, chain_b.levels)
-        if nu is None:
-            witness = element_not_in(chain_b.levels[-1], h)
-            return InterleaveVerdict(
-                False, fail_side="A", fail_level=l, witness=witness
-            )
-        map_ab.append(nu)
-    map_ba = []
-    for nu, h in enumerate(chain_b.levels, start=1):
-        l = _least_contained_level(h, chain_a.levels)
-        if l is None:
-            witness = element_not_in(chain_a.levels[-1], h)
-            return InterleaveVerdict(
-                False, fail_side="B", fail_level=nu, witness=witness
-            )
-        map_ba.append(l)
-    return InterleaveVerdict(True, tuple(map_ab), tuple(map_ba))
+    maps, a, b = [], chain_a.levels, chain_b.levels
+    for side, levels, other in (("A", a, b), ("B", b, a)):
+        mapping = []
+        for l, h in enumerate(levels, start=1):
+            nu = _least_contained_level(h, other)
+            if nu is None:
+                witness = element_not_in(other[-1], h)
+                return InterleaveVerdict(False, fail_side=side, fail_level=l, witness=witness)
+            mapping.append(nu)
+        maps.append(tuple(mapping))
+    return InterleaveVerdict(True, *maps)

@@ -12,6 +12,8 @@ import pathlib
 import random
 import time
 
+import pytest
+
 from cantordyn import cli
 from cantordyn.action import germinal_holonomy, invariant_measure, modulus_table
 from cantordyn.affine import contains, coset_space, is_normal, normal_core, translation
@@ -55,7 +57,9 @@ def timed(number, label, budget):
 
         def __exit__(self, exc_type, exc, tb):
             elapsed = time.monotonic() - self.start
-            record_criterion(number, label, elapsed, passed=exc_type is None)
+            skipped = exc_type is not None and issubclass(exc_type, pytest.skip.Exception)
+            status = "SKIP" if skipped else "FAIL" if exc_type else "PASS"
+            record_criterion(number, label, elapsed, status)
             if exc_type is None:
                 assert elapsed < budget, (
                     f"criterion {number} took {elapsed:.2f} s, budget {budget} s"

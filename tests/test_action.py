@@ -20,7 +20,6 @@ from cantordyn.action import (
     is_minimal,
     MinimalityVerdict,
     modulus_table,
-    orbit_graph,
     parse_word,
     word_ball,
 )
@@ -102,7 +101,7 @@ def test_word_parsing_round_trip():
 def orbit(act, i):
     """The orbit of address index i: the layers of the orbit graph's walk
     from i."""
-    layers, _ = breadth_first(orbit_graph(act)._replace(basepoint=i))
+    layers, _ = breadth_first(act.graph._replace(basepoint=i))
     return set().union(*layers)
 
 

@@ -31,8 +31,8 @@ import pytest
 from cantordyn import action as action_module
 from cantordyn import coding
 from cantordyn import tower as tower_module
-from cantordyn.action import breadth_first, orbit_graph
-from cantordyn.affine import coset_space, normal_core
+from cantordyn.action import breadth_first
+from cantordyn.affine import normal_core
 from cantordyn.cli import _chain_reading, cmd_code, main
 from cantordyn.coding import (
     ActionWindow,
@@ -74,12 +74,6 @@ def tower_of(name):
     return build_tower(chain_of(name))
 
 
-@functools.lru_cache(maxsize=None)
-def space_of(name):
-    chain = chain_of(name)
-    return coset_space(chain.group, chain.levels[-1])
-
-
 def test_the_depth_one_chains_have_one_level():
     assert [chain_of(name).indices() for name in DEPTH_ONE] == [[15], [105]]
 
@@ -106,7 +100,7 @@ def both_paths(monkeypatch, name, lam, word_bound):
     action = tower_of(name).boundary_action(lam)
     chain_calls = counted_words(monkeypatch, ChainWindow)
     tower_calls = counted_words(monkeypatch, ActionWindow)
-    source = ChainWindow(chain, space_of(name), lam)
+    source = ChainWindow(chain, lam)
     got = code_window(source, table, word_bound)
     want = code_window(ActionWindow(action), table, word_bound)
     return source, got, action, want, (len(chain_calls), len(tower_calls))
@@ -148,14 +142,14 @@ def assert_same_chain(source, got, want):
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
 def test_the_window_its_gap_and_the_orbit_graph_are_the_boundary_actions(name, lam):
     chain = chain_of(name)
-    source = ChainWindow(chain, space_of(name), lam)
+    source = ChainWindow(chain, lam)
     action = tower_of(name).boundary_action(lam)
     window = default_window(action)
     assert source.points == tuple(sorted(window))
     assert source.size == len(action.model)
     whole = ClopenPartition(window, (window,))
     assert source.gap == _eta_of_partition(action.model, whole, include_complement=True)
-    graph = orbit_graph(action)
+    graph = action.graph
     assert source.graph == graph
     assert source._walk == breadth_first(graph)
     assert source.minimal is ActionWindow(action).minimal is True
@@ -195,8 +189,8 @@ def escalations(monkeypatch, name, budgets):
     its budget, then its bound.  Both paths must end alike, in the same
     chain or the same InvariantViolation, after as many return-word sets;
     each source must walk its orbit graph once, and the action path must
-    check its window and build its orbit graph once, however many sets they
-    build.  Returns the number of escalations and the final words (None on
+    check its window once and read the action's own orbit graph, however
+    many sets they build.  Returns the number of escalations and the final words (None on
     a violation)."""
     monkeypatch.setattr(coding, "BALL_BUDGET", budgets[0])
     monkeypatch.setattr(coding, "CODING_BUDGET", budgets[1])
@@ -209,10 +203,9 @@ def escalations(monkeypatch, name, budgets):
     table = _chain_reading(chain, LAMBDAS[0])[0]
     action = tower_of(name).boundary_action(LAMBDAS[0])
     checks = counted_words(monkeypatch, coding, "_check_clopen_window")
-    graphs = counted_words(monkeypatch, coding, "orbit_graph")
     outcomes, sources = [], []
     for cls, make in (
-        (ChainWindow, lambda: ChainWindow(chain, space_of(name), LAMBDAS[0])),
+        (ChainWindow, lambda: ChainWindow(chain, LAMBDAS[0])),
         (ActionWindow, lambda: ActionWindow(action)),
     ):
         walks = counted_words(monkeypatch, coding, "breadth_first")
@@ -226,7 +219,8 @@ def escalations(monkeypatch, name, budgets):
     source = sources[0]
     (got, got_calls), (want, want_calls) = outcomes
     assert got_calls == want_calls
-    assert (len(checks), len(graphs)) == (1, 1)  # one ActionWindow, checked once
+    assert len(checks) == 1  # one ActionWindow, checked once
+    assert sources[1].graph is action.graph
     if isinstance(want, str):
         assert got == want
         return got_calls - 1, None

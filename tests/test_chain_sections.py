@@ -18,6 +18,9 @@ depend on lam.  A budget of 5 holds the layer-atomic cutoff.  Conjugating
 every level by one seeded element g keeps `classify`'s indices, McCord rows,
 normality verdicts and dynamics sections, witnesses aside: the boundary
 action of gH_lg⁻¹ is conjugate to the chain's, and core(gH_lg⁻¹) = core(H_l).
+It keeps what `code` reads off its `ChainWindow` too: the minimality, the
+orbit-graph diameter, the window size, its gap and each core orbit's size,
+as xH_K -> xg⁻¹(gH_Kg⁻¹) is a G-equivariant isomorphism of orbit graphs.
 Needs no numpy.
 """
 
@@ -43,6 +46,7 @@ from cantordyn.affine import (
     subgroup_intersect,
 )
 from cantordyn.cli import _chain_dynamics, _chain_reading, cmd_classify, cmd_measure
+from cantordyn.coding import ChainWindow
 from cantordyn.gallery import REFLECTION, klein_type_group
 from cantordyn.limits import BALL_BUDGET
 from cantordyn.report import Report
@@ -227,3 +231,13 @@ def test_a_conjugate_chain_keeps_what_classify_reports(name, seed):
     ]
     assert rows[0] == rows[1]
     assert classify_without_witnesses(conjugate_chain) == classify_without_witnesses(chain)
+    assert code_window_summary(conjugate_chain) == code_window_summary(chain)
+
+
+def code_window_summary(chain):
+    """What `code` reads off the chain's ChainWindow besides its words: the
+    minimality, the orbit-graph diameter, the window size, its gap to the
+    rest, and the size of each level's core orbit."""
+    source = ChainWindow(chain, LAMBDAS[0])
+    cores = [len(source.core_orbit(l)) for l in range(1, chain.depth + 1)]
+    return source.minimal, source.diameter(), len(source.points), source.gap, cores

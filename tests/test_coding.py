@@ -15,7 +15,6 @@ from cantordyn.action import (
     TreeMetric,
     breadth_first,
     format_word,
-    orbit_graph,
     parse_word,
     tuple_getter,
 )
@@ -161,7 +160,7 @@ def test_fo_level_set_matches_core_cylinder_via_cross_module_oracle():
 def test_dyadic_translates_are_the_two_cosets():
     action, window, words, partition = dyadic_setup()
     v = compute_V(action, window, partition, words)
-    family = translates(action, v, words)
+    family = translates(v, words)
     assert [sorted(map(action.model.addresses.__getitem__, p)) for _, p in family] == [
         [(0, 0, 0), (0, 0, 4)],
         [(0, 2, 2), (0, 2, 6)],
@@ -176,7 +175,7 @@ def test_invariant_window_has_a_single_translate():
     words = ActionWindow(action, window).words(8, BALL_BUDGET)
     partition = ClopenPartition.from_blocks(window, [window])
     v = compute_V(action, window, partition, words)
-    family = translates(action, v, words)
+    family = translates(v, words)
     assert len(family) == 1
 
 
@@ -185,7 +184,7 @@ def test_translate_overlap_without_equality_is_a_hard_error():
     action, window, words, _ = dyadic_setup()
     bogus = index_set(action.model, {(0, 0, 0), (0, 2, 2)})
     with pytest.raises(InvariantViolation):
-        translates(action, bogus, words)
+        translates(bogus, words)
 
 
 # --------------------------------------------------------------- fixed point
@@ -242,7 +241,7 @@ def test_shortest_words_carry_their_permutations(name):
     dist = orbit_distances(action)
     b0 = win_idx.index(action.basepoint)
     targets = []
-    graph = orbit_graph(action)
+    graph = action.graph
     for word, image in _shortest_words_into_window(graph, *breadth_first(graph), win_idx):
         perm = action.word_perm(word)
         assert image == tuple(perm[i] for i in win_idx)
@@ -329,7 +328,7 @@ def test_fixed_point_agreement_at_schreier_diameter_on_random_actions():
     for seed in range(8):
         action = random_tree_action(seed, max_addresses=128)
         window = default_window(action)
-        diam = schreier_diameter(orbit_graph(action))
+        diam = schreier_diameter(action.graph)
         words = ActionWindow(action, window).words(diam, BALL_BUDGET)
         blocks = cylinder_partition(action.model, window, 2)
         partition = ClopenPartition.from_blocks(window, blocks)
@@ -402,7 +401,7 @@ def test_chain_reports_graph_diameter_on_small_models():
 def test_graph_diameter_of_disconnected_action_is_component_maximum():
     action = warp_example(2, 1, include_free_factor=False)
     # orbits are the 4-cycles inside each fiber plus the fixed point
-    assert schreier_diameter(orbit_graph(action)) == 2
+    assert schreier_diameter(action.graph) == 2
 
 
 DIAMETER_ACTIONS = {
@@ -423,7 +422,7 @@ DIAMETER_ACTIONS = {
 def test_schreier_diameter_matches_dense_and_bfs_oracles(name):
     action = DIAMETER_ACTIONS[name]()
     assert len(action.model) <= SCHREIER_SIZE_CAP
-    diameter = schreier_diameter(orbit_graph(action))
+    diameter = schreier_diameter(action.graph)
     assert diameter == dense_schreier_diameter(action)
     assert diameter == bfs_schreier_diameter(action)
 
@@ -431,7 +430,7 @@ def test_schreier_diameter_matches_dense_and_bfs_oracles(name):
 @given(st.integers(0, 2 ** 16))
 def test_schreier_diameter_matches_bfs_on_random_tree_actions(seed):
     action = random_tree_action(seed, max_addresses=64)
-    assert schreier_diameter(orbit_graph(action)) == bfs_schreier_diameter(action)
+    assert schreier_diameter(action.graph) == bfs_schreier_diameter(action)
 
 
 REFINE_ACTIONS = {

@@ -289,7 +289,7 @@ def test_invariant_violation_exits_four(capsys, monkeypatch):
 
 def swap_across_level(monkeypatch, chain, level=1):
     """Patch `coset_space`, where `tower` and the oracle tower bind it and
-    where `code` imports it from, so that the first generator's permutation
+    where `ChainWindow` imports it from, so that the first generator's permutation
     swaps its images of two cosets lying in one coset of the level above and
     in different cosets of the level."""
     import tower_oracle

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cantordyn.action import COLLAPSED, breadth_first, is_minimal, modulus_table, orbit_graph
+from cantordyn.action import COLLAPSED, breadth_first, is_minimal, modulus_table
 from cantordyn.affine import (
     contains,
     coset_space,
@@ -153,7 +153,7 @@ def test_gallery_chains_pass_chain_invariants():
 def test_warp_fiber_generators_fix_the_collapsed_point():
     action = warp_example(3, 2, include_free_factor=False)
     assert action.model.addresses[action.basepoint] == COLLAPSED
-    assert breadth_first(orbit_graph(action))[0] == [[action.basepoint]]
+    assert breadth_first(action.graph)[0] == [[action.basepoint]]
     assert not is_minimal(action).minimal
 
 

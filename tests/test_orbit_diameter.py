@@ -18,7 +18,12 @@ seeded random lattice chains in Z^2 (every subgroup of an abelian group is
 normal); it must equal both the bitset diameter and the per-source
 breadth-first oracle, as it must on chains whose H_K is not normal, where it
 runs `schreier_diameter`.  Above SCHREIER_SIZE_CAP no diameter is reported at
-all.  Needs no numpy.
+all.
+
+`action.orbit_graph` is the one builder of an orbit graph: it runs once per
+CantorAction and once more per ChainWindow, for G on G/H_K, and never in
+`word_ball`, `is_minimal`, `ActionWindow` or a coding chain that escalates.
+Needs no numpy.
 """
 
 import pathlib
@@ -27,11 +32,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantordyn.action import breadth_first, is_minimal, orbit_graph
-from cantordyn.affine import coset_space, is_normal
-from cantordyn.cli import main
-from cantordyn.coding import ChainWindow, schreier_diameter
+from cantordyn.action import breadth_first, is_minimal, word_ball
+from cantordyn.affine import is_normal
+from cantordyn.cli import _chain_reading, main
+from cantordyn.coding import ActionWindow, ChainWindow, schreier_diameter
 from cantordyn.config import parse_config
+from cantordyn.errors import InvariantViolation
 from cantordyn.gallery import fokkink_oversteegen, small_fo_variant, vietoris, warp_example
 from cantordyn.limits import SCHREIER_SIZE_CAP
 from helpers import bfs_schreier_diameter, random_tree_action
@@ -80,7 +86,7 @@ def queue_walk(action):
 @pytest.mark.parametrize("name", list(WALK_ACTIONS))
 def test_breadth_first_is_the_queue_walk(name):
     action = WALK_ACTIONS[name]()
-    layers, via = breadth_first(orbit_graph(action))
+    layers, via = breadth_first(action.graph)
     found = queue_walk(action)
     assert [j for layer in layers for j in layer] == list(found)  # discovery order
     assert all(layers)
@@ -98,7 +104,7 @@ def chain_of(name):
 
 
 def window_of(chain):
-    return ChainWindow(chain, coset_space(chain.group, chain.levels[-1]), LAM)
+    return ChainWindow(chain, LAM)
 
 
 @pytest.mark.parametrize(
@@ -112,7 +118,7 @@ def test_the_chain_windows_diameter_is_the_orbit_graphs(name):
     source = window_of(chain)
     assert source.minimal is True
     diameter = source.diameter()
-    assert diameter == schreier_diameter(orbit_graph(action)) == bfs_schreier_diameter(action)
+    assert diameter == schreier_diameter(action.graph) == bfs_schreier_diameter(action)
     if name not in OTHER_CONFIGS:  # the walk's depth: the basepoint's eccentricity
         assert diameter == len(breadth_first(source.graph)[0]) - 1
 
@@ -120,7 +126,7 @@ def test_the_chain_windows_diameter_is_the_orbit_graphs(name):
 @pytest.mark.parametrize("name", CHAINS)
 def test_the_chain_windows_diameter_on_the_section_chains(name):
     action = action_of(name, LAM)
-    want = schreier_diameter(orbit_graph(action))  # None above the cap
+    want = schreier_diameter(action.graph)  # None above the cap
     assert window_of(section_chain_of(name)).diameter() == want
 
 
@@ -164,3 +170,79 @@ def test_code_runs_the_bitset_diameter_off_normal_chains(capsys, monkeypatch, co
     assert main(["code", str(REPO / config)]) == 0
     capsys.readouterr()
     assert counted == {"schreier_diameter": calls, "breadth_first": 1}
+
+
+# ------------------------------------------------------ one orbit-graph builder
+
+ESCALATING_CHAINS = ("vietoris", "rogers_tollefson", "small_fo_variant", "G-15", "random-0")
+
+
+def counted_graphs(monkeypatch):
+    """The size of each orbit graph built, through `action.orbit_graph`, the
+    one builder, wherever it is read: the action module's CantorAction, and
+    coding's ChainWindow for G's graph on G/H_K."""
+    from cantordyn import action as action_module
+    from cantordyn import coding
+
+    sizes, build = [], action_module.orbit_graph
+
+    def counted(size, basepoint, generators):
+        sizes.append(size)
+        return build(size, basepoint, generators)
+
+    for module in (action_module, coding):
+        monkeypatch.setattr(module, "orbit_graph", counted)
+    return sizes
+
+
+def escalating_code(monkeypatch, source, table):
+    """`code_window` on the source with a first ball of one permutation and
+    the shortest-word pass cut to the empty word, so that it escalates; the
+    number of return-word sets it built."""
+    from cantordyn import coding
+
+    monkeypatch.setattr(coding, "BALL_BUDGET", 1)
+    monkeypatch.setattr(coding, "CODING_BUDGET", 60)
+    monkeypatch.setattr(
+        coding, "_shortest_words_into_window", lambda graph, layers, via, w: [((), tuple(w))]
+    )
+    calls, words = [], type(source).words
+    monkeypatch.setattr(type(source), "words", lambda *a: calls.append(a) or words(*a))
+    try:
+        coding.code_window(source, table, 8)
+    except InvariantViolation:
+        pass
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "name", ["warp_3_2", "warp_fiber_only_3_2", "random_tree_0", "random_tree_3"]
+)
+def test_an_action_builds_its_orbit_graph_once_and_its_readers_none(monkeypatch, name):
+    sizes = counted_graphs(monkeypatch)
+    action = WALK_ACTIONS[name]()
+    assert sizes == [len(action.model)]
+    assert action.graph.size == len(action.model)
+    word_ball(action, 8, perm_cap=500)
+    word_ball(action, 3, perm_cap=50)
+    is_minimal(action)
+    source = ActionWindow(action)
+    assert source.graph is action.graph
+    source.words(4, 100)
+    assert sizes == [len(action.model)]
+
+
+@pytest.mark.parametrize("name", ESCALATING_CHAINS)
+def test_one_orbit_graph_per_action_or_chain_window_however_code_escalates(monkeypatch, name):
+    chain = section_chain_of(name)
+    table = _chain_reading(chain, LAM)[0]
+    sizes = counted_graphs(monkeypatch)
+    action = build_tower(chain).boundary_action(LAM)  # one CantorAction
+    assert sizes == [len(action.model)]
+    assert escalating_code(monkeypatch, ActionWindow(action), table) > 1
+    assert sizes == [len(action.model)]
+    del sizes[:]
+    source = ChainWindow(chain, LAM)  # its H_1 action on W, and G on G/H_K
+    assert sizes == [len(source.points), source.size]
+    assert escalating_code(monkeypatch, source, table) > 1
+    assert sizes == [len(source.points), source.size]

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantordyn.action import breadth_first, orbit_graph
+from cantordyn.action import breadth_first
 from cantordyn.affine import (
     AffineElement,
     CosetSpace,
@@ -258,6 +258,17 @@ def test_fo_interleaves_with_even_level_subchain():
     assert verdict.map_ba == (2,)
 
 
+def test_interleave_names_the_second_chain_when_only_it_lacks_a_partner():
+    chain = vietoris(2, 4)  # 2Z > 4Z > 8Z > 16Z
+    sub = SubgroupChain(chain.group, [chain.levels[1]], label="4Z")
+    verdict = interleave(sub, chain)
+    assert (verdict.success, verdict.fail_side, verdict.fail_level) == (False, "B", 3)
+    assert contains(sub.levels[-1], verdict.witness)
+    assert not contains(chain.levels[2], verdict.witness)
+    verdict = interleave(chain, sub)
+    assert (verdict.success, verdict.fail_side, verdict.fail_level) == (False, "A", 3)
+
+
 def test_interleave_verdict_is_symmetric():
     pairs = [
         (vietoris(2, 4), quads_chain(2)),
@@ -289,7 +300,7 @@ def test_dyadic_boundary_action_is_an_odometer():
 def test_fo_boundary_action_has_105_addresses_and_transitive_generators():
     action = build_tower(fokkink_oversteegen(1)).boundary_action()
     assert len(action.model) == 105
-    layers, via = breadth_first(orbit_graph(action))
+    layers, via = breadth_first(action.graph)
     assert sum(map(len, layers)) == 105 and None not in via
 
 
