@@ -2,11 +2,10 @@
 
 Matrices are tuples of row tuples.  Everything here is exact: entries are
 Python ints, never floats (affine translations reach here scaled to integers
-over the group's denominator).  Dimensions in this library are tiny (n <= 4),
-so cofactor expansions are fine.
+over the group's denominator).  There is one elimination, the column Hermite
+form, and one back-substitution against it: ranks, determinants up to sign,
+inverses, memberships and reductions are all read off the two.
 """
-
-from .errors import StructureError
 
 
 def identity(n):
@@ -31,44 +30,6 @@ def vec_add(u, v):
 
 def vec_sub(u, v):
     return tuple(x - y for x, y in zip(u, v))
-
-
-def det(a):
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1 :] for row in a[1:])
-        total += (-1) ** j * a[0][j] * det(minor)
-    return total
-
-
-def adjugate(a):
-    n = len(a)
-    if n == 1:
-        return ((1,),)
-    cof = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = tuple(
-                tuple(a[r][c] for c in range(n) if c != j) for r in range(n) if r != i
-            )
-            cof[i][j] = (-1) ** (i + j) * det(minor)
-    return tuple(tuple(cof[j][i] for j in range(n)) for i in range(n))
-
-
-def mat_inverse_unimodular(a):
-    """Integer inverse of a matrix with determinant +-1."""
-    d = det(a)
-    if d not in (1, -1):
-        raise StructureError(f"matrix has determinant {d}, expected +-1")
-    adj = adjugate(a)
-    if d == 1:
-        return adj
-    return tuple(tuple(-x for x in row) for row in adj)
 
 
 def matrix_order(a, bound):
@@ -175,45 +136,21 @@ def column_hnf(rows, *, with_transform=False):
     return h, pivots
 
 
-def solve_echelon(h, pivots, v):
-    """Solve H y = v over the integers for a column-echelon H; None if no solution.
+def echelon_divmod(h, pivots, v):
+    """(y, rem) with v = H y + rem for a column-echelon H, as `column_hnf` gives.
 
-    Entries of v are ints; a remainder at any pivot means no integral
-    solution.
-    Returns a length-k integer vector (zeros in non-pivot positions).
-    """
-    n = len(h)
-    k = len(h[0])
-    rem = list(v)
-    y = [0] * k
-    for t in range(len(pivots) - 1, -1, -1):
-        r = pivots[t]
-        piv = h[r][t]
-        q, rr = divmod(rem[r], piv)
-        if rr != 0:
-            return None
-        y[t] = q
-        if q:
-            for i in range(n):
-                rem[i] -= q * h[i][t]
-    if any(x != 0 for x in rem):
-        return None
-    return tuple(y)
-
-
-def reduce_echelon(h, pivots, v):
-    """Canonical representative of v modulo the column lattice of H.
-
-    Processes pivot rows bottom-up with floor division, leaving each pivot-row
-    coordinate in [0, pivot).  Coordinates are ints.
+    Pivot rows are processed bottom-up with floor division, leaving each
+    pivot-row coordinate of rem in [0, pivot): rem is v's canonical
+    representative modulo the column lattice of H, zero exactly when v lies
+    in it, and then H y = v.  y has zeros in non-pivot positions.
     """
     n = len(h)
     rem = list(v)
+    y = [0] * len(h[0])
     for t in range(len(pivots) - 1, -1, -1):
         r = pivots[t]
-        piv = h[r][t]
-        q = rem[r] // piv
+        q = y[t] = rem[r] // h[r][t]
         if q:
             for i in range(n):
                 rem[i] -= q * h[i][t]
-    return tuple(rem)
+    return tuple(y), tuple(rem)

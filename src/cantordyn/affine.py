@@ -30,10 +30,21 @@ def _point_key(a):
     return tuple(x for row in a for x in row)
 
 
+def _square_hnf(rows):
+    """The square Hermite basis of the columns of `rows`, canonical
+    upper-triangular; None below full rank."""
+    h, pivots = im.column_hnf(rows)
+    n = len(rows)
+    return tuple(row[:n] for row in h) if len(pivots) == n else None
+
+
 def _check_point(point):
-    d = im.det(point)
-    if d not in (1, -1):
-        raise StructureError(f"point part must be unimodular, got determinant {d}")
+    """A point part is unimodular when its columns span Z^n: full rank, and a
+    Hermite diagonal of product |det| = 1."""
+    basis = _square_hnf(point)
+    size = IntegerLattice(basis).index() if basis else 0
+    if size != 1:
+        raise StructureError(f"point part must be unimodular, got |determinant| {size}")
     if im.matrix_order(point, DEFAULT_ORDER_BOUND) is None:
         raise StructureError(
             f"point part order exceeds the bound {DEFAULT_ORDER_BOUND}"
@@ -73,7 +84,8 @@ class AffineElement(namedtuple("AffineElement", "point scaled denom")):
         return self.point == im.identity(self.dimension) and not any(self.scaled)
 
     def inverse(self):
-        inv = im.mat_inverse_unimodular(self.point)
+        # the point part's Hermite form is I = A U, so its transform U is A^-1
+        inv = im.column_hnf(self.point, with_transform=True)[2]
         v = tuple(-x for x in im.mat_vec(inv, self.scaled))
         return _element(inv, v, self.denom)
 
@@ -141,11 +153,11 @@ class IntegerLattice(namedtuple("IntegerLattice", "basis")):
         return tuple(range(self.dimension))
 
     def contains(self, v):
-        return im.solve_echelon(self.basis, self._pivots(), v) is not None
+        return not any(self.reduce(v))
 
     def reduce(self, v):
         """Canonical representative of v + L in the fundamental box."""
-        return im.reduce_echelon(self.basis, self._pivots(), v)
+        return im.echelon_divmod(self.basis, self._pivots(), v)[1]
 
     def transform(self, a):
         """The lattice A * L for an integer matrix A with det != 0."""
@@ -171,21 +183,19 @@ class IntegerLattice(namedtuple("IntegerLattice", "basis")):
 
 def hermite_normal_form(m):
     """Canonical HNF lattice spanned by the columns of a nonsingular matrix."""
-    m = tuple(tuple(int(x) for x in row) for row in m)
-    if im.det(m) == 0:
+    basis = _square_hnf(tuple(tuple(int(x) for x in row) for row in m))
+    if basis is None:
         raise StructureError("degenerate lattice: matrix is singular")
-    return IntegerLattice(im.column_hnf(m)[0])
+    return IntegerLattice(basis)
 
 
 def lattice_from_columns(n, cols):
     """The lattice spanned by integer columns of length n, which must have rank n."""
-    rows = tuple(tuple(c[i] for c in cols) for i in range(n))
-    h, pivots = im.column_hnf(rows)
-    if len(pivots) != n:
+    basis = _square_hnf(tuple(tuple(c[i] for c in cols) for i in range(n)))
+    if basis is None:
         raise StructureError(
             "translation lattice is not full rank; the subgroup has infinite index"
         )
-    basis = tuple(tuple(h[i][j] for j in range(n)) for i in range(n))
     return IntegerLattice(basis)
 
 
@@ -394,8 +404,8 @@ def subgroup_intersect(h1, h2):
         if any(x % d for x in diff):
             continue
         # solve B1 x - B2 y = diff / d over the integers
-        y = im.solve_echelon(hh, pivots, tuple(x // d for x in diff))
-        if y is None:
+        y, rem = im.echelon_divmod(hh, pivots, tuple(x // d for x in diff))
+        if any(rem):
             continue
         shift = im.mat_vec(b1, im.mat_vec(u, y)[:n])
         w = im.vec_add(r1.scaled, tuple(d * x for x in shift))

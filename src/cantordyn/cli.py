@@ -141,17 +141,22 @@ def _dynamics_sections(report, depth, orbit, table, distal, measure):
     report.add("pushforward_invariant", True, 1)
 
 
-def _chain_reading(chain, lam):
-    """The boundary action's modulus table and measure (support label and
-    weight), read off the chain.  G permutes G/H_K transitively and keeps each
-    G/H_j (the descent gates of `boundary_action` and `code` check it): a minimal
-    tree isometry, one row (lam^j, lam^j) per j with [H_j : H_j+1] > 1 (H_0 = G)."""
+def _chain_modulus(chain, lam):
+    """The boundary action's modulus table, read off the chain.  G permutes
+    G/H_K transitively and keeps each G/H_j (the descent gates of
+    `boundary_action` and `code` check it): a minimal tree isometry, one row
+    (lam^j, lam^j) per j with [H_j : H_j+1] > 1 (H_0 = G)."""
     from .action import ModulusTable
 
     indices = chain.indices()
     splits = [j for j, (a, b) in enumerate(zip([1] + indices, indices)) if b > a]
-    table = ModulusTable((lam ** j, lam ** j) for j in splits)
-    return table, ("full", Fraction(1, indices[-1]))
+    return ModulusTable((lam ** j, lam ** j) for j in splits)
+
+
+def _chain_measure(chain):
+    """The boundary action's invariant measure (support label and weight):
+    G permutes G/H_K transitively, so it is uniform, 1/[G:H_K] per coset."""
+    return "full", Fraction(1, chain.indices()[-1])
 
 
 def _chain_dynamics(chain, mccord, lam, max_length):
@@ -165,7 +170,7 @@ def _chain_dynamics(chain, mccord, lam, max_length):
     from .affine import quotient_word_keys
     from .limits import BALL_BUDGET
 
-    table, measure = _chain_reading(chain, lam)
+    table, measure = _chain_modulus(chain, lam), _chain_measure(chain)
     tokens, identity, compose = quotient_word_keys(chain.group, mccord.records[-1].core)
     ball = _word_ball(tokens, identity, max_length, BALL_BUDGET, compose)
     distal = DistalityVerdict(True, ball[1], table.r_min() or Fraction(0), len(ball[0]))
@@ -252,7 +257,7 @@ def cmd_code(cfg, chain, report):
 
     if chain is not None:
         source = ChainWindow(chain, cfg.lam)
-        table = _chain_reading(chain, cfg.lam)[0]
+        table = _chain_modulus(chain, cfg.lam)
     else:
         from .action import modulus_table
 
@@ -349,7 +354,7 @@ def cmd_measure(cfg, chain, report):
 
         size = chain.indices()[-1]
         check_index_cap(size)  # no coset is enumerated; a contract
-        label, weight = _chain_reading(chain, cfg.lam)[1]
+        label, weight = _chain_measure(chain)
         names = [name for name, _ in chain.group.generators]
     else:
         from .action import invariant_measure

@@ -222,10 +222,8 @@ def parse_config(text):
                     dim = parse_int(value, line_no)
                 elif key == "denominator":
                     denom = parse_int(value, line_no)
-                elif key.startswith("generator "):
-                    gname = key[len("generator "):].strip()
-                    if not gname:
-                        raise ParseError("[group]: generator needs a name", line_no)
+                elif key.startswith("generator "):  # keys are whitespace-normalized
+                    gname = key[len("generator "):]
                     mat, vec = parse_affine(value, line_no)
                     sized.append((line_no, mat))
                     gens.append((gname, mat, vec))

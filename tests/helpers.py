@@ -629,7 +629,7 @@ def coset_key_oracle(group, subgroup):
     """The coset key of an element (point, scaled), from a product with each
     rep of H: over the elements (point, scaled) (B, w) of its coset, the one
     of least point class id, its translation reduced modulo the scaled HNF of
-    point * L_H (built once per point) by `reduce_echelon`.  The key of the
+    point * L_H (built once per point) by `echelon_divmod`.  The key of the
     last (group, subgroup) is kept and memoised, so the coset space and orbit
     oracles of one level key each product once."""
     class_ids = group.point_class_order()
@@ -644,7 +644,7 @@ def coset_key_oracle(group, subgroup):
             (class_ids[im.mat_mul(point, b.point)], *left_multiply(point, scaled, b.point, b.scaled))
             for b in subgroup.reps
         )
-        return cid, im.reduce_echelon(basis, pivots, tr), c
+        return cid, im.echelon_divmod(basis, pivots, tr)[1], c
 
     return functools.lru_cache(maxsize=None)(key)
 

@@ -33,8 +33,8 @@ from helpers import (
     brute_force_core,
     brute_force_pushforward_invariant,
     check_coding_laws,
-    enumerate_word_perms,
     random_tree_action,
+    reference_action_ball,
 )
 from modulus_oracle import coding_chain_of, modulus_table_of
 from tower_oracle import build_tower, subgroup_cylinder
@@ -208,11 +208,11 @@ def test_criterion_7_holonomy_dichotomy():
         assert not verdict.trivial
         assert verdict.depth == 6
         action = build_tower(vietoris(2, 4)).boundary_action()
-        words, completed = enumerate_word_perms(action, 8)
+        words, completed = reference_action_ball(action, 8, 200000)
         assert completed == 8
         for word, perm in words:
             for i in range(len(action.model)):
-                if int(perm[i]) == i:
+                if perm[i] == i:
                     germ = germinal_holonomy(action, word, i)
                     assert germ.trivial and germ.depth <= 4
 

@@ -74,10 +74,35 @@ def lattice_points_by_combination(basis_cols, coeff_range):
     return pts
 
 
+def det(a):
+    """Cofactor expansion along the first row."""
+    if len(a) == 1:
+        return a[0][0]
+    return sum(
+        (-1) ** j * a[0][j] * det(tuple(row[:j] + row[j + 1 :] for row in a[1:]))
+        for j in range(len(a))
+    )
+
+
+def adjugate(a):
+    """The transposed cofactor matrix: adjugate(a) @ a = det(a) I."""
+    n = len(a)
+    if n == 1:
+        return ((1,),)
+    return tuple(
+        tuple(
+            (-1) ** (i + j)
+            * det(tuple(row[:i] + row[i + 1 :] for r, row in enumerate(a) if r != j))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
 def in_lattice_by_adjugate(m, v):
     """Membership oracle: solve M c = v by adjugate, check integrality."""
-    d = im.det(m)
-    adj = im.adjugate(m)
+    d = det(m)
+    adj = adjugate(m)
     c = im.mat_vec(adj, v)
     return all(x % d == 0 for x in c)
 
@@ -142,6 +167,49 @@ def test_point_part_must_be_unimodular_and_finite_order():
         AffineElement(((1, 1), (0, 1)), (0, 0), 1)  # infinite order shear
 
 
+def random_unimodular(rng, n):
+    """A product of random elementary row operations and sign flips."""
+    m = [list(row) for row in im.identity(n)]
+    for _ in range(8):
+        i, j, q = rng.randrange(n), rng.randrange(n), rng.randint(-2, 2)
+        if i != j:
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        if rng.random() < 0.3:
+            m[i] = [-x for x in m[i]]
+    return tuple(map(tuple, m))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inverse_through_the_hermite_form_matches_the_adjugate(n):
+    rng = random.Random(19 + n)
+    for _ in range(30):
+        point = random_unimodular(rng, n)
+        d = det(point)
+        assert d in (1, -1)
+        scaled = tuple(rng.randint(-9, 9) for _ in range(n))
+        g = affine._element(point, scaled, 3)  # unchecked: most have infinite order
+        inv = g.inverse()
+        assert inv.point == tuple(tuple(d * x for x in row) for row in adjugate(point))
+        assert compose(g, inv) == compose(inv, g) == affine._element(im.identity(n), (0,) * n, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_point_check_reads_the_cofactor_determinant(n):
+    rng = random.Random(23 + n)
+    for _ in range(60):
+        point = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+        d = abs(det(point))
+        if d == 1:
+            # unimodular: only the order bound can refuse it
+            try:
+                affine._check_point(point)
+            except StructureError as exc:
+                assert "order exceeds" in str(exc)
+        else:
+            with pytest.raises(StructureError, match=rf"unimodular, got \|determinant\| {d}$"):
+                affine._check_point(point)
+
+
 # ---------------------------------------------------------------- HNF
 
 def test_hnf_bonding_matrix_already_canonical():
@@ -180,12 +248,12 @@ def test_hnf_idempotent_on_random_matrices():
     count = 0
     while count < 40:
         m = tuple(tuple(rng.randint(-5, 5) for _ in range(2)) for _ in range(2))
-        if im.det(m) == 0:
+        if det(m) == 0:
             continue
         count += 1
         lat = hermite_normal_form(m)
         assert hermite_normal_form(lat.basis) == lat
-        assert lat.index() == abs(im.det(m))
+        assert lat.index() == abs(det(m))
 
 
 def test_membership_agreement_hnf_vs_adjugate():
@@ -193,7 +261,7 @@ def test_membership_agreement_hnf_vs_adjugate():
     count = 0
     while count < 50:
         m = tuple(tuple(rng.randint(-4, 4) for _ in range(2)) for _ in range(2))
-        d = im.det(m)
+        d = det(m)
         if d == 0 or abs(d) > 12:
             continue
         count += 1
@@ -241,7 +309,7 @@ def test_intersect_random_lattices_by_box_enumeration():
         ms = []
         while len(ms) < 2:
             m = tuple(tuple(rng.randint(-3, 3) for _ in range(2)) for _ in range(2))
-            d = im.det(m)
+            d = det(m)
             if d != 0 and abs(d) <= 6:
                 ms.append(m)
         l1, l2 = (hermite_normal_form(m) for m in ms)

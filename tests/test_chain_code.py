@@ -33,7 +33,7 @@ from cantordyn import coding
 from cantordyn import tower as tower_module
 from cantordyn.action import breadth_first
 from cantordyn.affine import normal_core
-from cantordyn.cli import _chain_reading, cmd_code, main
+from cantordyn.cli import _chain_modulus, cmd_code, main
 from cantordyn.coding import (
     ActionWindow,
     ChainWindow,
@@ -96,7 +96,7 @@ def both_paths(monkeypatch, name, lam, word_bound):
     """The chain path's source and CodingChain, the boundary action and the
     tower path's CodingChain, and the return-word sets each built."""
     chain = chain_of(name)
-    table = _chain_reading(chain, lam)[0]
+    table = _chain_modulus(chain, lam)
     action = tower_of(name).boundary_action(lam)
     chain_calls = counted_words(monkeypatch, ChainWindow)
     tower_calls = counted_words(monkeypatch, ActionWindow)
@@ -200,7 +200,7 @@ def escalations(monkeypatch, name, budgets):
         lambda graph, layers, via, window: [((), tuple(window))],
     )
     chain = chain_of(name)
-    table = _chain_reading(chain, LAMBDAS[0])[0]
+    table = _chain_modulus(chain, LAMBDAS[0])
     action = tower_of(name).boundary_action(LAMBDAS[0])
     checks = counted_words(monkeypatch, coding, "_check_clopen_window")
     outcomes, sources = [], []
@@ -259,7 +259,7 @@ def test_core_oracle_lines_compare_the_level_set_with_the_cores_cylinder(name, l
     report = cmd_code(SimpleNamespace(lam=lam, words=8), chain, Report("test", "code"))
     keys = [key for _, key, _ in report.lines]
     oracle = [(key, value) for _, key, value in report.lines[keys.index("core_oracle") + 1:]]
-    want = code_window(ActionWindow(action), _chain_reading(chain, lam)[0], 8)
+    want = code_window(ActionWindow(action), _chain_modulus(chain, lam), 8)
     expected = []
     for lv in want.levels:
         core = normal_core(chain.group, chain.levels[lv.cylinder_depth - 1])

@@ -45,7 +45,13 @@ from cantordyn.affine import (
     subgroup_index_in,
     subgroup_intersect,
 )
-from cantordyn.cli import _chain_dynamics, _chain_reading, cmd_classify, cmd_measure
+from cantordyn.cli import (
+    _chain_dynamics,
+    _chain_measure,
+    _chain_modulus,
+    cmd_classify,
+    cmd_measure,
+)
 from cantordyn.coding import ChainWindow
 from cantordyn.gallery import REFLECTION, klein_type_group
 from cantordyn.limits import BALL_BUDGET
@@ -131,7 +137,8 @@ def test_first_level_g_chains_have_the_intended_indices():
 def test_modulus_distance_minimality_and_measure_match_the_engines(name, lam):
     chain, action = chain_of(name), action_of(name, lam)
     table, distal, measure, _ = _chain_dynamics(chain, mccord_verdict(chain), lam, 0)
-    assert (table, measure) == _chain_reading(chain, lam)  # what code and measure read
+    # what code and measure read
+    assert (table, measure) == (_chain_modulus(chain, lam), _chain_measure(chain))
     assert is_minimal(action).minimal
     assert table.rows == cylinder_modulus_rows(action)
     assert distal.distal

@@ -2,6 +2,7 @@
 
 import pathlib
 import time
+from collections import namedtuple
 
 import pytest
 
@@ -242,6 +243,130 @@ def test_a_part_the_gallery_ignores_exits_two_naming_it(tmp_path, capsys, name):
     for command in ("classify", "code", "measure"):
         rc, out, err = run_cli(capsys, command, str(bad))
         assert (rc, out, err) == (2, "", f"error: {message}\n"), command
+
+
+GROUP_1D = "[group]\ndimension = 1\ndenominator = 1\ngenerator t = 1 ; 1\n"
+LEVEL_1D = "[level 1]\nlattice = 2\n"
+GROUP_2D = "[group]\ndimension = 2\ndenominator = 1\n"
+KLEIN_2D = GROUP_2D + (
+    "generator a = 1 0 / 0 -1 ; 0 0\ngenerator b = -1 0 / 0 1 ; 0 0\n"
+    "generator t = 1 0 / 0 1 ; 1 0\ngenerator u = 1 0 / 0 1 ; 0 1\n"
+)
+SQUARE_2D = "[level 1]\nlattice = 2 0 / 0 2\n"
+
+# a config text and its one error line, after the flags and environment
+Refusal = namedtuple("Refusal", "text message flags env", defaults=((), ()))
+
+REFUSALS = {
+    "empty-section-name": Refusal("[ ]\n", "line 1: empty section name"),
+    "no-equals-sign": Refusal(
+        VIETORIS_TEXT + "[params]\ndepth 2\n", "line 6: expected 'key = value'"
+    ),
+    "second-top-level": Refusal(
+        VIETORIS_TEXT + "[action]\ngallery = warp_example\n",
+        "line 5: duplicate top-level section [action]",
+    ),
+    "level-x": Refusal(
+        GROUP_1D + "[level x]\nlattice = 2\n", "line 6: section [level x] must be '[level N]'"
+    ),
+    "level-1-renumbered": Refusal(
+        GROUP_1D + LEVEL_1D + "[level 01]\nlattice = 4\n", "line 7: duplicate section [level 1]"
+    ),
+    "unknown-params-key": Refusal(
+        VIETORIS_TEXT + "[params]\nfoo = 1\n", "line 6: [params]: unknown key 'foo'"
+    ),
+    "unknown-section": Refusal(VIETORIS_TEXT + "[foo]\n", "unknown section [foo]"),
+    "no-top-level": Refusal(
+        "[params]\ndepth = 2\n", "config needs a [chain], [action], or [group] section"
+    ),
+    "group-without-level": Refusal(
+        GROUP_1D, "an explicit group needs at least one [level N] section"
+    ),
+    # keys are whitespace-normalized: a generator without a name is the key 'generator'
+    "unnamed-generator": Refusal(
+        GROUP_1D.replace("generator t", "generator ") + LEVEL_1D,
+        "line 4: [group]: unknown key 'generator'",
+    ),
+    "empty-matrix-row": Refusal(
+        KLEIN_2D + "[level 1]\nlattice = 2 0 /  / 0 2\n", "line 9: empty matrix row"
+    ),
+    "unequal-matrix-rows": Refusal(
+        GROUP_1D + "[level 1]\nlattice = 2 0 / 2\n", "line 6: matrix rows have unequal lengths"
+    ),
+    "affine-vector-length": Refusal(
+        GROUP_1D.replace("1 ; 1", "1 ; 1 2") + LEVEL_1D,
+        "line 4: affine vector length does not match the matrix",
+    ),
+    "denominator-0": Refusal(
+        GROUP_1D.replace("denominator = 1", "denominator = 0") + LEVEL_1D,
+        "denominator must be a positive integer",
+    ),
+    "translation-off-the-denominator": Refusal(
+        GROUP_1D.replace("1 ; 1", "1 ; 1/2") + LEVEL_1D,
+        "translation entry 1/2 is not a multiple of 1/1",
+    ),
+    "non-unimodular-point-part": Refusal(
+        GROUP_2D + "generator t = 0 2 / 1 0 ; 1 0\n" + SQUARE_2D,
+        "point part must be unimodular, got |determinant| 2",
+    ),
+    "singular-point-part": Refusal(
+        GROUP_2D + "generator t = 0 0 / 1 0 ; 1 0\n" + SQUARE_2D,
+        "point part must be unimodular, got |determinant| 0",
+    ),
+    "reps-not-closed": Refusal(
+        KLEIN_2D + SQUARE_2D + "rep = 1 0 / 0 -1 ; 0 0\nrep = -1 0 / 0 1 ; 0 0\n",
+        "[level 1]: representatives not closed: [-1,0;0,1]|(0,0) * [1,0;0,-1]|(0,0) "
+        "leaves the subgroup",
+    ),
+    "level-outside-the-group": Refusal(
+        GROUP_1D + LEVEL_1D + "rep = -1 ; 0\n",
+        "[level ...]: chain level is not a subgroup of the group",
+    ),
+    "vietoris-depth-0": Refusal(
+        "[chain]\ngallery = vietoris\np = 2\ndepth = 0\n", "depth must be at least 1"
+    ),
+    "small_fo_variant-depth-5": Refusal(
+        "[chain]\ngallery = small_fo_variant\ndepth = 5\n",
+        "small_fo_variant depth must be in 1..4",
+    ),
+    "warp_example-k1-0": Refusal(
+        "[action]\ngallery = warp_example\nk1 = 0\n", "need at least one fiber generator"
+    ),
+    "lambda-abc": Refusal(
+        VIETORIS_TEXT, "--lambda: not a fraction: 'abc'", flags=("--lambda", "abc")
+    ),
+    "lambda-3/2": Refusal(
+        VIETORIS_TEXT, "--lambda must lie in (0,1)", flags=("--lambda", "3/2")
+    ),
+    "index-cap-abc": Refusal(
+        VIETORIS_TEXT,
+        "CANTORDYN_INDEX_CAP must be an integer, got 'abc'",
+        env=(("CANTORDYN_INDEX_CAP", "abc"),),
+    ),
+    "index-cap-0": Refusal(
+        VIETORIS_TEXT,
+        "CANTORDYN_INDEX_CAP must be positive",
+        env=(("CANTORDYN_INDEX_CAP", "0"),),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_every_refusal_exits_two_with_one_error_line(tmp_path, capsys, monkeypatch, name):
+    refusal = REFUSALS[name]
+    for key, value in refusal.env:
+        monkeypatch.setenv(key, value)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(refusal.text)
+    rc, out, err = run_cli(capsys, "classify", str(bad), *refusal.flags)
+    assert (rc, out, err) == (2, "", f"error: {refusal.message}\n")
+
+
+def test_the_seed_flag_is_echoed(capsys):
+    for command in ("classify", "code", "measure"):
+        rc, out, err = run_cli(capsys, command, str(CONFIG_DIR / "vietoris2.cfg"), "--seed", "7")
+        assert (rc, err) == (0, "")
+        assert "\n  seed: 7\n" in out
 
 
 def test_rep_lines_repeat():

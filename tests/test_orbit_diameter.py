@@ -34,7 +34,7 @@ import pytest
 
 from cantordyn.action import breadth_first, is_minimal, word_ball
 from cantordyn.affine import is_normal
-from cantordyn.cli import _chain_reading, main
+from cantordyn.cli import _chain_modulus, main
 from cantordyn.coding import ActionWindow, ChainWindow, schreier_diameter
 from cantordyn.config import parse_config
 from cantordyn.errors import InvariantViolation
@@ -235,7 +235,7 @@ def test_an_action_builds_its_orbit_graph_once_and_its_readers_none(monkeypatch,
 @pytest.mark.parametrize("name", ESCALATING_CHAINS)
 def test_one_orbit_graph_per_action_or_chain_window_however_code_escalates(monkeypatch, name):
     chain = section_chain_of(name)
-    table = _chain_reading(chain, LAM)[0]
+    table = _chain_modulus(chain, LAM)
     sizes = counted_graphs(monkeypatch)
     action = build_tower(chain).boundary_action(LAM)  # one CantorAction
     assert sizes == [len(action.model)]

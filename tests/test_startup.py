@@ -1,9 +1,9 @@
 """What a command pays at start: no benchmark command or set-up build imports
-`dataclasses` (which loads `inspect`, `ast`, `dis` and `tokenize`), `compare`
-and chain set-up load no action layer, an explicit chain loads no gallery,
-and the plain classes that replace the dataclasses keep their value
-semantics.  Needs neither numpy nor the test helpers, so it runs on the
-declared minimum Python without numpy."""
+`dataclasses` (which loads `inspect`, `ast`, `dis` and `tokenize`); `compare`,
+chain set-up and `measure` on a chain load no action layer; an explicit chain
+loads no gallery; and the plain classes that replace the dataclasses keep
+their value semantics.  Needs neither numpy nor the test helpers, so it runs
+on the declared minimum Python without numpy."""
 
 import json
 import os
@@ -59,13 +59,15 @@ def test_commands_and_setup_import_no_dataclasses_and_compare_no_action():
     assert proc.stdout == f"{[0] * len(commands)} False []\n"
 
 
-def test_explicit_chain_classify_loads_no_gallery():
+def run_loads(argv, module):
+    """One CLI run in a fresh process: its exit code, and whether it imported
+    `module`."""
     script = (
         "import contextlib, io, sys\n"
         "from cantordyn.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(['classify', 'perfbench/configs/klein_3_5_mid.cfg'])\n"
-        "print(code, 'cantordyn.gallery' in sys.modules)\n"
+        f"    code = main({argv!r})\n"
+        f"print(code, {module!r} in sys.modules)\n"
     )
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -76,7 +78,21 @@ def test_explicit_chain_classify_loads_no_gallery():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 False\n"
+    return proc.stdout
+
+
+def test_explicit_chain_classify_loads_no_gallery():
+    argv = ["classify", "perfbench/configs/klein_3_5_mid.cfg"]
+    assert run_loads(argv, "cantordyn.gallery") == "0 False\n"
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["configs/vietoris5.cfg", "configs/fo_explicit.cfg", "perfbench/configs/klein_3_5_mid.cfg"],
+)
+def test_measure_on_a_chain_loads_no_action(config):
+    # the uniform weight 1/[G:H_K] is read off the chain: no modulus table
+    assert run_loads(["measure", config], "cantordyn.action") == "0 False\n"
 
 
 GLIDE = ((1, 0), (0, -1))

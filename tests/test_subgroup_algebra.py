@@ -152,7 +152,7 @@ class LatticeSpan:
             return True
         if self._h is None:
             return False
-        return im.solve_echelon(self._h, self._pivots, v) is not None
+        return not any(im.echelon_divmod(self._h, self._pivots, v)[1])
 
     def add(self, v):
         """Add a vector; returns True if the lattice grew."""
