@@ -20,28 +20,27 @@ The modulus table takes the rank route alone: a tree model here is a
 chain's boundary action, whose table is read off the chain, and the cylinder
 engine for it is a test oracle.  Nothing here touches floating point.
 
-The word ball stores each class once, a key in ball order and a parent
-link, and reads a word off the links only on request; a layer that could
-pass its cap is counted by hashes before any of its keys is stored.
-`word_ball` is the one front door to an action's ball: it picks the key
-format, bytes permutations (by `bytes.translate`, whose alphabet is
-BYTE_ALPHABET) up to 256 addresses and tuples above, and hands back the
-gather that reads a key at given indices in that format; a chain's ball
-runs on coset keys.  `orbit_graph` is the one builder of an orbit graph, the
-signed tokens with their permutations, which each CantorAction holds.  All
-here needs only the standard library: the engines these replace are test
-oracles, in `tests/`.  The invariant measure is uniform on an orbit, where
-the action is transitive, so it is a support set and one weight.
+The word ball itself, and the modulus and distality records, live in
+`ball`, which a chain's `classify` reads without this module.  `word_ball`
+is the one front door to an action's ball: it picks the key format, bytes
+permutations (by `bytes.translate`, whose alphabet is BYTE_ALPHABET) up to
+256 addresses and tuples above, and hands back the gather that reads a key
+at given indices in that format; a chain's ball runs on coset keys.  The
+model spells its addresses (`CantorModel.spell`) and reads them back
+(`CantorModel.lookup`), for the CLI and for the errors raised here.
+`orbit_graph` is the one builder of an orbit graph, the signed tokens with
+their permutations, which each CantorAction holds.  All here needs only the
+standard library: the engines these replace are test oracles, in `tests/`.
+The invariant measure is uniform on an orbit, where the action is
+transitive, so it is a support set and one weight.
 """
 
-from __future__ import annotations
-
 import operator
-from array import array
-from collections import deque, namedtuple
+from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, count, filterfalse, islice, repeat
+from itertools import chain
 
+from .ball import DistalityVerdict, ModulusTable, _word_ball
 from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, ball_cap, check_cells
 
@@ -199,6 +198,34 @@ class CantorModel:
 
     def distance(self, a, b):
         return self.metric.distance(a, b)
+
+    def spell(self, i):
+        """Address index i, spelled as the CLI reads and prints it: w0, the
+        warp product's x:y digits, or a tree address's dotted ints."""
+        address = self.addresses[i]
+        if isinstance(address, str):  # the collapsed point
+            return address
+        if address and isinstance(address[0], tuple):
+            return ":".join("".join(map(str, part)) for part in address)
+        return ".".join(map(str, address))
+
+    def lookup(self, text):
+        """The index of the address spelled `text`: x:y digits or dotted ints
+        read back into a key of the index (other text, such as w0, is looked
+        up as it is), confirmed by spelling that address again."""
+        text = text.strip()
+        x, colon, y = text.partition(":")
+        try:
+            if colon:
+                address = (tuple(map(int, x)), tuple(map(int, y)))
+            else:
+                address = tuple(map(int, text.split(".")))
+        except ValueError:
+            address = text
+        i = self.index.get(address)
+        if i is None or self.spell(i) != text:
+            raise StructureError(f"address {text!r} is not in the model")
+        return i
 
     def cylinder_labels(self, j):
         """The depth-j cylinder of each address index, as a list of small
@@ -414,99 +441,6 @@ def is_minimal(action):
 
 # ------------------------------------------------------------- word groups
 
-class WordBall(list):
-    """A word ball's keys in ball order, each class with one parent link,
-    parent * T + token index over the T tokens (`_word_ball`); a class's
-    word is read off its links when asked for, and never kept."""
-
-    __slots__ = ("_links", "_tokens")
-
-    def __init__(self, keys, links, tokens):
-        super().__init__(keys)
-        self._links, self._tokens = links, tokens
-
-    def path(self, i):
-        """Class i's token indices, oldest first."""
-        out = []
-        while i:
-            i, t = divmod(self._links[i], len(self._tokens))
-            out.append(t)
-        out.reverse()
-        return out
-
-    def word(self, i):
-        """Class i's word, newest token first."""
-        return tuple(self._tokens[t][0] for t in reversed(self.path(i)))
-
-
-def _word_ball(tokens, identity, max_length, perm_cap, compose):
-    """The Cayley ball up to max_length of the permutations the tokens
-    generate, as (WordBall, completed_length): breadth-first over (length,
-    token order), the identity first.  Layers are atomic: a layer with more
-    new classes than the cap leaves room for is cut whole, and the completed
-    length is the last full layer.  `identity` and the token permutations in
-    `tokens`, (token, permutation) pairs, are hashable values of the
-    caller's choosing, and `compose(perm)` maps a token's permutation to the
-    token applied after `perm` (i -> p[perm[i]]).
-
-    A class is stored once: a key of `seen`, whose order is the ball order,
-    and a parent link, parent * T + token index over the T tokens; no word
-    is built here.  A layer is stored in one C-level pass over its
-    candidates, each new key holding its link until the layer is stored.  A
-    layer whose frontier times T could pass the cap is first counted by
-    `_passes_cap`, which holds one hash per new class and no key, so at its
-    peak a cut ball holds the keys of its completed layers and the hashes of
-    the layer it cuts (true hash collisions aside, which make it store that
-    layer before cutting it)."""
-    perms = [p for _, p in tokens]
-    width = len(perms)
-    seen = {identity: None}
-    links = array("q", [0])  # the identity's is never read
-    start = completed = 0
-    for layer in range(1, max_length + 1):
-        end = len(seen)  # a cut leaves the ball here
-        frontier = list(islice(seen, start, end))
-        room = max(perm_cap - end, 0)
-        if _passes_cap(seen, frontier, perms, compose, room):
-            break
-        deque(map(seen.setdefault, _candidates(frontier, perms, compose), count(start * width)), 0)
-        if len(seen) - end > room:  # true hash collisions hid classes from _passes_cap
-            break
-        if len(seen) == end:
-            completed = max_length
-            break
-        links.extend(islice(seen.values(), end, None))
-        seen.update(zip(islice(seen, end, None), repeat(None)))  # drops the link ints
-        start, completed = end, layer
-    else:
-        end = len(seen)
-    return WordBall(islice(seen, end), links, tokens), completed
-
-
-def _candidates(frontier, perms, compose):
-    """Each token applied after each frontier key, in (parent, token) order."""
-    return chain.from_iterable(map(map, map(compose, frontier), repeat(perms)))
-
-
-def _passes_cap(seen, frontier, perms, compose, room):
-    """Whether the layer after `frontier` has more than `room` new classes,
-    counted as the distinct hashes of its candidates outside `seen`.  Equal
-    keys hash alike, so the count never exceeds the new classes and True is
-    exact; False is exact but for true hash collisions, which the caller
-    catches once the layer is stored.  The frontier is read in runs of
-    parents too short to pass `room` between checks, and the count stops as
-    soon as the parents left could not pass it either."""
-    width, hashes, i = len(perms), set(), 0
-    while len(hashes) + (len(frontier) - i) * width > room:
-        step = max((room - len(hashes)) // width, 1)
-        fresh = filterfalse(seen.__contains__, _candidates(frontier[i:i + step], perms, compose))
-        hashes.update(map(hash, fresh))
-        if len(hashes) > room:
-            return True
-        i += step
-    return False
-
-
 def tuple_getter(indices):
     """The map p -> tuple(p[i] for i in indices), through operator.itemgetter;
     `indices` is a nonempty sequence."""
@@ -515,16 +449,17 @@ def tuple_getter(indices):
 
 
 def word_ball(action, max_length, *, perm_cap):
-    """The action's word ball (`_word_ball`), as (WordBall, completed_length,
-    at): the one front door to it, which picks the key format.  On a model
-    of at most BYTE_ALPHABET addresses a key is a bytes permutation, and a
+    """The action's word ball (`ball._word_ball`), as (WordBall,
+    completed_length, at): the one front door to it, which picks the key
+    format.  On a model of at most BYTE_ALPHABET addresses a key is a bytes
+    permutation, and a
     token applied after it is `key.translate(table)`, the table its
     permutation padded to 256 entries: one gather in C whose result is its
     own hash key.  Above, keys are tuples composed by `tuple_getter`.
     `at(indices)` maps a key to its entries at those indices, in the key's
     own type.  The budget is clamped to CELL_CAP cells (`limits.ball_cap`).
     At its peak the ball holds the keys of its completed layers and, for a
-    layer it cuts, one hash per new class (`_word_ball`).
+    layer it cuts, one hash per new class.
     """
     n = len(action.model)
     tokens = action.graph.tokens
@@ -540,48 +475,6 @@ def word_ball(action, max_length, *, perm_cap):
 
 
 # ------------------------------------------------------------ modulus table
-
-class ModulusTable(namedtuple("ModulusTable", "rows")):
-    """Rows (r, kappa(r)) over all realized distances, r strictly decreasing."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows):
-        rows = tuple((Fraction(r), Fraction(k)) for r, k in rows)
-        for (r1, k1), (r2, k2) in zip(rows, rows[1:]):
-            if not r1 > r2:
-                raise StructureError("modulus rows must be strictly decreasing in r")
-            if k2 > k1:
-                raise StructureError("kappa must be nondecreasing in r")
-        return super().__new__(cls, rows)
-
-    def kappa(self, r):
-        out = Fraction(0)
-        for rr, kk in reversed(self.rows):
-            if rr <= r:
-                out = kk
-            else:
-                break
-        return out
-
-    def r_min(self):
-        return self.rows[-1][0] if self.rows else None
-
-    def equicontinuity_witness(self, eps):
-        """Largest tabled delta with kappa(delta) < eps, or None."""
-        for r, k in self.rows:
-            if k < eps:
-                return r
-        return None
-
-    def sub_resolution_delta(self):
-        """A positive delta below every realized distance (kappa there is 0)."""
-        rm = self.r_min()
-        return rm / 2 if rm is not None else None
-
-    def is_exact_isometry_table(self):
-        return all(r == k for r, k in self.rows)
-
 
 def _image_ranks(rank, perm):
     """rank[perm[a]][perm[b]] for every pair (a, b), each row gathered by
@@ -632,9 +525,6 @@ def _worst_image_ranks(action, realized, rank):
 
 
 # --------------------------------------------------------------- distality
-
-DistalityVerdict = namedtuple("DistalityVerdict", "distal word_length min_delta word_count")
-
 
 def is_distal(action, word_length=8, *, perm_cap=BALL_BUDGET):
     """Distality over the word ball, with min_delta the least positive
@@ -707,8 +597,8 @@ def germinal_holonomy(action, word, point):
     perm = action.word_perm(word)
     if perm[point] != point:
         raise StructureError(
-            f"word {format_word(word)} does not stabilize {model.addresses[point]!r}; "
-            f"it maps to {model.addresses[perm[point]]!r}"
+            f"word {format_word(word)} does not stabilize {model.spell(point)}; "
+            f"it maps to {model.spell(perm[point])}"
         )
     witness = None
     for j in range(model.depth + 1):

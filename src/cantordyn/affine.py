@@ -13,8 +13,6 @@ Hermite form together with one affine representative per point-part class.
 All arithmetic is exact; there is no floating point anywhere in this module.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from operator import mul
@@ -605,7 +603,7 @@ def _step(row, red):
 
 
 def quotient_word_keys(group, normal):
-    """(tokens, identity, compose) for `action._word_ball` on G/N, N normal:
+    """(tokens, identity, compose) for `ball._word_ball` on G/N, N normal:
     a word's value is its element's coset key, so two words share a key
     exactly when they act alike on G/H for any H with core N.  Tokens are
     each generator then its inverse, carrying their step-table column; one

@@ -6,9 +6,7 @@ successful runs (exit 0); parse and semantic errors exit 2, resource caps
 exit 3, and internal invariant violations exit 4.
 """
 
-from __future__ import annotations
-
-import argparse
+import re
 import sys
 import time
 from fractions import Fraction
@@ -31,23 +29,17 @@ def _load_config(path):
 
 
 def _apply_overrides(cfg, args):
-    updates = {}
-    if getattr(args, "depth", None) is not None:
-        updates["depth"] = args.depth
-    if getattr(args, "words", None) is not None:
-        if args.words < 0:
-            raise StructureError("--words must be a nonnegative integer")
-        updates["words"] = args.words
-    if getattr(args, "lam", None) is not None:
+    updates = {key: args[key] for key in ("depth", "words", "seed") if key in args}
+    if updates.get("words", 0) < 0:
+        raise StructureError("--words must be a nonnegative integer")
+    if "lam" in args:
         try:
-            lam = Fraction(args.lam.replace(" ", ""))
+            lam = Fraction(args["lam"].replace(" ", ""))
         except (ValueError, ZeroDivisionError) as exc:
-            raise StructureError(f"--lambda: not a fraction: {args.lam!r}") from exc
+            raise StructureError(f"--lambda: not a fraction: {args['lam']!r}") from exc
         if not 0 < lam < 1:
             raise StructureError("--lambda must lie in (0,1)")
         updates["lam"] = lam
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
     return cfg._replace(**updates)
 
 
@@ -57,36 +49,6 @@ def _params_section(report, cfg, depth):
     report.add("words", cfg.words, 1)
     report.add("lambda", cfg.lam, 1)
     report.add("seed", cfg.seed, 1)
-
-
-def _address_str(model, i):
-    """Address index i, spelled as the CLI reads and prints it: w0, the
-    warp product's x:y digits, or a tree address's dotted ints."""
-    address = model.addresses[i]
-    if isinstance(address, str):  # the collapsed point
-        return address
-    if address and isinstance(address[0], tuple):
-        return ":".join("".join(map(str, part)) for part in address)
-    return ".".join(map(str, address))
-
-
-def _parse_address(model, text):
-    """The index of the address spelled `text`: x:y digits or dotted ints
-    read back into a key of the model's index (other text, such as w0, is
-    looked up as it is), confirmed by spelling that address again."""
-    text = text.strip()
-    x, colon, y = text.partition(":")
-    try:
-        if colon:
-            address = (tuple(map(int, x)), tuple(map(int, y)))
-        else:
-            address = tuple(map(int, text.split(".")))
-    except ValueError:
-        address = text
-    i = model.index.get(address)
-    if i is None or _address_str(model, i) != text:
-        raise StructureError(f"address {text!r} is not in the model")
-    return i
 
 
 def _chain_for(cfg):
@@ -146,7 +108,7 @@ def _chain_modulus(chain, lam):
     G/H_K transitively and keeps each G/H_j (the descent gates of
     `boundary_action` and `code` check it): a minimal tree isometry, one row
     (lam^j, lam^j) per j with [H_j : H_j+1] > 1 (H_0 = G)."""
-    from .action import ModulusTable
+    from .ball import ModulusTable
 
     indices = chain.indices()
     splits = [j for j, (a, b) in enumerate(zip([1] + indices, indices)) if b > a]
@@ -161,13 +123,13 @@ def _chain_measure(chain):
 
 def _chain_dynamics(chain, mccord, lam, max_length):
     """The boundary action's modulus table, DistalityVerdict, measure and
-    word ball (as `action._word_ball` gives it), read off the chain.  The
+    word ball (as `ball._word_ball` gives it), read off the chain.  The
     least distance is the last row's, or 0 on a single coset.  Words act
     alike exactly when their elements agree modulo the kernel core(H_K),
     McCord's core of the deepest level, so the ball runs on coset keys of the
     core and stores no cells; only its size is read, so no word is built."""
-    from .action import DistalityVerdict, _word_ball
     from .affine import quotient_word_keys
+    from .ball import DistalityVerdict, _word_ball
     from .limits import BALL_BUDGET
 
     table, measure = _chain_modulus(chain, lam), _chain_measure(chain)
@@ -215,9 +177,7 @@ def cmd_classify(cfg, chain, report):
         report.add("addresses", len(model), 1)
         report.add("generators", list(action.generators), 1)
         minimal = is_minimal(action)
-        orbit = None if minimal.minimal else [
-            _address_str(model, i) for i in sorted(minimal.witness_orbit)
-        ]
+        orbit = None if minimal.minimal else list(map(model.spell, sorted(minimal.witness_orbit)))
         table, distal = modulus_table(action), is_distal(action, cfg.words)
         mu = invariant_measure(action, minimal)  # raises unless exactly invariant
         measure = (mu.label, mu.weight)
@@ -330,21 +290,18 @@ def cmd_holonomy(cfg, chain, word_text, address_text, report):
         from .tower import boundary_action
 
         action = boundary_action(chain, cfg.lam)
-    address = _parse_address(action.model, address_text)
+    model = action.model
+    address = model.lookup(address_text)
     verdict = germinal_holonomy(action, word, address)
     report.section("holonomy")
     report.add("word", format_word(word), 1)
-    report.add("address", _address_str(action.model, address), 1)
+    report.add("address", model.spell(address), 1)
     if verdict.trivial:
         report.add("germ", f"trivial_at_depth {verdict.depth}", 1)
     else:
         report.add("germ", f"nontrivial_through_depth {verdict.depth}", 1)
         a, b = verdict.witness
-        report.add(
-            "deepest_disagreement",
-            f"{_address_str(action.model, a)} -> {_address_str(action.model, b)}",
-            1,
-        )
+        report.add("deepest_disagreement", f"{model.spell(a)} -> {model.spell(b)}", 1)
     return report
 
 
@@ -373,78 +330,171 @@ def cmd_measure(cfg, chain, report):
     return report
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="cantordyn",
-        description="Exact classification of subgroup-chain towers and "
-        "finite-depth Cantor dynamics",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# name -> (its configs, its help line)
+COMMANDS = {
+    "classify": (("config",), "minimality, modulus, measures, normality, cofinality"),
+    "compare": (("config_a", "config_b"), "chain interleaving verdict"),
+    "code": (("config",), "orbit-coding refinement chain"),
+    "holonomy": (("config",), "germ depth of a stabilizing word"),
+    "measure": (("config",), "invariant measure with exact verification"),
+}
+COMMAND_LIST = "one of " + ", ".join(COMMANDS)
+# flag -> (key, type, metavar, help); a flag with a type takes a value
+TEXT_FLAGS = {
+    "-h": ("help", None, "", "show this help and exit"),
+    "--help": ("help", None, "", "show this help and exit"),
+    "--version": ("version", None, "", "show the version and exit"),
+}
+COMMON_FLAGS = {
+    "--depth": ("depth", int, "K", "truncation depth K"),
+    "--words": ("words", int, "L", "word length bound L"),
+    "--lambda": ("lam", str, "P/Q", "tree metric base p/q"),
+    "--seed": ("seed", int, "N", "seed echoed in reports"),
+    "--out": ("out", str, "PATH", "write the report to a file"),
+}
+HOLONOMY_FLAGS = {  # holonomy's own, both required
+    "--word": ("word", str, "WORD", "the word, such as g1*t^-1"),
+    "--at": ("address", str, "ADDRESS", "the address it must fix, such as w0"),
+}
+NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
-    def common(p):
-        p.add_argument("--depth", type=int, default=None, help="truncation depth K")
-        p.add_argument("--words", type=int, default=None, help="word length bound L")
-        p.add_argument("--lambda", dest="lam", default=None, help="tree metric base p/q")
-        p.add_argument("--seed", type=int, default=None, help="seed echoed in reports")
-        p.add_argument("--out", default=None, help="write the report to a file")
 
-    p = sub.add_parser("classify", help="minimality, modulus, measures, normality, cofinality")
-    p.add_argument("config")
-    common(p)
-    p = sub.add_parser("compare", help="chain interleaving verdict")
-    p.add_argument("config_a")
-    p.add_argument("config_b")
-    common(p)
-    p = sub.add_parser("code", help="orbit-coding refinement chain")
-    p.add_argument("config")
-    common(p)
-    p = sub.add_parser("holonomy", help="germ depth of a stabilizing word")
-    p.add_argument("config")
-    p.add_argument("--word", required=True)
-    p.add_argument("--at", required=True, dest="address")
-    common(p)
-    p = sub.add_parser("measure", help="invariant measure with exact verification")
-    p.add_argument("config")
-    common(p)
-    return parser
+def _flags(command):
+    """The flags a command takes, or the program's before a command."""
+    if command is None:
+        return TEXT_FLAGS
+    return {**TEXT_FLAGS, **COMMON_FLAGS, **(HOLONOMY_FLAGS if command == "holonomy" else {})}
+
+
+def _is_flag(token):
+    """A dash and more, but not a negative number: `--depth -1` has a value."""
+    return token[:1] == "-" and token != "-" and not NEGATIVE_NUMBER.fullmatch(token)
+
+
+def _flag_named(name, flags, command):
+    """The flag `name` spells, in full or as an unambiguous prefix of a
+    double-dash flag."""
+    if name in flags:
+        return name
+    matches = [f for f in flags if name[:2] == "--" and len(name) > 2 and f.startswith(name)]
+    if len(matches) == 1:
+        return matches[0]
+    where = f" for {command}" if command else ""
+    if matches:
+        raise StructureError(f"ambiguous flag {name!r}{where}: {' or '.join(matches)}")
+    raise StructureError(f"unknown flag {name!r}{where}")
+
+
+def _help(command):
+    """The usage text of a command, or of the program when `command` is None."""
+    if command is None:
+        usage = "COMMAND CONFIG... [flags]"
+        text = "Exact classification of subgroup-chain towers and finite-depth Cantor dynamics."
+        listing = ["", "commands:"] + [f"  {n:<10}{t}" for n, (_, t) in COMMANDS.items()]
+    else:
+        configs, text = COMMANDS[command]
+        required = [f"{flag} {spec[2]}" for flag, spec in HOLONOMY_FLAGS.items()]
+        words = [*map(str.upper, configs), *(required if command == "holonomy" else ()), "[flags]"]
+        usage, text, listing = " ".join(words), text[:1].upper() + text[1:] + ".", []
+    lines = [" ".join(filter(None, ("usage: cantordyn", command, usage))), "", text, *listing]
+    lines += ["", "flags:"]
+    for flag, (_, _, metavar, help_text) in _flags(command).items():
+        if flag != "-h":  # listed with --help
+            label = " ".join(filter(None, ("-h, --help" if flag == "--help" else flag, metavar)))
+            lines.append(f"  {label:<18}{help_text}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv):
+    """(command, args) for a command line: `args` maps each config name and
+    each flag given to its value.  A flag's value follows it or an `=`, and a
+    flag may be any unambiguous prefix of a double-dash flag; flags and
+    configs mix in any order after the command, and the last of a repeated
+    flag wins; after a bare `--` no token is a flag.  `-h`, `--help` and
+    `--version` give (None, the text to print).  Every other refusal raises
+    StructureError."""
+    command, args, configs, plain = None, {}, [], False
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" and not plain:
+            plain = True
+            continue
+        if plain or not _is_flag(token):
+            if command is None:
+                if token not in COMMANDS:
+                    raise StructureError(f"unknown command {token!r}; expected {COMMAND_LIST}")
+                command = token
+            else:
+                configs.append(token)
+            continue
+        flags = _flags(command)
+        name, equals, value = token.partition("=")
+        name = _flag_named(name, flags, command)
+        key, kind, _, _ = flags[name]
+        if kind is None:
+            if equals:
+                raise StructureError(f"{name} takes no value")
+            return None, __version__ + "\n" if key == "version" else _help(command)
+        if not equals:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                raise StructureError(f"{name} needs a value")
+        try:
+            args[key] = kind(value)
+        except ValueError as exc:
+            raise StructureError(f"{name}: not an integer: {value!r}") from exc
+    if command is None:
+        raise StructureError(f"no command given; expected {COMMAND_LIST}")
+    names, _ = COMMANDS[command]
+    if len(configs) > len(names):
+        raise StructureError(f"{command}: unexpected argument {configs[len(names)]!r}")
+    if len(configs) < len(names):
+        raise StructureError(f"{command} needs {' '.join(map(str.upper, names))}")
+    if command == "holonomy":
+        for flag, (key, _, _, _) in HOLONOMY_FLAGS.items():
+            if key not in args:
+                raise StructureError(f"holonomy needs {flag}")
+    args.update(zip(names, configs))
+    return command, args
 
 
 def run(argv):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command, args = parse_args(argv)
+    if command is None:  # -h, --help or --version: args is the text
+        sys.stdout.write(args)
+        return 0
     started = time.monotonic()
-    report = Report(__version__, args.command)
+    report = Report(__version__, command)
 
-    if args.command == "compare":
-        cfg_a = _apply_overrides(_load_config(args.config_a), args)
-        cfg_b = _apply_overrides(_load_config(args.config_b), args)
-        report.add("config_a", args.config_a)
-        report.add("config_b", args.config_b)
+    if command == "compare":
+        cfg_a = _apply_overrides(_load_config(args["config_a"]), args)
+        cfg_b = _apply_overrides(_load_config(args["config_b"]), args)
+        report.add("config_a", args["config_a"])
+        report.add("config_b", args["config_b"])
         _params_section(report, cfg_a, cfg_a.depth)
         cmd_compare(cfg_a, cfg_b, report)
     else:
-        cfg = _apply_overrides(_load_config(args.config), args)
-        report.add("config", args.config)
+        cfg = _apply_overrides(_load_config(args["config"]), args)
+        report.add("config", args["config"])
         chain, depth = _chain_for(cfg) if cfg.kind == "chain" else (None, cfg.depth)
         _params_section(report, cfg, depth)
-        if args.command == "classify":
+        if command == "classify":
             cmd_classify(cfg, chain, report)
-        elif args.command == "code":
+        elif command == "code":
             cmd_code(cfg, chain, report)
-        elif args.command == "holonomy":
-            cmd_holonomy(cfg, chain, args.word, args.address, report)
-        elif args.command == "measure":
+        elif command == "holonomy":
+            cmd_holonomy(cfg, chain, args["word"], args["address"], report)
+        elif command == "measure":
             cmd_measure(cfg, chain, report)
 
     elapsed_ms = (time.monotonic() - started) * 1000
     text = report.render(timing_ms=elapsed_ms)
-    if getattr(args, "out", None):
+    if args.get("out"):
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(args["out"], "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise StructureError(f"cannot write report {args.out!r}: {exc}") from exc
+            raise StructureError(f"cannot write report {args['out']!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -30,12 +30,11 @@ map to the window and G's orbit graph.  Each source walks its orbit graph
 the action's minimality and orbit-graph diameter.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 
-from .action import CantorAction, _word_ball, breadth_first, orbit_graph, tuple_getter, word_ball
+from .action import CantorAction, breadth_first, orbit_graph, tuple_getter, word_ball
+from .ball import _word_ball
 from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, CODING_BUDGET, SCHREIER_SIZE_CAP, ball_cap, check_cells
 

@@ -7,8 +7,6 @@ whitespace-separated entries joined by ` / `; affine maps are
 serializing a parsed config and reparsing is a fixed point.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 

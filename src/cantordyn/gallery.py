@@ -11,8 +11,6 @@ building an action loads neither, and the warp builders import the action
 layer, so building a chain does not load it.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 

@@ -5,8 +5,6 @@ inputs produce byte-identical reports; the trailing timing line is the only
 nondeterministic field and is excluded from comparisons.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 SCHEMA_VERSION = 1

@@ -12,8 +12,6 @@ the available depth only; every verdict records the depth it was computed at
 and failure witnesses re-verify by independent membership calls.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 

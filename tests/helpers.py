@@ -167,7 +167,7 @@ class ExplicitMetric:
         return keys, values.__getitem__
 
     def pair_keys(self, addresses):
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         keys, value = self.pair_key_rows(addresses)
         return np.array(keys, dtype=np.int64), value
 
@@ -185,7 +185,7 @@ class RankedTreeMetric:
 
     def pair_keys(self, addresses):
         """Keys depth - (agreement level); key 0 only on the diagonal."""
-        pytest.importorskip("numpy")
+        pytest.importorskip("numpy", exc_type=ImportError)
         digits = np.array(addresses, dtype=np.int64)
         depth = digits.shape[1]
         keys = depth - agreement_levels(digits)
@@ -223,7 +223,7 @@ def three_point_action():
 
 def agreement_levels(digits):
     """lev[a, b] = number of leading columns on which rows a and b agree."""
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     n, k = digits.shape
     agree = np.ones((n, n), dtype=bool)
     lev = np.zeros((n, n), dtype=np.min_scalar_type(k))
@@ -243,7 +243,7 @@ def warp_pair_keys(metric, addresses):
     point, whose X is 0.  Object keys take over from int64 when a numerator
     could overflow it, so every lam1 stays exact.
     """
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     p, q, k = metric.lam1.numerator, metric.lam1.denominator, metric.depth
     denominator = 3 ** k * q ** k
     largest = 3 ** k * (q ** k + max(abs(p), q) ** k)
@@ -270,7 +270,7 @@ def pair_rank_matrix(model):
     distinct keys are found by sorting, which stays exact on object keys."""
     n = len(model)
     check_cells(n * n, f"pair ranks of {n} addresses")
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     metric = model.metric
     pair_keys = warp_pair_keys if isinstance(metric, WarpMetric) else type(metric).pair_keys
     keys, value = pair_keys(metric, model.addresses)
@@ -286,7 +286,7 @@ def pair_rank_matrix(model):
 
 
 def reference_word_ball(tokens, identity, max_length, perm_cap, compose):
-    """The word ball oracle, in the arguments of `action._word_ball`: a list
+    """The word ball oracle, in the arguments of `ball._word_ball`: a list
     of (word, perm) pairs, every class keeping its word tuple, with the
     empty word first, and the completed length.
 
@@ -393,7 +393,7 @@ def reference_return_words(action, window, bound, *, perm_budget=20000):
 def enumerate_word_perms(action, max_length, *, perm_cap=200000):
     """The word ball (`reference_word_ball`) with each permutation an int32
     array."""
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
 
     def compose(key):
         perm = np.frombuffer(key, dtype=np.int32)
@@ -555,7 +555,7 @@ def brute_force_pushforward_invariant(action, measure):
 def dense_schreier_diameter(action):
     """Orbit-graph diameter by layered n x n boolean reachability with an
     n x n distance matrix; the maximum over components when disconnected."""
-    pytest.importorskip("numpy")
+    pytest.importorskip("numpy", exc_type=ImportError)
     n = len(action.model)
     perms = [
         np.asarray(action.token_perm(name, sign), dtype=np.int64)

@@ -9,7 +9,8 @@ permutations, and is itself checked against `helpers.brute_force_modulus_rows`
 through `helpers.engine_answers`.  Needs neither numpy nor the test helpers.
 """
 
-from cantordyn.action import ModulusTable, common_prefix, modulus_table
+from cantordyn.action import common_prefix, modulus_table
+from cantordyn.ball import ModulusTable
 from cantordyn.coding import DEFAULT_WORD_BOUND, ActionWindow, code_window
 
 

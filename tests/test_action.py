@@ -288,7 +288,7 @@ def test_non_stabilizing_word_rejected_with_image_named():
     act = dyadic_action()
     with pytest.raises(StructureError) as err:
         germinal_holonomy(act, (("t", 1),), act.model.index[(0, 0, 0)])
-    assert "does not stabilize (0, 0, 0)" in str(err.value)
+    assert str(err.value) == "word t does not stabilize 0.0.0; it maps to 1.1.1"
 
 
 def test_germ_triviality_is_monotone_in_depth():

@@ -32,7 +32,7 @@ from types import SimpleNamespace
 import pytest
 
 from cantordyn import gallery
-from cantordyn.action import _word_ball, invariant_measure, is_minimal
+from cantordyn.action import invariant_measure, is_minimal
 from cantordyn.affine import (
     AffineElement,
     compose,
@@ -45,6 +45,7 @@ from cantordyn.affine import (
     subgroup_index_in,
     subgroup_intersect,
 )
+from cantordyn.ball import _word_ball
 from cantordyn.cli import (
     _chain_dynamics,
     _chain_measure,

@@ -1,11 +1,16 @@
 """Config parsing round-trips, report determinism, and CLI exit codes."""
 
+import contextlib
+import io
 import pathlib
 import time
 from collections import namedtuple
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from cantordyn import __version__
 from cantordyn.cli import main
 from cantordyn.config import PARAM_KEYS, parse_config, serialize_config
 from cantordyn.errors import ParseError, StructureError
@@ -360,6 +365,141 @@ def test_every_refusal_exits_two_with_one_error_line(tmp_path, capsys, monkeypat
     bad.write_text(refusal.text)
     rc, out, err = run_cli(capsys, "classify", str(bad), *refusal.flags)
     assert (rc, out, err) == (2, "", f"error: {refusal.message}\n")
+
+
+V2 = "configs/vietoris2.cfg"
+COMMAND_LIST = "one of classify, compare, code, holonomy, measure"
+
+# a command line and its one error line, run from the repository root
+ARGV_REFUSALS = {
+    "no-command": ((), f"no command given; expected {COMMAND_LIST}"),
+    "unknown-command": (
+        ("frobnicate", V2), f"unknown command 'frobnicate'; expected {COMMAND_LIST}"
+    ),
+    "unknown-flag": (("classify", V2, "--frob", "1"), "unknown flag '--frob' for classify"),
+    "flag-before-the-command": (("--depth", "2", "classify", V2), "unknown flag '--depth'"),
+    "flag-without-value": (("classify", V2, "--depth"), "--depth needs a value"),
+    "flag-then-flag": (("classify", V2, "--out", "--depth", "2"), "--out needs a value"),
+    "depth-x": (("classify", V2, "--depth", "x"), "--depth: not an integer: 'x'"),
+    "depth-equals-empty": (("classify", V2, "--depth="), "--depth: not an integer: ''"),
+    # --word on classify is a prefix of --words, whose value must be an integer
+    "word-on-classify": (("classify", V2, "--word", "g1"), "--words: not an integer: 'g1'"),
+    "ambiguous-prefix": (
+        ("holonomy", V2, "--wor", "t", "--at", "w0"),
+        "ambiguous flag '--wor' for holonomy: --words or --word",
+    ),
+    "help-with-value": (("classify", V2, "--help=1"), "--help takes no value"),
+    "missing-config": (("classify",), "classify needs CONFIG"),
+    "missing-second-config": (("compare", V2), "compare needs CONFIG_A CONFIG_B"),
+    "extra-positional": (("classify", V2, V2), f"classify: unexpected argument {V2!r}"),
+    "flag-after-a-bare-dash-dash": (
+        ("classify", "--", V2, "--depth"), "classify: unexpected argument '--depth'"
+    ),
+    "holonomy-without-at": (("holonomy", V2, "--word", "t"), "holonomy needs --at"),
+    "holonomy-without-word": (("holonomy", V2, "--at", "w0"), "holonomy needs --word"),
+}
+
+
+@pytest.mark.parametrize("name", ARGV_REFUSALS)
+def test_every_argv_refusal_exits_two_with_one_error_line(capsys, monkeypatch, name):
+    argv, message = ARGV_REFUSALS[name]
+    monkeypatch.chdir(REPO)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("-h",),
+        ("--help",),
+        ("--he",),
+        ("classify", "-h"),
+        ("compare", "--help"),
+        ("holonomy", V2, "--word", "t", "--h"),
+        ("measure", "no-such.cfg", "--help", "--frob"),
+    ],
+)
+def test_help_exits_zero_with_the_usage_on_stdout(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, err) == (0, "")
+    command = argv[0] if argv[0][0] != "-" else "COMMAND"
+    assert out.startswith(f"usage: cantordyn {command} ")
+    assert "  -h, --help  " in out
+    assert ("  --depth K  " in out) == (command != "COMMAND")
+    assert ("  --at ADDRESS  " in out) == (command == "holonomy")
+
+
+@pytest.mark.parametrize(
+    "argv", [("--version",), ("--vers",), ("code", "--version"), ("compare", V2, "--version")]
+)
+def test_version_exits_zero_with_the_version_on_stdout(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, f"{__version__}\n", "")
+
+
+def test_flag_value_forms_and_prefixes_give_one_report(capsys, monkeypatch):
+    monkeypatch.chdir(REPO)
+    reports = set()
+    for flags in (
+        ("configs/vietoris5.cfg", "--depth", "2"),
+        ("configs/vietoris5.cfg", "--depth=2"),
+        ("configs/vietoris5.cfg", "--dep", "2"),
+        ("configs/vietoris5.cfg", "--dep=2"),
+        ("--depth", "2", "configs/vietoris5.cfg"),
+        ("configs/vietoris5.cfg", "--depth", "3", "--depth", "2"),  # the last wins
+        ("--depth", "2", "--", "configs/vietoris5.cfg"),  # no flag after a bare --
+    ):
+        rc, out, err = run_cli(capsys, "classify", *flags)
+        assert (rc, err) == (0, ""), flags
+        reports.add(strip_timing(out))
+    (report,) = reports
+    assert "\n  depth: 2\n" in report and "\n  levels: 2\n" in report
+
+
+CONFIGS = (str(CONFIG_DIR / "vietoris2.cfg"), str(CONFIG_DIR / "warp_fiber_only.cfg"))
+# no token spells a prefix of --out, so no run writes a file
+ARGV_TOKENS = (
+    "classify", "compare", "code", "holonomy", "measure", "no-such.cfg",
+    "--depth", "--words", "--lambda", "--seed", "--word", "--at", "--help", "--version", "-h",
+    "--dep", "--w", "--wor", "--depth=1", "--words=2", "--lambda=1/3", "--seed=-3", "--at=w0",
+    "0", "1", "2", "-1", "x", "1/2", "t", "g1", "t*t^-1", "w0", "0.0", "", "-", "--", "=",
+)
+VALUE_FLAGS = ("--depth", "--words", "--lambda", "--seed", "--word", "--at")
+VALUES = ("-1", "0", "1", "2", "x", "1/3", "t*t^-1", "g1", "w0", "0.0.0.0", "0")
+
+
+@st.composite
+def command_lines(draw):
+    """A command and a config, either of them perhaps dropped, then configs,
+    flags with values and stray tokens."""
+    argv = [draw(st.sampled_from(("classify", "compare", "code", "holonomy", "measure", "x")))]
+    argv.append(draw(st.sampled_from(CONFIGS)))
+    drop = draw(st.sampled_from((0, 1, None, None, None)))
+    if drop is not None:
+        del argv[drop]
+    flag_value = st.tuples(st.sampled_from(VALUE_FLAGS), st.sampled_from(VALUES)).map(list)
+    pieces = st.one_of(
+        flag_value,
+        flag_value,
+        st.sampled_from(CONFIGS).map(lambda path: [path]),
+        st.sampled_from(ARGV_TOKENS).map(lambda token: [token]),
+        st.text(alphabet="-=.12xw ", max_size=5).map(lambda token: [token]),
+    )
+    for piece in draw(st.lists(pieces, max_size=4)):
+        argv += piece
+    return argv
+
+
+@given(command_lines())
+def test_any_argv_meets_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(list(argv))
+    assert rc in (0, 2, 3), argv
+    if rc:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+        assert err.getvalue().startswith("error: "), argv
+    else:
+        assert err.getvalue() == "" and out.getvalue(), argv
 
 
 def test_the_seed_flag_is_echoed(capsys):
@@ -877,20 +1017,40 @@ def test_holonomy_non_stabilizing_word_errors(capsys):
     assert "does not stabilize" in err
 
 
+@pytest.mark.parametrize(
+    "config, word, address, message",
+    [  # the addresses spelled as --at reads them, never as Python tuples
+        ("configs/fo.cfg", "t1", "0.0", "word t1 does not stabilize 0.0; it maps to 35.1225"),
+        (
+            "perfbench/configs/warp_d4.cfg",
+            "f",
+            "w0",
+            "word f does not stabilize w0; it maps to 0002:0000",
+        ),
+    ],
+)
+def test_a_non_stabilizing_word_is_refused_in_the_cli_spelling(
+    capsys, monkeypatch, config, word, address, message
+):
+    monkeypatch.chdir(REPO)
+    argv = ("holonomy", config, "--word", word, "--at", address)
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_a_bad_address_is_refused_without_formatting_the_model(capsys, monkeypatch):
     """`--at` is parsed into a key of the model's index and confirmed by one
     round trip: on FO depth 2 (11 025 addresses) a bad one is refused with
     the message it always had, after at most two addresses are written."""
-    from cantordyn import cli
+    from cantordyn.action import CantorModel
 
     calls = []
-    address_str = cli._address_str
+    spell = CantorModel.spell
 
     def counted(model, i):
         calls.append(i)
-        return address_str(model, i)
+        return spell(model, i)
 
-    monkeypatch.setattr(cli, "_address_str", counted)
+    monkeypatch.setattr(CantorModel, "spell", counted)
     argv = ("holonomy", str(CONFIG_DIR / "fo.cfg"), "--word", "g*g", "--at", "3.50")
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out, err) == (2, "", "error: address '3.50' is not in the model\n")
@@ -924,9 +1084,8 @@ def test_addresses_not_in_the_model_exit_2(capsys, config, text):
 
 @pytest.mark.parametrize("config", ["perfbench/configs/warp_d4.cfg", "configs/small_fo.cfg"])
 def test_every_address_round_trips(config):
-    """`_parse_address` inverts `_address_str` on every address of a warp
-    model and of a chain's boundary action."""
-    from cantordyn.cli import _address_str, _parse_address
+    """`CantorModel.lookup` inverts `CantorModel.spell` on every address of
+    a warp model and of a chain's boundary action."""
     from cantordyn.tower import boundary_action
 
     cfg = parse_config((REPO / config).read_text())
@@ -936,8 +1095,8 @@ def test_every_address_round_trips(config):
         model = boundary_action(cfg.build_chain(), cfg.lam).model
     assert len(model) > 200
     for i in range(len(model)):
-        assert _parse_address(model, _address_str(model, i)) == i
-        assert _parse_address(model, f" {_address_str(model, i)} ") == i
+        assert model.lookup(model.spell(i)) == i
+        assert model.lookup(f" {model.spell(i)} ") == i
 
 
 def test_measure_reports_per_generator_invariance(capsys):

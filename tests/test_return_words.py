@@ -22,7 +22,7 @@ import pathlib
 import pytest
 
 from cantordyn import action as action_module
-from cantordyn.action import WordBall
+from cantordyn.ball import WordBall
 from cantordyn.cli import main
 from cantordyn.coding import ActionWindow, default_window
 from cantordyn.gallery import warp_example

@@ -1,9 +1,10 @@
 """What a command pays at start: no benchmark command or set-up build imports
-`dataclasses` (which loads `inspect`, `ast`, `dis` and `tokenize`); `compare`,
-chain set-up and `measure` on a chain load no action layer; an explicit chain
-loads no gallery; and the plain classes that replace the dataclasses keep
-their value semantics.  Needs neither numpy nor the test helpers, so it runs
-on the declared minimum Python without numpy."""
+`dataclasses` (which loads `inspect`, `ast`, `dis` and `tokenize`), nor
+`argparse` or `gettext` beyond what a bare interpreter holds; `compare`,
+chain set-up, and `classify` and `measure` on a chain load no action layer;
+an explicit chain loads no gallery; and the plain classes that replace the
+dataclasses keep their value semantics.  Needs neither numpy nor the test
+helpers, so it runs on the declared minimum Python without numpy."""
 
 import json
 import os
@@ -41,22 +42,36 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes += [main(argv) for argv in commands if argv[0] != "compare"]
     build("action")
 print(codes, action_loaded, [name for name in ("dataclasses", "inspect") if name in sys.modules])
+print(*sorted(sys.modules))
 """
+# modules that parse a command line the standard library's way
+ARGV_MODULES = {"argparse", "gettext"}
 
 
-def test_commands_and_setup_import_no_dataclasses_and_compare_no_action():
-    commands = [argv for workload in WORKLOADS.values() for argv in workload["commands"]]
-    configs = sorted({arg for argv in commands for arg in argv if arg.endswith(".cfg")})
+def python(*args):
+    """A fresh interpreter's stdout, run from the repository root on the
+    package's sources."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", STARTUP_SCRIPT, json.dumps(commands), json.dumps(configs)],
+        [sys.executable, *args],
         cwd=REPO,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{[0] * len(commands)} False []\n"
+    return proc.stdout
+
+
+def test_commands_and_setup_import_no_dataclasses_or_argparse_and_compare_no_action():
+    commands = [argv for workload in WORKLOADS.values() for argv in workload["commands"]]
+    configs = sorted({arg for argv in commands for arg in argv if arg.endswith(".cfg")})
+    verdicts, loaded = python(
+        "-c", STARTUP_SCRIPT, json.dumps(commands), json.dumps(configs)
+    ).splitlines()
+    assert verdicts == f"{[0] * len(commands)} False []"
+    bare = python("-c", "import sys; print(*sorted(sys.modules))").split()
+    assert ARGV_MODULES & (set(loaded.split()) - set(bare)) == set()
 
 
 def run_loads(argv, module):
@@ -69,16 +84,7 @@ def run_loads(argv, module):
         f"    code = main({argv!r})\n"
         f"print(code, {module!r} in sys.modules)\n"
     )
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=REPO,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return python("-c", script)
 
 
 def test_explicit_chain_classify_loads_no_gallery():
@@ -86,13 +92,15 @@ def test_explicit_chain_classify_loads_no_gallery():
     assert run_loads(argv, "cantordyn.gallery") == "0 False\n"
 
 
+@pytest.mark.parametrize("command", ["classify", "measure"])
 @pytest.mark.parametrize(
     "config",
     ["configs/vietoris5.cfg", "configs/fo_explicit.cfg", "perfbench/configs/klein_3_5_mid.cfg"],
 )
-def test_measure_on_a_chain_loads_no_action(config):
-    # the uniform weight 1/[G:H_K] is read off the chain: no modulus table
-    assert run_loads(["measure", config], "cantordyn.action") == "0 False\n"
+def test_classify_and_measure_on_a_chain_load_no_action(command, config):
+    # the measure, modulus table, distality and word ball are read off the
+    # chain, through `ball`: no model, action or engine
+    assert run_loads([command, config], "cantordyn.action") == "0 False\n"
 
 
 GLIDE = ((1, 0), (0, -1))

@@ -19,7 +19,6 @@ from fractions import Fraction as F
 import pytest
 
 from cantordyn import gallery
-from cantordyn.action import _word_ball
 from cantordyn.affine import (
     AffineElement,
     AffineGroup,
@@ -34,6 +33,7 @@ from cantordyn.affine import (
     subgroup_intersect,
     translation,
 )
+from cantordyn.ball import _word_ball
 from cantordyn.limits import BALL_BUDGET
 from cantordyn.tower import SubgroupChain
 from helpers import bfs_coset_space, bfs_orbit, reference_action_ball

@@ -1,4 +1,4 @@
-"""The word ball (`action._word_ball`) against the reference ball that keeps
+"""The word ball (`ball._word_ball`) against the reference ball that keeps
 every class's word tuple (`helpers.reference_word_ball`).
 
 The ball stores each class once, as a key in ball order with one parent
@@ -25,8 +25,9 @@ from fractions import Fraction as F
 import pytest
 
 from cantordyn import action as action_module
-from cantordyn.action import WordBall, _word_ball, is_distal, tuple_getter, word_ball
+from cantordyn.action import is_distal, tuple_getter, word_ball
 from cantordyn.affine import normal_core, quotient_word_keys
+from cantordyn.ball import WordBall, _word_ball
 from cantordyn.cli import _chain_dynamics
 from cantordyn.coding import ActionWindow
 from cantordyn.gallery import warp_example
