@@ -356,6 +356,7 @@ HOLONOMY_FLAGS = {  # holonomy's own, both required
     "--word": ("word", str, "WORD", "the word, such as g1*t^-1"),
     "--at": ("address", str, "ADDRESS", "the address it must fix, such as w0"),
 }
+FLAG_NAMES = frozenset({**TEXT_FLAGS, **COMMON_FLAGS, **HOLONOMY_FLAGS})  # of any command
 NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
@@ -373,10 +374,12 @@ def _is_flag(token):
 
 def _flag_named(name, flags, command):
     """The flag `name` spells, in full or as an unambiguous prefix of a
-    double-dash flag."""
+    double-dash flag; the full name of another command's flag is no prefix,
+    so `--word` on classify is refused, not read as `--words`."""
     if name in flags:
         return name
-    matches = [f for f in flags if name[:2] == "--" and len(name) > 2 and f.startswith(name)]
+    prefix = name[:2] == "--" and len(name) > 2 and name not in FLAG_NAMES
+    matches = [f for f in flags if prefix and f.startswith(name)]
     if len(matches) == 1:
         return matches[0]
     where = f" for {command}" if command else ""

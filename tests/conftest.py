@@ -14,8 +14,8 @@ CRITERION_LINES = []
 
 
 def record_criterion(number, label, elapsed, status="PASS"):
-    """One line for a criterion: PASS, FAIL, or SKIP when its oracle is
-    missing (numpy)."""
+    """One line for a criterion: PASS, FAIL, or SKIP when its test is
+    skipped."""
     CRITERION_LINES.append(
         f"[{status}] criterion {number}: {label} ({elapsed:.2f} s)"
     )

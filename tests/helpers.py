@@ -8,15 +8,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction as F
 
-import pytest
-
-try:
-    import numpy as np
-except ImportError:  # the array oracles below skip their tests (importorskip)
-    np = None
-
 from cantordyn.action import (
-    COLLAPSED,
     CantorAction,
     CantorModel,
     TreeMetric,
@@ -45,7 +37,6 @@ from cantordyn.coding import (
     default_window,
 )
 from cantordyn.errors import StructureError
-from cantordyn.limits import check_cells
 from modulus_oracle import modulus_table_of
 
 
@@ -166,11 +157,6 @@ class ExplicitMetric:
             keys[i][j] = keys[j][i] = key_of[d]
         return keys, values.__getitem__
 
-    def pair_keys(self, addresses):
-        pytest.importorskip("numpy", exc_type=ImportError)
-        keys, value = self.pair_key_rows(addresses)
-        return np.array(keys, dtype=np.int64), value
-
 
 @dataclass(frozen=True)
 class RankedTreeMetric:
@@ -183,21 +169,23 @@ class RankedTreeMetric:
     def distance(self, a, b):
         return self.lam ** common_prefix(a, b) if a != b else F(0)
 
-    def pair_keys(self, addresses):
-        """Keys depth - (agreement level); key 0 only on the diagonal."""
-        pytest.importorskip("numpy", exc_type=ImportError)
-        digits = np.array(addresses, dtype=np.int64)
-        depth = digits.shape[1]
-        keys = depth - agreement_levels(digits)
-        return keys, self._value(depth)
-
     def pair_key_rows(self, addresses):
-        """The keys of `pair_keys` as rows of ints."""
-        keys, value = self.pair_keys(addresses)
-        return keys.tolist(), value
-
-    def _value(self, depth):
-        return lambda key: self.lam ** (depth - int(key)) if key else F(0)
+        """Keys depth - (agreement level) as rows of ints, key 0 only on the
+        diagonal: each row starts at the depth and is lowered on the members
+        of each prefix cylinder of its address, coarse to fine."""
+        depth = len(addresses[0])
+        members = {}  # prefix -> the indices of the addresses extending it
+        for i, a in enumerate(addresses):
+            for j in range(1, depth + 1):
+                members.setdefault(a[:j], []).append(i)
+        rows = []
+        for a in addresses:
+            row = [depth] * len(addresses)
+            for j in range(1, depth + 1):
+                for i in members[a[:j]]:
+                    row[i] = depth - j
+            rows.append(row)
+        return rows, lambda key: self.lam ** (depth - key) if key else F(0)
 
 
 def rank_oracle(action):
@@ -217,72 +205,6 @@ def three_point_action():
     )
     model = CantorModel(addrs, 1, ExplicitMetric(table))
     return CantorAction(model, {"s": (0, 2, 1)}, 0)
-
-
-# ----------------------------------------- array oracles of the pure-Python routes
-
-def agreement_levels(digits):
-    """lev[a, b] = number of leading columns on which rows a and b agree."""
-    pytest.importorskip("numpy", exc_type=ImportError)
-    n, k = digits.shape
-    agree = np.ones((n, n), dtype=bool)
-    lev = np.zeros((n, n), dtype=np.min_scalar_type(k))
-    for j in range(k):
-        col = digits[:, j]
-        agree &= col[:, None] == col[None, :]
-        lev += agree
-    return lev
-
-
-def warp_pair_keys(metric, addresses):
-    """The numerators of `WarpMetric.pair_key_rows` as one numpy matrix.
-
-    With X = sum(d_i 3^(K-1-i)) and j the y agreement length, a pair's
-    numerator is |X_a - X_b| q^K + min(X_a, X_b) p^j q^(K-j); the second term
-    is dropped when the y parts agree fully and vanishes against the collapsed
-    point, whose X is 0.  Object keys take over from int64 when a numerator
-    could overflow it, so every lam1 stays exact.
-    """
-    pytest.importorskip("numpy", exc_type=ImportError)
-    p, q, k = metric.lam1.numerator, metric.lam1.denominator, metric.depth
-    denominator = 3 ** k * q ** k
-    largest = 3 ** k * (q ** k + max(abs(p), q) ** k)
-    dtype = np.int64 if largest < 2 ** 63 else object
-    n = len(addresses)
-    x = np.zeros(n, dtype=dtype)
-    y = np.zeros((n, k), dtype=np.int64)
-    for i, a in enumerate(addresses):
-        if a != COLLAPSED:
-            x[i] = sum(d * 3 ** (k - 1 - t) for t, d in enumerate(a[0]))
-            y[i, :] = a[1]
-    weight = np.array([p ** j * q ** (k - j) for j in range(k)] + [0], dtype=dtype)
-    keys = np.abs(x[:, None] - x[None, :])
-    keys *= q ** k
-    low = np.minimum(x[:, None], x[None, :])
-    low *= weight[agreement_levels(y)]
-    keys += low
-    return keys, lambda key: F(int(key), denominator)
-
-
-def pair_rank_matrix(model):
-    """(realized, rank) of `CantorModel.pair_ranks` with rank a numpy matrix,
-    from numpy pair keys (`warp_pair_keys`, or the metric's `pair_keys`); the
-    distinct keys are found by sorting, which stays exact on object keys."""
-    n = len(model)
-    check_cells(n * n, f"pair ranks of {n} addresses")
-    pytest.importorskip("numpy", exc_type=ImportError)
-    metric = model.metric
-    pair_keys = warp_pair_keys if isinstance(metric, WarpMetric) else type(metric).pair_keys
-    keys, value = pair_keys(metric, model.addresses)
-    flat = np.sort(keys, axis=None)
-    distinct = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
-    rank = np.empty((n, n), dtype=np.min_scalar_type(len(distinct) - 1))
-    for i, row in enumerate(keys):  # row by row keeps the index temporaries small
-        rank[i] = np.searchsorted(distinct, row)
-        # rank 0 (distance 0) belongs to the diagonal alone
-        if rank[i, i] != 0 or np.count_nonzero(rank[i] == 0) != 1:
-            raise StructureError("distinct addresses at distance 0")
-    return tuple(value(key) for key in distinct), rank
 
 
 def reference_word_ball(tokens, identity, max_length, perm_cap, compose):
@@ -390,24 +312,6 @@ def reference_return_words(action, window, bound, *, perm_budget=20000):
     )
 
 
-def enumerate_word_perms(action, max_length, *, perm_cap=200000):
-    """The word ball (`reference_word_ball`) with each permutation an int32
-    array."""
-    pytest.importorskip("numpy", exc_type=ImportError)
-
-    def compose(key):
-        perm = np.frombuffer(key, dtype=np.int32)
-        return lambda p: p[perm].tobytes()
-
-    tokens = [
-        (token, np.array(action.token_perm(*token), dtype=np.int32))
-        for token in action.signed_tokens()
-    ]
-    identity = np.arange(len(action.model), dtype=np.int32).tobytes()
-    ball, completed = reference_word_ball(tokens, identity, max_length, perm_cap, compose)
-    return [(word, np.frombuffer(key, dtype=np.int32)) for word, key in ball], completed
-
-
 # ------------------------------------------------- engine probes
 
 def probes(action, rng):
@@ -500,13 +404,13 @@ def brute_force_distality(action, word_length, *, perm_cap=20000):
     """(min_delta, {(a, b): delta}) with each delta the least Fraction image
     distance of the pair over the same word ball as `is_distal`."""
     model = action.model
-    words, _ = enumerate_word_perms(action, word_length, perm_cap=perm_cap)
+    words, _ = reference_action_ball(action, word_length, perm_cap)
     addrs = model.addresses
     dist = pair_distances(model)
     deltas = {}
     for (i, j), d in dist.items():
         for _, perm in words:
-            a, b = int(perm[i]), int(perm[j])
+            a, b = perm[i], perm[j]
             d = min(d, dist[(a, b) if a < b else (b, a)])
         deltas[addrs[i], addrs[j]] = d
     return min(deltas.values()), deltas
@@ -550,30 +454,6 @@ def brute_force_pushforward_invariant(action, measure):
             if weight[inv[i]] != weight[i]:
                 return False
     return True
-
-
-def dense_schreier_diameter(action):
-    """Orbit-graph diameter by layered n x n boolean reachability with an
-    n x n distance matrix; the maximum over components when disconnected."""
-    pytest.importorskip("numpy", exc_type=ImportError)
-    n = len(action.model)
-    perms = [
-        np.asarray(action.token_perm(name, sign), dtype=np.int64)
-        for name, sign in action.signed_tokens()
-    ]
-    reach = np.eye(n, dtype=bool)
-    dist = np.zeros((n, n), dtype=np.int32)
-    d = 0
-    while True:
-        new = reach.copy()
-        for p in perms:
-            new |= reach[:, p]
-        if (new == reach).all():
-            break
-        d += 1
-        dist[new & ~reach] = d
-        reach = new
-    return int(dist.max())
 
 
 def bfs_schreier_diameter(action):

@@ -6,7 +6,7 @@ whose table `code` and `classify` read off the chain: one row (lam^j, lam^j)
 per split level, which the descent gate of `tower.boundary_action` makes true.  The
 cylinder engine here computes the table of any tree model from its
 permutations, and is itself checked against `helpers.brute_force_modulus_rows`
-through `helpers.engine_answers`.  Needs neither numpy nor the test helpers.
+through `helpers.engine_answers`.  Needs no test helpers.
 """
 
 from cantordyn.action import common_prefix, modulus_table

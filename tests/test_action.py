@@ -28,7 +28,6 @@ from cantordyn.gallery import vietoris, warp_example, warp_model
 from helpers import (
     ball_pairs,
     brute_force_distality,
-    enumerate_word_perms,
     measure_weights,
     three_point_action,
     validate_metric,
@@ -342,10 +341,10 @@ def test_tree_metric_is_an_ultrametric():
 
 def test_word_enumeration_is_the_cayley_ball():
     act = dyadic_action()
-    words, completed = enumerate_word_perms(act, 12)
+    words, completed, _ = word_ball(act, 12, perm_cap=200000)
     assert completed == 12
     assert len(words) == 8  # the induced group is cyclic of order 8
-    assert words[0][0] == ()
+    assert words.word(0) == ()
 
 
 def test_the_cell_cap_stops_the_ball_layer_atomically(monkeypatch):
@@ -363,7 +362,7 @@ def test_the_cell_cap_stops_the_ball_layer_atomically(monkeypatch):
 
 def test_word_enumeration_budget_is_layer_atomic():
     act = warp_example(3, 2)
-    words, completed = enumerate_word_perms(act, 8, perm_cap=100)
+    words, completed, _ = word_ball(act, 8, perm_cap=100)
     assert completed < 8
-    lengths = [len(w) for w, _ in words]
+    lengths = [len(w) for w, _ in ball_pairs(words)]
     assert max(lengths) == completed

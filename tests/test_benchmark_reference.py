@@ -3,7 +3,7 @@
 The benchmark (`perfbench/run.py`) checks each command's exit code and its
 `strip_timing` report byte for byte against `perfbench/reference/`; this
 checks the same promise under pytest, and again in an interpreter where
-numpy cannot be imported.  It only reads `perfbench/`, and needs no numpy.
+numpy cannot be imported.  It only reads `perfbench/`.
 """
 
 import json

@@ -11,7 +11,7 @@ most 3 that stabilises the basepoint or a seeded point, and some of those
 germs must be nontrivial.  Where a chain's coset space is broken, with one
 generator's images of two cosets swapped across a level or with two cosets
 of a coarser level merged, both must refuse with the same error.  Needs
-neither numpy nor the test helpers.
+no test helpers.
 """
 
 import functools

@@ -1,7 +1,8 @@
 """Every model computes on bytes, tuples and plain ints: pair ranks as rows of
-Python ints, and the word ball as bytes permutations up to 256 addresses and
-tuples above, each against the numpy oracle it replaced (`tests/helpers.py`)
-and the Fraction oracles; and commands that run without numpy."""
+Python ints, against the Fraction oracles, and the word ball as bytes
+permutations up to 256 addresses and tuples above, against the reference ball
+(`helpers.reference_action_ball`) in the key format the engine does not use;
+and warp commands load neither numpy nor the chain layers."""
 
 import json
 import os
@@ -10,7 +11,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import isqrt
 
 import pytest
 from hypothesis import example, given
@@ -22,31 +22,26 @@ from cantordyn.action import (
     CantorAction,
     CantorModel,
     TreeMetric,
-    WarpMetric,
     is_distal,
     tuple_getter,
     word_ball,
 )
-from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import small_fo_variant, warp_example, warp_model
-from cantordyn.limits import CELL_CAP
 from helpers import (
     ExplicitMetric,
-    RankedTreeMetric,
     ball_pairs,
     brute_force_diameter,
     brute_force_eta,
     brute_force_modulus_rows,
     engine_answers,
-    enumerate_word_perms,
     pair_distances,
-    pair_rank_matrix,
     probes,
     random_tree_action,
     rank_oracle,
+    reference_action_ball,
     three_point_action,
-    warp_pair_keys,
 )
+from test_pair_ranks import assert_ranks_match_distances
 from tower_oracle import build_tower
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -73,21 +68,6 @@ def run_python(script, *args):
 
 
 # -------------------------------------------------------------- pair ranks
-
-@pytest.mark.parametrize("lam1", [F(1, 2), F(2, 3), F(1, 10 ** 7)], ids=str)
-@pytest.mark.parametrize("depth", [1, 2, 3, 4])
-def test_rank_rows_are_the_rank_matrix(depth, lam1):
-    model = warp_model(depth, lam1=lam1)
-    realized, rank = model.pair_ranks()
-    assert type(rank) is list
-    assert all(type(r) is int for row in rank for r in row)
-    matrix_realized, matrix = pair_rank_matrix(model)
-    assert realized == matrix_realized
-    assert rank == matrix.tolist()
-    # from depth 3, 1/10^7 takes the numpy keys past int64, to object keys
-    keys, _ = warp_pair_keys(model.metric, model.addresses)
-    assert (keys.dtype == object) == (depth >= 3 and lam1 == F(1, 10 ** 7))
-
 
 def scrambled_action(model, seed):
     """One seeded random permutation of the model, of order above 2 and no
@@ -133,19 +113,17 @@ RANK_ACTIONS = {
 
 
 @pytest.mark.parametrize("name", RANK_ACTIONS)
-def test_rank_row_engines_are_the_numpy_engines(name, monkeypatch):
+def test_rank_row_engines_answer_alike_on_both_routes(name, monkeypatch):
     # the engines answer alike on the route of models above 256 addresses,
-    # whose rank rows are the numpy oracle's rank matrix
+    # whose rank rows are the exact ranks of the Fraction distances
     build = RANK_ACTIONS[name]
     action = build()
     subsets, partitions = probes(action, random.Random(len(action.model)))
     answers = engine_answers(action, subsets, partitions)
-    assert type(action.model.pair_ranks()[1]) is list
     monkeypatch.setattr(action_module, "BYTE_ALPHABET", 0)  # no model fits bytes
     large = build()
     assert engine_answers(large, subsets, partitions) == answers
-    realized, matrix = pair_rank_matrix(large.model)
-    assert large.model.pair_ranks() == (realized, matrix.tolist())
+    assert_ranks_match_distances(large.model)
 
 
 @pytest.mark.parametrize("name", [name for name in RANK_ACTIONS if "warp_4" not in name])
@@ -162,33 +140,6 @@ def test_rank_row_engines_match_the_fraction_oracles(name):
         for p in partitions
         for complement in (False, True)
     ]
-
-
-# the model's rank rows and the numpy oracle each refuse what the other does
-ROUTES = {"_pair_rank_rows": action_module._pair_rank_rows, "_pair_rank_matrix": pair_rank_matrix}
-
-
-@pytest.mark.parametrize("build", ROUTES.values(), ids=["rows", "matrix"])
-@pytest.mark.parametrize("lam1", [F(0), F(-1, 2)], ids=str)
-def test_both_routes_refuse_distinct_addresses_at_distance_zero(lam1, build):
-    metric = tuple.__new__(WarpMetric, (2, lam1))  # past the constructor's check
-    model = CantorModel(warp_model(2).addresses, 2, metric)
-    with pytest.raises(StructureError, match="distinct addresses at distance 0"):
-        build(model)
-
-
-@pytest.mark.parametrize("build", ROUTES)
-def test_both_routes_refuse_above_the_pair_cap_before_any_key(monkeypatch, build):
-    def no_keys(self, addresses):
-        raise AssertionError("pair keys computed above the cap")
-
-    for method in ("pair_keys", "pair_key_rows"):
-        monkeypatch.setattr(RankedTreeMetric, method, no_keys)
-    model = CantorModel(
-        [(i,) for i in range(isqrt(CELL_CAP) + 1)], 1, RankedTreeMetric(F(1, 2))
-    )
-    with pytest.raises(ResourceLimitError):
-        ROUTES[build](model)
 
 
 # -------------------------------------------------------------- word balls
@@ -217,18 +168,18 @@ def tuple_route_ball(action, length, perm_cap):
 
 
 @pytest.mark.parametrize("name", BALL_ACTIONS)
-def test_bytes_ball_is_the_tuple_and_array_ball(name):
+def test_bytes_ball_is_the_tuple_and_reference_ball(name):
     action = BALL_ACTIONS[name]()
     assert len(action.model) <= BYTE_ALPHABET
     for perm_cap in (20000, 50):
         ball, completed, _ = word_ball(action, 8, perm_cap=perm_cap)
         tuples, tuple_completed, _ = tuple_route_ball(action, 8, perm_cap)
-        arrays, array_completed = enumerate_word_perms(action, 8, perm_cap=perm_cap)
-        assert completed == tuple_completed == array_completed
+        pairs, reference_completed = reference_action_ball(action, 8, perm_cap, as_bytes=False)
+        assert completed == tuple_completed == reference_completed
         assert all(type(perm) is bytes for perm in ball)
         assert all(type(perm) is tuple for perm in tuples)
         assert listed(ball) == listed(tuples)
-        assert listed(ball) == [(word, perm.tolist()) for word, perm in arrays]
+        assert listed(ball) == [(word, list(perm)) for word, perm in pairs]
         verdict = is_distal(action, 8, perm_cap=perm_cap)
         assert (verdict.word_count, verdict.word_length) == (len(ball), completed)
 
@@ -255,10 +206,10 @@ def test_bytes_ball_is_the_tuple_ball_on_random_permutations(
     action = CantorAction(model, gens, 0)
     ball, completed, at = word_ball(action, length, perm_cap=perm_cap)
     tuples, tuple_completed, tuple_at = tuple_route_ball(action, length, perm_cap)
-    arrays, array_completed = enumerate_word_perms(action, length, perm_cap=perm_cap)
-    assert completed == tuple_completed == array_completed
+    pairs, reference_completed = reference_action_ball(action, length, perm_cap, as_bytes=False)
+    assert completed == tuple_completed == reference_completed
     assert listed(ball) == listed(tuples)
-    assert listed(ball) == [(word, perm.tolist()) for word, perm in arrays]
+    assert listed(ball) == [(word, list(perm)) for word, perm in pairs]
     assert type(ball[0]) is (bytes if n <= BYTE_ALPHABET else tuple)
     assert type(tuples[0]) is tuple
     picks = [rng.randrange(n) for _ in range(rng.randint(1, 2 * n))]  # repeats, any order

@@ -19,7 +19,7 @@ G, two depth-1 chains, the seeded random Klein-type chains of
 tests/test_chain_sections.py, and three chains whose ball holds two landing
 classes with one window image, at lam 1/2 and 2/3 and word bounds 0, 1, 3
 and 8, and under ball budgets small enough to force escalation once the
-shortest-word pass is cut.  Needs neither numpy nor the test helpers.
+shortest-word pass is cut.  Needs no test helpers.
 """
 
 import functools

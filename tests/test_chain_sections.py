@@ -21,7 +21,11 @@ action of gH_lg⁻¹ is conjugate to the chain's, and core(gH_lg⁻¹) = core(H_
 It keeps what `code` reads off its `ChainWindow` too: the minimality, the
 orbit-graph diameter, the window size, its gap and each core orbit's size,
 as xH_K -> xg⁻¹(gH_Kg⁻¹) is a G-equivariant isomorphism of orbit graphs.
-Needs no numpy.
+Truncating a chain at depth k keeps the first k of its indices, modulus
+rows, normality verdicts and McCord cores, on each gallery chain at its
+deepest, on G-15 and on the random chains, through library calls that enumerate no
+coset: a level's least cofinal level is kept when it is at most k, and is
+otherwise replaced by a witness that re-verifies.
 """
 
 import functools
@@ -37,6 +41,7 @@ from cantordyn.affine import (
     AffineElement,
     compose,
     conjugate,
+    contains,
     hermite_normal_form,
     identity_element,
     is_normal,
@@ -249,3 +254,38 @@ def code_window_summary(chain):
     source = ChainWindow(chain, LAMBDAS[0])
     cores = [len(source.core_orbit(l)) for l in range(1, chain.depth + 1)]
     return source.minimal, source.diameter(), len(source.points), source.gap, cores
+
+
+# -------------------------------------------------------------- truncation
+
+DEEPEST_GALLERY = {
+    "vietoris_2_8": lambda: gallery.vietoris(2, 8),
+    "vietoris_5_4": lambda: gallery.vietoris(5, 4),
+    "rogers_tollefson_8": lambda: gallery.rogers_tollefson(8),
+    "fokkink_oversteegen_3": lambda: gallery.fokkink_oversteegen(3),
+    "small_fo_variant_4": lambda: gallery.small_fo_variant(4),
+}
+TRUNCATED = list(DEEPEST_GALLERY) + ["G-15"] + [f"random-{s}" for s in RANDOM_SEEDS]
+
+
+@pytest.mark.parametrize("name", TRUNCATED)
+def test_a_truncated_chain_keeps_the_first_levels_of_each_verdict(name):
+    chain = DEEPEST_GALLERY[name]() if name in DEEPEST_GALLERY else chain_of(name)
+    lam = LAMBDAS[0]
+    indices, rows = chain.indices(), _chain_modulus(chain, lam).rows
+    normal = [is_normal(chain.group, h).normal for h in chain.levels]
+    records = mccord_verdict(chain).records
+    for k in range(1, chain.depth):
+        part = chain.truncate(k)
+        assert part.indices() == indices[:k]
+        # the rows at radii lam^j, j < k: the first k, or k - 1 when H_1 = G
+        assert _chain_modulus(part, lam).rows == tuple(row for row in rows if row[0] > lam ** k)
+        assert [is_normal(part.group, h).normal for h in part.levels] == normal[:k]
+        for full, cut in zip(records, mccord_verdict(part).records):
+            assert (cut.level, cut.core) == (full.level, full.core)
+            if full.cofinal and full.cofinal_at <= k:
+                assert cut.cofinal_at == full.cofinal_at
+            else:
+                assert not cut.cofinal
+                assert contains(part.levels[-1], cut.witness)
+                assert not contains(cut.core, cut.witness)

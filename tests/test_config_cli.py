@@ -382,8 +382,10 @@ ARGV_REFUSALS = {
     "flag-then-flag": (("classify", V2, "--out", "--depth", "2"), "--out needs a value"),
     "depth-x": (("classify", V2, "--depth", "x"), "--depth: not an integer: 'x'"),
     "depth-equals-empty": (("classify", V2, "--depth="), "--depth: not an integer: ''"),
-    # --word on classify is a prefix of --words, whose value must be an integer
-    "word-on-classify": (("classify", V2, "--word", "g1"), "--words: not an integer: 'g1'"),
+    # --word is holonomy's flag, so on another command it is no prefix of --words
+    "word-on-classify": (("classify", V2, "--word", "g1"), "unknown flag '--word' for classify"),
+    "word-3-on-classify": (("classify", V2, "--word", "3"), "unknown flag '--word' for classify"),
+    "word-3-on-code": (("code", V2, "--word", "3"), "unknown flag '--word' for code"),
     "ambiguous-prefix": (
         ("holonomy", V2, "--wor", "t", "--at", "w0"),
         "ambiguous flag '--wor' for holonomy: --words or --word",
@@ -443,6 +445,7 @@ def test_flag_value_forms_and_prefixes_give_one_report(capsys, monkeypatch):
         ("configs/vietoris5.cfg", "--depth", "2"),
         ("configs/vietoris5.cfg", "--depth=2"),
         ("configs/vietoris5.cfg", "--dep", "2"),
+        ("configs/vietoris5.cfg", "--dep", "2", "--wo", "8"),  # the config's own word bound
         ("configs/vietoris5.cfg", "--dep=2"),
         ("--depth", "2", "configs/vietoris5.cfg"),
         ("configs/vietoris5.cfg", "--depth", "3", "--depth", "2"),  # the last wins

@@ -6,8 +6,7 @@ nonzero code, and no exception escapes `cli.main`.
 
 A rewritten line keeps its key and takes a value from a small pool, so every
 depth it sets is at most 3.  The Fokkink-Oversteegen configs start at depth 1
-rather than 2, where `code` takes about a second.  This module imports no
-`tests/helpers`, so it collects without numpy.
+rather than 2, where `code` takes about a second.
 """
 
 import contextlib

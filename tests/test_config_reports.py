@@ -5,8 +5,7 @@ and the stderr of `classify`, `code` and `measure` on every `configs/*.cfg`,
 and of three `holonomy` runs (one of them an exit-2 error whose message
 names two addresses).  They were recorded at commit 0db9157, before points
 became address indices below the CLI; that error's addresses have since been
-spelled as `--at` reads them, not as Python tuples.  This module imports
-no `tests/helpers`, so it collects without numpy.
+spelled as `--at` reads them, not as Python tuples.
 """
 
 import json

@@ -12,8 +12,7 @@ takes the rank route.  The cases are the gallery chains' boundary actions,
 seeded random product trees, and the warp models.  The clopen-window check
 accepts every cylinder union; on a model whose finest cylinders are single
 addresses every set is one, so its refusals are checked on the tree models
-cut one level short of their addresses.  Needs neither numpy nor the test
-helpers.
+cut one level short of their addresses.  Needs no test helpers.
 """
 
 import functools

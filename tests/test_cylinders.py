@@ -1,6 +1,6 @@
 """Cylinder engines of tree models against the rank-matrix oracle, the word
-ball on tuples against the array ball, and the invariant measure's support
-check against the Fraction oracle."""
+ball on tuples against the reference ball, and the invariant measure's
+support check against the Fraction oracle."""
 
 import itertools
 import math
@@ -37,10 +37,10 @@ from helpers import (
     ball_pairs,
     brute_force_pushforward_invariant,
     engine_answers,
-    enumerate_word_perms,
     probes,
     random_tree_action,
     rank_oracle,
+    reference_action_ball,
 )
 from tower_oracle import build_tower
 
@@ -80,19 +80,18 @@ def test_cylinder_engines_match_the_rank_oracle(name):
 
 
 @pytest.mark.parametrize("name", TREE_ACTIONS)
-def test_tuple_ball_is_the_array_ball(name, monkeypatch):
+def test_tuple_ball_is_the_reference_ball(name, monkeypatch):
+    # the reference keys are bytes up to 256 addresses, tuples above
     action = TREE_ACTIONS[name]()
     for perm_cap in (20000, 50):
         with monkeypatch.context() as patch:
             patch.setattr(action_module, "BYTE_ALPHABET", 0)  # the tuple route
             tuples, completed, _ = word_ball(action, 8, perm_cap=perm_cap)
-        arrays, array_completed = enumerate_word_perms(action, 8, perm_cap=perm_cap)
-        assert completed == array_completed
-        assert [(w, list(p)) for w, p in ball_pairs(tuples)] == [
-            (w, p.tolist()) for w, p in arrays
-        ]
+        pairs, reference_completed = reference_action_ball(action, 8, perm_cap)
+        assert completed == reference_completed
+        assert [(w, list(p)) for w, p in ball_pairs(tuples)] == [(w, list(p)) for w, p in pairs]
         verdict = is_distal(action, 8, perm_cap=perm_cap)
-        assert (verdict.word_count, verdict.word_length) == (len(arrays), completed)
+        assert (verdict.word_count, verdict.word_length) == (len(pairs), completed)
 
 
 @st.composite

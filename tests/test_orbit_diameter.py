@@ -23,7 +23,6 @@ all.
 `action.orbit_graph` is the one builder of an orbit graph: it runs once per
 CantorAction and once more per ChainWindow, for G on G/H_K, and never in
 `word_ball`, `is_minimal`, `ActionWindow` or a coding chain that escalates.
-Needs no numpy.
 """
 
 import pathlib

@@ -13,7 +13,7 @@ non-contiguous `vietoris_5_3` window among them), on four more random tree
 actions, and on windows that are unions of several cylinders; at ball
 budgets 50 and 20 000, on the model's own route and with the tuple route
 forced by BYTE_ALPHABET = 0.  `code` on `warp_d4` builds at most one word
-per translate and the report's six.  Needs no numpy.
+per translate and the report's six.
 """
 
 import functools

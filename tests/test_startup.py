@@ -2,10 +2,13 @@
 `dataclasses` (which loads `inspect`, `ast`, `dis` and `tokenize`), nor
 `argparse` or `gettext` beyond what a bare interpreter holds; `compare`,
 chain set-up, and `classify` and `measure` on a chain load no action layer;
-an explicit chain loads no gallery; and the plain classes that replace the
-dataclasses keep their value semantics.  Needs neither numpy nor the test
-helpers, so it runs on the declared minimum Python without numpy."""
+an explicit chain loads no gallery; the plain classes that replace the
+dataclasses keep their value semantics; and, read off the sources whatever
+the host has installed, the package imports only the standard library and
+itself, and the tests only those, pytest, hypothesis and their own modules.
+Needs no test helpers."""
 
+import ast
 import json
 import os
 import pathlib
@@ -169,3 +172,38 @@ def test_value_types_compare_and_hash_by_field_and_refuse_assignment(name):
         setattr(a, field, getattr(other, field))
     assert a == b
     assert str(a) == text
+
+
+# ------------------------------------------------------------ import contract
+
+def imported_roots(path):
+    """The top-level names of the modules a source file imports anywhere in
+    it, absolute imports only: a relative import stays in its package."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def foreign_imports(directory, allowed):
+    """{file: the names it imports outside `allowed`} over the directory's
+    Python files, with the files that import nothing else left out."""
+    found = {}
+    for path in sorted(directory.rglob("*.py")):
+        foreign = set(imported_roots(path)) - allowed
+        if foreign:
+            found[str(path.relative_to(REPO))] = sorted(foreign)
+    return found
+
+
+def test_the_package_imports_only_the_standard_library_and_itself():
+    allowed = set(sys.stdlib_module_names) | {"cantordyn"}
+    assert foreign_imports(REPO / "src" / "cantordyn", allowed) == {}
+
+
+def test_the_tests_import_only_the_standard_library_pytest_hypothesis_and_cantordyn():
+    tests = REPO / "tests"
+    own = {path.stem for path in tests.rglob("*.py")}
+    allowed = set(sys.stdlib_module_names) | {"pytest", "hypothesis", "cantordyn"} | own
+    assert foreign_imports(tests, allowed) == {}

@@ -9,7 +9,6 @@ chains of tests/test_chain_sections.py, in dimension 3 on subgroups
 D G D^-1 of the Hantzsche-Wendt group, whose four point classes no plane
 chain reaches, and on seeded random lattice chains in Z^2 and Z^3, whose
 Hermite forms have entries above the diagonal for the reduction to clear.
-Needs no numpy.
 """
 
 import functools

@@ -10,7 +10,7 @@ random generator sets, and of the 48-class cubic group, must match the
 worklist closure with an incrementally grown lattice, refusals included, and
 pass the closure and stability checks the closure itself skips; every
 element the algebra derives on the gallery chains must pass the validating
-constructor.  Needs neither numpy nor the test helpers; the property tests
+constructor.  Needs no test helpers; the property tests
 run under the `tier1` Hypothesis profile that conftest.py loads.
 """
 

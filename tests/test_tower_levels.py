@@ -7,7 +7,7 @@ below lies in.  On every gallery chain at its default
 depth, the coarse keys must be the keys `coset_space` enumerates for H_l,
 each bonding map must send a fine coset's rep to the coarse coset that
 contains it, and each address must be its deepest coset id composed back
-through the bonding maps.  Needs neither numpy nor the test helpers.
+through the bonding maps.  Needs no test helpers.
 """
 
 import pytest

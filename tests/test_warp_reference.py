@@ -8,7 +8,6 @@ computed them, before those engines were replaced by rank rows and the tuple
 word ball (commit 658ede8 is the last with them).  On Linux each replay's
 peak RSS, read through `os.wait4`, must also stay under a bound: the word
 ball cuts its seventh layer there without storing that layer's 993-tuples.
-This module imports no `tests/helpers`, so it collects without numpy.
 """
 
 import json

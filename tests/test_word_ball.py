@@ -14,7 +14,7 @@ still be the reference at every cap where such a layer is cut or closes, a
 layer that cannot pass the cap composes each candidate once, and a cut ball
 stays within a memory bound that its cut layer's keys would break.  The
 distality verdict and a chain's dynamics read only the ball's size, and
-return words stay within a memory bound.  Needs no numpy.
+return words stay within a memory bound.
 """
 
 import functools

@@ -7,7 +7,7 @@ map of every level, each deepest coset's address tuple composed through
 them, a count check and a constant-fibre check per level, and the descent
 gate on each level's coset-id column.  `subgroup_cylinder` is the cosets of
 H_K that a subgroup's image covers, the orbit of the identity coset.
-Needs neither numpy nor the test helpers.
+Needs no test helpers.
 """
 
 from collections import namedtuple
