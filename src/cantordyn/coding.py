@@ -13,8 +13,8 @@ a tolerance.
 
 Points are address indices: the window, the partition blocks, the level
 sets and their translates are sets of them, and a return word's image is
-read at them (a ball class's image is its ball key, held by reference).  A
-word is built only when read: a new translate, the report's head.  The
+read at them.  A ball class's word is built only when read: a new
+translate, the report's head; the shortest-word pass builds its own.  The
 partition gap and the clopen-window check compare the model's cylinder
 label columns (the gap reads rows of pair ranks off a tree), and the
 Schreier diameter grows Python-int bitsets, all on the standard library.
@@ -25,9 +25,9 @@ The loop (`code_window`) reads a window source: `ActionWindow`, a window
 checked once whose return words run on the action's ball in whatever key
 format `action.word_ball` picks, or `ChainWindow`, a chain's window read off
 its algebra with no tower, which owns G/H_K: its window's cells, its one
-map to the window and G's orbit graph.  Each source walks its orbit graph
-(the action's own, or G's) once (`action.breadth_first`) and gives the loop
-the action's minimality and orbit-graph diameter.
+numbering, window first, and G's orbit graph in it.  Each source walks its
+orbit graph (the action's own, or G's) once (`action.breadth_first`) and
+gives the loop the action's minimality and orbit-graph diameter.
 """
 
 from collections import namedtuple
@@ -131,9 +131,10 @@ class ReturnWordSet:
     included regardless of its length.  `images[k][i]` is where the k-th
     word sends window address index i, `window` holding those indices in
     ascending order (the level set, its blocks and translates lie in it).
-    A ball class's image is its key, held by reference, and `word(k)` reads
-    its word off the `ball` (`classes[k]`) on request; the `shortest` words
-    follow, as word tuples whose images are dicts over the window.  `words`
+    `word(k)` reads a ball class's word off the `ball` (`classes[k]`) on
+    request; the `shortest` words follow, as word tuples.  An ActionWindow's
+    images are its ball keys, by reference, then dicts over the window; a
+    ChainWindow's are tuples of positions in its window 0..m-1.  `words`
     builds them all, the empty word first.
     """
 
@@ -354,18 +355,18 @@ class ChainWindow:
     """A chain's default window read off its algebra, with ActionWindow's
     attributes and no tower; it owns G/H_K, the one coset space (`space`) it
     enumerates once the window's cells pass the cap.  W = H_1/H_K is the
-    identity coset's orbit under H_1 (all of G/H_1 at depth 1).  A point is a
-    window position, `points` holding W's G/H_K indices in address order.  A
-    window coset's depth-j cylinder is its H_j coset.  W is a block of G's
-    action, so a word maps W into W exactly when its element lies in H_1, and
-    the fixed point restricted to W is H_1's: `action` is H_1 on W.  The rest
-    of G/H_K lies at distance lam^0.  `words` runs the ball on coset keys of
-    core(H_K), whose classes are the boundary action's word permutations; a
-    class lands when its element's H_K coset lies in W, and its image of W is
-    one gather per token of its path through `graph`, G's orbit graph on
-    G/H_K; the first class of each image keeps it, and builds no word.  G is
-    transitive, so the action is `minimal`; `graph` is walked once, here, for
-    the shortest words and the `diameter()` of a normal H_K."""
+    identity coset's orbit under H_1 (all of G/H_1 at depth 1).  A window
+    coset's depth-j cylinder is its H_j coset.  W is a block of G's action,
+    so a word maps W into W exactly when its element lies in H_1, and the
+    fixed point restricted to W is H_1's: `action` is H_1 on W.  The rest of
+    G/H_K lies at distance lam^0.  `graph` is G's orbit graph on G/H_K,
+    numbered window first (`_check_descent`).  `words` runs the ball on coset
+    keys of core(H_K), whose classes are the boundary action's word
+    permutations; a class lands when its element's H_K coset lies in W, and
+    its image of W, in window positions, is one gather per token of its path
+    through `graph`; the first class of each image keeps it, and builds no
+    word.  G is transitive, so the action is `minimal`; `graph` is walked
+    once, here, for the shortest words and the `diameter()` of a normal H_K."""
 
     def __init__(self, chain, lam):
         from .affine import coset_space, normal_core, quotient_word_keys
@@ -376,15 +377,15 @@ class ChainWindow:
         check_window_cells(group.index_of(levels[-1]) // group.index_of(upper))
         self.space = space = coset_space(group, levels[-1])
         order, rows = space.orbit(upper.generator_elements())
-        self.points = points = tuple(sorted(order))
+        points = sorted(order)
         self.size = space.index
         self.gap = Fraction(1) if len(points) < space.index else None
         model = chain_model(chain, [space.keys[i] for i in points], lam)
-        self._where = where = self._check_descent(model)
+        self._where, gen_perms = self._check_descent(model, points)
         rows = [row for _, row in sorted(zip(order, rows))]
-        perms = {f"h{e}": [where[j] for j in col] for e, col in enumerate(zip(*rows))}
+        perms = {f"h{e}": tuple_getter(col)(self._where) for e, col in enumerate(zip(*rows))}
         self.action = CantorAction(model, perms, 0, label=chain.label)
-        self.graph = orbit_graph(space.index, 0, space.gen_perms)
+        self.graph = orbit_graph(space.index, 0, gen_perms)
         self._walk = breadth_first(self.graph)
         self._cores = {chain.depth: normal_core(group, levels[-1])}
         self._ball = quotient_word_keys(group, self._cores[chain.depth])
@@ -392,40 +393,43 @@ class ChainWindow:
         self._perms = [by_token[token] for token, _ in self._ball[0]]  # by ball token index
         self._levels = levels
 
-    def _check_descent(self, model):
-        """The descent gate: each generator maps every translate of W it
-        reaches (structured as W through the first word reaching it) onto one,
-        and, read back on W, each cylinder of W into one cylinder, so every
-        word's image of W does too (InvariantViolation otherwise).  Returns
-        `where`, each G/H_K index's translate number * m + position, W being
-        translate 0: G is transitive, so where[i] < m exactly on W's cosets."""
-        m = len(self.points)
+    def _check_descent(self, model, points):
+        """The descent gate, and the one numbering of G/H_K: each generator
+        maps every translate of W it reaches (structured as W through the
+        first word reaching it) onto one, and, read back on W, each cylinder
+        of W into one cylinder, so every word's image of W does too
+        (InvariantViolation otherwise).  Returns `where`, each G/H_K index's
+        translate number * m + position, W (`points`) being translate 0 and
+        the others numbered as the walk finds them, so where[i] < m exactly on
+        W's cosets (G is transitive), and each generator's permutation in it."""
+        m = len(points)
         columns = [model.cylinder_labels(j) for j in range(2, model.depth)]  # levels 2..K-1
         counts = [len(set(labels)) for labels in columns]
         where = [None] * self.size
-        for t, i in enumerate(self.points):
+        for t, i in enumerate(points):
             where[i] = t
-        translates = [self.points]
+        translates = [points]
+        perms = {name: [] for name, _ in self.space.group.generators}
         for f in translates:  # grows while walked
-            for name, _ in self.space.group.generators:
+            for name, perm in perms.items():
                 image = tuple_getter(f)(self.space.gen_perms[name])
                 found = tuple_getter(image)(where)
                 if found.count(None) == m:  # a new translate
-                    for t, i in enumerate(image, start=len(translates) * m):
+                    found = range(len(translates) * m, (len(translates) + 1) * m)
+                    for t, i in zip(found, image):
                         where[i] = t
                     translates.append(image)
-                    continue
                 if None not in found and min(found) // m == max(found) // m:
-                    perm = [x % m for x in found] if columns else ()
-                    pairs = (set(zip(c, map(c.__getitem__, perm))) for c in columns)
-                    if list(map(len, pairs)) == counts:
+                    local = [x % m for x in found]  # read back on W
+                    if [len(set(zip(c, map(c.__getitem__, local)))) for c in columns] == counts:
+                        perm.extend(found)
                         continue
                 raise InvariantViolation(
                     f"generator {name} does not map the translates of the window onto "
                     "one another cylinder by cylinder: the generator permutations do "
                     "not descend"
                 )
-        return where
+        return where, {name: tuple(perm) for name, perm in perms.items()}
 
     minimal = True
 
@@ -450,35 +454,27 @@ class ChainWindow:
         orbit = self.space.orbit(self._cores[level].generator_elements())[0]
         return frozenset(map(self._where.__getitem__, orbit))
 
-    def _window_image(self, image):
-        """A word's image of W, G/H_K indices in address order, in window
-        positions, refused unless it lies in W."""
-        local = tuple_getter(image)(self._where)
-        if max(local) >= len(self.points):
+    def words(self, bound, budget):
+        tokens, identity, compose = self._ball
+        ball, completed = _word_ball(tokens, identity, bound, ball_cap(budget, self.size), compose)
+        window = tuple(range(len(self.action.model)))
+        first = {}  # window image -> its first class, in ball order
+        for i, (_, red, point) in enumerate(ball):
+            if self._where[self.space.index_of_scaled(point, red)] < len(window):
+                image = window
+                for t in ball.path(i):
+                    image = tuple_getter(image)(self._perms[t])
+                first.setdefault(image, i)
+        images, shortest = list(first), []
+        for word, image in _shortest_words_into_window(self.graph, *self._walk, window):
+            if image not in first:
+                shortest.append(word)
+                images.append(image)
+        if max(map(max, images)) >= len(window):  # landing test vs permutations
             raise InvariantViolation(
                 "a return word's permutation of G/H_K maps the window off itself: "
                 "the generator permutations do not descend"
             )
-        return local
-
-    def words(self, bound, budget):
-        tokens, identity, compose = self._ball
-        ball, completed = _word_ball(tokens, identity, bound, ball_cap(budget, self.size), compose)
-        m = len(self.points)
-        first = {}  # window image -> its first class, in ball order
-        for i, (_, red, point) in enumerate(ball):
-            if self._where[self.space.index_of_scaled(point, red)] < m:
-                image = self.points
-                for t in ball.path(i):
-                    image = tuple_getter(image)(self._perms[t])
-                first.setdefault(self._window_image(image), i)
-        images, shortest = list(first), []
-        for word, image in _shortest_words_into_window(self.graph, *self._walk, self.points):
-            image = self._window_image(image)
-            if image not in first:
-                shortest.append(word)
-                images.append(image)
-        window = tuple(range(m))
         return ReturnWordSet(ball, list(first.values()), shortest, bound, completed, window, images)
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .config import parse_bool
 from .errors import StructureError
+from .limits import check_cells
 
 REFLECTION = ((1, 0), (0, -1))
 
@@ -154,6 +155,8 @@ def warp_example(depth, fiber_generators=2, *, include_free_factor=True):
         raise StructureError("need at least one fiber generator")
     model = warp_model(depth)
     n = len(model)
+    count = fiber_generators + bool(include_free_factor)
+    check_cells(count * n, f"{count} generator permutations of {n} addresses")
     generators = {}
     for i in range(1, fiber_generators + 1):
         c = 2 * i - 1

@@ -4,22 +4,25 @@ boundary action's window.
 On a chain `code` builds no tower: `coding.ChainWindow` enumerates G/H_K
 once and codes the default window W = H_1/H_K under H_1, with return words
 from a word ball on coset keys of core(H_K) and window images gathered
-through the space's generator permutations.  Here that path must agree with
-`code_window` on an `ActionWindow` of the oracle tower's boundary action
+through G's generator permutations, G/H_K being numbered window first.  Here
+that path must agree with `code_window` on an `ActionWindow` of the oracle
+tower's boundary action
 (`tower_oracle.build_tower(chain).boundary_action(lam)`), given the same
 modulus table, each source giving its own minimality and orbit-graph
 diameter: every field of every coding level, with window positions read back
 as G/H_K indices; the final words, bound, effective bound, window and window
-images; the window, its gap to the rest, the orbit graph, its walk and its
-diameters; the number of return-word sets each path builds, and the one walk
-each source makes; and the `core_oracle` lines of `cmd_code`, against
-the oracle's `subgroup_cylinder` of each level's core.  The chains are the
-gallery chains at their default depths, the two chains whose first level is
-G, two depth-1 chains, the seeded random Klein-type chains of
-tests/test_chain_sections.py, and three chains whose ball holds two landing
-classes with one window image, at lam 1/2 and 2/3 and word bounds 0, 1, 3
-and 8, and under ball budgets small enough to force escalation once the
-shortest-word pass is cut.  Needs no test helpers.
+images, each a permutation of the window's positions; the window, its gap to
+the rest, the orbit graph and its walk (up to the numbering) and their
+diameters; a kept image off the window, refused; the number of return-word
+sets each path builds, and the one walk each source makes; and the
+`core_oracle` lines of `cmd_code`, against the oracle's `subgroup_cylinder`
+of each level's core.  The chains are the gallery chains at their default
+depths, the two chains whose first level is G, two depth-1 chains, the
+seeded random Klein-type chains of tests/test_chain_sections.py, and three
+chains whose ball holds two landing classes with one window image, at lam
+1/2 and 2/3 and word bounds 0, 1, 3 and 8, and under ball budgets small
+enough to force escalation once the shortest-word pass is cut.  Needs no
+test helpers.
 """
 
 import functools
@@ -106,9 +109,18 @@ def both_paths(monkeypatch, name, lam, word_bound):
     return source, got, action, want, (len(chain_calls), len(tower_calls))
 
 
+def window_points(source):
+    """W's G/H_K indices in position order: those the source's window-first
+    numbering puts below m, the window's size."""
+    m = len(source.action.model)
+    where = source._where
+    return tuple(sorted((i for i, t in enumerate(where) if t < m), key=where.__getitem__))
+
+
 def assert_same_chain(source, got, want):
-    """Field by field, window positions read back as G/H_K indices."""
-    points = source.points
+    """Field by field, window positions read back as G/H_K indices; every
+    window image is a permutation of the window's positions."""
+    points = window_points(source)
 
     def back(subset):
         return frozenset(map(points.__getitem__, subset))
@@ -122,6 +134,10 @@ def assert_same_chain(source, got, want):
         expected.words, expected.bound, expected.effective_bound
     )
     assert tuple(map(points.__getitem__, words.window)) == expected.window
+    assert words.window == tuple(range(len(points)))
+    assert all(
+        type(image) is tuple and sorted(image) == list(words.window) for image in words.images
+    )
     assert [tuple(map(points.__getitem__, image)) for image in words.images] == [
         tuple(image[i] for i in expected.window) for image in expected.images
     ]
@@ -145,13 +161,27 @@ def test_the_window_its_gap_and_the_orbit_graph_are_the_boundary_actions(name, l
     source = ChainWindow(chain, lam)
     action = tower_of(name).boundary_action(lam)
     window = default_window(action)
-    assert source.points == tuple(sorted(window))
+    points = window_points(source)
+    assert points == tuple(sorted(window))
     assert source.size == len(action.model)
+    where = source._where
+    assert sorted(where) == list(range(source.size))  # a numbering of G/H_K
     whole = ClopenPartition(window, (window,))
     assert source.gap == _eta_of_partition(action.model, whole, include_complement=True)
+    # G's orbit graph is the boundary action's, each permutation conjugated
+    # by the numbering; its walk, read back, is the boundary action's walk
     graph = action.graph
-    assert source.graph == graph
-    assert source._walk == breadth_first(graph)
+    assert source.graph == (graph.size, where[graph.basepoint], [
+        (token, conjugate_perm(perm, where)) for token, perm in graph.tokens
+    ])
+    assert source._walk == breadth_first(source.graph)
+    back = sorted(range(source.size), key=where.__getitem__)  # number -> G/H_K index
+    layers, via = source._walk
+    read_back = [None] * source.size
+    for j, (i, k) in enumerate(via):
+        read_back[back[j]] = (back[i], k)
+    layers = [list(map(back.__getitem__, layer)) for layer in layers]
+    assert (layers, read_back) == breadth_first(graph)
     assert source.minimal is ActionWindow(action).minimal is True
     assert source.diameter() == schreier_diameter(graph)
     # the window's own model: the boundary action's cylinders, restricted
@@ -159,9 +189,29 @@ def test_the_window_its_gap_and_the_orbit_graph_are_the_boundary_actions(name, l
     assert model.depth == action.model.depth == chain.depth
     for j in range(chain.depth + 1):
         got = cylinders(model.cylinder_labels(j), range(len(window)))
-        assert {frozenset(map(source.points.__getitem__, c)) for c in got} == cylinders(
+        assert {frozenset(map(points.__getitem__, c)) for c in got} == cylinders(
             action.model.cylinder_labels(j), window
         )
+
+
+def conjugate_perm(perm, where):
+    """The permutation `where` makes of `perm`: where[i] -> where[perm[i]]."""
+    out = [None] * len(perm)
+    for i, j in enumerate(perm):
+        out[where[i]] = where[j]
+    return tuple(out)
+
+
+def test_a_kept_image_off_the_window_is_refused():
+    """The landing test reads a class's coset key and its image the
+    permutations along its path: when the two disagree, a landing class's
+    image leaves W, and `words` refuses it rather than keep it."""
+    source = ChainWindow(chain_of("vietoris"), LAMBDAS[0])
+    source.words(2, 100)
+    n = source.size
+    source._perms = [tuple((i + 1) % n for i in range(n))] * len(source._perms)
+    with pytest.raises(InvariantViolation, match="maps the window off itself"):
+        source.words(2, 100)
 
 
 def cylinders(labels, indices):

@@ -253,7 +253,7 @@ def code_window_summary(chain):
     rest, and the size of each level's core orbit."""
     source = ChainWindow(chain, LAMBDAS[0])
     cores = [len(source.core_orbit(l)) for l in range(1, chain.depth + 1)]
-    return source.minimal, source.diameter(), len(source.points), source.gap, cores
+    return source.minimal, source.diameter(), len(source.action.model), source.gap, cores
 
 
 # -------------------------------------------------------------- truncation

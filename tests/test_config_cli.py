@@ -809,6 +809,30 @@ def test_code_refuses_an_over_cap_chain_before_any_coset(tmp_path, capsys, monke
     )
 
 
+@pytest.mark.parametrize("command", ["classify", "measure", "code"])
+def test_warp_example_refuses_its_generators_over_the_cell_cap(
+    tmp_path, capsys, monkeypatch, command
+):
+    """The fiber generators and the cycle are counted against the cell cap
+    before the first permutation is built, so a huge k1 exits at once."""
+    from cantordyn import gallery
+
+    def refuse(*args):
+        raise AssertionError("a fiber generator was built before the cell cap")
+
+    monkeypatch.setattr(gallery, "_y_to_int", refuse)
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("[action]\ngallery = warp_example\ndepth = 6\nk1 = 1000000\n")
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, command, str(cfg))
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (3, "")
+    assert err == (
+        "error: 1000001 generator permutations of 4033 addresses need 4033004033 "
+        "cells but the cell cap is 16000000\n"
+    )
+
+
 def test_classify_runs_a_first_level_over_4000_cosets(tmp_path, capsys):
     cfg = tmp_path / "wide.cfg"
     cfg.write_text("[chain]\ngallery = vietoris\np = 4001\ndepth = 1\n")

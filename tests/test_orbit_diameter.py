@@ -242,6 +242,6 @@ def test_one_orbit_graph_per_action_or_chain_window_however_code_escalates(monke
     assert sizes == [len(action.model)]
     del sizes[:]
     source = ChainWindow(chain, LAM)  # its H_1 action on W, and G on G/H_K
-    assert sizes == [len(source.points), source.size]
+    assert sizes == [len(source.action.model), source.size]
     assert escalating_code(monkeypatch, source, table) > 1
-    assert sizes == [len(source.points), source.size]
+    assert sizes == [len(source.action.model), source.size]
