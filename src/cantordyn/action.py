@@ -8,17 +8,15 @@ labels, read by the metric and by the cylinder key, which
 ints, one per address index.  Metrics are exact rational functions, and the
 pairwise engines (least distance, diameters, partition gaps) take one of two
 routes by metric.  On a tree metric two addresses lie within lam^j exactly
-when they share a depth-j cylinder, so the engines compare label columns, in
-pure Python.  Any other metric (the
-warp product) computes every pairwise distance once, into cached pair ranks:
-each pair's index into the ascending tuple of exact realized distances,
-filled from integer keys order-isomorphic to the distances (numerators over
-one common denominator on the warp product), held as rows of Python ints and
-read through `operator.itemgetter` gathers, so those engines compare
-integers and read exact Fractions back only for the values they report.
-The modulus table takes the rank route alone: a tree model here is a
-chain's boundary action, whose table is read off the chain, and the cylinder
-engine for it is a test oracle.  Nothing here touches floating point.
+when they share a depth-j cylinder, so the engines compare label columns.  Any
+other metric (the warp product, by its few pair classes) ranks its pairs once:
+each pair's index into the ascending tuple of exact realized distances, a
+tuple of ints per address read through `operator.itemgetter` gathers, so the
+engines compare integers and read exact Fractions back only for the values
+they report.  The modulus table takes the rank route alone, scanning pair by
+pair only the generators that are no isometry: a tree model here is a chain's
+boundary action, whose table is read off the chain, and the cylinder engine
+for it is a test oracle.  Nothing here touches floating point.
 
 The word ball itself, and the modulus and distality records, live in
 `ball`, which a chain's `classify` reads without this module.  `word_ball`
@@ -36,6 +34,7 @@ transitive, so it is a support set and one weight.
 """
 
 import operator
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
@@ -115,40 +114,43 @@ class WarpMetric(namedtuple("WarpMetric", "depth lam1")):
             return abs(xa - xb)
         return abs(xa - xb) + min(xa, xb) * self.d1(a[1], b[1])
 
-    def pair_key_rows(self, addresses):
-        """Numerators over 3^K q^K, where lam1 = p/q and K is the depth, as n
-        rows of Python ints, so every lam1 stays exact.
-
-        With X = sum(d_i 3^(K-1-i)), row a is |X_a - X_b| q^K + min(X_a, X_b)
-        w_a(b), where w_a(b) = p^j q^(K-j) for a y agreement of length j < K,
-        and 0 when the y parts agree fully or either address is the collapsed
-        point, whose X is 0.  The first two factors depend only on X_a and
-        w_a only on a's y part, each of which few addresses have, so each is
-        computed once and a row is two C-level maps.
-        """
+    def pair_ranks(self, addresses):
+        """(realized, rank) as `CantorModel.pair_ranks` reads them, exact for
+        every lam1 = p/q at depth K.  With X the x digits read in base 3 (0 at
+        the collapsed point), a pair's distance is |X_a - X_b| q^K + min(X_a,
+        X_b) w(j) over 3^K q^K, where w(j) = p^j q^(K-j) for a y agreement of
+        length j < K, and 0 for j = K: the y parts agree fully or either point
+        is collapsed.  So it depends only on the class (X_a, X_b, j), coded
+        (index of X_b) (K+1) + j in one column per distinct y part.  An X_a's
+        classes are its y parts' codes; all keys are sorted once, and a's row
+        is its y part's column gathered through X_a's ranks by code."""
         p, q, k = self.lam1.numerator, self.lam1.denominator, self.depth
-        qk = q ** k
+        qk, width = q ** k, k + 1
         weight = [p ** j * q ** (k - j) for j in range(k)] + [0]
-        xs = [
-            0 if a == COLLAPSED else sum(d * 3 ** (k - 1 - t) for t, d in enumerate(a[0]))
-            for a in addresses
-        ]
+        xs = [0 if a == COLLAPSED else int("".join(map(str, a[0])), 3) for a in addresses]
         ys = [None if a == COLLAPSED else tuple(a[1]) for a in addresses]
-        x_parts = {}  # X_a -> (|X_a - X_b| q^K, min(X_a, X_b)) over b
-        weights = {}  # y part of a -> w_a; the collapsed point weighs 0
-        rows = []
+        x_values = list(dict.fromkeys(xs))
+        base = [x_values.index(x) * width for x in xs]  # (index of X_b) (K+1)
+        y_parts = list(dict.fromkeys(ys))
+        gathers, found = {}, {}  # y part -> the gather of each b's code against it, its codes
+        for ya in y_parts:
+            agree = {yb: k if None in (ya, yb) else common_prefix(ya, yb) for yb in y_parts}
+            column = list(map(operator.add, base, map(agree.__getitem__, ys)))
+            gathers[ya], found[ya] = tuple_getter(column), set(column)
+        codes = {}  # X_a -> the codes of the classes it realizes
         for xa, ya in zip(xs, ys):
-            if xa not in x_parts:
-                x_parts[xa] = ([abs(xa - xb) * qk for xb in xs], [min(xa, xb) for xb in xs])
-            if ya not in weights:
-                w = {
-                    yb: 0 if None in (ya, yb) else weight[common_prefix(ya, yb)]
-                    for yb in set(ys)
-                }
-                weights[ya] = list(map(w.__getitem__, ys))
-            far, low = x_parts[xa]
-            rows.append(list(map(operator.add, far, map(operator.mul, low, weights[ya]))))
-        return rows, lambda key: Fraction(key, 3 ** k * qk)
+            codes.setdefault(xa, set()).update(found[ya])
+        tables = {}  # X_a -> the key of each code it realizes, then its rank
+        for xa, cs in codes.items():
+            table = tables[xa] = [None] * (width * len(x_values))
+            for c in cs:
+                xb = x_values[c // width]
+                table[c] = abs(xa - xb) * qk + min(xa, xb) * weight[c % width]
+        keys = sorted(set().union(*tables.values()) - {None})
+        for table in tables.values():
+            table[:] = [None if key is None else bisect_left(keys, key) for key in table]
+        realized = tuple(Fraction(value, 3 ** k * qk) for value in keys)
+        return realized, [gathers[ya](tables[xa]) for xa, ya in zip(xs, ys)]
 
 
 def warp_cylinder_key(address, j):
@@ -257,15 +259,12 @@ class CantorModel:
         return realized[1] if len(self) > 1 else Fraction(0)
 
     def pair_ranks(self):
-        """(realized, rank) of a model whose metric has integer pair keys:
-        the ascending exact distances, 0 first, and the n x n table of each
-        pair's index into them, as a list of rows of Python ints read as
-        rank[i][j], from the metric's `pair_key_rows`.
-
-        Built on first use and cached; above CELL_CAP cells (n^2 ranks) it
-        refuses before computing a pair, as it refuses a metric without pair
-        keys (a tree's) or one putting distinct addresses at distance 0.
-        """
+        """(realized, rank): the ascending exact distances, 0 first, and the
+        n x n table of each pair's index into them, a list of tuples of ints
+        read as rank[i][j], as the metric ranks its own pairs.  Built on first
+        use and cached (`_pair_rank_rows`); refused above CELL_CAP cells (n^2
+        ranks) before a pair is ranked, for a metric with no pair ranks (a
+        tree's), and for distinct addresses at distance 0."""
         if self._pair_ranks is None:
             self._pair_ranks = _pair_rank_rows(self)
         return self._pair_ranks
@@ -294,21 +293,18 @@ class CantorModel:
 
 
 def _pair_rank_rows(model):
-    """Pair ranks as rows of Python ints, from the metric's `pair_key_rows`;
-    the distinct keys are sorted as Python ints, exact at any size."""
-    if not hasattr(model.metric, "pair_key_rows"):
+    """The metric's own `pair_ranks` of the model's addresses, refused above
+    CELL_CAP cells before any class is ranked, and checked to keep rank 0
+    (distance 0) on the diagonal alone."""
+    if not hasattr(model.metric, "pair_ranks"):
         raise StructureError(f"pair ranks need integer pair keys, which {model.metric!r} lacks")
     n = len(model)
     check_cells(n * n, f"pair ranks of {n} addresses")
-    keys, value = model.metric.pair_key_rows(model.addresses)
-    distinct = sorted(set().union(*keys))
-    rank_of = {key: r for r, key in enumerate(distinct)}
-    rank = [list(map(rank_of.__getitem__, row)) for row in keys]
+    realized, rank = model.metric.pair_ranks(model.addresses)
     for i, row in enumerate(rank):
-        # rank 0 (distance 0) belongs to the diagonal alone
         if row[i] != 0 or row.count(0) != 1:
             raise StructureError("distinct addresses at distance 0")
-    return tuple(map(value, distinct)), rank
+    return realized, rank
 
 
 # ------------------------------------------------------------------ action
@@ -477,23 +473,21 @@ def word_ball(action, max_length, *, perm_cap):
 # ------------------------------------------------------------ modulus table
 
 def _image_ranks(rank, perm):
-    """rank[perm[a]][perm[b]] for every pair (a, b), each row gathered by
-    itemgetter."""
+    """rank[perm[a]][perm[b]] for every pair (a, b), by itemgetter row gathers."""
     get = tuple_getter(perm)
     return [get(rank[i]) for i in perm]
 
 
 def modulus_table(action):
     """Exact kappa over all pairs and all generators (with inverses), on a
-    model whose metric has integer pair keys (`CantorModel.pair_ranks`):
+    model whose metric ranks its own pairs (`CantorModel.pair_ranks`):
     kappa(r) is the largest image rank, over the tokens, of a pair whose
     rank is at most r; one row per rank some distinct pair realizes.  A
     chain's boundary action, the package's only tree model, has its table
     read off the chain (one row (lam^j, lam^j) per split level)."""
     realized, rank = action.model.pair_ranks()
     worst = _worst_image_ranks(action, realized, rank)
-    rows = []
-    kappa = 0
+    rows, kappa = [], 0
     for r, k in enumerate(worst):
         if k is not None:
             kappa = max(kappa, k)
@@ -503,25 +497,29 @@ def modulus_table(action):
 
 
 def _worst_image_ranks(action, realized, rank):
-    """worst[r]: the largest image rank of a distinct pair of rank r (None
-    where no pair has it).  A pair (a, b), a < b, is coded as the one int
-    rank * m + image rank, so a row's codes go into one set by C-level maps,
-    and the last code of a rank in sorted order holds its largest image.
-    Each generator is scanned once: g^-1 maps the pair {ga, gb} to {a, b},
-    so its codes are g's with the two ranks swapped."""
-    m = len(realized)
-    scaled = [list(map(m.__mul__, row[a + 1:])) for a, row in enumerate(rank)]
-    codes = set()
+    """worst[r]: the largest image rank of a distinct pair of rank r, the last
+    code (r, k) of r in sorted order (None where no pair has it), over the
+    generators and inverses.  An isometry (image rows = rank rows) keeps every
+    pair's rank, and each realized rank is a pair's, so it adds the codes
+    (r, r), r >= 1, alone; `_pair_codes` scans any other generator."""
+    m, codes = len(realized), set()
     for perm in action.generators.values():
-        image, found = _image_ranks(rank, perm), set()
-        for a, row in enumerate(scaled):
-            found.update(map(operator.add, row, image[a][a + 1:]))
-        codes.update(found, (c % m * m + c // m for c in found))
+        image = _image_ranks(rank, perm)
+        codes.update(range(m + 1, m * m, m + 1) if image == rank else _pair_codes(rank, image, m))
     worst = [None] * m
     for code in sorted(codes):
-        r, k = divmod(code, m)
-        worst[r] = k
+        worst[code // m] = code % m
     return worst
+
+
+def _pair_codes(rank, image, m):
+    """The codes rank * m + image rank of a generator's pairs (a, b), a < b,
+    by C-level maps, and of its inverse's: g^-1 maps the pair {ga, gb} to
+    {a, b}, so its codes are g's with the ranks swapped."""
+    found = set()
+    for a, (row, moved) in enumerate(zip(rank, image)):
+        found.update(map(operator.add, map(m.__mul__, row[a + 1:]), moved[a + 1:]))
+    return found | {c % m * m + c // m for c in found}
 
 
 # --------------------------------------------------------------- distality

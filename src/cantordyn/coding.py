@@ -222,6 +222,8 @@ def compute_V(action, window, partition, words):
     for image in words.images:
         code0 = block_id[image[w0]]
         keep = [i for i in keep if block_id[image[i]] == code0]
+        if keep == [w0]:  # the basepoint always agrees with itself
+            break
     return frozenset(keep)
 
 
@@ -465,16 +467,16 @@ class ChainWindow:
                 for t in ball.path(i):
                     image = tuple_getter(image)(self._perms[t])
                 first.setdefault(image, i)
-        images, shortest = list(first), []
-        for word, image in _shortest_words_into_window(self.graph, *self._walk, window):
-            if image not in first:
-                shortest.append(word)
-                images.append(image)
-        if max(map(max, images)) >= len(window):  # landing test vs permutations
+        if max(map(max, first)) >= len(window):  # the landing test vs the permutations
             raise InvariantViolation(
                 "a return word's permutation of G/H_K maps the window off itself: "
                 "the generator permutations do not descend"
             )
+        images, shortest = list(first), []  # the descent gate keeps shortest words in W
+        for word, image in _shortest_words_into_window(self.graph, *self._walk, window):
+            if image not in first:
+                shortest.append(word)
+                images.append(image)
         return ReturnWordSet(ball, list(first.values()), shortest, bound, completed, window, images)
 
 

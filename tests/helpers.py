@@ -121,7 +121,7 @@ def truncated_point(tower, deepest_index):
     return TruncatedPoint(tower, tower.addresses[deepest_index])
 
 
-# ------------------------------------------------- metrics with pair keys
+# ------------------------------------------------- metrics with pair ranks
 
 @dataclass(frozen=True)
 class ExplicitMetric:
@@ -141,9 +141,10 @@ class ExplicitMetric:
         except KeyError:
             raise StructureError(f"distance table has no entry for {a!r}, {b!r}")
 
-    def pair_key_rows(self, addresses):
-        """Ranks of the table's distances as rows of ints, each pair looked
-        up once."""
+    def pair_ranks(self, addresses):
+        """(realized, rank) as `CantorModel.pair_ranks` reads them: the
+        table's distances and 0, ascending, and each pair's index into them,
+        one tuple per address, each pair looked up once."""
         n = len(addresses)
         dist = {
             (i, j): self.distance(addresses[i], addresses[j])
@@ -151,41 +152,54 @@ class ExplicitMetric:
             for j in range(i + 1, n)
         }
         values = sorted(set(dist.values()) | {F(0)})
-        key_of = {d: key for key, d in enumerate(values)}
-        keys = [[0] * n for _ in range(n)]
+        rank_of = {d: r for r, d in enumerate(values)}
+        rank = [[0] * n for _ in range(n)]
         for (i, j), d in dist.items():
-            keys[i][j] = keys[j][i] = key_of[d]
-        return keys, values.__getitem__
+            rank[i][j] = rank[j][i] = rank_of[d]
+        return tuple(values), list(map(tuple, rank))
 
 
 @dataclass(frozen=True)
 class RankedTreeMetric:
-    """The tree ultrametric lam^j with integer pair keys and no TreeMetric
+    """The tree ultrametric lam^j ranking its own pairs, with no TreeMetric
     type, so that a model over it runs the pair-rank engines: the oracle
-    for the cylinder engines of tree models."""
+    for the cylinder engines of tree models.  Pure Python, and independent
+    of the warp metric's class ranks."""
 
     lam: F
 
     def distance(self, a, b):
         return self.lam ** common_prefix(a, b) if a != b else F(0)
 
-    def pair_key_rows(self, addresses):
-        """Keys depth - (agreement level) as rows of ints, key 0 only on the
-        diagonal: each row starts at the depth and is lowered on the members
-        of each prefix cylinder of its address, coarse to fine."""
+    def pair_ranks(self, addresses):
+        """(realized, rank) as `CantorModel.pair_ranks` reads them, from the
+        keys depth - (agreement level), key 0 only on the diagonal: each row
+        starts at the depth and is lowered on the members of each prefix
+        cylinder of its address, coarse to fine.  A key is realized when some
+        prefix cylinder has members off its next level (or is the diagonal),
+        and the keys are densified to ranks in ascending order."""
         depth = len(addresses[0])
-        members = {}  # prefix -> the indices of the addresses extending it
+        members = {(): range(len(addresses))}  # prefix -> the indices extending it
         for i, a in enumerate(addresses):
             for j in range(1, depth + 1):
                 members.setdefault(a[:j], []).append(i)
+        keys = {0} | {
+            depth - j
+            for a in addresses
+            for j in range(depth)
+            if len(members[a[:j]]) > len(members[a[:j + 1]])
+        }
+        dense = [None] * (depth + 1)
+        for r, key in enumerate(sorted(keys)):
+            dense[key] = r
         rows = []
         for a in addresses:
-            row = [depth] * len(addresses)
+            row = [dense[depth]] * len(addresses)
             for j in range(1, depth + 1):
                 for i in members[a[:j]]:
-                    row[i] = depth - j
-            rows.append(row)
-        return rows, lambda key: self.lam ** (depth - key) if key else F(0)
+                    row[i] = dense[depth - j]
+            rows.append(tuple(row))
+        return tuple(self.lam ** (depth - key) if key else F(0) for key in sorted(keys)), rows
 
 
 def rank_oracle(action):

@@ -191,7 +191,7 @@ def test_modulus_pairwise_cap(monkeypatch):
         raise AssertionError("pair keys computed above the cell cap")
 
     monkeypatch.setattr("cantordyn.limits.CELL_CAP", 168)
-    monkeypatch.setattr(WarpMetric, "pair_key_rows", no_keys)
+    monkeypatch.setattr(WarpMetric, "pair_ranks", no_keys)
     with pytest.raises(ResourceLimitError, match="pair ranks of 13 addresses need 169"):
         modulus_table(warp_example(2))
     assert len(modulus_table_of(dyadic_action()).rows) == 3

@@ -112,6 +112,33 @@ RANK_ACTIONS = {
 }
 
 
+@pytest.mark.parametrize(
+    "build, scanned",
+    [
+        (lambda: warp_example(3, include_free_factor=False), 0),
+        (lambda: warp_example(3), 1),
+        (lambda: scrambled_action(warp_model(2), 5), 1),
+    ],
+    ids=["isometries", "mixed", "no_isometry"],
+)
+def test_the_modulus_scan_runs_only_for_generators_that_are_no_isometry(
+    build, scanned, monkeypatch
+):
+    # an isometry adds its (rank, rank) codes with no pair scan; the fiber
+    # odometers are isometries, the transported cycle and the scramble not
+    calls = []
+    original = action_module._pair_codes
+
+    def pair_codes(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(action_module, "_pair_codes", pair_codes)
+    action = build()
+    assert action_module.modulus_table(action).rows == brute_force_modulus_rows(action)
+    assert len(calls) == scanned
+
+
 @pytest.mark.parametrize("name", RANK_ACTIONS)
 def test_rank_row_engines_answer_alike_on_both_routes(name, monkeypatch):
     # the engines answer alike on the route of models above 256 addresses,

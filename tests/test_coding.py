@@ -154,6 +154,40 @@ def test_fo_level_set_matches_core_cylinder_via_cross_module_oracle():
     assert len(lv.translate_family) == 105 // len(lv.v)
 
 
+def swept_level_set(action, partition, words):
+    """compute_V's oracle: the window points whose code agrees with the
+    basepoint's under every image, with no early stop."""
+    block_id = partition.labels(len(action.model))
+    w0 = action.basepoint
+    return frozenset(
+        i
+        for i in words.window
+        if all(block_id[image[i]] == block_id[image[w0]] for image in words.images)
+    )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: warp_example(3)] + [lambda seed=seed: random_tree_action(seed) for seed in range(6)],
+    ids=["warp_3"] + [f"random_tree_{seed}" for seed in range(6)],
+)
+def test_level_sets_are_the_full_sweep_over_every_image(build):
+    # the sweep stops once only the basepoint is left; every cylinder depth
+    # of the window is a partition, and some keep more than the basepoint
+    action = build()
+    window = default_window(action)
+    words = ActionWindow(action, window).words(4, BALL_BUDGET)
+    sizes = []
+    for j in range(1, action.model.depth + 1):
+        partition = ClopenPartition.from_blocks(
+            window, cylinder_partition(action.model, window, j)
+        )
+        v = compute_V(action, window, partition, words)
+        assert v == swept_level_set(action, partition, words)
+        sizes.append(len(v))
+    assert max(sizes) > 1 and min(sizes) == 1
+
+
 # --------------------------------------------------------------- translates
 
 def test_dyadic_translates_are_the_two_cosets():

@@ -11,10 +11,12 @@ import pytest
 
 from cantordyn import action as action_module
 from cantordyn.action import (
+    COLLAPSED,
     CantorAction,
     CantorModel,
     WarpMetric,
     is_distal,
+    warp_cylinder_key,
 )
 from cantordyn.cli import main
 from cantordyn.coding import (
@@ -52,7 +54,7 @@ def assert_ranks_match_distances(model):
     assert realized[0] == 0
     assert all(a < b for a, b in zip(realized, realized[1:]))
     n = len(model)
-    assert type(rank) is list and all(type(row) is list for row in rank)
+    assert type(rank) is list and all(type(row) is tuple for row in rank)
     assert all(type(r) is int for row in rank for r in row)
     assert len(rank) == n and all(len(row) == n for row in rank)
     assert all(rank[i][i] == 0 for i in range(n))
@@ -72,6 +74,21 @@ def test_pair_ranks_match_warp_distances(depth, lam1):
     assert_ranks_match_distances(warp_model(depth, lam1=lam1))
 
 
+# a subset realizes fewer pair classes than the whole product, so its ranks
+# skip the keys of classes it lacks; the addresses come in shuffled order
+@pytest.mark.parametrize("collapsed", [True, False], ids=["collapsed", "uncollapsed"])
+@pytest.mark.parametrize("lam1", [F(1, 2), F(2, 3), F(1, 10 ** 7)])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_pair_ranks_match_warp_distances_on_random_subsets(depth, lam1, collapsed):
+    rng = random.Random(f"{depth} {lam1} {collapsed}")
+    points = warp_model(depth).addresses[1:]  # all but the collapsed point, which is first
+    addresses = rng.sample(points, rng.randint(1, len(points)))
+    if collapsed:
+        addresses.insert(rng.randint(0, len(addresses)), COLLAPSED)
+    metric = WarpMetric(depth, lam1)
+    assert_ranks_match_distances(CantorModel(addresses, depth, metric, warp_cylinder_key))
+
+
 def test_pair_ranks_match_an_explicit_table():
     assert_ranks_match_distances(three_point_action().model)
 
@@ -86,7 +103,7 @@ def test_pair_ranks_refuse_above_the_cap_before_any_pair(monkeypatch):
     def no_pairs(self, addresses):
         raise AssertionError("pair keys computed above the cap")
 
-    monkeypatch.setattr(RankedTreeMetric, "pair_key_rows", no_pairs)
+    monkeypatch.setattr(RankedTreeMetric, "pair_ranks", no_pairs)
     model = CantorModel(
         [(i,) for i in range(isqrt(CELL_CAP) + 1)], 1, RankedTreeMetric(F(1, 2))
     )
@@ -293,7 +310,7 @@ def test_oversized_warp_model_exits_three_before_any_pair(capsys, monkeypatch, c
         raise AssertionError("a pair was computed above the cap")
 
     monkeypatch.setattr(WarpMetric, "distance", no_pairs)
-    monkeypatch.setattr(WarpMetric, "pair_key_rows", no_pairs)
+    monkeypatch.setattr(WarpMetric, "pair_ranks", no_pairs)
     start = time.perf_counter()
     rc = main([command, str(CONFIG_DIR / "warp.cfg"), "--depth", "6"])
     elapsed = time.perf_counter() - start
