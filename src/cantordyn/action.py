@@ -101,7 +101,7 @@ class WarpMetric(namedtuple("WarpMetric", "depth lam1")):
     def x_value(self, a):
         if a == COLLAPSED:
             return Fraction(0)
-        return sum(Fraction(d, 3 ** (i + 1)) for i, d in enumerate(a[0]))
+        return Fraction(int("".join(map(str, a[0])), 3), 3 ** len(a[0]))
 
     def d1(self, ya, yb):
         return Fraction(0) if ya == yb else self.lam1 ** common_prefix(ya, yb)

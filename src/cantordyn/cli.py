@@ -505,6 +505,8 @@ def run(argv):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if hasattr(sys, "set_int_max_str_digits"):  # reports are exact: print any int
+        sys.set_int_max_str_digits(0)
     try:
         return run(argv)
     except CantordynError as exc:

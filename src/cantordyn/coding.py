@@ -491,20 +491,12 @@ CodingLevel = namedtuple(
 )
 
 
-class CodingChain(
-    namedtuple(
-        "CodingChain", "window levels word_bound_requested words schreier_diam minimal"
-    )
-):
-    """The levels of `code_window`.  `words` is the final ReturnWordSet (the
-    bound used, the effective bound, the classes); `schreier_diam` is None
-    above the size cap."""
-
-    __slots__ = ()
-
-    @property
-    def depth(self):
-        return len(self.levels)
+# The levels of `code_window`.  `words` is the final ReturnWordSet (the bound
+# used, the effective bound, the classes); `schreier_diam` is None above the
+# size cap.
+CodingChain = namedtuple(
+    "CodingChain", "window levels word_bound_requested words schreier_diam minimal"
+)
 
 
 def _least_cylinder_depth(model, subset, bound):

@@ -21,14 +21,39 @@ from .limits import check_cells
 REFLECTION = ((1, 0), (0, -1))
 
 
+# Miller-Rabin to the bases of the first 13 primes is exact below this bound
+# (Sorenson and Webster, 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin, exact for p < PRIME_TEST_BOUND; a larger
+    p is refused."""
+    if p >= PRIME_TEST_BOUND:
+        raise StructureError(
+            f"vietoris base {p} is not below {PRIME_TEST_BOUND}, "
+            "the bound of its exact primality test"
+        )
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p in _WITNESSES:
+        return True
+    if any(p % a == 0 for a in _WITNESSES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -121,16 +121,12 @@ class McCordLevel(
         return self.cofinal_at is not None
 
 
-class McCordVerdict(namedtuple("McCordVerdict", "chain records")):
+class McCordVerdict(namedtuple("McCordVerdict", "records")):
     __slots__ = ()
 
     @property
     def compatible(self):
         return all(r.cofinal for r in self.records)
-
-    @property
-    def depth(self):
-        return self.chain.depth
 
 
 def mccord_verdict(chain):
@@ -153,7 +149,7 @@ def mccord_verdict(chain):
         if not contains(deepest, witness) or contains(core, witness):
             raise StructureError("McCord witness failed re-verification")
         records.append(McCordLevel(l, core, witness=witness))
-    return McCordVerdict(chain, tuple(records))
+    return McCordVerdict(tuple(records))
 
 
 # -------------------------------------------------------------- interleave

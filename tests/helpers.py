@@ -4,6 +4,7 @@ import functools
 import itertools
 import operator
 import random
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -11,7 +12,6 @@ from fractions import Fraction as F
 from cantordyn.action import (
     CantorAction,
     CantorModel,
-    TreeMetric,
     WarpMetric,
     breadth_first,
     common_prefix,
@@ -326,6 +326,19 @@ def reference_return_words(action, window, bound, *, perm_budget=20000):
     )
 
 
+def count_calls(monkeypatch, owner, name):
+    """Patch `owner.name` to record the arguments of each call; the list of
+    them."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 # ------------------------------------------------- engine probes
 
 def probes(action, rng):
@@ -370,20 +383,21 @@ def engine_answers(action, subsets, partitions):
 
 # -------------------------------------------- pairwise brute-force oracles
 
-@functools.lru_cache(maxsize=16)
-def _distance_table(metric, addrs):
-    n = len(addrs)
-    return {
-        (i, j): metric.distance(addrs[i], addrs[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
+_DISTANCES = weakref.WeakKeyDictionary()  # model -> its pair_distances
 
 
 def pair_distances(model):
-    """{(i, j): metric.distance} over index pairs i < j, one call per pair;
-    shared between models with the same metric and addresses."""
-    return _distance_table(model.metric, model.addresses)
+    """{(i, j): metric.distance} over index pairs i < j, one call per pair,
+    built once per model."""
+    dist = _DISTANCES.get(model)
+    if dist is None:
+        addrs, distance = model.addresses, model.metric.distance
+        dist = _DISTANCES[model] = {
+            (i, j): distance(addrs[i], addrs[j])
+            for i in range(len(addrs))
+            for j in range(i + 1, len(addrs))
+        }
+    return dist
 
 
 def _distances_between(model, pairs):
@@ -642,39 +656,6 @@ def brute_force_core(cosets):
         if conj != core and not subgroup_le(core, conj):
             core = subgroup_intersect(core, conj)
     return core
-
-
-def random_tree_action(seed, max_addresses=512):
-    """Seeded action by random rooted-tree automorphisms on a product tree."""
-    rng = random.Random(seed)
-    while True:
-        depth = rng.choice([3, 4, 5])
-        branch = [rng.choice([2, 3, 4]) for _ in range(depth)]
-        total = 1
-        for b in branch:
-            total *= b
-        if total <= max_addresses:
-            break
-    addrs = tuple(itertools.product(*[range(b) for b in branch]))
-    model = CantorModel(addrs, depth, TreeMetric(F(1, 2)))
-
-    def rand_auto():
-        node_perm = {}
-        out = []
-        for a in addrs:
-            img = []
-            for j in range(depth):
-                key = (j, tuple(a[:j]))
-                if key not in node_perm:
-                    p = list(range(branch[j]))
-                    rng.shuffle(p)
-                    node_perm[key] = p
-                img.append(node_perm[key][a[j]])
-            out.append(model.index[tuple(img)])
-        return tuple(out)
-
-    gens = {f"a{i}": rand_auto() for i in range(rng.choice([2, 3]))}
-    return CantorAction(model, gens, 0, label=f"random-tree({seed})")
 
 
 def index_set(model, addresses):

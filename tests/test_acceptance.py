@@ -14,17 +14,11 @@ import time
 
 import pytest
 
+import cases
 from cantordyn import cli
 from cantordyn.action import germinal_holonomy, invariant_measure, modulus_table
 from cantordyn.affine import contains, coset_space, is_normal, normal_core, translation
 from cantordyn.config import parse_config, serialize_config
-from cantordyn.gallery import (
-    fokkink_oversteegen,
-    rogers_tollefson,
-    small_fo_variant,
-    vietoris,
-    warp_example,
-)
 from cantordyn.report import strip_timing
 from cantordyn.tower import interleave, mccord_verdict
 
@@ -33,11 +27,10 @@ from helpers import (
     brute_force_core,
     brute_force_pushforward_invariant,
     check_coding_laws,
-    random_tree_action,
     reference_action_ball,
 )
 from modulus_oracle import coding_chain_of, modulus_table_of
-from tower_oracle import build_tower, subgroup_cylinder
+from tower_oracle import subgroup_cylinder
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -69,17 +62,16 @@ def timed(number, label, budget):
     return _Timer()
 
 
-def gallery_actions():
-    return [
-        build_tower(vietoris(2, 3)).boundary_action(),
-        build_tower(vietoris(3, 2)).boundary_action(),
-        build_tower(vietoris(5, 2)).boundary_action(),
-        build_tower(fokkink_oversteegen(1)).boundary_action(),
-        build_tower(rogers_tollefson(3)).boundary_action(),
-        build_tower(small_fo_variant(2)).boundary_action(),
-        warp_example(3, 2),
-        warp_example(3, 2, include_free_factor=False),
-    ]
+GALLERY_ACTIONS = (
+    "vietoris_2_3",
+    "vietoris_3_2",
+    "vietoris_5_2",
+    "fokkink_oversteegen_1",
+    "rogers_tollefson_3",
+    "small_fo_variant_2",
+    "warp_3_2",
+    "warp_fiber_only_3_2",
+)
 
 
 def test_criterion_1_positive_control_vietoris():
@@ -96,7 +88,7 @@ def test_criterion_1_positive_control_vietoris():
 
 def test_criterion_2_negative_control_fokkink_oversteegen():
     with timed(2, "non-homogeneous control at depth 2", 60.0):
-        chain = fokkink_oversteegen(2)
+        chain = cases.chain("fokkink_oversteegen_2")
         assert chain.levels[0].lattice.basis == ((3, 0), (0, 35))
         assert chain.levels[1].lattice.basis == ((9, 0), (0, 1225))
         witness_expected = translation((0, 1), 2)
@@ -125,16 +117,14 @@ def test_criterion_2_negative_control_fokkink_oversteegen():
 
 def test_criterion_3_coding_core_oracle_equivalence():
     with timed(3, "coding blocks equal normal-core cylinders", 30.0):
-        chains = [
-            vietoris(2, 2),
-            vietoris(2, 3),
-            vietoris(2, 4),
-            small_fo_variant(3),
-            fokkink_oversteegen(1),
-        ]
-        for chain in chains:
-            tower = build_tower(chain)
-            action = build_tower(chain).boundary_action()
+        for name in (
+            "vietoris_2_2",
+            "vietoris_2_3",
+            "vietoris_2_4",
+            "small_fo_variant_3",
+            "fokkink_oversteegen_1",
+        ):
+            chain, tower, action = cases.chain(name), cases.tower(name), cases.action(name)
             result = coding_chain_of(action)
             assert result.levels, chain.label
             for lv in result.levels:
@@ -152,14 +142,14 @@ def test_criterion_4_coding_laws_zero_violations():
     with timed(4, "coding laws over gallery and random actions", 120.0):
         rng = random.Random(20260810)
         total_checks = 0
-        for action in gallery_actions():
+        for action in map(cases.action, GALLERY_ACTIONS):
             result = coding_chain_of(action)
             tree = not action.label.startswith("warp")
             total_checks += check_coding_laws(
                 action, result, rng=rng, tree_model=tree
             )
         for seed in range(25):
-            action = random_tree_action(seed, max_addresses=512)
+            action = cases.action(f"random_tree_{seed}")
             result = coding_chain_of(action)
             total_checks += check_coding_laws(action, result, rng=rng)
         assert total_checks > 0
@@ -167,23 +157,21 @@ def test_criterion_4_coding_laws_zero_violations():
 
 def test_criterion_5_equicontinuity_shadow():
     with timed(5, "modulus tables are exact isometry tables", 10.0):
-        boundary_chains = [
-            vietoris(2, 4),
-            vietoris(3, 4),
-            vietoris(5, 4),
-            fokkink_oversteegen(1),
-            rogers_tollefson(3),
-            small_fo_variant(2),
-        ]
-        for chain in boundary_chains:
-            table = modulus_table_of(build_tower(chain).boundary_action())
-            assert table.is_exact_isometry_table(), chain.label
+        boundary_chains = (
+            "vietoris_2_4",
+            "vietoris_3_4",
+            "vietoris_5_4",
+            "fokkink_oversteegen_1",
+            "rogers_tollefson_3",
+            "small_fo_variant_2",
+        )
+        for name in boundary_chains:
+            table = modulus_table_of(cases.action(name))
+            assert table.is_exact_isometry_table(), name
         # the warp fiber generators are exact isometries of the warp metric
-        table = modulus_table(warp_example(3, 2, include_free_factor=False))
+        table = modulus_table(cases.action("warp_fiber_only_3_2"))
         assert table.is_exact_isometry_table()
-        for tbl in [table] + [
-            modulus_table_of(build_tower(c).boundary_action()) for c in boundary_chains
-        ]:
+        for tbl in [table] + [modulus_table_of(cases.action(c)) for c in boundary_chains]:
             rows = tbl.rows
             for (r1, k1), (r2, k2) in zip(rows, rows[1:]):
                 assert r1 > r2 and k1 >= k2
@@ -192,10 +180,10 @@ def test_criterion_5_equicontinuity_shadow():
 
 def test_criterion_6_invariant_measures_verify_exactly():
     with timed(6, "exact pushforward invariance of returned measures", 5.0):
-        for action in gallery_actions():
+        for action in map(cases.action, GALLERY_ACTIONS):
             mu = invariant_measure(action)
             assert brute_force_pushforward_invariant(action, mu)  # and total mass 1
-        fiber_only = warp_example(3, 2, include_free_factor=False)
+        fiber_only = cases.action("warp_fiber_only_3_2")
         mu = invariant_measure(fiber_only)
         assert (mu.support, mu.weight) == ({fiber_only.basepoint}, 1)
         assert brute_force_pushforward_invariant(fiber_only, mu)
@@ -203,11 +191,11 @@ def test_criterion_6_invariant_measures_verify_exactly():
 
 def test_criterion_7_holonomy_dichotomy():
     with timed(7, "germ dichotomy: warp fiber vs odometer", 30.0):
-        deep = warp_example(6, 2)
+        deep = cases.action("warp_6_2")
         verdict = germinal_holonomy(deep, (("g1", 1),), deep.basepoint)
         assert not verdict.trivial
         assert verdict.depth == 6
-        action = build_tower(vietoris(2, 4)).boundary_action()
+        action = cases.action("vietoris_2_4")
         words, completed = reference_action_ball(action, 8, 200000)
         assert completed == 8
         for word, perm in words:
@@ -235,9 +223,10 @@ def test_criterion_8_interleaving_criterion():
         )
         assert rc == 0
         assert "success: false" in out
-        verdict = interleave(vietoris(2, 2), vietoris(3, 2))
+        verdict = interleave(cases.chain("vietoris_2_2"), cases.chain("vietoris_3_2"))
         assert verdict.witness.trans[0] % 2 == 1  # odd-element witness
-        for chain in (vietoris(2, 4), fokkink_oversteegen(2), small_fo_variant(2)):
+        for name in ("vietoris_2_4", "fokkink_oversteegen_2", "small_fo_variant_2"):
+            chain = cases.chain(name)
             self_verdict = interleave(chain, chain)
             assert self_verdict.success
             assert self_verdict.map_ab == tuple(range(1, chain.depth + 1))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import cases
 from cantordyn import action as action_module
 from cantordyn.action import (
     COLLAPSED,
@@ -24,20 +25,18 @@ from cantordyn.action import (
     word_ball,
 )
 from cantordyn.errors import InvariantViolation, ResourceLimitError, StructureError
-from cantordyn.gallery import vietoris, warp_example, warp_model
+from cantordyn.gallery import warp_model
 from helpers import (
     ball_pairs,
     brute_force_distality,
     measure_weights,
-    three_point_action,
     validate_metric,
 )
 from modulus_oracle import modulus_table_of
-from tower_oracle import build_tower
 
 
 def dyadic_action(depth=3):
-    return build_tower(vietoris(2, depth)).boundary_action()
+    return cases.action(f"vietoris_2_{depth}")
 
 
 # --------------------------------------------------------------------- act
@@ -68,20 +67,17 @@ def test_unknown_generator_name_rejected():
 
 
 def test_word_evaluation_is_a_homomorphism():
-    from cantordyn.gallery import fokkink_oversteegen, rogers_tollefson, small_fo_variant
-
     rng = random.Random(5)
-    actions = [
-        dyadic_action(),
-        build_tower(vietoris(3, 2)).boundary_action(),
-        build_tower(fokkink_oversteegen(1)).boundary_action(),
-        build_tower(rogers_tollefson(3)).boundary_action(),
-        build_tower(small_fo_variant(2)).boundary_action(),
-        warp_example(2, 2),
-        warp_example(2, 2, include_free_factor=False),
-        three_point_action(),
-    ]
-    for act in actions:
+    for act in map(cases.action, [
+        "vietoris_2_3",
+        "vietoris_3_2",
+        "fokkink_oversteegen_1",
+        "rogers_tollefson_3",
+        "small_fo_variant_2",
+        "warp_2_2",
+        "warp_fiber_only_2_2",
+        "three_point",
+    ]):
         tokens = act.signed_tokens()
         for _ in range(30):
             w1 = tuple(rng.choice(tokens) for _ in range(rng.randint(0, 6)))
@@ -110,7 +106,7 @@ def test_dyadic_orbit_reaches_everything():
 
 
 def test_fiber_only_warp_orbit_of_collapsed_point_is_itself():
-    act = warp_example(3, 2, include_free_factor=False)
+    act = cases.action("warp_fiber_only_3_2")
     collapsed = act.model.index[COLLAPSED]
     assert orbit(act, collapsed) == {collapsed}
 
@@ -136,13 +132,13 @@ def test_dyadic_boundary_is_minimal():
 
 
 def test_fiber_only_warp_action_is_not_minimal():
-    verdict = is_minimal(warp_example(3, 2, include_free_factor=False))
+    verdict = is_minimal(cases.action("warp_fiber_only_3_2"))
     assert not verdict.minimal
     assert verdict.witness_orbit == frozenset({0})  # the collapsed point
 
 
 def test_full_warp_action_is_minimal():
-    assert is_minimal(warp_example(3, 2)).minimal
+    assert is_minimal(cases.action("warp_3_2")).minimal
 
 
 # ------------------------------------------------------------ modulus table
@@ -157,18 +153,18 @@ def test_tree_modulus_is_the_identity_on_realized_distances():
 
 
 def test_warp_fiber_generators_are_exact_isometries():
-    table = modulus_table(warp_example(3, 2, include_free_factor=False))
+    table = modulus_table(cases.action("warp_fiber_only_3_2"))
     assert table.is_exact_isometry_table()
 
 
 def test_expanding_generator_breaks_the_isometry_table():
-    table = modulus_table(three_point_action())
+    table = modulus_table(cases.action("three_point"))
     assert table.kappa(F(1, 4)) == F(1) > F(1, 4)
     assert not table.is_exact_isometry_table()
 
 
 def test_modulus_rows_monotone_and_bounded():
-    for act in (dyadic_action(), warp_example(2, 2), three_point_action()):
+    for act in map(cases.action, ("vietoris_2_3", "warp_2_2", "three_point")):
         table = modulus_table_of(act)
         rows = table.rows
         for (r1, k1), (r2, k2) in zip(rows, rows[1:]):
@@ -193,7 +189,7 @@ def test_modulus_pairwise_cap(monkeypatch):
     monkeypatch.setattr("cantordyn.limits.CELL_CAP", 168)
     monkeypatch.setattr(WarpMetric, "pair_ranks", no_keys)
     with pytest.raises(ResourceLimitError, match="pair ranks of 13 addresses need 169"):
-        modulus_table(warp_example(2))
+        modulus_table(cases.make_action("warp_2"))  # no cached pair ranks
     assert len(modulus_table_of(dyadic_action()).rows) == 3
 
 
@@ -210,9 +206,7 @@ def test_isometric_action_is_distal_with_delta_equal_distance():
 
 
 def test_fo_boundary_is_distal():
-    from cantordyn.gallery import fokkink_oversteegen
-
-    verdict = is_distal(build_tower(fokkink_oversteegen(1)).boundary_action(), 6)
+    verdict = is_distal(cases.action("fokkink_oversteegen_1"), 6)
     assert verdict.distal
     assert verdict.min_delta > 0
 
@@ -231,21 +225,19 @@ def test_uniform_measure_on_dyadic_boundary():
 
 
 def test_uniform_measure_on_fo_boundary():
-    from cantordyn.gallery import fokkink_oversteegen
-
-    act = build_tower(fokkink_oversteegen(1)).boundary_action()
+    act = cases.action("fokkink_oversteegen_1")
     assert measure_weights(act, invariant_measure(act)) == [F(1, 105)] * 105
 
 
 def test_point_mass_for_fiber_only_warp_action():
-    act = warp_example(3, 2, include_free_factor=False)
+    act = cases.action("warp_fiber_only_3_2")
     mu = invariant_measure(act)
     assert measure_weights(act, mu) == [1] + [0] * (len(act.model) - 1)
     assert mu.label == "orbit-closure of 'w0' (1 addresses)"
 
 
 def test_pushforward_exactness_per_generator():
-    for act in (dyadic_action(), warp_example(2, 2)):
+    for act in map(cases.action, ("vietoris_2_3", "warp_2_2")):
         weight = measure_weights(act, invariant_measure(act))
         for name, sign in act.signed_tokens():
             inv = {v: k for k, v in enumerate(act.token_perm(name, sign))}
@@ -254,7 +246,7 @@ def test_pushforward_exactness_per_generator():
 
 
 def test_a_support_that_a_generator_leaves_is_refused():
-    act = warp_example(2, 2)  # minimal: no proper subset is invariant
+    act = cases.action("warp_2_2")  # minimal: no proper subset is invariant
     with pytest.raises(InvariantViolation, match="support"):
         invariant_measure(act, MinimalityVerdict(False, frozenset({0, 1})))
 
@@ -275,7 +267,7 @@ def test_full_cycle_word_is_identity_hence_trivial():
 
 
 def test_fiber_generator_germ_is_nontrivial_through_full_depth():
-    act = warp_example(3, 2)
+    act = cases.action("warp_3_2")
     verdict = germinal_holonomy(act, (("g1", 1),), act.model.index[COLLAPSED])
     assert not verdict.trivial
     assert verdict.depth == 3
@@ -291,7 +283,7 @@ def test_non_stabilizing_word_rejected_with_image_named():
 
 
 def test_germ_triviality_is_monotone_in_depth():
-    act = warp_example(2, 1)
+    act = cases.action("warp_2_1")
     word = (("g1", 1),) * 4  # g1^4 = identity on depth-2 fibers
     perm = act.word_perm(word)
     assert perm == tuple(range(len(act.model)))
@@ -348,7 +340,7 @@ def test_word_enumeration_is_the_cayley_ball():
 
 
 def test_the_cell_cap_stops_the_ball_layer_atomically(monkeypatch):
-    act = warp_example(3, 2)
+    act = cases.action("warp_3_2")
     unclamped = is_distal(act, 8)
     monkeypatch.setattr("cantordyn.limits.CELL_CAP", 100 * len(act.model))
     with monkeypatch.context() as patch:
@@ -361,7 +353,7 @@ def test_the_cell_cap_stops_the_ball_layer_atomically(monkeypatch):
 
 
 def test_word_enumeration_budget_is_layer_atomic():
-    act = warp_example(3, 2)
+    act = cases.action("warp_3_2")
     words, completed, _ = word_ball(act, 8, perm_cap=100)
     assert completed < 8
     lengths = [len(w) for w, _ in ball_pairs(words)]

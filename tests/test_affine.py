@@ -33,7 +33,7 @@ from cantordyn.affine import (
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.gallery import small_fo_variant
 
-from helpers import brute_force_core, coset_reps, index_of, permutation_of
+from helpers import brute_force_core, coset_reps, count_calls, index_of, permutation_of
 
 D = ((1, 0), (0, -1))
 
@@ -552,18 +552,11 @@ def test_coset_space_computes_one_key_per_generator_image(monkeypatch, case):
     # one step of the step table keys the identity coset, and one more keys
     # each generator image
     group, h = coset_case(case)
-    calls = {"steps": 0}
-    original = affine._step
-
-    def counted(*args):
-        calls["steps"] += 1
-        return original(*args)
-
-    monkeypatch.setattr(affine, "_step", counted)
+    steps = count_calls(monkeypatch, affine, "_step")
     cs = coset_space(group, h)
     monkeypatch.undo()
     assert cs.index == group.index_of(h)
-    assert calls["steps"] == cs.index * len(group.generators) + 1
+    assert len(steps) == cs.index * len(group.generators) + 1
     # the tables recorded during the walk agree with fresh key lookups
     for name, g in group.generators:
         assert cs.gen_perms[name] == permutation_of(cs, g)

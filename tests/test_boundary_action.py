@@ -4,8 +4,8 @@ quotient tower oracle, `tower_oracle.build_tower(chain).boundary_action(lam)`.
 Both must give the same addresses, the same generator permutations in the
 same order, and the same basepoint, label and depth, on the gallery chains
 at their default depths, the two chains whose first level is G, the depth-1
-chains and the seeded random Klein-type chains of
-tests/test_chain_sections.py, at lam 1/2 and 2/3.  `germinal_holonomy` must
+chains and the seeded random Klein-type chains of tests/cases.py, at
+lam 1/2 and 2/3.  `germinal_holonomy` must
 give the same verdict on both, witness included, for every word of length at
 most 3 that stabilises the basepoint or a seeded point, and some of those
 germs must be nontrivial.  Where a chain's coset space is broken, with one
@@ -20,21 +20,21 @@ import random
 
 import pytest
 
+import cases
 import tower_oracle
 from cantordyn import affine, tower
 from cantordyn.action import germinal_holonomy
 from cantordyn.errors import CantordynError
-from test_chain_code import DEPTH_ONE, chain_of
-from test_chain_sections import CHAINS, LAMBDAS
+from cases import LAMBDAS, SECTION_CHAINS as CHAINS
+from test_chain_code import DEPTH_ONE
 
 NAMES = CHAINS + list(DEPTH_ONE)
 MAX_WORD = 3
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def both(name, lam):
-    chain = chain_of(name)
-    return tower.boundary_action(chain, lam), tower_oracle.build_tower(chain).boundary_action(lam)
+    return tower.boundary_action(cases.chain(name), lam), cases.boundary(name, lam)
 
 
 def stabilising_words(action, point):
@@ -103,7 +103,7 @@ def refusals(chain):
 BROKEN = [  # (chain, level l < K) with [H_l-1 : H_l] > 1, taking H_0 = G
     (name, l)
     for name in CHAINS
-    for l, (a, b) in enumerate(itertools.pairwise([1] + chain_of(name).indices()[:-1]), start=1)
+    for l, (a, b) in enumerate(itertools.pairwise([1] + cases.chain(name).indices()[:-1]), start=1)
     if b > a
 ]
 
@@ -112,8 +112,8 @@ BROKEN = [  # (chain, level l < K) with [H_l-1 : H_l] > 1, taking H_0 = G
 def test_a_swap_across_a_level_is_refused_alike(monkeypatch, name, level):
     """The first generator's images of the identity coset and of a coset in
     the same level-(l-1) coset but another level-l coset, swapped."""
-    chain = chain_of(name)
-    addresses = tower_oracle.build_tower(chain).addresses
+    chain = cases.chain(name)
+    addresses = cases.tower(name).addresses
     k = next(
         k
         for k, a in enumerate(addresses)
@@ -141,7 +141,7 @@ def test_a_merged_coarse_coset_is_refused_alike(monkeypatch, name, level):
     """Level l's last coarse coset merged into its first, so the level has
     one coset too few; the levels above it keep theirs, as each of their
     cosets splits."""
-    chain = chain_of(name)
+    chain = cases.chain(name)
     coarser_cosets = affine.coarser_cosets
 
     def merged(group, subgroup, keys):

@@ -4,6 +4,7 @@ permutations up to 256 addresses and tuples above, against the reference ball
 (`helpers.reference_action_ball`) in the key format the engine does not use;
 and warp commands load neither numpy nor the chain layers."""
 
+import functools
 import json
 import os
 import pathlib
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import cases
 from cantordyn import action as action_module
 from cantordyn.action import (
     BYTE_ALPHABET,
@@ -26,31 +28,28 @@ from cantordyn.action import (
     tuple_getter,
     word_ball,
 )
-from cantordyn.gallery import small_fo_variant, warp_example, warp_model
+from cantordyn.gallery import warp_model
 from helpers import (
     ExplicitMetric,
     ball_pairs,
     brute_force_diameter,
     brute_force_eta,
     brute_force_modulus_rows,
+    count_calls,
     engine_answers,
     pair_distances,
     probes,
-    random_tree_action,
     rank_oracle,
     reference_action_ball,
-    three_point_action,
 )
 from test_pair_ranks import assert_ranks_match_distances
-from tower_oracle import build_tower
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = json.loads((REPO / "perfbench/workloads.json").read_text(encoding="utf-8"))
 
+# test name -> registry name
 WARP_ACTIONS = {
-    f"warp_{depth}{'' if free else '_fiber_only'}": (
-        lambda depth=depth, free=free: warp_example(depth, include_free_factor=free)
-    )
+    f"warp_{depth}{'' if free else '_fiber_only'}": f"warp_{'' if free else 'fiber_only_'}{depth}"
     for depth in (2, 3, 4)
     for free in (True, False)
 }
@@ -97,44 +96,44 @@ def explicit_model(n, seed):
     return CantorModel(addrs, 1, ExplicitMetric(table))
 
 
-RANK_ACTIONS = {
-    **WARP_ACTIONS,
-    "three_point": three_point_action,
+RANK_ACTIONS = (
+    list(WARP_ACTIONS)
     # seeds where the generator's inverse raises a modulus row
-    "warp_2_scrambled": lambda: scrambled_action(warp_model(2), 5),
-    "explicit_scrambled": lambda: scrambled_action(explicit_model(7, 3), 3),
-    **{
-        f"ranked_tree_{seed}": (
-            lambda seed=seed: rank_oracle(random_tree_action(seed, max_addresses=BYTE_ALPHABET))
-        )
-        for seed in range(4)
-    },
-}
+    + ["three_point", "warp_2_scrambled", "explicit_scrambled"]
+    + [f"ranked_tree_{seed}" for seed in range(4)]
+)
+
+
+def make_rank_action(name, action=cases.make_action):
+    """An action of RANK_ACTIONS, built afresh unless `action` shares the
+    registry's; ranked trees are the random tree actions of at most 256
+    addresses on the pair-rank route."""
+    if name == "warp_2_scrambled":
+        return scrambled_action(warp_model(2), 5)
+    if name == "explicit_scrambled":
+        return scrambled_action(explicit_model(7, 3), 3)
+    if name.startswith("ranked_tree_"):
+        return rank_oracle(action(f"random_tree_{name[12:]}_{BYTE_ALPHABET}"))
+    return action(WARP_ACTIONS.get(name, name))
+
+
+@functools.cache
+def rank_action(name):
+    return make_rank_action(name, cases.action)
 
 
 @pytest.mark.parametrize(
-    "build, scanned",
-    [
-        (lambda: warp_example(3, include_free_factor=False), 0),
-        (lambda: warp_example(3), 1),
-        (lambda: scrambled_action(warp_model(2), 5), 1),
-    ],
+    "name, scanned",
+    [("warp_3_fiber_only", 0), ("warp_3", 1), ("warp_2_scrambled", 1)],
     ids=["isometries", "mixed", "no_isometry"],
 )
 def test_the_modulus_scan_runs_only_for_generators_that_are_no_isometry(
-    build, scanned, monkeypatch
+    name, scanned, monkeypatch
 ):
     # an isometry adds its (rank, rank) codes with no pair scan; the fiber
     # odometers are isometries, the transported cycle and the scramble not
-    calls = []
-    original = action_module._pair_codes
-
-    def pair_codes(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(action_module, "_pair_codes", pair_codes)
-    action = build()
+    calls = count_calls(monkeypatch, action_module, "_pair_codes")
+    action = make_rank_action(name)
     assert action_module.modulus_table(action).rows == brute_force_modulus_rows(action)
     assert len(calls) == scanned
 
@@ -143,19 +142,18 @@ def test_the_modulus_scan_runs_only_for_generators_that_are_no_isometry(
 def test_rank_row_engines_answer_alike_on_both_routes(name, monkeypatch):
     # the engines answer alike on the route of models above 256 addresses,
     # whose rank rows are the exact ranks of the Fraction distances
-    build = RANK_ACTIONS[name]
-    action = build()
+    action = rank_action(name)
     subsets, partitions = probes(action, random.Random(len(action.model)))
     answers = engine_answers(action, subsets, partitions)
     monkeypatch.setattr(action_module, "BYTE_ALPHABET", 0)  # no model fits bytes
-    large = build()
+    large = make_rank_action(name)
     assert engine_answers(large, subsets, partitions) == answers
     assert_ranks_match_distances(large.model)
 
 
 @pytest.mark.parametrize("name", [name for name in RANK_ACTIONS if "warp_4" not in name])
 def test_rank_row_engines_match_the_fraction_oracles(name):
-    action = RANK_ACTIONS[name]()
+    action = rank_action(name)
     model = action.model
     subsets, partitions = probes(action, random.Random(len(model)))
     rows, min_delta, diameters, etas = engine_answers(action, subsets, partitions)
@@ -171,15 +169,11 @@ def test_rank_row_engines_match_the_fraction_oracles(name):
 
 # -------------------------------------------------------------- word balls
 
+# test name -> registry name
 BALL_ACTIONS = {
     **WARP_ACTIONS,
-    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
-    **{
-        f"random_tree_{seed}": (
-            lambda seed=seed: random_tree_action(seed, max_addresses=BYTE_ALPHABET)
-        )
-        for seed in range(6)
-    },
+    "small_fo_variant_2": "small_fo_variant_2",
+    **{f"random_tree_{seed}": f"random_tree_{seed}_{BYTE_ALPHABET}" for seed in range(6)},
 }
 
 
@@ -196,7 +190,7 @@ def tuple_route_ball(action, length, perm_cap):
 
 @pytest.mark.parametrize("name", BALL_ACTIONS)
 def test_bytes_ball_is_the_tuple_and_reference_ball(name):
-    action = BALL_ACTIONS[name]()
+    action = cases.action(BALL_ACTIONS[name])
     assert len(action.model) <= BYTE_ALPHABET
     for perm_cap in (20000, 50):
         ball, completed, _ = word_ball(action, 8, perm_cap=perm_cap)

@@ -18,11 +18,10 @@ sets each path builds, and the one walk each source makes; and the
 `core_oracle` lines of `cmd_code`, against the oracle's `subgroup_cylinder`
 of each level's core.  The chains are the gallery chains at their default
 depths, the two chains whose first level is G, two depth-1 chains, the
-seeded random Klein-type chains of tests/test_chain_sections.py, and three
+seeded random Klein-type chains of tests/cases.py, and three
 chains whose ball holds two landing classes with one window image, at lam
 1/2 and 2/3 and word bounds 0, 1, 3 and 8, and under ball budgets small
-enough to force escalation once the shortest-word pass is cut.  Needs no
-test helpers.
+enough to force escalation once the shortest-word pass is cut.
 """
 
 import functools
@@ -31,6 +30,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import cases
 from cantordyn import action as action_module
 from cantordyn import coding
 from cantordyn import tower as tower_module
@@ -47,66 +47,44 @@ from cantordyn.coding import (
     schreier_diameter,
 )
 from cantordyn.errors import InvariantViolation
-from cantordyn.gallery import build_chain
 from cantordyn.report import Report
-from test_chain_sections import CHAINS, LAMBDAS
-from test_chain_sections import chain_of as section_chain_of
-from tower_oracle import build_tower, subgroup_cylinder
+from cases import LAMBDAS, SECTION_CHAINS
+from helpers import count_calls
+from tower_oracle import subgroup_cylinder
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 WORD_BOUNDS = (0, 1, 3, 8)
-DEPTH_ONE = {
-    "small_fo_variant-1": ("small_fo_variant", 1),  # 15 cosets
-    "fokkink_oversteegen-1": ("fokkink_oversteegen", 1),  # 105 cosets
-}
+DEPTH_ONE = ("small_fo_variant-1", "fokkink_oversteegen-1")  # 15 and 105 cosets
 # chains whose ball at bound 8 holds landing classes that share a window
 # image: core_{H_1}(H_K) is larger than core(H_K) there
-SHARED_IMAGES = {"rogers_tollefson-2": ("rogers_tollefson", 2)}
-NAMES = CHAINS + list(DEPTH_ONE) + list(SHARED_IMAGES) + ["random-123", "random-156"]
-
-
-def chain_of(name):
-    if name in DEPTH_ONE or name in SHARED_IMAGES:
-        gallery_name, depth = {**DEPTH_ONE, **SHARED_IMAGES}[name]
-        return build_chain(gallery_name, {"depth": depth})
-    return section_chain_of(name)
-
-
-@functools.lru_cache(maxsize=None)
-def tower_of(name):
-    return build_tower(chain_of(name))
+SHARED_IMAGES = ("rogers_tollefson-2",)
+NAMES = SECTION_CHAINS + list(DEPTH_ONE) + list(SHARED_IMAGES) + ["random-123", "random-156"]
 
 
 def test_the_depth_one_chains_have_one_level():
-    assert [chain_of(name).indices() for name in DEPTH_ONE] == [[15], [105]]
+    assert [cases.chain(name).indices() for name in DEPTH_ONE] == [[15], [105]]
 
 
-def counted_words(monkeypatch, cls, name="words"):
-    """Count the return-word sets a window source builds (or the calls of
-    any attribute `name` of `cls`)."""
-    calls = []
-    words = getattr(cls, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args[1:])
-        return words(*args, **kwargs)
-
-    monkeypatch.setattr(cls, name, wrapper)
-    return calls
+@functools.cache
+def reference_chain(name, lam, word_bound):
+    """The tower path's CodingChain on the boundary action, given the chain
+    path's modulus table, and the number of return-word sets it built."""
+    table = _chain_modulus(cases.chain(name), lam)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch, ActionWindow, "words")
+        want = code_window(ActionWindow(cases.boundary(name, lam)), table, word_bound)
+    return want, len(calls)
 
 
 def both_paths(monkeypatch, name, lam, word_bound):
-    """The chain path's source and CodingChain, the boundary action and the
-    tower path's CodingChain, and the return-word sets each built."""
-    chain = chain_of(name)
-    table = _chain_modulus(chain, lam)
-    action = tower_of(name).boundary_action(lam)
-    chain_calls = counted_words(monkeypatch, ChainWindow)
-    tower_calls = counted_words(monkeypatch, ActionWindow)
+    """The chain path's source and CodingChain, the tower path's
+    CodingChain, and the return-word sets each built."""
+    chain = cases.chain(name)
+    chain_calls = count_calls(monkeypatch, ChainWindow, "words")
     source = ChainWindow(chain, lam)
-    got = code_window(source, table, word_bound)
-    want = code_window(ActionWindow(action), table, word_bound)
-    return source, got, action, want, (len(chain_calls), len(tower_calls))
+    got = code_window(source, _chain_modulus(chain, lam), word_bound)
+    want, tower_calls = reference_chain(name, lam, word_bound)
+    return source, got, want, (len(chain_calls), tower_calls)
 
 
 def window_points(source):
@@ -157,9 +135,9 @@ def assert_same_chain(source, got, want):
 @pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
 def test_the_window_its_gap_and_the_orbit_graph_are_the_boundary_actions(name, lam):
-    chain = chain_of(name)
+    chain = cases.chain(name)
     source = ChainWindow(chain, lam)
-    action = tower_of(name).boundary_action(lam)
+    action = cases.boundary(name, lam)
     window = default_window(action)
     points = window_points(source)
     assert points == tuple(sorted(window))
@@ -206,7 +184,7 @@ def test_a_kept_image_off_the_window_is_refused():
     """The landing test reads a class's coset key and its image the
     permutations along its path: when the two disagree, a landing class's
     image leaves W, and `words` refuses it rather than keep it."""
-    source = ChainWindow(chain_of("vietoris"), LAMBDAS[0])
+    source = ChainWindow(cases.chain("vietoris"), LAMBDAS[0])
     source.words(2, 100)
     n = source.size
     source._perms = [tuple((i + 1) % n for i in range(n))] * len(source._perms)
@@ -226,7 +204,7 @@ def cylinders(labels, indices):
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
 @pytest.mark.parametrize("word_bound", WORD_BOUNDS)
 def test_chain_code_is_the_boundary_actions_coding_chain(monkeypatch, name, lam, word_bound):
-    source, got, _, want, calls = both_paths(monkeypatch, name, lam, word_bound)
+    source, got, want, calls = both_paths(monkeypatch, name, lam, word_bound)
     assert_same_chain(source, got, want)
     assert calls[0] == calls[1]
 
@@ -249,17 +227,17 @@ def escalations(monkeypatch, name, budgets):
         "_shortest_words_into_window",
         lambda graph, layers, via, window: [((), tuple(window))],
     )
-    chain = chain_of(name)
+    chain = cases.chain(name)
     table = _chain_modulus(chain, LAMBDAS[0])
-    action = tower_of(name).boundary_action(LAMBDAS[0])
-    checks = counted_words(monkeypatch, coding, "_check_clopen_window")
+    action = cases.boundary(name)
+    checks = count_calls(monkeypatch, coding, "_check_clopen_window")
     outcomes, sources = [], []
     for cls, make in (
         (ChainWindow, lambda: ChainWindow(chain, LAMBDAS[0])),
         (ActionWindow, lambda: ActionWindow(action)),
     ):
-        walks = counted_words(monkeypatch, coding, "breadth_first")
-        calls = counted_words(monkeypatch, cls)
+        walks = count_calls(monkeypatch, coding, "breadth_first")
+        calls = count_calls(monkeypatch, cls, "words")
         sources.append(make())
         try:
             outcomes.append((code_window(sources[-1], table, 8), len(calls)))
@@ -305,15 +283,15 @@ def test_the_cut_pass_forces_escalation_and_the_clamp_binds(monkeypatch):
 def test_core_oracle_lines_compare_the_level_set_with_the_cores_cylinder(name, lam):
     """`cmd_code`'s core_oracle lines are those the tower's cylinder of each
     level's core gives against the tower path's level sets."""
-    chain, action = chain_of(name), tower_of(name).boundary_action(lam)
+    chain = cases.chain(name)
     report = cmd_code(SimpleNamespace(lam=lam, words=8), chain, Report("test", "code"))
     keys = [key for _, key, _ in report.lines]
     oracle = [(key, value) for _, key, value in report.lines[keys.index("core_oracle") + 1:]]
-    want = code_window(ActionWindow(action), _chain_modulus(chain, lam), 8)
+    want, _ = reference_chain(name, lam, 8)
     expected = []
     for lv in want.levels:
         core = normal_core(chain.group, chain.levels[lv.cylinder_depth - 1])
-        cyl = subgroup_cylinder(tower_of(name), core)
+        cyl = subgroup_cylinder(cases.tower(name), core)
         match = "true" if cyl == lv.v else "false"
         line = f"core_of_chain_level {lv.cylinder_depth} cylinder_size {len(cyl)} match {match}"
         expected.append((f"level {lv.level}", line))

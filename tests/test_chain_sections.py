@@ -28,27 +28,21 @@ coset: a level's least cofinal level is kept when it is at most k, and is
 otherwise replaced by a witness that re-verifies.
 """
 
-import functools
 import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
 import pytest
 
-from cantordyn import gallery
+import cases
 from cantordyn.action import invariant_measure, is_minimal
 from cantordyn.affine import (
-    AffineElement,
     compose,
     conjugate,
     contains,
-    hermite_normal_form,
     identity_element,
     is_normal,
     quotient_word_keys,
-    subgroup_from_parts,
-    subgroup_index_in,
-    subgroup_intersect,
 )
 from cantordyn.ball import _word_ball
 from cantordyn.cli import (
@@ -59,66 +53,14 @@ from cantordyn.cli import (
     cmd_measure,
 )
 from cantordyn.coding import ChainWindow
-from cantordyn.gallery import REFLECTION, klein_type_group
 from cantordyn.limits import BALL_BUDGET
 from cantordyn.report import Report
 from cantordyn.tower import SubgroupChain, mccord_verdict
+from cases import LAMBDAS, RANDOM_SEEDS, SECTION_CHAINS as CHAINS
 from helpers import reference_action_ball
 from modulus_oracle import cylinder_modulus_rows
-from tower_oracle import build_tower
 
-GROUP = klein_type_group()
-LAMBDAS = (F(1, 2), F(2, 3))
 WORDS = (0, 3, 8)
-GALLERY_CHAINS = ("vietoris", "fokkink_oversteegen", "rogers_tollefson", "small_fo_variant")
-RANDOM_SEEDS = range(12)
-
-
-def klein_subgroup(a, b, glide, y=0):
-    """diag(a, b) with the glide (R, (a/2, y)) when `glide` (a odd), else
-    the lattice alone."""
-    lattice = hermite_normal_form(((a, 0), (0, b)))
-    rep = AffineElement(REFLECTION, (F(a, 2), y), 2) if glide else identity_element(2, 2)
-    return subgroup_from_parts(lattice, [rep])
-
-
-def random_chain(seed):
-    """Up to four levels, each the last one met with a random Klein-type
-    subgroup, keeping a level only when it is proper."""
-    rng = random.Random(seed)
-    levels = []
-    for _ in range(4):
-        glide = rng.random() < 0.6
-        a = rng.choice((1, 3)) if glide else rng.randint(1, 3)
-        b = rng.randint(1, 4)
-        h = klein_subgroup(a, b, glide, rng.randrange(b))
-        if levels:
-            h = subgroup_intersect(levels[-1], h)
-            if subgroup_index_in(h, levels[-1]) == 1:
-                continue
-        levels.append(h)
-    return SubgroupChain(GROUP, levels, label=f"random({seed})")
-
-
-FIRST_LEVEL_G = {
-    "G": [klein_subgroup(1, 1, True)],  # indices [1]: one coset
-    "G-15": [klein_subgroup(1, 1, True), klein_subgroup(3, 5, True)],  # indices [1, 15]
-}
-
-
-@functools.lru_cache(maxsize=None)
-def chain_of(name):
-    if name in GALLERY_CHAINS:
-        return gallery.build_chain(name, {})
-    if name in FIRST_LEVEL_G:
-        return SubgroupChain(GROUP, FIRST_LEVEL_G[name], label=name)
-    return random_chain(int(name.split("-")[1]))
-
-
-@functools.lru_cache(maxsize=None)
-def action_of(name, lam):
-    """The boundary action, on a tower that has passed the descent gate."""
-    return build_tower(chain_of(name)).boundary_action(lam)
 
 
 def oracle_ball(action, max_length, budget):
@@ -130,18 +72,15 @@ def ball_words(ball):
     return [ball.word(i) for i in range(len(ball))]
 
 
-CHAINS = list(GALLERY_CHAINS) + list(FIRST_LEVEL_G) + [f"random-{s}" for s in RANDOM_SEEDS]
-
-
 def test_first_level_g_chains_have_the_intended_indices():
-    assert chain_of("G").indices() == [1]
-    assert chain_of("G-15").indices() == [1, 15]
+    assert cases.chain("G").indices() == [1]
+    assert cases.chain("G-15").indices() == [1, 15]
 
 
 @pytest.mark.parametrize("name", CHAINS)
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
 def test_modulus_distance_minimality_and_measure_match_the_engines(name, lam):
-    chain, action = chain_of(name), action_of(name, lam)
+    chain, action = cases.chain(name), cases.boundary(name, lam)
     table, distal, measure, _ = _chain_dynamics(chain, mccord_verdict(chain), lam, 0)
     # what code and measure read
     assert (table, measure) == (_chain_modulus(chain, lam), _chain_measure(chain))
@@ -158,7 +97,7 @@ def test_modulus_distance_minimality_and_measure_match_the_engines(name, lam):
 def test_measure_lines_match_the_engines(name, lam):
     """`measure` on a chain enumerates no coset; its lines must be those the
     engines give on the boundary action, token by token."""
-    chain, action = chain_of(name), action_of(name, lam)
+    chain, action = cases.chain(name), cases.boundary(name, lam)
     report = cmd_measure(SimpleNamespace(lam=lam), chain, Report("test", "measure"))
     expected = Report("test", "measure")
     mu = invariant_measure(action)
@@ -179,7 +118,7 @@ def test_measure_lines_match_the_engines(name, lam):
 @pytest.mark.parametrize("name", CHAINS)
 @pytest.mark.parametrize("max_length", WORDS)
 def test_word_ball_on_core_keys_matches_the_permutation_ball(name, max_length):
-    chain, action = chain_of(name), action_of(name, LAMBDAS[0])
+    chain, action = cases.chain(name), cases.boundary(name)
     _, distal, _, (ball, completed) = _chain_dynamics(
         chain, mccord_verdict(chain), LAMBDAS[0], max_length
     )
@@ -191,7 +130,7 @@ def test_word_ball_on_core_keys_matches_the_permutation_ball(name, max_length):
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_word_ball_on_core_keys_stops_at_the_same_layer_under_a_budget_of_five(name):
-    chain, action = chain_of(name), action_of(name, LAMBDAS[0])
+    chain, action = cases.chain(name), cases.boundary(name)
     core = mccord_verdict(chain).records[-1].core
     tokens, identity, compose = quotient_word_keys(chain.group, core)
     ball, completed = _word_ball(tokens, identity, 8, 5, compose)
@@ -232,7 +171,7 @@ def classify_without_witnesses(chain):
 @pytest.mark.parametrize("name", CHAINS)
 @pytest.mark.parametrize("seed", CONJUGATION_SEEDS)
 def test_a_conjugate_chain_keeps_what_classify_reports(name, seed):
-    chain = chain_of(name)
+    chain = cases.chain(name)
     levels = moving_conjugator(chain, seed)
     if not all(is_normal(chain.group, h).normal for h in chain.levels):
         assert levels != list(chain.levels)
@@ -258,19 +197,20 @@ def code_window_summary(chain):
 
 # -------------------------------------------------------------- truncation
 
-DEEPEST_GALLERY = {
-    "vietoris_2_8": lambda: gallery.vietoris(2, 8),
-    "vietoris_5_4": lambda: gallery.vietoris(5, 4),
-    "rogers_tollefson_8": lambda: gallery.rogers_tollefson(8),
-    "fokkink_oversteegen_3": lambda: gallery.fokkink_oversteegen(3),
-    "small_fo_variant_4": lambda: gallery.small_fo_variant(4),
-}
-TRUNCATED = list(DEEPEST_GALLERY) + ["G-15"] + [f"random-{s}" for s in RANDOM_SEEDS]
+# each gallery chain at its deepest
+TRUNCATED = [
+    "vietoris_2_8",
+    "vietoris_5_4",
+    "rogers_tollefson_8",
+    "fokkink_oversteegen_3",
+    "small_fo_variant_4",
+    "G-15",
+] + [f"random-{s}" for s in RANDOM_SEEDS]
 
 
 @pytest.mark.parametrize("name", TRUNCATED)
 def test_a_truncated_chain_keeps_the_first_levels_of_each_verdict(name):
-    chain = DEEPEST_GALLERY[name]() if name in DEEPEST_GALLERY else chain_of(name)
+    chain = cases.chain(name)
     lam = LAMBDAS[0]
     indices, rows = chain.indices(), _chain_modulus(chain, lam).rows
     normal = [is_normal(chain.group, h).normal for h in chain.levels]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cases
 from cantordyn import action as action_module
 from cantordyn import coding as coding_module
 from cantordyn.action import (
@@ -33,13 +34,6 @@ from cantordyn.coding import (
     translates,
 )
 from cantordyn.errors import InvariantViolation, ResourceLimitError, StructureError
-from cantordyn.gallery import (
-    fokkink_oversteegen,
-    rogers_tollefson,
-    small_fo_variant,
-    vietoris,
-    warp_example,
-)
 from cantordyn.limits import BALL_BUDGET
 from modulus_oracle import coding_chain_of
 from helpers import (
@@ -49,14 +43,13 @@ from helpers import (
     least_cylinder_union_depth,
     index_set,
     naive_refine_fixed_point,
-    random_tree_action,
     reference_action_ball,
 )
-from tower_oracle import build_tower, subgroup_cylinder
+from tower_oracle import subgroup_cylinder
 
 
 def dyadic_setup():
-    action = build_tower(vietoris(2, 3)).boundary_action()
+    action = cases.action("vietoris_2_3")
     window = default_window(action)
     words = ActionWindow(action, window).words(4, BALL_BUDGET)
     blocks = cylinder_partition(action.model, window, 2)
@@ -87,7 +80,7 @@ def test_dyadic_return_word_classes_at_length_four():
 
 
 def test_whole_space_window_admits_all_word_classes():
-    action = build_tower(vietoris(2, 3)).boundary_action()
+    action = cases.action("vietoris_2_3")
     window = frozenset(range(len(action.model)))
     rws = ActionWindow(action, window).words(8, BALL_BUDGET)
     assert len(rws) == 8  # all elements of the induced cyclic group
@@ -134,7 +127,7 @@ def test_dyadic_level_set_is_the_next_cylinder():
 
 
 def test_single_invariant_block_gives_whole_window():
-    action = build_tower(vietoris(2, 3)).boundary_action()
+    action = cases.action("vietoris_2_3")
     window = frozenset(range(len(action.model)))
     words = ActionWindow(action, window).words(8, BALL_BUDGET)
     partition = ClopenPartition.from_blocks(window, [window])
@@ -142,9 +135,8 @@ def test_single_invariant_block_gives_whole_window():
 
 
 def test_fo_level_set_matches_core_cylinder_via_cross_module_oracle():
-    chain = fokkink_oversteegen(1)
-    tower = build_tower(chain)
-    action = build_tower(chain).boundary_action()
+    chain, tower = cases.chain("fokkink_oversteegen_1"), cases.tower("fokkink_oversteegen_1")
+    action = cases.action("fokkink_oversteegen_1")
     cc = coding_chain_of(action)
     assert len(cc.levels) == 1
     lv = cc.levels[0]
@@ -166,15 +158,11 @@ def swept_level_set(action, partition, words):
     )
 
 
-@pytest.mark.parametrize(
-    "build",
-    [lambda: warp_example(3)] + [lambda seed=seed: random_tree_action(seed) for seed in range(6)],
-    ids=["warp_3"] + [f"random_tree_{seed}" for seed in range(6)],
-)
-def test_level_sets_are_the_full_sweep_over_every_image(build):
+@pytest.mark.parametrize("name", ["warp_3"] + [f"random_tree_{seed}" for seed in range(6)])
+def test_level_sets_are_the_full_sweep_over_every_image(name):
     # the sweep stops once only the basepoint is left; every cylinder depth
     # of the window is a partition, and some keep more than the basepoint
-    action = build()
+    action = cases.action(name)
     window = default_window(action)
     words = ActionWindow(action, window).words(4, BALL_BUDGET)
     sizes = []
@@ -203,7 +191,7 @@ def test_dyadic_translates_are_the_two_cosets():
 
 
 def test_invariant_window_has_a_single_translate():
-    action = build_tower(vietoris(2, 3)).boundary_action()
+    action = cases.action("vietoris_2_3")
     window = frozenset(range(len(action.model)))
     words = ActionWindow(action, window).words(8, BALL_BUDGET)
     partition = ClopenPartition.from_blocks(window, [window])
@@ -231,7 +219,7 @@ def test_fixed_point_agrees_with_word_bounded_level_set():
 
 
 def test_fixed_point_leaves_invariant_single_block_unchanged():
-    action = build_tower(vietoris(2, 3)).boundary_action()
+    action = cases.action("vietoris_2_3")
     window = frozenset(range(len(action.model)))
     partition = ClopenPartition.from_blocks(window, [window])
     fixed = refine_fixed_point(action, window, partition)
@@ -254,21 +242,17 @@ def orbit_distances(action):
     return dist
 
 
-SHORTEST_WORD_ACTIONS = {
-    "vietoris_5_3": lambda: build_tower(vietoris(5, 3)).boundary_action(),
-    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
-    "warp_3_2": lambda: warp_example(3, 2),
-    "warp_fiber_only_2_1": lambda: warp_example(2, 1, include_free_factor=False),
-    **{
-        f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed))
-        for seed in range(6)
-    },
-}
+SHORTEST_WORD_ACTIONS = [
+    "vietoris_5_3",
+    "small_fo_variant_2",
+    "warp_3_2",
+    "warp_fiber_only_2_1",
+] + [f"random_tree_{seed}" for seed in range(6)]
 
 
-@pytest.mark.parametrize("name", list(SHORTEST_WORD_ACTIONS))
+@pytest.mark.parametrize("name", SHORTEST_WORD_ACTIONS)
 def test_shortest_words_carry_their_permutations(name):
-    action = SHORTEST_WORD_ACTIONS[name]()
+    action = cases.action(name)
     window = default_window(action)
     win_idx = sorted(window)
     dist = orbit_distances(action)
@@ -285,15 +269,11 @@ def test_shortest_words_carry_their_permutations(name):
     assert targets == sorted(i for i in window if i in dist)
 
 
-RETURN_WORD_ACTIONS = {
-    "vietoris_5_3": lambda: build_tower(vietoris(5, 3)).boundary_action(),
-    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
-    "rogers_tollefson_3": lambda: build_tower(rogers_tollefson(3)).boundary_action(),
-    **{
-        f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed))
-        for seed in range(6)
-    },
-}
+RETURN_WORD_ACTIONS = [
+    "vietoris_5_3",
+    "small_fo_variant_2",
+    "rogers_tollefson_3",
+] + [f"random_tree_{seed}" for seed in range(6)]
 
 
 def window_images(words):
@@ -309,7 +289,7 @@ def assert_images_are_window_restrictions(action, words):
         assert image == tuple(perm[i] for i in words.window), word
 
 
-@pytest.mark.parametrize("name", list(RETURN_WORD_ACTIONS))
+@pytest.mark.parametrize("name", RETURN_WORD_ACTIONS)
 def test_tuple_ball_return_words_are_the_reference_ball_ones(name, monkeypatch):
     # with no model fitting bytes, the model takes the tuple ball, and with the
     # reference ball in place of `word_ball` the reference's keys: bytes up to
@@ -319,7 +299,7 @@ def test_tuple_ball_return_words_are_the_reference_ball_ones(name, monkeypatch):
         ball, completed = reference_action_ball(action, length, perm_cap)
         return PairBall(ball), completed, tuple_getter
 
-    action = RETURN_WORD_ACTIONS[name]()
+    action = cases.action(name)
     window = default_window(action)
     for bound, budget in ((8, 20000), (8, 50), (3, 20000)):
         chosen = ActionWindow(action, window).words(bound, budget)
@@ -342,7 +322,7 @@ def test_return_words_refuse_a_window_over_the_cell_cap_before_any_ball(monkeypa
     def no_ball(*args, **kwargs):
         raise AssertionError("a ball permutation was enumerated above the cell cap")
 
-    action = build_tower(vietoris(2, 4)).boundary_action()
+    action = cases.action("vietoris_2_4")
     window = default_window(action)
     monkeypatch.setattr("cantordyn.limits.CELL_CAP", len(window) ** 2 - 1)
     monkeypatch.setattr(coding_module, "word_ball", no_ball)
@@ -351,7 +331,7 @@ def test_return_words_refuse_a_window_over_the_cell_cap_before_any_ball(monkeypa
 
 
 def test_warp_return_word_images_are_window_restrictions():
-    action = warp_example(3, 2)
+    action = cases.action("warp_3_2")
     words = ActionWindow(action, default_window(action)).words(8, BALL_BUDGET)
     assert len(words) > 1
     assert_images_are_window_restrictions(action, words)
@@ -359,7 +339,7 @@ def test_warp_return_word_images_are_window_restrictions():
 
 def test_fixed_point_agreement_at_schreier_diameter_on_random_actions():
     for seed in range(8):
-        action = random_tree_action(seed, max_addresses=128)
+        action = cases.action(f"random_tree_{seed}_128")
         window = default_window(action)
         diam = schreier_diameter(action.graph)
         words = ActionWindow(action, window).words(diam, BALL_BUDGET)
@@ -373,7 +353,7 @@ def test_fixed_point_agreement_at_schreier_diameter_on_random_actions():
 # -------------------------------------------------------------- coding chain
 
 def test_dyadic_chain_levels_and_constants():
-    action = build_tower(vietoris(2, 3)).boundary_action()
+    action = cases.action("vietoris_2_3")
     cc = coding_chain_of(action)
     assert len(cc.levels) == 2
     l1, l2 = cc.levels
@@ -386,15 +366,14 @@ def test_dyadic_chain_levels_and_constants():
 
 
 def test_singleton_window_gives_empty_chain():
-    action = build_tower(vietoris(2, 3)).boundary_action()
+    action = cases.action("vietoris_2_3")
     cc = coding_chain_of(action, window=frozenset({action.basepoint}))
     assert cc.levels == ()
 
 
 def test_chain_levels_match_core_cylinders_per_partition_depth():
-    for chain in (vietoris(2, 4), small_fo_variant(3)):
-        tower = build_tower(chain)
-        action = build_tower(chain).boundary_action()
+    for name in ("vietoris_2_4", "small_fo_variant_3"):
+        chain, tower, action = cases.chain(name), cases.tower(name), cases.action(name)
         cc = coding_chain_of(action)
         assert cc.levels, "expected at least one coding level"
         for lv in cc.levels:
@@ -405,11 +384,11 @@ def test_chain_levels_match_core_cylinders_per_partition_depth():
 def test_coding_laws_on_gallery_actions():
     rng = random.Random(17)
     actions = [
-        build_tower(vietoris(2, 3)).boundary_action(),
-        build_tower(vietoris(3, 2)).boundary_action(),
-        build_tower(small_fo_variant(2)).boundary_action(),
-        warp_example(2, 2),
-        warp_example(2, 2, include_free_factor=False),
+        cases.action("vietoris_2_3"),
+        cases.action("vietoris_3_2"),
+        cases.action("small_fo_variant_2"),
+        cases.action("warp_2_2"),
+        cases.action("warp_fiber_only_2_2"),
     ]
     for action in actions:
         cc = coding_chain_of(action)
@@ -420,67 +399,66 @@ def test_coding_laws_on_gallery_actions():
 def test_coding_laws_on_random_tree_actions():
     rng = random.Random(23)
     for seed in range(6):
-        action = random_tree_action(seed, max_addresses=256)
+        action = cases.action(f"random_tree_{seed}_256")
         cc = coding_chain_of(action)
         assert check_coding_laws(action, cc, rng=rng) > 0
 
 
 def test_chain_reports_graph_diameter_on_small_models():
-    action = build_tower(vietoris(2, 3)).boundary_action()
+    action = cases.action("vietoris_2_3")
     cc = coding_chain_of(action)
     assert cc.schreier_diam == 4  # the 8-cycle
 
 
 def test_graph_diameter_of_disconnected_action_is_component_maximum():
-    action = warp_example(2, 1, include_free_factor=False)
+    action = cases.action("warp_fiber_only_2_1")
     # orbits are the 4-cycles inside each fiber plus the fixed point
     assert schreier_diameter(action.graph) == 2
 
 
-DIAMETER_ACTIONS = {
-    "vietoris_5_4": lambda: build_tower(vietoris(5, 4)).boundary_action(),
-    "vietoris_2_3": lambda: build_tower(vietoris(2, 3)).boundary_action(),
-    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
-    "rogers_tollefson_3": lambda: build_tower(rogers_tollefson(3)).boundary_action(),
-    "warp_3_2": lambda: warp_example(3, 2),
-    "warp_fiber_only_2_1": lambda: warp_example(2, 1, include_free_factor=False),
-    **{
-        f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed))
-        for seed in range(8)
-    },
-}
+DIAMETER_ACTIONS = [
+    "vietoris_5_4",
+    "vietoris_2_3",
+    "small_fo_variant_2",
+    "rogers_tollefson_3",
+    "warp_3_2",
+    "warp_fiber_only_2_1",
+] + [f"random_tree_{seed}" for seed in range(8)]
 
 
-@pytest.mark.parametrize("name", list(DIAMETER_ACTIONS))
+@pytest.mark.parametrize("name", DIAMETER_ACTIONS)
 def test_schreier_diameter_matches_the_bfs_oracle(name):
-    action = DIAMETER_ACTIONS[name]()
+    action = cases.action(name)
     assert len(action.model) <= SCHREIER_SIZE_CAP
     assert schreier_diameter(action.graph) == bfs_schreier_diameter(action)
 
 
 @given(st.integers(0, 2 ** 16))
 def test_schreier_diameter_matches_bfs_on_random_tree_actions(seed):
-    action = random_tree_action(seed, max_addresses=64)
+    action = cases.random_tree_action(seed, max_addresses=64)
     assert schreier_diameter(action.graph) == bfs_schreier_diameter(action)
 
 
+# test name -> registry name: random tree actions of at most 128 addresses
 REFINE_ACTIONS = {
-    "vietoris_2_3": lambda: build_tower(vietoris(2, 3)).boundary_action(),
-    "vietoris_3_2": lambda: build_tower(vietoris(3, 2)).boundary_action(),
-    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
-    "rogers_tollefson_3": lambda: build_tower(rogers_tollefson(3)).boundary_action(),
-    "fokkink_oversteegen_1": lambda: build_tower(fokkink_oversteegen(1)).boundary_action(),
-    "warp_3_2": lambda: warp_example(3, 2),
     **{
-        f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed, max_addresses=128))
-        for seed in range(6)
+        name: name
+        for name in (
+            "vietoris_2_3",
+            "vietoris_3_2",
+            "small_fo_variant_2",
+            "rogers_tollefson_3",
+            "fokkink_oversteegen_1",
+            "warp_3_2",
+        )
     },
+    **{f"random_tree_{seed}": f"random_tree_{seed}_128" for seed in range(6)},
 }
 
 
 @pytest.mark.parametrize("name", list(REFINE_ACTIONS))
 def test_refine_fixed_point_matches_the_naive_split_loop(name):
-    action = REFINE_ACTIONS[name]()
+    action = cases.action(REFINE_ACTIONS[name])
     model = action.model
     rng = random.Random(len(model))
     window = default_window(action)
@@ -499,7 +477,7 @@ def test_refine_fixed_point_matches_the_naive_split_loop(name):
 
 
 def test_partition_construction_rejects_bad_blocks():
-    action = build_tower(vietoris(2, 3)).boundary_action()
+    action = cases.action("vietoris_2_3")
     window = default_window(action)
     origin = {action.model.index[(0, 0, 0)]}
     with pytest.raises(StructureError):
@@ -509,7 +487,7 @@ def test_partition_construction_rejects_bad_blocks():
 
 
 def test_local_constancy_depth_bounded_by_partition_scale():
-    action = build_tower(vietoris(2, 4)).boundary_action()
+    action = cases.action("vietoris_2_4")
     cc = coding_chain_of(action)
     for lv in cc.levels:
         j = least_cylinder_union_depth(action.model, lv.v)

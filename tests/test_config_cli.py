@@ -3,6 +3,7 @@
 import contextlib
 import io
 import pathlib
+import sys
 import time
 from collections import namedtuple
 
@@ -14,7 +15,9 @@ from cantordyn import __version__
 from cantordyn.cli import main
 from cantordyn.config import PARAM_KEYS, parse_config, serialize_config
 from cantordyn.errors import ParseError, StructureError
+from cantordyn.gallery import PRIME_TEST_BOUND
 from cantordyn.report import strip_timing
+from helpers import count_calls
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -542,6 +545,72 @@ def test_resource_cap_exits_three(tmp_path, capsys, monkeypatch):
     assert "cap" in err
 
 
+@contextlib.contextmanager
+def default_int_digits():
+    """CPython's default limit of 4300 digits on int-to-str conversion,
+    where it has one, restored afterwards."""
+    before = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if before is not None:
+        sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("classify",), ("measure",), ("code",), ("holonomy", "--word", "t", "--at", "0")],
+    ids=["classify", "measure", "code", "holonomy"],
+)
+def test_a_cap_naming_a_number_past_4300_digits_exits_three(tmp_path, capsys, argv):
+    # the index 1000003^720 has 4321 digits, and the cap message prints it whole
+    cfg = tmp_path / "vietoris_720.cfg"
+    cfg.write_text("[chain]\ngallery = vietoris\np = 1000003\ndepth = 720\n")
+    with default_int_digits():
+        rc, out, err = run_cli(capsys, argv[0], str(cfg), *argv[1:])
+        assert (rc, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+        if argv[0] != "code":  # code refuses the window's cells
+            assert f"coset index {1000003 ** 720} exceeds the cap" in err
+
+
+def test_exact_rows_past_4300_digits_print_whole(capsys):
+    # lambda = 10^-3000: the rows at lambda^2 and lambda^3 have 6001 and 9001 digits
+    lam = "1/1" + "0" * 3000
+    with default_int_digits():
+        rc, out, err = run_cli(
+            capsys, "classify", str(CONFIG_DIR / "vietoris5.cfg"), "--lambda", lam
+        )
+    assert (rc, err) == (0, "")
+    powers = ["1"] + ["1/1" + "0" * (3000 * j) for j in (1, 2, 3)]
+    lines = out.splitlines()
+    head = lines.index("  head:")
+    assert lines[head + 1:head + 5] == [f"    r {r}: kappa {r}" for r in powers]
+    assert f"  lambda: {lam}" in lines
+    assert f"  min_delta: {powers[3]}" in lines
+
+
+@pytest.mark.parametrize(
+    "p, rc, message",
+    [
+        (10 ** 18 + 3, 3, "exceeds the cap"),  # a prime: the index cap refuses it
+        (10 ** 18 + 1, 2, "must be a prime"),  # 101 * 9901 * ...
+        (PRIME_TEST_BOUND, 2, f"not below {PRIME_TEST_BOUND}"),
+    ],
+    ids=["prime", "composite", "past-the-bound"],
+)
+def test_a_large_vietoris_base_is_decided_at_once(tmp_path, capsys, p, rc, message):
+    cfg = tmp_path / "vietoris_large_p.cfg"
+    cfg.write_text(f"[chain]\ngallery = vietoris\np = {p}\ndepth = 1\n")
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, "classify", str(cfg))
+    assert time.perf_counter() - start < 1.0
+    assert (got, out) == (rc, "")
+    assert message in err and err.count("\n") == 1
+
+
 def test_invariant_violation_exits_four(capsys, monkeypatch):
     from cantordyn import cli as cli_module
     from cantordyn.errors import InvariantViolation
@@ -555,15 +624,16 @@ def test_invariant_violation_exits_four(capsys, monkeypatch):
     assert "synthetic violation" in err
 
 
-def swap_across_level(monkeypatch, chain, level=1):
+def swap_across_level(monkeypatch, name, level=1):
     """Patch `coset_space`, where `tower` and the oracle tower bind it and
     where `ChainWindow` imports it from, so that the first generator's permutation
     swaps its images of two cosets lying in one coset of the level above and
     in different cosets of the level."""
+    import cases
     import tower_oracle
     from cantordyn import affine, tower
 
-    addresses = tower_oracle.build_tower(chain).addresses
+    addresses = cases.tower(name).addresses
     first = addresses[0][:level]
     k = next(
         k for k, a in enumerate(addresses) if a[:level - 1] == first[:-1] and a[:level] != first
@@ -595,7 +665,7 @@ def test_a_permutation_that_does_not_descend_exits_four(capsys, monkeypatch, lev
 
     path = CONFIG_DIR / "vietoris2.cfg"  # depth 4
     chain = parse_config(path.read_text()).build_chain()
-    swap_across_level(monkeypatch, chain, level)
+    swap_across_level(monkeypatch, "configs/vietoris2.cfg", level)
     for build in (build_tower, boundary_action):
         with pytest.raises(InvariantViolation, match=f"does not map level {level} cosets"):
             build(chain)
@@ -872,23 +942,17 @@ def test_code_builds_one_return_word_set_and_no_word_perm(
     from cantordyn import coding
     from cantordyn.action import CantorAction
 
-    calls = {"action_words": 0, "chain_words": 0, "word_perm": 0}
-    action_words, chain_words = coding.ActionWindow.words, coding.ChainWindow.words
-    word_perm = CantorAction.word_perm
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(coding.ActionWindow, "words", counted("action_words", action_words))
-    monkeypatch.setattr(coding.ChainWindow, "words", counted("chain_words", chain_words))
-    monkeypatch.setattr(CantorAction, "word_perm", counted("word_perm", word_perm))
+    calls = [
+        count_calls(monkeypatch, owner, name)
+        for owner, name in (
+            (coding.ActionWindow, "words"),
+            (coding.ChainWindow, "words"),
+            (CantorAction, "word_perm"),
+        )
+    ]
     rc, _, _ = run_cli(capsys, "code", str(config))
     assert rc == 0
-    assert calls == {"action_words": 0, "chain_words": 1, "word_perm": 0}
+    assert list(map(len, calls)) == [0, 1, 0]
 
 
 @pytest.mark.parametrize(
@@ -908,22 +972,13 @@ def test_classify_checks_minimality_and_invariance_once(
     `classify` and `measure`."""
     from cantordyn import action
 
-    calls = {"is_minimal": 0, "invariant_measure": 0}
-
-    def counted(name, fn):
-        def wrapper(*a, **kw):
-            calls[name] += 1
-            return fn(*a, **kw)
-
-        return wrapper
-
-    for name in calls:  # the CLI imports them from the action module when it runs
-        monkeypatch.setattr(action, name, counted(name, getattr(action, name)))
+    # the CLI imports them from the action module when it runs
+    calls = [count_calls(monkeypatch, action, name) for name in ("is_minimal", "invariant_measure")]
     rc, out, _ = run_cli(capsys, command, str(REPO / args[0]), *args[1:])
     assert rc == 0
     key = "pushforward_invariant_all" if command == "measure" else "pushforward_invariant"
     assert f"  {key}: true\n" in out
-    assert calls == {"is_minimal": count, "invariant_measure": count}
+    assert list(map(len, calls)) == [count, count]
 
 
 @pytest.mark.parametrize(
@@ -939,14 +994,7 @@ def test_classify_checks_minimality_and_invariance_once(
 def test_chain_commands_build_the_chain_once(capsys, monkeypatch, args):
     from cantordyn.config import Config
 
-    calls = []
-    build_chain = Config.build_chain
-
-    def counted(self):
-        calls.append(self)
-        return build_chain(self)
-
-    monkeypatch.setattr(Config, "build_chain", counted)
+    calls = count_calls(monkeypatch, Config, "build_chain")
     assert parse_config((REPO / args[1]).read_text()).depth is None
     rc, _, _ = run_cli(capsys, args[0], str(REPO / args[1]), *args[2:])
     assert rc == 0

@@ -23,6 +23,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import cases
 from cantordyn import gallery
 from cantordyn.action import (
     CantorAction,
@@ -37,15 +38,14 @@ from cantordyn.coding import (
     default_window,
 )
 from cantordyn.errors import StructureError
-from tower_oracle import build_tower
 
-CHAINS = {
-    "vietoris_2_4": lambda: gallery.vietoris(2, 4),
-    "vietoris_5_3": lambda: gallery.vietoris(5, 3),
-    "rogers_tollefson_3": lambda: gallery.rogers_tollefson(3),
-    "small_fo_variant_2": lambda: gallery.small_fo_variant(2),
-    "fokkink_oversteegen_1": lambda: gallery.fokkink_oversteegen(1),
-}
+CHAINS = (
+    "vietoris_2_4",
+    "vietoris_5_3",
+    "rogers_tollefson_3",
+    "small_fo_variant_2",
+    "fokkink_oversteegen_1",
+)
 RANDOM_TREE_SEEDS = range(8)
 WARP_DEPTHS = (1, 2, 3)
 
@@ -67,22 +67,32 @@ def random_product_tree(seed):
     return CantorAction(model, {}, rng.randrange(len(leaves)))
 
 
-BUILDERS = {
-    **{name: lambda c=c: build_tower(c()).boundary_action() for name, c in CHAINS.items()},
-    **{f"tree_{s}": lambda s=s: random_product_tree(s) for s in RANDOM_TREE_SEEDS},
-    # the warp model, with its basepoint at the collapsed point
-    **{f"warp_{d}": lambda d=d: CantorAction(gallery.warp_model(d), {}, 0) for d in WARP_DEPTHS},
-}
-TREES = [name for name in BUILDERS if not name.startswith("warp")]
+NAMES = (
+    list(CHAINS)
+    + [f"tree_{s}" for s in RANDOM_TREE_SEEDS]
+    + [f"warp_{d}" for d in WARP_DEPTHS]
+)
+TREES = [name for name in NAMES if not name.startswith("warp")]
 
 
-@functools.lru_cache(maxsize=None)
+def build(name):
+    """A chain's boundary action, a random product tree, or the warp model
+    with its basepoint at the collapsed point."""
+    kind, _, arg = name.rpartition("_")
+    if kind == "tree":
+        return random_product_tree(int(arg))
+    if kind == "warp":
+        return CantorAction(gallery.warp_model(int(arg)), {}, 0)
+    return cases.action(name)
+
+
+@functools.cache
 def case(name):
     """(action, cylinders, dist): dist the table of exact pairwise distances,
     and cylinders[j][i] the oracle's depth-j cylinder of index i, a frozenset:
     the class of d <= lam^j on a tree, of equal `warp_cylinder_key` on the
     warp product."""
-    action = BUILDERS[name]()
+    action = build(name)
     model = action.model
     addrs = model.addresses
     n = len(model)
@@ -114,7 +124,7 @@ def eta_oracle(dist, partition, include_complement):
     )
 
 
-@pytest.mark.parametrize("name", BUILDERS)
+@pytest.mark.parametrize("name", NAMES)
 def test_labels_induce_the_key_partition_and_members(name):
     action, cylinders, _ = case(name)
     model = action.model
@@ -142,7 +152,7 @@ def test_tree_diameters_and_least_distance(name):
     assert model.least_distance() == min(positive, default=F(0))
 
 
-@pytest.mark.parametrize("name", BUILDERS)
+@pytest.mark.parametrize("name", NAMES)
 def test_eta_of_cylinder_partitions_of_the_default_window(name):
     action, cylinders, dist = case(name)
     home = cylinders[1][action.basepoint]
@@ -189,7 +199,7 @@ def check_windows(action, cylinders, rng):
     return refusals
 
 
-@pytest.mark.parametrize("name", BUILDERS)
+@pytest.mark.parametrize("name", NAMES)
 def test_clopen_window_check_on_cylinder_unions(name):
     # the finest cylinders are single addresses, so every set is a union of them
     action, cylinders, _ = case(name)

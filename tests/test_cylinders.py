@@ -4,7 +4,6 @@ support check against the Fraction oracle."""
 
 import itertools
 import math
-import pathlib
 import random
 from fractions import Fraction as F
 
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cases
 from cantordyn import action as action_module
 from cantordyn.action import (
     CantorAction,
@@ -24,41 +24,25 @@ from cantordyn.action import (
     is_minimal,
     word_ball,
 )
-from cantordyn.config import parse_config
 from cantordyn.errors import InvariantViolation
-from cantordyn.gallery import (
-    fokkink_oversteegen,
-    rogers_tollefson,
-    small_fo_variant,
-    vietoris,
-    warp_example,
-)
 from helpers import (
     ball_pairs,
     brute_force_pushforward_invariant,
     engine_answers,
     probes,
-    random_tree_action,
     rank_oracle,
     reference_action_ball,
 )
-from tower_oracle import build_tower
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
-
-
-def klein_3_5_mid():
-    text = (REPO / "perfbench/configs/klein_3_5_mid.cfg").read_text()
-    return build_tower(parse_config(text).build_chain()).boundary_action()
-
-
+# test name -> registry name
 TREE_ACTIONS = {
-    "vietoris_5_4": lambda: build_tower(vietoris(5, 4)).boundary_action(),
-    "rogers_tollefson_3": lambda: build_tower(rogers_tollefson(3)).boundary_action(),
-    "fokkink_oversteegen_1": lambda: build_tower(fokkink_oversteegen(1)).boundary_action(),
-    "small_fo_3": lambda: build_tower(small_fo_variant(3)).boundary_action(),
-    "klein_3_5_mid": klein_3_5_mid,
-    **{f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed)) for seed in range(12)},
+    **{
+        name: name
+        for name in ("vietoris_5_4", "rogers_tollefson_3", "fokkink_oversteegen_1")
+        + tuple(f"random_tree_{seed}" for seed in range(12))
+    },
+    "small_fo_3": "small_fo_variant_3",
+    "klein_3_5_mid": "perfbench/configs/klein_3_5_mid.cfg",
 }
 
 
@@ -76,13 +60,13 @@ def assert_cylinders_match_rank_oracle(action, seed=0):
 
 @pytest.mark.parametrize("name", TREE_ACTIONS)
 def test_cylinder_engines_match_the_rank_oracle(name):
-    assert_cylinders_match_rank_oracle(TREE_ACTIONS[name]())
+    assert_cylinders_match_rank_oracle(cases.action(TREE_ACTIONS[name]))
 
 
 @pytest.mark.parametrize("name", TREE_ACTIONS)
 def test_tuple_ball_is_the_reference_ball(name, monkeypatch):
     # the reference keys are bytes up to 256 addresses, tuples above
-    action = TREE_ACTIONS[name]()
+    action = cases.action(TREE_ACTIONS[name])
     for perm_cap in (20000, 50):
         with monkeypatch.context() as patch:
             patch.setattr(action_module, "BYTE_ALPHABET", 0)  # the tuple route
@@ -128,24 +112,15 @@ def supports(action):
     return [frozenset(s) for s in (orbit, cylinder, [action.basepoint], [n - 1])]
 
 
-MEASURE_ACTIONS = pytest.mark.parametrize(
-    "build",
-    [
-        lambda: build_tower(vietoris(2, 3)).boundary_action(),
-        lambda: build_tower(fokkink_oversteegen(1)).boundary_action(),
-        lambda: warp_example(3, 2, include_free_factor=False),
-        lambda: warp_example(2, 2),
-        lambda: random_tree_action(3),
-    ],
+@pytest.mark.parametrize(
+    "name",
+    ["vietoris_2_3", "fokkink_oversteegen_1", "warp_fiber_only_3", "warp_2", "random_tree_3"],
     ids=["vietoris_2_3", "fokkink_oversteegen_1", "warp_fiber_only", "warp_2", "random_tree_3"],
 )
-
-
-@MEASURE_ACTIONS
-def test_support_check_matches_the_fraction_oracle(build):
+def test_support_check_matches_the_fraction_oracle(name):
     # a uniform measure is invariant exactly when the generators keep its
     # support, which invariant_measure checks on the orbit a verdict names
-    action = build()
+    action = cases.action(name)
     verdicts = []
     for support in supports(action):
         mu = InvariantMeasure("label", support, F(1, len(support)))

@@ -1,7 +1,10 @@
 """Gallery builders: indices, normality patterns, and warp action facts."""
 
+import math
+
 import pytest
 
+import cases
 from cantordyn.action import COLLAPSED, breadth_first, is_minimal, modulus_table
 from cantordyn.affine import (
     contains,
@@ -13,7 +16,9 @@ from cantordyn.affine import (
 )
 from cantordyn.errors import StructureError
 from cantordyn.gallery import (
+    PRIME_TEST_BOUND,
     REFLECTION,
+    _is_prime,
     build_action,
     build_chain,
     fokkink_oversteegen,
@@ -26,7 +31,6 @@ from cantordyn.tower import mccord_verdict
 
 from helpers import brute_force_core
 from modulus_oracle import modulus_table_of
-from tower_oracle import build_tower
 
 
 def test_vietoris_chain_levels():
@@ -37,6 +41,26 @@ def test_vietoris_chain_levels():
 def test_vietoris_requires_a_prime_base():
     with pytest.raises(StructureError):
         vietoris(4, 2)
+
+
+def trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def test_the_primality_test_is_trial_division_below_ten_thousand():
+    assert [p for p in range(-2, 10 ** 4) if _is_prime(p)] == [
+        p for p in range(-2, 10 ** 4) if trial_division_is_prime(p)
+    ]
+
+
+def test_the_primality_test_decides_large_bases_and_refuses_past_its_bound():
+    # 3215031751 and 3825123056546413051 are strong pseudoprimes to the
+    # first four and the first nine prime bases
+    assert [_is_prime(p) for p in (10 ** 18 + 3, 10 ** 18 + 1, 3215031751)] == [True, False, False]
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2 ** 61 - 1) and not _is_prime((2 ** 31 - 1) * (10 ** 9 + 7))
+    with pytest.raises(StructureError, match=f"not below {PRIME_TEST_BOUND}"):
+        _is_prime(PRIME_TEST_BOUND)
 
 
 def test_vietoris_chains_are_mccord_compatible():
@@ -107,9 +131,8 @@ def test_fo_mccord_verdict_beyond_the_coset_cap():
 
 
 def test_rogers_tollefson_indices_and_tower():
-    chain = rogers_tollefson(3)
-    assert chain.indices() == [2, 4, 8]
-    tower = build_tower(chain)
+    assert cases.chain("rogers_tollefson_3").indices() == [2, 4, 8]
+    tower = cases.tower("rogers_tollefson_3")
     assert [len({a[:l] for a in tower.addresses}) for l in (1, 2, 3)] == [2, 4, 8]
 
 
@@ -151,19 +174,19 @@ def test_gallery_chains_pass_chain_invariants():
 
 
 def test_warp_fiber_generators_fix_the_collapsed_point():
-    action = warp_example(3, 2, include_free_factor=False)
+    action = cases.action("warp_fiber_only_3_2")
     assert action.model.addresses[action.basepoint] == COLLAPSED
     assert breadth_first(action.graph)[0] == [[action.basepoint]]
     assert not is_minimal(action).minimal
 
 
 def test_warp_fiber_generators_are_warp_isometries():
-    table = modulus_table(warp_example(3, 3, include_free_factor=False))
+    table = modulus_table(cases.action("warp_fiber_only_3_3"))
     assert table.is_exact_isometry_table()
 
 
 def test_warp_with_free_factor_is_minimal():
-    assert is_minimal(warp_example(3, 2)).minimal
+    assert is_minimal(cases.action("warp_3_2")).minimal
 
 
 def test_warp_depth_cap():
@@ -181,5 +204,5 @@ def test_builder_dispatch_by_name():
 
 
 def test_boundary_isometry_for_all_gallery_chains():
-    for chain in (vietoris(2, 4), rogers_tollefson(3), small_fo_variant(2)):
-        assert modulus_table_of(build_tower(chain).boundary_action()).is_exact_isometry_table()
+    for name in ("vietoris_2_4", "rogers_tollefson_3", "small_fo_variant_2"):
+        assert modulus_table_of(cases.action(name)).is_exact_isometry_table()

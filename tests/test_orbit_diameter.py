@@ -8,7 +8,7 @@ it must match an independent queue BFS, address by address: the distance,
 and the parent and token of the first discovery.  The actions are gallery
 actions, seeded random tree actions, the fiber-only warp action (not
 minimal, so the walk stops short) and the boundary actions of the chains of
-tests/test_chain_sections.py.
+tests/test_chain_sections.py, all read from tests/cases.py.
 
 When H_K is normal in G, the boundary action is the regular action of
 G/H_K, so its orbit graph is a Cayley graph: vertex-transitive, with the
@@ -25,27 +25,22 @@ CantorAction and once more per ChainWindow, for G on G/H_K, and never in
 `word_ball`, `is_minimal`, `ActionWindow` or a coding chain that escalates.
 """
 
-import pathlib
 from collections import deque
 from fractions import Fraction as F
 
 import pytest
 
+import cases
 from cantordyn.action import breadth_first, is_minimal, word_ball
 from cantordyn.affine import is_normal
 from cantordyn.cli import _chain_modulus, main
 from cantordyn.coding import ActionWindow, ChainWindow, schreier_diameter
 from cantordyn.config import parse_config
 from cantordyn.errors import InvariantViolation
-from cantordyn.gallery import fokkink_oversteegen, small_fo_variant, vietoris, warp_example
 from cantordyn.limits import SCHREIER_SIZE_CAP
-from helpers import bfs_schreier_diameter, random_tree_action
-from test_chain_sections import CHAINS, action_of
-from test_chain_sections import chain_of as section_chain_of
-from test_step_kernel import random_lattice_chain
-from tower_oracle import build_tower
+from cases import REPO, SECTION_CHAINS as CHAINS
+from helpers import bfs_schreier_diameter, count_calls
 
-REPO = pathlib.Path(__file__).resolve().parent.parent
 NORMAL_CONFIGS = ("vietoris2", "vietoris3", "vietoris5", "quads", "triadic")
 OTHER_CONFIGS = {  # H_K is not normal
     "rt": "configs/rt.cfg",
@@ -53,15 +48,21 @@ OTHER_CONFIGS = {  # H_K is not normal
 }
 RANDOM_SEEDS = range(10)
 LAM = F(1, 2)
-
+# test name -> registry name
 WALK_ACTIONS = {
-    "vietoris_2_3": lambda: build_tower(vietoris(2, 3)).boundary_action(),
-    "small_fo_variant_2": lambda: build_tower(small_fo_variant(2)).boundary_action(),
-    "fokkink_oversteegen_1": lambda: build_tower(fokkink_oversteegen(1)).boundary_action(),
-    "warp_3_2": lambda: warp_example(3, 2),
-    "warp_fiber_only_3_2": lambda: warp_example(3, 2, include_free_factor=False),
-    **{f"random_tree_{seed}": (lambda seed=seed: random_tree_action(seed)) for seed in range(6)},
-    **{f"chain_{name}": (lambda name=name: action_of(name, LAM)) for name in CHAINS},
+    **{
+        name: name
+        for name in ["vietoris_2_3", "small_fo_variant_2", "fokkink_oversteegen_1"]
+        + ["warp_3_2", "warp_fiber_only_3_2"]
+        + [f"random_tree_{seed}" for seed in range(6)]
+    },
+    **{f"chain_{name}": name for name in CHAINS},
+}
+# test name -> the registry name of the chain
+DIAMETER_CHAINS = {
+    **{name: f"configs/{name}.cfg" for name in NORMAL_CONFIGS},
+    **OTHER_CONFIGS,
+    **{f"lattice-{seed}": f"z2-{seed}" for seed in RANDOM_SEEDS},
 }
 
 
@@ -84,7 +85,7 @@ def queue_walk(action):
 
 @pytest.mark.parametrize("name", list(WALK_ACTIONS))
 def test_breadth_first_is_the_queue_walk(name):
-    action = WALK_ACTIONS[name]()
+    action = cases.action(WALK_ACTIONS[name])
     layers, via = breadth_first(action.graph)
     found = queue_walk(action)
     assert [j for layer in layers for j in layer] == list(found)  # discovery order
@@ -95,24 +96,15 @@ def test_breadth_first_is_the_queue_walk(name):
     assert is_minimal(action).minimal == (len(found) == len(action.model))
 
 
-def chain_of(name):
-    if name in NORMAL_CONFIGS or name in OTHER_CONFIGS:
-        path = REPO / OTHER_CONFIGS.get(name, f"configs/{name}.cfg")
-        return parse_config(path.read_text()).build_chain()
-    return random_lattice_chain(int(name.split("-")[1]), 2)
-
-
 def window_of(chain):
     return ChainWindow(chain, LAM)
 
 
-@pytest.mark.parametrize(
-    "name", list(NORMAL_CONFIGS) + list(OTHER_CONFIGS) + [f"lattice-{s}" for s in RANDOM_SEEDS]
-)
+@pytest.mark.parametrize("name", DIAMETER_CHAINS)
 def test_the_chain_windows_diameter_is_the_orbit_graphs(name):
-    chain = chain_of(name)
+    chain = cases.chain(DIAMETER_CHAINS[name])
     assert is_normal(chain.group, chain.levels[-1]).normal == (name not in OTHER_CONFIGS)
-    action = build_tower(chain).boundary_action()
+    action = cases.boundary(DIAMETER_CHAINS[name])
     assert len(action.model) <= SCHREIER_SIZE_CAP
     source = window_of(chain)
     assert source.minimal is True
@@ -124,9 +116,8 @@ def test_the_chain_windows_diameter_is_the_orbit_graphs(name):
 
 @pytest.mark.parametrize("name", CHAINS)
 def test_the_chain_windows_diameter_on_the_section_chains(name):
-    action = action_of(name, LAM)
-    want = schreier_diameter(action.graph)  # None above the cap
-    assert window_of(section_chain_of(name)).diameter() == want
+    want = schreier_diameter(cases.boundary(name, LAM).graph)  # None above the cap
+    assert window_of(cases.chain(name)).diameter() == want
 
 
 def test_code_reports_no_diameter_above_the_size_cap(tmp_path, capsys):
@@ -153,22 +144,13 @@ def test_code_reports_no_diameter_above_the_size_cap(tmp_path, capsys):
 def test_code_runs_the_bitset_diameter_off_normal_chains(capsys, monkeypatch, config, calls):
     from cantordyn import coding
 
-    counted = {"schreier_diameter": 0, "breadth_first": 0}
-
-    def wrap(name):
-        fn = getattr(coding, name)
-
-        def wrapper(*a, **kw):
-            counted[name] += 1
-            return fn(*a, **kw)
-
-        return wrapper
-
-    for name in counted:  # the window sources read them from the coding module
-        monkeypatch.setattr(coding, name, wrap(name))
+    # the window sources read them from the coding module
+    counted = [
+        count_calls(monkeypatch, coding, name) for name in ("schreier_diameter", "breadth_first")
+    ]
     assert main(["code", str(REPO / config)]) == 0
     capsys.readouterr()
-    assert counted == {"schreier_diameter": calls, "breadth_first": 1}
+    assert list(map(len, counted)) == [calls, 1]
 
 
 # ------------------------------------------------------ one orbit-graph builder
@@ -205,8 +187,7 @@ def escalating_code(monkeypatch, source, table):
     monkeypatch.setattr(
         coding, "_shortest_words_into_window", lambda graph, layers, via, w: [((), tuple(w))]
     )
-    calls, words = [], type(source).words
-    monkeypatch.setattr(type(source), "words", lambda *a: calls.append(a) or words(*a))
+    calls = count_calls(monkeypatch, type(source), "words")
     try:
         coding.code_window(source, table, 8)
     except InvariantViolation:
@@ -219,7 +200,7 @@ def escalating_code(monkeypatch, source, table):
 )
 def test_an_action_builds_its_orbit_graph_once_and_its_readers_none(monkeypatch, name):
     sizes = counted_graphs(monkeypatch)
-    action = WALK_ACTIONS[name]()
+    action = cases.make_action(WALK_ACTIONS[name])  # a fresh action builds its graph
     assert sizes == [len(action.model)]
     assert action.graph.size == len(action.model)
     word_ball(action, 8, perm_cap=500)
@@ -233,10 +214,10 @@ def test_an_action_builds_its_orbit_graph_once_and_its_readers_none(monkeypatch,
 
 @pytest.mark.parametrize("name", ESCALATING_CHAINS)
 def test_one_orbit_graph_per_action_or_chain_window_however_code_escalates(monkeypatch, name):
-    chain = section_chain_of(name)
+    chain = cases.chain(name)
     table = _chain_modulus(chain, LAM)
     sizes = counted_graphs(monkeypatch)
-    action = build_tower(chain).boundary_action(LAM)  # one CantorAction
+    action = cases.tower(name).boundary_action(LAM)  # one fresh CantorAction
     assert sizes == [len(action.model)]
     assert escalating_code(monkeypatch, ActionWindow(action), table) > 1
     assert sizes == [len(action.model)]

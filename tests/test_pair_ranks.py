@@ -9,6 +9,7 @@ from math import isqrt
 
 import pytest
 
+import cases
 from cantordyn import action as action_module
 from cantordyn.action import (
     COLLAPSED,
@@ -27,7 +28,7 @@ from cantordyn.coding import (
 )
 from cantordyn.config import parse_config
 from cantordyn.errors import ResourceLimitError, StructureError
-from cantordyn.gallery import vietoris, warp_example, warp_model
+from cantordyn.gallery import warp_model
 from cantordyn.limits import CELL_CAP
 from helpers import (
     ExplicitMetric,
@@ -36,14 +37,12 @@ from helpers import (
     brute_force_distality,
     brute_force_eta,
     brute_force_modulus_rows,
+    count_calls,
     pair_distances,
-    random_tree_action,
     rank_oracle,
-    three_point_action,
     validate_metric,
 )
 from modulus_oracle import modulus_table_of
-from tower_oracle import build_tower
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 TREE_SEEDS = range(6)
@@ -90,12 +89,12 @@ def test_pair_ranks_match_warp_distances_on_random_subsets(depth, lam1, collapse
 
 
 def test_pair_ranks_match_an_explicit_table():
-    assert_ranks_match_distances(three_point_action().model)
+    assert_ranks_match_distances(cases.action("three_point").model)
 
 
 @pytest.mark.parametrize("seed", TREE_SEEDS)
 def test_pair_ranks_match_tree_distances(seed):
-    action = rank_oracle(random_tree_action(seed, max_addresses=128))
+    action = rank_oracle(cases.action(f"random_tree_{seed}_128"))
     assert_ranks_match_distances(action.model)
 
 
@@ -125,7 +124,7 @@ def test_pair_ranks_refuse_distinct_addresses_at_distance_zero(lam1):
     ids=["modulus_table", "pair_ranks"],
 )
 def test_pair_ranks_on_a_tree_model_raise_a_structure_error_naming_the_metric(call):
-    action = build_tower(vietoris(2, 3)).boundary_action()
+    action = cases.action("vietoris_2_3")
     with pytest.raises(StructureError, match="pair keys, which TreeMetric"):
         call(action)
 
@@ -197,17 +196,17 @@ def assert_engines_match_oracles(action, word_length):
 @pytest.mark.parametrize("free_factor", [True, False])
 @pytest.mark.parametrize("depth", [2, 3, 4])
 def test_engines_match_oracles_on_warp_examples(depth, free_factor):
-    action = warp_example(depth, include_free_factor=free_factor)
+    action = cases.action(f"warp_{'' if free_factor else 'fiber_only_'}{depth}")
     assert_engines_match_oracles(action, 3 if depth < 4 else 1)
 
 
 @pytest.mark.parametrize("seed", TREE_SEEDS)
 def test_engines_match_oracles_on_random_tree_actions(seed):
-    assert_engines_match_oracles(random_tree_action(seed, max_addresses=128), 3)
+    assert_engines_match_oracles(cases.action(f"random_tree_{seed}_128"), 3)
 
 
 def test_engines_match_oracles_on_an_explicit_metric():
-    assert_engines_match_oracles(three_point_action(), 3)
+    assert_engines_match_oracles(cases.action("three_point"), 3)
 
 
 # ---------------------------------------------------------- command counts
@@ -263,45 +262,25 @@ def test_warp_commands_compute_each_distance_once(capsys, monkeypatch, command):
     ids=lambda argv: " ".join(argv),
 )
 def test_chain_commands_never_build_a_rank_matrix(capsys, monkeypatch, argv):
-    calls = {"pair_ranks": 0, "_pair_rank_rows": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        CantorModel, "pair_ranks", counted("pair_ranks", CantorModel.pair_ranks)
-    )
-    monkeypatch.setattr(
-        action_module,
-        "_pair_rank_rows",
-        counted("_pair_rank_rows", action_module._pair_rank_rows),
-    )
+    calls = [
+        count_calls(monkeypatch, CantorModel, "pair_ranks"),
+        count_calls(monkeypatch, action_module, "_pair_rank_rows"),
+    ]
     monkeypatch.chdir(CONFIG_DIR.parent)
     assert main(argv) == 0
     capsys.readouterr()
-    assert calls == {"pair_ranks": 0, "_pair_rank_rows": 0}
+    assert calls == [[], []]
 
 
 def test_classify_gathers_the_rank_matrix_once_per_generator_and_never_per_word(
     capsys, monkeypatch
 ):
-    gathers = {"count": 0}
-    original = action_module._image_ranks
-
-    def image_ranks(rank, perm):
-        gathers["count"] += 1
-        return original(rank, perm)
-
-    monkeypatch.setattr(action_module, "_image_ranks", image_ranks)
+    gathers = count_calls(monkeypatch, action_module, "_image_ranks")
     config = CONFIG_DIR / "warp.cfg"
     generators = parse_config(config.read_text()).build_action().generators
     assert main(["classify", str(config)]) == 0
     capsys.readouterr()
-    assert gathers["count"] == len(generators)
+    assert len(gathers) == len(generators)
 
 
 @pytest.mark.parametrize("command", ["classify", "code"])

@@ -16,39 +16,32 @@ forced by BYTE_ALPHABET = 0.  `code` on `warp_d4` builds at most one word
 per translate and the report's six.
 """
 
-import functools
 import pathlib
 
 import pytest
 
+import cases
 from cantordyn import action as action_module
 from cantordyn.ball import WordBall
 from cantordyn.cli import main
 from cantordyn.coding import ActionWindow, default_window
-from cantordyn.gallery import warp_example
-from helpers import random_tree_action, reference_return_words
+from helpers import count_calls, reference_return_words
 from test_coding import RETURN_WORD_ACTIONS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
-ACTIONS = {
+# test name -> registry name
+NAMES = {
     **{
-        f"warp_{depth}{'' if free else '_fiber'}": functools.partial(
-            warp_example, depth, include_free_factor=free
-        )
+        f"warp_{depth}{'' if free else '_fiber'}": f"warp_{'' if free else 'fiber_only_'}{depth}"
         for depth in (1, 2, 3, 4)
         for free in (True, False)
     },
-    **RETURN_WORD_ACTIONS,
-    **{f"random_tree_{seed}": functools.partial(random_tree_action, seed) for seed in range(6, 10)},
+    **{name: name for name in RETURN_WORD_ACTIONS},
+    **{f"random_tree_{seed}": f"random_tree_{seed}" for seed in range(6, 10)},
 }
 UNION_WINDOWS = {"vietoris_5_3": 1, "warp_3": 2, "random_tree_6": 3}  # name -> cylinder depth
 BUDGETS = (50, 20000)
-
-
-@functools.lru_cache(maxsize=None)
-def action_of(name):
-    return ACTIONS[name]()
 
 
 def union_window(action, depth, count=3):
@@ -63,21 +56,8 @@ def union_window(action, depth, count=3):
     return frozenset(i for i, label in enumerate(labels) if label in chosen)
 
 
-def count_words(monkeypatch):
-    """Patch `WordBall.word` to record the class of every call."""
-    calls = []
-    word = WordBall.word
-
-    def counted(ball, i):
-        calls.append(i)
-        return word(ball, i)
-
-    monkeypatch.setattr(WordBall, "word", counted)
-    return calls
-
-
 def assert_matches_the_oracle(monkeypatch, action, window, budget):
-    calls = count_words(monkeypatch)
+    calls = count_calls(monkeypatch, WordBall, "word")
     got = ActionWindow(action, window).words(8, budget)
     assert calls == []  # no word is built until one is read
     want = reference_return_words(action, window, 8, perm_budget=budget)
@@ -92,11 +72,11 @@ def assert_matches_the_oracle(monkeypatch, action, window, budget):
 
 @pytest.mark.parametrize("tuples", [False, True], ids=["own-route", "tuple-route"])
 @pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("name", list(ACTIONS))
+@pytest.mark.parametrize("name", list(NAMES))
 def test_return_words_are_the_oracles(monkeypatch, name, budget, tuples):
     if tuples:
         monkeypatch.setattr(action_module, "BYTE_ALPHABET", 0)
-    action = action_of(name)
+    action = cases.action(NAMES[name])
     assert_matches_the_oracle(monkeypatch, action, default_window(action), budget)
 
 
@@ -106,14 +86,14 @@ def test_return_words_are_the_oracles(monkeypatch, name, budget, tuples):
 def test_return_words_on_a_union_of_cylinders_are_the_oracles(monkeypatch, name, budget, tuples):
     if tuples:
         monkeypatch.setattr(action_module, "BYTE_ALPHABET", 0)
-    action = action_of(name)
+    action = cases.action(NAMES[name])
     window = union_window(action, UNION_WINDOWS[name])
     assert window != default_window(action)
     assert_matches_the_oracle(monkeypatch, action, window, budget)
 
 
 def test_code_on_warp_d4_builds_a_word_only_when_read(capsys, monkeypatch):
-    calls = count_words(monkeypatch)
+    calls = count_calls(monkeypatch, WordBall, "word")
     assert main(["code", str(REPO / "perfbench/configs/warp_d4.cfg")]) == 0
     report = capsys.readouterr().out
     lines = [line.strip() for line in report.splitlines()]

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cases
 from cantordyn import _intmat as im
-from cantordyn import gallery
 from cantordyn.affine import (
     AffineElement,
     IntegerLattice,
@@ -46,6 +46,7 @@ from cantordyn.affine import (
 from cantordyn.errors import ResourceLimitError, StructureError
 from cantordyn.limits import CLASS_CAP
 from cantordyn.gallery import REFLECTION, klein_type_group
+from cases import GALLERY_CHAINS
 
 GROUP = klein_type_group()
 IDENTITY = ((1, 0), (0, 1))
@@ -123,12 +124,10 @@ def test_lattice_intersection_is_symmetric_and_exact(pair):
         assert meet.contains(v) == (l1.contains(v) and l2.contains(v)), v
 
 
-GALLERY_CHAINS = ("vietoris", "fokkink_oversteegen", "rogers_tollefson", "small_fo_variant")
-
 
 @pytest.mark.parametrize("name", GALLERY_CHAINS)
 def test_identity_coset_comes_first_on_gallery_chain_levels(name):
-    chain = gallery.build_chain(name, {})
+    chain = cases.chain(name)
     for h in chain.levels:
         space = coset_space(chain.group, h)
         ident = identity_element(chain.group.dimension, chain.group.denom)
@@ -302,7 +301,7 @@ def revalidated(elements):
 
 @pytest.mark.parametrize("name", GALLERY_CHAINS)
 def test_derived_elements_pass_the_validating_constructor(name):
-    chain = gallery.build_chain(name, {})
+    chain = cases.chain(name)
     group = chain.group
     checked = 0
     for h in chain.levels:

@@ -1,10 +1,10 @@
 """Chains, quotient towers, cofinality verdicts, and interleaving."""
 
-import pathlib
 from fractions import Fraction as F
 
 import pytest
 
+import cases
 from cantordyn.action import breadth_first
 from cantordyn.affine import (
     AffineElement,
@@ -31,10 +31,9 @@ from cantordyn.gallery import (
 )
 from cantordyn.tower import SubgroupChain, interleave, mccord_verdict
 
-from helpers import TruncatedPoint, permutation_orbit_cylinder, truncated_point
-from tower_oracle import build_tower, subgroup_cylinder
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
+from cases import REPO
+from helpers import TruncatedPoint, count_calls, permutation_orbit_cylinder, truncated_point
+from tower_oracle import subgroup_cylinder
 
 
 def pure_level(group, a, b):
@@ -94,27 +93,27 @@ def level_sizes(tower):
 
 
 def test_dyadic_tower_level_sizes():
-    tower = build_tower(vietoris(2, 3))
+    tower = cases.tower("vietoris_2_3")
     assert level_sizes(tower) == [2, 4, 8]
     assert [len(m) for m in tower.bonding] == [4, 8]
 
 
 def test_fo_tower_level_sizes():
-    tower = build_tower(fokkink_oversteegen(2))
+    tower = cases.tower("fokkink_oversteegen_2")
     assert level_sizes(tower) == [105, 11025]
     assert tower.space.index == 11025
 
 
 def test_single_level_tower_has_no_bonding():
-    tower = build_tower(vietoris(2, 1))
+    tower = cases.tower("vietoris_2_1")
     assert tower.depth == 1
     assert tower.bonding == ()
     assert tower.addresses == ((0,), (1,))
 
 
 def test_bonding_compatibility_exact():
-    for chain in (vietoris(2, 4), vietoris(3, 3), small_fo_variant(2)):
-        tower = build_tower(chain)
+    for name in ("vietoris_2_4", "vietoris_3_3", "small_fo_variant_2"):
+        tower = cases.tower(name)
         assert len(tower.addresses) == tower.space.index
         for i, address in enumerate(tower.addresses):
             assert len(address) == tower.depth and address[-1] == i
@@ -125,8 +124,7 @@ def test_bonding_compatibility_exact():
 # ------------------------------------------------------------ truncated pts
 
 def test_identity_point_has_identity_coordinates():
-    chain = vietoris(2, 3)
-    tower = build_tower(chain)
+    chain, tower = cases.chain("vietoris_2_3"), cases.tower("vietoris_2_3")
     ident = identity_element(chain.group.dimension, chain.group.denom)
     idx = tower.space.index_of_scaled(ident.point, ident.scaled)
     pt = truncated_point(tower, idx)
@@ -137,7 +135,7 @@ def test_identity_point_has_identity_coordinates():
 
 
 def test_dyadic_point_for_five_mod_eight():
-    tower = build_tower(vietoris(2, 3))
+    tower = cases.tower("vietoris_2_3")
     five = translation((5,), 1)
     idx = tower.space.index_of_scaled(five.point, five.scaled)
     pt = truncated_point(tower, idx)
@@ -146,7 +144,7 @@ def test_dyadic_point_for_five_mod_eight():
 
 
 def test_incompatible_coordinates_rejected():
-    tower = build_tower(vietoris(2, 3))
+    tower = cases.tower("vietoris_2_3")
     with pytest.raises(StructureError):
         TruncatedPoint(tower, (0, 1, 1))
 
@@ -286,7 +284,7 @@ def test_interleave_rejects_mismatched_groups():
 # --------------------------------------------------------- boundary actions
 
 def test_dyadic_boundary_action_is_an_odometer():
-    action = build_tower(vietoris(2, 3)).boundary_action()
+    action = cases.action("vietoris_2_3")
     assert len(action.model) == 8
     # the generator cycles through all addresses
     seen = {action.basepoint}
@@ -298,15 +296,14 @@ def test_dyadic_boundary_action_is_an_odometer():
 
 
 def test_fo_boundary_action_has_105_addresses_and_transitive_generators():
-    action = build_tower(fokkink_oversteegen(1)).boundary_action()
+    action = cases.action("fokkink_oversteegen_1")
     assert len(action.model) == 105
     layers, via = breadth_first(action.graph)
     assert sum(map(len, layers)) == 105 and None not in via
 
 
 def test_index_two_chain_boundary_swaps_two_addresses():
-    chain = vietoris(2, 1)
-    action = build_tower(chain).boundary_action()
+    action = cases.action("vietoris_2_1")
     assert len(action.model) == 2
     assert action.model.addresses == ((0,), (1,))
     assert action.act((("t", 1),), 0) == 1
@@ -316,15 +313,15 @@ def test_index_two_chain_boundary_swaps_two_addresses():
 def test_boundary_generators_are_tree_isometries():
     from modulus_oracle import modulus_table_of
 
-    for chain in (vietoris(2, 4), vietoris(3, 3), small_fo_variant(2)):
-        table = modulus_table_of(build_tower(chain).boundary_action())
+    for name in ("vietoris_2_4", "vietoris_3_3", "small_fo_variant_2"):
+        table = modulus_table_of(cases.action(name))
         assert table.is_exact_isometry_table()
         rows = table.rows
         assert all(k <= r for r, k in rows)
 
 
 def test_boundary_action_respects_lambda():
-    action = build_tower(vietoris(2, 3)).boundary_action(F(1, 3))
+    action = cases.tower("vietoris_2_3").boundary_action(F(1, 3))
     d = action.model.distance((0, 0, 0), (0, 0, 4))
     assert d == F(1, 9)
 
@@ -342,20 +339,13 @@ def test_mccord_witnesses_reverify_via_membership():
 
 # -------------------------------------------------------- subgroup cylinders
 
-CYLINDER_CHAINS = {
-    "small_fo_variant_3": lambda: small_fo_variant(3),
-    "rogers_tollefson_3": lambda: rogers_tollefson(3),
-    "vietoris_3_3": lambda: vietoris(3, 3),
-}
-
-
-KEY_CHAINS = dict(CYLINDER_CHAINS, fokkink_oversteegen_2=lambda: fokkink_oversteegen(2))
+CYLINDER_CHAINS = ["small_fo_variant_3", "rogers_tollefson_3", "vietoris_3_3"]
+KEY_CHAINS = CYLINDER_CHAINS + ["fokkink_oversteegen_2"]
 
 
 @pytest.mark.parametrize("name", sorted(KEY_CHAINS))
 def test_coset_keys_give_the_validated_reps_and_the_rep_bonding_maps(name):
-    chain = KEY_CHAINS[name]()
-    tower = build_tower(chain)
+    chain, tower = cases.chain(name), cases.tower(name)
     spaces = [coset_space(chain.group, h) for h in chain.levels]
     assert tower.space.keys == spaces[-1].keys
     d = chain.group.denom
@@ -415,8 +405,7 @@ def test_coset_space_constructs_no_affine_element(monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CYLINDER_CHAINS))
 def test_subgroup_cylinder_matches_the_permutation_orbit_oracle(name):
-    chain = CYLINDER_CHAINS[name]()
-    tower = build_tower(chain)
+    chain, tower = cases.chain(name), cases.tower(name)
     for level, h in enumerate(chain.levels, start=1):
         core = normal_core(chain.group, h)
         assert subgroup_cylinder(tower, core) == permutation_orbit_cylinder(
@@ -425,18 +414,11 @@ def test_subgroup_cylinder_matches_the_permutation_orbit_oracle(name):
 
 
 def test_subgroup_cylinder_multiplies_only_the_cosets_it_reaches(monkeypatch):
-    chain = small_fo_variant(3)
-    tower = build_tower(chain)
-    calls = {"lookups": 0}
-    original = CosetSpace.index_of_scaled  # every coset lookup, by key or element
-
-    def counted(self, point, scaled_tr):
-        calls["lookups"] += 1
-        return original(self, point, scaled_tr)
-
-    monkeypatch.setattr(CosetSpace, "index_of_scaled", counted)
+    chain, tower = cases.chain("small_fo_variant_3"), cases.tower("small_fo_variant_3")
+    # every coset lookup, by key or element
+    lookups = count_calls(monkeypatch, CosetSpace, "index_of_scaled")
     for h in chain.levels:
         core = normal_core(chain.group, h)
-        calls["lookups"] = 0
+        lookups.clear()
         cylinder = subgroup_cylinder(tower, core)
-        assert calls["lookups"] <= len(cylinder) * len(core.generator_elements()) + 1
+        assert len(lookups) <= len(cylinder) * len(core.generator_elements()) + 1

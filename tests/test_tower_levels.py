@@ -12,18 +12,15 @@ through the bonding maps.  Needs no test helpers.
 
 import pytest
 
-from cantordyn import gallery
+import cases
 from cantordyn.affine import coarser_cosets, coset_space
-from tower_oracle import build_tower
-
-GALLERY_CHAINS = ("vietoris", "fokkink_oversteegen", "rogers_tollefson", "small_fo_variant")
+from cases import GALLERY_CHAINS
 
 
 @pytest.mark.parametrize("name", GALLERY_CHAINS)
 def test_coarser_levels_are_the_per_level_coset_spaces(name):
-    chain = gallery.build_chain(name, {})
+    chain, tower = cases.chain(name), cases.tower(name)
     group = chain.group
-    tower = build_tower(chain)
     spaces = [coset_space(group, h) for h in chain.levels]
     assert tower.space.keys == spaces[-1].keys
     assert len(tower.bonding) == chain.depth - 1
@@ -37,7 +34,7 @@ def test_coarser_levels_are_the_per_level_coset_spaces(name):
 
 @pytest.mark.parametrize("name", GALLERY_CHAINS)
 def test_addresses_compose_the_bonding_maps(name):
-    tower = build_tower(gallery.build_chain(name, {}))
+    tower = cases.tower(name)
     assert len(tower.addresses) == tower.space.index
     for i, address in enumerate(tower.addresses):
         ids = [i]

@@ -24,38 +24,31 @@ from fractions import Fraction as F
 
 import pytest
 
+import cases
 from cantordyn import action as action_module
 from cantordyn.action import is_distal, tuple_getter, word_ball
 from cantordyn.affine import normal_core, quotient_word_keys
 from cantordyn.ball import WordBall, _word_ball
 from cantordyn.cli import _chain_dynamics
 from cantordyn.coding import ActionWindow
-from cantordyn.gallery import warp_example
 from cantordyn.limits import BALL_BUDGET, ball_cap
 from cantordyn.tower import mccord_verdict
-from helpers import ball_pairs, random_tree_action, reference_action_ball, reference_word_ball
-from test_chain_sections import CHAINS, chain_of
+from cases import SECTION_CHAINS as CHAINS
+from helpers import ball_pairs, reference_action_ball, reference_word_ball
 
 LENGTHS = range(9)
 FIXED_CAPS = (1, 2, 5, 20000)
-
-ACTIONS = {
-    **{f"warp_{depth}": functools.partial(warp_example, depth) for depth in (1, 2, 3, 4)},
-    **{
-        f"tree_{seed}": functools.partial(random_tree_action, seed, max_addresses=256)
-        for seed in range(4)
-    },
+# test name -> registry name: warp actions, and random tree actions of at
+# most 256 addresses
+NAMES = {
+    **{f"warp_{depth}": f"warp_{depth}" for depth in (1, 2, 3, 4)},
+    **{f"tree_{seed}": f"random_tree_{seed}_256" for seed in range(4)},
 }
 
 
-@functools.lru_cache(maxsize=None)
-def action_of(name):
-    return ACTIONS[name]()
-
-
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def core_keys(name):
-    chain = chain_of(name)
+    chain = cases.chain(name)
     return quotient_word_keys(chain.group, normal_core(chain.group, chain.levels[-1]))
 
 
@@ -76,10 +69,10 @@ def assert_ball_is_the_reference(got, expected, tokens):
         assert [tokens[t] for t in reversed(ball.path(i))] == list(word)
 
 
-@pytest.mark.parametrize("name", ACTIONS)
+@pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("length", LENGTHS)
 def test_bytes_ball_is_the_reference_ball(name, length):
-    action = action_of(name)
+    action = cases.action(NAMES[name])
     for cap in FIXED_CAPS:
         expected = reference_action_ball(action, length, cap, as_bytes=True)
         got = word_ball(action, length, perm_cap=cap)
@@ -87,9 +80,9 @@ def test_bytes_ball_is_the_reference_ball(name, length):
         assert_ball_is_the_reference(got, expected, action.signed_tokens())
 
 
-@pytest.mark.parametrize("name", ACTIONS)
+@pytest.mark.parametrize("name", NAMES)
 def test_bytes_ball_cuts_back_at_each_layer_total(name):
-    action = action_of(name)
+    action = cases.action(NAMES[name])
     for cap in layer_caps(reference_action_ball(action, 8, 20000)[0]):
         expected = reference_action_ball(action, 8, cap, as_bytes=True)
         got = word_ball(action, 8, perm_cap=cap)
@@ -97,11 +90,11 @@ def test_bytes_ball_cuts_back_at_each_layer_total(name):
         assert_ball_is_the_reference(got, expected, action.signed_tokens())
 
 
-@pytest.mark.parametrize("name", ACTIONS)
+@pytest.mark.parametrize("name", NAMES)
 @pytest.mark.parametrize("length", (0, 1, 3, 8))
 def test_tuple_ball_is_the_reference_ball(name, length, monkeypatch):
     monkeypatch.setattr(action_module, "BYTE_ALPHABET", 0)  # no model fits bytes
-    action = action_of(name)
+    action = cases.action(NAMES[name])
     n = len(action.model)
     caps = FIXED_CAPS
     if length == 8:
@@ -126,7 +119,7 @@ def test_core_key_ball_is_the_reference_ball(name):
 
 def test_the_budget_cuts_warp_4_inside_its_seventh_layer():
     # so the cap of 20 000 above drops a layer that had more candidates
-    pairs, completed = reference_action_ball(action_of("warp_4"), 8, 20000)
+    pairs, completed = reference_action_ball(cases.action("warp_4"), 8, 20000)
     assert completed == 6 and len(pairs) == 7720
 
 
@@ -206,7 +199,7 @@ def ball_source(name, monkeypatch):
         if route == "tuples":
             patch.setattr(action_module, "BYTE_ALPHABET", 0)
         patch.setattr(action_module, "_word_ball", lambda *args: received.append(args) or ([], 0))
-        word_ball(action_of(rest), 0, perm_cap=1)
+        word_ball(cases.action(NAMES[rest]), 0, perm_cap=1)
     tokens, identity, _, _, compose = received[0]
     return tokens, identity, compose
 
@@ -330,7 +323,7 @@ def test_a_cut_ball_never_holds_its_cut_layer(depth, budget, bound):
     # 3.11: warp_example(4), 241 addresses on bytes, 3.5 MB, and 6.3 MB when
     # the cut layer stored its keys up to the cap; warp_example(5), 993
     # addresses on tuples, 66.7 MB against 129.5 MB
-    action = warp_example(depth)
+    action = cases.make_action(f"warp_{depth}")
     tracemalloc.start()
     try:
         ball, completed, _ = word_ball(action, 8, perm_cap=budget)
@@ -351,7 +344,7 @@ def refuse_word(self, i):
 def test_distality_builds_no_word(name, monkeypatch):
     monkeypatch.setattr(WordBall, "word", refuse_word)
     monkeypatch.setattr(WordBall, "path", refuse_word)
-    action = action_of(name)
+    action = cases.action(NAMES[name])
     verdict = is_distal(action, 8)
     pairs, completed = reference_action_ball(action, 8, ball_cap(20000, len(action.model)))
     assert (verdict.word_count, verdict.word_length) == (len(pairs), completed)
@@ -361,7 +354,7 @@ def test_distality_builds_no_word(name, monkeypatch):
 def test_chain_dynamics_build_no_word(name, monkeypatch):
     monkeypatch.setattr(WordBall, "word", refuse_word)
     monkeypatch.setattr(WordBall, "path", refuse_word)
-    chain = chain_of(name)
+    chain = cases.chain(name)
     _, distal, _, (ball, completed) = _chain_dynamics(chain, mccord_verdict(chain), F(1, 2), 8)
     assert (distal.word_count, distal.word_length) == (len(ball), completed)
 
@@ -373,7 +366,7 @@ def test_return_words_on_warp_4_stay_within_their_memory_bound():
     # cut layer stored its keys up to the cap, 6.8 MB when each landing class
     # was also restricted to a window tuple, and 11.1 MB when the ball kept
     # every class's word tuple
-    action = warp_example(4)
+    action = cases.make_action("warp_4")
     action.model.pair_ranks()
     tracemalloc.start()
     try:
