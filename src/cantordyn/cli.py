@@ -12,8 +12,8 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .config import format_fraction, parse_config
-from .errors import CantordynError, StructureError
+from .config import format_fraction, parse_config, parse_fraction
+from .errors import CantordynError, ParseError, StructureError
 from .report import Report
 
 MODULUS_HEAD_TAIL = 5
@@ -33,9 +33,9 @@ def _apply_overrides(cfg, args):
     if updates.get("words", 0) < 0:
         raise StructureError("--words must be a nonnegative integer")
     if "lam" in args:
-        try:
-            lam = Fraction(args["lam"].replace(" ", ""))
-        except (ValueError, ZeroDivisionError) as exc:
+        try:  # the grammar of the config's `lambda` key
+            lam = parse_fraction(args["lam"])
+        except ParseError as exc:
             raise StructureError(f"--lambda: not a fraction: {args['lam']!r}") from exc
         if not 0 < lam < 1:
             raise StructureError("--lambda must lie in (0,1)")

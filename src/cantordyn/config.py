@@ -12,10 +12,6 @@ from fractions import Fraction
 
 from .errors import ParseError, StructureError
 
-GALLERY_PARAM_KEYS = ("p", "depth", "k1", "free_factor")
-PARAM_KEYS = ("depth", "words", "lambda", "seed")
-
-
 def parse_fraction(text, line=None):
     text = text.strip()
     try:
@@ -48,9 +44,8 @@ def parse_bool(text, line=None):
 
 def parse_matrix(text, line=None):
     """Rows separated by ' / ' (spaced); entries are integers."""
-    rows = [r for r in text.split(" / ")]
     out = []
-    for r in rows:
+    for r in text.split(" / "):
         entries = r.split()
         if not entries:
             raise ParseError("empty matrix row", line)
@@ -80,12 +75,54 @@ def format_matrix(m):
     return " / ".join(" ".join(str(e) for e in row) for row in m)
 
 
-def format_affine(mat, vec):
+def format_affine(affine_map):
+    mat, vec = affine_map
     return format_matrix(mat) + " ; " + " ".join(format_fraction(v) for v in vec)
 
 
-# generators: (name, matrix, vector) triples; lattice: a matrix; reps:
-# (matrix, vector) pairs
+# A key of the format: its reader, (text, line) -> value; its writer, value ->
+# canonical text; and an optional check on the value read, with the message a
+# value failing it gets.
+Key = namedtuple("Key", "read write check message", defaults=(str, None, None))
+
+# The config format: each section kind's keys in canonical order.  `[chain]`
+# and `[action]` are the kind `chain` and `[level N]` is `level`; the key
+# `generator NAME` is `generator` and a name.  Only `rep` repeats.  A gallery
+# parameter keeps its value's canonical text, which `str` leaves as it is.
+FORMAT = {
+    "chain": {
+        "gallery": Key(lambda text, line: text, check=bool, message="gallery needs a builder name"),
+        "p": Key(parse_int),
+        "depth": Key(parse_int),
+        "k1": Key(parse_int),
+        "free_factor": Key(lambda text, line: str(parse_bool(text, line)).lower()),
+    },
+    "group": {
+        "dimension": Key(parse_int),
+        "denominator": Key(parse_int),
+        "generator NAME": Key(parse_affine, format_affine),
+    },
+    "level": {"lattice": Key(parse_matrix, format_matrix), "rep": Key(parse_affine, format_affine)},
+    "params": {
+        "depth": Key(parse_int),
+        "words": Key(parse_int, check=lambda n: n >= 0, message="words must be nonnegative"),
+        "lambda": Key(
+            parse_fraction, format_fraction, lambda x: 0 < x < 1, "lambda must lie in (0,1)"
+        ),
+        "seed": Key(parse_int),
+    },
+}
+GALLERY_PARAM_KEYS = tuple(key for key in FORMAT["chain"] if key != "gallery")
+PARAM_KEYS = tuple(FORMAT["params"])
+
+
+def _table_key(key):
+    """The table's spelling of a normalized key: `generator t1` is `generator NAME`."""
+    head, _, name = key.partition(" ")
+    return f"{head} NAME" if name else key
+
+
+# generators: (name, matrix, vector) triples; reps: (matrix, vector) pairs
 GroupSpec = namedtuple("GroupSpec", "dimension denominator generators")
 LevelSpec = namedtuple("LevelSpec", "lattice reps")
 
@@ -147,18 +184,16 @@ class Config(
         return gallery.build_action(self.gallery, params)
 
 
-def parse_config(text):
-    """Parse config text; errors carry line numbers and the offending section.
-
-    A section or key given twice is an error at the second; only `rep` lines
-    repeat."""
-    sections = []  # (name, header line, [(line_no, key, value)])
+def _lex(text):
+    """Config text as (name, header line, [(line, key, value text)]) sections
+    in order, with keys whitespace-normalized.  A key given twice in a section
+    is an error at the second; only `rep` lines repeat."""
+    sections = []
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
             continue
-        stripped = line.strip()
         if stripped.startswith("["):
             if not stripped.endswith("]"):
                 raise ParseError("unterminated section header", line_no)
@@ -177,118 +212,80 @@ def parse_config(text):
         if key != "rep" and any(k == key for _, k, _ in current[2]):
             raise ParseError(f"[{current[0]}]: duplicate key {key!r}", line_no)
         current[2].append((line_no, key, value.strip()))
+    return sections
 
-    kind = None
-    gallery_name = None
-    gallery_params = []
-    group = None
-    level_specs = {}
+
+def parse_config(text):
+    """Parse config text; errors carry line numbers and the offending section.
+
+    A section or key given twice is an error at the second; only `rep` lines
+    repeat."""
+    kind = gallery_name = group = None
+    gallery_params, level_specs, params = (), {}, {}  # params: Config's fields, not defaults
     explicit = []  # (name, header line) of the [group] and [level N] sections
     sized = []  # (line, matrix) whose size must match the group dimension
-    depth = None
-    words = 8
-    lam = Fraction(1, 2)
-    seed = 0
-
     seen = set()
-    for name, header, entries in sections:
+    for name, header, entries in _lex(text):
         if name in seen:
             raise ParseError(f"duplicate section [{name}]", header)
         seen.add(name)
-        if name in ("chain", "action"):
+        first = entries[0][0] if entries else None
+        section = "level" if name.split()[0] == "level" else "chain" if name == "action" else name
+        if section not in FORMAT:
+            raise ParseError(f"unknown section [{name}]", None)
+        if section == "chain":
             if kind is not None:
                 raise ParseError(f"duplicate top-level section [{name}]", header)
             kind = name
-            for line_no, key, value in entries:
-                if key == "gallery":
-                    if not value:
-                        raise ParseError(f"[{name}]: gallery needs a builder name", line_no)
-                    gallery_name = value
-                elif key == "free_factor":
-                    flag = parse_bool(value, line_no)
-                    gallery_params.append((key, "true" if flag else "false"))
-                elif key in GALLERY_PARAM_KEYS:
-                    gallery_params.append((key, str(parse_int(value, line_no))))
-                else:
-                    raise ParseError(f"[{name}]: unknown key {key!r}", line_no)
-        elif name == "group":
-            explicit.append((name, header))
-            dim = denom = None
-            gens = []
-            for line_no, key, value in entries:
-                if key == "dimension":
-                    dim = parse_int(value, line_no)
-                elif key == "denominator":
-                    denom = parse_int(value, line_no)
-                elif key.startswith("generator "):  # keys are whitespace-normalized
-                    gname = key[len("generator "):]
-                    mat, vec = parse_affine(value, line_no)
-                    sized.append((line_no, mat))
-                    gens.append((gname, mat, vec))
-                else:
-                    raise ParseError(f"[group]: unknown key {key!r}", line_no)
-            if dim is None or denom is None or not gens:
-                raise ParseError(
-                    "[group]: needs dimension, denominator, and generators",
-                    entries[0][0] if entries else None,
-                )
-            group = GroupSpec(dim, denom, tuple(gens))
-        elif name.startswith("level"):
-            try:
-                idx = int(name.split()[1])
-            except (IndexError, ValueError):
-                raise ParseError(
-                    f"section [{name}] must be '[level N]'",
-                    entries[0][0] if entries else None,
-                )
+        elif section == "level":
+            try:  # exactly two words, the second an integer
+                _, number = name.split()
+                idx = int(number)
+            except ValueError as exc:
+                raise ParseError(f"section [{name}] must be '[level N]'", first) from exc
             if idx in level_specs:
                 raise ParseError(f"duplicate section [level {idx}]", header)
+        if section in ("group", "level"):
             explicit.append((name, header))
-            lattice = None
-            reps = []
-            for line_no, key, value in entries:
-                if key == "lattice":
-                    lattice = parse_matrix(value, line_no)
-                    sized.append((line_no, lattice))
-                elif key == "rep":
-                    reps.append(parse_affine(value, line_no))
-                    sized.append((line_no, reps[-1][0]))
-                else:
-                    raise ParseError(f"[{name}]: unknown key {key!r}", line_no)
-            if lattice is None:
-                raise ParseError(f"[{name}]: needs a lattice", entries[0][0] if entries else None)
-            level_specs[idx] = LevelSpec(lattice, tuple(reps))
-        elif name == "params":
-            for line_no, key, value in entries:
-                if key == "depth":
-                    depth = parse_int(value, line_no)
-                elif key == "words":
-                    words = parse_int(value, line_no)
-                    if words < 0:
-                        raise ParseError("[params]: words must be nonnegative", line_no)
-                elif key == "lambda":
-                    lam = parse_fraction(value, line_no)
-                    if not 0 < lam < 1:
-                        raise ParseError("[params]: lambda must lie in (0,1)", line_no)
-                elif key == "seed":
-                    seed = parse_int(value, line_no)
-                else:
-                    raise ParseError(f"[params]: unknown key {key!r}", line_no)
+        values = {}  # by table key; `generator NAME` and `rep` gather tuples
+        for line_no, key, raw in entries:
+            table_key = _table_key(key)
+            spec = FORMAT[section].get(table_key)
+            if spec is None:
+                raise ParseError(f"[{name}]: unknown key {key!r}", line_no)
+            value = spec.read(raw, line_no)
+            if spec.check and not spec.check(value):
+                raise ParseError(f"[{name}]: {spec.message}", line_no)
+            if spec.read in (parse_matrix, parse_affine):
+                sized.append((line_no, value if spec.read is parse_matrix else value[0]))
+            if table_key == "generator NAME":
+                value = (key[len("generator "):], *value)
+            if table_key in ("generator NAME", "rep"):
+                value = values.get(table_key, ()) + (value,)
+            values[table_key] = value
+        if section == "chain":
+            gallery_name = values.get("gallery")
+            gallery_params = tuple((k, str(values[k])) for k in GALLERY_PARAM_KEYS if k in values)
+        elif section == "group":
+            if set(values) != set(FORMAT["group"]):  # every key of [group] is needed
+                raise ParseError("[group]: needs dimension, denominator, and generators", first)
+            group = GroupSpec(*(values[key] for key in FORMAT["group"]))
+        elif section == "level":
+            if "lattice" not in values:
+                raise ParseError(f"[{name}]: needs a lattice", first)
+            level_specs[idx] = LevelSpec(values["lattice"], values.get("rep", ()))
         else:
-            raise ParseError(f"unknown section [{name}]", None)
+            params = {("lam" if key == "lambda" else key): value for key, value in values.items()}
 
     if gallery_name is not None and explicit:
         name, header = explicit[0]
         raise ParseError(f"section [{name}] is ignored next to a gallery reference", header)
     if group is not None:
+        n = group.dimension
         for line_no, mat in sized:
-            if len(mat) != group.dimension or len(mat[0]) != group.dimension:
-                raise ParseError(
-                    f"matrix is {len(mat)}x{len(mat[0])}, but [group] has "
-                    f"dimension {group.dimension}",
-                    line_no,
-                )
-
+            if (len(mat), len(mat[0])) != (n, n):
+                message = f"matrix is {len(mat)}x{len(mat[0])}, but [group] has dimension {n}"
+                raise ParseError(message, line_no)
     if kind is None and group is not None:
         kind = "chain"
     if kind is None:
@@ -297,63 +294,35 @@ def parse_config(text):
         raise ParseError("[action]: needs a gallery reference", None)
     if kind == "chain" and gallery_name is None and group is None:
         raise ParseError("[chain]: needs a gallery reference or a [group] section", None)
-
-    levels = ()
-    if level_specs:
-        expected = list(range(1, len(level_specs) + 1))
-        if sorted(level_specs) != expected:
-            raise ParseError("level sections must be numbered 1..n contiguously", None)
-        levels = tuple(level_specs[i] for i in expected)
-    if group is not None and not levels:
+    if sorted(level_specs) != list(range(1, len(level_specs) + 1)):
+        raise ParseError("level sections must be numbered 1..n contiguously", None)
+    if group is not None and not level_specs:
         raise ParseError("an explicit group needs at least one [level N] section", None)
-
-    # canonical gallery-parameter order (a repeated key was refused above)
-    gallery_params = [
-        (k, v) for key in GALLERY_PARAM_KEYS for k, v in gallery_params if k == key
-    ]
-
-    return Config(
-        kind=kind,
-        gallery=gallery_name,
-        gallery_params=tuple(gallery_params),
-        group=group,
-        levels=levels,
-        depth=depth,
-        words=words,
-        lam=lam,
-        seed=seed,
-    )
+    levels = tuple(spec for _, spec in sorted(level_specs.items()))
+    return Config(kind, gallery_name, gallery_params, group, levels, **params)
 
 
 def serialize_config(cfg):
-    """Canonical text form: fixed section and key order, canonical numerals."""
-    lines = []
+    """Canonical text form: fixed section order, the table's key order, and
+    canonical numerals."""
+    sections = []  # (header, section kind, [(key, value)])
     if cfg.gallery:
-        lines.append(f"[{cfg.kind}]")
-        lines.append(f"gallery = {cfg.gallery}")
-        for key in GALLERY_PARAM_KEYS:
-            for k, v in cfg.gallery_params:
-                if k == key:
-                    lines.append(f"{key} = {v}")
-        lines.append("")
+        sections.append((cfg.kind, "chain", [("gallery", cfg.gallery), *cfg.gallery_params]))
     if cfg.group is not None:
-        lines.append("[group]")
-        lines.append(f"dimension = {cfg.group.dimension}")
-        lines.append(f"denominator = {cfg.group.denominator}")
-        for name, mat, vec in cfg.group.generators:
-            lines.append(f"generator {name} = {format_affine(mat, vec)}")
-        lines.append("")
+        gens = [(f"generator {name}", (mat, vec)) for name, mat, vec in cfg.group.generators]
+        sizes = [("dimension", cfg.group.dimension), ("denominator", cfg.group.denominator)]
+        sections.append(("group", "group", sizes + gens))
         for i, spec in enumerate(cfg.levels, start=1):
-            lines.append(f"[level {i}]")
-            lines.append(f"lattice = {format_matrix(spec.lattice)}")
-            for mat, vec in spec.reps:
-                lines.append(f"rep = {format_affine(mat, vec)}")
-            lines.append("")
-    lines.append("[params]")
-    if cfg.depth is not None:
-        lines.append(f"depth = {cfg.depth}")
-    lines.append(f"words = {cfg.words}")
-    lines.append(f"lambda = {format_fraction(cfg.lam)}")
-    lines.append(f"seed = {cfg.seed}")
-    lines.append("")
+            reps = [("rep", rep) for rep in spec.reps]
+            sections.append((f"level {i}", "level", [("lattice", spec.lattice), *reps]))
+    params = {"depth": cfg.depth, "words": cfg.words, "lambda": cfg.lam, "seed": cfg.seed}
+    sections.append(("params", "params", [(k, v) for k, v in params.items() if v is not None]))
+    lines = []
+    for header, kind, entries in sections:
+        lines.append(f"[{header}]")
+        for table_key, spec in FORMAT[kind].items():
+            for key, value in entries:
+                if _table_key(key) == table_key:
+                    lines.append(f"{key} = {spec.write(value)}")
+        lines.append("")
     return "\n".join(lines)

@@ -28,18 +28,27 @@ def index_cap():
     return cap
 
 
+def _spelled(number):
+    """The number in decimal where `str` can print it, else its size in bits:
+    outside the CLI, CPython's 4300-digit limit on int-to-str may hold."""
+    try:
+        return str(number)
+    except ValueError:
+        return f"<{number.bit_length()}-bit number>"
+
+
 def check_index_cap(index):
     """Refuse a coset space of more than index_cap() cosets."""
     cap = index_cap()
     if index > cap:
-        raise ResourceLimitError(f"coset index {index} exceeds the cap {cap}")
+        raise ResourceLimitError(f"coset index {_spelled(index)} exceeds the cap {cap}")
 
 
 def check_cells(count, what):
     """Refuse work that would store more than CELL_CAP cells."""
     if count > CELL_CAP:
         raise ResourceLimitError(
-            f"{what} need {count} cells but the cell cap is {CELL_CAP}"
+            f"{what} need {_spelled(count)} cells but the cell cap is {CELL_CAP}"
         )
 
 

@@ -1,14 +1,22 @@
 """Pytest hooks: print one pass/fail line per acceptance criterion, and the
-Hypothesis profile every property test runs under."""
+Hypothesis profiles the property tests run under."""
 
 from hypothesis import settings
 
 # Derandomized, with a fixed example count: each run checks the same inputs
-# in a bounded time, and no example database is written.
+# in a bounded time, and no example database is written.  `tier1` is the
+# default; `pytest --hypothesis-profile deep` fuzzes the config boundary more
+# deeply on the same terms.
 settings.register_profile(
     "tier1", derandomize=True, max_examples=60, deadline=None, database=None
 )
-settings.load_profile("tier1")
+settings.register_profile("deep", settings.get_profile("tier1"), max_examples=1000)
+
+
+def pytest_configure(config):
+    # a profile named on the command line is loaded by Hypothesis' own plugin
+    if not config.getoption("hypothesis_profile", None):
+        settings.load_profile("tier1")
 
 CRITERION_LINES = []
 

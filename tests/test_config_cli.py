@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from cantordyn import __version__
 from cantordyn.cli import main
-from cantordyn.config import PARAM_KEYS, parse_config, serialize_config
-from cantordyn.errors import ParseError, StructureError
-from cantordyn.gallery import PRIME_TEST_BOUND
+from cantordyn.config import GALLERY_PARAM_KEYS, PARAM_KEYS, parse_config, serialize_config
+from cantordyn.errors import ParseError, ResourceLimitError, StructureError
+from cantordyn.gallery import PRIME_TEST_BOUND, vietoris
+from cantordyn.limits import check_cells
+from cantordyn.tower import boundary_action
 from cantordyn.report import strip_timing
 from helpers import count_calls
 
@@ -85,6 +87,71 @@ def test_round_trip_is_a_fixed_point_on_all_shipped_configs():
         cfg2 = parse_config(canon)
         assert cfg2 == cfg
         assert serialize_config(cfg2) == canon
+
+
+# the [group] and [level N] sections of the explicit configs, as shipped
+EXPLICIT_PARTS = [
+    path.read_text(encoding="utf-8").split("[params]")[0]
+    for path in (
+        CONFIG_DIR / "fo_explicit.cfg",
+        CONFIG_DIR / "quads.cfg",
+        REPO / "perfbench/configs/klein_3_5_mid.cfg",
+    )
+]
+INTEGERS = st.integers(-(10 ** 6), 10 ** 6).map(str)
+GALLERY_VALUES = {
+    "p": INTEGERS,
+    "depth": INTEGERS,
+    "k1": INTEGERS,
+    "free_factor": st.sampled_from(("true", "false", "yes", "no", "1", "0", "True")),
+}
+PARAM_VALUES = {
+    "depth": st.integers(0, 50).map(str),
+    "words": st.integers(0, 20).map(str),
+    "lambda": st.integers(2, 100).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: f"{p}/{q}")  # perhaps not in lowest terms
+    ),
+    "seed": INTEGERS,
+}
+
+
+def entries(draw, values):
+    """`key = value` lines for any subset of the keys, in any order."""
+    keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+    return "".join(f"{key} = {draw(values[key])}\n" for key in keys)
+
+
+@st.composite
+def config_texts(draw):
+    """A gallery reference whose parameters come in any order, or the explicit
+    sections of a shipped config; then, perhaps, any of the [params] keys."""
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(("chain", "action")))
+        name = draw(st.sampled_from(("vietoris", "fokkink_oversteegen", "warp_example")))
+        text = f"[{kind}]\ngallery = {name}\n" + entries(draw, GALLERY_VALUES)
+    else:
+        text = draw(st.sampled_from(EXPLICIT_PARTS))
+    if draw(st.booleans()):
+        text += "[params]\n" + entries(draw, PARAM_VALUES)
+    return text
+
+
+@given(config_texts())
+def test_serializing_a_parsed_config_round_trips(text):
+    cfg = parse_config(text)
+    canon = serialize_config(cfg)
+    assert parse_config(canon) == cfg
+    assert serialize_config(parse_config(canon)) == canon
+
+
+def test_the_key_lists_follow_the_serialized_order():
+    text = serialize_config(parse_config(
+        "[action]\ngallery = warp_example\nfree_factor = no\nk1 = 2\ndepth = 3\np = 5\n"
+        "[params]\nseed = 1\nlambda = 2/6\nwords = 3\ndepth = 4\n"
+    ))
+    assert [line.split(" = ")[0] for line in text.splitlines() if " = " in line] == [
+        "gallery", *GALLERY_PARAM_KEYS, *PARAM_KEYS
+    ]
 
 
 def test_lambda_must_be_in_unit_interval():
@@ -346,6 +413,16 @@ REFUSALS = {
     "lambda-3/2": Refusal(
         VIETORIS_TEXT, "--lambda must lie in (0,1)", flags=("--lambda", "3/2")
     ),
+    # the flag reads the `lambda` key's numerals: integers and p/q
+    "lambda-0.5": Refusal(
+        VIETORIS_TEXT, "--lambda: not a fraction: '0.5'", flags=("--lambda", "0.5")
+    ),
+    "lambda-1e-1": Refusal(
+        VIETORIS_TEXT, "--lambda: not a fraction: '1e-1'", flags=("--lambda", "1e-1")
+    ),
+    "lambda-1/0": Refusal(
+        VIETORIS_TEXT, "--lambda: not a fraction: '1/0'", flags=("--lambda", "1/0")
+    ),
     "index-cap-abc": Refusal(
         VIETORIS_TEXT,
         "CANTORDYN_INDEX_CAP must be an integer, got 'abc'",
@@ -368,6 +445,136 @@ def test_every_refusal_exits_two_with_one_error_line(tmp_path, capsys, monkeypat
     bad.write_text(refusal.text)
     rc, out, err = run_cli(capsys, "classify", str(bad), *refusal.flags)
     assert (rc, out, err) == (2, "", f"error: {refusal.message}\n")
+
+
+# an input for each refusal of parse_config: its text, line and message
+PARSE_REFUSALS = {
+    "unterminated-header": ("[chain\ngallery = vietoris\n", 1, "unterminated section header"),
+    "empty-section-name": ("[ ]\n", 1, "empty section name"),
+    "entry-before-any-header": ("depth = 2\n", 1, "entry before any section header"),
+    "no-equals-sign": (VIETORIS_TEXT + "[params]\ndepth 2\n", 6, "expected 'key = value'"),
+    "duplicate-key": (repeat_line(VIETORIS_TEXT, 3), 4, "[chain]: duplicate key 'p'"),
+    "duplicate-lattice": (DUPLICATES["lattice"][0], 11, "[level 1]: duplicate key 'lattice'"),
+    "duplicate-params": (DUPLICATES["params"][0], 22, "duplicate section [params]"),
+    "duplicate-group": (DUPLICATES["group"][0], 22, "duplicate section [group]"),
+    "duplicate-level": (DUPLICATES["level 2"][0], 22, "duplicate section [level 2]"),
+    "level-1-renumbered": (
+        GROUP_1D + LEVEL_1D + "[level 01]\nlattice = 4\n", 7, "duplicate section [level 1]"
+    ),
+    "second-top-level": (
+        VIETORIS_TEXT + "[action]\ngallery = warp_example\n",
+        5,
+        "duplicate top-level section [action]",
+    ),
+    "chain-gallery-empty": ("[chain]\ngallery = \n", 2, "[chain]: gallery needs a builder name"),
+    "action-gallery-empty": ("[action]\ngallery =\n", 2, "[action]: gallery needs a builder name"),
+    "p-x": ("[chain]\ngallery = vietoris\np = x\n", 3, "expected an integer, got 'x'"),
+    "free_factor-maybe": (
+        "[action]\ngallery = warp_example\nfree_factor = maybe\n",
+        3,
+        "expected a boolean, got 'maybe'",
+    ),
+    "chain-unknown-key": ("[chain]\ngallery = vietoris\nq = 2\n", 3, "[chain]: unknown key 'q'"),
+    "action-unknown-key": ("[action]\nlambda = 1/2\n", 2, "[action]: unknown key 'lambda'"),
+    "group-unknown-key": (GROUP_1D + "lattice = 2\n", 5, "[group]: unknown key 'lattice'"),
+    "unnamed-generator": (
+        GROUP_1D.replace("generator t", "generator ") + LEVEL_1D,
+        4,
+        "[group]: unknown key 'generator'",
+    ),
+    "dimension-x": (GROUP_1D.replace("dimension = 1", "dimension = x"), 2, "expected an integer, got 'x'"),
+    "group-without-generators": (
+        "[group]\ndimension = 1\ndenominator = 1\n" + LEVEL_1D,
+        2,
+        "[group]: needs dimension, denominator, and generators",
+    ),
+    "group-empty": ("[group]\n" + LEVEL_1D, None, "[group]: needs dimension, denominator, and generators"),
+    "level-x": (GROUP_1D + "[level x]\nlattice = 2\n", 6, "section [level x] must be '[level N]'"),
+    "level-unknown-key": (GROUP_1D + "[level 1]\nrep = 1 ; 0\nfoo = 2\n", 7, "[level 1]: unknown key 'foo'"),
+    "level-without-lattice": (GROUP_1D + "[level 1]\nrep = 1 ; 0\n", 6, "[level 1]: needs a lattice"),
+    "level-empty": (GROUP_1D + "[level 1]\n", None, "[level 1]: needs a lattice"),
+    "words-negative": (VIETORIS_TEXT + "[params]\nwords = -1\n", 6, "[params]: words must be nonnegative"),
+    "lambda-3/2": (VIETORIS_TEXT + "[params]\nlambda = 3/2\n", 6, "[params]: lambda must lie in (0,1)"),
+    "lambda-0": (VIETORIS_TEXT + "[params]\nlambda = 0\n", 6, "[params]: lambda must lie in (0,1)"),
+    "lambda-0.5": (
+        VIETORIS_TEXT + "[params]\nlambda = 0.5\n", 6, "expected an integer or fraction, got '0.5'"
+    ),
+    "lambda-1/0": ("[params]\nlambda = 1/0\n", 2, "fraction '1/0' has a zero denominator"),
+    "params-unknown-key": (VIETORIS_TEXT + "[params]\nfoo = 1\n", 6, "[params]: unknown key 'foo'"),
+    "unknown-section": (VIETORIS_TEXT + "[foo]\n", None, "unknown section [foo]"),
+    "level-next-to-gallery": (
+        VIETORIS_TEXT + "[level 1]\nlattice = 7 0 / 0 7\n",
+        5,
+        "section [level 1] is ignored next to a gallery reference",
+    ),
+    "group-next-to-gallery": (
+        GROUP_1D + VIETORIS_TEXT, 1, "section [group] is ignored next to a gallery reference"
+    ),
+    "matrix-size": (
+        GROUP_1D + "[level 1]\nlattice = 2 0 / 0 2\n", 6, "matrix is 2x2, but [group] has dimension 1"
+    ),
+    "rep-size": (
+        KLEIN_2D + SQUARE_2D + "rep = 1 ; 0\n", 10, "matrix is 1x1, but [group] has dimension 2"
+    ),
+    "generator-size-after-its-level": (
+        SQUARE_2D + GROUP_2D + "generator t = 1 ; 1\n",
+        6,
+        "matrix is 1x1, but [group] has dimension 2",
+    ),
+    "no-top-level": ("[params]\ndepth = 2\n", None, "config needs a [chain], [action], or [group] section"),
+    "action-without-gallery": ("[action]\nk1 = 2\n", None, "[action]: needs a gallery reference"),
+    "chain-without-gallery": (
+        "[chain]\np = 2\n", None, "[chain]: needs a gallery reference or a [group] section"
+    ),
+    "levels-not-contiguous": (
+        GROUP_1D + "[level 2]\nlattice = 4\n", None, "level sections must be numbered 1..n contiguously"
+    ),
+    "group-without-level": (GROUP_1D, None, "an explicit group needs at least one [level N] section"),
+    "empty-matrix-row": (KLEIN_2D + "[level 1]\nlattice = 2 0 /  / 0 2\n", 9, "empty matrix row"),
+    "unequal-matrix-rows": (GROUP_1D + "[level 1]\nlattice = 2 0 / 2\n", 6, "matrix rows have unequal lengths"),
+    "matrix-entry-1/2": (GROUP_1D + "[level 1]\nlattice = 1/2\n", 6, "expected an integer, got '1/2'"),
+    "affine-without-semicolon": (
+        GROUP_1D.replace("1 ; 1", "1 1") + LEVEL_1D, 4, "affine map needs 'matrix ; vector'"
+    ),
+    "affine-vector-length": (
+        GROUP_1D.replace("1 ; 1", "1 ; 1 2") + LEVEL_1D,
+        4,
+        "affine vector length does not match the matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_REFUSALS)
+def test_every_parse_refusal_names_its_message_and_line(name):
+    text, line, message = PARSE_REFUSALS[name]
+    with pytest.raises(ParseError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+# a level header is two words, `level` and an integer as `int` reads it
+LEVEL_HEADERS = {
+    "levels 1": "unknown section [levels 1]",
+    "levelx 1": "unknown section [levelx 1]",
+    "level 1 junk": "line 8: section [level 1 junk] must be '[level N]'",
+    "level": "line 8: section [level] must be '[level N]'",
+    "level -1": "level sections must be numbered 1..n contiguously",
+}
+
+
+@pytest.mark.parametrize("header", LEVEL_HEADERS)
+def test_a_malformed_level_header_exits_two(tmp_path, capsys, header):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GROUP_1D + LEVEL_1D + f"[{header}]\nlattice = 4\n")
+    rc, out, err = run_cli(capsys, "classify", str(bad))
+    assert (rc, out, err) == (2, "", f"error: {LEVEL_HEADERS[header]}\n")
+
+
+def test_a_level_header_normalizes_its_whitespace():
+    spaced = parse_config(GROUP_1D + LEVEL_1D + "[ level \t 2 ]\nlattice = 4\n")
+    assert spaced == parse_config(GROUP_1D + LEVEL_1D + "[level 2]\nlattice = 4\n")
+    assert [level.lattice for level in spaced.levels] == [((2,),), ((4,),)]
 
 
 V2 = "configs/vietoris2.cfg"
@@ -574,6 +781,23 @@ def test_a_cap_naming_a_number_past_4300_digits_exits_three(tmp_path, capsys, ar
         assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
         if argv[0] != "code":  # code refuses the window's cells
             assert f"coset index {1000003 ** 720} exceeds the cap" in err
+
+
+def test_a_library_cap_past_4300_digits_names_the_size_in_bits():
+    # outside the CLI the 4300-digit limit holds: a cap names what str can print
+    index = 1000003 ** 720
+    with default_int_digits():
+        with pytest.raises(ResourceLimitError) as err:
+            boundary_action(vietoris(1000003, 720))
+        assert str(err.value) == (
+            f"coset index <{index.bit_length()}-bit number> exceeds the cap 1000000"
+        )
+        with pytest.raises(ResourceLimitError) as err:
+            check_cells(10 ** 5000, "pair ranks")
+        assert str(err.value).startswith("pair ranks need <16610-bit number> cells but ")
+        with pytest.raises(ResourceLimitError) as err:
+            check_cells(10 ** 4299, "pair ranks")
+        assert str(err.value).startswith(f"pair ranks need 1{'0' * 4299} cells but ")
 
 
 def test_exact_rows_past_4300_digits_print_whole(capsys):
