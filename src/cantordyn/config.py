@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .errors import ParseError, StructureError
 
+
 def parse_fraction(text, line=None):
     text = text.strip()
     try:
@@ -185,9 +186,8 @@ class Config(
 
 
 def _lex(text):
-    """Config text as (name, header line, [(line, key, value text)]) sections
-    in order, with keys whitespace-normalized.  A key given twice in a section
-    is an error at the second; only `rep` lines repeat."""
+    """Config text as (name, header line, [(line, key, value)]) sections, with
+    keys whitespace-normalized; a repeated key other than `rep` is refused."""
     sections = []
     current = None
     for line_no, raw in enumerate(text.splitlines(), start=1):

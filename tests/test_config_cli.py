@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cantordyn import __version__
 from cantordyn.cli import main
-from cantordyn.config import GALLERY_PARAM_KEYS, PARAM_KEYS, parse_config, serialize_config
+from cantordyn.config import PARAM_KEYS, parse_config, serialize_config
 from cantordyn.errors import ParseError, ResourceLimitError, StructureError
 from cantordyn.gallery import PRIME_TEST_BOUND, vietoris
 from cantordyn.limits import check_cells
@@ -142,16 +142,6 @@ def test_serializing_a_parsed_config_round_trips(text):
     canon = serialize_config(cfg)
     assert parse_config(canon) == cfg
     assert serialize_config(parse_config(canon)) == canon
-
-
-def test_the_key_lists_follow_the_serialized_order():
-    text = serialize_config(parse_config(
-        "[action]\ngallery = warp_example\nfree_factor = no\nk1 = 2\ndepth = 3\np = 5\n"
-        "[params]\nseed = 1\nlambda = 2/6\nwords = 3\ndepth = 4\n"
-    ))
-    assert [line.split(" = ")[0] for line in text.splitlines() if " = " in line] == [
-        "gallery", *GALLERY_PARAM_KEYS, *PARAM_KEYS
-    ]
 
 
 def test_lambda_must_be_in_unit_interval():
@@ -482,19 +472,43 @@ PARSE_REFUSALS = {
         4,
         "[group]: unknown key 'generator'",
     ),
-    "dimension-x": (GROUP_1D.replace("dimension = 1", "dimension = x"), 2, "expected an integer, got 'x'"),
+    "dimension-x": (
+        GROUP_1D.replace("dimension = 1", "dimension = x"),
+        2,
+        "expected an integer, got 'x'",
+    ),
     "group-without-generators": (
         "[group]\ndimension = 1\ndenominator = 1\n" + LEVEL_1D,
         2,
         "[group]: needs dimension, denominator, and generators",
     ),
-    "group-empty": ("[group]\n" + LEVEL_1D, None, "[group]: needs dimension, denominator, and generators"),
+    "group-empty": (
+        "[group]\n" + LEVEL_1D,
+        None,
+        "[group]: needs dimension, denominator, and generators",
+    ),
     "level-x": (GROUP_1D + "[level x]\nlattice = 2\n", 6, "section [level x] must be '[level N]'"),
-    "level-unknown-key": (GROUP_1D + "[level 1]\nrep = 1 ; 0\nfoo = 2\n", 7, "[level 1]: unknown key 'foo'"),
-    "level-without-lattice": (GROUP_1D + "[level 1]\nrep = 1 ; 0\n", 6, "[level 1]: needs a lattice"),
+    "level-unknown-key": (
+        GROUP_1D + "[level 1]\nrep = 1 ; 0\nfoo = 2\n",
+        7,
+        "[level 1]: unknown key 'foo'",
+    ),
+    "level-without-lattice": (
+        GROUP_1D + "[level 1]\nrep = 1 ; 0\n",
+        6,
+        "[level 1]: needs a lattice",
+    ),
     "level-empty": (GROUP_1D + "[level 1]\n", None, "[level 1]: needs a lattice"),
-    "words-negative": (VIETORIS_TEXT + "[params]\nwords = -1\n", 6, "[params]: words must be nonnegative"),
-    "lambda-3/2": (VIETORIS_TEXT + "[params]\nlambda = 3/2\n", 6, "[params]: lambda must lie in (0,1)"),
+    "words-negative": (
+        VIETORIS_TEXT + "[params]\nwords = -1\n",
+        6,
+        "[params]: words must be nonnegative",
+    ),
+    "lambda-3/2": (
+        VIETORIS_TEXT + "[params]\nlambda = 3/2\n",
+        6,
+        "[params]: lambda must lie in (0,1)",
+    ),
     "lambda-0": (VIETORIS_TEXT + "[params]\nlambda = 0\n", 6, "[params]: lambda must lie in (0,1)"),
     "lambda-0.5": (
         VIETORIS_TEXT + "[params]\nlambda = 0.5\n", 6, "expected an integer or fraction, got '0.5'"
@@ -511,7 +525,9 @@ PARSE_REFUSALS = {
         GROUP_1D + VIETORIS_TEXT, 1, "section [group] is ignored next to a gallery reference"
     ),
     "matrix-size": (
-        GROUP_1D + "[level 1]\nlattice = 2 0 / 0 2\n", 6, "matrix is 2x2, but [group] has dimension 1"
+        GROUP_1D + "[level 1]\nlattice = 2 0 / 0 2\n",
+        6,
+        "matrix is 2x2, but [group] has dimension 1",
     ),
     "rep-size": (
         KLEIN_2D + SQUARE_2D + "rep = 1 ; 0\n", 10, "matrix is 1x1, but [group] has dimension 2"
@@ -521,18 +537,36 @@ PARSE_REFUSALS = {
         6,
         "matrix is 1x1, but [group] has dimension 2",
     ),
-    "no-top-level": ("[params]\ndepth = 2\n", None, "config needs a [chain], [action], or [group] section"),
+    "no-top-level": (
+        "[params]\ndepth = 2\n",
+        None,
+        "config needs a [chain], [action], or [group] section",
+    ),
     "action-without-gallery": ("[action]\nk1 = 2\n", None, "[action]: needs a gallery reference"),
     "chain-without-gallery": (
         "[chain]\np = 2\n", None, "[chain]: needs a gallery reference or a [group] section"
     ),
     "levels-not-contiguous": (
-        GROUP_1D + "[level 2]\nlattice = 4\n", None, "level sections must be numbered 1..n contiguously"
+        GROUP_1D + "[level 2]\nlattice = 4\n",
+        None,
+        "level sections must be numbered 1..n contiguously",
     ),
-    "group-without-level": (GROUP_1D, None, "an explicit group needs at least one [level N] section"),
+    "group-without-level": (
+        GROUP_1D,
+        None,
+        "an explicit group needs at least one [level N] section",
+    ),
     "empty-matrix-row": (KLEIN_2D + "[level 1]\nlattice = 2 0 /  / 0 2\n", 9, "empty matrix row"),
-    "unequal-matrix-rows": (GROUP_1D + "[level 1]\nlattice = 2 0 / 2\n", 6, "matrix rows have unequal lengths"),
-    "matrix-entry-1/2": (GROUP_1D + "[level 1]\nlattice = 1/2\n", 6, "expected an integer, got '1/2'"),
+    "unequal-matrix-rows": (
+        GROUP_1D + "[level 1]\nlattice = 2 0 / 2\n",
+        6,
+        "matrix rows have unequal lengths",
+    ),
+    "matrix-entry-1/2": (
+        GROUP_1D + "[level 1]\nlattice = 1/2\n",
+        6,
+        "expected an integer, got '1/2'",
+    ),
     "affine-without-semicolon": (
         GROUP_1D.replace("1 ; 1", "1 1") + LEVEL_1D, 4, "affine map needs 'matrix ; vector'"
     ),
