@@ -9,11 +9,11 @@ ints, one per address index.  Metrics are exact rational functions, and the
 pairwise engines (least distance, diameters, partition gaps) take one of two
 routes by metric.  On a tree metric two addresses lie within lam^j exactly
 when they share a depth-j cylinder, so the engines compare label columns.  Any
-other metric (the warp product, by its few pair classes) ranks its pairs once:
-each pair's index into the ascending tuple of exact realized distances, a
-tuple of ints per address read through `operator.itemgetter` gathers, so the
-engines compare integers and read exact Fractions back only for the values
-they report.  The modulus table takes the rank route alone, scanning pair by
+other metric (the warp product's, in `warp`, by its few pair classes) ranks
+its pairs once: each pair's index into the ascending tuple of exact realized
+distances, a tuple of ints per address read through `operator.itemgetter`
+gathers, so the engines compare integers and read exact Fractions back only
+for the values they report.  The modulus table takes the rank route alone, scanning pair by
 pair only the generators that are no isometry: a tree model here is a chain's
 boundary action, whose table is read off the chain, and the cylinder engine
 for it is a test oracle.  Nothing here touches floating point.
@@ -34,7 +34,6 @@ transitive, so it is a support set and one weight.
 """
 
 import operator
-from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from itertools import chain
@@ -44,7 +43,6 @@ from .errors import InvariantViolation, StructureError
 from .limits import BALL_BUDGET, ball_cap, check_cells
 
 BYTE_ALPHABET = 256  # the alphabet of bytes.translate: most addresses a bytes perm holds
-COLLAPSED = "w0"
 
 
 # ----------------------------------------------------------------- metrics
@@ -74,99 +72,6 @@ def common_prefix(a, b):
             break
         j += 1
     return j
-
-
-class WarpMetric(namedtuple("WarpMetric", "depth lam1")):
-    """d0(x,x') + min(x,x') * d1(y,y') on a product collapsed along x = 0.
-
-    Addresses are either the collapsed token or pairs (x_digits, y_digits);
-    x_digits are middle-thirds digits in {0,2} read most-significant first,
-    with value sum(digit_i / 3^i); d1 is a tree metric on the y digits.
-
-    The min coefficient makes fiber distances shrink toward the collapsed
-    point, vanishes against the collapsed class without a special case, and
-    satisfies the triangle inequality exactly; weighting by max instead
-    breaks the triangle inequality (take x small, x' large, and move through
-    (x, y') to change the fiber coordinate cheaply before climbing).
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, depth, lam1=Fraction(1, 2)):
-        lam1 = Fraction(lam1)
-        if not 0 < lam1 < 1:
-            raise StructureError("warp fiber base lam1 must be a rational in (0,1)")
-        return super().__new__(cls, depth, lam1)
-
-    def x_value(self, a):
-        if a == COLLAPSED:
-            return Fraction(0)
-        return Fraction(int("".join(map(str, a[0])), 3), 3 ** len(a[0]))
-
-    def d1(self, ya, yb):
-        return Fraction(0) if ya == yb else self.lam1 ** common_prefix(ya, yb)
-
-    def distance(self, a, b):
-        if a == b:
-            return Fraction(0)
-        xa, xb = self.x_value(a), self.x_value(b)
-        if a == COLLAPSED or b == COLLAPSED:
-            return abs(xa - xb)
-        return abs(xa - xb) + min(xa, xb) * self.d1(a[1], b[1])
-
-    def pair_ranks(self, addresses):
-        """(realized, rank) as `CantorModel.pair_ranks` reads them, exact for
-        every lam1 = p/q at depth K.  With X the x digits read in base 3 (0 at
-        the collapsed point), a pair's distance is |X_a - X_b| q^K + min(X_a,
-        X_b) w(j) over 3^K q^K, where w(j) = p^j q^(K-j) for a y agreement of
-        length j < K, and 0 for j = K: the y parts agree fully or either point
-        is collapsed.  So it depends only on the class (X_a, X_b, j), coded
-        (index of X_b) (K+1) + j in one column per distinct y part.  An X_a's
-        classes are its y parts' codes; all keys are sorted once, and a's row
-        is its y part's column gathered through X_a's ranks by code."""
-        p, q, k = self.lam1.numerator, self.lam1.denominator, self.depth
-        qk, width = q ** k, k + 1
-        weight = [p ** j * q ** (k - j) for j in range(k)] + [0]
-        xs = [0 if a == COLLAPSED else int("".join(map(str, a[0])), 3) for a in addresses]
-        ys = [None if a == COLLAPSED else tuple(a[1]) for a in addresses]
-        x_values = list(dict.fromkeys(xs))
-        base = [x_values.index(x) * width for x in xs]  # (index of X_b) (K+1)
-        y_parts = list(dict.fromkeys(ys))
-        gathers, found = {}, {}  # y part -> the gather of each b's code against it, its codes
-        for ya in y_parts:
-            agree = {yb: k if None in (ya, yb) else common_prefix(ya, yb) for yb in y_parts}
-            column = list(map(operator.add, base, map(agree.__getitem__, ys)))
-            gathers[ya], found[ya] = tuple_getter(column), set(column)
-        codes = {}  # X_a -> the codes of the classes it realizes
-        for xa, ya in zip(xs, ys):
-            codes.setdefault(xa, set()).update(found[ya])
-        tables = {}  # X_a -> the key of each code it realizes, then its rank
-        for xa, cs in codes.items():
-            table = tables[xa] = [None] * (width * len(x_values))
-            for c in cs:
-                xb = x_values[c // width]
-                table[c] = abs(xa - xb) * qk + min(xa, xb) * weight[c % width]
-        keys = sorted(set().union(*tables.values()) - {None})
-        for table in tables.values():
-            table[:] = [None if key is None else bisect_left(keys, key) for key in table]
-        realized = tuple(Fraction(value, 3 ** k * qk) for value in keys)
-        return realized, [gathers[ya](tables[xa]) for xa, ya in zip(xs, ys)]
-
-
-def warp_cylinder_key(address, j):
-    """Depth-j clopen partition of a collapsed warp model.
-
-    Blocks with an all-zero x prefix glue into the collapsed point's cylinder;
-    every other block is an ordinary product cylinder.
-    """
-    if j == 0:
-        return ()
-    if address == COLLAPSED:
-        return ("x0", (0,) * j)
-    xp = address[0][:j]
-    if all(d == 0 for d in xp):
-        return ("x0", xp)
-    return (xp, address[1][:j])
 
 
 class CantorModel:

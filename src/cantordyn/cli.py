@@ -188,10 +188,10 @@ def cmd_classify(cfg, chain, report):
 
 
 def cmd_compare(cfg_a, cfg_b, report):
-    from .tower import interleave
-
     chain_a, depth_a = _chain_for(cfg_a)
     chain_b, depth_b = _chain_for(cfg_b)
+    from .tower import interleave  # once both configs are chains
+
     report.section("chains")
     report.add("a", f"{chain_a.label} depth {depth_a}", 1)
     report.add("b", f"{chain_b.label} depth {depth_b}", 1)

@@ -141,14 +141,14 @@ class Config(
     __slots__ = ()
 
     def build_chain(self):
-        from . import affine, tower
-
         if self.kind != "chain":
             raise StructureError("config does not describe a chain")
         if self.gallery:
             from . import gallery
 
             return gallery.build_chain(self.gallery, dict(self.gallery_params))
+        from . import affine, tower
+
         group = affine.AffineGroup.from_generators(
             [
                 (name, affine.AffineElement(mat, vec, self.group.denominator))
@@ -177,12 +177,25 @@ class Config(
     def build_action(self):
         if self.kind != "action":
             raise StructureError("config does not describe an action")
-        from . import gallery
+        from . import warp
 
         params = dict(self.gallery_params)
         if self.depth is not None:
             params["depth"] = self.depth
-        return gallery.build_action(self.gallery, params)
+        return warp.build_action(self.gallery, params)
+
+
+def _dispatch(kind, table, name, params):
+    """The named builder of a gallery table (`gallery.CHAINS`, `warp.ACTIONS`)
+    and its parameters over the defaults; a builder that is not in the table,
+    or a parameter it would not read, is refused."""
+    if name not in table:
+        raise StructureError(f"unknown gallery {kind} {name!r}")
+    builder, defaults = table[name]
+    for key in params:
+        if key not in defaults:
+            raise StructureError(f"gallery {kind} {name!r} takes no parameter {key!r}")
+    return builder, {**defaults, **params}
 
 
 def _lex(text):
@@ -223,16 +236,16 @@ def parse_config(text):
     kind = gallery_name = group = None
     gallery_params, level_specs, params = (), {}, {}  # params: Config's fields, not defaults
     explicit = []  # (name, header line) of the [group] and [level N] sections
+    stray = None  # (line, key, value) of the first gallery parameter with no gallery
     sized = []  # (line, matrix) whose size must match the group dimension
     seen = set()
     for name, header, entries in _lex(text):
         if name in seen:
             raise ParseError(f"duplicate section [{name}]", header)
         seen.add(name)
-        first = entries[0][0] if entries else None
         section = "level" if name.split()[0] == "level" else "chain" if name == "action" else name
         if section not in FORMAT:
-            raise ParseError(f"unknown section [{name}]", None)
+            raise ParseError(f"unknown section [{name}]", header)
         if section == "chain":
             if kind is not None:
                 raise ParseError(f"duplicate top-level section [{name}]", header)
@@ -242,7 +255,7 @@ def parse_config(text):
                 _, number = name.split()
                 idx = int(number)
             except ValueError as exc:
-                raise ParseError(f"section [{name}] must be '[level N]'", first) from exc
+                raise ParseError(f"section [{name}] must be '[level N]'", header) from exc
             if idx in level_specs:
                 raise ParseError(f"duplicate section [level {idx}]", header)
         if section in ("group", "level"):
@@ -266,13 +279,14 @@ def parse_config(text):
         if section == "chain":
             gallery_name = values.get("gallery")
             gallery_params = tuple((k, str(values[k])) for k in GALLERY_PARAM_KEYS if k in values)
+            stray = entries[0] if gallery_name is None and entries else None
         elif section == "group":
             if set(values) != set(FORMAT["group"]):  # every key of [group] is needed
-                raise ParseError("[group]: needs dimension, denominator, and generators", first)
+                raise ParseError("[group]: needs dimension, denominator, and generators", header)
             group = GroupSpec(*(values[key] for key in FORMAT["group"]))
         elif section == "level":
             if "lattice" not in values:
-                raise ParseError(f"[{name}]: needs a lattice", first)
+                raise ParseError(f"[{name}]: needs a lattice", header)
             level_specs[idx] = LevelSpec(values["lattice"], values.get("rep", ()))
         else:
             params = {("lam" if key == "lambda" else key): value for key, value in values.items()}
@@ -294,6 +308,8 @@ def parse_config(text):
         raise ParseError("[action]: needs a gallery reference", None)
     if kind == "chain" and gallery_name is None and group is None:
         raise ParseError("[chain]: needs a gallery reference or a [group] section", None)
+    if stray:  # the [group] builds the chain, and no builder would read it
+        raise ParseError(f"[chain]: parameter {stray[1]!r} needs a gallery reference", stray[0])
     if sorted(level_specs) != list(range(1, len(level_specs) + 1)):
         raise ParseError("level sections must be numbered 1..n contiguously", None)
     if group is not None and not level_specs:

@@ -1,22 +1,26 @@
-"""Canonical builders for the example chains and actions, at desk scale.
+"""Canonical builders for the example chains, at desk scale.
 
 Each builder is addressable from the CLI by name with parameters.  The Klein
 bottle type chains share one construction: bonding matrix A = diag(a, b),
 levels generated by A^l Z^2 together with the glide (x, y) -> (x + a^l/2, -y),
 which is the pushforward of the base glide since A commutes with the
-reflection.  The warp-product action realizes a rank-k free abelian fiber
-action plus one transported odometer cycle through the whole address set.
-The chain builders import the affine and tower layers when they run, so
-building an action loads neither, and the warp builders import the action
-layer, so building a chain does not load it.
+reflection.  The warp-product action, the other family of examples, is in
+`warp`.
 """
 
-import itertools
 from fractions import Fraction
 
-from .config import parse_bool
+from .affine import (
+    AffineElement,
+    AffineGroup,
+    hermite_normal_form,
+    identity_element,
+    subgroup_from_parts,
+    translation,
+)
+from .config import _dispatch
 from .errors import StructureError
-from .limits import check_cells
+from .tower import SubgroupChain
 
 REFLECTION = ((1, 0), (0, -1))
 
@@ -63,15 +67,6 @@ def vietoris(p, depth):
         raise StructureError(f"vietoris base must be a prime >= 2, got {p}")
     if depth < 1:
         raise StructureError("depth must be at least 1")
-    from .affine import (
-        AffineGroup,
-        hermite_normal_form,
-        identity_element,
-        subgroup_from_parts,
-        translation,
-    )
-    from .tower import SubgroupChain
-
     group = AffineGroup.from_generators([("t", translation((1,), 1))])
     levels = [
         subgroup_from_parts(
@@ -84,8 +79,6 @@ def vietoris(p, depth):
 
 def klein_type_group():
     """Plane translations plus the glide (x, y) -> (x + 1/2, -y)."""
-    from .affine import AffineElement, AffineGroup, translation
-
     t1 = translation((1, 0), 2)
     t2 = translation((0, 1), 2)
     g = AffineElement(REFLECTION, (Fraction(1, 2), 0), 2)
@@ -93,9 +86,6 @@ def klein_type_group():
 
 
 def _klein_chain(a, b, depth, label):
-    from .affine import AffineElement, hermite_normal_form, subgroup_from_parts
-    from .tower import SubgroupChain
-
     group = klein_type_group()
     levels = []
     for l in range(1, depth + 1):
@@ -126,88 +116,6 @@ def small_fo_variant(depth):
     return _klein_chain(3, 5, depth, f"small_fo_variant(depth={depth})")
 
 
-# ------------------------------------------------------------ warp example
-
-def _x_addresses(depth):
-    """Middle-thirds digit strings of the given depth, all-zero excluded."""
-    out = []
-    for digits in itertools.product((0, 2), repeat=depth):
-        if any(digits):
-            out.append(digits)
-    return out
-
-
-def _y_addresses(depth):
-    return list(itertools.product((0, 1), repeat=depth))
-
-
-def _y_to_int(y):
-    """Least-significant digit first: level j is the value mod 2^j."""
-    return sum(d << i for i, d in enumerate(y))
-
-
-def _int_to_y(v, depth):
-    return tuple((v >> i) & 1 for i in range(depth))
-
-
-def warp_model(depth, *, lam1=Fraction(1, 2)):
-    """The collapsed product model with the warp metric, canonical order."""
-    from .action import COLLAPSED, CantorModel, WarpMetric, warp_cylinder_key
-
-    if not 1 <= depth <= 8:
-        raise StructureError("warp model depth must be in 1..8")
-    addresses = [COLLAPSED]
-    for x in _x_addresses(depth):
-        for y in _y_addresses(depth):
-            addresses.append((x, y))
-    metric = WarpMetric(depth, lam1)
-    return CantorModel(addresses, depth, metric, cylinder_key=warp_cylinder_key)
-
-
-def warp_example(depth, fiber_generators=2, *, include_free_factor=True):
-    """Fiber odometer generators fixing the collapsed point, plus optionally
-    one cycle through the whole address set in canonical order.
-
-    Fiber generator i adds the odd constant 2i-1 in the depth-truncated
-    odometer on the y coordinate, so each alone acts minimally on a fiber.
-    The extra generator is the breadth-first transported odometer: the
-    canonical address order makes it a single cycle, which is the depth-K
-    shadow of a minimal equicontinuous cycle through the model.
-    """
-    from .action import COLLAPSED, CantorAction
-
-    if fiber_generators < 1:
-        raise StructureError("need at least one fiber generator")
-    model = warp_model(depth)
-    n = len(model)
-    count = fiber_generators + bool(include_free_factor)
-    check_cells(count * n, f"{count} generator permutations of {n} addresses")
-    generators = {}
-    for i in range(1, fiber_generators + 1):
-        c = 2 * i - 1
-        perm = []
-        for a in model.addresses:
-            if a == COLLAPSED:
-                perm.append(model.index[a])
-            else:
-                x, y = a
-                y2 = _int_to_y((_y_to_int(y) + c) % (1 << depth), depth)
-                perm.append(model.index[(x, y2)])
-        generators[f"g{i}"] = tuple(perm)
-    if include_free_factor:
-        cycle = [0] * n
-        for i in range(n):
-            cycle[i] = (i + 1) % n
-        generators["f"] = tuple(cycle)
-    return CantorAction(
-        model,
-        generators,
-        model.index[COLLAPSED],
-        label=f"warp_example(depth={depth}, k={fiber_generators}, "
-        f"free_factor={'yes' if include_free_factor else 'no'})",
-    )
-
-
 # each builder by name, with the parameters it reads and their defaults
 CHAINS = {
     "vietoris": (vietoris, {"p": 2, "depth": 3}),
@@ -215,32 +123,9 @@ CHAINS = {
     "rogers_tollefson": (rogers_tollefson, {"depth": 3}),
     "small_fo_variant": (small_fo_variant, {"depth": 2}),
 }
-ACTIONS = {"warp_example": (warp_example, {"depth": 6, "k1": 2, "free_factor": "true"})}
-
-
-def _dispatch(kind, table, name, params):
-    """The named builder and its parameters over the defaults; a builder
-    that is not in the table, or a parameter it would not read, is refused."""
-    if name not in table:
-        raise StructureError(f"unknown gallery {kind} {name!r}")
-    builder, defaults = table[name]
-    for key in params:
-        if key not in defaults:
-            raise StructureError(f"gallery {kind} {name!r} takes no parameter {key!r}")
-    return builder, {**defaults, **params}
 
 
 def build_chain(name, params):
     """Dispatch a gallery chain builder by name with a parameter mapping."""
     builder, args = _dispatch("chain", CHAINS, name, params)
     return builder(**{key: int(value) for key, value in args.items()})
-
-
-def build_action(name, params):
-    """Dispatch a gallery action builder by name with a parameter mapping."""
-    builder, args = _dispatch("action", ACTIONS, name, params)
-    return builder(
-        int(args["depth"]),
-        int(args["k1"]),
-        include_free_factor=parse_bool(args["free_factor"]),
-    )

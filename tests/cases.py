@@ -1,5 +1,6 @@
 """The one registry of named test inputs: chains, quotient towers, boundary
-actions and actions, each built once per session and shared by every test.
+actions, chain windows and actions, each built once per session and shared by
+every test.
 
 A name says what it builds.  Chains:
 
@@ -21,10 +22,12 @@ addresses>]`, a seeded action by random tree automorphisms; `three_point`,
 an explicit metric with an expanding generator; and any chain name, its
 boundary action at lam = 1/2 on the quotient tower oracle.
 
-`chain`, `tower`, `boundary` and `action` are memoised: what they return is
-shared and must only be read.  A test that patches, counts calls or needs a
-cold cache builds its own input with `make_chain`, `make_action` or
-`tower_oracle.build_tower`.
+A chain name at a lam also names the chain's `coding.ChainWindow`.
+
+`chain`, `tower`, `boundary`, `window` and `action` are memoised: what they
+return is shared and must only be read.  A test that patches, counts calls
+or needs a cold cache builds its own input with `make_chain`, `make_action`,
+`tower_oracle.build_tower` or `ChainWindow`.
 """
 
 import functools
@@ -35,7 +38,7 @@ import random
 import re
 from fractions import Fraction as F
 
-from cantordyn import gallery
+from cantordyn import gallery, warp
 from cantordyn.action import CantorAction, CantorModel, TreeMetric
 from cantordyn.affine import (
     AffineElement,
@@ -48,6 +51,7 @@ from cantordyn.affine import (
     subgroup_intersect,
     translation,
 )
+from cantordyn.coding import ChainWindow
 from cantordyn.config import parse_config
 from cantordyn.gallery import REFLECTION, klein_type_group
 from cantordyn.tower import SubgroupChain
@@ -182,6 +186,12 @@ def boundary(name, lam=F(1, 2), depth=None):
     return _boundary(chain(name) if depth is None else chain(name).truncate(depth), F(lam))
 
 
+@functools.cache
+def window(name, lam):
+    """The default window of a named chain at lam, read off its algebra."""
+    return ChainWindow(chain(name), F(lam))
+
+
 # ----------------------------------------------------------------- actions
 
 def random_tree_action(seed, max_addresses=512):
@@ -228,7 +238,7 @@ def make_action(name):
     args = [int(a) for a in args if a is not None]
     if kind == "random_tree":
         return random_tree_action(*args)
-    return gallery.warp_example(*args, include_free_factor=kind == "warp")
+    return warp.warp_example(*args, include_free_factor=kind == "warp")
 
 
 @functools.cache

@@ -12,12 +12,10 @@ from fractions import Fraction as F
 from cantordyn.action import (
     CantorAction,
     CantorModel,
-    WarpMetric,
     breadth_first,
     common_prefix,
     is_distal,
     tuple_getter,
-    warp_cylinder_key,
     word_ball,
 )
 from cantordyn import _intmat as im
@@ -37,6 +35,7 @@ from cantordyn.coding import (
     default_window,
 )
 from cantordyn.errors import StructureError
+from cantordyn.warp import WarpMetric, warp_cylinder_key
 from modulus_oracle import modulus_table_of
 
 

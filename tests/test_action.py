@@ -8,11 +8,9 @@ import pytest
 import cases
 from cantordyn import action as action_module
 from cantordyn.action import (
-    COLLAPSED,
     CantorAction,
     CantorModel,
     TreeMetric,
-    WarpMetric,
     breadth_first,
     format_word,
     germinal_holonomy,
@@ -25,7 +23,7 @@ from cantordyn.action import (
     word_ball,
 )
 from cantordyn.errors import InvariantViolation, ResourceLimitError, StructureError
-from cantordyn.gallery import warp_model
+from cantordyn.warp import COLLAPSED, WarpMetric, warp_model
 from helpers import (
     ball_pairs,
     brute_force_distality,

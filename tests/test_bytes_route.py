@@ -28,7 +28,7 @@ from cantordyn.action import (
     tuple_getter,
     word_ball,
 )
-from cantordyn.gallery import warp_model
+from cantordyn.warp import warp_model
 from helpers import (
     ExplicitMetric,
     ball_pairs,

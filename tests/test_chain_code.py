@@ -81,7 +81,7 @@ def both_paths(monkeypatch, name, lam, word_bound):
     CodingChain, and the return-word sets each built."""
     chain = cases.chain(name)
     chain_calls = count_calls(monkeypatch, ChainWindow, "words")
-    source = ChainWindow(chain, lam)
+    source = cases.window(name, lam)
     got = code_window(source, _chain_modulus(chain, lam), word_bound)
     want, tower_calls = reference_chain(name, lam, word_bound)
     return source, got, want, (len(chain_calls), tower_calls)
@@ -136,7 +136,7 @@ def assert_same_chain(source, got, want):
 @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
 def test_the_window_its_gap_and_the_orbit_graph_are_the_boundary_actions(name, lam):
     chain = cases.chain(name)
-    source = ChainWindow(chain, lam)
+    source = cases.window(name, lam)
     action = cases.boundary(name, lam)
     window = default_window(action)
     points = window_points(source)

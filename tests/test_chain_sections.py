@@ -183,15 +183,17 @@ def test_a_conjugate_chain_keeps_what_classify_reports(name, seed):
     ]
     assert rows[0] == rows[1]
     assert classify_without_witnesses(conjugate_chain) == classify_without_witnesses(chain)
-    assert code_window_summary(conjugate_chain) == code_window_summary(chain)
+    conjugate_window = ChainWindow(conjugate_chain, LAMBDAS[0])
+    assert code_window_summary(conjugate_window) == code_window_summary(
+        cases.window(name, LAMBDAS[0])
+    )
 
 
-def code_window_summary(chain):
-    """What `code` reads off the chain's ChainWindow besides its words: the
+def code_window_summary(source):
+    """What `code` reads off a chain's ChainWindow besides its words: the
     minimality, the orbit-graph diameter, the window size, its gap to the
     rest, and the size of each level's core orbit."""
-    source = ChainWindow(chain, LAMBDAS[0])
-    cores = [len(source.core_orbit(l)) for l in range(1, chain.depth + 1)]
+    cores = [len(source.core_orbit(l)) for l in range(1, source.action.model.depth + 1)]
     return source.minimal, source.diameter(), len(source.action.model), source.gap, cores
 
 

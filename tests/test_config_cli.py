@@ -3,6 +3,7 @@
 import contextlib
 import io
 import pathlib
+import re
 import sys
 import time
 from collections import namedtuple
@@ -124,13 +125,16 @@ def entries(draw, values):
 @st.composite
 def config_texts(draw):
     """A gallery reference whose parameters come in any order, or the explicit
-    sections of a shipped config; then, perhaps, any of the [params] keys."""
+    sections of a shipped config, perhaps under a [chain] header with any of
+    the gallery parameters; then, perhaps, any of the [params] keys."""
     if draw(st.booleans()):
         kind = draw(st.sampled_from(("chain", "action")))
         name = draw(st.sampled_from(("vietoris", "fokkink_oversteegen", "warp_example")))
         text = f"[{kind}]\ngallery = {name}\n" + entries(draw, GALLERY_VALUES)
     else:
         text = draw(st.sampled_from(EXPLICIT_PARTS))
+        if draw(st.booleans()):
+            text = "[chain]\n" + entries(draw, GALLERY_VALUES) + text
     if draw(st.booleans()):
         text += "[params]\n" + entries(draw, PARAM_VALUES)
     return text
@@ -138,6 +142,13 @@ def config_texts(draw):
 
 @given(config_texts())
 def test_serializing_a_parsed_config_round_trips(text):
+    stray = re.match(r"\[chain\]\n(?!gallery )(\w+) = ", text)  # a parameter no gallery reads
+    if stray:
+        with pytest.raises(ParseError) as err:
+            parse_config(text)
+        message = f"[chain]: parameter {stray[1]!r} needs a gallery reference"
+        assert (err.value.line, str(err.value)) == (2, f"line 2: {message}")
+        return
     cfg = parse_config(text)
     canon = serialize_config(cfg)
     assert parse_config(canon) == cfg
@@ -332,7 +343,7 @@ REFUSALS = {
         "line 5: duplicate top-level section [action]",
     ),
     "level-x": Refusal(
-        GROUP_1D + "[level x]\nlattice = 2\n", "line 6: section [level x] must be '[level N]'"
+        GROUP_1D + "[level x]\nlattice = 2\n", "line 5: section [level x] must be '[level N]'"
     ),
     "level-1-renumbered": Refusal(
         GROUP_1D + LEVEL_1D + "[level 01]\nlattice = 4\n", "line 7: duplicate section [level 1]"
@@ -340,7 +351,11 @@ REFUSALS = {
     "unknown-params-key": Refusal(
         VIETORIS_TEXT + "[params]\nfoo = 1\n", "line 6: [params]: unknown key 'foo'"
     ),
-    "unknown-section": Refusal(VIETORIS_TEXT + "[foo]\n", "unknown section [foo]"),
+    "unknown-section": Refusal(VIETORIS_TEXT + "[foo]\n", "line 5: unknown section [foo]"),
+    "chain-parameter-without-gallery": Refusal(
+        "[chain]\np = 2\n" + GROUP_1D + LEVEL_1D,
+        "line 2: [chain]: parameter 'p' needs a gallery reference",
+    ),
     "no-top-level": Refusal(
         "[params]\ndepth = 2\n", "config needs a [chain], [action], or [group] section"
     ),
@@ -479,15 +494,15 @@ PARSE_REFUSALS = {
     ),
     "group-without-generators": (
         "[group]\ndimension = 1\ndenominator = 1\n" + LEVEL_1D,
-        2,
+        1,
         "[group]: needs dimension, denominator, and generators",
     ),
     "group-empty": (
         "[group]\n" + LEVEL_1D,
-        None,
+        1,
         "[group]: needs dimension, denominator, and generators",
     ),
-    "level-x": (GROUP_1D + "[level x]\nlattice = 2\n", 6, "section [level x] must be '[level N]'"),
+    "level-x": (GROUP_1D + "[level x]\nlattice = 2\n", 5, "section [level x] must be '[level N]'"),
     "level-unknown-key": (
         GROUP_1D + "[level 1]\nrep = 1 ; 0\nfoo = 2\n",
         7,
@@ -495,10 +510,10 @@ PARSE_REFUSALS = {
     ),
     "level-without-lattice": (
         GROUP_1D + "[level 1]\nrep = 1 ; 0\n",
-        6,
+        5,
         "[level 1]: needs a lattice",
     ),
-    "level-empty": (GROUP_1D + "[level 1]\n", None, "[level 1]: needs a lattice"),
+    "level-empty": (GROUP_1D + "[level 1]\n", 5, "[level 1]: needs a lattice"),
     "words-negative": (
         VIETORIS_TEXT + "[params]\nwords = -1\n",
         6,
@@ -515,7 +530,7 @@ PARSE_REFUSALS = {
     ),
     "lambda-1/0": ("[params]\nlambda = 1/0\n", 2, "fraction '1/0' has a zero denominator"),
     "params-unknown-key": (VIETORIS_TEXT + "[params]\nfoo = 1\n", 6, "[params]: unknown key 'foo'"),
-    "unknown-section": (VIETORIS_TEXT + "[foo]\n", None, "unknown section [foo]"),
+    "unknown-section": (VIETORIS_TEXT + "[foo]\n", 5, "unknown section [foo]"),
     "level-next-to-gallery": (
         VIETORIS_TEXT + "[level 1]\nlattice = 7 0 / 0 7\n",
         5,
@@ -545,6 +560,12 @@ PARSE_REFUSALS = {
     "action-without-gallery": ("[action]\nk1 = 2\n", None, "[action]: needs a gallery reference"),
     "chain-without-gallery": (
         "[chain]\np = 2\n", None, "[chain]: needs a gallery reference or a [group] section"
+    ),
+    # a [group] builds the chain, so no gallery would read the parameter
+    "chain-parameter-without-gallery": (
+        "[chain]\np = 2\n" + GROUP_1D + LEVEL_1D,
+        2,
+        "[chain]: parameter 'p' needs a gallery reference",
     ),
     "levels-not-contiguous": (
         GROUP_1D + "[level 2]\nlattice = 4\n",
@@ -589,10 +610,10 @@ def test_every_parse_refusal_names_its_message_and_line(name):
 
 # a level header is two words, `level` and an integer as `int` reads it
 LEVEL_HEADERS = {
-    "levels 1": "unknown section [levels 1]",
-    "levelx 1": "unknown section [levelx 1]",
-    "level 1 junk": "line 8: section [level 1 junk] must be '[level N]'",
-    "level": "line 8: section [level] must be '[level N]'",
+    "levels 1": "line 7: unknown section [levels 1]",
+    "levelx 1": "line 7: unknown section [levelx 1]",
+    "level 1 junk": "line 7: section [level 1 junk] must be '[level N]'",
+    "level": "line 7: section [level] must be '[level N]'",
     "level -1": "level sections must be numbered 1..n contiguously",
 }
 
@@ -1143,12 +1164,12 @@ def test_warp_example_refuses_its_generators_over_the_cell_cap(
 ):
     """The fiber generators and the cycle are counted against the cell cap
     before the first permutation is built, so a huge k1 exits at once."""
-    from cantordyn import gallery
+    from cantordyn import warp
 
     def refuse(*args):
         raise AssertionError("a fiber generator was built before the cell cap")
 
-    monkeypatch.setattr(gallery, "_y_to_int", refuse)
+    monkeypatch.setattr(warp, "_y_to_int", refuse)
     cfg = tmp_path / "wide.cfg"
     cfg.write_text("[action]\ngallery = warp_example\ndepth = 6\nk1 = 1000000\n")
     start = time.perf_counter()

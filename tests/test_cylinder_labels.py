@@ -24,13 +24,7 @@ from types import SimpleNamespace
 import pytest
 
 import cases
-from cantordyn import gallery
-from cantordyn.action import (
-    CantorAction,
-    CantorModel,
-    TreeMetric,
-    warp_cylinder_key,
-)
+from cantordyn.action import CantorAction, CantorModel, TreeMetric
 from cantordyn.coding import (
     ClopenPartition,
     _check_clopen_window,
@@ -38,6 +32,7 @@ from cantordyn.coding import (
     default_window,
 )
 from cantordyn.errors import StructureError
+from cantordyn.warp import warp_cylinder_key, warp_model
 
 CHAINS = (
     "vietoris_2_4",
@@ -82,7 +77,7 @@ def build(name):
     if kind == "tree":
         return random_product_tree(int(arg))
     if kind == "warp":
-        return CantorAction(gallery.warp_model(int(arg)), {}, 0)
+        return CantorAction(warp_model(int(arg)), {}, 0)
     return cases.action(name)
 
 

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import cases
-from cantordyn.action import COLLAPSED, breadth_first, is_minimal, modulus_table
+from cantordyn.action import breadth_first, is_minimal, modulus_table
 from cantordyn.affine import (
     contains,
     coset_space,
@@ -19,15 +19,14 @@ from cantordyn.gallery import (
     PRIME_TEST_BOUND,
     REFLECTION,
     _is_prime,
-    build_action,
     build_chain,
     fokkink_oversteegen,
     rogers_tollefson,
     small_fo_variant,
     vietoris,
-    warp_example,
 )
 from cantordyn.tower import mccord_verdict
+from cantordyn.warp import COLLAPSED, build_action, warp_example
 
 from helpers import brute_force_core
 from modulus_oracle import modulus_table_of

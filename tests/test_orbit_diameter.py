@@ -96,17 +96,13 @@ def test_breadth_first_is_the_queue_walk(name):
     assert is_minimal(action).minimal == (len(found) == len(action.model))
 
 
-def window_of(chain):
-    return ChainWindow(chain, LAM)
-
-
 @pytest.mark.parametrize("name", DIAMETER_CHAINS)
 def test_the_chain_windows_diameter_is_the_orbit_graphs(name):
     chain = cases.chain(DIAMETER_CHAINS[name])
     assert is_normal(chain.group, chain.levels[-1]).normal == (name not in OTHER_CONFIGS)
     action = cases.boundary(DIAMETER_CHAINS[name])
     assert len(action.model) <= SCHREIER_SIZE_CAP
-    source = window_of(chain)
+    source = cases.window(DIAMETER_CHAINS[name], LAM)
     assert source.minimal is True
     diameter = source.diameter()
     assert diameter == schreier_diameter(action.graph) == bfs_schreier_diameter(action)
@@ -117,7 +113,7 @@ def test_the_chain_windows_diameter_is_the_orbit_graphs(name):
 @pytest.mark.parametrize("name", CHAINS)
 def test_the_chain_windows_diameter_on_the_section_chains(name):
     want = schreier_diameter(cases.boundary(name, LAM).graph)  # None above the cap
-    assert window_of(cases.chain(name)).diameter() == want
+    assert cases.window(name, LAM).diameter() == want
 
 
 def test_code_reports_no_diameter_above_the_size_cap(tmp_path, capsys):
@@ -127,7 +123,7 @@ def test_code_reports_no_diameter_above_the_size_cap(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "  size: 1024\n" in out  # the window: one of two level-1 fibres
     assert "  schreier_diameter: none\n" in out
-    source = window_of(parse_config(cfg.read_text()).build_chain())
+    source = ChainWindow(parse_config(cfg.read_text()).build_chain(), LAM)
     assert source.size == 2048
     assert source.diameter() is None
 

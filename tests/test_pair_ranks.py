@@ -11,14 +11,7 @@ import pytest
 
 import cases
 from cantordyn import action as action_module
-from cantordyn.action import (
-    COLLAPSED,
-    CantorAction,
-    CantorModel,
-    WarpMetric,
-    is_distal,
-    warp_cylinder_key,
-)
+from cantordyn.action import CantorAction, CantorModel, is_distal
 from cantordyn.cli import main
 from cantordyn.coding import (
     ClopenPartition,
@@ -28,8 +21,8 @@ from cantordyn.coding import (
 )
 from cantordyn.config import parse_config
 from cantordyn.errors import ResourceLimitError, StructureError
-from cantordyn.gallery import warp_model
 from cantordyn.limits import CELL_CAP
+from cantordyn.warp import COLLAPSED, WarpMetric, warp_cylinder_key, warp_model
 from helpers import (
     ExplicitMetric,
     RankedTreeMetric,

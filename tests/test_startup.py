@@ -2,7 +2,9 @@
 `dataclasses` (which loads `inspect`, `ast`, `dis` and `tokenize`), nor
 `argparse` or `gettext` beyond what a bare interpreter holds; `compare`,
 chain set-up, and `classify` and `measure` on a chain load no action layer;
-an explicit chain loads no gallery; the plain classes that replace the
+an explicit chain loads no gallery; every command and the set-up build on an
+action load no gallery, affine, tower or integer algebra, and on a gallery
+chain no warp product; the plain classes that replace the
 dataclasses keep their value semantics; and, read off the sources whatever
 the host has installed, the package imports only the standard library and
 itself, and the tests only those, pytest, hypothesis and their own modules.
@@ -18,10 +20,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from cantordyn.action import TreeMetric, WarpMetric
+from cantordyn.action import TreeMetric
 from cantordyn.affine import AffineElement, IntegerLattice
 from cantordyn.config import parse_config
 from cantordyn.gallery import klein_type_group, small_fo_variant, vietoris
+from cantordyn.warp import WarpMetric
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 WORKLOADS = json.loads((REPO / "perfbench/workloads.json").read_text(encoding="utf-8"))
@@ -104,6 +107,54 @@ def test_classify_and_measure_on_a_chain_load_no_action(command, config):
     # the measure, modulus table, distality and word ball are read off the
     # chain, through `ball`: no model, action or engine
     assert run_loads([command, config], "cantordyn.action") == "0 False\n"
+
+
+# every command on one config, then the set-up probe's build of it, in one
+# fresh process: the exit codes, and which of the given modules are loaded
+COMMANDS_SCRIPT = """
+import contextlib, io, json, sys
+from cantordyn.cli import main
+from cantordyn.config import parse_config
+
+config, word, address = sys.argv[1:4]
+commands = [[command, config] for command in ("classify", "code", "measure")]
+commands += [["holonomy", config, "--word", word, "--at", address], ["compare", config, config]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+    cfg = parse_config(open(config).read())
+    cfg.build_chain() if cfg.kind == "chain" else cfg.build_action()
+print(codes, [name for name in json.loads(sys.argv[4]) if name in sys.modules])
+"""
+# each shipped action config, and its holonomy: a fiber generator fixes w0
+ACTION_CONFIGS = {
+    path: ("g1", "w0")
+    for path in ("configs/warp.cfg", "configs/warp_fiber_only.cfg", "perfbench/configs/warp_d4.cfg")
+}
+# each shipped gallery chain config, and a word fixing an address of its boundary action
+GALLERY_CHAIN_CONFIGS = {
+    "configs/vietoris2.cfg": ("t*t^-1", "0.0.0.0"),
+    "configs/vietoris3.cfg": ("t*t^-1", "0.0.0.0"),
+    "configs/vietoris5.cfg": ("t*t^-1", "0.0.0.0"),
+    "configs/triadic.cfg": ("t*t^-1", "0.0"),
+    "configs/fo.cfg": ("t1*t1^-1", "0.0"),
+    "configs/small_fo.cfg": ("t1*t1^-1", "0.0.0"),
+    "configs/rt.cfg": ("t1", "0.0.0"),
+}
+CHAIN_LAYERS = ["cantordyn.gallery", "cantordyn.affine", "cantordyn.tower", "cantordyn._intmat"]
+
+
+@pytest.mark.parametrize("config", ACTION_CONFIGS)
+def test_commands_and_setup_on_an_action_load_no_chain_layer(config):
+    # compare refuses an action before it builds anything
+    out = python("-c", COMMANDS_SCRIPT, config, *ACTION_CONFIGS[config], json.dumps(CHAIN_LAYERS))
+    assert out == "[0, 0, 0, 0, 2] []\n"
+
+
+@pytest.mark.parametrize("config", GALLERY_CHAIN_CONFIGS)
+def test_commands_and_setup_on_a_gallery_chain_load_no_warp(config):
+    words = GALLERY_CHAIN_CONFIGS[config]
+    out = python("-c", COMMANDS_SCRIPT, config, *words, json.dumps(["cantordyn.warp"]))
+    assert out == "[0, 0, 0, 0, 0] []\n"
 
 
 GLIDE = ((1, 0), (0, -1))
